@@ -88,6 +88,16 @@ def compare(baseline_path: Path, current_path: Path, threshold: float,
             print(f"  {label}")
         return 1
 
+    # A benchmark retired since the baseline (or skipped by this report
+    # mode) has nothing to compare: that passes, but is said out loud.
+    absent = sorted(
+        {name for name, _params in baseline}
+        - {name for name, _params in current}
+    )
+    if absent:
+        print("baseline benchmarks absent from the current report "
+              f"(not compared): {', '.join(absent)}")
+
     pairs = []  # (label, base_s, cur_s, ratio)
     for key, base_metrics in baseline.items():
         cur_metrics = current.get(key)

@@ -508,28 +508,6 @@ def report_observability():
               f"{timings['traced'] * 1e3:10.2f} {overhead:8.1f}% {spans:6d}")
 
 
-def report_bind_index():
-    banner("I1 — document indexes: associative Bind access, indexed vs scan")
-    try:
-        from benchmarks.bench_bind_index import speedup_rows
-    except ImportError:
-        from bench_bind_index import speedup_rows
-
-    print(f"{'n':>5} {'scan ms':>9} {'indexed ms':>11} {'speedup':>9}")
-    for n, scan_s, indexed_s, speedup in speedup_rows(
-        sizes=SIZES, repeats=5 if QUICK else 15
-    ):
-        emit(
-            "bind_index",
-            {"n": n},
-            scan_s=scan_s,
-            indexed_s=indexed_s,
-            speedup=speedup,
-        )
-        print(f"{n:5d} {scan_s * 1e3:9.3f} {indexed_s * 1e3:11.3f} "
-              f"{speedup:8.1f}x")
-
-
 def report_plan_cache():
     banner("C1 — compile-once serving: cold planning vs warm plan-cache hits")
     try:
@@ -840,7 +818,6 @@ def main():
     report_observability()
     report_plan_cache()
     report_result_cache()
-    report_bind_index()
     report_twig()
     report_store()
     report_serving()

@@ -34,15 +34,18 @@ from repro.model.filters import (
     FVar,
     LabelVar,
 )
-from repro.model.indexes import required_constants
 from repro.model.trees import DataNode
 
 Binding = Dict[str, object]
 
+#: Bound on the bindings one tree — and one whole collection target —
+#: may produce; every matcher shares it and the guard messages.
+MAX_MATCHES = 1_000_000
+
 
 def collection_explosion(bound: int) -> BindError:
-    """The error both matching engines raise when a whole collection call
-    exceeds the binding bound (the per-tree guard catches single trees)."""
+    """The error every matcher raises when a whole collection call exceeds
+    the binding bound (the per-tree guard catches single trees)."""
     return BindError(
         f"filter produces more than {bound} bindings across a "
         f"collection; refusing the cartesian explosion"
@@ -64,36 +67,20 @@ class FilterMatcher:
         across one :meth:`match_collection` call; exceeded bounds raise
         :class:`BindError` (a runaway cartesian product is almost always
         a query bug).
-    document_index:
-        Optional :class:`~repro.model.indexes.DocumentIndex` over the
-        tree(s) being matched.  Items demanding constants then seed
-        their candidate children from the value index and ``**`` jumps
-        via the label index — where :meth:`DocumentIndex.covers` proves
-        it sound; bindings are byte-identical either way.  ``seeks`` and
-        ``hits`` count the index consultations.
+
+    This is the reference implementation of Figure 4 — plain recursion,
+    no index, no compilation — that every other matcher is tested
+    against; it runs in production only under
+    ``ExecutionPolicy.serial()``.
     """
 
     def __init__(
         self,
         index: Optional[Dict[str, DataNode]] = None,
-        max_matches: int = 1_000_000,
-        document_index=None,
+        max_matches: int = MAX_MATCHES,
     ) -> None:
         self._index = index or {}
         self._max_matches = max_matches
-        #: Public and reassignable: the evaluator points one matcher at
-        #: each row's document in turn.
-        self.document_index = document_index
-        #: ``id(item) -> (item, lookup label, required constants)`` so the
-        #: sargability of each filter item is analyzed once per matcher,
-        #: not once per node.
-        self._item_access: Dict[int, tuple] = {}
-        self.seeks = 0
-        self.hits = 0
-
-    @property
-    def max_matches(self) -> int:
-        return self._max_matches
 
     # -- public entry points -------------------------------------------------
 
@@ -169,20 +156,6 @@ class FilterMatcher:
             return [{}] if node.atom == flt.value else []
         return []
 
-    def _sargable(self, item: Filter) -> tuple:
-        """``(lookup label, required constants)`` for one filter item."""
-        entry = self._item_access.get(id(item))
-        if entry is not None and entry[0] is item:
-            return entry[1], entry[2]
-        target = item.child if isinstance(item, FStar) else item
-        lookup: Optional[str] = None
-        required: tuple = ()
-        if isinstance(target, FElem) and isinstance(target.label, str):
-            lookup = target.label
-            required = required_constants(target)
-        self._item_access[id(item)] = (item, lookup, required)
-        return lookup, required
-
     def _match_children(
         self, node: DataNode, flt: FElem, own: Binding
     ) -> List[Binding]:
@@ -190,9 +163,6 @@ class FilterMatcher:
         rest_item: Optional[FRest] = None
         alternatives_per_item: List[List[Binding]] = []
         claimed: set = set()  # ids of children matched by some sibling item
-        doc_index = self.document_index
-        if doc_index is not None and not doc_index.covers(node):
-            doc_index = None
 
         for item in flt.children:
             if isinstance(item, FRest):
@@ -204,20 +174,8 @@ class FilterMatcher:
             # empty nested collection contributes no rows.  Mandatory
             # items fail the whole element the same way.
             target = item.child if isinstance(item, FStar) else item
-            candidates: Sequence[DataNode] = node.children
-            if doc_index is not None:
-                lookup, required = self._sargable(item)
-                if required:
-                    # Associative access: only children whose subtree
-                    # holds every required constant can match — a sound,
-                    # ordered superset straight from the value index.
-                    candidates = doc_index.child_candidates(
-                        node, lookup, required
-                    )
-                    self.seeks += 1
-                    self.hits += len(candidates)
             alts: List[Binding] = []
-            for child in candidates:
+            for child in node.children:
                 for binding in self._match(child, target):
                     claimed.add(id(child))
                     alts.append(binding)
@@ -252,24 +210,7 @@ class FilterMatcher:
     def _match_descend(self, node: DataNode, flt: FDescend) -> List[Binding]:
         node = self._deref(node)
         child = flt.child
-        doc_index = self.document_index
-        if (
-            doc_index is not None
-            and isinstance(child, FElem)
-            and isinstance(child.label, str)
-            and doc_index.covers(node)
-        ):
-            # ``**`` into a literal label: jump to the label's positions
-            # instead of probing every descendant (the child filter
-            # re-checks the label, so the jump is a pure filter).
-            candidates = doc_index.descendants_with_label(node, child.label)
-            self.seeks += 1
-            self.hits += len(candidates)
-            bindings: List[Binding] = []
-            for descendant in candidates:
-                bindings.extend(self._match(descendant, child))
-            return bindings
-        bindings = []
+        bindings: List[Binding] = []
         for descendant in node.descendants():
             bindings.extend(self._match(descendant, child))
         return bindings
@@ -292,9 +233,6 @@ def match_filter(
     node: DataNode,
     flt: Filter,
     index: Optional[Dict[str, DataNode]] = None,
-    document_index=None,
 ) -> List[Binding]:
     """Convenience wrapper: one-shot :class:`FilterMatcher` call."""
-    return FilterMatcher(index=index, document_index=document_index).match(
-        node, flt
-    )
+    return FilterMatcher(index=index).match(node, flt)

@@ -23,21 +23,16 @@ closures:
 ``Select`` / ``Join`` predicate :class:`~repro.core.algebra.expressions.Expr`
 trees get the same treatment via :func:`compile_predicate`.
 
-Compiled kernels are memoized per plan node (:func:`compiled_filter` /
-:func:`compiled_predicate`), so a cached plan that is executed again —
-or a DJoin branch evaluated once per outer row — compiles nothing.  The
+Compiled kernels are memoized per plan node — predicates here
+(:func:`compiled_predicate`), filter kernels inside the per-filter
+engine of :mod:`repro.core.algebra.engine`, which is the only caller of
+:func:`compile_filter` — so a cached plan that is executed again, or a
+DJoin branch evaluated once per outer row, compiles nothing.  The
 interpretive ``FilterMatcher`` remains in place as the differential
 oracle: ``ExecutionPolicy.serial()`` disables kernels, and the fuzz
 suite checks byte-identical answers between the two.  Semantics match
 the interpreter exactly, including error messages, binding order, and
 the cartesian-explosion guard.
-
-Kernels can additionally run with a :class:`MatchContext` carrying a
-:class:`~repro.model.indexes.DocumentIndex`: items whose target demands
-constants seed their candidate children from the value index, and ``**``
-jumps straight to the label's positions, instead of scanning.  The index
-only ever *narrows* the candidates to a sound superset in document
-order, so bindings stay byte-identical with or without it.
 """
 
 from __future__ import annotations
@@ -57,7 +52,7 @@ from repro.core.algebra.expressions import (
     FunCall,
     Var,
 )
-from repro.core.algebra.bind import collection_explosion
+from repro.core.algebra.bind import MAX_MATCHES
 from repro.errors import BindError, EvaluationError
 from repro.model.filters import (
     FConst,
@@ -71,18 +66,15 @@ from repro.model.filters import (
     LabelVar,
     MissingValue,
 )
-from repro.model.indexes import index_eligibility, required_constants
 from repro.model.trees import DataNode
 
 __all__ = [
     "CompiledFilter",
-    "MatchContext",
+    "KernelCache",
     "compile_filter",
     "compile_predicate",
-    "compiled_filter",
     "compiled_predicate",
-    "kernel_cache_stats",
-    "reset_kernel_caches",
+    "predicate_cache_stats",
 ]
 
 #: ``deref`` for matching without an ident index (no reference chasing).
@@ -90,35 +82,17 @@ def identity_deref(node: DataNode) -> DataNode:
     return node
 
 
-class MatchContext:
-    """Per-match carrier of the document index and its usage counters.
-
-    Passing a context is purely an acceleration: kernels consult the
-    index only where :meth:`DocumentIndex.covers` proves it sound, and
-    fall back to scanning everywhere else.  ``seeks``/``hits`` feed the
-    ``yat_bind_index_*`` metrics and tracer span attributes.
-    """
-
-    __slots__ = ("index", "seeks", "hits")
-
-    def __init__(self, index) -> None:
-        self.index = index
-        self.seeks = 0
-        self.hits = 0
+# A match function takes (node, deref) and returns a list of bindings.
+_MatchFn = Callable[[DataNode, Callable], List[dict]]
 
 
-# A match function takes (node, deref, ctx) and returns a list of
-# bindings; ctx is an optional MatchContext.
-_MatchFn = Callable[..., List[dict]]
-
-
-def _compile(flt: Filter, max_matches: int) -> _MatchFn:
+def _compile(flt: Filter) -> _MatchFn:
     if isinstance(flt, FElem):
-        return _compile_elem(flt, max_matches)
+        return _compile_elem(flt)
     if isinstance(flt, FVar):
         name = flt.name
 
-        def match_var(node, deref, ctx=None):
+        def match_var(node, deref):
             atom = node.atom
             if atom is not None:
                 return [{name: atom}]
@@ -128,7 +102,7 @@ def _compile(flt: Filter, max_matches: int) -> _MatchFn:
     if isinstance(flt, FConst):
         value = flt.value
 
-        def match_const(node, deref, ctx=None):
+        def match_const(node, deref):
             node = deref(node)
             atom = node.atom
             if atom is not None and atom == value:
@@ -137,32 +111,13 @@ def _compile(flt: Filter, max_matches: int) -> _MatchFn:
 
         return match_const
     if isinstance(flt, FDescend):
-        inner = _compile(flt.child, max_matches)
-        # ``**`` into a literal label can jump straight to the label's
-        # positions instead of probing every descendant; the inner
-        # matcher re-checks the label, so the jump is a pure filter.
-        child = flt.child
-        seek_label = (
-            child.label
-            if isinstance(child, FElem) and isinstance(child.label, str)
-            else None
-        )
+        inner = _compile(flt.child)
 
-        def match_descend(node, deref, ctx=None):
+        def match_descend(node, deref):
             node = deref(node)
-            if ctx is not None and seek_label is not None:
-                index = ctx.index
-                if index.covers(node):
-                    candidates = index.descendants_with_label(node, seek_label)
-                    ctx.seeks += 1
-                    ctx.hits += len(candidates)
-                    out: List[dict] = []
-                    for descendant in candidates:
-                        out.extend(inner(descendant, deref, ctx))
-                    return out
-            out = []
+            out: List[dict] = []
             for descendant in node.descendants():
-                out.extend(inner(descendant, deref, ctx))
+                out.extend(inner(descendant, deref))
             return out
 
         return match_descend
@@ -172,12 +127,12 @@ def _compile(flt: Filter, max_matches: int) -> _MatchFn:
             "element filter"
         )
 
-        def match_invalid(node, deref, ctx=None):
+        def match_invalid(node, deref):
             raise BindError(message)
 
         return match_invalid
 
-    def match_unknown(node, deref, ctx=None, _flt=flt):
+    def match_unknown(node, deref, _flt=flt):
         raise BindError(f"unknown filter kind: {_flt!r}")
 
     return match_unknown
@@ -212,7 +167,7 @@ def _compile_leaf_content(children) -> Optional[Callable[[DataNode], list]]:
     return None
 
 
-def _compile_elem(flt: FElem, max_matches: int) -> _MatchFn:
+def _compile_elem(flt: FElem) -> _MatchFn:
     label = flt.label
     var = flt.var
     # Specialize the label test once instead of per candidate node.
@@ -241,31 +196,24 @@ def _compile_elem(flt: FElem, max_matches: int) -> _MatchFn:
     # (one alternative list per item, element fails on an empty list),
     # which is exactly the interpreter's behavior.
     rest_name: Optional[str] = None
-    item_specs: List[Tuple[_MatchFn, Optional[str], tuple]] = []
+    item_specs: List[Tuple[_MatchFn, Optional[str]]] = []
     indexable = 0
-    any_required = False
     for item in flt.children:
         if isinstance(item, FRest):
             rest_name = item.name
             continue
         target = item.child if isinstance(item, FStar) else item
         lookup: Optional[str] = None
-        required: tuple = ()
         if isinstance(target, FElem) and isinstance(target.label, str):
             lookup = target.label
             indexable += 1
-            # Constants the target demands anywhere in a matching child's
-            # subtree (all non-rest items are mandatory) — the sargable
-            # keys a document value index can seek on.
-            required = required_constants(target)
-            any_required = any_required or bool(required)
-        item_specs.append((_compile(target, max_matches), lookup, required))
+        item_specs.append((_compile(target), lookup))
     # A label index pays off once two or more items can use it; with a
     # single item the dict build costs as much as the scan it replaces.
     use_index = indexable >= 2
     has_children_filter = bool(flt.children)
 
-    def match_elem(node, deref, ctx=None):
+    def match_elem(node, deref):
         node = deref(node)
         node_label = node.label
         if literal is not None:
@@ -292,11 +240,6 @@ def _compile_elem(flt: FElem, max_matches: int) -> _MatchFn:
                 out.append(merged)
             return out
         kids = node.children
-        doc_index = None
-        if ctx is not None and any_required:
-            doc_index = ctx.index
-            if not doc_index.covers(node):
-                doc_index = None
         by_label: Optional[Dict[str, List[DataNode]]] = None
         if use_index and kids:
             by_label = {}
@@ -304,21 +247,14 @@ def _compile_elem(flt: FElem, max_matches: int) -> _MatchFn:
                 by_label.setdefault(deref(child).label, []).append(child)
         claimed: set = set()
         alternatives: List[List[dict]] = []
-        for item_fn, lookup, required in item_specs:
-            if required and doc_index is not None:
-                # Associative access: only children whose subtree holds
-                # every required constant can match — a sound, ordered
-                # superset straight from the value index.
-                candidates = doc_index.child_candidates(node, lookup, required)
-                ctx.seeks += 1
-                ctx.hits += len(candidates)
-            elif lookup is not None and by_label is not None:
+        for item_fn, lookup in item_specs:
+            if lookup is not None and by_label is not None:
                 candidates = by_label.get(lookup, ())
             else:
                 candidates = kids
             alts: List[dict] = []
             for child in candidates:
-                bindings = item_fn(child, deref, ctx)
+                bindings = item_fn(child, deref)
                 if bindings:
                     claimed.add(id(child))
                     alts.extend(bindings)
@@ -336,9 +272,9 @@ def _compile_elem(flt: FElem, max_matches: int) -> _MatchFn:
         total = 1
         for alts in alternatives:
             total *= len(alts)
-            if total > max_matches:
+            if total > MAX_MATCHES:
                 raise BindError(
-                    f"filter produces more than {max_matches} bindings "
+                    f"filter produces more than {MAX_MATCHES} bindings "
                     f"for one tree; refusing the cartesian explosion"
                 )
         results: List[dict] = []
@@ -357,48 +293,26 @@ def _compile_elem(flt: FElem, max_matches: int) -> _MatchFn:
 class CompiledFilter:
     """A filter compiled to closures, with its output schema precomputed."""
 
-    __slots__ = ("filter", "variables", "access", "_match", "_max_matches")
+    __slots__ = ("filter", "variables", "_match")
 
-    def __init__(self, flt: Filter, max_matches: int = 1_000_000) -> None:
+    def __init__(self, flt: Filter) -> None:
         self.filter = flt
         #: Variables the filter binds, in declaration order (this also
         #: validates that no variable is bound twice, like the
         #: interpretive path does before matching).
         self.variables = flt.variables()
-        #: Static sargability analysis; ``access.seekable`` tells the
-        #: evaluator whether fetching a document index can pay off at all.
-        self.access = index_eligibility(flt)
-        self._match = _compile(flt, max_matches)
-        self._max_matches = max_matches
+        self._match = _compile(flt)
 
-    @property
-    def max_matches(self) -> int:
-        return self._max_matches
-
-    def match(
-        self, node: DataNode, deref=identity_deref, context=None
-    ) -> List[dict]:
-        return self._match(node, deref, context)
-
-    def match_collection(
-        self, nodes, deref=identity_deref, context=None
-    ) -> List[dict]:
-        match = self._match
-        bound = self._max_matches
-        out: List[dict] = []
-        for node in nodes:
-            out.extend(match(node, deref, context))
-            if len(out) > bound:
-                raise collection_explosion(bound)
-        return out
+    def match(self, node: DataNode, deref=identity_deref) -> List[dict]:
+        return self._match(node, deref)
 
     def __repr__(self) -> str:
         return f"CompiledFilter({self.filter!r})"
 
 
-def compile_filter(flt: Filter, max_matches: int = 1_000_000) -> CompiledFilter:
-    """Compile *flt* without memoization (tests, one-off matching)."""
-    return CompiledFilter(flt, max_matches=max_matches)
+def compile_filter(flt: Filter) -> CompiledFilter:
+    """Compile *flt* to a scan kernel (unmemoized; the engine memoizes)."""
+    return CompiledFilter(flt)
 
 
 _ORDERING_OPS = {
@@ -508,7 +422,7 @@ def compile_predicate(expr: Expr) -> Callable[..., object]:
     return _compile_expr(expr)
 
 
-class _KernelCache:
+class KernelCache:
     """Bounded id-keyed memo of compiled kernels.
 
     Keys are ``id(obj)`` with the object itself kept in the entry, so a
@@ -549,22 +463,19 @@ class _KernelCache:
             self._entries[key] = (obj, value)
         return value
 
-    def __len__(self) -> int:
+    def stats(self) -> Dict[str, int]:
+        """Counters for metrics: entries resident, memo hits and compiles."""
         with self._lock:
-            return len(self._entries)
-
-    @property
-    def capacity(self) -> int:
-        return self._capacity
-
-
-_FILTER_KERNELS = _KernelCache()
-_PREDICATE_KERNELS = _KernelCache()
+            return {
+                "entries": len(self._entries),
+                "hits": self.hits,
+                "compiles": self.misses,
+                "evictions": self.evictions,
+                "capacity": self._capacity,
+            }
 
 
-def compiled_filter(flt: Filter) -> CompiledFilter:
-    """The memoized compiled kernel for *flt* (keyed by plan-node identity)."""
-    return _FILTER_KERNELS.get(flt, CompiledFilter)
+_PREDICATE_KERNELS = KernelCache()
 
 
 def compiled_predicate(expr: Expr) -> Callable[..., object]:
@@ -572,20 +483,6 @@ def compiled_predicate(expr: Expr) -> Callable[..., object]:
     return _PREDICATE_KERNELS.get(expr, _compile_expr)
 
 
-def kernel_cache_stats() -> Dict[str, int]:
-    """Counters for metrics: kernels resident, memo hits and compiles."""
-    return {
-        "filter_kernels": len(_FILTER_KERNELS),
-        "predicate_kernels": len(_PREDICATE_KERNELS),
-        "hits": _FILTER_KERNELS.hits + _PREDICATE_KERNELS.hits,
-        "compiles": _FILTER_KERNELS.misses + _PREDICATE_KERNELS.misses,
-        "evictions": _FILTER_KERNELS.evictions + _PREDICATE_KERNELS.evictions,
-        "capacity": _FILTER_KERNELS.capacity + _PREDICATE_KERNELS.capacity,
-    }
-
-
-def reset_kernel_caches() -> None:
-    """Drop all memoized kernels (tests, benchmarks)."""
-    global _FILTER_KERNELS, _PREDICATE_KERNELS
-    _FILTER_KERNELS = _KernelCache()
-    _PREDICATE_KERNELS = _KernelCache()
+def predicate_cache_stats() -> Dict[str, int]:
+    """Counters of the predicate-kernel memo (see :meth:`KernelCache.stats`)."""
+    return _PREDICATE_KERNELS.stats()

@@ -18,8 +18,12 @@ optimizations over that baseline, none of which changes any answer:
 Union branches and independent Join inputs evaluate concurrently on a
 bounded pool when ``ExecutionPolicy.parallelism > 1``; a DJoin batches
 its right input per *distinct* outer binding tuple; and a per-execution
-cache memoizes wrapper round trips.  ``ExecutionPolicy.serial()``
-restores the naive engine byte for byte.
+cache memoizes wrapper round trips.  Bind runs through the per-filter
+engine of :mod:`repro.core.algebra.engine` and emits columnar Tabs,
+which the downstream operators keep columnar.
+``ExecutionPolicy.serial()`` — ``policy.reference`` — restores the
+naive engine byte for byte: recursive matcher, interpreted predicates,
+row-at-a-time Tabs, one right-branch evaluation per DJoin row, no cache.
 """
 
 from __future__ import annotations
@@ -36,12 +40,9 @@ from repro.errors import (
     UnknownSourceError,
     UnknownVariableError,
 )
-from repro.core.algebra.bind import FilterMatcher, collection_explosion
-from repro.core.algebra.compiled import (
-    MatchContext,
-    compiled_filter,
-    compiled_predicate,
-)
+from repro.core.algebra.bind import FilterMatcher
+from repro.core.algebra.compiled import compiled_predicate
+from repro.core.algebra.engine import BindCounters, bind_engine
 from repro.core.algebra.operators import (
     BindOp,
     DJoinOp,
@@ -74,10 +75,8 @@ from repro.core.algebra.skolem import SkolemRegistry
 from repro.observability.context import RequestContext
 from repro.core.algebra.stats import ExecutionStats
 from repro.core.algebra.tab import ColumnCursor, Row, Tab, tab_serialized_size
-from repro.core.algebra.twig import compiled_twig
 from repro.core.algebra.tree import _orderable, construct
-from repro.model.filters import MISSING, MissingValue
-from repro.model.indexes import document_index, index_eligibility
+from repro.model.filters import MissingValue
 from repro.model.trees import DataNode
 from repro.model.xml_io import serialized_size
 
@@ -139,27 +138,29 @@ class Environment:
         #: when set and permitting partial results, Union branches and
         #: ident indexes of unavailable sources degrade instead of failing.
         self.resilience = resilience
-        #: Federated scheduling knobs; the default keeps evaluation
-        #: strictly serial (parallelism=1) with caching and batching on.
+        #: Execution policy; the default keeps evaluation strictly serial
+        #: (parallelism=1) on the optimized engine.
         self.policy = policy if policy is not None else ExecutionPolicy()
+        #: ``True`` under ``ExecutionPolicy.serial()``: every operator
+        #: takes its naive form (the differential oracle).
+        self.reference = self.policy.reference
         #: The :class:`~repro.observability.context.RequestContext` this
         #: evaluation runs under.  The environment *finalizes* it: the
-        #: kernel mode always follows the execution policy, an explicit
-        #: ``tracer=`` argument wins over the context's, and the
-        #: per-request source-call cache is created here when the policy
-        #: asks for one.  Callers that pass no context get a fresh
-        #: anonymous one, so evaluation never falls back to globals.
+        #: reference flag always follows the execution policy, an
+        #: explicit ``tracer=`` argument wins over the context's, and the
+        #: per-request source-call cache is created here (the reference
+        #: engine runs without one).  Callers that pass no context get a
+        #: fresh anonymous one, so evaluation never falls back to globals.
         if context is None:
             context = RequestContext(tracer=tracer)
         elif tracer is None:
             tracer = context.tracer
         context.tracer = tracer
-        context.compile_kernels = self.policy.compile_kernels
-        if self.policy.cache_source_calls:
-            if context.call_cache is None:
-                context.call_cache = SourceCallCache()
-        else:
+        context.reference = self.reference
+        if self.reference:
             context.call_cache = None
+        elif context.call_cache is None:
+            context.call_cache = SourceCallCache()
         self.context = context
         #: Optional :class:`~repro.observability.tracer.Tracer`.  ``None``
         #: (the default) keeps the untraced fast path: every hook in this
@@ -213,7 +214,7 @@ class Environment:
         """Reference-chasing closure over the merged ident index.
 
         Follows reference chains exactly like ``FilterMatcher._deref``;
-        built once per execution for the compiled Bind kernels.
+        built once per execution for the Bind engine's scan kernels.
         """
         fn = self._deref
         if fn is None:
@@ -305,7 +306,7 @@ def _dispatch(plan: Plan, env: Environment, outer: Optional[Row]) -> Tab:
         source = _evaluate(plan.input, env, outer)
         tab = source.distinct()
         env.stats.record_operator("Distinct", len(tab))
-        if env.policy.vectorize and source.is_columnar:
+        if source.is_columnar:
             env.stats.record_batch(len(tab))
         return tab
     if isinstance(plan, ProjectOp):
@@ -428,154 +429,78 @@ def _eval_pushed(plan: PushedOp, env: Environment, outer: Optional[Row]) -> Tab:
 
 def _eval_bind(plan: BindOp, env: Environment, outer: Optional[Row]) -> Tab:
     input_tab = _evaluate(plan.input, env, outer)
-    # Associative access: when the policy allows it and the filter is
-    # sargable, each matched document's lazy label/value index seeds the
-    # match instead of a full scan.  The index yields ordered supersets
-    # of candidates only, so bindings are byte-identical either way.
-    use_indexes = env.policy.use_document_indexes
-    vectorize = env.policy.vectorize
-    seeks = hits = builds = 0
-    build_seconds = 0.0
-    twig_matches = twig_rows = twig_fallbacks = 0
-    # Holistic twig matching: a twig-expressible filter over an indexed
-    # document enumerates all embeddings in one positional join, emitting
-    # binding tuples in declaration order.  Targets without a usable
-    # index (small / reference / shared-node trees) fall back to the
-    # recursive engines below, byte-identical by construction.
-    twig = (
-        compiled_twig(plan.filter)
-        if env.policy.twig_joins and use_indexes
-        else None
-    )
-    matcher: Optional[FilterMatcher] = None
-    if env.policy.compile_kernels:
-        kernel = compiled_filter(plan.filter)
-        deref = env.deref()
-        variables = kernel.variables
-        seekable = use_indexes and kernel.access.seekable
-        bound = kernel.max_matches
-
-        def match_one(target):
-            nonlocal seeks, hits, builds, build_seconds
-            if seekable:
-                index, built = document_index(target)
-                if built:
-                    builds += 1
-                    build_seconds += index.build_seconds
-                if index is not None:
-                    context = MatchContext(index)
-                    bindings = kernel.match(target, deref, context)
-                    seeks += context.seeks
-                    hits += context.hits
-                    return bindings
-            return kernel.match(target, deref)
-
-    else:
-        matcher = FilterMatcher(index=env.ident_index())
-        variables = plan.filter.variables()
-        seekable = use_indexes and index_eligibility(plan.filter).seekable
-        bound = matcher.max_matches
-
-        def match_one(target):
-            nonlocal builds, build_seconds
-            if seekable:
-                index, built = document_index(target)
-                if built:
-                    builds += 1
-                    build_seconds += index.build_seconds
-                matcher.document_index = index
-            return matcher.match(target, plan.filter)
-
-    def tuples_one(target):
-        """Binding cell tuples (declaration order) for one target tree."""
-        nonlocal builds, build_seconds, twig_matches, twig_rows, twig_fallbacks
-        if twig is not None:
-            index, built = document_index(target)
-            if built:
-                builds += 1
-                build_seconds += index.build_seconds
-            if index is not None and index.covers(target):
-                bindings = twig.match(target, index)
-                twig_matches += 1
-                twig_rows += len(bindings)
-                return bindings
-            twig_fallbacks += 1
-        return [
-            tuple(binding.get(var, MISSING) for var in variables)
-            for binding in match_one(target)
-        ]
-
-    def tuples_many(targets):
-        bindings: List[tuple] = []
-        for target in targets:
-            bindings.extend(tuples_one(target))
-            if len(bindings) > bound:
-                raise collection_explosion(bound)
-        return bindings
-
-    def tuples_for(target):
-        if isinstance(target, tuple):
-            return tuples_many([t for t in target if isinstance(t, DataNode)])
-        if isinstance(target, DataNode):
-            return tuples_one(target)
-        return []
-
-    keep_all = plan.keep_on
-    out_columns = tuple(
-        c for c in input_tab.columns if keep_all or c != plan.on
-    ) + variables
-
-    if vectorize:
-        result = _bind_columnar(
-            plan, env, outer, input_tab, out_columns, variables, tuples_for
-        )
-    else:
-        rows: List[Row] = []
-        for row in input_tab:
-            target = _lookup(row, outer, plan.on)
-            bindings = tuples_for(target)
-            base_cells = tuple(
-                row[c] for c in input_tab.columns if keep_all or c != plan.on
-            )
-            for binding in bindings:
-                rows.append(Row(out_columns, base_cells + binding))
-        result = Tab(out_columns, rows)
-
-    if matcher is not None:
-        seeks += matcher.seeks
-        hits += matcher.hits
-    env.stats.record_operator("Bind", len(result))
-    if seeks or builds:
-        env.stats.record_bind_index(seeks, hits, builds, build_seconds)
-    if twig_matches or twig_fallbacks:
-        env.stats.record_twig(twig_matches, twig_rows, twig_fallbacks)
-    if env.tracer is not None:
-        if twig_matches:
-            env.tracer.annotate(
-                access="twig-join", twig_matches=twig_matches,
-                twig_fallbacks=twig_fallbacks,
-            )
-        elif seeks:
-            env.tracer.annotate(
-                access="index-seek", index_seeks=seeks, index_hits=hits
-            )
-        else:
+    if env.reference:
+        result = _bind_reference(plan, env, outer, input_tab)
+        env.stats.record_operator("Bind", len(result))
+        if env.tracer is not None:
             env.tracer.annotate(access="scan")
-        if vectorize:
-            env.tracer.annotate(batch_rows=len(result))
+        return result
+    # Which matcher runs for each target is the engine's decision (twig
+    # join over indexed trees, scan kernel otherwise); the counters say
+    # what it decided.
+    engine = bind_engine(plan.filter)
+    counters = BindCounters()
+    result = _bind_columnar(plan, env, outer, input_tab, engine, counters)
+    env.stats.record_operator("Bind", len(result))
+    if counters.twig or counters.fallbacks:
+        env.stats.record_twig(
+            counters.twig, counters.twig_rows, counters.fallbacks
+        )
+    if env.tracer is not None:
+        env.tracer.annotate(
+            access="twig-join" if counters.twig else "scan",
+            twig_matches=counters.twig, scanned=counters.scanned,
+            batch_rows=len(result),
+        )
     return result
+
+
+def _bind_reference(
+    plan: BindOp, env: Environment, outer: Optional[Row], input_tab: Tab
+) -> Tab:
+    """The oracle's Bind: recursive ``FilterMatcher``, one Row per binding."""
+    matcher = FilterMatcher(index=env.ident_index())
+    flt = plan.filter
+    variables = flt.variables()
+    base_columns = tuple(
+        c for c in input_tab.columns if plan.keep_on or c != plan.on
+    )
+    out_columns = base_columns + variables
+    rows: List[Row] = []
+    for row in input_tab:
+        target = _lookup(row, outer, plan.on)
+        if isinstance(target, tuple):
+            bindings = matcher.match_collection(
+                [t for t in target if isinstance(t, DataNode)], flt
+            )
+        elif isinstance(target, DataNode):
+            bindings = matcher.match(target, flt)
+        else:
+            continue
+        base_cells = tuple(row[c] for c in base_columns)
+        for binding in bindings:
+            rows.append(Row(
+                out_columns,
+                base_cells + tuple(binding[var] for var in variables),
+            ))
+    return Tab(out_columns, rows)
 
 
 def _bind_columnar(
     plan: BindOp, env: Environment, outer: Optional[Row], input_tab: Tab,
-    out_columns, variables, tuples_for,
+    engine, counters,
 ) -> Tab:
-    """Vectorized Bind output: bindings zip straight into column arrays.
+    """Engine Bind output: bindings zip straight into column arrays.
 
     Base cells are gathered by repetition counts and binding tuples are
     transposed once at the end — no per-output-row ``Row`` objects.
     """
+    variables = engine.variables
+    deref = env.deref()
     in_columns = input_tab.columns
+    out_columns = tuple(
+        c for c in in_columns if plan.keep_on or c != plan.on
+    ) + variables
     length = len(input_tab)
     in_cols = input_tab.column_data()
     positions = {name: i for i, name in enumerate(in_columns)}
@@ -594,7 +519,7 @@ def _bind_columnar(
     all_bindings: List[tuple] = []
     for i in range(length):
         target = target_col[i] if target_col is not None else outer_target
-        bindings = tuples_for(target)
+        bindings = engine.tuples(target, deref, counters)
         counts.append(len(bindings))
         all_bindings.extend(bindings)
 
@@ -621,15 +546,17 @@ def _bind_columnar(
     return Tab.from_columns(out_columns, out_cols, total)
 
 
+def _evaluator_for(expr, env: Environment):
+    """``fn(row, functions)`` for *expr*: the compiled kernel, or the
+    interpreter under the reference policy."""
+    return expr.evaluate if env.reference else compiled_predicate(expr)
+
+
 def _eval_select(plan: SelectOp, env: Environment, outer: Optional[Row]) -> Tab:
     input_tab = _evaluate(plan.input, env, outer)
-    predicate = (
-        compiled_predicate(plan.predicate)
-        if env.policy.compile_kernels
-        else plan.predicate.evaluate
-    )
+    predicate = _evaluator_for(plan.predicate, env)
     functions = env.functions
-    if env.policy.vectorize and input_tab.is_columnar:
+    if input_tab.is_columnar:
         # Batch select: the predicate probes a reusable cursor over the
         # column arrays; survivors are gathered by position.
         cursor = ColumnCursor(input_tab, outer)
@@ -660,7 +587,7 @@ def _eval_select(plan: SelectOp, env: Environment, outer: Optional[Row]) -> Tab:
 def _eval_project(plan: ProjectOp, env: Environment, outer: Optional[Row]) -> Tab:
     input_tab = _evaluate(plan.input, env, outer)
     columns = tuple(alias for _c, alias in plan.items)
-    if env.policy.vectorize and input_tab.is_columnar:
+    if input_tab.is_columnar:
         # Batch project: pure column selection, zero per-row work.
         positions = {name: i for i, name in enumerate(input_tab.columns)}
         in_cols = input_tab.column_data()
@@ -721,12 +648,7 @@ def _eval_map(plan: MapOp, env: Environment, outer: Optional[Row]) -> Tab:
     input_tab = _evaluate(plan.input, env, outer)
     new_names = tuple(name for name, _e in plan.bindings)
     out_columns = input_tab.columns + new_names
-    if env.policy.compile_kernels:
-        evaluators = tuple(
-            compiled_predicate(expr) for _n, expr in plan.bindings
-        )
-    else:
-        evaluators = tuple(expr.evaluate for _n, expr in plan.bindings)
+    evaluators = tuple(_evaluator_for(expr, env) for _n, expr in plan.bindings)
     rows = []
     for row in input_tab:
         scoped = _overlay(row, outer)
@@ -843,7 +765,7 @@ def _eval_join(plan: JoinOp, env: Environment, outer: Optional[Row]) -> Tab:
     keys = _hash_join_keys(plan, left.columns, right.columns)
     if keys is not None:
         left_keys, right_keys = keys
-        if env.policy.vectorize and (left.is_columnar or right.is_columnar):
+        if left.is_columnar or right.is_columnar:
             result = _hash_join_columnar(
                 left, right, out_columns, left_keys, right_keys
             )
@@ -862,11 +784,7 @@ def _eval_join(plan: JoinOp, env: Environment, outer: Optional[Row]) -> Tab:
         env.stats.record_operator("Join", len(rows))
         return Tab(out_columns, rows)
 
-    predicate = (
-        compiled_predicate(plan.predicate)
-        if env.policy.compile_kernels
-        else plan.predicate.evaluate
-    )
+    predicate = _evaluator_for(plan.predicate, env)
     rows = []
     for lrow in left:
         for rrow in right:
@@ -994,7 +912,7 @@ def _eval_djoin(plan: DJoinOp, env: Environment, outer: Optional[Row]) -> Tab:
     # Column names come from the actual right-hand Tabs (a pushed fragment
     # may order its columns differently from the static inference).
     out_columns = plan.output_columns()
-    if not env.policy.batch_djoin:
+    if env.reference:
         rows = []
         for lrow in left:
             inner_outer = _overlay(lrow, outer)
@@ -1050,14 +968,13 @@ def _eval_djoin(plan: DJoinOp, env: Environment, outer: Optional[Row]) -> Tab:
     # Row per result — left cells repeat per match count, right columns
     # concatenate in outer-row order (identical to the nested loop).
     right_columns = None
-    uniform = env.policy.vectorize
-    if uniform:
-        for tab in tabs.values():
-            if right_columns is None:
-                right_columns = tab.columns
-            elif tab.columns != right_columns:
-                uniform = False
-                break
+    uniform = True
+    for tab in tabs.values():
+        if right_columns is None:
+            right_columns = tab.columns
+        elif tab.columns != right_columns:
+            uniform = False
+            break
     if uniform and right_columns is not None:
         out_columns = left.columns + right_columns
         left_cols = left.column_data()
@@ -1160,7 +1077,7 @@ def _eval_union(plan: UnionOp, env: Environment, outer: Optional[Row]) -> Tab:
         return combined
     if left.columns != right.columns:
         right = right.project(left.columns)
-    if env.policy.vectorize and (left.is_columnar or right.is_columnar):
+    if left.is_columnar or right.is_columnar:
         data = tuple(
             lcol + rcol
             for lcol, rcol in zip(left.column_data(), right.column_data())
@@ -1260,7 +1177,7 @@ def _eval_scatter(plan: ScatterOp, env: Environment, outer: Optional[Row]) -> Ta
     tabs = [
         tab if tab.columns == columns else tab.project(columns) for tab in tabs
     ]
-    if env.policy.vectorize and any(tab.is_columnar for tab in tabs):
+    if any(tab.is_columnar for tab in tabs):
         data = tuple(
             tuple(cell for tab in tabs for cell in tab.column_data()[i])
             for i in range(len(columns))

@@ -7,10 +7,10 @@ and a DJoin issues one pushed round trip per outer row even when the
 outer values repeat.  This module holds the machinery the evaluator uses
 to remove that serialization without changing any answer:
 
-* :class:`ExecutionPolicy` — immutable knobs (``parallelism``,
-  ``cache_source_calls``, ``batch_djoin``).  The default keeps
-  ``parallelism=1``, so evaluation order — and therefore every side
-  effect visible to a single-threaded run — is unchanged;
+* :class:`ExecutionPolicy` — ``parallelism``, the one setting, plus the
+  ``serial()`` reference mode.  The default keeps ``parallelism=1``, so
+  evaluation order — and therefore every side effect visible to a
+  single-threaded run — is unchanged;
 * :class:`PlanScheduler` — a bounded thread pool for concurrent branch
   evaluation that cannot deadlock under nesting: a waiting thread
   reclaims any task the pool has not started yet and runs it inline;
@@ -47,88 +47,62 @@ from repro.model.trees import DataNode
 
 
 class ExecutionPolicy:
-    """Immutable configuration of the federated execution scheduler.
+    """Immutable configuration of one plan execution.
 
     ``parallelism`` bounds the number of plan branches evaluated
     concurrently; ``1`` (the default) keeps the seed's strictly serial
-    evaluation order.  ``cache_source_calls`` memoizes wrapper round
-    trips for the duration of one execution, and ``batch_djoin`` makes a
-    DJoin evaluate its right input once per *distinct* outer binding
-    tuple instead of once per left row.  ``compile_kernels`` runs Bind
-    filters and Select/Join predicates through the compiled closures of
-    :mod:`repro.core.algebra.compiled` instead of the interpretive
-    matcher/evaluator.  ``use_document_indexes`` lets seekable Bind
-    filters consult the lazy per-document label/value indexes of
-    :mod:`repro.model.indexes` (associative access) instead of scanning.
-    ``vectorize`` switches the evaluator's Select/Join/Union/DJoin and
-    Bind output onto columnar Tab batches (late materialization) instead
-    of per-row ``Row`` objects, and ``twig_joins`` lets twig-expressible
-    Bind filters run as one holistic positional join
-    (:mod:`repro.core.algebra.twig`) over indexed documents instead of
-    recursive descent.  All are on by default: they never change the
-    produced Tab, only the amount of mediator work.
+    evaluation order.  It is the only setting.  Everything else the
+    engine does to save mediator work — the per-execution source-call
+    cache, DJoin batching per distinct outer binding, compiled Bind and
+    predicate kernels, twig joins over indexed documents, columnar Tab
+    batches, prepared OQL in the O2 wrapper — is always on, because none
+    of it can change a produced Tab.
+
+    :meth:`serial` builds the one other mode: the *reference* engine
+    every optimization is tested against.  ``reference`` is read-only
+    and set nowhere else.
     """
 
-    __slots__ = (
-        "parallelism", "cache_source_calls", "batch_djoin",
-        "compile_kernels", "use_document_indexes", "vectorize",
-        "twig_joins",
-    )
+    __slots__ = ("_parallelism", "_reference")
 
-    def __init__(
-        self,
-        parallelism: int = 1,
-        cache_source_calls: bool = True,
-        batch_djoin: bool = True,
-        compile_kernels: bool = True,
-        use_document_indexes: bool = True,
-        vectorize: bool = True,
-        twig_joins: bool = True,
-    ) -> None:
+    def __init__(self, parallelism: int = 1) -> None:
         if parallelism < 1:
             raise ValueError("parallelism must be >= 1")
-        self.parallelism = parallelism
-        self.cache_source_calls = cache_source_calls
-        self.batch_djoin = batch_djoin
-        self.compile_kernels = compile_kernels
-        self.use_document_indexes = use_document_indexes
-        self.vectorize = vectorize
-        self.twig_joins = twig_joins
+        self._parallelism = parallelism
+        self._reference = False
 
     @classmethod
     def serial(cls) -> "ExecutionPolicy":
-        """The seed behavior, byte for byte: no pool, no cache, no
-        batching, interpretive matching, no indexes, row-at-a-time
-        execution (the differential oracle)."""
-        return cls(
-            parallelism=1,
-            cache_source_calls=False,
-            batch_djoin=False,
-            compile_kernels=False,
-            use_document_indexes=False,
-            vectorize=False,
-            twig_joins=False,
-        )
+        """The seed behavior, byte for byte (the differential oracle):
+        interpretive matcher and predicates, row-at-a-time Tabs, no
+        DJoin batching, no source-call cache, interpretive OQL in the O2
+        wrapper, no pool."""
+        policy = cls(parallelism=1)
+        policy._reference = True
+        return policy
 
     @classmethod
     def parallel(cls, parallelism: int = 4) -> "ExecutionPolicy":
-        """Concurrent dispatch with caching and batching on."""
+        """Concurrent dispatch over *parallelism* pool threads."""
         return cls(parallelism=parallelism)
 
     @property
+    def parallelism(self) -> int:
+        return self._parallelism
+
+    @property
+    def reference(self) -> bool:
+        """Whether this is the :meth:`serial` reference engine."""
+        return self._reference
+
+    @property
     def concurrent(self) -> bool:
-        return self.parallelism > 1
+        return self._parallelism > 1
 
     def __repr__(self) -> str:
-        return (
-            f"ExecutionPolicy(parallelism={self.parallelism}, "
-            f"cache_source_calls={self.cache_source_calls}, "
-            f"batch_djoin={self.batch_djoin}, "
-            f"compile_kernels={self.compile_kernels}, "
-            f"use_document_indexes={self.use_document_indexes}, "
-            f"vectorize={self.vectorize}, "
-            f"twig_joins={self.twig_joins})"
-        )
+        if self._reference:
+            return "ExecutionPolicy.serial()"
+        return f"ExecutionPolicy(parallelism={self._parallelism})"
 
 
 class PlanScheduler:
@@ -169,7 +143,7 @@ class PlanScheduler:
 
         When *context* is given, each thunk additionally runs under that
         :class:`~repro.observability.context.RequestContext` — bound
-        *outermost*, so the request's kernel mode and call cache are
+        *outermost*, so the request's reference flag and call cache are
         already active when the tracer binding installs its span parent.
         One scheduler pool may serve many concurrent requests; the
         binding is what keeps each thunk inside its own request.

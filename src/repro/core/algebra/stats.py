@@ -60,17 +60,13 @@ class ExecutionStats:
         self.batched_calls: int = 0
         #: Plan branches dispatched to the scheduler's thread pool.
         self.parallel_branches: int = 0
-        #: Document-index consultations by Bind (associative access):
-        #: seeks issued, candidate nodes returned, indexes built during
-        #: this execution and the time spent building them.
+        #: Always zero since the index-seek matchers were removed; kept
+        #: because ``benchmarks/e2e/layers.py`` reads it by name.
         self.bind_index_seeks: int = 0
-        self.bind_index_hits: int = 0
-        self.bind_index_builds: int = 0
-        self.bind_index_build_seconds: float = 0.0
         #: Holistic twig matching: targets matched via the positional
-        #: twig join, binding tuples it produced, and targets that fell
-        #: back to recursive matching (unindexed tree / unsupported
-        #: filter shape) on a Bind where the twig path was engaged.
+        #: twig join, binding tuples it produced, and targets of a
+        #: twig-fragment filter that the scan kernel matched instead
+        #: because their tree has no index (small / reference / shared).
         self.twig_matches: int = 0
         self.twig_bindings: int = 0
         self.twig_fallbacks: int = 0
@@ -165,16 +161,6 @@ class ExecutionStats:
         with self._lock:
             self.parallel_branches += branches
 
-    def record_bind_index(
-        self, seeks: int, hits: int, builds: int, build_seconds: float
-    ) -> None:
-        """Record one Bind's document-index usage (associative access)."""
-        with self._lock:
-            self.bind_index_seeks += seeks
-            self.bind_index_hits += hits
-            self.bind_index_builds += builds
-            self.bind_index_build_seconds += build_seconds
-
     def record_twig(self, matches: int, bindings: int, fallbacks: int) -> None:
         """Record one Bind's holistic twig-join usage."""
         with self._lock:
@@ -256,10 +242,6 @@ class ExecutionStats:
             "total_cache_hits": self.total_cache_hits,
             "batched_calls": self.batched_calls,
             "parallel_branches": self.parallel_branches,
-            "bind_index_seeks": self.bind_index_seeks,
-            "bind_index_hits": self.bind_index_hits,
-            "bind_index_builds": self.bind_index_builds,
-            "bind_index_build_seconds": self.bind_index_build_seconds,
             "twig_matches": self.twig_matches,
             "twig_bindings": self.twig_bindings,
             "twig_fallbacks": self.twig_fallbacks,
@@ -297,12 +279,6 @@ class ExecutionStats:
                 f"scheduler: {self.total_cache_hits} cache hits, "
                 f"{self.batched_calls} batched calls, "
                 f"{self.parallel_branches} parallel branches"
-            )
-        if self.bind_index_seeks or self.bind_index_builds:
-            lines.append(
-                f"bind index: {self.bind_index_seeks} seeks, "
-                f"{self.bind_index_hits} hits, "
-                f"{self.bind_index_builds} builds"
             )
         if self.twig_matches or self.twig_fallbacks:
             lines.append(

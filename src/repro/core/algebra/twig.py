@@ -1,7 +1,8 @@
 """Holistic twig-pattern matching for ``Bind`` (TwigStack-style).
 
 The recursive matchers (:mod:`repro.core.algebra.bind` and the compiled
-kernels in :mod:`repro.core.algebra.compiled`) navigate node-at-a-time:
+scan kernels in :mod:`repro.core.algebra.compiled`) navigate
+node-at-a-time:
 every element filter probes every candidate child object, and every
 binding is assembled as a Python dict.  This module evaluates the same
 filters *set-at-a-time* over the positional encoding that
@@ -15,18 +16,19 @@ TwigStack family:
 * a **descendant edge** (``**``) is a bisection of the label's sorted
   position list against the child's ``[pos, end)`` interval;
 * bindings are fixed-width **tuples in declaration order** — no dicts,
-  no per-binding merging — which the vectorized evaluator zips straight
-  into Tab columns.
+  no per-binding merging — which the evaluator zips straight into Tab
+  columns.
 
 The compiler handles the *twig fragment* of the filter language: element
 filters with literal string labels, variable/constant/rest items, ``*``
 iteration, and ``**`` descents into literal labels, variables or
 constants.  Everything else — :class:`LabelVar`/:class:`LabelRegex`
 labels, nested ``**``/``*`` shapes, non-element roots — makes
-:func:`compile_twig` return ``None`` and the caller falls back to the
-recursive engines.  Reference and shared-node trees never reach the twig
-path at all, because :func:`~repro.model.indexes.document_index` refuses
-to index them (``supports_seek`` is ``False``).
+:func:`compile_twig` return ``None`` and the caller
+(:mod:`repro.core.algebra.engine`, the only one) runs the scan kernel.
+Small, reference and shared-node trees never reach the twig path at
+all, because :func:`~repro.model.indexes.document_index` refuses to
+index them.
 
 The contract is strict parity: for every supported filter the twig join
 produces exactly the bindings, in exactly the order, that
@@ -40,6 +42,7 @@ from bisect import bisect_left
 from itertools import product
 from typing import Callable, List, Optional, Tuple
 
+from repro.core.algebra.bind import MAX_MATCHES
 from repro.errors import BindError
 from repro.model.filters import (
     FConst,
@@ -53,17 +56,7 @@ from repro.model.filters import (
 from repro.model.indexes import DocumentIndex
 from repro.model.trees import DataNode
 
-__all__ = [
-    "CompiledTwig",
-    "compile_twig",
-    "compiled_twig",
-    "reset_twig_cache",
-    "twig_cache_stats",
-]
-
-#: Same per-tree binding bound as the recursive engines (their default
-#: ``max_matches``); the guard message is kept byte-identical.
-MAX_MATCHES = 1_000_000
+__all__ = ["CompiledTwig", "compile_twig"]
 
 _EMPTY: Tuple[int, ...] = ()
 
@@ -710,9 +703,9 @@ class CompiledTwig:
     """A filter compiled to a positional twig join over a DocumentIndex.
 
     :meth:`match` returns binding *tuples* whose cells line up with
-    :attr:`variables` (the filter's declaration order) — the vectorized
-    Bind zips them straight into columns.  The caller is responsible for
-    only offering roots the index covers (``index.covers(root)``).
+    :attr:`variables` (the filter's declaration order) — Bind zips them
+    straight into columns.  The caller is responsible for only offering
+    roots the index covers (``index.covers(root)``).
     """
 
     __slots__ = ("filter", "variables", "_root_label", "_root_fn")
@@ -723,28 +716,11 @@ class CompiledTwig:
         self._root_label = root_label
         self._root_fn = root_fn
 
-    @property
-    def max_matches(self) -> int:
-        return MAX_MATCHES
-
     def match(self, root: DataNode, index: DocumentIndex) -> List[tuple]:
         """All binding tuples of the filter against *root*, via *index*."""
         if root.label != self._root_label:
             return []
         return self._root_fn(index, index.position_of(root))
-
-    def match_collection(
-        self, roots, index: DocumentIndex
-    ) -> List[tuple]:
-        """Union of :meth:`match` over *roots*, with the collection guard."""
-        from repro.core.algebra.bind import collection_explosion
-
-        bindings: List[tuple] = []
-        for root in roots:
-            bindings.extend(self.match(root, index))
-            if len(bindings) > MAX_MATCHES:
-                raise collection_explosion(MAX_MATCHES)
-        return bindings
 
 
 def compile_twig(flt: Filter) -> Optional[CompiledTwig]:
@@ -756,33 +732,3 @@ def compile_twig(flt: Filter) -> Optional[CompiledTwig]:
         return None
     label, fn = compiled
     return CompiledTwig(flt, label, fn)
-
-
-# Bounded id-keyed memo, same shape as the compiled-kernel caches; the
-# entry may be None (filter outside the twig fragment), which the memo
-# remembers so ineligible filters are analyzed once, not per Bind.
-from repro.core.algebra.compiled import _KernelCache  # noqa: E402
-
-_TWIG_KERNELS = _KernelCache()
-
-
-def compiled_twig(flt: Filter) -> Optional[CompiledTwig]:
-    """Memoized :func:`compile_twig` (keyed by filter identity)."""
-    return _TWIG_KERNELS.get(flt, compile_twig)
-
-
-def twig_cache_stats() -> dict:
-    """Counters for metrics: twigs resident, memo hits and compiles."""
-    return {
-        "entries": len(_TWIG_KERNELS),
-        "hits": _TWIG_KERNELS.hits,
-        "compiles": _TWIG_KERNELS.misses,
-        "evictions": _TWIG_KERNELS.evictions,
-        "capacity": _TWIG_KERNELS.capacity,
-    }
-
-
-def reset_twig_cache() -> None:
-    """Drop all memoized twigs (tests, benchmarks)."""
-    global _TWIG_KERNELS
-    _TWIG_KERNELS = _KernelCache()

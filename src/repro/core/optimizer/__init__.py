@@ -20,7 +20,6 @@ from repro.core.optimizer.capabilities import (
 from repro.core.optimizer.cost import (
     CostHints,
     Estimate,
-    choose_bind_access,
     estimate,
     estimate_cost,
 )
@@ -72,7 +71,6 @@ __all__ = [
     "TreeDecompositionRule",
     "decompose_tree",
     "apply_rules_once",
-    "choose_bind_access",
     "estimate",
     "estimate_cost",
     "navigation_to_extent_join",

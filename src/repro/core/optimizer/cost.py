@@ -39,11 +39,6 @@ from repro.core.algebra.operators import (
     UnionOp,
     UnitOp,
 )
-from repro.model.indexes import (
-    MIN_INDEX_NODES,
-    AccessPath,
-    index_eligibility,
-)
 
 #: Default assumptions, overridable per document via ``CostHints``.
 DEFAULT_DOCUMENT_SIZE = 10_000.0
@@ -207,29 +202,6 @@ class Estimate:
         return f"Estimate(cost={self.cost:.0f}, rows={self.rows:.0f})"
 
 
-def choose_bind_access(plan: BindOp, hints: Optional[CostHints] = None) -> AccessPath:
-    """The access path the cost model picks for one Bind: seek or scan.
-
-    A Bind seeks when its filter is sargable (:func:`index_eligibility`)
-    and the document it reads is expected to clear the runtime size gate
-    — tiny documents are scanned regardless, exactly as the index
-    registry decides at execution time.  Deterministic given the same
-    plan and hints, so EXPLAIN output is stable.
-    """
-    access = index_eligibility(plan.filter)
-    if not access.seekable:
-        return access
-    hints = hints or CostHints()
-    source = plan.input
-    if isinstance(source, SourceOp):
-        # Mirror the runtime gate: each top-level document entry
-        # contributes at least a couple of tree nodes, so a hinted
-        # cardinality this small can never reach MIN_INDEX_NODES.
-        if 2.0 * hints.cardinality(source.document) < MIN_INDEX_NODES:
-            return AccessPath("scan")
-    return access
-
-
 def estimate(plan: Plan, hints: Optional[CostHints] = None) -> Estimate:
     """Estimated cost and cardinality of evaluating *plan*."""
     hints = hints or CostHints()
@@ -256,15 +228,7 @@ def _estimate(plan: Plan, hints: CostHints) -> Estimate:
     if isinstance(plan, BindOp):
         inner = _estimate(plan.input, hints)
         depth = max(1, sum(1 for _ in plan.filter.walk()))
-        # A sargable filter seeds its match from the document's label /
-        # value index (associative access): the per-row work shrinks to
-        # the seek plus the surviving fraction of the walk, instead of
-        # the whole filter-depth scan.
-        if choose_bind_access(plan, hints).seekable:
-            per_row = 1.0 + depth * hints.default_selectivity
-        else:
-            per_row = float(depth)
-        return Estimate(inner.cost + inner.rows * per_row, inner.rows)
+        return Estimate(inner.cost + inner.rows * depth, inner.rows)
     if isinstance(plan, SelectOp):
         inner = _estimate(plan.input, hints)
         selectivity = hints.predicate_selectivity(plan.predicate)

@@ -51,14 +51,6 @@ from repro.yatl.normalize import NormalizedQuery, normalize_query
 from repro.yatl.parser import parse_program, parse_query
 from repro.yatl.translator import translate_query, translate_rule
 
-#: Execution-policy knobs whose values join the result-cache key.  All of
-#: them are answer-preserving by the soundness invariants, but keying on
-#: them keeps the cache conservative: a knob change can never serve an
-#: answer computed under different execution semantics.  Pure scheduling
-#: knobs (``parallelism``, ``cache_source_calls``) are deliberately
-#: excluded — they cannot change a byte.
-_DEFAULT_EXECUTION = ExecutionPolicy()
-
 #: Per-thread set of materialized views currently refreshing: a view
 #: whose refresh transitively reads itself fails fast instead of
 #: recursing (or deadlocking on its own single-flight lock).
@@ -225,9 +217,9 @@ class Mediator:
         #: Resilience policy used by :meth:`execute` / :meth:`query` unless
         #: overridden per call; ``None`` means fail-fast (direct).
         self.policy = policy
-        #: Federated scheduler policy (parallelism, DJoin batching,
-        #: source-call caching); ``None`` means the default
-        #: :class:`ExecutionPolicy` — serial order, cache and batching on.
+        #: Execution policy (parallelism, or the ``serial()`` reference
+        #: engine); ``None`` means the default :class:`ExecutionPolicy` —
+        #: serial order on the optimized engine.
         self.execution = execution
         self.functions = {
             "ref_is": ref_is,
@@ -334,7 +326,7 @@ class Mediator:
         # and let the next query refresh.
         self.views.reset_materialized()
         # Document trees may be re-exported after a catalog change; the
-        # lazily built label/value indexes over them follow the epoch.
+        # lazily built positional indexes over them follow the epoch.
         invalidate_document_indexes()
 
     # -- planning ------------------------------------------------------------------
@@ -550,11 +542,12 @@ class Mediator:
         answer is ordered differently from an optimized one is a
         non-goal — they are byte-identical by the soundness invariant,
         but keying on them costs nothing), the catalog epoch and
-        statistics version, and the answer-relevant execution knobs.
+        statistics version, and whether the reference engine ran.  The
+        oracle's answers are byte-identical too, but keying on the bit
+        keeps the cache conservative: an answer computed by one engine
+        never stands in for the other's.  ``parallelism`` is excluded —
+        it cannot change a byte.
         """
-        effective = execution if execution is not None else self.execution
-        if effective is None:
-            effective = _DEFAULT_EXECUTION
         return (
             normalized.key,
             normalized.values,
@@ -563,14 +556,14 @@ class Mediator:
             self.gate_information_passing,
             self._epoch,
             self._stats_version,
-            (
-                effective.compile_kernels,
-                effective.use_document_indexes,
-                effective.vectorize,
-                effective.twig_joins,
-                effective.batch_djoin,
-            ),
+            self._reference(execution),
         )
+
+    def _reference(self, execution: Optional[ExecutionPolicy]) -> bool:
+        """Would a query under *execution* (or the mediator-wide default)
+        run the ``serial()`` reference engine?"""
+        effective = execution if execution is not None else self.execution
+        return effective is not None and effective.reference
 
     def _version_vector(self, plan: Plan) -> tuple:
         """``((source, data_version), ...)`` for every source *plan* reads.
@@ -752,47 +745,35 @@ class Mediator:
         evaluations, rows produced, inclusive wall time, source calls,
         bytes and cache hits.
 
-        Every Bind node is annotated with the access path the cost model
-        chose for it — ``bind: twig-join`` when the filter compiles to a
-        holistic twig pattern under the effective execution policy,
-        ``bind: index-seek on (artist,'Picasso')`` when the filter is
-        sargable and document indexes are enabled, ``bind: scan``
-        otherwise.
+        Every mediator-side Bind node is annotated with what its engine
+        (:func:`~repro.core.algebra.engine.bind_engine`) will do:
+        ``bind: twig-join if indexed, else scan`` for a filter in the
+        twig fragment (the choice is per target tree, so ANALYZE's
+        ``twig=`` / ``scanned=`` actuals say how it fell), ``bind: scan``
+        otherwise — and always under the ``serial()`` reference policy.
         """
+        from repro.core.algebra.engine import bind_engine
         from repro.core.algebra.operators import (
             BindOp,
             PushedOp,
             ScatterOp,
             SourceOp,
         )
-        from repro.core.algebra.twig import compiled_twig
-        from repro.core.optimizer.cost import choose_bind_access
         from repro.observability.explain import Explanation
         from repro.observability.tracer import Tracer
 
         naive, optimized, trace, cached, normalized = self._plan_text(
             text, optimize, rounds
         )
-        effective = execution if execution is not None else self.execution
-        indexes_on = effective is None or effective.use_document_indexes
-        twig_on = indexes_on and (effective is None or effective.twig_joins)
-        hints = self.cost_hints()
+        reference = self._reference(execution)
         access_paths = {}
         for node in optimized.walk():
             if isinstance(node, BindOp):
-                if twig_on and compiled_twig(node.filter) is not None:
-                    access_paths[id(node)] = "bind: twig-join"
-                    continue
                 access = (
-                    choose_bind_access(node, hints)
-                    if indexes_on
-                    else None
+                    "scan" if reference
+                    else bind_engine(node.filter).describe()
                 )
-                access_paths[id(node)] = (
-                    f"bind: {access.describe()}"
-                    if access is not None
-                    else "bind: scan"
-                )
+                access_paths[id(node)] = f"bind: {access}"
         # Scatter nodes: show the pruning decision — how many shards of
         # the topology this Bind chain actually reads, and whether each
         # outer row is routed to its owning shard at run time.

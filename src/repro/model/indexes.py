@@ -1,83 +1,58 @@
-"""Document indexes: associative access for Bind (paper, Section 5.2).
+"""Document indexes: the positional encoding behind the twig join.
 
-The paper's Figure 7 rewrites pay off because restrictions can be
-evaluated "using the index" instead of scanning — the Wais wrapper's
-full-text index is the paper's own example.  This module gives the
-*mediator* the same capability over any materialized YAT document:
+A :class:`DocumentIndex` numbers one immutable document tree in
+pre-order and keeps, per node, its parent position and the end of its
+subtree interval, plus one sorted position list per label — the classic
+pre/post scheme of the TwigStack family.  The holistic twig join
+(:mod:`repro.core.algebra.twig`) evaluates Bind filters over these
+arrays: a parent/child edge is a probe of the per-label
+:meth:`~DocumentIndex.children_map`, a descendant edge (``**``) a
+bisection of :meth:`~DocumentIndex.label_list` against a
+``[pos, end)`` interval.
 
-* a **label index** (label -> positions) so label-restricted navigation
-  touches only the nodes that carry the label;
-* a **path/ancestry summary** (pre-order intervals + parent links) so
-  ``**`` (:class:`FDescend`) jumps straight to candidate subtrees; and
-* a **value index** ((atomic value) -> leaf positions, plus lazily built
-  sorted per-label value runs) so constant-restricted filter items such
-  as ``name: "Picasso"`` seed the match from the index.
-
-The index is a *pruning* structure, never a matching one: it yields a
-superset of candidate children in document order, and the real matcher
-(interpretive or compiled) runs on each candidate.  Because every
-``FConst`` inside a mandatory filter item must appear somewhere in the
-matched child's subtree (all non-rest items are required, including
-``FStar`` and ``FDescend`` items), "subtree contains the constant" is a
-sound necessary condition.  Nodes the index skips can therefore never
-match, and the bindings that survive are byte-identical to a full scan.
-
-Two tree shapes make position bookkeeping unsound, and both disable
-seeking (``supports_seek = False``) rather than risk a wrong answer:
-trees containing reference nodes (dereferencing may escape the indexed
-subtree, so a constant can live outside the child's interval) and trees
-sharing one node object in two places (``id``-keyed positions clobber).
+Two tree shapes make position bookkeeping unsound, and both disable the
+index (``supports_seek = False``) rather than risk a wrong answer: trees
+containing reference nodes (dereferencing escapes the indexed subtree)
+and trees sharing one node object in two places (``id``-keyed positions
+clobber).  :class:`IndexRegistry` builds indexes lazily, only for trees
+of at least :data:`MIN_INDEX_NODES` nodes — below that a scan is cheaper
+than the build.
 """
 
 from __future__ import annotations
 
 import threading
 import time
-from bisect import bisect_left, bisect_right
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.model.filters import (
-    FConst,
-    FDescend,
-    FElem,
-    Filter,
-    FRest,
-    FStar,
-)
 from repro.model.trees import DataNode
 
 __all__ = [
-    "AccessPath",
     "DocumentIndex",
     "IndexRegistry",
     "MIN_INDEX_NODES",
     "document_index",
-    "index_eligibility",
     "index_registry_stats",
     "invalidate_document_indexes",
-    "required_constants",
     "reset_document_indexes",
 ]
 
 #: Trees smaller than this are cheaper to scan than to index; the
-#: registry remembers them as "not indexed" instead of building.
+#: registry turns them away before touching its table.
 MIN_INDEX_NODES = 48
 
 
 class DocumentIndex:
-    """Positional label/value index over one immutable document tree.
+    """Positional label index over one immutable document tree.
 
     Nodes are numbered in pre-order (the exact order of
     :meth:`DataNode.descendants`); the subtree of the node at position
-    ``p`` occupies the half-open interval ``[p, end(p))``.  All lookups
-    reduce to bisections over sorted position lists, and every result
-    comes back in document order because pre-order positions of
-    interval-disjoint nodes increase left to right.
+    ``p`` occupies the half-open interval ``[p, end(p))``.  Position
+    lists are sorted, so every lookup comes back in document order.
     """
 
     __slots__ = (
-        "_nodes", "_parents", "_ends", "_ids",
-        "_label_positions", "_value_positions", "_range_lists",
+        "_nodes", "_parents", "_ends", "_ids", "_label_positions",
         "_child_maps", "supports_seek", "node_count", "build_seconds",
     )
 
@@ -87,7 +62,6 @@ class DocumentIndex:
         parents: List[int] = []
         ids: Dict[int, int] = {}
         label_positions: Dict[str, List[int]] = {}
-        value_positions: Dict[object, List[int]] = {}
         has_references = False
         shared = False
 
@@ -102,9 +76,7 @@ class DocumentIndex:
             else:
                 ids[id(node)] = pos
             label_positions.setdefault(node.label, []).append(pos)
-            if node.is_atom_leaf:
-                value_positions.setdefault(node.atom, []).append(pos)
-            elif node.is_reference:
+            if node.is_reference:
                 has_references = True
             for child in reversed(node.children):
                 stack.append((child, pos))
@@ -120,11 +92,6 @@ class DocumentIndex:
         self._ends = ends
         self._ids = ids
         self._label_positions = label_positions
-        self._value_positions = value_positions
-        #: Lazily built ``(label, kind) -> (sorted values, positions)``
-        #: runs backing the range lookups; kind separates numbers from
-        #: strings so mixed-type leaves never hit a comparison TypeError.
-        self._range_lists: Dict[Tuple[str, str], Tuple[list, List[int]]] = {}
         #: Lazily built ``label -> {parent position: [child positions]}``
         #: maps backing the holistic twig join (one grouping pass per
         #: label, amortized across every match over this document).
@@ -136,17 +103,11 @@ class DocumentIndex:
     # -- coverage -----------------------------------------------------------
 
     def covers(self, node: DataNode) -> bool:
-        """``True`` when seeks rooted at *node* are sound on this index."""
+        """``True`` when positional matching rooted at *node* is sound."""
         if not self.supports_seek:
             return False
         pos = self._ids.get(id(node))
         return pos is not None and self._nodes[pos] is node
-
-    def _position(self, node: DataNode) -> int:
-        pos = self._ids.get(id(node))
-        if pos is None or self._nodes[pos] is not node:
-            raise KeyError(f"node {node!r} is not part of the indexed document")
-        return pos
 
     # -- positional access (twig joins) -------------------------------------
 
@@ -162,7 +123,10 @@ class DocumentIndex:
 
     def position_of(self, node: DataNode) -> int:
         """Pre-order position of *node* (KeyError when not indexed)."""
-        return self._position(node)
+        pos = self._ids.get(id(node))
+        if pos is None or self._nodes[pos] is not node:
+            raise KeyError(f"node {node!r} is not part of the indexed document")
+        return pos
 
     def label_list(self, label: str) -> Sequence[int]:
         """Sorted pre-order positions of every *label*-labeled node."""
@@ -175,8 +139,8 @@ class DocumentIndex:
         pass over the label's position list; twig joins then resolve a
         parent/child edge with one dict probe instead of scanning the
         parent's children.  Child positions come out ascending, i.e. in
-        document order.  The benign build race under concurrent matches
-        mirrors ``_range_lists``.
+        document order.  Concurrent matches may both build a label's map;
+        either result is correct.
         """
         mapped = self._child_maps.get(label)
         if mapped is None:
@@ -192,228 +156,12 @@ class DocumentIndex:
             self._child_maps[label] = mapped
         return mapped
 
-    # -- label index --------------------------------------------------------
-
-    def descendants_with_label(self, scope: DataNode, label: str) -> Tuple[DataNode, ...]:
-        """Every node labeled *label* in the subtree of *scope* (inclusive),
-        in the same order ``scope.descendants()`` would visit them."""
-        positions = self._label_positions.get(label)
-        if not positions:
-            return ()
-        pos = self._position(scope)
-        end = self._ends[pos]
-        lo = bisect_left(positions, pos)
-        hi = bisect_left(positions, end, lo)
-        nodes = self._nodes
-        return tuple(nodes[p] for p in positions[lo:hi])
-
-    def children_with_label(self, scope: DataNode, label: str) -> Tuple[DataNode, ...]:
-        """Direct children of *scope* labeled *label*, in document order."""
-        positions = self._label_positions.get(label)
-        if not positions:
-            return ()
-        pos = self._position(scope)
-        end = self._ends[pos]
-        lo = bisect_right(positions, pos)
-        hi = bisect_left(positions, end, lo)
-        nodes = self._nodes
-        parents = self._parents
-        return tuple(nodes[p] for p in positions[lo:hi] if parents[p] == pos)
-
-    # -- value index --------------------------------------------------------
-
-    def child_candidates(
-        self, scope: DataNode, label: str, values: Sequence[object]
-    ) -> Tuple[DataNode, ...]:
-        """Children of *scope* labeled *label* whose subtree contains every
-        atom in *values*, in document order.
-
-        This is the associative-access entry point: a superset of the
-        children that can match a filter item requiring those constants.
-        """
-        pos = self._position(scope)
-        end = self._ends[pos]
-        parents = self._parents
-        survivors: Optional[List[int]] = None
-        for value in values:
-            positions = self._value_positions.get(value)
-            if not positions:
-                return ()
-            lo = bisect_right(positions, pos)
-            hi = bisect_left(positions, end, lo)
-            if lo == hi:
-                return ()
-            # Climb each leaf to its ancestor that is a direct child of
-            # the scope; ascending leaf positions give non-decreasing
-            # child positions, so adjacent dedup keeps document order.
-            children: List[int] = []
-            for leaf in positions[lo:hi]:
-                p = leaf
-                while parents[p] != pos:
-                    p = parents[p]
-                if not children or children[-1] != p:
-                    children.append(p)
-            if survivors is None:
-                survivors = children
-            else:
-                keep = set(children)
-                survivors = [p for p in survivors if p in keep]
-            if not survivors:
-                return ()
-        if survivors is None:
-            return ()
-        nodes = self._nodes
-        return tuple(
-            nodes[p] for p in survivors if nodes[p].label == label
-        )
-
-    def leaves_with_value(self, label: str, value: object) -> Tuple[DataNode, ...]:
-        """Every atom leaf ``label: value`` in the document, in document order."""
-        positions = self._value_positions.get(value)
-        if not positions:
-            return ()
-        nodes = self._nodes
-        return tuple(
-            nodes[p] for p in positions if nodes[p].label == label
-        )
-
-    def leaves_in_range(
-        self,
-        label: str,
-        lo: object = None,
-        hi: object = None,
-        lo_inclusive: bool = True,
-        hi_inclusive: bool = True,
-    ) -> Tuple[DataNode, ...]:
-        """Atom leaves labeled *label* with values in the given range.
-
-        Results come back sorted by ``(value, document position)`` — the
-        sorted-value runs that make year/range restrictions associative.
-        Numeric bounds search the numeric run, string bounds the string
-        run; ``None`` leaves that side open.
-        """
-        bound = lo if lo is not None else hi
-        if bound is None:
-            raise ValueError("leaves_in_range needs at least one bound")
-        kind = "str" if isinstance(bound, str) else "num"
-        values, positions = self._range_run(label, kind)
-        start = 0
-        stop = len(values)
-        if lo is not None:
-            start = bisect_left(values, lo) if lo_inclusive else bisect_right(values, lo)
-        if hi is not None:
-            stop = bisect_right(values, hi) if hi_inclusive else bisect_left(values, hi)
-        nodes = self._nodes
-        return tuple(nodes[p] for p in positions[start:stop])
-
-    def _range_run(self, label: str, kind: str) -> Tuple[list, List[int]]:
-        run = self._range_lists.get((label, kind))
-        if run is not None:
-            return run
-        pairs = []
-        nodes = self._nodes
-        for pos in self._label_positions.get(label, ()):
-            atom = nodes[pos].atom
-            if atom is None:
-                continue
-            numeric = isinstance(atom, (bool, int, float))
-            if (kind == "num") != numeric:
-                continue
-            pairs.append((atom, pos))
-        pairs.sort()
-        run = ([value for value, _pos in pairs], [pos for _value, pos in pairs])
-        self._range_lists[(label, kind)] = run
-        return run
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"DocumentIndex({self.node_count} nodes, "
             f"{len(self._label_positions)} labels, "
-            f"{len(self._value_positions)} values, "
             f"seek={'on' if self.supports_seek else 'off'})"
         )
-
-
-# ---------------------------------------------------------------------------
-# Index eligibility: which filters are sargable
-# ---------------------------------------------------------------------------
-
-def required_constants(target: Filter) -> Tuple[object, ...]:
-    """Atomic constants that must appear in any subtree matching *target*.
-
-    Every non-rest item of an element filter is mandatory — a ``FStar``
-    item with zero matching children, or a ``FDescend`` item with zero
-    bindings, fails the whole element — so *every* ``FConst`` reachable
-    in the target is required.  Order-preserving dedup.
-    """
-    return tuple(dict.fromkeys(
-        node.value for node in target.walk() if isinstance(node, FConst)
-    ))
-
-
-class AccessPath:
-    """The access path the optimizer chose for one Bind: seek or scan."""
-
-    __slots__ = ("kind", "keys")
-
-    def __init__(self, kind: str, keys: Tuple[Tuple[str, object], ...] = ()) -> None:
-        self.kind = kind
-        self.keys = keys
-
-    @property
-    def seekable(self) -> bool:
-        return self.kind == "index-seek"
-
-    def describe(self) -> str:
-        """``index-seek on (artist,'Picasso'), (**,work)`` or ``scan``."""
-        if not self.seekable:
-            return "scan"
-        parts = []
-        for label, value in self.keys:
-            if value is None:
-                parts.append(f"({label})" if label != "**" else "(**)")
-            elif label == "**":
-                parts.append(f"(**,{value})")
-            else:
-                parts.append(f"({label},{value!r})")
-        return "index-seek on " + ", ".join(parts)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"AccessPath({self.describe()!r})"
-
-
-def _star_target(item: Filter) -> Filter:
-    while isinstance(item, FStar):
-        item = item.child
-    return item
-
-
-def index_eligibility(flt: Filter) -> AccessPath:
-    """Static analysis: can a document index accelerate this filter?
-
-    A filter is seekable when some element item carries a required
-    constant under a literal label (value-index seek) or some ``**``
-    descends into a literal label (label-index jump).  The keys feed the
-    EXPLAIN access-path line; ``(**, label)`` marks a descend jump.
-    """
-    keys: List[Tuple[str, object]] = []
-    for node in flt.walk():
-        if isinstance(node, FElem):
-            for item in node.children:
-                if isinstance(item, FRest):
-                    continue
-                target = _star_target(item)
-                if isinstance(target, FElem) and isinstance(target.label, str):
-                    for value in required_constants(target):
-                        keys.append((target.label, value))
-        elif isinstance(node, FDescend):
-            child = node.child
-            if isinstance(child, FElem) and isinstance(child.label, str):
-                keys.append(("**", child.label))
-    deduped = tuple(dict.fromkeys(keys))
-    if deduped:
-        return AccessPath("index-seek", deduped)
-    return AccessPath("scan")
 
 
 # ---------------------------------------------------------------------------
@@ -425,9 +173,11 @@ class IndexRegistry:
 
     Indexes are built lazily on first use and kept until the mediator
     bumps its catalog epoch (``invalidate_document_indexes``), which
-    every schema/source change already triggers.  Trees that are too
-    small or cannot support seeking are remembered as ``None`` so the
-    eligibility check is paid once per document, not per Bind row.
+    every schema/source change already triggers.  Only trees that clear
+    the size gate occupy a slot, so the stream of small per-row Bind
+    targets can never evict a real index; a large tree that cannot be
+    indexed (references, shared nodes) is remembered as ``None`` so its
+    full traversal is paid once, not per Bind.
     """
 
     __slots__ = ("_lock", "_entries", "_capacity", "builds", "hits",
@@ -443,35 +193,35 @@ class IndexRegistry:
         self.epoch = 0
         self.evictions = 0
 
-    def get(self, root: DataNode) -> Tuple[Optional[DocumentIndex], bool]:
-        """Return ``(index or None, built_now)`` for *root*.
+    def get(self, root: DataNode) -> Optional[DocumentIndex]:
+        """The index covering *root*, or ``None`` for "scan this one".
 
-        ``None`` means "scan this one": the tree is below the size gate
-        or cannot support sound seeks.  The build happens outside the
-        lock; two threads racing on a cold document may both build, and
-        either result is correct.
+        ``None`` means the tree is below the size gate (``size()`` is
+        cached on the node, so the test costs one attribute read) or
+        cannot be indexed soundly.  The build happens outside the lock;
+        two threads racing on a cold document may both build, and either
+        result is correct.  A full table evicts its oldest entry.
         """
+        if root.size() < MIN_INDEX_NODES:
+            return None
         key = id(root)
         with self._lock:
             entry = self._entries.get(key)
             if entry is not None and entry[0] is root:
                 self.hits += 1
-                return entry[1], False
-        if root.size() < MIN_INDEX_NODES:
-            index: Optional[DocumentIndex] = None
-        else:
-            index = DocumentIndex(root)
-            if not index.supports_seek:
-                index = None
+                return entry[1]
+        index: Optional[DocumentIndex] = DocumentIndex(root)
+        if not index.supports_seek:
+            index = None
         with self._lock:
-            if len(self._entries) >= self._capacity:
-                self.evictions += len(self._entries)
-                self._entries.clear()
+            if key not in self._entries and len(self._entries) >= self._capacity:
+                self._entries.pop(next(iter(self._entries)))
+                self.evictions += 1
             self._entries[key] = (root, index)
             if index is not None:
                 self.builds += 1
                 self.build_seconds += index.build_seconds
-        return index, index is not None
+        return index
 
     def invalidate(self) -> None:
         """Drop every cached index; called on catalog-epoch bumps."""
@@ -508,7 +258,7 @@ class IndexRegistry:
 _DOCUMENT_INDEXES = IndexRegistry()
 
 
-def document_index(root: DataNode) -> Tuple[Optional[DocumentIndex], bool]:
+def document_index(root: DataNode) -> Optional[DocumentIndex]:
     """Fetch (building lazily) the shared index for *root*; see
     :meth:`IndexRegistry.get`."""
     return _DOCUMENT_INDEXES.get(root)

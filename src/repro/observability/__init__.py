@@ -28,10 +28,8 @@ byte-identical answers.
 
 from repro.observability.context import (
     RequestContext,
-    activate_compile_kernels,
     activate_context,
     activate_tracer,
-    current_compile_kernels,
     current_context,
     current_tracer,
 )
@@ -56,11 +54,9 @@ __all__ = [
     "RequestContext",
     "Span",
     "Tracer",
-    "activate_compile_kernels",
     "activate_context",
     "activate_tracer",
     "collect_actuals",
-    "current_compile_kernels",
     "current_context",
     "current_tracer",
     "record_execution",

@@ -1,13 +1,13 @@
 """Per-request execution context and its cross-boundary propagation.
 
 Earlier revisions carried two independent thread-local slots — the
-active tracer and the ``compile_kernels`` flag — across the wrapper
-boundary, and kept the per-execution source-call cache as an attribute
-of the evaluator's environment.  Three pieces of per-execution state in
-three places is exactly the shape that breaks under concurrent serving:
-a pool thread that evaluates branches for two different queries must
-switch *all* of it atomically, or query A's wrapper calls run with query
-B's tracer, kernel mode, or call cache.
+active tracer and the kernel-mode flag — across the wrapper boundary,
+and kept the per-execution source-call cache as an attribute of the
+evaluator's environment.  Three pieces of per-execution state in three
+places is exactly the shape that breaks under concurrent serving: a pool
+thread that evaluates branches for two different queries must switch
+*all* of it atomically, or query A's wrapper calls run with query B's
+tracer, engine mode, or call cache.
 
 This module replaces those slots with one explicit
 :class:`RequestContext` — the identity and execution state of a single
@@ -19,13 +19,13 @@ adapter protocol has no signature to pass it.
 ``run_plan`` activates the context for the duration of one evaluation;
 :meth:`RequestContext.bind` re-activates it inside scheduler pool
 threads, so a pool shared by many concurrent requests always observes
-the dispatching request's tracer, kernel mode and cache.  When no
+the dispatching request's tracer, reference flag and cache.  When no
 context is active, :func:`current_context` is a single thread-local
 attribute read returning ``None`` — the disabled fast path.
 
-:func:`current_tracer` / :func:`current_compile_kernels` (and their
-``activate_*`` shapes) remain as thin views over the active context, so
-wrapper-side call sites and tests keep their historical surface.
+:func:`current_tracer` (and its ``activate_tracer`` / ``set_tracer``
+shapes) is a thin view over the active context for wrapper-side call
+sites.
 """
 
 from __future__ import annotations
@@ -50,9 +50,12 @@ class RequestContext:
 
     * identity — ``request_id``, ``tenant``, ``priority``: who this
       execution serves, used by serving metrics and admission records;
-    * execution state — ``tracer``, ``compile_kernels``, ``call_cache``,
+    * execution state — ``tracer``, ``reference``, ``call_cache``,
       ``deadline``: the state that used to live in per-thread globals
-      and per-environment attributes.  ``deadline`` is *absolute* (on
+      and per-environment attributes.  ``reference`` mirrors
+      ``ExecutionPolicy.reference`` (the evaluator environment sets it)
+      so wrappers can take their interpretive path under the oracle
+      policy.  ``deadline`` is *absolute* (on
       the resilience policy's clock, ``time.monotonic`` by default) and
       is folded into the
       :class:`~repro.mediator.resilience.PolicyRuntime` deadline
@@ -66,7 +69,7 @@ class RequestContext:
 
     __slots__ = (
         "request_id", "tenant", "priority", "deadline",
-        "tracer", "compile_kernels", "call_cache",
+        "tracer", "reference", "call_cache",
     )
 
     def __init__(
@@ -76,7 +79,7 @@ class RequestContext:
         priority: str = "normal",
         deadline: Optional[float] = None,
         tracer: Optional["Tracer"] = None,
-        compile_kernels: bool = True,
+        reference: bool = False,
         call_cache: Optional["SourceCallCache"] = None,
     ) -> None:
         self.request_id = request_id
@@ -84,7 +87,7 @@ class RequestContext:
         self.priority = priority
         self.deadline = deadline
         self.tracer = tracer
-        self.compile_kernels = compile_kernels
+        self.reference = reference
         self.call_cache = call_cache
 
     def replace(self, **overrides) -> "RequestContext":
@@ -98,7 +101,7 @@ class RequestContext:
 
         The scheduler binds every submitted thunk: whichever thread
         executes it — a pool thread, or the dispatching thread itself on
-        the reclaim path — sees this request's tracer, kernel mode and
+        the reclaim path — sees this request's tracer, reference flag and
         call cache for the duration, and has its previous context
         restored afterwards.
         """
@@ -116,7 +119,7 @@ class RequestContext:
         ident = self.request_id or "anonymous"
         return (
             f"RequestContext({ident}, tenant={self.tenant!r}, "
-            f"priority={self.priority!r}, compile_kernels={self.compile_kernels})"
+            f"priority={self.priority!r}, reference={self.reference})"
         )
 
 
@@ -149,7 +152,7 @@ def activate_context(
 
 
 # ---------------------------------------------------------------------------
-# Compatibility views: the historical tracer / kernel-flag surface
+# Tracer views over the active context
 # ---------------------------------------------------------------------------
 
 def current_tracer() -> Optional["Tracer"]:
@@ -187,32 +190,5 @@ def activate_tracer(tracer: Optional["Tracer"]) -> Iterator[Optional["Tracer"]]:
     previous = set_context(derived)
     try:
         yield tracer
-    finally:
-        set_context(previous)
-
-
-def current_compile_kernels() -> bool:
-    """Whether source-side kernel compilation is on for this request.
-
-    Defaults to ``True`` — the same default as
-    :class:`~repro.core.algebra.scheduling.ExecutionPolicy` — so direct
-    wrapper use outside ``run_plan`` takes the compiled path.
-    """
-    context = getattr(_local, "context", None)
-    return context.compile_kernels if context is not None else True
-
-
-@contextmanager
-def activate_compile_kernels(flag: bool) -> Iterator[bool]:
-    """Make *flag* the thread's kernel-compilation mode for the body."""
-    context = getattr(_local, "context", None)
-    derived = (
-        RequestContext(compile_kernels=flag)
-        if context is None
-        else context.replace(compile_kernels=flag)
-    )
-    previous = set_context(derived)
-    try:
-        yield flag
     finally:
         set_context(previous)

@@ -35,8 +35,8 @@ class NodeActuals:
     """
 
     __slots__ = ("evals", "rows", "wall", "cpu", "calls", "bytes",
-                 "cache_hits", "index_seeks", "index_hits",
-                 "twig_matches", "twig_fallbacks", "batch_rows", "native")
+                 "cache_hits", "twig_matches", "scanned", "batch_rows",
+                 "native")
 
     def __init__(self) -> None:
         self.evals = 0
@@ -46,10 +46,9 @@ class NodeActuals:
         self.calls = 0
         self.bytes = 0
         self.cache_hits = 0
-        self.index_seeks = 0
-        self.index_hits = 0
+        #: Bind targets matched by the twig join / by the scan kernel.
         self.twig_matches = 0
-        self.twig_fallbacks = 0
+        self.scanned = 0
         self.batch_rows = 0
         #: First native query text this node executed (``Pushed`` only).
         self.native: Optional[str] = None
@@ -66,13 +65,9 @@ class NodeActuals:
             parts.append(f"bytes={self.bytes}")
         if self.cache_hits:
             parts.append(f"cache={self.cache_hits}")
-        if self.index_seeks:
-            parts.append(f"seeks={self.index_seeks}")
-            parts.append(f"seek_hits={self.index_hits}")
-        if self.twig_matches:
+        if self.twig_matches or self.scanned:
             parts.append(f"twig={self.twig_matches}")
-            if self.twig_fallbacks:
-                parts.append(f"twig_fallbacks={self.twig_fallbacks}")
+            parts.append(f"scanned={self.scanned}")
         if self.batch_rows:
             parts.append(f"batch={self.batch_rows}")
         return " ".join(parts)
@@ -105,10 +100,8 @@ def collect_actuals(tracer) -> Dict[int, NodeActuals]:
         entry.calls += int(span.attrs.get("calls", 0))  # type: ignore[arg-type]
         entry.bytes += int(span.attrs.get("bytes", 0))  # type: ignore[arg-type]
         entry.cache_hits += int(span.attrs.get("cache_hits", 0))  # type: ignore[arg-type]
-        entry.index_seeks += int(span.attrs.get("index_seeks", 0))  # type: ignore[arg-type]
-        entry.index_hits += int(span.attrs.get("index_hits", 0))  # type: ignore[arg-type]
         entry.twig_matches += int(span.attrs.get("twig_matches", 0))  # type: ignore[arg-type]
-        entry.twig_fallbacks += int(span.attrs.get("twig_fallbacks", 0))  # type: ignore[arg-type]
+        entry.scanned += int(span.attrs.get("scanned", 0))  # type: ignore[arg-type]
         entry.batch_rows += int(span.attrs.get("batch_rows", 0))  # type: ignore[arg-type]
         native = span.attrs.get("native")
         if entry.native is None and isinstance(native, str):
@@ -171,9 +164,9 @@ def render_plan(
 ) -> str:
     """The plan tree, one node per line, actuals right-aligned when given.
 
-    ``access_paths`` maps plan-node ids to the optimizer's chosen Bind
-    access path (``bind: index-seek on (artist,'Picasso')`` / ``bind:
-    scan``); the text joins the annotation column.
+    ``access_paths`` maps plan-node ids to their Bind access line
+    (``bind: twig-join if indexed, else scan`` / ``bind: scan`` /
+    ``bind: store-pushdown`` ...); the text joins the annotation column.
     """
     rows: List[Tuple[str, str]] = []
     _plan_rows(plan, 0, actuals, rows, None, access_paths)
@@ -237,8 +230,8 @@ class Explanation:
         self.naive_plan = naive_plan
         self.plan = plan
         self.rewrites = rewrites
-        #: ``{id(plan node): "bind: index-seek on ..."}`` — the access
-        #: path the cost model chose for each Bind in the plan.
+        #: ``{id(plan node): "bind: scan"}`` — what each Bind's engine (or
+        #: the wrapper it was pushed to) will do.
         self.access_paths = access_paths
         #: :class:`~repro.mediator.execution.ExecutionReport` under
         #: ``analyze=True``; ``None`` for plain EXPLAIN.

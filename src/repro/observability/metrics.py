@@ -429,22 +429,6 @@ def record_execution(
         "Plan branches dispatched to the scheduler pool.",
     ).inc(stats.parallel_branches)
     registry.counter(
-        "yat_bind_index_seeks_total",
-        "Document-index seeks issued by Bind (associative access).",
-    ).inc(stats.bind_index_seeks)
-    registry.counter(
-        "yat_bind_index_hits_total",
-        "Candidate nodes returned by Bind document-index seeks.",
-    ).inc(stats.bind_index_hits)
-    registry.counter(
-        "yat_bind_index_builds_total",
-        "Document indexes built lazily during execution.",
-    ).inc(stats.bind_index_builds)
-    registry.counter(
-        "yat_bind_index_build_seconds_total",
-        "Wall time spent building document indexes.",
-    ).inc(stats.bind_index_build_seconds)
-    registry.counter(
         "yat_twig_matches_total",
         "Bind targets matched by the holistic twig join.",
     ).inc(stats.twig_matches)
@@ -454,7 +438,7 @@ def record_execution(
     ).inc(stats.twig_bindings)
     registry.counter(
         "yat_twig_fallbacks_total",
-        "Bind targets that fell back to recursive matching.",
+        "Targets of twig-fragment filters scanned for lack of an index.",
     ).inc(stats.twig_fallbacks)
     registry.counter(
         "yat_batch_operators_total",
@@ -525,7 +509,8 @@ def record_plan_cache(registry: MetricsRegistry, mediator) -> None:
     double-counts.  A mediator constructed with ``plan_cache_size=0``
     records nothing for the plan-cache family.
     """
-    from repro.core.algebra.compiled import kernel_cache_stats
+    from repro.core.algebra.compiled import predicate_cache_stats
+    from repro.core.algebra.engine import engine_cache_stats
     from repro.model.indexes import index_registry_stats
 
     cache = getattr(mediator, "plan_cache", None)
@@ -585,20 +570,21 @@ def record_plan_cache(registry: MetricsRegistry, mediator) -> None:
         )
         for name, help_text, field in gauges:
             registry.gauge(name, help_text).set(stats[field])
-    kernels = kernel_cache_stats()
+    engines, predicates = engine_cache_stats(), predicate_cache_stats()
     registry.gauge(
-        "yat_compiled_filter_kernels", "Compiled Bind filter kernels held."
-    ).set(kernels["filter_kernels"])
+        "yat_compiled_filter_kernels",
+        "Compiled Bind engines held (scan kernel + twig join per filter).",
+    ).set(engines["entries"])
     registry.gauge(
         "yat_compiled_predicate_kernels",
         "Compiled Select/Join predicate kernels held.",
-    ).set(kernels["predicate_kernels"])
+    ).set(predicates["entries"])
     registry.gauge(
         "yat_kernel_cache_hits", "Kernel lookups served without compiling."
-    ).set(kernels["hits"])
+    ).set(engines["hits"] + predicates["hits"])
     registry.gauge(
         "yat_kernel_compiles", "Kernel compilations performed."
-    ).set(kernels["compiles"])
+    ).set(engines["compiles"] + predicates["compiles"])
     indexes = index_registry_stats()
     registry.gauge(
         "yat_document_indexes", "Document indexes currently cached."
@@ -619,16 +605,17 @@ def record_plan_cache(registry: MetricsRegistry, mediator) -> None:
 def record_memo_stats(registry: MetricsRegistry, mediator) -> None:
     """Export every bounded per-process memo as ``yat_memo_*`` gauges.
 
-    Covers the process-wide kernel cache and document-index registry plus
-    each connected wrapper's memos (checked fragments, exported
-    documents, prepared OQL fragments and their compiled/result memos).
+    Covers the process-wide Bind-engine and predicate-kernel memos and
+    the document-index registry, plus each connected wrapper's memos
+    (checked fragments, exported documents, prepared OQL fragments and
+    their compiled/result memos).
     One family, labelled by memo, so dashboards catch any memo whose
     eviction counter climbs — the signature of a workload churning
     through more distinct queries than the bound can hold.
     """
-    from repro.core.algebra.compiled import kernel_cache_stats
+    from repro.core.algebra.compiled import predicate_cache_stats
+    from repro.core.algebra.engine import engine_cache_stats
     from repro.core.algebra.tab import column_map_stats
-    from repro.core.algebra.twig import twig_cache_stats
     from repro.model.indexes import index_registry_stats
 
     entries = registry.gauge(
@@ -650,14 +637,9 @@ def record_memo_stats(registry: MetricsRegistry, mediator) -> None:
         capacity.labels(memo=memo).set(stats.get("capacity", 0))
         evictions.labels(memo=memo).set(stats.get("evictions", 0))
 
-    kernels = kernel_cache_stats()
-    export("kernels", {
-        "entries": kernels["filter_kernels"] + kernels["predicate_kernels"],
-        "capacity": kernels["capacity"],
-        "evictions": kernels["evictions"],
-    })
+    export("bind_engines", engine_cache_stats())
+    export("predicate_kernels", predicate_cache_stats())
     export("document_indexes", index_registry_stats())
-    export("twig_kernels", twig_cache_stats())
     export("column_maps", column_map_stats())
     # Mediator-level answer caches: the result cache is byte-bounded
     # (capacity in bytes), the materialized-view store is bounded by the

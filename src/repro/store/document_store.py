@@ -19,11 +19,8 @@ so the two encodings are interchangeable position-for-position:
 which is what lets the pushdown pass (:mod:`repro.store.pushdown`)
 translate ``**`` descents into interval self-joins the database runs.
 
-Reads come in three granularities, cheapest first:
+Reads come in two granularities, cheapest first:
 
-* positional metadata only (:class:`StoreDocumentIndex`) — the
-  ``DocumentIndex``-compatible arrays straight from the rows, no
-  :class:`~repro.model.trees.DataNode` ever built;
 * lazy subtree hydration (:meth:`DocumentStore.hydrate`) — one pre/post
   range read materializes just the subtree a binding needs, memoized per
   ``(doc, pre)`` and data version;
@@ -40,7 +37,6 @@ never serve stale shredded rows.
 
 from __future__ import annotations
 
-import bisect
 import sqlite3
 import threading
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -118,7 +114,7 @@ def shred(root: DataNode) -> Tuple[list, int, bool]:
     agree with the in-memory index byte for byte.  Reference nodes and
     shared subtrees make the document *pushdown-unsafe* (the mirror of
     ``DocumentIndex.supports_seek``): its queries fall back to hydrated
-    scans where the recursive matcher owns the semantics.
+    scans where the in-memory Bind engine owns the semantics.
     """
     nodes: List[DataNode] = []
     parents: List[int] = []
@@ -190,69 +186,6 @@ def _build_subtree(rows: Sequence[tuple]) -> DataNode:
         pending.setdefault(parent if parent is not None else -1, []).append(node)
     assert node is not None
     return node
-
-
-class StoreDocumentIndex:
-    """``DocumentIndex``-compatible positional metadata from stored rows.
-
-    Loaded with four ``SELECT``-sized arrays and *no* tree
-    materialization: labels, parents and subtree ends in pre order, plus
-    the per-label position lists the associative paths use.  Tests
-    assert the arrays equal a :class:`~repro.model.indexes.DocumentIndex`
-    built over the hydrated tree, which is what entitles twig kernels
-    and interval pushdowns to treat stored positions as index positions.
-    """
-
-    __slots__ = (
-        "document",
-        "labels",
-        "parents",
-        "subtree_ends",
-        "label_positions",
-        "supports_seek",
-    )
-
-    def __init__(
-        self,
-        document: str,
-        labels: Sequence[str],
-        parents: Sequence[Optional[int]],
-        subtree_ends: Sequence[int],
-        supports_seek: bool,
-    ) -> None:
-        self.document = document
-        self.labels = tuple(labels)
-        self.parents = tuple(parents)
-        self.subtree_ends = tuple(subtree_ends)
-        self.supports_seek = supports_seek
-        positions: Dict[str, List[int]] = {}
-        for position, label in enumerate(self.labels):
-            positions.setdefault(label, []).append(position)
-        self.label_positions = positions
-
-    @property
-    def node_count(self) -> int:
-        return len(self.labels)
-
-    def label_list(self, label: str) -> Sequence[int]:
-        """Pre-order positions of every node carrying *label*."""
-        return self.label_positions.get(label, ())
-
-    def descendants_with_label(self, scope: int, label: str) -> Sequence[int]:
-        """Positions of *label* inside the subtree at *scope* (incl. self)."""
-        positions = self.label_positions.get(label, ())
-        end = self.subtree_ends[scope]
-        lo = bisect.bisect_left(positions, scope)
-        hi = bisect.bisect_left(positions, end, lo)
-        return positions[lo:hi]
-
-    def children_with_label(self, scope: int, label: str) -> Sequence[int]:
-        """Positions of *label* children of the node at *scope*."""
-        return tuple(
-            position
-            for position in self.descendants_with_label(scope, label)
-            if self.parents[position] == scope
-        )
 
 
 class DocumentStore:
@@ -380,27 +313,10 @@ class DocumentStore:
 
         ``False`` for documents with reference nodes or shared subtrees
         — the same shapes ``DocumentIndex.supports_seek`` refuses —
-        whose queries must run through the recursive matcher instead.
+        whose queries must run through the in-memory Bind engine instead.
         """
         with self._lock:
             return self._meta(name)[3]
-
-    def positional_index(self, name: str) -> StoreDocumentIndex:
-        """Positional metadata for *name* without materializing the tree."""
-        with self._lock:
-            safe = self._meta(name)[3]
-            rows = self._conn.execute(
-                "SELECT name, parent, post FROM nodes WHERE doc = ?"
-                " ORDER BY pre",
-                (name,),
-            ).fetchall()
-        return StoreDocumentIndex(
-            name,
-            labels=[row[0] for row in rows],
-            parents=[row[1] if row[1] is not None else -1 for row in rows],
-            subtree_ends=[row[2] for row in rows],
-            supports_seek=safe,
-        )
 
     # -- hydration ---------------------------------------------------------------
 

@@ -57,7 +57,7 @@ from repro.sources.objectdb.oql.ast import (
 )
 from repro.sources.objectdb.oql.compiled import CompiledSelect, compile_select
 from repro.sources.objectdb.oql.evaluator import evaluate_oql
-from repro.observability.context import current_compile_kernels
+from repro.observability.context import current_context
 from repro.wrappers.base import PushedFragment, Wrapper, outer_constant
 
 _ATOMIC_RESULTS = {"Int": "Int", "Float": "Float", "String": "String", "Bool": "Bool"}
@@ -132,11 +132,13 @@ class O2Wrapper(Wrapper):
     def run_fragment(
         self, fragment: PushedFragment, plan: Plan, outer: Optional[Row]
     ) -> Tuple[Tab, str]:
-        if current_compile_kernels():
+        context = current_context()
+        if context is None or not context.reference:
             prepared = self._prepared_fragment(fragment, plan)
             return prepared.run(outer)
-        # The interpretive path, byte for byte the seed behavior:
-        # translate and evaluate from scratch on every call.
+        # The reference path (``ExecutionPolicy.serial()``), byte for
+        # byte the seed behavior: translate and evaluate from scratch on
+        # every call.
         translator = _OqlTranslator(self._db, fragment.document, outer)
         translator.translate_filter(fragment.filter)
         for predicate in fragment.selections:

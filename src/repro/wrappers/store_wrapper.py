@@ -22,9 +22,10 @@ A validated fragment executes through one of two access paths:
     variables, lossy constants) or the document holds references/shared
     subtrees, where interval semantics are unsound.  The document is
     hydrated once (memoized per data version) and matched by the same
-    engines every in-memory source uses — the compiled twig join when
-    the fragment and index qualify, the recursive matcher otherwise —
-    so answers are byte-identical to the in-memory path by construction.
+    :func:`~repro.core.algebra.engine.bind_engine` the mediator's own
+    Bind uses — twig join when the filter and tree qualify, scan kernel
+    otherwise — so answers are byte-identical to the in-memory path by
+    construction.
 
 The choice is exposed to EXPLAIN as ``[bind: store-pushdown]`` /
 ``[bind: store-scan]`` via :meth:`StoreWrapper.pushdown_access`, and the
@@ -39,12 +40,12 @@ from typing import Dict, Optional, Tuple
 from repro.errors import SourceError
 from repro.capabilities.fmodel import store_fmodel
 from repro.capabilities.interface import ArgSpec, OperationDecl, SourceInterface
-from repro.core.algebra.bind import FilterMatcher
+from repro.core.algebra.bind import MAX_MATCHES
+from repro.core.algebra.compiled import identity_deref
+from repro.core.algebra.engine import BindCounters, bind_engine
 from repro.core.algebra.operators import Plan
 from repro.core.algebra.tab import Row, Tab
-from repro.core.algebra.twig import compiled_twig
 from repro.model.filters import Filter
-from repro.model.indexes import document_index
 from repro.model.patterns import PAny, PNode, PStar, PatternLibrary
 from repro.model.trees import DataNode
 from repro.model.values import parse_atom
@@ -58,9 +59,6 @@ STRUCTURE_MODEL = "Store_Structure"
 
 class StoreWrapper(Wrapper):
     """Wraps one :class:`StoredXmlSource` as a YAT source."""
-
-    #: Per-tree binding bound, byte-identical to the matcher's default.
-    MAX_MATCHES = 1_000_000
 
     #: Bound on the compiled-pushdown memo (keyed by filter identity).
     PUSHDOWN_MEMO_CAPACITY = 256
@@ -204,7 +202,7 @@ class StoreWrapper(Wrapper):
         self, document: str, compiled: PushdownQuery, columns: Tuple[str, ...]
     ) -> Tuple[Tab, str]:
         raw = self._store.fetch_bounded(
-            compiled.sql, compiled.bind_params(document), self.MAX_MATCHES
+            compiled.sql, compiled.bind_params(document), MAX_MATCHES
         )
         width = len(compiled.variables)
         touched: Dict[int, int] = {}
@@ -230,20 +228,11 @@ class StoreWrapper(Wrapper):
     ) -> Tuple[Tab, str]:
         root = self.document(document)
         self._store.note_scan(document)
-        index, _built = document_index(root)
-        usable = index if index is not None and index.covers(root) else None
-        twig = compiled_twig(flt)
-        if twig is not None and usable is not None:
-            rows = [Row(columns, cells) for cells in twig.match(root, usable)]
-            engine = "twig"
-        else:
-            bindings = FilterMatcher(
-                max_matches=self.MAX_MATCHES, document_index=usable
-            ).match(root, flt)
-            rows = [
-                Row(columns, tuple(binding[name] for name in columns))
-                for binding in bindings
-            ]
-            engine = "matcher"
-        native = f"store-scan {document} ({engine}, full hydration)"
+        # No ident index crosses the wrapper boundary, so references in
+        # an unsafe document bind as themselves (identity deref).
+        counters = BindCounters()
+        bindings = bind_engine(flt).tuples(root, identity_deref, counters)
+        rows = [Row(columns, cells) for cells in bindings]
+        matcher = "twig" if counters.twig else "kernel"
+        native = f"store-scan {document} ({matcher}, full hydration)"
         return Tab(columns, rows), native

@@ -1,22 +1,16 @@
-"""Compiled Bind/predicate kernels vs the interpretive oracle.
+"""Compiled predicate kernels vs the interpretive oracle.
 
 Every test here is a differential: the compiled closures of
-:mod:`repro.core.algebra.compiled` must reproduce the interpretive
-:class:`~repro.core.algebra.bind.FilterMatcher` and ``Expr.evaluate``
-exactly — same bindings in the same order, and the same error messages
-on the same inputs.
+:func:`repro.core.algebra.compiled.compile_predicate` must reproduce
+``Expr.evaluate`` exactly — same values, and the same error messages on
+the same inputs.  (The filter kernels' differential against
+``FilterMatcher`` is ``tests/test_bind_engine.py``'s property.)
 """
 
 import pytest
 
-from repro.errors import BindError, EvaluationError
-from repro.core.algebra.bind import FilterMatcher
-from repro.core.algebra.compiled import (
-    compile_filter,
-    compile_predicate,
-    compiled_filter,
-    kernel_cache_stats,
-)
+from repro.errors import EvaluationError
+from repro.core.algebra.compiled import compile_predicate
 from repro.core.algebra.expressions import (
     BoolAnd,
     BoolNot,
@@ -27,223 +21,8 @@ from repro.core.algebra.expressions import (
     Var,
 )
 from repro.core.algebra.tab import Row
-from repro.model.filters import (
-    FConst,
-    FDescend,
-    FElem,
-    FRest,
-    FStar,
-    FVar,
-    LabelRegex,
-    LabelVar,
-    MissingValue,
-    felem,
-)
-from repro.model.trees import atom_leaf, collection_node, elem, ref
-
-
-def make_deref(index):
-    """The evaluator's reference-chasing rule as a standalone closure."""
-
-    def deref(node):
-        target = node.ref_target
-        while target is not None:
-            found = index.get(target)
-            if found is None:
-                break
-            node = found
-            target = node.ref_target
-        return node
-
-    return deref
-
-
-def assert_same_bindings(tree, flt, index=None):
-    matcher = FilterMatcher(index=index)
-    kernel = compile_filter(flt)
-    deref = make_deref(index or {})
-    interpreted = matcher.match(tree, flt)
-    compiled = kernel.match(tree, deref)
-    assert compiled == interpreted
-    return interpreted
-
-
-@pytest.fixture
-def works():
-    return elem(
-        "works",
-        elem(
-            "work",
-            atom_leaf("artist", "Claude Monet"),
-            atom_leaf("title", "Nympheas"),
-            atom_leaf("style", "Impressionist"),
-            atom_leaf("size", "21 x 61"),
-            atom_leaf("cplace", "Giverny"),
-        ),
-        elem(
-            "work",
-            atom_leaf("artist", "Claude Monet"),
-            atom_leaf("title", "Waterloo Bridge"),
-            atom_leaf("style", "Impressionist"),
-            atom_leaf("size", "29.2 x 46.4"),
-            elem("history", atom_leaf("technique", "Oil on canvas")),
-        ),
-    )
-
-
-class TestFilterDifferential:
-    def test_figure4_filter(self, works):
-        flt = felem(
-            "works",
-            FStar(
-                felem(
-                    "work",
-                    felem("artist", FVar("a")),
-                    felem("title", FVar("t")),
-                    felem("style", FVar("s")),
-                    felem("size", FVar("si")),
-                    FRest("fields"),
-                )
-            ),
-        )
-        rows = assert_same_bindings(works, flt)
-        assert len(rows) == 2 and rows[0]["t"] == "Nympheas"
-
-    def test_constant_and_variable_leaves(self, works):
-        flt = felem(
-            "works",
-            FStar(
-                felem(
-                    "work",
-                    felem("style", FConst("Impressionist")),
-                    felem("title", FVar("t")),
-                    FRest("rest"),
-                )
-            ),
-        )
-        assert_same_bindings(works, flt)
-
-    def test_label_variables(self, works):
-        flt = felem(
-            "works",
-            FStar(
-                FElem(
-                    LabelVar("w"),
-                    [FElem(LabelVar("field"), [FVar("v")]), FRest("r")],
-                )
-            ),
-        )
-        assert_same_bindings(works, flt)
-
-    def test_label_regex(self, works):
-        flt = felem(
-            "works",
-            FStar(
-                felem("work", FElem(LabelRegex("ti.*|art.*"), [FVar("v")]),
-                      FRest("r"))
-            ),
-        )
-        assert_same_bindings(works, flt)
-
-    def test_descend(self, works):
-        flt = FDescend(felem("technique", FVar("v")))
-        assert_same_bindings(works, flt)
-
-    def test_nested_stars(self, works):
-        flt = felem("works", FStar(FElem("work", [FStar(FVar("child"))])))
-        assert_same_bindings(works, flt)
-
-    def test_element_var_binding(self, works):
-        flt = FElem("works", [FStar(FElem("work", [FRest("r")], var="node"))])
-        assert_same_bindings(works, flt)
-
-    def test_missing_match_returns_no_bindings(self, works):
-        flt = felem("works", FStar(felem("sculpture", FVar("v"))))
-        assert assert_same_bindings(works, flt) == []
-
-    def test_references_followed_identically(self):
-        target = elem("painting", atom_leaf("title", "Nympheas"), ident="p1")
-        tree = elem("owner", ref("painting", "p1"))
-        index = {"p1": target}
-        flt = felem("owner", felem("painting", felem("title", FVar("t"))))
-        rows = assert_same_bindings(tree, flt, index=index)
-        assert rows == [{"t": "Nympheas"}]
-
-    def test_dangling_reference_identical(self):
-        tree = elem("owner", ref("painting", "gone"))
-        flt = felem("owner", FStar(FVar("x")))
-        assert_same_bindings(tree, flt, index={"p1": atom_leaf("t", "v")})
-
-    def test_collections(self):
-        tree = collection_node(
-            "set", "set", [atom_leaf("value", i) for i in range(4)]
-        )
-        flt = FElem("set", [FStar(felem("value", FVar("v")))])
-        assert_same_bindings(tree, flt)
-
-    def test_wide_element_uses_label_index(self):
-        tree = elem(
-            "rec", *[atom_leaf(f"f{i}", i) for i in range(30)]
-        )
-        flt = felem(
-            "rec", felem("f3", FVar("a")), felem("f27", FVar("b")),
-            FRest("rest"),
-        )
-        rows = assert_same_bindings(tree, flt)
-        assert rows[0]["a"] == 3 and rows[0]["b"] == 27
-
-    def test_duplicate_labels_keep_document_order(self):
-        tree = elem(
-            "doc",
-            atom_leaf("k", "first"),
-            atom_leaf("k", "second"),
-            atom_leaf("k", "third"),
-        )
-        flt = felem("doc", felem("k", FVar("a")), felem("k", FVar("b")),
-                    FRest("r"))
-        assert_same_bindings(tree, flt)
-
-
-class TestFilterErrors:
-    def test_top_level_star_message_matches(self, works):
-        flt = FStar(FVar("x"))
-        with pytest.raises(BindError) as interpreted:
-            FilterMatcher().match(works, flt)
-        with pytest.raises(BindError) as compiled:
-            compile_filter(flt).match(works)
-        assert str(compiled.value) == str(interpreted.value)
-
-    def test_top_level_rest_message_matches(self, works):
-        flt = FRest("r")
-        with pytest.raises(BindError) as interpreted:
-            FilterMatcher().match(works, flt)
-        with pytest.raises(BindError) as compiled:
-            compile_filter(flt).match(works)
-        assert str(compiled.value) == str(interpreted.value)
-
-    def test_explosion_guard_message_matches(self):
-        tree = elem(
-            "doc",
-            *[atom_leaf("k", i) for i in range(4)],
-        )
-        flt = felem("doc", felem("k", FVar("a")), felem("k", FVar("b")))
-        limit = 5
-        with pytest.raises(BindError) as interpreted:
-            FilterMatcher(max_matches=limit).match(tree, flt)
-        with pytest.raises(BindError) as compiled:
-            compile_filter(flt, max_matches=limit).match(tree)
-        assert str(compiled.value) == str(interpreted.value)
-
-    def test_failing_later_item_suppresses_the_explosion(self):
-        # The guard runs only after every item matched: item 1 explodes
-        # but item 2 fails, so both engines return [] instead of raising.
-        tree = elem("doc", *[atom_leaf("k", i) for i in range(4)])
-        flt = felem(
-            "doc", felem("k", FVar("a")), felem("k", FVar("b")),
-            felem("absent", FVar("c")),
-        )
-        assert FilterMatcher(max_matches=5).match(tree, flt) == []
-        assert compile_filter(flt, max_matches=5).match(tree) == []
+from repro.model.filters import MissingValue
+from repro.model.trees import atom_leaf
 
 
 class TestPredicateDifferential:
@@ -307,15 +86,3 @@ class TestPredicateDifferential:
         with pytest.raises(EvaluationError) as compiled:
             compile_predicate(predicate)(row, {})
         assert str(compiled.value) == str(interpreted.value)
-
-
-class TestKernelCache:
-    def test_kernels_are_memoized_per_plan_node(self):
-        flt = felem("works", FStar(felem("work", FVar("v"), FRest("r"))))
-        before = kernel_cache_stats()["compiles"]
-        first = compiled_filter(flt)
-        second = compiled_filter(flt)
-        assert first is second
-        stats = kernel_cache_stats()
-        assert stats["compiles"] == before + 1
-        assert stats["hits"] >= 1

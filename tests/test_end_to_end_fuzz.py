@@ -5,9 +5,13 @@ dataset shape and any of the paper's queries, the three-round optimizer
 (gated or not) never changes the answer.  Hypothesis drives dataset
 parameters; every failure here is a soundness bug in some rewrite.
 
-The second differential (TestSchedulerSoundness) fuzzes the federated
-execution scheduler the same way: caching, DJoin batching and parallel
-dispatch may change call counts and wall-clock, never the answer.
+The second differential fuzzes execution the same way.  There are two
+engines — the default one and the ``ExecutionPolicy.serial()`` reference
+— so every grid below is {engine, oracle} crossed only with the axes
+that are real: parallelism, store pushdown on/off, shards, and the
+result cache cold / warm / after an update.  Which *matcher* a Bind
+takes is not an axis: the engine picks it per target, and
+``tests/test_bind_engine.py`` holds it to the oracle.
 """
 
 from hypothesis import given, settings
@@ -94,12 +98,16 @@ class TestOptimizerSoundness:
         )
 
 
-class TestSchedulerSoundness:
-    """Serial-vs-cached-vs-parallel differential over the figure queries.
+class TestEngineSoundness:
+    """Engine-vs-oracle differential over the figure queries.
 
-    The pre-scheduler seed semantics (``ExecutionPolicy.serial()``) is
-    the reference; the default policy (cache + batching) and a parallel
-    policy must produce the identical document for every dataset shape.
+    The seed semantics (``ExecutionPolicy.serial()``: recursive matcher,
+    row-at-a-time Tabs, one call per DJoin row, no cache) is the
+    reference; the default engine and a parallel one must serialize to
+    the identical bytes for every dataset shape.  The artifacts side of
+    these queries carries reference nodes and the per-row targets are
+    small, so the scan kernel, its dereferencing and (on larger
+    collections) the twig join are all on the path.
     """
 
     POLICIES = (ExecutionPolicy(), ExecutionPolicy.parallel(4))
@@ -115,7 +123,8 @@ class TestSchedulerSoundness:
             mediator = build(
                 params, declare_containment=False, execution=execution
             )
-            assert mediator.query(Q2, optimize=optimize).document() == reference
+            subject = mediator.query(Q2, optimize=optimize).document()
+            assert tree_to_xml(subject) == tree_to_xml(reference)
 
     @given(params=datasets, optimize=st.booleans())
     @settings(max_examples=20, deadline=None)
@@ -129,86 +138,8 @@ class TestSchedulerSoundness:
             mediator = build(
                 params, declare_containment=True, execution=execution
             )
-            assert mediator.query(Q1, optimize=optimize).document() == reference
-
-
-class TestIndexSoundness:
-    """Document-index differential: indexes must never change a byte.
-
-    The oracle runs with ``use_document_indexes=False`` (pure scans,
-    the pre-index semantics); the subject runs with indexes enabled on
-    an otherwise identical serial policy.  Index seeks only prune
-    candidate children to ordered supersets, so every dataset shape and
-    query must serialize identically.
-    """
-
-    @given(params=datasets)
-    @settings(max_examples=20, deadline=None)
-    def test_indexed_answers_are_byte_identical(self, params):
-        scan_policy = ExecutionPolicy(use_document_indexes=False)
-        indexed_policy = ExecutionPolicy(use_document_indexes=True)
-        for name, text in QUERIES.items():
-            reference = tree_to_xml(
-                build(params, declare_containment=False, execution=scan_policy)
-                .query(text).document()
-            )
-            indexed = tree_to_xml(
-                build(
-                    params, declare_containment=False, execution=indexed_policy
-                ).query(text).document()
-            )
-            assert indexed == reference, f"index divergence on {name}"
-
-    @given(params=datasets)
-    @settings(max_examples=10, deadline=None)
-    def test_indexed_unoptimized_answers_are_byte_identical(self, params):
-        # Without the optimizer the raw view plan runs every Bind; the
-        # differential must hold there too.
-        scan = build(
-            params, declare_containment=False,
-            execution=ExecutionPolicy(use_document_indexes=False),
-        ).query(Q2, optimize=False).document()
-        indexed = build(
-            params, declare_containment=False,
-            execution=ExecutionPolicy(use_document_indexes=True),
-        ).query(Q2, optimize=False).document()
-        assert tree_to_xml(indexed) == tree_to_xml(scan)
-
-
-class TestVectorizedTwigSoundness:
-    """Columnar execution and twig matching must never change a byte.
-
-    The oracle is ``ExecutionPolicy.serial()`` — row-at-a-time evaluation
-    with recursive Bind matching, the seed semantics.  The subjects sweep
-    the full ``vectorize`` × ``twig_joins`` grid; the artifacts side of
-    these queries carries reference nodes, so the sweep also exercises
-    the twig path's fallback to recursive matching on trees the
-    document index refuses (``supports_seek=False``).
-    """
-
-    GRID = tuple(
-        ExecutionPolicy(vectorize=vectorize, twig_joins=twig)
-        for vectorize in (False, True)
-        for twig in (False, True)
-    )
-
-    @given(params=datasets)
-    @settings(max_examples=15, deadline=None)
-    def test_vectorize_twig_grid_agrees(self, params):
-        for text in (Q1, Q2):
-            reference = tree_to_xml(
-                build(
-                    params, declare_containment=False,
-                    execution=ExecutionPolicy.serial(),
-                ).query(text).document()
-            )
-            for execution in self.GRID:
-                subject = build(
-                    params, declare_containment=False, execution=execution
-                )
-                assert (
-                    tree_to_xml(subject.query(text).document()) == reference
-                ), f"divergence on {text!r} under {execution!r}"
+            subject = mediator.query(Q1, optimize=optimize).document()
+            assert tree_to_xml(subject) == tree_to_xml(reference)
 
 
 class TestStoreSoundness:
@@ -218,10 +149,10 @@ class TestStoreSoundness:
     ``ExecutionPolicy.serial()`` (the seed semantics).  The subject
     serves the *same tree* shredded into a sqlite
     :class:`~repro.sources.stored.StoredXmlSource` behind a
-    :class:`~repro.wrappers.store_wrapper.StoreWrapper`, swept over the
-    full vectorize × twig × pushdown grid — SQL interval joins, hydrated
-    scans, columnar batches and twig kernels must all serialize to the
-    identical bytes for every dataset shape.
+    :class:`~repro.wrappers.store_wrapper.StoreWrapper`, with pushdown on
+    and off — SQL interval joins and hydrated scans through the Bind
+    engine must serialize to the identical bytes for every dataset
+    shape, under the default engine and under the oracle alike.
     """
 
     STORE_QUERIES = (
@@ -232,11 +163,7 @@ class TestStoreSoundness:
         'MAKE doc [ *$w ] MATCH artworks WITH works . work $w',
     )
 
-    GRID = tuple(
-        ExecutionPolicy(vectorize=vectorize, twig_joins=twig)
-        for vectorize in (False, True)
-        for twig in (False, True)
-    )
+    GRID = (ExecutionPolicy(), ExecutionPolicy.serial())
 
     @given(params=datasets)
     @settings(max_examples=8, deadline=None)
@@ -298,20 +225,16 @@ class TestShardingSoundness:
     shard-major concatenation that the sharded adapter's ``document()``
     is *defined* to produce — running under ``ExecutionPolicy.serial()``.
     The subject registers the same shard stores through
-    ``connect_sharded`` and sweeps vectorize × twig × parallelism;
-    shard expansion, pruning and parallel scatter branches must all
+    ``connect_sharded`` and sweeps parallelism (plus the oracle engine
+    over the sharded plan); shard expansion, pruning and parallel scatter branches must all
     serialize identically for every dataset shape.  A second
     differential kills one replica per shard with a deterministic
     :class:`~repro.testing.FaultSchedule`: failover must reroute to the
     healthy replica and still match the oracle with ``degraded`` false.
     """
 
-    GRID = tuple(
-        ExecutionPolicy(vectorize=vectorize, twig_joins=twig,
-                        parallelism=parallelism)
-        for vectorize in (False, True)
-        for twig in (False, True)
-        for parallelism in (1, 4)
+    GRID = (
+        ExecutionPolicy(), ExecutionPolicy.parallel(4), ExecutionPolicy.serial(),
     )
 
     @staticmethod
@@ -388,8 +311,8 @@ class TestResultCacheSoundness:
     The oracle is an identical mediator with the result cache off,
     querying the *same* shredded store.  The subject answers three
     times — cold (miss), warm (hit) and again after the stored document
-    is replaced at a new ``data_version()`` — swept over the
-    vectorize × twig × pushdown grid.  The post-update answer proves
+    is replaced at a new ``data_version()`` — with pushdown on and off,
+    under the default engine and the oracle.  The post-update answer proves
     incremental invalidation: the subject must never serve the
     pre-update bytes once the source has moved.
     """
@@ -399,11 +322,7 @@ class TestResultCacheSoundness:
         ' WHERE $s = "Impressionist"'
     )
 
-    GRID = tuple(
-        ExecutionPolicy(vectorize=vectorize, twig_joins=twig)
-        for vectorize in (False, True)
-        for twig in (False, True)
-    )
+    GRID = (ExecutionPolicy(), ExecutionPolicy.serial())
 
     @staticmethod
     def _mediator(source, pushdown, execution, result_cache_bytes):

@@ -1,67 +1,38 @@
-"""Document indexes: associative access for Bind.
+"""Document indexes: the positional encoding behind the twig join.
 
-Four contracts:
+Three contracts:
 
-* :class:`DocumentIndex` lookups agree with naive scans — same nodes,
-  same document order — and range lookups honor inclusive/exclusive
-  bounds exactly at the boundary values;
+* :class:`DocumentIndex` positions agree with naive pre-order scans —
+  same nodes, same document order, parent/child and subtree intervals;
 * unsound tree shapes (references, shared nodes, foreign nodes) disable
-  seeking instead of risking a wrong answer;
-* the registry is lazy, size-gated, bounded, and invalidated by the
-  mediator's catalog-epoch bumps;
-* both matching engines produce byte-identical bindings with the index
-  on or off (differential fuzz over FStar/FRest/FDescend/LabelVar), and
-  the ``max_matches`` bound now holds across a whole collection call.
+  the index instead of risking a wrong answer;
+* the registry is lazy, size-gated *before* it touches its table (small
+  trees can never evict a real index), bounded, and invalidated by the
+  mediator's catalog-epoch bumps.
+
+That the matchers agree with the oracle whether or not a tree is indexed
+is ``tests/test_bind_engine.py``'s property.
 """
 
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro import Mediator, O2Wrapper, WaisWrapper
 from repro.datasets import small_figure1_pair
 from repro.errors import BindError
-from repro.model.filters import (
-    FConst,
-    FDescend,
-    FElem,
-    FRest,
-    FStar,
-    FVar,
-    LabelVar,
-)
+from repro.model.filters import FElem, FStar, FVar
 from repro.model.indexes import (
     MIN_INDEX_NODES,
     DocumentIndex,
     IndexRegistry,
     document_index,
-    index_eligibility,
     index_registry_stats,
-    required_constants,
     reset_document_indexes,
 )
 from repro.model.trees import DataNode, atom_leaf, elem, ref
 from repro.core.algebra.bind import FilterMatcher
-from repro.core.algebra.compiled import MatchContext, compile_filter
-
-
-def works_tree(n: int = 20, special_at: int = 10) -> DataNode:
-    """A works collection big enough to index, with one special artist."""
-    works = []
-    for i in range(n):
-        artist = "Picasso" if i == special_at else f"artist-{i % 7}"
-        works.append(
-            elem(
-                "work",
-                elem("artist", atom_leaf("name", artist)),
-                atom_leaf("title", f"title-{i}"),
-                atom_leaf("style", "cubist" if i % 2 else "impressionist"),
-                atom_leaf("year", 1900 + (i % 5) * 10),
-            )
-        )
-    return DataNode("works", children=works, collection="set")
+from tests.test_bind_engine import works_tree
 
 
 # ---------------------------------------------------------------------------
@@ -69,105 +40,40 @@ def works_tree(n: int = 20, special_at: int = 10) -> DataNode:
 # ---------------------------------------------------------------------------
 
 class TestDocumentIndex:
-    def test_descendants_with_label_matches_naive_scan(self):
+    def test_positions_are_the_preorder_scan(self):
+        tree = works_tree()
+        index = DocumentIndex(tree)
+        naive = list(tree.descendants())
+        assert index.node_count == len(naive) == tree.size()
+        assert all(a is b for a, b in zip(index.preorder_nodes, naive))
+        for pos, node in enumerate(naive):
+            assert index.position_of(node) == pos
+            assert index.subtree_ends[pos] == pos + node.size()
+
+    def test_label_list_matches_naive_scan(self):
         tree = works_tree()
         index = DocumentIndex(tree)
         for label in ("work", "name", "year", "works", "absent"):
-            naive = [n for n in tree.descendants() if n.label == label]
-            assert list(index.descendants_with_label(tree, label)) == naive
+            naive = [
+                pos for pos, node in enumerate(tree.descendants())
+                if node.label == label
+            ]
+            assert list(index.label_list(label)) == naive
 
-    def test_descendants_with_label_scoped_to_subtree(self):
+    def test_children_map_groups_direct_children_in_document_order(self):
         tree = works_tree()
         index = DocumentIndex(tree)
-        scope = tree.children[3]
-        naive = [n for n in scope.descendants() if n.label == "name"]
-        assert list(index.descendants_with_label(scope, "name")) == naive
-        # The scope node itself is included when it carries the label.
-        assert index.descendants_with_label(scope, "work")[0] is scope
-
-    def test_children_with_label_matches_naive_scan(self):
-        tree = works_tree()
-        index = DocumentIndex(tree)
-        naive = [c for c in tree.children if c.label == "work"]
-        assert list(index.children_with_label(tree, "work")) == naive
+        nodes = index.preorder_nodes
+        for label in ("work", "name", "title", "absent"):
+            mapped = index.children_map(label)
+            assert index.children_map(label) is mapped  # built once
+            for pos, node in enumerate(nodes):
+                naive = [c for c in node.children if c.label == label]
+                got = [nodes[child] for child in mapped.get(pos, ())]
+                assert len(got) == len(naive)
+                assert all(a is b for a, b in zip(got, naive))
         # Grandchildren must not leak in: "name" is one level deeper.
-        assert index.children_with_label(tree, "name") == ()
-
-    def test_child_candidates_is_ordered_superset(self):
-        tree = works_tree()
-        index = DocumentIndex(tree)
-        candidates = index.child_candidates(tree, "work", ("Picasso",))
-        truly = [
-            c for c in tree.children
-            if any(n.atom == "Picasso" for n in c.descendants())
-        ]
-        # Superset of the true matches, in document order, label-pure.
-        assert set(map(id, truly)) <= set(map(id, candidates))
-        order = [id(c) for c in tree.children]
-        assert [id(c) for c in candidates] == sorted(
-            (id(c) for c in candidates), key=order.index
-        )
-        assert all(c.label == "work" for c in candidates)
-
-    def test_child_candidates_intersects_all_values(self):
-        tree = works_tree()
-        index = DocumentIndex(tree)
-        one = index.child_candidates(tree, "work", ("Picasso", "title-10"))
-        assert len(one) == 1
-        assert one[0] is tree.children[10]
-        # Contradictory constants (live in different works) intersect empty.
-        assert index.child_candidates(tree, "work", ("Picasso", "title-3")) == ()
-        assert index.child_candidates(tree, "work", ("no-such-value",)) == ()
-
-    def test_leaves_with_value_matches_naive_scan(self):
-        tree = works_tree()
-        index = DocumentIndex(tree)
-        naive = [
-            n for n in tree.descendants()
-            if n.label == "style" and n.is_atom_leaf and n.atom == "cubist"
-        ]
-        assert list(index.leaves_with_value("style", "cubist")) == naive
-        assert index.leaves_with_value("style", "baroque") == ()
-
-    def test_leaves_in_range_boundaries(self):
-        tree = works_tree()
-        index = DocumentIndex(tree)
-        years = sorted(
-            n.atom for n in tree.descendants() if n.label == "year"
-        )
-        boundary = 1920  # present in the data: boundary behavior matters
-
-        def got(**kwargs):
-            return [n.atom for n in index.leaves_in_range("year", **kwargs)]
-
-        assert got(lo=boundary) == [y for y in years if y >= boundary]
-        assert got(lo=boundary, lo_inclusive=False) == [
-            y for y in years if y > boundary
-        ]
-        assert got(hi=boundary) == [y for y in years if y <= boundary]
-        assert got(hi=boundary, hi_inclusive=False) == [
-            y for y in years if y < boundary
-        ]
-        assert got(lo=boundary, hi=boundary) == [
-            y for y in years if y == boundary
-        ]
-        assert got(
-            lo=boundary, hi=boundary, lo_inclusive=False, hi_inclusive=False
-        ) == []
-
-    def test_leaves_in_range_string_bounds_use_string_run(self):
-        tree = works_tree()
-        index = DocumentIndex(tree)
-        titles = sorted(
-            n.atom for n in tree.descendants() if n.label == "title"
-        )
-        got = [n.atom for n in index.leaves_in_range("title", lo="title-15")]
-        assert got == [t for t in titles if t >= "title-15"]
-
-    def test_leaves_in_range_requires_a_bound(self):
-        index = DocumentIndex(works_tree())
-        with pytest.raises(ValueError):
-            index.leaves_in_range("year")
+        assert 0 not in index.children_map("name")
 
     def test_reference_nodes_disable_seeking(self):
         tree = elem(
@@ -192,50 +98,7 @@ class TestDocumentIndex:
         assert index.covers(tree.children[0])
         assert not index.covers(other)
         with pytest.raises(KeyError):
-            index.descendants_with_label(other, "work")
-
-
-# ---------------------------------------------------------------------------
-# Eligibility analysis
-# ---------------------------------------------------------------------------
-
-class TestEligibility:
-    def test_constant_item_is_seekable(self):
-        flt = FElem("work", [
-            FElem("artist", [FConst("Picasso")]),
-            FElem("title", [FVar("t")]),
-        ])
-        access = index_eligibility(flt)
-        assert access.seekable
-        assert ("artist", "Picasso") in access.keys
-        assert "index-seek on" in access.describe()
-
-    def test_descend_into_label_is_seekable(self):
-        flt = FDescend(FElem("work", [FVar("w")]))
-        access = index_eligibility(flt)
-        assert access.seekable
-        assert ("**", "work") in access.keys
-        assert "(**,work)" in access.describe()
-
-    def test_variable_only_filter_scans(self):
-        flt = FElem("works", [
-            FStar(FElem("work", [FElem("title", [FVar("t")]), FRest("r")]))
-        ])
-        access = index_eligibility(flt)
-        assert not access.seekable
-        assert access.describe() == "scan"
-
-    def test_label_variable_target_scans(self):
-        flt = FElem("work", [FElem(LabelVar("l"), [FConst("Picasso")])])
-        assert not index_eligibility(flt).seekable
-
-    def test_required_constants_walks_whole_target_deduped(self):
-        target = FElem("work", [
-            FElem("artist", [FConst("Picasso")]),
-            FStar(FElem("tag", [FConst("cubist")])),
-            FElem("copy", [FConst("Picasso")]),
-        ])
-        assert required_constants(target) == ("Picasso", "cubist")
+            index.position_of(other)
 
 
 # ---------------------------------------------------------------------------
@@ -243,45 +106,66 @@ class TestEligibility:
 # ---------------------------------------------------------------------------
 
 class TestRegistry:
-    def test_small_trees_are_not_indexed(self):
+    def test_small_trees_never_touch_the_table(self):
         registry = IndexRegistry()
         small = elem("works", elem("work", atom_leaf("title", "t")))
         assert small.size() < MIN_INDEX_NODES
-        index, built = registry.get(small)
-        assert index is None and not built
-        # The "scan this one" decision is cached too.
-        registry.get(small)
-        assert registry.stats()["hits"] == 1
-        assert registry.stats()["builds"] == 0
+        assert registry.get(small) is None
+        assert registry.get(small) is None
+        stats = registry.stats()
+        assert (stats["entries"], stats["hits"], stats["builds"]) == (0, 0, 0)
+
+    def test_small_trees_cannot_evict_a_real_index(self):
+        # Regression: every below-gate tree used to take one of the 64
+        # slots as a None entry, and overflow cleared the whole table —
+        # per-row Bind targets kept evicting the documents' indexes.
+        registry = IndexRegistry()
+        document = works_tree()
+        first = registry.get(document)
+        for i in range(200):
+            assert registry.get(elem("row", atom_leaf("n", i))) is None
+            assert registry.get(document) is first
+        stats = registry.stats()
+        assert (stats["builds"], stats["evictions"]) == (1, 0)
+        assert stats["hits"] == 200
 
     def test_build_once_then_hit(self):
         registry = IndexRegistry()
         tree = works_tree()
-        first, built_first = registry.get(tree)
-        second, built_second = registry.get(tree)
-        assert built_first and not built_second
-        assert first is second and first is not None
+        first = registry.get(tree)
+        assert first is not None and first.covers(tree)
+        assert registry.get(tree) is first
         stats = registry.stats()
         assert stats["builds"] == 1 and stats["hits"] == 1
         assert stats["indexed"] == 1
         assert stats["build_seconds"] >= 0.0
 
-    def test_unseekable_trees_cached_as_scan(self):
+    def test_unindexable_large_trees_are_remembered_as_scan(self):
         registry = IndexRegistry()
         children = [
             elem("artifact", atom_leaf("name", f"a{i}"), ref("cplace", "m1"))
             for i in range(MIN_INDEX_NODES)
         ]
         tree = DataNode("artifacts", children=children)
-        index, built = registry.get(tree)
-        assert index is None and not built
+        assert registry.get(tree) is None
+        assert registry.get(tree) is None
+        stats = registry.stats()
+        # One slot, one traversal: the second probe was a hit on None.
+        assert (stats["entries"], stats["indexed"], stats["hits"]) == (1, 0, 1)
+        assert stats["builds"] == 0
 
-    def test_capacity_bounds_entries(self):
+    def test_capacity_evicts_oldest_first(self):
         registry = IndexRegistry(capacity=4)
         trees = [works_tree() for _ in range(6)]
         for tree in trees:
             registry.get(tree)
-        assert registry.stats()["entries"] <= 4
+        stats = registry.stats()
+        assert (stats["entries"], stats["evictions"]) == (4, 2)
+        builds = stats["builds"]
+        registry.get(trees[-1])  # newest survived
+        assert registry.stats()["builds"] == builds
+        registry.get(trees[0])  # oldest was evicted: rebuilt
+        assert registry.stats()["builds"] == builds + 1
 
     def test_invalidate_clears_and_bumps_epoch(self):
         registry = IndexRegistry()
@@ -290,8 +174,8 @@ class TestRegistry:
         registry.invalidate()
         stats = registry.stats()
         assert stats["entries"] == 0 and stats["epoch"] == 1
-        _index, built = registry.get(tree)
-        assert built  # rebuilt after invalidation
+        registry.get(tree)
+        assert registry.stats()["builds"] == 2  # rebuilt after invalidation
 
     def test_catalog_change_invalidates_shared_registry(self):
         reset_document_indexes()
@@ -312,97 +196,12 @@ class TestRegistry:
 
 
 # ---------------------------------------------------------------------------
-# Differential: index on vs off, both engines
-# ---------------------------------------------------------------------------
-
-PICASSO_FILTER = FElem("works", [
-    FStar(FElem("work", [
-        FElem("artist", [FElem("name", [FConst("Picasso")])]),
-        FElem("title", [FVar("t")]),
-        FRest("rest"),
-    ], var="w")),
-])
-
-STYLE_FILTER = FElem("works", [
-    FStar(FElem("work", [
-        FElem("style", [FConst("impressionist")]),
-        FElem("title", [FVar("t")]),
-        FRest("rest"),
-    ])),
-])
-
-DESCEND_FILTER = FDescend(FElem("name", [FVar("n")]))
-
-LABELVAR_FILTER = FElem("works", [
-    FStar(FElem("work", [
-        FElem(LabelVar("field"), [FConst(1920)]),
-        FRest("rest"),
-    ])),
-])
-
-MIXED_FILTER = FElem("works", [
-    FStar(FElem("work", [
-        FDescend(FConst("Picasso")),
-        FElem("title", [FVar("t")]),
-        FRest("rest"),
-    ])),
-])
-
-ALL_FILTERS = {
-    "picasso": PICASSO_FILTER,
-    "style": STYLE_FILTER,
-    "descend": DESCEND_FILTER,
-    "labelvar": LABELVAR_FILTER,
-    "mixed": MIXED_FILTER,
-}
-
-
-def assert_identical_bindings(tree, flt):
-    """Index-on and index-off bindings must agree exactly, both engines."""
-    index = DocumentIndex(tree)
-    plain = FilterMatcher().match(tree, flt)
-    indexed_matcher = FilterMatcher(document_index=index)
-    indexed = indexed_matcher.match(tree, flt)
-    assert indexed == plain
-
-    kernel = compile_filter(flt)
-    compiled_plain = kernel.match(tree)
-    context = MatchContext(index)
-    compiled_indexed = kernel.match(tree, context=context)
-    assert compiled_indexed == compiled_plain
-    assert compiled_plain == plain
-    return indexed_matcher.seeks, context.seeks
-
-
-class TestIndexDifferential:
-    @pytest.mark.parametrize("name", sorted(ALL_FILTERS))
-    def test_bindings_identical_with_and_without_index(self, name):
-        assert_identical_bindings(works_tree(), ALL_FILTERS[name])
-
-    def test_seekable_filters_actually_seek(self):
-        matcher_seeks, compiled_seeks = assert_identical_bindings(
-            works_tree(), PICASSO_FILTER
-        )
-        assert matcher_seeks > 0
-        assert compiled_seeks > 0
-
-    @given(
-        n=st.integers(min_value=1, max_value=40),
-        special_at=st.integers(min_value=0, max_value=39),
-    )
-    @settings(max_examples=30, deadline=None)
-    def test_fuzzed_trees_agree_on_every_filter(self, n, special_at):
-        tree = works_tree(n, special_at=special_at % max(n, 1))
-        for flt in ALL_FILTERS.values():
-            assert_identical_bindings(tree, flt)
-
-
-# ---------------------------------------------------------------------------
-# max_matches across a whole collection (satellite fix)
+# The oracle's max_matches holds across a whole collection (the engine's
+# equivalent guard is checked against it in test_bind_engine.py)
 # ---------------------------------------------------------------------------
 
 class TestCollectionBound:
-    def test_bound_enforced_across_collection_interpretive(self):
+    def test_bound_enforced_across_collection(self):
         # 4 works x 4 children each: 16 bindings per tree.
         tree = works_tree(4)
         flt = FElem("works", [FStar(FElem("work", [FVar("w")], var="x"))])
@@ -412,19 +211,6 @@ class TestCollectionBound:
         with pytest.raises(BindError) as excinfo:
             matcher.match_collection([tree, tree, tree], flt)
         assert "across a collection" in str(excinfo.value)
-
-    def test_bound_enforced_across_collection_compiled(self):
-        tree = works_tree(4)
-        flt = FElem("works", [FStar(FElem("work", [FVar("w")], var="x"))])
-        kernel = compile_filter(flt, max_matches=40)
-        with pytest.raises(BindError) as compiled_err:
-            kernel.match_collection([tree, tree, tree])
-        with pytest.raises(BindError) as interp_err:
-            FilterMatcher(max_matches=40).match_collection(
-                [tree, tree, tree], flt
-            )
-        # Both engines refuse with the identical message.
-        assert str(compiled_err.value) == str(interp_err.value)
 
     def test_bound_not_triggered_within_limit(self):
         tree = works_tree(4)

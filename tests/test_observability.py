@@ -85,6 +85,34 @@ def test_explain_analyze_actuals_cover_executed_nodes(cultural_mediator):
     assert total_calls == explanation.report.stats.total_source_calls
 
 
+def test_explain_tells_the_truth_about_bind(cultural_mediator):
+    # The static line is the engine's own description — a choice made
+    # per target tree, not a promise — and ANALYZE says how it fell:
+    # the Wais collection is indexed and twig-joined, the O2 extent
+    # carries references and is scanned.
+    explanation = cultural_mediator.explain(Q1, optimize=False, analyze=True)
+    binds = [
+        line for line in explanation.render().splitlines()
+        if line.lstrip().startswith("Bind(")
+    ]
+    assert binds and all(
+        "[bind: twig-join if indexed, else scan " in line for line in binds
+    )
+    artifacts = next(line for line in binds if "on=$artifacts" in line)
+    assert "twig=0 scanned=1" in artifacts
+    assert any("twig=1 scanned=0" in line for line in binds)
+    assert "seeks=" not in explanation.render()
+    stats = explanation.report.stats
+    assert stats.twig_matches >= 1 and stats.twig_fallbacks == 1
+    assert stats.bind_index_seeks == 0
+    # The oracle scans everything, and EXPLAIN says so.
+    reference = cultural_mediator.explain(
+        Q1, optimize=False, execution=ExecutionPolicy.serial()
+    )
+    assert "[bind: scan]" in reference.render()
+    assert "twig-join" not in reference.render()
+
+
 def test_render_plan_without_actuals_matches_tree_shape(cultural_mediator):
     explanation = cultural_mediator.explain(Q1)
     bare = render_plan(explanation.plan)
@@ -326,7 +354,7 @@ def test_record_memo_stats_covers_every_bounded_memo(cultural_mediator):
     registry = MetricsRegistry()
     record_memo_stats(registry, cultural_mediator)
     text = registry.exposition()
-    for memo in ("kernels", "document_indexes", "twig_kernels",
+    for memo in ("bind_engines", "predicate_kernels", "document_indexes",
                  "column_maps", "result_cache", "materialized_views",
                  "o2artifact.fragments",
                  "o2artifact.prepared", "o2artifact.oql_results",
@@ -334,8 +362,10 @@ def test_record_memo_stats_covers_every_bounded_memo(cultural_mediator):
         assert f'yat_memo_entries{{memo="{memo}"}}' in text
         assert f'yat_memo_capacity{{memo="{memo}"}}' in text
         assert f'yat_memo_evictions_total{{memo="{memo}"}}' in text
-    # The compiled-kernel memo actually held something for Q1/Q2.
-    assert 'yat_memo_entries{memo="kernels"} 0' not in text
+    # One merged filter memo (scan kernel + twig per engine), and it
+    # actually held something for Q1/Q2.
+    assert 'memo="twig_kernels"' not in text
+    assert 'yat_memo_entries{memo="bind_engines"} 0' not in text
 
 
 # ---------------------------------------------------------------------------

@@ -104,24 +104,35 @@ def pushed_by_x(source="src"):
 # ---------------------------------------------------------------------------
 
 class TestExecutionPolicy:
-    def test_default_is_serial_with_cache_and_batching(self):
+    def test_default_is_the_optimized_engine_in_serial_order(self):
         policy = ExecutionPolicy()
         assert policy.parallelism == 1
-        assert policy.cache_source_calls
-        assert policy.batch_djoin
         assert not policy.concurrent
+        assert not policy.reference
 
-    def test_serial_matches_seed(self):
+    def test_serial_is_the_reference_engine(self):
         policy = ExecutionPolicy.serial()
         assert policy.parallelism == 1
-        assert not policy.cache_source_calls
-        assert not policy.batch_djoin
+        assert policy.reference
+        assert repr(policy) == "ExecutionPolicy.serial()"
 
     def test_parallel_constructor(self):
         policy = ExecutionPolicy.parallel(8)
         assert policy.parallelism == 8
         assert policy.concurrent
-        assert policy.cache_source_calls
+        assert not policy.reference
+
+    @pytest.mark.parametrize("knob", [
+        "cache_source_calls", "batch_djoin", "compile_kernels",
+        "use_document_indexes", "vectorize", "twig_joins", "reference",
+    ])
+    def test_removed_knobs_are_type_errors(self, knob):
+        # parallelism is the only constructor argument; the reference
+        # engine is reachable through serial() alone and read-only after.
+        with pytest.raises(TypeError):
+            ExecutionPolicy(**{knob: False})
+        with pytest.raises(AttributeError):
+            setattr(ExecutionPolicy(), knob, False)
 
     def test_parallelism_must_be_positive(self):
         with pytest.raises(ValueError):

@@ -146,6 +146,24 @@ class TestMediatorResultCache:
         assert mediator.result_cache.invalidations >= 1
         assert mediator.query(Q1).result_cached
 
+    def test_the_reference_engine_keys_its_own_entries(self):
+        # The key carries one execution bit: engine and oracle answers
+        # never stand in for each other; parallelism cannot change a
+        # byte and shares the engine's entry.
+        from repro import ExecutionPolicy
+
+        mediator, _db, _store = build_federation(result_cache_bytes=32 << 20)
+        cold = mediator.query(Q2)
+        oracle = mediator.query(Q2, execution=ExecutionPolicy.serial())
+        assert not cold.result_cached and not oracle.result_cached
+        assert answer(oracle) == answer(cold)
+        assert mediator.query(
+            Q2, execution=ExecutionPolicy.serial()
+        ).result_cached
+        assert mediator.query(
+            Q2, execution=ExecutionPolicy.parallel(4)
+        ).result_cached
+
     def test_constants_key_separate_entries(self):
         mediator, _db, _store = build_federation(result_cache_bytes=32 << 20)
         base = 'MAKE $t MATCH artworks WITH doc . work [ title . $t, style . $s ] WHERE $s = "{}"'

@@ -42,7 +42,6 @@ from repro.model.xml_io import tree_to_xml
 from repro.observability.context import (
     RequestContext,
     activate_context,
-    current_compile_kernels,
     current_context,
     current_tracer,
 )
@@ -452,13 +451,13 @@ class TestConcurrentServing:
 
         def session(name, flag, tracer):
             context = RequestContext(
-                request_id=name, compile_kernels=flag, tracer=tracer
+                request_id=name, reference=flag, tracer=tracer
             )
             with activate_context(context):
                 barrier.wait()  # both contexts active simultaneously
                 seen[name] = (
                     current_context().request_id,
-                    current_compile_kernels(),
+                    current_context().reference,
                     current_tracer(),
                 )
                 barrier.wait()
@@ -558,7 +557,7 @@ class TestConcurrentHammer:
         def worker():
             try:
                 for _ in range(200):
-                    index, _built = registry.get(roots[0])
+                    index = registry.get(roots[0])
                     if index is not None:
                         assert index.node_count >= 1
             except BaseException as exc:  # noqa: BLE001

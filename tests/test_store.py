@@ -130,15 +130,33 @@ class TestShredRoundTrip:
         assert store.hydrate_document("doc") == tree
 
     def test_positions_agree_with_document_index(self):
+        # Shredded (pre, post, parent, name) rows are DocumentIndex
+        # positions, which is what entitles the SQL interval joins to
+        # stand in for the twig join's positional arrays.
         tree = cultural_tree(n_artifacts=12)
-        rows, count, _safe = shred(tree)
+        rows, count, safe = shred(tree)
         index = DocumentIndex(tree)
         assert count == index.node_count
+        assert safe == index.supports_seek
         assert [row[0] for row in rows] == list(range(count))
         assert [row[1] for row in rows] == list(index.subtree_ends)
-        assert [row[3] for row in rows] == [
-            node.label for node in index.preorder_nodes
+        labels = [node.label for node in index.preorder_nodes]
+        assert [row[3] for row in rows] == labels
+        parents = {}
+        for label in set(labels):
+            for parent, children in index.children_map(label).items():
+                parents.update((child, parent) for child in children)
+        assert [row[2] for row in rows] == [None] + [
+            parents[pre] for pre in range(1, count)
         ]
+
+    def test_stored_rows_keep_their_positions(self):
+        tree = cultural_tree(n_artifacts=15)
+        store = DocumentStore()
+        store.add("artworks", tree)
+        index = DocumentIndex(tree)
+        for pre in index.label_list("work")[:5]:
+            assert store.hydrate("artworks", pre) == index.preorder_nodes[pre]
 
     def test_update_replaces_rows(self):
         store = DocumentStore()
@@ -152,37 +170,6 @@ class TestShredRoundTrip:
         store = DocumentStore()
         with pytest.raises(SourceError):
             store.hydrate_document("ghost")
-
-
-class TestStoreDocumentIndex:
-    def test_arrays_match_in_memory_index(self):
-        tree = cultural_tree(n_artifacts=15)
-        store = DocumentStore()
-        store.add("artworks", tree)
-        stored = store.positional_index("artworks")
-        index = DocumentIndex(tree)
-        assert stored.node_count == index.node_count
-        assert list(stored.subtree_ends) == list(index.subtree_ends)
-        assert list(stored.labels) == [n.label for n in index.preorder_nodes]
-        assert stored.supports_seek == index.supports_seek
-        for label in set(stored.labels):
-            assert list(stored.label_list(label)) == list(index.label_list(label))
-
-    def test_descendant_and_child_lookups(self):
-        tree = elem(
-            "doc",
-            elem("work", atom_leaf("title", "A"), elem("meta", atom_leaf("title", "B"))),
-            elem("work", atom_leaf("title", "C")),
-        )
-        store = DocumentStore()
-        store.add("doc", tree)
-        stored = store.positional_index("doc")
-        # doc=0, work=1, title(A)=2, meta=3, title(B)=4, work=5, title(C)=6
-        assert list(stored.descendants_with_label(0, "title")) == [2, 4, 6]
-        assert list(stored.descendants_with_label(1, "title")) == [2, 4]
-        assert list(stored.children_with_label(1, "title")) == [2]
-        assert list(stored.children_with_label(3, "title")) == [4]
-        assert stored.parents[4] == 3
 
 
 class TestPushdownCompile:
@@ -370,8 +357,7 @@ class TestLazyHydration:
         tree = cultural_tree(n_artifacts=30)
         store = DocumentStore(hydration_memo_capacity=4)
         store.add("artworks", tree)
-        index = store.positional_index("artworks")
-        work_positions = list(index.label_list("work"))[:12]
+        work_positions = list(DocumentIndex(tree).label_list("work"))[:12]
         first = store.hydrate("artworks", work_positions[0])
         again = store.hydrate("artworks", work_positions[0])
         assert first is again  # memo returns one stable object
@@ -425,6 +411,36 @@ class TestScanFallback:
         stats = wrapper.store_stats()
         assert stats["scans"] >= 1
         assert stats["pushdowns"] == 0
+
+    def test_scan_runs_the_bind_engine_and_equals_the_oracle(self):
+        # A label variable is outside both the SQL and the twig
+        # fragment: the scan kernel answers it.  An FRest filter is in
+        # the twig fragment: the twig join does, on the same document.
+        from repro.core.algebra.operators import BindOp, SourceOp
+
+        tree = cultural_tree(n_artifacts=40)
+        source = StoredXmlSource()
+        source.add_tree("artworks", tree)
+        wrapper = StoreWrapper("depot", source)
+        work = [FElem("title", [FVar("t")])]
+        cases = {
+            "kernel": [FElem(LabelVar("field"), [FConst("Giverny")])] + work,
+            "twig": work + [FRest("rest")],
+        }
+        for matcher, items in cases.items():
+            flt = FElem("works", [FStar(FElem("work", items))])
+            tab, native = wrapper.execute_pushed(
+                BindOp(SourceOp("depot", "artworks"), flt, on="artworks")
+            )
+            assert native == (
+                f"store-scan artworks ({matcher}, full hydration)"
+            )
+            expected = [
+                tuple(binding[var] for var in flt.variables())
+                for binding in match_filter(tree, flt)
+            ]
+            assert expected
+            assert [row.cells for row in tab.rows] == expected
 
 
 class TestDataVersion:

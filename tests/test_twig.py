@@ -1,28 +1,13 @@
-"""Unit tests for the holistic twig-pattern join (TwigStack-style Bind).
+"""The twig compiler's fragment: which filters get a positional join.
 
-Two concerns, kept separate:
-
-* **compilation fragment** — which filter shapes compile to a twig and
-  which must return ``None`` (and therefore fall back to the recursive
-  engines at Bind time);
-* **strict parity** — for every supported shape, the twig join over a
-  :class:`DocumentIndex` must produce exactly the bindings, in exactly
-  the order, of the interpretive ``FilterMatcher`` (the differential
-  oracle), including the cartesian-explosion guards.
+Which filter shapes :func:`compile_twig` accepts and which make it
+return ``None`` — the compile-time half of the Bind engine's selector
+(the other half, whether the target tree has an index, is
+``tests/test_indexes.py``).  That the twig join then produces exactly
+the oracle's bindings is ``tests/test_bind_engine.py``'s property.
 """
 
-import pytest
-
-from repro.core.algebra import twig as twig_module
-from repro.core.algebra.bind import FilterMatcher, match_filter
-from repro.core.algebra.twig import (
-    CompiledTwig,
-    compile_twig,
-    compiled_twig,
-    reset_twig_cache,
-    twig_cache_stats,
-)
-from repro.errors import BindError
+from repro.core.algebra.twig import CompiledTwig, compile_twig
 from repro.model.filters import (
     FConst,
     FDescend,
@@ -34,65 +19,7 @@ from repro.model.filters import (
     LabelVar,
     felem,
 )
-from repro.model.indexes import DocumentIndex
-from repro.model.trees import atom_leaf, elem, ref
-
-
-def oracle_tuples(root, flt):
-    """The FilterMatcher's bindings, as tuples in declaration order."""
-    variables = flt.variables()
-    return [
-        tuple(binding[var] for var in variables)
-        for binding in match_filter(root, flt)
-    ]
-
-
-def assert_parity(root, flt):
-    """Twig and oracle agree exactly (values and order) on *root*."""
-    twig = compile_twig(flt)
-    assert twig is not None, f"{flt!r} should be inside the twig fragment"
-    index = DocumentIndex(root)
-    assert twig.match(root, index) == oracle_tuples(root, flt)
-
-
-@pytest.fixture
-def works():
-    return elem(
-        "works",
-        elem(
-            "work",
-            atom_leaf("artist", "Claude Monet"),
-            atom_leaf("title", "Nympheas"),
-            atom_leaf("style", "Impressionist"),
-            atom_leaf("size", "21 x 61"),
-            atom_leaf("cplace", "Giverny"),
-        ),
-        elem(
-            "work",
-            atom_leaf("artist", "Claude Monet"),
-            atom_leaf("title", "Waterloo Bridge"),
-            atom_leaf("style", "Impressionist"),
-            atom_leaf("size", "29.2 x 46.4"),
-            elem("history", atom_leaf("technique", "Oil on canvas")),
-        ),
-    )
-
-
-@pytest.fixture
-def figure4_filter():
-    return felem(
-        "works",
-        FStar(
-            felem(
-                "work",
-                felem("artist", FVar("a")),
-                felem("title", FVar("t")),
-                felem("style", FVar("s")),
-                felem("size", FVar("si")),
-                FRest("fields"),
-            )
-        ),
-    )
+from tests.test_bind_engine import WORKS_FILTERS
 
 
 # ---------------------------------------------------------------------------
@@ -100,8 +27,8 @@ def figure4_filter():
 
 
 class TestCompileFragment:
-    def test_figure4_filter_compiles(self, figure4_filter):
-        twig = compile_twig(figure4_filter)
+    def test_figure4_filter_compiles(self):
+        twig = compile_twig(WORKS_FILTERS["figure4"])
         assert isinstance(twig, CompiledTwig)
         assert twig.variables == ("a", "t", "s", "si", "fields")
 
@@ -135,271 +62,3 @@ class TestCompileFragment:
         ]
         for flt in unsupported:
             assert compile_twig(flt) is None, flt
-
-    def test_memo_remembers_both_outcomes(self, figure4_filter):
-        reset_twig_cache()
-        ineligible = FVar("v")
-        assert compiled_twig(figure4_filter) is not None
-        assert compiled_twig(ineligible) is None
-        hits_before = twig_cache_stats()["hits"]
-        assert compiled_twig(figure4_filter) is compiled_twig(figure4_filter)
-        assert compiled_twig(ineligible) is None
-        assert twig_cache_stats()["hits"] > hits_before
-
-
-# ---------------------------------------------------------------------------
-# parity with the recursive oracle
-
-
-class TestParity:
-    def test_figure4_rows_and_order(self, works, figure4_filter):
-        assert_parity(works, figure4_filter)
-
-    def test_root_label_mismatch_is_empty(self, works, figure4_filter):
-        twig = compile_twig(felem("sculptures", FVar("v")))
-        assert twig.match(works, DocumentIndex(works)) == []
-
-    def test_rest_in_middle_position(self, works):
-        assert_parity(
-            works,
-            felem(
-                "works",
-                FStar(
-                    felem(
-                        "work",
-                        felem("artist", FVar("a")),
-                        FRest("others"),
-                        felem("title", FVar("t")),
-                    )
-                ),
-            ),
-        )
-
-    def test_element_variable_binds_the_node(self, works):
-        assert_parity(
-            works,
-            felem(
-                "works",
-                FStar(felem("work", felem("title", FVar("t")), var="w")),
-            ),
-        )
-
-    def test_childless_items_bare_and_bound(self, works):
-        assert_parity(works, felem("works", FStar(felem("work"))))
-        assert_parity(
-            works, felem("works", FStar(felem("work", var="w")))
-        )
-
-    def test_constant_items(self, works):
-        assert_parity(
-            works,
-            felem(
-                "works",
-                FStar(
-                    felem(
-                        "work",
-                        felem("style", FConst("Impressionist")),
-                        felem("title", FVar("t")),
-                    )
-                ),
-            ),
-        )
-        # A constant that matches nothing fails every work element.
-        assert_parity(
-            works,
-            felem(
-                "works",
-                FStar(felem("work", felem("style", FConst("Cubist")))),
-            ),
-        )
-
-    def test_missing_mandatory_item_fails_element(self, works):
-        flt = felem("works", FStar(felem("work", felem("price", FVar("p")))))
-        twig = compile_twig(flt)
-        assert twig.match(works, DocumentIndex(works)) == []
-        assert oracle_tuples(works, flt) == []
-
-    def test_multi_match_items_are_a_cartesian_product(self):
-        doc = elem(
-            "works",
-            elem(
-                "work",
-                atom_leaf("artist", "Monet"),
-                atom_leaf("artist", "Renoir"),
-                atom_leaf("title", "Joint"),
-                atom_leaf("title", "Effort"),
-            ),
-        )
-        assert_parity(
-            doc,
-            felem(
-                "works",
-                FStar(
-                    felem(
-                        "work",
-                        felem("artist", FVar("a")),
-                        felem("title", FVar("t")),
-                    )
-                ),
-            ),
-        )
-        # ... and with a rest, matched children stay claimed.
-        assert_parity(
-            doc,
-            felem(
-                "works",
-                FStar(
-                    felem("work", felem("artist", FVar("a")), FRest("r"))
-                ),
-            ),
-        )
-
-    def test_atom_leaf_content_match(self):
-        doc = elem("works", atom_leaf("work", "just text"))
-        assert_parity(
-            doc, felem("works", FStar(felem("work", FVar("content"))))
-        )
-        assert_parity(
-            doc, felem("works", FStar(felem("work", FConst("just text"))))
-        )
-        assert_parity(
-            doc, felem("works", FStar(felem("work", FConst("other"))))
-        )
-
-    def test_direct_variable_and_constant_items(self, works):
-        assert_parity(
-            works, felem("works", FStar(felem("work", FStar(FVar("any")))))
-        )
-        doc = elem("pair", atom_leaf("k", "x"), atom_leaf("k", "y"))
-        assert_parity(doc, felem("pair", FStar(FVar("v"))))
-        assert_parity(doc, felem("pair", FVar("v"), FVar("w")))
-
-    def test_descend_variants(self, works):
-        assert_parity(
-            works,
-            felem("works", FStar(felem("work", FDescend(felem("technique", FVar("q")))))),
-        )
-        assert_parity(
-            works,
-            felem(
-                "works",
-                FStar(felem("work", FDescend(FConst("Oil on canvas")))),
-            ),
-        )
-        assert_parity(
-            works,
-            felem(
-                "works",
-                FStar(felem("work", felem("history", FDescend(FVar("d"))))),
-            ),
-        )
-
-    def test_descend_from_root_items(self, works):
-        assert_parity(works, felem("works", FDescend(felem("title", FVar("t")))))
-        assert_parity(works, felem("works", FDescend(FConst("Giverny"))))
-
-    def test_deep_nested_structure(self):
-        doc = elem(
-            "set",
-            elem(
-                "class",
-                elem(
-                    "artifact",
-                    elem(
-                        "tuple",
-                        atom_leaf("title", "Vase"),
-                        atom_leaf("year", "1910"),
-                    ),
-                ),
-            ),
-            elem(
-                "class",
-                elem(
-                    "artifact",
-                    elem(
-                        "tuple",
-                        atom_leaf("title", "Bowl"),
-                        atom_leaf("year", "1920"),
-                    ),
-                ),
-            ),
-        )
-        assert_parity(
-            doc,
-            felem(
-                "set",
-                FStar(
-                    felem(
-                        "class",
-                        felem(
-                            "artifact",
-                            felem(
-                                "tuple",
-                                felem("title", FVar("t")),
-                                felem("year", FVar("y")),
-                            ),
-                        ),
-                    )
-                ),
-            ),
-        )
-
-    def test_match_collection_unions_in_order(self, works, figure4_filter):
-        index = DocumentIndex(works)
-        twig = compile_twig(figure4_filter)
-        doubled = twig.match_collection([works, works], index)
-        single = twig.match(works, index)
-        assert doubled == single + single
-
-
-# ---------------------------------------------------------------------------
-# guards and fallback gating
-
-
-class TestGuards:
-    def test_per_tree_explosion_guard_matches_oracle(self):
-        wide = elem(
-            "work",
-            *(
-                [atom_leaf("a", f"a{i}") for i in range(1001)]
-                + [atom_leaf("b", f"b{i}") for i in range(1001)]
-            ),
-        )
-        doc = elem("works", wide)
-        flt = felem(
-            "works",
-            FStar(
-                felem(
-                    "work",
-                    FStar(felem("a", FVar("x"))),
-                    FStar(felem("b", FVar("y"))),
-                )
-            ),
-        )
-        twig = compile_twig(flt)
-        with pytest.raises(BindError) as from_twig:
-            twig.match(doc, DocumentIndex(doc))
-        with pytest.raises(BindError) as from_oracle:
-            match_filter(doc, flt)
-        assert str(from_twig.value) == str(from_oracle.value)
-
-    def test_collection_guard_fires(self, works, figure4_filter, monkeypatch):
-        monkeypatch.setattr(twig_module, "MAX_MATCHES", 2)
-        twig = compile_twig(figure4_filter)
-        index = DocumentIndex(works)
-        with pytest.raises(BindError) as caught:
-            twig.match_collection([works, works, works], index)
-        assert "collection" in str(caught.value)
-
-    def test_reference_trees_are_not_seekable(self):
-        target = elem("person", atom_leaf("name", "Monet"))
-        doc = elem("owners", ref("owner", "p1"), target)
-        index = DocumentIndex(doc)
-        assert not index.supports_seek
-        assert not index.covers(doc)
-
-    def test_shared_subtree_is_not_seekable(self):
-        shared = atom_leaf("name", "Monet")
-        doc = elem("pair", elem("a", shared), elem("b", shared))
-        index = DocumentIndex(doc)
-        assert not index.supports_seek
