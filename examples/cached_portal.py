@@ -15,7 +15,8 @@ a cached answer read is reflected by the very next query.
 3. ``materialize_view("artworks")`` executes the integration plan once
    and Binds later queries against the kept document (watch
    ``source_calls`` drop to the mediator itself);
-4. the ``yat_result_cache_*`` / ``yat_view_*`` counters.
+4. the ``yat_memo_*{memo="result_cache"|"materialized_views"}`` rows and
+   the ``yat_result_cache_*`` / ``yat_view_*`` counters.
 
 Run:  python examples/cached_portal.py [n_artifacts]
 """
@@ -29,7 +30,7 @@ from repro import (
     O2Wrapper,
     WaisWrapper,
 )
-from repro.observability.metrics import record_plan_cache
+from repro.observability.metrics import record_memo_stats
 from repro.datasets import CulturalDataset, Q1, Q2, VIEW1_YAT
 
 
@@ -95,9 +96,11 @@ def main() -> int:
 
     print("\n== 4. the counters ==")
     registry = MetricsRegistry()
-    record_plan_cache(registry, mediator)
+    record_memo_stats(registry, mediator)
     for line in registry.exposition().splitlines():
-        if line.startswith(("yat_result_cache", "yat_view")):
+        if line.startswith(("yat_result_cache", "yat_view")) or (
+            'memo="result_cache"' in line or 'memo="materialized_views"' in line
+        ):
             print(f"  {line}")
     return 0
 

@@ -38,7 +38,6 @@ the cartesian-explosion guard.
 from __future__ import annotations
 
 import operator as _operator
-import threading as _threading
 from itertools import product
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -54,6 +53,7 @@ from repro.core.algebra.expressions import (
 )
 from repro.core.algebra.bind import MAX_MATCHES
 from repro.errors import BindError, EvaluationError
+from repro.memo import Memo
 from repro.model.filters import (
     FConst,
     FDescend,
@@ -70,7 +70,6 @@ from repro.model.trees import DataNode
 
 __all__ = [
     "CompiledFilter",
-    "KernelCache",
     "compile_filter",
     "compile_predicate",
     "compiled_predicate",
@@ -422,67 +421,19 @@ def compile_predicate(expr: Expr) -> Callable[..., object]:
     return _compile_expr(expr)
 
 
-class KernelCache:
-    """Bounded id-keyed memo of compiled kernels.
-
-    Keys are ``id(obj)`` with the object itself kept in the entry, so a
-    recycled id can never serve a stale kernel (the identity check
-    rejects it).  Plans are immutable, so compiling per object identity
-    is sound.  When full, the memo is simply cleared — recompilation is
-    cheap and the bound exists only to keep long-lived servers flat;
-    ``evictions`` counts the entries dropped by those clears.
-
-    Shared process-wide across every concurrent execution, so lookups
-    and stores are locked; the compile itself runs outside the lock (two
-    threads missing on one key both compile — either kernel is correct).
-    """
-
-    __slots__ = ("_lock", "_entries", "_capacity", "hits", "misses", "evictions")
-
-    def __init__(self, capacity: int = 4096) -> None:
-        self._lock = _threading.Lock()
-        self._entries: Dict[int, tuple] = {}
-        self._capacity = capacity
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-
-    def get(self, obj, build):
-        key = id(obj)
-        with self._lock:
-            entry = self._entries.get(key)
-            if entry is not None and entry[0] is obj:
-                self.hits += 1
-                return entry[1]
-            self.misses += 1
-        value = build(obj)
-        with self._lock:
-            if len(self._entries) >= self._capacity:
-                self.evictions += len(self._entries)
-                self._entries.clear()
-            self._entries[key] = (obj, value)
-        return value
-
-    def stats(self) -> Dict[str, int]:
-        """Counters for metrics: entries resident, memo hits and compiles."""
-        with self._lock:
-            return {
-                "entries": len(self._entries),
-                "hits": self.hits,
-                "compiles": self.misses,
-                "evictions": self.evictions,
-                "capacity": self._capacity,
-            }
-
-
-_PREDICATE_KERNELS = KernelCache()
+#: ``id(expr) -> compiled evaluator``, anchored on the expression.  Plans
+#: are immutable, so compiling per object identity is sound; the bound
+#: exists only to keep long-lived servers flat.
+_PREDICATE_KERNELS = Memo(4096)
 
 
 def compiled_predicate(expr: Expr) -> Callable[..., object]:
     """The memoized compiled evaluator for *expr*."""
-    return _PREDICATE_KERNELS.get(expr, _compile_expr)
+    return _PREDICATE_KERNELS.get_or_build(
+        id(expr), lambda: _compile_expr(expr), anchor=expr
+    )
 
 
 def predicate_cache_stats() -> Dict[str, int]:
-    """Counters of the predicate-kernel memo (see :meth:`KernelCache.stats`)."""
+    """Counters of the predicate-kernel memo (see :meth:`Memo.stats`)."""
     return _PREDICATE_KERNELS.stats()

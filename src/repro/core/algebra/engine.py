@@ -27,8 +27,9 @@ from __future__ import annotations
 from typing import Callable, Dict, List
 
 from repro.core.algebra.bind import MAX_MATCHES, collection_explosion
-from repro.core.algebra.compiled import KernelCache, compile_filter
+from repro.core.algebra.compiled import compile_filter
 from repro.core.algebra.twig import compile_twig
+from repro.memo import Memo
 from repro.model.filters import Filter
 from repro.model.indexes import document_index
 from repro.model.trees import DataNode
@@ -110,14 +111,16 @@ class BindEngine:
         ]
 
 
-_ENGINES = KernelCache()
+#: ``id(filter) -> BindEngine``, anchored on the filter (plans are
+#: immutable, so one engine per filter object is sound).
+_ENGINES = Memo(4096)
 
 
 def bind_engine(flt: Filter) -> BindEngine:
     """The memoized engine for *flt* (keyed by plan-node identity)."""
-    return _ENGINES.get(flt, BindEngine)
+    return _ENGINES.get_or_build(id(flt), lambda: BindEngine(flt), anchor=flt)
 
 
 def engine_cache_stats() -> Dict[str, int]:
-    """Counters of the engine memo (see :meth:`KernelCache.stats`)."""
+    """Counters of the engine memo (see :meth:`Memo.stats`)."""
     return _ENGINES.stats()

@@ -188,6 +188,10 @@ class SourceCallCache:
     source never serializes unrelated calls.  Two threads missing on the
     same key may both call the source — results are deterministic, so
     either write is correct.
+
+    Deliberately a bare dict, not a :class:`repro.memo.Memo`: its lifetime
+    is one request and it is unbounded on purpose, so there is nothing to
+    evict and nothing to tag.
     """
 
     __slots__ = ("_lock", "_entries")

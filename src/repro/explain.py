@@ -36,7 +36,7 @@ from repro.core.algebra.scheduling import ExecutionPolicy
 from repro.observability.metrics import (
     MetricsRegistry,
     record_execution,
-    record_plan_cache,
+    record_memo_stats,
 )
 from repro.wrappers.o2_wrapper import O2Wrapper
 from repro.wrappers.wais_wrapper import WaisWrapper
@@ -211,7 +211,7 @@ def main(argv=None) -> int:
     if args.analyze and args.metrics:
         registry = MetricsRegistry()
         record_execution(registry, explanation.report, query=args.query)
-        record_plan_cache(registry, mediator)
+        record_memo_stats(registry, mediator)
         if args.metrics == "-":
             print()
             print(registry.exposition(), end="")

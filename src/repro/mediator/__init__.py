@@ -10,7 +10,7 @@ from repro.mediator.resilience import (
     RetryPolicy,
     SourceOutcome,
 )
-from repro.mediator.result_cache import CachedResult, ResultCache
+from repro.mediator.result_cache import ResultCache
 from repro.mediator.views import (
     VIEW_SOURCE,
     MaterializedViewSource,
@@ -20,7 +20,6 @@ from repro.observability.explain import Explanation
 
 __all__ = [
     "Explanation",
-    "CachedResult",
     "Catalog",
     "CircuitBreaker",
     "ExecutionPolicy",

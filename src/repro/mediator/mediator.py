@@ -42,6 +42,7 @@ from repro.mediator.views import (
     MaterializedViewSource,
     ViewRegistry,
 )
+from repro.memo import Memo
 from repro.model.indexes import invalidate_document_indexes
 from repro.model.trees import DataNode
 from repro.sources.wais.index import document_contains
@@ -51,9 +52,13 @@ from repro.yatl.normalize import NormalizedQuery, normalize_query
 from repro.yatl.parser import parse_program, parse_query
 from repro.yatl.translator import translate_query, translate_rule
 
+#: Bound on memoized ``(source, constant)`` selectivity probes; the query
+#: vocabulary of a long-lived server is unbounded, the memo is not.
+PROBE_MEMO_CAPACITY = 1024
+
 #: Per-thread set of materialized views currently refreshing: a view
 #: whose refresh transitively reads itself fails fast instead of
-#: recursing (or deadlocking on its own single-flight lock).
+#: recursing (or waiting on its own single-flight).
 _REFRESHING = threading.local()
 
 
@@ -204,13 +209,13 @@ class Mediator:
         self._stats_version = 0
         self._observed = ObservedStatistics()
         #: Guards the planning-side mutable state (epoch, stats version,
-        #: probe cache, observed statistics) against concurrent sessions;
-        #: the PlanCache carries its own lock.
+        #: observed statistics) against concurrent sessions; the caches
+        #: carry their own locks.
         self._plan_lock = threading.RLock()
         #: Memo of wrapper selectivity probes, keyed (source, constant);
         #: cleared with the epoch — probing is a real source round trip
         #: and must not run once per query for the same constant.
-        self._probe_cache: dict = {}
+        self._probes = Memo(PROBE_MEMO_CAPACITY)
         #: Extension beyond the paper: cost-gate the bind-join conversion
         #: (see OptimizerContext.gate_information_passing).
         self.gate_information_passing = gate_information_passing
@@ -316,7 +321,7 @@ class Mediator:
         """Catalog changed: cached plans and probe answers are suspect."""
         with self._plan_lock:
             self._epoch += 1
-            self._probe_cache.clear()
+        self._probes.clear()
         if self.plan_cache is not None:
             self.plan_cache.invalidate()
         if self.result_cache is not None:
@@ -509,17 +514,13 @@ class Mediator:
             if not isinstance(adapter, Wrapper):
                 continue
             for constant in constants:
-                memo_key = (source_name, constant)
-                with self._plan_lock:
-                    hit = memo_key in self._probe_cache
-                    estimate = self._probe_cache.get(memo_key)
-                if not hit:
-                    # The probe (a source round trip) runs outside the
-                    # lock; concurrent misses on one key both probe, and
-                    # either deterministic answer is correct to keep.
-                    estimate = adapter.estimate_text_selectivity(constant)
-                    with self._plan_lock:
-                        self._probe_cache[memo_key] = estimate
+                # The probe (a source round trip) runs outside the memo's
+                # lock; concurrent misses on one key both probe, and the
+                # answers are deterministic.
+                estimate = self._probes.get_or_build(
+                    (source_name, constant),
+                    lambda: adapter.estimate_text_selectivity(constant),
+                )
                 if estimate is not None:
                     # Pessimistic across sources: keep the largest fraction.
                     estimates[constant] = max(
@@ -572,7 +573,6 @@ class Mediator:
         transitively reads, so an update to any of them invalidates the
         cached answers of queries served through the view.
         """
-        adapters = self.catalog.adapters()
         names: set = set()
         for node in plan.walk():
             source = getattr(node, "source", None)
@@ -582,6 +582,11 @@ class Mediator:
                 names |= self.views.base_sources(node.document)
             else:
                 names.add(source)
+        return self._versions(names)
+
+    def _versions(self, names) -> tuple:
+        """The live ``((source, data_version), ...)`` vector of *names*."""
+        adapters = self.catalog.adapters()
         return tuple(
             (name, _adapter_version(adapters.get(name)))
             for name in sorted(names)
@@ -601,12 +606,9 @@ class Mediator:
     ) -> Tuple[ExecutionReport, bool]:
         """Serve *optimized* from the result cache or execute and store.
 
-        Returns ``(report, served_from_cache)``.  The version vector is
-        captured **before** execution: a source update racing the
-        execution tags the entry with the pre-update version, so the
-        next lookup sees a mismatch and recomputes — a stale answer can
-        never be served as fresh.  Concurrent misses on one key are
-        single-flight: one caller executes, the rest wait and re-check.
+        Returns ``(report, served_from_cache)``.  The entry is tagged
+        with the version vector read **before** execution and concurrent
+        misses on one key are single-flight (see :mod:`repro.memo`).
         """
         cache = self.result_cache
         if cache is None or not use_result_cache or normalized is None:
@@ -616,19 +618,8 @@ class Mediator:
             )
             return report, False
         key = self._result_key(normalized, optimize, rounds, execution)
-        while True:
-            versions = self._version_vector(optimized)
-            tab = cache.lookup(key, versions)
-            if tab is not None:
-                return ExecutionReport(optimized, tab, ExecutionStats(), 0.0), True
-            leader, event = cache.begin(key)
-            if leader:
-                break
-            # Another session is already executing this exact query:
-            # wait for it, then re-check (the timeout only bounds the
-            # wait if that session dies without reaching finish()).
-            event.wait(timeout=5.0)
-        try:
+
+        def execute(versions: tuple) -> ExecutionReport:
             report = self.execute(
                 optimized, policy=policy, execution=execution, tracer=tracer,
                 context=context,
@@ -637,19 +628,22 @@ class Mediator:
                 # Degraded (partial) answers must never serve later
                 # queries — a hit could not tell them from the full one.
                 cache.store(key, report.tab, versions)
-        finally:
-            cache.finish(key)
-        return report, False
+            return report
+
+        hit, value = cache.serve(
+            key, lambda: self._version_vector(optimized), execute
+        )
+        if hit:
+            return ExecutionReport(optimized, value, ExecutionStats(), 0.0), True
+        return value, False
 
     def materialized_document(self, name: str) -> DataNode:
         """The kept document of materialized view *name*, refreshed if stale.
 
-        Single-flight per view; the base-source version vector is
-        captured before the refresh executes (stale-tag safe, exactly as
-        for the result cache).  The refresh runs fail-fast — a partial
-        view document must never be kept.
+        Single-flight per view, tagged with the base-source version
+        vector (:meth:`ViewRegistry.kept_document`).  The refresh runs
+        fail-fast — a partial view document must never be kept.
         """
-        entry = self.views.materialized_entry(name)
         refreshing = getattr(_REFRESHING, "names", None)
         if refreshing is None:
             refreshing = _REFRESHING.names = set()
@@ -657,30 +651,20 @@ class Mediator:
             raise ViewError(
                 f"materialized view {name!r} transitively reads itself"
             )
-        with entry.lock:
-            current = self._view_versions(name)
-            if entry.document is None or entry.versions != current:
-                refreshing.add(name)
-                try:
-                    report = self.execute(
-                        self.views.refresh_plan(name),
-                        policy=ResiliencePolicy.direct(),
-                    )
-                    document = report.document()
-                finally:
-                    refreshing.discard(name)
-                entry.document = document
-                entry.versions = current
-                entry.refreshes += 1
-            entry.serves += 1
-            return entry.document
 
-    def _view_versions(self, name: str) -> tuple:
-        """Live version vector of the base sources view *name* reads."""
-        adapters = self.catalog.adapters()
-        return tuple(
-            (source, _adapter_version(adapters.get(source)))
-            for source in sorted(self.views.base_sources(name))
+        def refresh() -> DataNode:
+            refreshing.add(name)
+            try:
+                report = self.execute(
+                    self.views.refresh_plan(name),
+                    policy=ResiliencePolicy.direct(),
+                )
+                return report.document()
+            finally:
+                refreshing.discard(name)
+
+        return self.views.kept_document(
+            name, lambda: self._versions(self.views.base_sources(name)), refresh
         )
 
     # -- querying --------------------------------------------------------------------
@@ -857,6 +841,19 @@ class Mediator:
                 # Keys embed the statistics version, so the old entries
                 # are already unreachable; dropping them frees the bytes.
                 self.result_cache.invalidate()
+
+    def memo_stats(self) -> dict:
+        """``{memo name: Memo.stats()}`` for this mediator's own memos
+        (a disabled cache contributes no row)."""
+        rows = {
+            "probes": self._probes.stats(),
+            "materialized_views": self.views.memo_stats(),
+        }
+        if self.plan_cache is not None:
+            rows.update(self.plan_cache.memo_stats())
+        if self.result_cache is not None:
+            rows["result_cache"] = self.result_cache.stats()
+        return rows
 
     def execute(
         self,

@@ -17,14 +17,14 @@ a prepared-statement cache does:
   constant with the fresh value, sharing all untouched subtrees (which
   keeps the compiled-kernel memo warm for unchanged Bind filters).
 
-The cache is LRU-bounded and counts hits / misses / invalidations /
-rebinds for the ``yat_*`` metrics and ``EXPLAIN`` output.
+The cache is a bounded :class:`~repro.memo.Memo` and counts hits /
+misses / invalidations / rebinds for the ``yat_*`` metrics and
+``EXPLAIN`` output.
 """
 
 from __future__ import annotations
 
 import threading
-from collections import OrderedDict
 from typing import Dict, List, Optional, Tuple
 
 from repro.core.algebra.expressions import (
@@ -44,6 +44,7 @@ from repro.core.algebra.operators import (
     PushedOp,
     SelectOp,
 )
+from repro.memo import Memo
 from repro.model.filters import FConst, FDescend, FElem, Filter, FStar
 from repro.yatl.normalize import NormalizedQuery, param_slot
 
@@ -177,32 +178,20 @@ class PlanCache:
 
     Also memoizes *parsing*: :meth:`normalized` maps raw query text to
     its :class:`~repro.yatl.normalize.NormalizedQuery`, so a repeated
-    ``Mediator.query(text)`` skips the lexer entirely.
+    ``Mediator.query(text)`` skips the lexer entirely.  Both tables are
+    :class:`~repro.memo.Memo` tables; the catalog epoch and statistics
+    version are part of the plan key, and :meth:`invalidate` clears both.
     """
 
-    __slots__ = (
-        "capacity",
-        "hits",
-        "misses",
-        "invalidations",
-        "rebinds",
-        "_entries",
-        "_texts",
-        "_text_capacity",
-        "_lock",
-    )
+    __slots__ = ("capacity", "rebinds", "_entries", "_texts", "_lock")
 
     def __init__(self, capacity: int = 128, text_capacity: int = 512) -> None:
         if capacity < 1:
             raise ValueError("plan cache capacity must be at least 1")
         self.capacity = capacity
-        self.hits = 0
-        self.misses = 0
-        self.invalidations = 0
         self.rebinds = 0
-        self._entries: "OrderedDict[tuple, CachedPlan]" = OrderedDict()
-        self._texts: "OrderedDict[str, NormalizedQuery]" = OrderedDict()
-        self._text_capacity = max(text_capacity, capacity)
+        self._entries = Memo(capacity)
+        self._texts = Memo(max(text_capacity, capacity))
         self._lock = threading.Lock()
 
     def __len__(self) -> int:
@@ -210,62 +199,42 @@ class PlanCache:
 
     def normalized(self, text: str) -> Optional[NormalizedQuery]:
         """The memoized normalization of *text*, or ``None`` if unseen."""
-        with self._lock:
-            entry = self._texts.get(text)
-            if entry is not None:
-                self._texts.move_to_end(text)
-            return entry
+        return self._texts.get(text)
 
     def remember_text(self, text: str, normalized: NormalizedQuery) -> None:
-        with self._lock:
-            self._texts[text] = normalized
-            self._texts.move_to_end(text)
-            while len(self._texts) > self._text_capacity:
-                self._texts.popitem(last=False)
+        self._texts.put(text, normalized)
 
     def lookup(self, key: tuple) -> Optional[CachedPlan]:
-        with self._lock:
-            entry = self._entries.get(key)
-            if entry is None:
-                self.misses += 1
-                return None
-            self._entries.move_to_end(key)
-            self.hits += 1
-            return entry
+        return self._entries.get(key)
 
     def record_rebind(self) -> None:
-        """Count one constant-rebinding hit (mutation stays under the
-        cache lock, so concurrent sessions never lose increments)."""
+        """Count one constant-rebinding hit (under a lock, so concurrent
+        sessions never lose increments)."""
         with self._lock:
             self.rebinds += 1
 
     def store(self, key: tuple, entry: CachedPlan) -> None:
-        with self._lock:
-            self._entries[key] = entry
-            self._entries.move_to_end(key)
-            while len(self._entries) > self.capacity:
-                self._entries.popitem(last=False)
+        self._entries.put(key, entry)
 
     def invalidate(self) -> None:
         """Drop every entry (catalog changed; keys would be stale)."""
-        with self._lock:
-            self.invalidations += len(self._entries)
-            self._entries.clear()
-            self._texts.clear()
+        self._entries.clear()
+        self._texts.clear()
 
     def stats(self) -> Dict[str, int]:
-        with self._lock:
-            return {
-                "entries": len(self._entries),
-                "capacity": self.capacity,
-                "hits": self.hits,
-                "misses": self.misses,
-                "invalidations": self.invalidations,
-                "rebinds": self.rebinds,
-            }
+        """The plan memo's counters plus ``invalidations`` (its ``stale``)
+        and ``rebinds``."""
+        stats = self._entries.stats()
+        stats["invalidations"] = stats["stale"]
+        stats["rebinds"] = self.rebinds
+        return stats
+
+    def memo_stats(self) -> Dict[str, Dict[str, int]]:
+        """``{memo name: Memo.stats()}`` for the two tables."""
+        return {
+            "plan_cache": self._entries.stats(),
+            "plan_texts": self._texts.stats(),
+        }
 
     def __repr__(self) -> str:
-        return (
-            f"PlanCache(entries={len(self._entries)}, hits={self.hits}, "
-            f"misses={self.misses}, rebinds={self.rebinds})"
-        )
+        return f"PlanCache({self.stats()!r})"

@@ -10,19 +10,17 @@ change.  The :class:`ResultCache` closes that gap:
   the planning knobs that select the plan, and the execution-policy
   knobs that could conceivably change the produced bytes — two queries
   share an entry only when a fresh execution would be byte-identical;
-* every entry carries the **version vector** — ``(source,
-  data_version())`` for every source the plan touches, captured *before*
-  the execution that produced it.  A lookup re-reads the live versions
-  and serves only on an exact match, so a source update invalidates
-  precisely the entries that read that source, and an update racing an
-  execution can only make the entry *look* stale (the pre-execution
-  capture tags it with the old version), never let a stale answer serve;
-* the cache is LRU-bounded by **byte size** (the serialized size of the
-  stored Tab), not entry count — one huge answer cannot silently pin a
-  thousand small ones;
-* concurrent misses on one key are **single-flight**: the first caller
-  executes, the rest wait on an event and re-check, so a thundering
+* every entry is **tagged** with the version vector — ``(source,
+  data_version())`` for every source the plan touches, read before the
+  execution that produced it — so a source update invalidates precisely
+  the entries that read that source;
+* the bound is **byte size** (the serialized size of the stored Tab),
+  not entry count — one huge answer cannot pin a thousand small ones;
+* concurrent misses on one key are **single-flight**, so a thundering
   herd on a cold hot-query costs one execution, not N.
+
+The tag rule (and why a racing write is safe), the bound, eviction and
+single-flight are :class:`repro.memo.Memo`'s.
 
 Degraded (partial) answers are never stored — a later hit could not
 tell them from the full answer.
@@ -30,169 +28,70 @@ tell them from the full answer.
 
 from __future__ import annotations
 
-import threading
-from collections import OrderedDict
-from typing import Dict, Optional, Tuple
+from typing import Callable, Dict, Tuple
 
 from repro.core.algebra.tab import Tab, tab_serialized_size
+from repro.memo import Memo
 
-__all__ = ["CachedResult", "ResultCache"]
+__all__ = ["ResultCache"]
 
 #: Version vector: ``((source, data_version), ...)`` sorted by source.
 VersionVector = Tuple[Tuple[str, int], ...]
 
 
-class CachedResult:
-    """One cached answer: the Tab, tagged with what it was computed from."""
-
-    __slots__ = ("tab", "versions", "size")
-
-    def __init__(self, tab: Tab, versions: VersionVector, size: int) -> None:
-        self.tab = tab
-        self.versions = versions
-        self.size = size
-
-    def __repr__(self) -> str:
-        return f"CachedResult({len(self.tab)} rows, {self.size}B, {self.versions!r})"
-
-
 class ResultCache:
-    """Byte-bounded LRU of query answers with version-vector validation."""
+    """Byte-bounded memo of query answers tagged with version vectors.
 
-    __slots__ = (
-        "max_bytes",
-        "hits",
-        "misses",
-        "invalidations",
-        "evictions",
-        "flight_waits",
-        "_bytes",
-        "_entries",
-        "_inflight",
-        "_lock",
-    )
+    A :class:`~repro.memo.Memo` weighed by serialized Tab size; what
+    this class adds is the vocabulary (``invalidations`` is the memo's
+    ``stale``) and :meth:`serve`, the single-flight entry point.
+    """
+
+    __slots__ = ("max_bytes", "_memo")
 
     def __init__(self, max_bytes: int = 32 << 20) -> None:
         if max_bytes < 1:
             raise ValueError("result cache bound must be at least 1 byte")
         self.max_bytes = max_bytes
-        self.hits = 0
-        self.misses = 0
-        #: Entries dropped because a source's ``data_version()`` moved.
-        self.invalidations = 0
-        #: Entries dropped to stay under the byte bound.
-        self.evictions = 0
-        #: Times a concurrent miss waited for another caller's execution.
-        self.flight_waits = 0
-        self._bytes = 0
-        self._entries: "OrderedDict[tuple, CachedResult]" = OrderedDict()
-        #: Single-flight: key -> Event set when the leader finishes.
-        self._inflight: Dict[tuple, threading.Event] = {}
-        self._lock = threading.Lock()
+        self._memo = Memo(max_bytes, weigh=tab_serialized_size)
 
     def __len__(self) -> int:
-        return len(self._entries)
-
-    @property
-    def bytes(self) -> int:
-        return self._bytes
-
-    # -- lookup / store -----------------------------------------------------------
-
-    def lookup(self, key: tuple, versions: VersionVector) -> Optional[Tab]:
-        """The cached Tab for *key*, or ``None``.
-
-        *versions* is the **live** version vector of the sources the
-        plan touches; an entry tagged with any other vector is stale —
-        it is dropped (counted as an invalidation) and the lookup
-        misses.
-        """
-        with self._lock:
-            entry = self._entries.get(key)
-            if entry is None:
-                self.misses += 1
-                return None
-            if entry.versions != versions:
-                del self._entries[key]
-                self._bytes -= entry.size
-                self.invalidations += 1
-                self.misses += 1
-                return None
-            self._entries.move_to_end(key)
-            self.hits += 1
-            return entry.tab
+        return len(self._memo)
 
     def peek(self, key: tuple, versions: VersionVector) -> bool:
-        """Would :meth:`lookup` hit right now?  Mutates nothing (EXPLAIN)."""
-        with self._lock:
-            entry = self._entries.get(key)
-            return entry is not None and entry.versions == versions
+        """Would :meth:`serve` hit right now?  Mutates nothing (EXPLAIN)."""
+        return self._memo.peek(key, tag=versions)
 
     def store(self, key: tuple, tab: Tab, versions: VersionVector) -> None:
-        """Cache *tab* for *key* as computed at *versions* (LRU-evicting)."""
-        size = tab_serialized_size(tab)
-        if size > self.max_bytes:
-            return  # an answer larger than the whole cache is not cacheable
-        with self._lock:
-            previous = self._entries.pop(key, None)
-            if previous is not None:
-                self._bytes -= previous.size
-            self._entries[key] = CachedResult(tab, versions, size)
-            self._bytes += size
-            while self._bytes > self.max_bytes and self._entries:
-                _evicted_key, evicted = self._entries.popitem(last=False)
-                self._bytes -= evicted.size
-                self.evictions += 1
+        """Cache *tab* for *key* as computed at *versions*."""
+        self._memo.put(key, tab, tag=versions)
+
+    def serve(
+        self,
+        key: tuple,
+        live_versions: Callable[[], VersionVector],
+        execute: Callable[[VersionVector], object],
+    ) -> Tuple[bool, object]:
+        """``(True, tab)`` on a hit, else ``(False, execute(versions))``.
+
+        Single-flight (:meth:`Memo.single_flight`): one caller executes,
+        the rest wait and re-check.  *execute* stores what is cacheable
+        under the vector it is handed, read before it ran.
+        """
+        return self._memo.single_flight(key, live_versions, execute)
 
     def invalidate(self) -> None:
         """Drop every entry (catalog epoch moved; keys would be stale)."""
-        with self._lock:
-            self.invalidations += len(self._entries)
-            self._entries.clear()
-            self._bytes = 0
-
-    # -- single-flight ------------------------------------------------------------
-
-    def begin(self, key: tuple) -> Tuple[bool, threading.Event]:
-        """Claim the execution of *key*.
-
-        Returns ``(True, event)`` when the caller is the leader and must
-        execute (then :meth:`finish`), ``(False, event)`` when another
-        caller is already executing — wait on the event, then re-lookup.
-        """
-        with self._lock:
-            event = self._inflight.get(key)
-            if event is None:
-                event = self._inflight[key] = threading.Event()
-                return True, event
-            self.flight_waits += 1
-            return False, event
-
-    def finish(self, key: tuple) -> None:
-        """The leader is done (stored or failed): release the waiters."""
-        with self._lock:
-            event = self._inflight.pop(key, None)
-        if event is not None:
-            event.set()
-
-    # -- reporting ----------------------------------------------------------------
+        self._memo.clear()
 
     def stats(self) -> Dict[str, int]:
-        with self._lock:
-            return {
-                "entries": len(self._entries),
-                "bytes": self._bytes,
-                "capacity": self.max_bytes,
-                "hits": self.hits,
-                "misses": self.misses,
-                "invalidations": self.invalidations,
-                "evictions": self.evictions,
-                "flight_waits": self.flight_waits,
-            }
+        """The memo's counters under this cache's names (``bytes`` is its
+        ``weight``, ``invalidations`` its ``stale``)."""
+        stats = self._memo.stats()
+        stats["bytes"] = stats.pop("weight")
+        stats["invalidations"] = stats["stale"]
+        stats["flight_waits"] = self._memo.flight_waits
+        return stats
 
     def __repr__(self) -> str:
-        return (
-            f"ResultCache(entries={len(self._entries)}, bytes={self._bytes}, "
-            f"hits={self.hits}, misses={self.misses}, "
-            f"invalidations={self.invalidations})"
-        )
+        return f"ResultCache({self.stats()!r})"

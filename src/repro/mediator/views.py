@@ -11,47 +11,27 @@ A view may additionally be declared **materialized**
 (:meth:`ViewRegistry.materialize`): its plan is executed once, the
 constructed document kept, and every later query MATCHing it is served
 through the ordinary Bind–Source path against the kept document instead
-of re-splicing (and re-executing) the view plan.  The kept document is
-tagged with the ``data_version()`` vector of the base sources the view
-reads, captured before the refresh executed; a query that finds the
-live vector elsewhere triggers a lazy refresh, so a source update is
-visible on the very next query and an unchanged federation never pays
-the view again.  :class:`MaterializedViewSource` is the evaluator-facing
+of re-splicing (and re-executing) the view plan.  The kept document
+lives in a :class:`~repro.memo.Memo` tagged with the ``data_version()``
+vector of the base sources the view reads; a query that finds the live
+vector elsewhere triggers a lazy refresh, so a source update is visible
+on the very next query and an unchanged federation never pays the view
+again.  :class:`MaterializedViewSource` is the evaluator-facing
 adapter that serves those documents under the ``mediator`` pseudo-source
 name.
 """
 
 from __future__ import annotations
 
-import threading
-from typing import Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import Callable, Dict, FrozenSet, List, Set, Tuple
 
 from repro.errors import ViewError
+from repro.memo import Memo
 from repro.core.algebra.evaluator import SourceAdapter
 from repro.core.algebra.operators import FuseOp, Plan, SourceOp
 
 #: The pseudo-source name used for documents that are mediator views.
 VIEW_SOURCE = "mediator"
-
-
-class MaterializedView:
-    """Cached state of one materialized view (filled in lazily)."""
-
-    __slots__ = ("name", "document", "versions", "refreshes", "serves", "lock")
-
-    def __init__(self, name: str) -> None:
-        self.name = name
-        #: The constructed view document, or ``None`` before first use.
-        self.document = None
-        #: ``((source, data_version), ...)`` the document was built from,
-        #: captured *before* the refresh executed (stale-tag safe: an
-        #: update racing the refresh makes the document look stale, never
-        #: lets a stale document serve as fresh).
-        self.versions: Optional[tuple] = None
-        self.refreshes = 0
-        self.serves = 0
-        #: Single-flight per view: concurrent stale reads refresh once.
-        self.lock = threading.Lock()
 
 
 class ViewRegistry:
@@ -62,9 +42,16 @@ class ViewRegistry:
     one document from multiple MATCH/MAKE rules.
     """
 
+    #: Bound on kept materialized-view documents.
+    DOCUMENT_MEMO_CAPACITY = 64
+
     def __init__(self) -> None:
         self._rules: Dict[str, List[Plan]] = {}
-        self._materialized: Dict[str, MaterializedView] = {}
+        #: Declared materialized views -> refresh executions so far.
+        self._materialized: Dict[str, int] = {}
+        #: ``view name -> kept document``, tagged with the version vector
+        #: of the base sources the view reads.
+        self._documents = Memo(self.DOCUMENT_MEMO_CAPACITY)
         #: Memo of :meth:`refresh_plan` / :meth:`base_sources` per view;
         #: cleared whenever a definition or declaration changes.
         self._refresh_plans: Dict[str, Plan] = {}
@@ -133,7 +120,7 @@ class ViewRegistry:
         if name not in self._rules:
             raise ViewError(f"unknown view: {name!r}")
         if name not in self._materialized:
-            self._materialized[name] = MaterializedView(name)
+            self._materialized[name] = 0
             self._refresh_plans.clear()
             self._base_sources.clear()
 
@@ -146,18 +133,32 @@ class ViewRegistry:
     def materialized_names(self) -> Tuple[str, ...]:
         return tuple(self._materialized)
 
-    def materialized_entry(self, name: str) -> MaterializedView:
-        try:
-            return self._materialized[name]
-        except KeyError:
-            raise ViewError(f"view {name!r} is not materialized") from None
+    def kept_document(
+        self,
+        name: str,
+        live_versions: Callable[[], tuple],
+        refresh: Callable[[], object],
+    ):
+        """The kept document of materialized view *name*, refreshed if stale.
+
+        Single-flight per view (:meth:`Memo.single_flight`): concurrent
+        stale reads run ``refresh()`` once, and the new document is
+        tagged with the vector read *before* the refresh executed.
+        """
+        if name not in self._materialized:
+            raise ViewError(f"view {name!r} is not materialized")
+
+        def lead(versions: tuple):
+            document = refresh()
+            self._documents.put(name, document, tag=versions)
+            self._materialized[name] += 1
+            return document
+
+        return self._documents.single_flight(name, live_versions, lead)[1]
 
     def reset_materialized(self) -> None:
         """Drop every kept document (catalog changed; keep declarations)."""
-        for entry in self._materialized.values():
-            with entry.lock:
-                entry.document = None
-                entry.versions = None
+        self._documents.clear()
         self._refresh_plans.clear()
         self._base_sources.clear()
 
@@ -200,20 +201,22 @@ class ViewRegistry:
         return result
 
     def materialized_stats(self) -> Dict[str, int]:
-        """Counters for the ``yat_view_*`` metrics family."""
-        declared = len(self._materialized)
-        populated = refreshes = serves = 0
-        for entry in self._materialized.values():
-            if entry.document is not None:
-                populated += 1
-            refreshes += entry.refreshes
-            serves += entry.serves
+        """Counters for the ``yat_view_*`` metrics family.
+
+        Every call of :meth:`kept_document` that returns is either a memo
+        hit or a refresh, so ``serves`` is their sum.
+        """
+        refreshes = sum(self._materialized.values())
         return {
-            "declared": declared,
-            "populated": populated,
+            "declared": len(self._materialized),
+            "populated": len(self._documents),
             "refreshes": refreshes,
-            "serves": serves,
+            "serves": self._documents.hits + refreshes,
         }
+
+    def memo_stats(self) -> Dict[str, int]:
+        """Counters of the kept-document memo (see :meth:`Memo.stats`)."""
+        return self._documents.stats()
 
 
 class MaterializedViewSource(SourceAdapter):

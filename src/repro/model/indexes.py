@@ -25,6 +25,7 @@ import threading
 import time
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.memo import Memo
 from repro.model.trees import DataNode
 
 __all__ = [
@@ -180,79 +181,54 @@ class IndexRegistry:
     full traversal is paid once, not per Bind.
     """
 
-    __slots__ = ("_lock", "_entries", "_capacity", "builds", "hits",
-                 "build_seconds", "epoch", "evictions")
+    __slots__ = ("_memo", "_lock", "builds", "build_seconds")
 
     def __init__(self, capacity: int = 64) -> None:
+        #: ``id(root) -> index or None``, anchored on the root itself.
+        self._memo = Memo(capacity)
         self._lock = threading.Lock()
-        self._entries: Dict[int, Tuple[DataNode, Optional[DocumentIndex]]] = {}
-        self._capacity = capacity
         self.builds = 0
-        self.hits = 0
         self.build_seconds = 0.0
-        self.epoch = 0
-        self.evictions = 0
 
     def get(self, root: DataNode) -> Optional[DocumentIndex]:
         """The index covering *root*, or ``None`` for "scan this one".
 
         ``None`` means the tree is below the size gate (``size()`` is
         cached on the node, so the test costs one attribute read) or
-        cannot be indexed soundly.  The build happens outside the lock;
-        two threads racing on a cold document may both build, and either
-        result is correct.  A full table evicts its oldest entry.
+        cannot be indexed soundly.
         """
         if root.size() < MIN_INDEX_NODES:
             return None
-        key = id(root)
-        with self._lock:
-            entry = self._entries.get(key)
-            if entry is not None and entry[0] is root:
-                self.hits += 1
-                return entry[1]
-        index: Optional[DocumentIndex] = DocumentIndex(root)
+        return self._memo.get_or_build(
+            id(root), lambda: self._build(root), anchor=root
+        )
+
+    def _build(self, root: DataNode) -> Optional[DocumentIndex]:
+        index = DocumentIndex(root)
         if not index.supports_seek:
-            index = None
+            return None
         with self._lock:
-            if key not in self._entries and len(self._entries) >= self._capacity:
-                self._entries.pop(next(iter(self._entries)))
-                self.evictions += 1
-            self._entries[key] = (root, index)
-            if index is not None:
-                self.builds += 1
-                self.build_seconds += index.build_seconds
+            self.builds += 1
+            self.build_seconds += index.build_seconds
         return index
 
     def invalidate(self) -> None:
         """Drop every cached index; called on catalog-epoch bumps."""
-        with self._lock:
-            self._entries.clear()
-            self.epoch += 1
+        self._memo.clear()
 
     def stats(self) -> Dict[str, object]:
+        """The memo's uniform counters plus ``builds``/``build_seconds``."""
+        stats: Dict[str, object] = self._memo.stats()
         with self._lock:
-            return {
-                "entries": len(self._entries),
-                "indexed": sum(
-                    1 for _root, index in self._entries.values()
-                    if index is not None
-                ),
-                "builds": self.builds,
-                "hits": self.hits,
-                "build_seconds": self.build_seconds,
-                "epoch": self.epoch,
-                "evictions": self.evictions,
-                "capacity": self._capacity,
-            }
+            stats["builds"] = self.builds
+            stats["build_seconds"] = self.build_seconds
+        return stats
 
     def reset(self) -> None:
+        self._memo = Memo(self._memo.capacity)
         with self._lock:
-            self._entries.clear()
             self.builds = 0
-            self.hits = 0
             self.build_seconds = 0.0
-            self.epoch = 0
-            self.evictions = 0
 
 
 _DOCUMENT_INDEXES = IndexRegistry()
@@ -270,7 +246,7 @@ def invalidate_document_indexes() -> None:
 
 
 def index_registry_stats() -> Dict[str, object]:
-    """Counters for metrics export: entries, builds, hits, build time."""
+    """Counters for metrics export (see :meth:`IndexRegistry.stats`)."""
     return _DOCUMENT_INDEXES.stats()
 
 

@@ -35,7 +35,6 @@ __all__ = [
     "MetricsRegistry",
     "record_execution",
     "record_memo_stats",
-    "record_plan_cache",
 ]
 
 _NAME_RE = re.compile(r"^[a-zA-Z_:][a-zA-Z0-9_:]*$")
@@ -501,186 +500,90 @@ def record_execution(
                 ).inc(produced)
 
 
-def record_plan_cache(registry: MetricsRegistry, mediator) -> None:
-    """Export a mediator's plan-cache and kernel-cache state as gauges.
+#: ``yat_memo_<series>{memo=...}``: (series suffix, :meth:`Memo.stats` key, help).
+_MEMO_SERIES = (
+    ("entries", "entries", "Entries currently held per memo."),
+    ("capacity", "capacity", "Bound per memo (entries; bytes for result_cache)."),
+    ("hits", "hits", "Lookups served per memo."),
+    ("misses", "misses", "Lookups that missed (and built) per memo."),
+    ("stale", "stale", "Entries dropped because their version tag or the "
+     "catalog epoch moved, per memo."),
+    ("evictions_total", "evictions", "Entries evicted to stay under the "
+     "bound, per memo."),
+)
 
-    Gauges (not counters) because the numbers are cumulative snapshots
-    owned by the cache itself; re-recording overwrites rather than
-    double-counts.  A mediator constructed with ``plan_cache_size=0``
-    records nothing for the plan-cache family.
-    """
-    from repro.core.algebra.compiled import predicate_cache_stats
-    from repro.core.algebra.engine import engine_cache_stats
-    from repro.model.indexes import index_registry_stats
-
-    cache = getattr(mediator, "plan_cache", None)
-    if cache is not None:
-        stats = cache.stats()
-        gauges = (
-            ("yat_plan_cache_entries", "Plans currently cached.", "entries"),
-            ("yat_plan_cache_hits", "Plan cache lookups served.", "hits"),
-            ("yat_plan_cache_misses", "Plan cache lookups missed.", "misses"),
-            ("yat_plan_cache_invalidations",
-             "Plans dropped by catalog/statistics invalidation.",
-             "invalidations"),
-            ("yat_plan_cache_rebinds",
-             "Cache hits served by rebinding constants into a cached plan.",
-             "rebinds"),
-        )
-        for name, help_text, field in gauges:
-            registry.gauge(name, help_text).set(stats[field])
-    result_cache = getattr(mediator, "result_cache", None)
-    if result_cache is not None:
-        stats = result_cache.stats()
-        gauges = (
-            ("yat_result_cache_entries", "Answers currently cached.",
-             "entries"),
-            ("yat_result_cache_bytes",
-             "Serialized bytes held by cached answers.", "bytes"),
-            ("yat_result_cache_capacity_bytes",
-             "Configured result-cache byte bound.", "capacity"),
-            ("yat_result_cache_hits",
-             "Queries answered without execution.", "hits"),
-            ("yat_result_cache_misses", "Result cache lookups missed.",
-             "misses"),
-            ("yat_result_cache_invalidations",
-             "Answers dropped because a source data_version moved.",
-             "invalidations"),
-            ("yat_result_cache_evictions",
-             "Answers evicted to stay under the byte bound.", "evictions"),
-            ("yat_result_cache_flight_waits",
-             "Concurrent misses that waited on another session's "
-             "single-flight execution.", "flight_waits"),
-        )
-        for name, help_text, field in gauges:
-            registry.gauge(name, help_text).set(stats[field])
-    views = getattr(mediator, "views", None)
-    if views is not None and getattr(views, "has_materialized", None):
-        stats = views.materialized_stats()
-        gauges = (
-            ("yat_view_materialized", "Views declared materialized.",
-             "declared"),
-            ("yat_view_documents", "Materialized view documents held.",
-             "populated"),
-            ("yat_view_refreshes",
-             "Materialized view refresh executions (cold + stale).",
-             "refreshes"),
-            ("yat_view_serves",
-             "Queries served from a materialized view document.", "serves"),
-        )
-        for name, help_text, field in gauges:
-            registry.gauge(name, help_text).set(stats[field])
-    engines, predicates = engine_cache_stats(), predicate_cache_stats()
-    registry.gauge(
-        "yat_compiled_filter_kernels",
-        "Compiled Bind engines held (scan kernel + twig join per filter).",
-    ).set(engines["entries"])
-    registry.gauge(
-        "yat_compiled_predicate_kernels",
-        "Compiled Select/Join predicate kernels held.",
-    ).set(predicates["entries"])
-    registry.gauge(
-        "yat_kernel_cache_hits", "Kernel lookups served without compiling."
-    ).set(engines["hits"] + predicates["hits"])
-    registry.gauge(
-        "yat_kernel_compiles", "Kernel compilations performed."
-    ).set(engines["compiles"] + predicates["compiles"])
-    indexes = index_registry_stats()
-    registry.gauge(
-        "yat_document_indexes", "Document indexes currently cached."
-    ).set(indexes["indexed"])
-    registry.gauge(
-        "yat_document_index_builds", "Document indexes built since start."
-    ).set(indexes["builds"])
-    registry.gauge(
-        "yat_document_index_hits",
-        "Document-index registry lookups served from cache.",
-    ).set(indexes["hits"])
-    registry.gauge(
-        "yat_document_index_build_seconds",
-        "Cumulative wall time spent building document indexes.",
-    ).set(indexes["build_seconds"])
+#: Cache numbers that are not a row of the memo family.
+_EXTRA_GAUGES = (
+    ("plan_cache", "yat_plan_cache_rebinds", "rebinds",
+     "Cache hits served by rebinding constants into a cached plan."),
+    ("result_cache", "yat_result_cache_bytes", "bytes",
+     "Serialized bytes held by cached answers."),
+    ("result_cache", "yat_result_cache_flight_waits", "flight_waits",
+     "Concurrent misses that waited on another session's single-flight "
+     "execution."),
+    ("views", "yat_view_materialized", "declared",
+     "Views declared materialized."),
+    ("views", "yat_view_refreshes", "refreshes",
+     "Materialized view refresh executions (cold + stale)."),
+    ("views", "yat_view_serves", "serves",
+     "Queries served from a materialized view document."),
+    ("indexes", "yat_document_index_builds", "builds",
+     "Document indexes built since start."),
+    ("indexes", "yat_document_index_build_seconds", "build_seconds",
+     "Cumulative wall time spent building document indexes."),
+)
 
 
 def record_memo_stats(registry: MetricsRegistry, mediator) -> None:
-    """Export every bounded per-process memo as ``yat_memo_*`` gauges.
+    """Export every memo as one ``yat_memo_*{memo=...}`` row.
 
-    Covers the process-wide Bind-engine and predicate-kernel memos and
-    the document-index registry, plus each connected wrapper's memos
-    (checked fragments, exported documents, prepared OQL fragments and
-    their compiled/result memos).
-    One family, labelled by memo, so dashboards catch any memo whose
-    eviction counter climbs — the signature of a workload churning
-    through more distinct queries than the bound can hold.
+    Rows come from the process-wide memos (Bind engines, predicate
+    kernels, document indexes, column maps), the mediator's own
+    (:meth:`Mediator.memo_stats`) and each connected adapter's
+    ``memo_stats()``.  Gauges, not counters: the numbers are cumulative
+    snapshots owned by the memos, so re-recording overwrites.  A memo
+    whose ``evictions_total`` climbs is churning through more distinct
+    keys than its bound holds.  The few cache numbers with no memo-family
+    equivalent follow as plain gauges.
     """
     from repro.core.algebra.compiled import predicate_cache_stats
     from repro.core.algebra.engine import engine_cache_stats
     from repro.core.algebra.tab import column_map_stats
     from repro.model.indexes import index_registry_stats
 
-    entries = registry.gauge(
-        "yat_memo_entries", "Entries currently held per bounded memo.",
-        ("memo",),
-    )
-    capacity = registry.gauge(
-        "yat_memo_capacity", "Configured capacity per bounded memo.",
-        ("memo",),
-    )
-    evictions = registry.gauge(
-        "yat_memo_evictions_total",
-        "Entries evicted per bounded memo since process start.",
-        ("memo",),
-    )
-
-    def export(memo: str, stats: Dict[str, object]) -> None:
-        entries.labels(memo=memo).set(stats.get("entries", 0))
-        capacity.labels(memo=memo).set(stats.get("capacity", 0))
-        evictions.labels(memo=memo).set(stats.get("evictions", 0))
-
-    export("bind_engines", engine_cache_stats())
-    export("predicate_kernels", predicate_cache_stats())
-    export("document_indexes", index_registry_stats())
-    export("column_maps", column_map_stats())
-    # Mediator-level answer caches: the result cache is byte-bounded
-    # (capacity in bytes), the materialized-view store is bounded by the
-    # number of declared views; a refresh replaces (evicts) the old
-    # document.  Both export zeros when the feature is off, so the
-    # coverage guarantee of the memo family holds for every mediator.
-    result_cache = getattr(mediator, "result_cache", None)
-    result_stats = result_cache.stats() if result_cache is not None else {}
-    export("result_cache", {
-        "entries": result_stats.get("entries", 0),
-        "capacity": result_stats.get("capacity", 0),
-        "evictions": result_stats.get("evictions", 0),
-    })
-    views = getattr(mediator, "views", None)
-    view_stats = (
-        views.materialized_stats()
-        if views is not None and getattr(views, "materialized_stats", None)
-        else {}
-    )
-    export("materialized_views", {
-        "entries": view_stats.get("populated", 0),
-        "capacity": view_stats.get("declared", 0),
-        "evictions": max(
-            0, view_stats.get("refreshes", 0) - view_stats.get("populated", 0)
-        ),
-    })
-    catalog = getattr(mediator, "catalog", None)
-    adapters = catalog.adapters() if catalog is not None else {}
+    indexes = index_registry_stats()
+    rows = {
+        "bind_engines": engine_cache_stats(),
+        "predicate_kernels": predicate_cache_stats(),
+        "document_indexes": indexes,
+        "column_maps": column_map_stats(),
+    }
+    rows.update(mediator.memo_stats())
     shredded = registry.gauge(
         "yat_store_rows_shredded",
         "Node rows written into a source's document store since process start.",
         ("source",),
     )
-    for source, adapter in sorted(adapters.items()):
+    for source, adapter in sorted(mediator.catalog.adapters().items()):
         memo_stats = getattr(adapter, "memo_stats", None)
-        if memo_stats is None:
-            continue
-        for memo, stats in sorted(memo_stats().items()):
-            export(f"{source}.{memo}", stats)
+        if memo_stats is not None:
+            for memo, stats in memo_stats().items():
+                rows[f"{source}.{memo}"] = stats
         store_stats = getattr(adapter, "store_stats", None)
         if store_stats is not None:
-            shredded.labels(source=source).set(
-                store_stats().get("rows_shredded", 0)
-            )
+            shredded.labels(source=source).set(store_stats()["rows_shredded"])
+    for suffix, key, help_text in _MEMO_SERIES:
+        gauge = registry.gauge(f"yat_memo_{suffix}", help_text, ("memo",))
+        for memo, stats in rows.items():
+            if key in stats:
+                gauge.labels(memo=memo).set(stats[key])
+    extras = {"indexes": indexes}
+    if mediator.plan_cache is not None:
+        extras["plan_cache"] = mediator.plan_cache.stats()
+    if mediator.result_cache is not None:
+        extras["result_cache"] = mediator.result_cache.stats()
+    if mediator.views.has_materialized():
+        extras["views"] = mediator.views.materialized_stats()
+    for owner, name, key, help_text in _EXTRA_GAUGES:
+        if owner in extras:
+            registry.gauge(name, help_text).set(extras[owner][key])

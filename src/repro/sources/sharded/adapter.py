@@ -30,13 +30,13 @@ shard invalidates exactly the entries whose plans read that shard.
 
 from __future__ import annotations
 
-import threading
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import SourceError, SourceUnavailableError
 from repro.core.algebra.evaluator import SourceAdapter
 from repro.core.algebra.operators import Plan, SourceOp
 from repro.core.algebra.tab import Row, Tab
+from repro.memo import Memo
 from repro.model.trees import DataNode
 
 
@@ -163,17 +163,19 @@ class ShardedSourceAdapter(SourceAdapter):
     adapter's document order.
     """
 
+    #: Bound on the concatenated-document memo (:meth:`document`).
+    DOCUMENT_MEMO_CAPACITY = 256
+
     def __init__(self, name: str, shards: Sequence[SourceAdapter]) -> None:
         if not shards:
             raise SourceError(f"sharded source {name!r} needs at least one shard")
         self.name = name
         self.shards = tuple(shards)
         self._document_name_set: Optional[frozenset] = None
-        #: ``name -> (version vector, tree)``: repeated reads at one
-        #: version serve one stable tree, keeping identity-keyed caches
-        #: (document indexes) effective across queries.
-        self._documents: Dict[str, Tuple[tuple, DataNode]] = {}
-        self._memo_lock = threading.Lock()
+        #: ``name -> tree``, tagged with the shard version vector:
+        #: repeated reads at one version serve one stable tree, keeping
+        #: identity-keyed caches (document indexes) effective.
+        self._documents = Memo(self.DOCUMENT_MEMO_CAPACITY)
 
     def document_names(self) -> Tuple[str, ...]:
         return self.shards[0].document_names()
@@ -190,11 +192,11 @@ class ShardedSourceAdapter(SourceAdapter):
         )
 
     def document(self, name: str) -> DataNode:
-        version = self.data_version()
-        with self._memo_lock:
-            entry = self._documents.get(name)
-            if entry is not None and entry[0] == version:
-                return entry[1]
+        return self._documents.get_or_build(
+            name, lambda: self._concatenate(name), tag=self.data_version()
+        )
+
+    def _concatenate(self, name: str) -> DataNode:
         parts = [shard.document(name) for shard in self.shards]
         label = parts[0].label
         children: List[DataNode] = []
@@ -205,15 +207,13 @@ class ShardedSourceAdapter(SourceAdapter):
                     f"{name!r}: {label!r} vs {part.label!r}"
                 )
             children.extend(part.children)
-        tree = DataNode(
+        return DataNode(
             label, children=children, collection=parts[0].collection
         )
-        with self._memo_lock:
-            entry = self._documents.get(name)
-            if entry is not None and entry[0] == version:
-                return entry[1]
-            self._documents[name] = (version, tree)
-        return tree
+
+    def memo_stats(self) -> Dict[str, Dict[str, int]]:
+        """``{memo name: Memo.stats()}``, like every wrapper."""
+        return {"documents": self._documents.stats()}
 
     def ident_index(self) -> Dict[str, DataNode]:
         # The shard adapters are registered sources themselves, so the

@@ -42,6 +42,7 @@ import threading
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import SourceError
+from repro.memo import Memo
 from repro.model.trees import DataNode
 from repro.model.values import Atom, atom_type_name, parse_atom
 from repro.model.xml_io import serialized_size
@@ -206,14 +207,12 @@ class DocumentStore:
         #: wrapper document memo, the mediator's plan-cache epoch and the
         #: ``IndexRegistry`` can detect stale shredded rows.
         self.version = 0
-        self._memo_capacity = (
+        #: ``(doc, pre) -> subtree``, tagged with the data version.
+        self._hydration = Memo(
             self.HYDRATION_MEMO_CAPACITY
             if hydration_memo_capacity is None
             else hydration_memo_capacity
         )
-        self._hydration: Dict[Tuple[str, int], Tuple[int, DataNode]] = {}
-        self._memo_evictions = 0
-        self._memo_hits = 0
         # Cumulative counters (exported as yat_store_* gauges) and the
         # since-last-pop delta fed into per-execution ExecutionStats.
         self._counters = {
@@ -261,11 +260,9 @@ class DocumentStore:
             self._conn.commit()
             self.version += 1
             self._counters["rows_shredded"] += count
-            # Stale hydrations are dropped eagerly rather than waiting
-            # for capacity eviction: an update typically precedes reads
-            # of the same document.
-            for key in [k for k in self._hydration if k[0] == name]:
-                del self._hydration[key]
+            # Every hydration is tagged with the old version now; free
+            # them rather than waiting for lookups to find them stale.
+            self._hydration.clear()
         return count
 
     # -- metadata ----------------------------------------------------------------
@@ -327,12 +324,13 @@ class DocumentStore:
         version so repeated bindings of the same subtree share one node
         object (document indexes and distinct() key on tree identity).
         """
+        return self._hydration.get_or_build(
+            (name, pre), lambda: self._read_subtree(name, pre),
+            tag=self.version,
+        )
+
+    def _read_subtree(self, name: str, pre: int) -> DataNode:
         with self._lock:
-            version = self.version
-            entry = self._hydration.get((name, pre))
-            if entry is not None and entry[0] == version:
-                self._memo_hits += 1
-                return entry[1]
             rows = self._conn.execute(
                 "SELECT pre, parent, name, kind, vtype, value, ident, col"
                 " FROM nodes WHERE doc = ? AND pre >= ? AND pre <"
@@ -340,26 +338,13 @@ class DocumentStore:
                 " ORDER BY pre",
                 (name, pre, name, pre),
             ).fetchall()
+            self._counters["hydrated_nodes"] += len(rows)
+            self._delta["hydrated_nodes"] += len(rows)
         if not rows:
             raise SourceError(
                 f"document {name!r} has no node at position {pre}"
             )
-        node = _build_subtree(rows)
-        with self._lock:
-            self._counters["hydrated_nodes"] += len(rows)
-            self._delta["hydrated_nodes"] += len(rows)
-            if self.version == version and self._memo_capacity > 0:
-                incumbent = self._hydration.get((name, pre))
-                if incumbent is not None and incumbent[0] == version:
-                    # A concurrent hydration won; keep its node so every
-                    # caller sees one stable object.
-                    self._memo_hits += 1
-                    return incumbent[1]
-                while len(self._hydration) >= self._memo_capacity:
-                    self._hydration.pop(next(iter(self._hydration)))
-                    self._memo_evictions += 1
-                self._hydration[(name, pre)] = (version, node)
-        return node
+        return _build_subtree(rows)
 
     def hydrate_document(self, name: str) -> DataNode:
         """Materialize the whole document (the full-transfer path)."""
@@ -434,13 +419,8 @@ class DocumentStore:
         return stats
 
     def memo_stats(self) -> Dict[str, int]:
-        with self._lock:
-            return {
-                "entries": len(self._hydration),
-                "capacity": self._memo_capacity,
-                "evictions": self._memo_evictions,
-                "hits": self._memo_hits,
-            }
+        """Counters of the hydration memo (see :meth:`Memo.stats`)."""
+        return self._hydration.stats()
 
     def close(self) -> None:
         with self._lock:

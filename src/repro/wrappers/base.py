@@ -19,7 +19,6 @@ source do something it never promised.
 
 from __future__ import annotations
 
-import threading
 from abc import abstractmethod
 from typing import Dict, List, Optional, Tuple
 
@@ -37,6 +36,7 @@ from repro.core.algebra.operators import (
 )
 from repro.core.algebra.tab import Row, Tab
 from repro.core.algebra.expressions import Expr
+from repro.memo import Memo
 from repro.model.filters import Filter
 from repro.model.trees import DataNode
 from repro.observability.context import current_tracer
@@ -111,28 +111,20 @@ class Wrapper(SourceAdapter):
 
     #: Bound on the per-wrapper fragment memo (``checked_fragment``).
     FRAGMENT_MEMO_CAPACITY = 256
+    #: Bound on the exported-document memo (:meth:`document`).
+    DOCUMENT_MEMO_CAPACITY = 256
 
     def __init__(self, name: str) -> None:
         self.name = name
         self._interface: Optional[SourceInterface] = None
         self._document_name_set: Optional[frozenset] = None
         self._matcher: Optional[CapabilityMatcher] = None
-        #: Guards the per-wrapper memos below: one wrapper serves every
-        #: concurrent session, so memo mutation must be atomic.  The
-        #: expensive work (fragment analysis, document builds) runs
-        #: outside the lock.
-        self._memo_lock = threading.Lock()
-        #: ``id(plan) -> (plan, fragment)``; the plan reference keeps the
-        #: id stable for the lifetime of the entry (same idiom as the
-        #: evaluator's per-plan memos).
-        self._fragments: Dict[int, Tuple[Plan, PushedFragment]] = {}
-        #: ``name -> (data version, tree)`` memo behind :meth:`document`.
-        self._documents: Dict[str, Tuple[int, DataNode]] = {}
-        #: Entries dropped from the memos above (capacity or staleness),
-        #: exported through :meth:`memo_stats` into the ``yat_memo_*``
-        #: metrics.
-        self._fragment_evictions = 0
-        self._document_evictions = 0
+        #: ``id(plan) -> fragment``, anchored on the plan.  One wrapper
+        #: serves every concurrent session; fragment analysis and
+        #: document builds run outside the memo's lock.
+        self._fragments = Memo(self.FRAGMENT_MEMO_CAPACITY)
+        #: ``name -> tree``, tagged with the data version it was built at.
+        self._documents = Memo(self.DOCUMENT_MEMO_CAPACITY)
 
     def document_name_set(self) -> frozenset:
         """Exported document names as a set, cached after the first call.
@@ -212,17 +204,13 @@ class Wrapper(SourceAdapter):
         dictionary lookup.  Rejections are not memoized; the error path
         is cold by construction.
         """
-        with self._memo_lock:
-            entry = self._fragments.get(id(plan))
-            if entry is not None and entry[0] is plan:
-                return entry[1]
+        return self._fragments.get_or_build(
+            id(plan), lambda: self._check_fragment(plan), anchor=plan
+        )
+
+    def _check_fragment(self, plan: Plan) -> PushedFragment:
         fragment = analyze_fragment(plan, self.name)
         self.validate_fragment(fragment)
-        with self._memo_lock:
-            if len(self._fragments) >= self.FRAGMENT_MEMO_CAPACITY:
-                self._fragments.pop(next(iter(self._fragments)))
-                self._fragment_evictions += 1
-            self._fragments[id(plan)] = (plan, fragment)
         return fragment
 
     # -- statistics ----------------------------------------------------------------
@@ -269,23 +257,9 @@ class Wrapper(SourceAdapter):
         indexes (keyed by tree identity) and any caching above us; the
         memo serves one stable tree until :meth:`data_version` moves.
         """
-        version = self.data_version()
-        with self._memo_lock:
-            entry = self._documents.get(name)
-            if entry is not None and entry[0] == version:
-                return entry[1]
-        tree = self.build_document(name)
-        with self._memo_lock:
-            # A concurrent builder may have stored the same version first;
-            # keep the incumbent so every session sees one stable tree
-            # (document indexes key on tree identity).
-            entry = self._documents.get(name)
-            if entry is not None and entry[0] == version:
-                return entry[1]
-            if entry is not None:
-                self._document_evictions += 1
-            self._documents[name] = (version, tree)
-        return tree
+        return self._documents.get_or_build(
+            name, lambda: self.build_document(name), tag=self.data_version()
+        )
 
     @abstractmethod
     def build_document(self, name: str) -> DataNode:
@@ -294,24 +268,14 @@ class Wrapper(SourceAdapter):
     # -- memo accounting ----------------------------------------------------------
 
     def memo_stats(self) -> Dict[str, Dict[str, int]]:
-        """Per-memo occupancy and eviction counters for metrics export.
+        """``{memo name: Memo.stats()}`` for metrics export.
 
-        Keyed by memo name; each value holds ``entries`` / ``capacity`` /
-        ``evictions``.  Subclasses with additional memos extend the dict.
+        Subclasses with additional memos extend the dict.
         """
-        with self._memo_lock:
-            return {
-                "fragments": {
-                    "entries": len(self._fragments),
-                    "capacity": self.FRAGMENT_MEMO_CAPACITY,
-                    "evictions": self._fragment_evictions,
-                },
-                "documents": {
-                    "entries": len(self._documents),
-                    "capacity": len(self.document_name_set()),
-                    "evictions": self._document_evictions,
-                },
-            }
+        return {
+            "fragments": self._fragments.stats(),
+            "documents": self._documents.stats(),
+        }
 
     # -- SourceAdapter defaults ---------------------------------------------------
 

@@ -14,7 +14,6 @@ example), evaluated by the OQL engine, and returned as a Tab.
 
 from __future__ import annotations
 
-import threading
 from typing import Dict, List, Optional, Tuple
 
 from repro.errors import SourceError
@@ -32,6 +31,7 @@ from repro.core.algebra.expressions import (
 )
 from repro.core.algebra.operators import Plan
 from repro.core.algebra.tab import Row, Tab
+from repro.memo import Memo
 from repro.model.filters import (
     FConst,
     FElem,
@@ -68,14 +68,21 @@ class O2Wrapper(Wrapper):
 
     #: Bound on the per-wrapper prepared-fragment memo.
     PREPARED_MEMO_CAPACITY = 256
+    #: Bound on compiled OQL selects, and on cached result Tabs, per
+    #: wrapper: one entry per (pushed plan, inlined constant vector).
+    OQL_MEMO_CAPACITY = 1024
 
     def __init__(self, name: str, database: ObjectDatabase) -> None:
         super().__init__(name)
         self._db = database
-        #: ``id(plan) -> (plan, prepared)``; the plan reference keeps the
-        #: id stable for the lifetime of the entry.
-        self._prepared: Dict[int, Tuple[Plan, "_PreparedFragment"]] = {}
-        self._prepared_evictions = 0
+        #: ``id(plan) -> _PreparedFragment``, anchored on the plan.
+        self._prepared = Memo(self.PREPARED_MEMO_CAPACITY)
+        #: ``(id(plan), constants) -> (native text, CompiledSelect)``,
+        #: anchored on the plan.
+        self._oql_values = Memo(self.OQL_MEMO_CAPACITY)
+        #: Same key ``-> Tab`` for pure selects, tagged with the database
+        #: version: an update replaces the entry instead of stranding it.
+        self._oql_results = Memo(self.OQL_MEMO_CAPACITY)
 
     # -- capability export ---------------------------------------------------
 
@@ -134,7 +141,11 @@ class O2Wrapper(Wrapper):
     ) -> Tuple[Tab, str]:
         context = current_context()
         if context is None or not context.reference:
-            prepared = self._prepared_fragment(fragment, plan)
+            prepared = self._prepared.get_or_build(
+                id(plan),
+                lambda: _PreparedFragment(self, fragment, plan),
+                anchor=plan,
+            )
             return prepared.run(outer)
         # The reference path (``ExecutionPolicy.serial()``), byte for
         # byte the seed behavior: translate and evaluate from scratch on
@@ -153,42 +164,11 @@ class O2Wrapper(Wrapper):
         ]
         return Tab(columns, rows), native
 
-    def _prepared_fragment(
-        self, fragment: PushedFragment, plan: Plan
-    ) -> "_PreparedFragment":
-        with self._memo_lock:
-            entry = self._prepared.get(id(plan))
-            if entry is not None and entry[0] is plan:
-                return entry[1]
-        prepared = _PreparedFragment(self._db, fragment, plan, self._to_cell)
-        with self._memo_lock:
-            if len(self._prepared) >= self.PREPARED_MEMO_CAPACITY:
-                self._prepared.pop(next(iter(self._prepared)))
-                self._prepared_evictions += 1
-            self._prepared[id(plan)] = (plan, prepared)
-        return prepared
-
     def memo_stats(self) -> Dict[str, Dict[str, int]]:
         stats = super().memo_stats()
-        with self._memo_lock:
-            prepared = list(entry[1] for entry in self._prepared.values())
-            stats["prepared"] = {
-                "entries": len(prepared),
-                "capacity": self.PREPARED_MEMO_CAPACITY,
-                "evictions": self._prepared_evictions,
-            }
-        values_evictions = sum(p.values_evictions for p in prepared)
-        results_evictions = sum(p.results_evictions for p in prepared)
-        stats["oql_values"] = {
-            "entries": sum(p.values_entries for p in prepared),
-            "capacity": _PreparedFragment.VALUES_MEMO_CAPACITY,
-            "evictions": values_evictions,
-        }
-        stats["oql_results"] = {
-            "entries": sum(p.results_entries for p in prepared),
-            "capacity": _PreparedFragment.RESULTS_MEMO_CAPACITY,
-            "evictions": results_evictions,
-        }
+        stats["prepared"] = self._prepared.stats()
+        stats["oql_values"] = self._oql_values.stats()
+        stats["oql_results"] = self._oql_results.stats()
         return stats
 
     def _to_cell(self, value: object):
@@ -436,31 +416,22 @@ class _PreparedFragment:
     On top of the compiled selects sits a result memo: a *pure* select
     (no schema method calls — see ``CompiledSelect.pure``) is a function
     of the database contents alone, so its converted Tab is cached under
-    ``(database version, constant vector)``.  Any update bumps the
-    version and strands the stale entries.
+    the same key, tagged with the database version read before the
+    select runs.  Both memos live on the wrapper (one bound per wrapper,
+    not per fragment) and anchor their entries on the plan.
     """
 
-    #: Bound on distinct constant vectors memoized per fragment.
-    VALUES_MEMO_CAPACITY = 64
-    #: Bound on cached result Tabs per fragment.
-    RESULTS_MEMO_CAPACITY = 64
-
-    __slots__ = ("_db", "_fragment", "columns", "_base", "_outer_names",
-                 "_compiled", "_convert", "_results", "_memo_lock",
-                 "values_evictions", "results_evictions")
+    __slots__ = ("_wrapper", "_plan", "_fragment", "columns", "_base",
+                 "_outer_names")
 
     def __init__(
-        self,
-        database: ObjectDatabase,
-        fragment: PushedFragment,
-        plan: Plan,
-        convert,
+        self, wrapper: O2Wrapper, fragment: PushedFragment, plan: Plan
     ) -> None:
-        self._db = database
+        self._wrapper = wrapper
+        self._plan = plan
         self._fragment = fragment
-        self._convert = convert
         self.columns = plan.output_columns()
-        base = _OqlTranslator(database, fragment.document, None)
+        base = _OqlTranslator(wrapper._db, fragment.document, None)
         base.translate_filter(fragment.filter)
         self._base = base
         names: List[str] = []
@@ -468,70 +439,43 @@ class _PreparedFragment:
         for predicate in fragment.selections:
             _collect_outer_variables(predicate, base._paths, names, seen)
         self._outer_names = tuple(names)
-        #: ``constants -> (native text, CompiledSelect)``.
-        self._compiled: Dict[tuple, Tuple[str, CompiledSelect]] = {}
-        #: ``(database version, constants) -> Tab`` for pure selects.
-        self._results: Dict[tuple, Tab] = {}
-        #: One prepared fragment serves every concurrent session hitting
-        #: its plan; the memos mutate under this lock (the compile and
-        #: the native evaluation run outside it).
-        self._memo_lock = threading.Lock()
-        self.values_evictions = 0
-        self.results_evictions = 0
-
-    @property
-    def values_entries(self) -> int:
-        return len(self._compiled)
-
-    @property
-    def results_entries(self) -> int:
-        return len(self._results)
 
     def run(self, outer: Optional[Row]) -> Tuple[Tab, str]:
-        values: Optional[tuple] = tuple(
+        wrapper, plan = self._wrapper, self._plan
+        values = tuple(
             outer_constant(outer, name) for name in self._outer_names
         )
+        key = (id(plan), values)
         try:
-            with self._memo_lock:
-                entry = self._compiled.get(values)
+            hash(key)
         except TypeError:  # an unhashable outer constant (a tree cell)
-            entry = None
-            values = None
-        if entry is None:
-            translator = self._base.specialized(outer)
-            for predicate in self._fragment.selections:
-                translator.add_predicate(predicate)
-            query = translator.build_select(
-                self.columns, self._fragment.projection
-            )
-            entry = (query.text(), compile_select(query))
-            if values is not None:
-                with self._memo_lock:
-                    if len(self._compiled) >= self.VALUES_MEMO_CAPACITY:
-                        self.values_evictions += len(self._compiled)
-                        self._compiled.clear()
-                    self._compiled[values] = entry
-        native, compiled = entry
-        if compiled.pure and values is not None:
-            key = (self._db.version, values)
-            with self._memo_lock:
-                tab = self._results.get(key)
-            if tab is None:
-                tab = self._build_tab(compiled)
-                with self._memo_lock:
-                    if len(self._results) >= self.RESULTS_MEMO_CAPACITY:
-                        self.results_evictions += len(self._results)
-                        self._results.clear()
-                    self._results[key] = tab
-            return tab, native
-        return self._build_tab(compiled), native
+            native, compiled = self._compile(outer)
+            return self._build_tab(compiled), native
+        native, compiled = wrapper._oql_values.get_or_build(
+            key, lambda: self._compile(outer), anchor=plan
+        )
+        if not compiled.pure:
+            return self._build_tab(compiled), native
+        tab = wrapper._oql_results.get_or_build(
+            key, lambda: self._build_tab(compiled),
+            tag=wrapper._db.version, anchor=plan,
+        )
+        return tab, native
+
+    def _compile(self, outer: Optional[Row]) -> Tuple[str, CompiledSelect]:
+        translator = self._base.specialized(outer)
+        for predicate in self._fragment.selections:
+            translator.add_predicate(predicate)
+        query = translator.build_select(self.columns, self._fragment.projection)
+        return query.text(), compile_select(query)
 
     def _build_tab(self, compiled: CompiledSelect) -> Tab:
-        convert = self._convert
+        wrapper = self._wrapper
+        convert = wrapper._to_cell
         columns = self.columns
         rows = [
             Row(columns, tuple(convert(raw.get(c)) for c in columns))
-            for raw in compiled.run(self._db)
+            for raw in compiled.run(wrapper._db)
         ]
         return Tab(columns, rows)
 

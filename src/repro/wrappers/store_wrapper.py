@@ -45,6 +45,7 @@ from repro.core.algebra.compiled import identity_deref
 from repro.core.algebra.engine import BindCounters, bind_engine
 from repro.core.algebra.operators import Plan
 from repro.core.algebra.tab import Row, Tab
+from repro.memo import Memo
 from repro.model.filters import Filter
 from repro.model.patterns import PAny, PNode, PStar, PatternLibrary
 from repro.model.trees import DataNode
@@ -70,10 +71,10 @@ class StoreWrapper(Wrapper):
         self._source = source
         self._store = source.store
         self._enable_pushdown = enable_pushdown
-        #: ``id(filter) -> (filter, compiled-or-None)``; compilation is
-        #: pure in the filter and plans replay the same filter objects.
-        self._pushdowns: Dict[int, Tuple[Filter, Optional[PushdownQuery]]] = {}
-        self._pushdown_evictions = 0
+        #: ``id(filter) -> compiled-or-None``, anchored on the filter;
+        #: compilation is pure in the filter and plans replay the same
+        #: filter objects.
+        self._pushdowns = Memo(self.PUSHDOWN_MEMO_CAPACITY)
 
     # -- capability export ------------------------------------------------------
 
@@ -125,18 +126,8 @@ class StoreWrapper(Wrapper):
 
     def memo_stats(self) -> Dict[str, Dict[str, int]]:
         stats = super().memo_stats()
-        hydration = self._store.memo_stats()
-        stats["hydration"] = {
-            "entries": hydration["entries"],
-            "capacity": hydration["capacity"],
-            "evictions": hydration["evictions"],
-        }
-        with self._memo_lock:
-            stats["pushdowns"] = {
-                "entries": len(self._pushdowns),
-                "capacity": self.PUSHDOWN_MEMO_CAPACITY,
-                "evictions": self._pushdown_evictions,
-            }
+        stats["hydration"] = self._store.memo_stats()
+        stats["pushdowns"] = self._pushdowns.stats()
         return stats
 
     def pop_store_stats(self) -> Dict[str, int]:
@@ -151,17 +142,9 @@ class StoreWrapper(Wrapper):
 
     def compiled_pushdown(self, flt: Filter) -> Optional[PushdownQuery]:
         """Memoized :func:`compile_pushdown` (keyed by filter identity)."""
-        with self._memo_lock:
-            entry = self._pushdowns.get(id(flt))
-            if entry is not None and entry[0] is flt:
-                return entry[1]
-        compiled = compile_pushdown(flt)
-        with self._memo_lock:
-            if len(self._pushdowns) >= self.PUSHDOWN_MEMO_CAPACITY:
-                self._pushdowns.pop(next(iter(self._pushdowns)))
-                self._pushdown_evictions += 1
-            self._pushdowns[id(flt)] = (flt, compiled)
-        return compiled
+        return self._pushdowns.get_or_build(
+            id(flt), lambda: compile_pushdown(flt), anchor=flt
+        )
 
     def pushdown_access(self, flt: Filter, document: Optional[str] = None) -> str:
         """The access path a pushed Bind of *flt* would take (EXPLAIN)."""

@@ -346,7 +346,7 @@ def test_record_execution_taxonomy(cultural_mediator):
     assert "yat_degraded_queries_total" not in text
 
 
-def test_record_memo_stats_covers_every_bounded_memo(cultural_mediator):
+def test_record_memo_stats_exports_every_number_once(cultural_mediator):
     from repro.observability import record_memo_stats
 
     cultural_mediator.query(Q1)
@@ -354,18 +354,30 @@ def test_record_memo_stats_covers_every_bounded_memo(cultural_mediator):
     registry = MetricsRegistry()
     record_memo_stats(registry, cultural_mediator)
     text = registry.exposition()
+    # Uniform rows: every locked memo carries all six series.  (Which
+    # memo names exist is checked against README in test_memo.py.)
     for memo in ("bind_engines", "predicate_kernels", "document_indexes",
-                 "column_maps", "result_cache", "materialized_views",
-                 "o2artifact.fragments",
-                 "o2artifact.prepared", "o2artifact.oql_results",
-                 "xmlartwork.fragments", "xmlartwork.documents"):
-        assert f'yat_memo_entries{{memo="{memo}"}}' in text
-        assert f'yat_memo_capacity{{memo="{memo}"}}' in text
-        assert f'yat_memo_evictions_total{{memo="{memo}"}}' in text
-    # One merged filter memo (scan kernel + twig per engine), and it
-    # actually held something for Q1/Q2.
-    assert 'memo="twig_kernels"' not in text
+                 "plan_cache", "plan_texts", "probes", "materialized_views",
+                 "o2artifact.fragments", "o2artifact.prepared",
+                 "o2artifact.oql_results", "xmlartwork.documents"):
+        for series in ("entries", "capacity", "hits", "misses", "stale",
+                       "evictions_total"):
+            assert f'yat_memo_{series}{{memo="{memo}"}}' in text
+    # Engines and predicates are separate rows, not one summed gauge, and
+    # the engine memo actually held something for Q1/Q2.
     assert 'yat_memo_entries{memo="bind_engines"} 0' not in text
+    # The result cache is off on this mediator: no row, no zeros.
+    assert 'memo="result_cache"' not in text
+    # Numbers with no memo-family row keep their own series ...
+    for name in ("yat_plan_cache_rebinds", "yat_document_index_builds",
+                 "yat_document_index_build_seconds"):
+        assert f"\n{name} " in text
+    # ... and the series that restated a memo row are gone.
+    for name in ("yat_plan_cache_entries", "yat_plan_cache_hits",
+                 "yat_kernel_cache_hits", "yat_kernel_compiles",
+                 "yat_compiled_filter_kernels", "yat_document_indexes ",
+                 "yat_document_index_hits", "yat_view_documents"):
+        assert name not in text
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ from repro import Mediator, O2Wrapper, WaisWrapper
 from repro.core.algebra.scheduling import ExecutionPolicy
 from repro.datasets import CulturalDataset, Q1, Q2, VIEW1_YAT
 from repro.model.xml_io import tree_to_xml
-from repro.observability.metrics import MetricsRegistry, record_plan_cache
+from repro.observability.metrics import MetricsRegistry, record_memo_stats
 from repro.wrappers.wais_wrapper import WaisWrapper as _Wais
 from repro.yatl.normalize import normalize_query, param_slot
 from repro.yatl.parser import parse_query
@@ -115,13 +115,13 @@ class TestPlanCacheServing:
         assert not mediator.query(Q2, rounds=(1, 2)).cached
         assert mediator.query(Q2, rounds=(1, 2)).cached
 
-    def test_lru_bound_evicts_the_oldest_plan(self):
+    def test_plan_cache_size_is_the_enforced_bound(self):
+        # Wiring only; LRU order and the bound itself are test_memo.py's.
         mediator = build(plan_cache_size=2)
         mediator.query(Q1)
         mediator.query(Q2)
-        mediator.query(Q2, rounds=(1,))  # evicts the Q1 entry
-        assert len(mediator.plan_cache) == 2
-        assert not mediator.query(Q1).cached
+        mediator.query(Q2, rounds=(1,))
+        assert mediator.plan_cache.stats()["entries"] == 2
 
     def test_disabled_cache_always_plans_fresh(self):
         mediator = build(plan_cache_size=0)
@@ -212,6 +212,30 @@ class TestProbeMemoization:
         mediator.query(Q2)
         assert len(calls) > first
 
+    def test_probe_memo_is_bounded(self, monkeypatch):
+        """A long-lived mediator's probe memo must not grow with the
+        query vocabulary (it was an unbounded dict)."""
+        import repro.mediator.mediator as mediator_module
+        from repro.core.algebra.expressions import Cmp, Const, Var
+        from repro.core.algebra.operators import SelectOp, SourceOp
+
+        capacity = 8
+        monkeypatch.setattr(mediator_module, "PROBE_MEMO_CAPACITY", capacity)
+        mediator = build(gate=True)
+        source = SourceOp("xmlartwork", "artworks")
+
+        def probe(constant):
+            plan = SelectOp(source, Cmp("=", Var("s"), Const(constant)))
+            return mediator._probe_text_selectivities(plan)
+
+        resident = probe("Impressionist")
+        for index in range(10 * capacity):
+            probe(f"term{index}")
+            assert probe("Impressionist") == resident  # kept warm, unchanged
+        stats = mediator.memo_stats()["probes"]
+        assert stats["entries"] <= stats["capacity"] == capacity
+        assert stats["evictions"] > 0
+
 
 class TestStatisticsFeedback:
     def test_analyze_feeds_selectivities_back(self):
@@ -252,13 +276,15 @@ class TestExplainAnnotation:
 
 
 class TestMetricsExport:
-    def test_plan_cache_gauges_exposed(self):
+    def test_plan_cache_rows_exposed(self):
         mediator = build()
         mediator.query(Q2)
         mediator.query(Q2)
         registry = MetricsRegistry()
-        record_plan_cache(registry, mediator)
+        record_memo_stats(registry, mediator)
         text = registry.exposition()
-        assert "yat_plan_cache_entries 1" in text
-        assert "yat_plan_cache_hits 1" in text
-        assert "yat_compiled_filter_kernels" in text
+        assert 'yat_memo_entries{memo="plan_cache"} 1' in text
+        assert 'yat_memo_hits{memo="plan_cache"} 1' in text
+        assert 'yat_memo_hits{memo="plan_texts"} 1' in text
+        assert "yat_plan_cache_rebinds 0" in text
+        assert 'yat_memo_entries{memo="bind_engines"}' in text

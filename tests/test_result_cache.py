@@ -56,33 +56,26 @@ def single_row_tab(marker: str) -> Tab:
 class TestResultCacheUnit:
     VERSIONS = (("s", 1),)
 
-    def test_byte_bounded_lru_eviction(self):
-        tab = single_row_tab("x" * 50)
-        size = tab_serialized_size(tab)
+    def test_max_bytes_is_the_enforced_bound(self):
+        # Wiring only; LRU order, the weight bound and the oversized-value
+        # refusal are test_memo.py's.
+        size = tab_serialized_size(single_row_tab("x" * 50))
         cache = ResultCache(max_bytes=3 * size)
-        for key in ("a", "b", "c"):
+        for key in ("a", "b", "c", "d"):
             cache.store((key,), single_row_tab("x" * 50), self.VERSIONS)
-        assert len(cache) == 3 and cache.evictions == 0
-        # Touch "a" so "b" is the LRU victim of the next store.
-        assert cache.lookup(("a",), self.VERSIONS) is not None
-        cache.store(("d",), single_row_tab("x" * 50), self.VERSIONS)
-        assert cache.evictions == 1
-        assert cache.lookup(("b",), self.VERSIONS) is None
-        assert cache.lookup(("a",), self.VERSIONS) is not None
-        assert cache.bytes <= cache.max_bytes
-
-    def test_oversized_answer_is_not_cached(self):
-        cache = ResultCache(max_bytes=8)
-        cache.store(("big",), single_row_tab("y" * 1000), self.VERSIONS)
-        assert len(cache) == 0 and cache.bytes == 0
+        stats = cache.stats()
+        assert (stats["entries"], stats["bytes"], stats["evictions"]) == (
+            3, 3 * size, 1
+        )
 
     def test_version_mismatch_invalidates_exactly_that_entry(self):
         cache = ResultCache()
         cache.store(("a",), single_row_tab("a"), (("s", 1),))
         cache.store(("b",), single_row_tab("b"), (("t", 7),))
-        assert cache.lookup(("a",), (("s", 2),)) is None
-        assert cache.invalidations == 1
-        assert cache.lookup(("b",), (("t", 7),)) is not None
+        hit, _ = cache.serve(("a",), lambda: (("s", 2),), lambda versions: None)
+        assert not hit and cache.stats()["invalidations"] == 1
+        hit, tab = cache.serve(("b",), lambda: (("t", 7),), None)
+        assert hit and len(tab) == 1
 
     def test_peek_mutates_nothing(self):
         cache = ResultCache()
@@ -93,18 +86,6 @@ class TestResultCacheUnit:
         assert not cache.peek(("missing",), self.VERSIONS)
         after = cache.stats()
         assert after == before  # no hit/miss/invalidation counted, no drop
-
-    def test_single_flight_protocol(self):
-        cache = ResultCache()
-        leader, event = cache.begin(("k",))
-        assert leader and not event.is_set()
-        follower, same_event = cache.begin(("k",))
-        assert not follower and same_event is event
-        assert cache.flight_waits == 1
-        cache.finish(("k",))
-        assert event.is_set()
-        leader_again, _fresh = cache.begin(("k",))
-        assert leader_again
 
 
 # ---------------------------------------------------------------------------
@@ -143,7 +124,7 @@ class TestMediatorResultCache:
         # recomputed answer matches a from-scratch execution.
         fresh, _db2, _st2 = build_federation(sources=(database, _store))
         assert answer(after) == answer(fresh.query(Q1))
-        assert mediator.result_cache.invalidations >= 1
+        assert mediator.result_cache.stats()["invalidations"] >= 1
         assert mediator.query(Q1).result_cached
 
     def test_the_reference_engine_keys_its_own_entries(self):
@@ -257,7 +238,7 @@ class TestMediatorResultCache:
         executed = [r for r in results if not r.result_cached]
         # One leader executed; everyone else waited and hit.
         assert len(executed) == 1
-        assert mediator.result_cache.flight_waits >= 1
+        assert mediator.result_cache.stats()["flight_waits"] >= 1
 
 
 # ---------------------------------------------------------------------------
@@ -393,8 +374,8 @@ class TestServerConcurrentInvalidation:
         assert f"v{self.VERSIONS:04d}" in answer(final)
         assert followup.result_cached
         # And the cache was actually exercised (not all misses).
-        assert mediator.result_cache.hits > 0
-        assert mediator.result_cache.invalidations > 0
+        stats = mediator.result_cache.stats()
+        assert stats["hits"] > 0 and stats["invalidations"] > 0
 
     def test_writer_racing_readers_never_serves_stale(self):
         source = StoredXmlSource()
