@@ -429,9 +429,7 @@ _PREDICATE_KERNELS = Memo(4096)
 
 def compiled_predicate(expr: Expr) -> Callable[..., object]:
     """The memoized compiled evaluator for *expr*."""
-    return _PREDICATE_KERNELS.get_or_build(
-        id(expr), lambda: _compile_expr(expr), anchor=expr
-    )
+    return _PREDICATE_KERNELS.get_or_build(id(expr), _compile_expr, expr, anchor=expr)
 
 
 def predicate_cache_stats() -> Dict[str, int]:

@@ -118,7 +118,7 @@ _ENGINES = Memo(4096)
 
 def bind_engine(flt: Filter) -> BindEngine:
     """The memoized engine for *flt* (keyed by plan-node identity)."""
-    return _ENGINES.get_or_build(id(flt), lambda: BindEngine(flt), anchor=flt)
+    return _ENGINES.get_or_build(id(flt), BindEngine, flt, anchor=flt)
 
 
 def engine_cache_stats() -> Dict[str, int]:

@@ -236,6 +236,11 @@ class Mediator:
     def connect(self, wrapper: Wrapper) -> SourceInterface:
         """Connect a wrapper and import its capabilities."""
         interface = self.catalog.connect(wrapper)
+        self._add_contains_fallbacks(interface)
+        self._invalidate_plans()
+        return interface
+
+    def _add_contains_fallbacks(self, interface: SourceInterface) -> None:
         # Field-scoped contains predicates get mediator fallbacks, so an
         # unpushed plan still evaluates them correctly.
         for name, declaration in interface.operations.items():
@@ -247,8 +252,6 @@ class Mediator:
                 self.functions[name] = _field_contains(
                     name.removeprefix("contains_")
                 )
-        self._invalidate_plans()
-        return interface
 
     def connect_sharded(
         self, logical: str, shards: Sequence, partition
@@ -266,15 +269,7 @@ class Mediator:
         """
         interfaces = self.catalog.connect_sharded(logical, shards, partition)
         for interface in interfaces:
-            for name, declaration in interface.operations.items():
-                if (
-                    declaration.kind == "external"
-                    and name.startswith("contains_")
-                    and name not in self.functions
-                ):
-                    self.functions[name] = _field_contains(
-                        name.removeprefix("contains_")
-                    )
+            self._add_contains_fallbacks(interface)
         self._invalidate_plans()
         return interfaces
 
@@ -519,7 +514,7 @@ class Mediator:
                 # answers are deterministic.
                 estimate = self._probes.get_or_build(
                     (source_name, constant),
-                    lambda: adapter.estimate_text_selectivity(constant),
+                    adapter.estimate_text_selectivity, constant,
                 )
                 if estimate is not None:
                     # Pessimistic across sources: keep the largest fraction.

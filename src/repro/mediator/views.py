@@ -12,13 +12,13 @@ A view may additionally be declared **materialized**
 constructed document kept, and every later query MATCHing it is served
 through the ordinary Bind–Source path against the kept document instead
 of re-splicing (and re-executing) the view plan.  The kept document
-lives in a :class:`~repro.memo.Memo` tagged with the ``data_version()``
-vector of the base sources the view reads; a query that finds the live
-vector elsewhere triggers a lazy refresh, so a source update is visible
-on the very next query and an unchanged federation never pays the view
-again.  :class:`MaterializedViewSource` is the evaluator-facing
-adapter that serves those documents under the ``mediator`` pseudo-source
-name.
+lives in a :class:`~repro.memo.Memo` tagged with the registry's
+definition generation and the ``data_version()`` vector of the base
+sources the view reads; a query that finds either elsewhere triggers a
+lazy refresh, so a source update or a reloaded program is visible on the
+very next query and an unchanged federation never pays the view again.
+:class:`MaterializedViewSource` is the evaluator-facing adapter that
+serves those documents under the ``mediator`` pseudo-source name.
 """
 
 from __future__ import annotations
@@ -42,20 +42,30 @@ class ViewRegistry:
     one document from multiple MATCH/MAKE rules.
     """
 
-    #: Bound on kept materialized-view documents.
-    DOCUMENT_MEMO_CAPACITY = 64
-
     def __init__(self) -> None:
         self._rules: Dict[str, List[Plan]] = {}
         #: Declared materialized views -> refresh executions so far.
         self._materialized: Dict[str, int] = {}
-        #: ``view name -> kept document``, tagged with the version vector
-        #: of the base sources the view reads.
-        self._documents = Memo(self.DOCUMENT_MEMO_CAPACITY)
+        #: ``view name -> kept document``, tagged ``(generation, version
+        #: vector of the base sources the view reads)``; one slot per
+        #: declared view (:meth:`materialize` grows the bound).
+        self._documents = Memo(0)
+        #: Bumped by every definition, declaration and catalog change.
+        #: Part of the document tag, so a refresh that raced one stores
+        #: under a dead tag and is refreshed again on the next read.
+        self._generation = 0
         #: Memo of :meth:`refresh_plan` / :meth:`base_sources` per view;
-        #: cleared whenever a definition or declaration changes.
+        #: replaced whenever a definition or declaration changes.
         self._refresh_plans: Dict[str, Plan] = {}
         self._base_sources: Dict[str, FrozenSet[str]] = {}
+
+    def _definitions_moved(self) -> None:
+        # Fresh dicts rather than ``clear()``: a reader composing from
+        # the old rules writes into the dict it fetched first, which
+        # nobody reads any more.
+        self._refresh_plans = {}
+        self._base_sources = {}
+        self._generation += 1
 
     def define(self, name: str, plan: Plan) -> None:
         if name not in plan.output_columns():
@@ -64,8 +74,7 @@ class ViewRegistry:
                 f"it produces {plan.output_columns()}"
             )
         self._rules.setdefault(name, []).append(plan)
-        self._refresh_plans.clear()
-        self._base_sources.clear()
+        self._definitions_moved()
 
     def __contains__(self, name: str) -> bool:
         return name in self._rules
@@ -121,8 +130,8 @@ class ViewRegistry:
             raise ViewError(f"unknown view: {name!r}")
         if name not in self._materialized:
             self._materialized[name] = 0
-            self._refresh_plans.clear()
-            self._base_sources.clear()
+            self._documents.capacity = len(self._materialized)
+            self._definitions_moved()
 
     def is_materialized(self, name: str) -> bool:
         return name in self._materialized
@@ -143,24 +152,28 @@ class ViewRegistry:
 
         Single-flight per view (:meth:`Memo.single_flight`): concurrent
         stale reads run ``refresh()`` once, and the new document is
-        tagged with the vector read *before* the refresh executed.
+        tagged with the generation and vector read *before* the refresh
+        executed — a definition or source that moved meanwhile leaves it
+        looking stale, never fresh.
         """
         if name not in self._materialized:
             raise ViewError(f"view {name!r} is not materialized")
 
-        def lead(versions: tuple):
+        def live_tag() -> tuple:
+            return self._generation, live_versions()
+
+        def lead(tag: tuple):
             document = refresh()
-            self._documents.put(name, document, tag=versions)
+            self._documents.put(name, document, tag=tag)
             self._materialized[name] += 1
             return document
 
-        return self._documents.single_flight(name, live_versions, lead)[1]
+        return self._documents.single_flight(name, live_tag, lead)[1]
 
     def reset_materialized(self) -> None:
         """Drop every kept document (catalog changed; keep declarations)."""
         self._documents.clear()
-        self._refresh_plans.clear()
-        self._base_sources.clear()
+        self._definitions_moved()
 
     def refresh_plan(self, name: str) -> Plan:
         """The executable plan that (re)builds materialized view *name*.
@@ -171,17 +184,19 @@ class ViewRegistry:
         refreshed — through the adapter, so a chain of materialized
         views refreshes level by level.
         """
-        memo = self._refresh_plans.get(name)
+        plans = self._refresh_plans
+        memo = plans.get(name)
         if memo is None:
-            memo = self._refresh_plans[name] = self.compose(
+            memo = plans[name] = self.compose(
                 self.plan(name), _expanding=frozenset({name})
             )
         return memo
 
     def base_sources(self, name: str, _seen: frozenset = frozenset()) -> FrozenSet[str]:
         """The real source names view *name* transitively reads."""
+        sources = self._base_sources
         if _seen == frozenset():
-            memo = self._base_sources.get(name)
+            memo = sources.get(name)
             if memo is not None:
                 return memo
         names: Set[str] = set()
@@ -197,7 +212,7 @@ class ViewRegistry:
                 names.add(source)
         result = frozenset(names)
         if _seen == frozenset():
-            self._base_sources[name] = result
+            sources[name] = result
         return result
 
     def materialized_stats(self) -> Dict[str, int]:

@@ -8,7 +8,9 @@ them again:
 **Eviction** — least-recently-used, one entry at a time.  The bound is
 an entry count, or the summed ``weigh(value)`` when a weigher is given
 (the result cache's bytes); a value heavier than the whole bound is not
-stored.
+stored.  ``capacity`` is a plain attribute: an owner whose table has a
+natural size it learns late (one slot per exported document, per
+declared view) assigns it instead of guessing a constant.
 
 **Staleness** — an entry may carry a ``tag``: the data version (or
 version vector) of what the value was computed from, read by the caller
@@ -137,17 +139,18 @@ class Memo:
         with self._lock:
             self._store(key, value, tag, anchor, weight)
 
-    def get_or_build(self, key, build: Callable[[], object], tag=None, anchor=None):
-        """The value for *key* at *tag*, calling ``build()`` on a miss.
+    def get_or_build(self, key, build: Callable, *args, tag=None, anchor=None):
+        """The value for *key* at *tag*, calling ``build(*args)`` on a miss.
 
         The build runs outside the lock.  If a racing builder stored the
         same key, tag and anchor first, its value is kept and returned.
+        Passing *args* here spares hot callers a closure per probe.
         """
         with self._lock:
             value = self._lookup(key, tag, anchor)
         if value is not _MISSING:
             return value
-        value = build()
+        value = build(*args)
         weight = self._weigh_value(value)
         with self._lock:
             entry = self._entries.get(key)

@@ -199,9 +199,7 @@ class IndexRegistry:
         """
         if root.size() < MIN_INDEX_NODES:
             return None
-        return self._memo.get_or_build(
-            id(root), lambda: self._build(root), anchor=root
-        )
+        return self._memo.get_or_build(id(root), self._build, root, anchor=root)
 
     def _build(self, root: DataNode) -> Optional[DocumentIndex]:
         index = DocumentIndex(root)
@@ -225,10 +223,7 @@ class IndexRegistry:
         return stats
 
     def reset(self) -> None:
-        self._memo = Memo(self._memo.capacity)
-        with self._lock:
-            self.builds = 0
-            self.build_seconds = 0.0
+        self.__init__(self._memo.capacity)
 
 
 _DOCUMENT_INDEXES = IndexRegistry()

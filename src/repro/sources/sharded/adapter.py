@@ -99,7 +99,6 @@ class ReplicaSet(SourceAdapter):
             raise SourceError(f"replica set {name!r} needs at least one replica")
         self.name = name
         self.replicas = tuple(replicas)
-        self._document_name_set: Optional[frozenset] = None
 
     def replica_name(self, index: int) -> str:
         return f"{self.name}/r{index}"
@@ -113,9 +112,7 @@ class ReplicaSet(SourceAdapter):
         return self.replicas[0].document_names()
 
     def document_name_set(self) -> frozenset:
-        if self._document_name_set is None:
-            self._document_name_set = frozenset(self.document_names())
-        return self._document_name_set
+        return self.replicas[0].document_name_set()
 
     def data_version(self):
         return tuple(
@@ -163,27 +160,23 @@ class ShardedSourceAdapter(SourceAdapter):
     adapter's document order.
     """
 
-    #: Bound on the concatenated-document memo (:meth:`document`).
-    DOCUMENT_MEMO_CAPACITY = 256
-
     def __init__(self, name: str, shards: Sequence[SourceAdapter]) -> None:
         if not shards:
             raise SourceError(f"sharded source {name!r} needs at least one shard")
         self.name = name
         self.shards = tuple(shards)
-        self._document_name_set: Optional[frozenset] = None
         #: ``name -> tree``, tagged with the shard version vector:
         #: repeated reads at one version serve one stable tree, keeping
-        #: identity-keyed caches (document indexes) effective.
-        self._documents = Memo(self.DOCUMENT_MEMO_CAPACITY)
+        #: identity-keyed caches (document indexes) effective.  One slot
+        #: per exported document (sized by :meth:`document`), so nothing
+        #: is ever evicted.
+        self._documents = Memo(0)
 
     def document_names(self) -> Tuple[str, ...]:
         return self.shards[0].document_names()
 
     def document_name_set(self) -> frozenset:
-        if self._document_name_set is None:
-            self._document_name_set = frozenset(self.document_names())
-        return self._document_name_set
+        return self.shards[0].document_name_set()
 
     def data_version(self):
         return tuple(
@@ -192,8 +185,11 @@ class ShardedSourceAdapter(SourceAdapter):
         )
 
     def document(self, name: str) -> DataNode:
-        return self._documents.get_or_build(
-            name, lambda: self._concatenate(name), tag=self.data_version()
+        documents = self._documents
+        if not documents.capacity:
+            documents.capacity = len(self.document_name_set())
+        return documents.get_or_build(
+            name, self._concatenate, name, tag=self.data_version()
         )
 
     def _concatenate(self, name: str) -> DataNode:

@@ -325,8 +325,7 @@ class DocumentStore:
         object (document indexes and distinct() key on tree identity).
         """
         return self._hydration.get_or_build(
-            (name, pre), lambda: self._read_subtree(name, pre),
-            tag=self.version,
+            (name, pre), self._read_subtree, name, pre, tag=self.version
         )
 
     def _read_subtree(self, name: str, pre: int) -> DataNode:

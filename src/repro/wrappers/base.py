@@ -111,8 +111,6 @@ class Wrapper(SourceAdapter):
 
     #: Bound on the per-wrapper fragment memo (``checked_fragment``).
     FRAGMENT_MEMO_CAPACITY = 256
-    #: Bound on the exported-document memo (:meth:`document`).
-    DOCUMENT_MEMO_CAPACITY = 256
 
     def __init__(self, name: str) -> None:
         self.name = name
@@ -123,8 +121,10 @@ class Wrapper(SourceAdapter):
         #: serves every concurrent session; fragment analysis and
         #: document builds run outside the memo's lock.
         self._fragments = Memo(self.FRAGMENT_MEMO_CAPACITY)
-        #: ``name -> tree``, tagged with the data version it was built at.
-        self._documents = Memo(self.DOCUMENT_MEMO_CAPACITY)
+        #: ``name -> tree``, tagged with the data version it was built at;
+        #: one slot per exported document (sized by :meth:`document`, the
+        #: names are the subclass's to know), so nothing is ever evicted.
+        self._documents = Memo(0)
 
     def document_name_set(self) -> frozenset:
         """Exported document names as a set, cached after the first call.
@@ -205,7 +205,7 @@ class Wrapper(SourceAdapter):
         is cold by construction.
         """
         return self._fragments.get_or_build(
-            id(plan), lambda: self._check_fragment(plan), anchor=plan
+            id(plan), self._check_fragment, plan, anchor=plan
         )
 
     def _check_fragment(self, plan: Plan) -> PushedFragment:
@@ -257,8 +257,11 @@ class Wrapper(SourceAdapter):
         indexes (keyed by tree identity) and any caching above us; the
         memo serves one stable tree until :meth:`data_version` moves.
         """
-        return self._documents.get_or_build(
-            name, lambda: self.build_document(name), tag=self.data_version()
+        documents = self._documents
+        if not documents.capacity:
+            documents.capacity = len(self.document_name_set())
+        return documents.get_or_build(
+            name, self.build_document, name, tag=self.data_version()
         )
 
     @abstractmethod

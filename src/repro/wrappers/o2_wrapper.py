@@ -142,8 +142,7 @@ class O2Wrapper(Wrapper):
         context = current_context()
         if context is None or not context.reference:
             prepared = self._prepared.get_or_build(
-                id(plan),
-                lambda: _PreparedFragment(self, fragment, plan),
+                id(plan), _PreparedFragment, self, fragment, plan,
                 anchor=plan,
             )
             return prepared.run(outer)
@@ -452,12 +451,12 @@ class _PreparedFragment:
             native, compiled = self._compile(outer)
             return self._build_tab(compiled), native
         native, compiled = wrapper._oql_values.get_or_build(
-            key, lambda: self._compile(outer), anchor=plan
+            key, self._compile, outer, anchor=plan
         )
         if not compiled.pure:
             return self._build_tab(compiled), native
         tab = wrapper._oql_results.get_or_build(
-            key, lambda: self._build_tab(compiled),
+            key, self._build_tab, compiled,
             tag=wrapper._db.version, anchor=plan,
         )
         return tab, native

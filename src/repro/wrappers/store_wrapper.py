@@ -142,9 +142,7 @@ class StoreWrapper(Wrapper):
 
     def compiled_pushdown(self, flt: Filter) -> Optional[PushdownQuery]:
         """Memoized :func:`compile_pushdown` (keyed by filter identity)."""
-        return self._pushdowns.get_or_build(
-            id(flt), lambda: compile_pushdown(flt), anchor=flt
-        )
+        return self._pushdowns.get_or_build(id(flt), compile_pushdown, flt, anchor=flt)
 
     def pushdown_access(self, flt: Filter, document: Optional[str] = None) -> str:
         """The access path a pushed Bind of *flt* would take (EXPLAIN)."""

@@ -78,6 +78,20 @@ class TestBound:
         assert memo.get_or_build("k", lambda: 1) == 1
         assert len(memo) == 0 and memo.stats()["evictions"] == 0
 
+    def test_build_arguments_are_passed_through(self):
+        memo = Memo(2)
+        assert memo.get_or_build("k", divmod, 7, 2, tag=1) == (3, 1)
+        assert memo.get_or_build("k", divmod, 9, 2, tag=1) == (3, 1)  # a hit
+
+    def test_capacity_may_be_sized_by_the_owner_later(self):
+        # Wrapper documents and view documents: one slot per name, known
+        # only after construction.
+        memo = Memo(0)
+        memo.capacity = 2
+        for key in "abc":
+            memo.put(key, key)
+        assert (len(memo), memo.stats()["evictions"]) == (2, 1)
+
     def test_clear_drops_everything_as_stale(self):
         memo = Memo(8, weigh=len)
         memo.put("a", "xx")

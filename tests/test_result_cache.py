@@ -304,6 +304,54 @@ class TestMaterializedViews:
         mediator.load_program(VIEW1_YAT)  # re-register: adds a rule
         assert mediator.views.materialized_stats()["populated"] == 0
 
+    SELECTION_YAT = """
+selection() :=
+MAKE doc [ * item [ title: $t ] ]
+MATCH artworks WITH doc . work [ title . $t, style . $s ]
+WHERE $s = "%s"
+"""
+
+    @pytest.mark.usefixtures("deadlock_guard")
+    def test_program_reload_racing_a_refresh_is_not_served_as_fresh(self):
+        mediator, database, store = build_federation()
+        mediator.load_program(self.SELECTION_YAT % "Impressionist")
+        mediator.materialize_view("selection")
+        executed, release = threading.Event(), threading.Event()
+        execute = mediator.execute
+
+        def held_execute(plan, **kwargs):
+            report = execute(plan, **kwargs)
+            if not executed.is_set():  # the refresh, built from one rule
+                executed.set()
+                release.wait(10)
+            return report
+
+        mediator.execute = held_execute
+        reader = threading.Thread(
+            target=mediator.materialized_document, args=("selection",)
+        )
+        reader.start()
+        assert executed.wait(10)
+        # The catalog moves while the refresh is in flight.  Whether the
+        # reload waits for the refresh or not, the one-rule document must
+        # not be what later reads are served.
+        loader = threading.Thread(
+            target=mediator.load_program,
+            args=(self.SELECTION_YAT % "Baroque",),
+        )
+        loader.start()
+        loader.join(0.5)
+        release.set()
+        reader.join()
+        loader.join()
+        fresh, _db, _store = build_federation(sources=(database, store))
+        fresh.load_program(self.SELECTION_YAT % "Impressionist")
+        fresh.load_program(self.SELECTION_YAT % "Baroque")
+        fresh.materialize_view("selection")
+        served = tree_to_xml(mediator.materialized_document("selection"))
+        assert served == tree_to_xml(fresh.materialized_document("selection"))
+        assert mediator.views.materialized_stats()["refreshes"] == 2
+
     def test_result_cache_over_materialized_view_stays_fresh(self):
         mediator, database, _store = build_federation(
             result_cache_bytes=32 << 20
