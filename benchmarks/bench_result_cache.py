@@ -40,7 +40,6 @@ def build_cached_federation(n_artifacts=25, seed=1,
     """The paper's federation with *source_latency* injected per call."""
     database, store = CulturalDataset(n_artifacts=n_artifacts, seed=seed).build()
     mediator = Mediator(
-        gate_information_passing=True,
         plan_cache_size=128,
         result_cache_bytes=result_cache_bytes,
     )

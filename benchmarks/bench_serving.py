@@ -34,9 +34,9 @@ SOURCE_LATENCY_S = 0.005
 
 def build_served_mediator(n_artifacts=25, seed=1,
                           source_latency=SOURCE_LATENCY_S):
-    """The gated federation with *source_latency* injected per call."""
+    """The paper's federation with *source_latency* injected per call."""
     database, store = CulturalDataset(n_artifacts=n_artifacts, seed=seed).build()
-    mediator = Mediator(gate_information_passing=True, plan_cache_size=128)
+    mediator = Mediator(plan_cache_size=128)
     slow = FaultSchedule()
     for operation in ("document", "execute_pushed"):
         slow.delay(operation, source_latency)

@@ -12,8 +12,8 @@ from repro import Mediator, O2Wrapper, WaisWrapper
 from repro.datasets import CulturalDataset, VIEW1_YAT
 
 
-def make_mediator(database, store, gate_information_passing: bool = False) -> Mediator:
-    mediator = Mediator(gate_information_passing=gate_information_passing)
+def make_mediator(database, store) -> Mediator:
+    mediator = Mediator()
     mediator.connect(O2Wrapper("o2artifact", database))
     mediator.connect(WaisWrapper("xmlartwork", store))
     mediator.declare_containment("artworks", "artifacts")

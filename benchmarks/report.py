@@ -27,8 +27,7 @@ import sys
 import time
 from pathlib import Path
 
-from repro import Mediator, O2Wrapper, SqlWrapper, WaisWrapper
-from repro.core.algebra.operators import DJoinOp
+from repro import ExecutionPolicy, Mediator, O2Wrapper, SqlWrapper, WaisWrapper
 from repro.core.algebra.evaluator import Environment, evaluate
 from repro.core.algebra.operators import BindOp, ProjectOp, SourceOp
 from repro.core.optimizer import (
@@ -77,8 +76,8 @@ def wan_ms(elapsed_s: float, stats) -> float:
     )
 
 
-def make_mediator(database, store, gate=False):
-    mediator = Mediator(gate_information_passing=gate)
+def make_mediator(database, store):
+    mediator = Mediator()
     mediator.connect(O2Wrapper("o2artifact", database))
     mediator.connect(WaisWrapper("xmlartwork", store))
     mediator.declare_containment("artworks", "artifacts")
@@ -185,38 +184,35 @@ def report_q1():
 
 def report_q2():
     banner("F9 / Figure 9 — Q2: capability pushdown + information passing")
-    print(f"{'n':>5} {'naive ms':>9} {'opt ms':>7} {'gated ms':>9} "
-          f"{'naive KB':>9} {'opt KB':>7} {'opt calls':>9} "
-          f"{'naive wan':>10} {'opt wan':>8} {'gated wan':>10}")
+    print(f"{'n':>5} {'naive ms':>9} {'opt ms':>7} "
+          f"{'naive KB':>9} {'opt KB':>7} {'opt calls':>9} {'keys':>5} "
+          f"{'naive wan':>10} {'opt wan':>8}")
     for n in SIZES:
         database, store = CulturalDataset(n_artifacts=n, seed=1).build()
         mediator = make_mediator(database, store)
-        gated = make_mediator(database, store, gate=True)
         naive, t_naive = timed(lambda: mediator.query(Q2, optimize=False))
         optimized, t_opt = timed(lambda: mediator.query(Q2))
-        gated_result, t_gated = timed(lambda: gated.query(Q2))
-        assert naive.document() == optimized.document() == gated_result.document()
+        assert naive.document() == optimized.document()
         emit(
             "q2_pushdown",
             {"n": n},
             naive=t_naive,
             optimized=t_opt,
-            gated=t_gated,
             naive_bytes=naive.report.stats.total_bytes_transferred,
             optimized_bytes=optimized.report.stats.total_bytes_transferred,
             optimized_calls=optimized.report.stats.total_source_calls,
+            optimized_passed_keys=optimized.report.stats.passed_keys,
             naive_wan_ms=wan_ms(t_naive, naive.report.stats),
             optimized_wan_ms=wan_ms(t_opt, optimized.report.stats),
-            gated_wan_ms=wan_ms(t_gated, gated_result.report.stats),
         )
         print(
-            f"{n:5d} {t_naive * 1e3:9.1f} {t_opt * 1e3:7.1f} {t_gated * 1e3:9.1f} "
+            f"{n:5d} {t_naive * 1e3:9.1f} {t_opt * 1e3:7.1f} "
             f"{naive.report.stats.total_bytes_transferred / 1024:9.1f} "
             f"{optimized.report.stats.total_bytes_transferred / 1024:7.1f} "
             f"{optimized.report.stats.total_source_calls:9d} "
+            f"{optimized.report.stats.passed_keys:5d} "
             f"{wan_ms(t_naive, naive.report.stats):10.0f} "
-            f"{wan_ms(t_opt, optimized.report.stats):8.0f} "
-            f"{wan_ms(t_gated, gated_result.report.stats):10.0f}"
+            f"{wan_ms(t_opt, optimized.report.stats):8.0f}"
         )
 
 
@@ -251,34 +247,46 @@ def report_ablation():
 
 
 def report_crossover():
-    banner("E3 — bind join vs bulk join: the selectivity crossover (n=150)")
-    print(f"{'fraction':>9} {'bindjoin ms':>12} {'bulkjoin ms':>12} "
-          f"{'winner':>9} {'gated picks':>12}")
+    banner("E3 — bind join (set-valued / per-row) vs bulk join by selectivity "
+           "(n=150)")
+    print(f"{'fraction':>9} {'set ms':>8} {'per-row ms':>11} {'bulk ms':>8} "
+          f"{'calls s/r/b':>12} {'KB s/r/b':>18} {'wan s/r/b':>16}")
     for fraction in FRACTIONS:
         database, store = CulturalDataset(
             n_artifacts=150, impressionist_fraction=fraction, seed=6
         ).build()
         mediator = make_mediator(database, store)
-        _r3, t_bind = timed(lambda: mediator.query(Q2, rounds=(1, 2, 3)))
-        _r2, t_bulk = timed(lambda: mediator.query(Q2, rounds=(1, 2)))
-        gated = make_mediator(database, store, gate=True)
-        gated_result = gated.query(Q2)
-        gated_choice = (
-            "bindjoin"
-            if any(isinstance(n, DJoinOp) for n in gated_result.plan.walk())
-            else "bulkjoin"
-        )
-        winner = "bindjoin" if t_bind < t_bulk else "bulkjoin"
+        runs = {
+            # The default plan: one pushed call for all outer bindings.
+            "setjoin": timed(lambda: mediator.query(Q2, rounds=(1, 2, 3))),
+            # The paper's DJoin: one pushed call per outer row.
+            "bindjoin": timed(lambda: mediator.query(
+                Q2, rounds=(1, 2, 3), execution=ExecutionPolicy.serial()
+            )),
+            "bulkjoin": timed(lambda: mediator.query(Q2, rounds=(1, 2))),
+        }
+        metrics = {}
+        for label, (result, elapsed) in runs.items():
+            stats = result.report.stats
+            metrics[label] = elapsed
+            metrics[f"{label}_calls"] = stats.total_source_calls
+            metrics[f"{label}_bytes"] = stats.total_bytes_transferred
+            metrics[f"{label}_wan_ms"] = wan_ms(elapsed, stats)
+        winner = min(runs, key=lambda label: metrics[f"{label}_wan_ms"])
         emit(
             "selectivity_crossover",
             {"fraction": fraction, "n": 150},
-            bindjoin=t_bind,
-            bulkjoin=t_bulk,
             winner=winner,
-            gated_choice=gated_choice,
+            **metrics,
         )
-        print(f"{fraction:9.2f} {t_bind * 1e3:12.1f} {t_bulk * 1e3:12.1f} "
-              f"{winner:>9} {gated_choice:>12}")
+        order = ("setjoin", "bindjoin", "bulkjoin")
+        print(
+            f"{fraction:9.2f} {metrics['setjoin'] * 1e3:8.1f} "
+            f"{metrics['bindjoin'] * 1e3:11.1f} {metrics['bulkjoin'] * 1e3:8.1f} "
+            + "/".join(str(metrics[f'{l}_calls']) for l in order).rjust(13)
+            + "/".join(f"{metrics[f'{l}_bytes'] / 1024:.1f}" for l in order).rjust(19)
+            + "/".join(f"{metrics[f'{l}_wan_ms']:.0f}" for l in order).rjust(17)
+        )
 
 
 def report_sql_vs_oql():

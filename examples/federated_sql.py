@@ -9,8 +9,9 @@ SQL.  This example proves it end to end:
   with the same ``bind``/``inst`` flag vocabulary, and the comparison
   predicates;
 * a mediator view joins the SQL rows with the XML documents, and a user
-  query is optimized exactly like Q2 — the relational fragment becomes a
-  parameterized SQL statement, executed once per driving row.
+  query is optimized exactly like Q2 — the relational fragment becomes
+  one parameterized SQL statement whose ``IN (VALUES ...)`` carries every
+  driving row's key (the paper would execute it once per driving row).
 
 Run:  python examples/federated_sql.py
 """

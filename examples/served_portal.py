@@ -33,8 +33,7 @@ from repro.server import run_closed_loop
 
 def build_portal(n_artifacts: int) -> Mediator:
     database, store = CulturalDataset(n_artifacts=n_artifacts, seed=42).build()
-    mediator = Mediator("portal", gate_information_passing=True,
-                        plan_cache_size=128)
+    mediator = Mediator("portal", plan_cache_size=128)
     mediator.connect(O2Wrapper("o2artifact", database))
     mediator.connect(WaisWrapper("xmlartwork", store))
     mediator.declare_containment("artworks", "artifacts")

@@ -10,15 +10,18 @@ measures faithfully through :class:`~repro.core.algebra.stats.ExecutionStats`:
   wrapper's XML boundary (rows=1, bytes=document size);
 * evaluating a ``Pushed`` fragment asks the wrapper to run it natively
   and transfers only the result Tab;
-* a ``DJoin`` re-evaluates its right input once per left row, passing the
-  row as an outer environment (information passing, Section 5.3).
+* a ``DJoin`` evaluates its right input under the left rows as outer
+  environment (information passing, Section 5.3) — once per left row in
+  the paper, here once for *all* distinct outer bindings when the right
+  input is a pushed fragment keyed on them (``PushedOp.keyed``).
 
 Federated scheduling (:mod:`repro.core.algebra.scheduling`) layers three
 optimizations over that baseline, none of which changes any answer:
 Union branches and independent Join inputs evaluate concurrently on a
-bounded pool when ``ExecutionPolicy.parallelism > 1``; a DJoin batches
-its right input per *distinct* outer binding tuple; and a per-execution
-cache memoizes wrapper round trips.  Bind runs through the per-filter
+bounded pool when ``ExecutionPolicy.parallelism > 1``; a DJoin passes
+its distinct outer bindings as one set (or, failing that, evaluates its
+right input once per distinct binding); and a per-execution cache
+memoizes wrapper round trips.  Bind runs through the per-filter
 engine of :mod:`repro.core.algebra.engine` and emits columnar Tabs,
 which the downstream operators keep columnar.
 ``ExecutionPolicy.serial()`` — ``policy.reference`` — restores the
@@ -69,12 +72,20 @@ from repro.core.algebra.scheduling import (
     PlanScheduler,
     SourceCallCache,
     outer_binding_key,
+    passed_pairs,
     plan_parameters,
 )
 from repro.core.algebra.skolem import SkolemRegistry
 from repro.observability.context import RequestContext
 from repro.core.algebra.stats import ExecutionStats
-from repro.core.algebra.tab import ColumnCursor, Row, Tab, tab_serialized_size
+from repro.core.algebra.tab import (
+    BindingSet,
+    ColumnCursor,
+    Row,
+    Tab,
+    _cell_key,
+    tab_serialized_size,
+)
 from repro.core.algebra.tree import _orderable, construct
 from repro.model.filters import MissingValue
 from repro.model.trees import DataNode
@@ -113,7 +124,13 @@ class SourceAdapter(ABC):
     def execute_pushed(
         self, plan: Plan, outer: Optional[Row] = None
     ) -> Tuple[Tab, str]:
-        """Evaluate *plan* natively; returns the result Tab and the native text."""
+        """Evaluate *plan* natively; returns the result Tab and the native text.
+
+        *outer* may be a :class:`~repro.core.algebra.tab.BindingSet` when
+        the plan came from a ``PushedOp`` with ``keyed`` columns: the
+        answer is then the rows matching any of the set's keys, each
+        once, in the source's own order.
+        """
 
 
 class Environment:
@@ -196,10 +213,6 @@ class Environment:
         if self._scheduler is not None:
             self._scheduler.shutdown()
             self._scheduler = None
-
-    def plan_parameters(self, plan: Plan) -> frozenset:
-        """Outer columns *plan* observes (memoized on the plan itself)."""
-        return plan_parameters(plan)
 
     def plan_key(self, plan: Plan) -> tuple:
         """``plan._key()`` memoized on the plan itself.
@@ -400,7 +413,7 @@ def _eval_pushed(plan: PushedOp, env: Environment, outer: Optional[Row]) -> Tab:
             "pushed",
             plan.source,
             env.plan_key(plan.plan),
-            outer_binding_key(outer, env.plan_parameters(plan.plan)),
+            outer_binding_key(outer, plan_parameters(plan.plan)),
         )
         found, tab = cache.lookup(key)
         if found:
@@ -420,6 +433,10 @@ def _eval_pushed(plan: PushedOp, env: Environment, outer: Optional[Row]) -> Tab:
     _record_store_delta(adapter, env)
     if env.tracer is not None:
         env.tracer.annotate(source=plan.source, calls=1, bytes=size, native=native)
+    if isinstance(outer, BindingSet):
+        env.stats.record_passed_keys(len(outer.keys))
+        if env.tracer is not None:
+            env.tracer.annotate(keys=len(outer.keys))
     return tab
 
 
@@ -885,13 +902,13 @@ def _unwrap(value):
 def _eq_key(value):
     """Hash key mirroring ``=`` semantics (numeric cross-type equality,
     MISSING never equal, atom leaves unwrapped)."""
-    from repro.core.algebra.tab import _cell_key
-
     value = _unwrap(value)
     if isinstance(value, MissingValue):
         return ("never", object())
     if isinstance(value, (bool, int, float)):
-        return ("num", float(value))
+        # Python's own numeric ``==``/``hash`` already relate True, 1 and
+        # 1.0 — and keep 2**53 and 2**53 + 1 apart, which float() would not.
+        return ("num", value)
     return _cell_key(value)
 
 
@@ -923,13 +940,36 @@ def _eval_djoin(plan: DJoinOp, env: Environment, outer: Optional[Row]) -> Tab:
         env.stats.record_operator("DJoin", len(rows))
         return Tab(out_columns, rows)
 
-    # Dependent-join batching: the right plan only observes the outer
+    pairs = passed_pairs(plan)
+    bindings = _binding_set(pairs, left, outer) if pairs else None
+    if bindings is not None:
+        right = _evaluate(plan.right, env, bindings)
+        if _answers_in_kind(right, bindings):
+            # Set-valued information passing: one evaluation of the right
+            # input answered for every distinct outer binding, and the
+            # answer re-expands exactly like the hash join the DJoin
+            # replaced — left-row order, the source's own order within a
+            # key — which is the nested loop's order.
+            avoided = len(left) - 1
+            env.stats.record_batched(avoided)
+            if env.tracer is not None:
+                env.tracer.annotate(batched=avoided)
+            result = _hash_join_columnar(
+                left, right, left.columns + right.columns,
+                [lambda row, n=v: _eq_key(row[n]) for _c, v in pairs],
+                [lambda row, n=c: _eq_key(row[n]) for c, _v in pairs],
+            )
+            env.stats.record_operator("DJoin", len(result))
+            env.stats.record_batch(len(result))
+            return result
+
+    # Per-binding evaluation: the right plan only observes the outer
     # columns in plan_parameters(right), so left rows that agree on them
     # share one right-branch evaluation.  Distinct binding tuples are
     # evaluated in first-appearance order (and concurrently under a
     # parallel policy), then re-expanded in the original row order —
     # row-for-row identical to the serial nested loop.
-    parameters = env.plan_parameters(plan.right)
+    parameters = plan_parameters(plan.right)
     keys: List[tuple] = []
     representative: Dict[tuple, Row] = {}
     for lrow in left:
@@ -1010,6 +1050,53 @@ def _eval_djoin(plan: DJoinOp, env: Environment, outer: Optional[Row]) -> Tab:
             rows.append(Row(out_columns, lrow.cells + rrow.cells))
     env.stats.record_operator("DJoin", len(rows))
     return Tab(out_columns, rows)
+
+
+def _binding_set(pairs, left: Tab, outer: Optional[Row]) -> Optional[BindingSet]:
+    """*left*'s distinct bindings of the variables in *pairs*
+    (:func:`passed_pairs`) as one set, or ``None`` when they must be
+    passed one at a time: some key cell is not an atom a source can
+    inline (a tree cell is passed per binding, as before), a key column
+    mixes strings with numbers (see :func:`_answers_in_kind`), or there
+    are fewer than two distinct bindings.
+    """
+    data = left.column_data()
+    columns = [data[left.columns.index(variable)] for _column, variable in pairs]
+    if not columns[0]:
+        return None
+    textual = [isinstance(column[0], str) for column in columns]
+    keys: Dict[tuple, tuple] = {}
+    for cells in zip(*columns):
+        for cell, text in zip(cells, textual):
+            if not isinstance(cell, (str, int, float)) or isinstance(cell, str) != text:
+                return None
+        keys.setdefault(tuple(_eq_key(cell) for cell in cells), cells)
+    if len(keys) < 2:
+        return None
+    return BindingSet(outer, pairs, keys)
+
+
+def _answers_in_kind(right: Tab, bindings: BindingSet) -> bool:
+    """Did the source answer *bindings* with cells of the keys' own kind?
+
+    The re-expansion partitions the answer with the mediator's ``=``
+    (:func:`_eq_key`); the source matched it with its own.  The two are
+    only promised to agree between two strings or two numbers — across
+    the kinds a source may coerce (sqlite compares the key ``5`` equal to
+    the TEXT cell ``'5'``), and such a row belongs to a key the partition
+    would not put it under.  Key columns are one kind each
+    (:func:`_binding_set`), so any keyed cell of the other kind means the
+    source's ``=`` reached across: the answer is dropped and the DJoin
+    evaluates per binding, where the source's ``=`` decides alone.
+    """
+    data = right.column_data()
+    first = next(iter(bindings.keys.values()))
+    for (column, _variable), atom in zip(bindings.pairs, first):
+        kind = str if isinstance(atom, str) else (int, float)
+        for cell in data[right.columns.index(column)]:
+            if not isinstance(_unwrap(cell), kind):
+                return False
+    return True
 
 
 def _eval_union(plan: UnionOp, env: Environment, outer: Optional[Row]) -> Tab:

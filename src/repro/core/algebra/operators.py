@@ -302,9 +302,11 @@ class DJoinOp(Plan):
     Columns of the current left row are visible as an *outer environment*
     inside the right plan (``Bind`` targets, predicate variables, pushed
     query parameters) — this is the "information passing" of Section 5.3.
+    ``_passed_memo`` memoizes whether the bindings may be passed as one
+    set (:func:`~repro.core.algebra.scheduling.passed_pairs`).
     """
 
-    __slots__ = ("left", "right")
+    __slots__ = ("left", "right", "_passed_memo")
 
     def __init__(self, left: Plan, right: Plan) -> None:
         self.left = left
@@ -633,14 +635,27 @@ class PushedOp(Plan):
     ``native`` records the native query text the wrapper generated for it
     (OQL, a Wais request, SQL) for display and auditing.  Evaluation asks
     the wrapper and transfers only the resulting Tab.
+
+    ``keyed`` is set by information passing (Section 5.3): pairs
+    ``(fragment column, outer variable)`` whose equalities the fragment's
+    top selection states and whose disjunction over many outer bindings
+    the source declared pushable — a DJoin may then ship all its distinct
+    outer bindings in one call (a :class:`~repro.core.algebra.tab.BindingSet`).
     """
 
-    __slots__ = ("source", "plan", "native")
+    __slots__ = ("source", "plan", "native", "keyed")
 
-    def __init__(self, source: str, plan: Plan, native: Optional[str] = None) -> None:
+    def __init__(
+        self,
+        source: str,
+        plan: Plan,
+        native: Optional[str] = None,
+        keyed: Sequence[Tuple[str, str]] = (),
+    ) -> None:
         self.source = source
         self.plan = plan
         self.native = native
+        self.keyed = tuple(keyed)
 
     def children(self):
         # The inner plan is intentionally *not* a rewriting child: the
@@ -657,7 +672,7 @@ class PushedOp(Plan):
         return self.plan.output_columns()
 
     def _key(self):
-        return ("pushed", self.source, self.plan._key(), self.native)
+        return ("pushed", self.source, self.plan._key(), self.native, self.keyed)
 
     def describe(self):
         native = f" [{self.native}]" if self.native else ""

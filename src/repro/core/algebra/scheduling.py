@@ -3,8 +3,8 @@
 The paper's mediator minimizes its *own* work by shipping fragments to
 wrapped sources, but the seed evaluator still talks to those sources one
 call at a time: Union branches over disjoint sources evaluate serially,
-and a DJoin issues one pushed round trip per outer row even when the
-outer values repeat.  This module holds the machinery the evaluator uses
+and the paper's DJoin issues one pushed round trip per outer row.  This
+module holds the machinery the evaluator uses
 to remove that serialization without changing any answer:
 
 * :class:`ExecutionPolicy` — ``parallelism``, the one setting, plus the
@@ -17,7 +17,8 @@ to remove that serialization without changing any answer:
 * :class:`SourceCallCache` — a per-execution memo of wrapper round trips
   keyed by ``(operation, source, canonical plan key, outer constants)``;
 * :func:`plan_parameters` — the outer columns a plan can observe, which
-  is both the DJoin batching key and the pushed-call cache key.
+  is both the DJoin batching key and the pushed-call cache key — and
+  :func:`passed_pairs`, whether a DJoin may pass its bindings as one set.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from repro.core.algebra.operators import (
     UnionOp,
     UnitOp,
 )
-from repro.core.algebra.tab import Row
+from repro.core.algebra.tab import BindingSet, Row
 from repro.model.filters import MissingValue
 from repro.model.trees import DataNode
 
@@ -53,7 +54,7 @@ class ExecutionPolicy:
     concurrently; ``1`` (the default) keeps the seed's strictly serial
     evaluation order.  It is the only setting.  Everything else the
     engine does to save mediator work — the per-execution source-call
-    cache, DJoin batching per distinct outer binding, compiled Bind and
+    cache, set-valued DJoin information passing, compiled Bind and
     predicate kernels, twig joins over indexed documents, columnar Tab
     batches, prepared OQL in the O2 wrapper — is always on, because none
     of it can change a produced Tab.
@@ -74,9 +75,9 @@ class ExecutionPolicy:
     @classmethod
     def serial(cls) -> "ExecutionPolicy":
         """The seed behavior, byte for byte (the differential oracle):
-        interpretive matcher and predicates, row-at-a-time Tabs, no
-        DJoin batching, no source-call cache, interpretive OQL in the O2
-        wrapper, no pool."""
+        interpretive matcher and predicates, row-at-a-time Tabs, one
+        right-branch evaluation per DJoin row, no source-call cache,
+        interpretive OQL in the O2 wrapper, no pool."""
         policy = cls(parallelism=1)
         policy._reference = True
         return policy
@@ -289,6 +290,46 @@ def _plan_parameters(plan: Plan) -> frozenset:
     return result
 
 
+def passed_pairs(plan: DJoinOp) -> Tuple[Tuple[str, str], ...]:
+    """``(fragment column, left column)`` pairs under which *plan* may
+    pass its distinct left bindings to its right input as one set (a
+    :class:`BindingSet`); ``()`` when it must evaluate it per binding.
+
+    The right input has to be a ``[Select*] Pushed`` chain whose fragment
+    the planner keyed on left columns (``PushedOp.keyed``: the source
+    accepts the disjunction of the passed equalities), which still
+    returns the keyed columns (the re-expansion partitions on them) and
+    observes nothing else of the left row, under selections that do not
+    read the left row at all.  All of it is plan shape, so — like
+    :func:`plan_parameters` — it is decided once per (immutable) DJoin.
+    """
+    try:
+        return plan._passed_memo
+    except AttributeError:
+        pairs = plan._passed_memo = _passed_pairs(plan)
+        return pairs
+
+
+def _passed_pairs(plan: DJoinOp) -> Tuple[Tuple[str, str], ...]:
+    local = set(plan.left.output_columns())
+    pushed = plan.right
+    while isinstance(pushed, SelectOp):
+        free = set(pushed.predicate.variables()) - set(pushed.input.output_columns())
+        if free & local:
+            return ()
+        pushed = pushed.input
+    if not isinstance(pushed, PushedOp) or not pushed.keyed:
+        return ()
+    produced = pushed.output_columns()
+    if (
+        any(column not in produced for column, _variable in pushed.keyed)
+        or plan_parameters(pushed.plan) & local
+        != {variable for _column, variable in pushed.keyed}
+    ):
+        return ()
+    return pushed.keyed
+
+
 #: Marker for a parameter column absent from the outer row (the plan
 #: will fail to resolve it the same way every time, so keying on the
 #: absence is sound).
@@ -329,10 +370,16 @@ def identity_cell_key(cell: object) -> tuple:
 def outer_binding_key(
     outer: Optional[Row], parameters: frozenset
 ) -> tuple:
-    """The projection of *outer* onto *parameters*, as a hashable key."""
+    """The projection of *outer* onto *parameters*, as a hashable key.
+
+    A :class:`BindingSet` contributes its equality keys: two set-valued
+    calls return the same Tab exactly when they pass the same set.
+    """
     if not parameters:
         return ()
     parts = []
+    if isinstance(outer, BindingSet):
+        parts.append((outer.pairs, tuple(outer.keys)))
     for column in sorted(parameters):
         if outer is not None and column in outer:
             parts.append((column, identity_cell_key(outer[column])))

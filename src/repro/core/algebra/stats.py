@@ -9,7 +9,9 @@ measures exactly those quantities during plan evaluation:
   boundary (whole documents for ``Source``, result Tabs for ``Pushed``),
   per source and in total;
 * ``source_calls`` — round trips to each wrapper (a DJoin with
-  information passing makes one call per outer row);
+  information passing makes one call for all its distinct outer
+  bindings, ``passed_keys`` of them; one call per outer row under the
+  ``serial()`` oracle);
 * ``mediator_rows`` — rows processed by mediator-side operators;
 * ``operator_counts`` — evaluations per operator kind.
 
@@ -41,7 +43,7 @@ class ExecutionStats:
         self.operator_counts: Counter = Counter()
         self.mediator_rows: int = 0
         #: ``(source, native text)`` for every query a wrapper executed,
-        #: in execution order (a bind join appends one entry per call).
+        #: in execution order (one entry per call).
         self.native_queries: list = []
         #: Resilience counters (filled in only under a retrying
         #: :class:`~repro.mediator.resilience.ResiliencePolicy`).
@@ -55,9 +57,15 @@ class ExecutionStats:
         self.degraded: bool = False
         #: Round trips avoided by the per-execution source-call cache.
         self.cache_hits: Counter = Counter()
-        #: Right-branch DJoin evaluations served from the batch memo
-        #: (duplicate outer binding tuples re-expanded without a call).
+        #: Right-branch DJoin evaluations avoided against the per-row
+        #: nested loop (duplicate or set-passed outer bindings re-expanded
+        #: from a shared answer).
         self.batched_calls: int = 0
+        #: Distinct outer binding tuples shipped *up* to sources inside
+        #: set-valued pushed calls (information passing).  The transfer
+        #: counters above price result bytes only; this is the upstream
+        #: volume.
+        self.passed_keys: int = 0
         #: Plan branches dispatched to the scheduler's thread pool.
         self.parallel_branches: int = 0
         #: Always zero since the index-seek matchers were removed; kept
@@ -149,12 +157,16 @@ class ExecutionStats:
             self.cache_hits[source] += 1
 
     def record_batched(self, avoided: int) -> None:
-        """Record *avoided* DJoin right-branch evaluations served from
-        the batch memo."""
+        """Record *avoided* DJoin right-branch evaluations."""
         if avoided <= 0:
             return
         with self._lock:
             self.batched_calls += avoided
+
+    def record_passed_keys(self, keys: int) -> None:
+        """Record one set-valued pushed call carrying *keys* bindings."""
+        with self._lock:
+            self.passed_keys += keys
 
     def record_parallel(self, branches: int) -> None:
         """Record *branches* plan branches dispatched concurrently."""
@@ -241,6 +253,7 @@ class ExecutionStats:
             "cache_hits": dict(self.cache_hits),
             "total_cache_hits": self.total_cache_hits,
             "batched_calls": self.batched_calls,
+            "passed_keys": self.passed_keys,
             "parallel_branches": self.parallel_branches,
             "twig_matches": self.twig_matches,
             "twig_bindings": self.twig_bindings,
@@ -279,6 +292,7 @@ class ExecutionStats:
                 f"scheduler: {self.total_cache_hits} cache hits, "
                 f"{self.batched_calls} batched calls, "
                 f"{self.parallel_branches} parallel branches"
+                + (f", {self.passed_keys} passed keys" if self.passed_keys else "")
             )
         if self.twig_matches or self.twig_fallbacks:
             lines.append(

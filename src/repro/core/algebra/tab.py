@@ -173,6 +173,38 @@ class Row:
         return f"Row({pairs})"
 
 
+class BindingSet(Row):
+    """The outer row of a *set-valued* pushed call (information passing).
+
+    Stands for every outer row that agrees with this row's own columns
+    and whose passed variables take one of ``keys``: the source answers
+    with the rows matching **any** key, each once, in its own order, and
+    the DJoin re-expands them by key.  ``pairs`` names, per key position,
+    the fragment column and the outer variable it is equated with.  A key
+    column holds strings only or numbers only, and within one kind the
+    source's ``=`` has to agree with the mediator's; what it does across
+    the kinds (sqlite coerces by column affinity) the DJoin detects and
+    does not rely on.  The passed variables are deliberately *not*
+    columns of this row, so a wrapper that does not know about sets fails
+    loudly in ``outer_constant`` instead of answering for one key.
+    """
+
+    __slots__ = ("pairs", "keys")
+
+    def __init__(self, base, pairs, keys: dict) -> None:
+        passed = {variable for _column, variable in pairs}
+        columns = tuple(
+            c for c in (base.columns if base is not None else ()) if c not in passed
+        )
+        super().__init__(columns, tuple(base[c] for c in columns))
+        #: ``((fragment column, outer variable), ...)``.
+        self.pairs = tuple(pairs)
+        #: ``{equality key: atom tuple}``, distinct, in first-appearance
+        #: order; the dict keys identify the set (call-cache key), the
+        #: values are what a wrapper inlines.
+        self.keys = keys
+
+
 def _cell_key(cell: Cell) -> object:
     """Hashable structural key for a cell (used for set semantics)."""
     if isinstance(cell, tuple):

@@ -11,9 +11,10 @@ Costs are abstract units dominated by wrapper-boundary transfers:
   result cardinality — much less than the whole document when a
   selective predicate was pushed;
 * mediator operators cost proportionally to the rows they process;
-* a ``DJoin`` multiplies its right-hand cost by the left cardinality
-  (one call per outer row), which is exactly the trade-off information
-  passing navigates.
+* a ``DJoin`` multiplies its right-hand cost by the left cardinality —
+  the paper's one call per outer row, the trade-off its information
+  passing navigates (the engine passes the outer rows as one set where
+  it can, which this model does not price).
 """
 
 from __future__ import annotations
@@ -48,26 +49,17 @@ PUSHED_CALL_COST = 50.0
 
 
 class CostHints:
-    """Per-document size/cardinality hints and per-predicate selectivities.
-
-    ``text_selectivities`` maps string constants appearing in textual
-    predicates (equality or ``contains``) to estimated match fractions.
-    Full-text sources can supply these almost for free — the inverted
-    index knows each term's document frequency — which is what lets the
-    cost-gated optimizer tell a selective ``contains`` from a broad one.
-    """
+    """Per-document size/cardinality hints and a per-conjunct selectivity."""
 
     def __init__(
         self,
         document_sizes: Optional[Dict[str, float]] = None,
         document_cardinalities: Optional[Dict[str, float]] = None,
         default_selectivity: float = DEFAULT_SELECTIVITY,
-        text_selectivities: Optional[Dict[str, float]] = None,
     ) -> None:
         self.document_sizes = dict(document_sizes or {})
         self.document_cardinalities = dict(document_cardinalities or {})
         self.default_selectivity = default_selectivity
-        self.text_selectivities = dict(text_selectivities or {})
 
     def size(self, document: str) -> float:
         return self.document_sizes.get(document, DEFAULT_DOCUMENT_SIZE)
@@ -79,114 +71,9 @@ class CostHints:
 
     def predicate_selectivity(self, predicate) -> float:
         """Estimated fraction of rows a predicate keeps."""
-        from repro.core.algebra.expressions import Cmp, Const, FunCall, conjuncts
+        from repro.core.algebra.expressions import conjuncts
 
-        fraction = 1.0
-        for part in conjuncts(predicate):
-            constants = []
-            if isinstance(part, Cmp):
-                constants = [
-                    side.value
-                    for side in (part.left, part.right)
-                    if isinstance(side, Const)
-                ]
-            elif isinstance(part, FunCall):
-                constants = [
-                    arg.value for arg in part.args if isinstance(arg, Const)
-                ]
-            known = [
-                self.text_selectivities[c]
-                for c in constants
-                if isinstance(c, str) and c in self.text_selectivities
-            ]
-            fraction *= known[0] if known else self.default_selectivity
-        return min(1.0, fraction)
-
-
-class ObservedStatistics:
-    """Measured numbers folded back from ``EXPLAIN ANALYZE`` runs.
-
-    The mediator keeps one instance per catalog and overlays it onto the
-    wrapper-declared :class:`CostHints` before every optimization, so
-    repeated queries replan with *measured* cardinalities and
-    selectivities instead of estimates:
-
-    * a ``Bind`` directly over a ``Source`` observed binding N rows per
-      document evaluation pins the document's cardinality to N;
-    * a mediator-side ``Select`` whose predicate carries exactly one
-      string constant observed keeping ``out/in`` of its rows pins that
-      constant's text selectivity (predicates inside pushed fragments
-      execute at the source and are not observed).
-
-    :meth:`absorb` reports whether anything *materially* changed (beyond
-    a 1% relative tolerance), letting the mediator version its
-    statistics without invalidating plans on every identical re-run.
-    """
-
-    __slots__ = ("document_cardinalities", "text_selectivities")
-
-    def __init__(self) -> None:
-        self.document_cardinalities: Dict[str, float] = {}
-        self.text_selectivities: Dict[str, float] = {}
-
-    def absorb(self, plan: Plan, actuals: Dict[int, object]) -> bool:
-        """Fold per-node actuals into the tables; ``True`` on change."""
-        changed = False
-        for node in plan.walk():
-            if isinstance(node, BindOp) and isinstance(node.input, SourceOp):
-                entry = actuals.get(id(node))
-                if entry is None or entry.evals <= 0 or entry.rows <= 0:
-                    continue
-                observed = entry.rows / entry.evals
-                changed |= self._record(
-                    self.document_cardinalities, node.input.document, observed
-                )
-            elif isinstance(node, SelectOp):
-                out_entry = actuals.get(id(node))
-                in_entry = actuals.get(id(node.input))
-                if out_entry is None or in_entry is None or in_entry.rows <= 0:
-                    continue
-                constant = _single_text_constant(node.predicate)
-                if constant is None:
-                    continue
-                ratio = min(1.0, out_entry.rows / in_entry.rows)
-                changed |= self._record(
-                    self.text_selectivities, constant, ratio
-                )
-        return changed
-
-    @staticmethod
-    def _record(table: Dict[str, float], key: str, value: float) -> bool:
-        old = table.get(key)
-        if old is not None and abs(old - value) <= 0.01 * max(1.0, abs(old)):
-            return False
-        table[key] = value
-        return True
-
-    def __repr__(self) -> str:
-        return (
-            f"ObservedStatistics({len(self.document_cardinalities)} "
-            f"cardinalities, {len(self.text_selectivities)} selectivities)"
-        )
-
-
-def _single_text_constant(predicate) -> Optional[str]:
-    """The predicate's one string constant, or ``None`` when ambiguous.
-
-    An observed in/out ratio can only be attributed to a constant when
-    the predicate mentions exactly one (a conjunction mixing constants
-    would blur their individual selectivities).
-    """
-    from repro.core.algebra.expressions import Const
-
-    constants = [
-        sub.value
-        for sub in predicate.walk()
-        if isinstance(sub, Const) and isinstance(sub.value, str)
-    ]
-    if constants and len(set(constants)) == 1:
-        return constants[0]
-    return None
+        return min(1.0, self.default_selectivity ** len(conjuncts(predicate)))
 
 
 class Estimate:

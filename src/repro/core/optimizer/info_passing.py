@@ -9,17 +9,22 @@ query optimization."
 
 :class:`BindJoinRule` turns an equi-join whose one side is a pushed
 fragment into a dependency join: the pushed side becomes the inner input,
-re-executed per outer row with the join values inlined as parameters (a
-*bind join*).  The rule only fires when the source declares the equality
-predicate, so a Wais fragment (no ``eq``) is never parameterized — the
-optimizer instead drives *from* it, which is exactly the Figure 9 plan.
+evaluated with the join values of the outer rows inlined as parameters
+(a *bind join*).  The rule only fires when the source declares the
+equality predicate, so a Wais fragment (no ``eq``) is never parameterized
+— the optimizer instead drives *from* it, which is exactly the Figure 9
+plan.  When the source also accepts the *disjunction* of the passed
+equalities, the rule records which fragment columns are keyed on which
+outer variables (``PushedOp.keyed``): the evaluator then ships all
+distinct outer bindings in one call instead of one call per outer row.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from repro.core.algebra.expressions import (
+    BoolOr,
     Cmp,
     Expr,
     Var,
@@ -34,6 +39,7 @@ from repro.core.algebra.operators import (
     PushedOp,
     SelectOp,
 )
+from repro.core.algebra.scheduling import plan_parameters
 from repro.core.optimizer.rules import OptimizerContext, RewriteRule
 
 
@@ -60,20 +66,7 @@ class BindJoinRule(RewriteRule):
             # Restore the original column order.
             items = [(column, column) for column in plan.output_columns()]
             rewritten = ProjectOp(swapped, items)
-        if context.gate_information_passing and not self._estimated_cheaper(
-            plan, rewritten, context
-        ):
-            return None
         return rewritten
-
-    @staticmethod
-    def _estimated_cheaper(
-        original: Plan, rewritten: Plan, context: OptimizerContext
-    ) -> bool:
-        from repro.core.optimizer.cost import estimate_cost
-
-        hints = context.cost_hints
-        return estimate_cost(rewritten, hints) <= estimate_cost(original, hints)
 
     def _parameterize(
         self, join: JoinOp, outer: Plan, inner: Plan, context: OptimizerContext
@@ -100,13 +93,39 @@ class BindJoinRule(RewriteRule):
             return None
 
         parameterized = PushedOp(
-            pushed.source, SelectOp(pushed.plan, conjunction(passed))
+            pushed.source,
+            SelectOp(pushed.plan, conjunction(passed)),
+            keyed=self._keyed(passed, inner_cols, pushed, matcher),
         )
         new_inner = self._rebuild_inner(inner, parameterized)
         result: Plan = DJoinOp(outer, new_inner)
         if remaining:
             result = SelectOp(result, conjunction(remaining))
         return result
+
+    @staticmethod
+    def _keyed(
+        passed: List[Expr], inner_cols: set, pushed: PushedOp, matcher
+    ) -> Tuple[Tuple[str, str], ...]:
+        """``(fragment column, outer variable)`` per passed equality, or
+        ``()`` when the outer bindings must be passed one at a time: the
+        source has to accept the disjunction of the passed conjunction
+        over several bindings (Section 4 — its capability description
+        decides, not the mediator), and the fragment must not already
+        observe a passed variable somewhere else."""
+        pairs = []
+        for part in passed:
+            names = (part.left.name, part.right.name)
+            local = [name for name in names if name in inner_cols]
+            if len(local) != 1:
+                return ()
+            pairs.append((local[0], names[1 - names.index(local[0])]))
+        every = conjunction(passed)
+        if not matcher.predicate_pushable(BoolOr([every, every])):
+            return ()
+        if {variable for _c, variable in pairs} & plan_parameters(pushed.plan):
+            return ()
+        return tuple(pairs)
 
     @staticmethod
     def _pushed_of(plan: Plan) -> Optional[PushedOp]:

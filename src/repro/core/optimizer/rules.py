@@ -43,8 +43,6 @@ class OptimizerContext:
         self,
         interfaces: Optional[Dict[str, SourceInterface]] = None,
         containments: Optional[Set[Tuple[str, str]]] = None,
-        cost_hints: Optional[object] = None,
-        gate_information_passing: bool = False,
         shards: Optional[Dict[str, object]] = None,
     ) -> None:
         self.interfaces: Dict[str, SourceInterface] = dict(interfaces or {})
@@ -52,15 +50,6 @@ class OptimizerContext:
         #: ``{logical source name: ShardTopology}`` for partitioned
         #: sources; consulted by the shard-expansion rule.
         self.shards: Dict[str, object] = dict(shards or {})
-        #: Optional :class:`~repro.core.optimizer.cost.CostHints` used by
-        #: cost-gated rules.
-        self.cost_hints = cost_hints
-        #: Extension beyond the paper: when True, the information-passing
-        #: round only converts a Join into a bind join if the cost model
-        #: estimates the dependent plan cheaper.  The paper's heuristic
-        #: optimizer applies the conversion unconditionally, which can
-        #: lose when the driving side is large (see bench_djoin_vs_join).
-        self.gate_information_passing = gate_information_passing
         self._matchers: Dict[str, CapabilityMatcher] = {}
         self._fresh_counter = 0
 

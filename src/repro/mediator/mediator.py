@@ -31,7 +31,6 @@ from repro.core.algebra.tab import Tab
 from repro.core.optimizer.bind_split import ref_is
 from repro.core.optimizer.planner import Optimizer
 from repro.core.optimizer.rules import OptimizerContext, RewriteTrace
-from repro.core.optimizer.cost import ObservedStatistics
 from repro.mediator.catalog import Catalog
 from repro.mediator.execution import ExecutionReport, run_plan
 from repro.mediator.plan_cache import CachedPlan, PlanCache, rebind_plan
@@ -42,7 +41,6 @@ from repro.mediator.views import (
     MaterializedViewSource,
     ViewRegistry,
 )
-from repro.memo import Memo
 from repro.model.indexes import invalidate_document_indexes
 from repro.model.trees import DataNode
 from repro.sources.wais.index import document_contains
@@ -51,10 +49,6 @@ from repro.yatl.ast import YatlQuery
 from repro.yatl.normalize import NormalizedQuery, normalize_query
 from repro.yatl.parser import parse_program, parse_query
 from repro.yatl.translator import translate_query, translate_rule
-
-#: Bound on memoized ``(source, constant)`` selectivity probes; the query
-#: vocabulary of a long-lived server is unbounded, the memo is not.
-PROBE_MEMO_CAPACITY = 1024
 
 #: Per-thread set of materialized views currently refreshing: a view
 #: whose refresh transitively reads itself fails fast instead of
@@ -170,7 +164,6 @@ class Mediator:
     def __init__(
         self,
         name: str = "yat",
-        gate_information_passing: bool = False,
         policy: Optional[ResiliencePolicy] = None,
         execution: Optional[ExecutionPolicy] = None,
         plan_cache_size: int = 128,
@@ -204,21 +197,9 @@ class Mediator:
         #: containments); part of every cache key, so stale plans are
         #: unreachable even before the explicit invalidate() frees them.
         self._epoch = 0
-        #: Bumped when EXPLAIN ANALYZE feedback materially changes the
-        #: statistics a gated optimization would use.
-        self._stats_version = 0
-        self._observed = ObservedStatistics()
-        #: Guards the planning-side mutable state (epoch, stats version,
-        #: observed statistics) against concurrent sessions; the caches
-        #: carry their own locks.
+        #: Guards the catalog epoch against concurrent sessions; the
+        #: caches carry their own locks.
         self._plan_lock = threading.RLock()
-        #: Memo of wrapper selectivity probes, keyed (source, constant);
-        #: cleared with the epoch — probing is a real source round trip
-        #: and must not run once per query for the same constant.
-        self._probes = Memo(PROBE_MEMO_CAPACITY)
-        #: Extension beyond the paper: cost-gate the bind-join conversion
-        #: (see OptimizerContext.gate_information_passing).
-        self.gate_information_passing = gate_information_passing
         #: Resilience policy used by :meth:`execute` / :meth:`query` unless
         #: overridden per call; ``None`` means fail-fast (direct).
         self.policy = policy
@@ -313,10 +294,9 @@ class Mediator:
         self._invalidate_plans()
 
     def _invalidate_plans(self) -> None:
-        """Catalog changed: cached plans and probe answers are suspect."""
+        """Catalog changed: cached plans are suspect."""
         with self._plan_lock:
             self._epoch += 1
-        self._probes.clear()
         if self.plan_cache is not None:
             self.plan_cache.invalidate()
         if self.result_cache is not None:
@@ -345,27 +325,10 @@ class Mediator:
             f"{sorted(self.catalog.document_names() + self.views.names())}"
         )
 
-    def cost_hints(self):
-        """Size/cardinality hints collected from the connected wrappers."""
-        from repro.core.optimizer.cost import CostHints
-        from repro.wrappers.base import Wrapper
-
-        sizes = {}
-        cardinalities = {}
-        for adapter in self.catalog.adapters().values():
-            if isinstance(adapter, Wrapper):
-                for document, (size, cardinality) in adapter.document_stats().items():
-                    sizes[document] = float(size)
-                    cardinalities[document] = float(max(1, cardinality))
-        return CostHints(document_sizes=sizes,
-                         document_cardinalities=cardinalities)
-
     def optimizer_context(self) -> OptimizerContext:
         return OptimizerContext(
             interfaces=self.catalog.interfaces(),
             containments=set(self._containments),
-            cost_hints=self.cost_hints() if self.gate_information_passing else None,
-            gate_information_passing=self.gate_information_passing,
             shards=self.catalog.shard_topologies(),
         )
 
@@ -421,14 +384,7 @@ class Mediator:
         """Serve a plan from the cache, rebinding constants on a hit."""
         cache = self.plan_cache
         assert cache is not None
-        key = (
-            normalized.key,
-            optimize,
-            rounds,
-            self.gate_information_passing,
-            self._epoch,
-            self._stats_version,
-        )
+        key = (normalized.key, optimize, rounds, self._epoch)
         entry = cache.lookup(key)
         if entry is not None:
             if entry.values == normalized.values:
@@ -459,69 +415,10 @@ class Mediator:
         trace = RewriteTrace()
         optimized = naive
         if optimize:
-            context = self.optimizer_context()
-            hints = context.cost_hints
-            if hints is not None:
-                # Measured statistics beat wrapper declarations, and both
-                # beat probing: only constants nothing else covers cost a
-                # source round trip.
-                hints.document_cardinalities.update(
-                    self._observed.document_cardinalities
-                )
-                hints.text_selectivities.update(
-                    self._observed.text_selectivities
-                )
-                hints.text_selectivities.update(
-                    self._probe_text_selectivities(
-                        naive, known=frozenset(hints.text_selectivities)
-                    )
-                )
-            optimized, trace = Optimizer(context).optimize(
+            optimized, trace = Optimizer(self.optimizer_context()).optimize(
                 naive, rounds=rounds, trace=trace
             )
         return naive, optimized, trace
-
-    def _probe_text_selectivities(
-        self, plan: Plan, known: frozenset = frozenset()
-    ) -> dict:
-        """Ask sources for match fractions of the query's string constants.
-
-        Used by the cost-gated optimizer: an inverted index answers "how
-        many documents contain this term" without transferring anything,
-        which is exactly the statistic the bind-join decision needs.
-        Answers are memoized per ``(source, constant)`` until the next
-        catalog change, and constants already in *known* (declared,
-        measured, or previously probed) are skipped entirely.
-        """
-        from repro.core.algebra.expressions import Const, Expr
-        from repro.wrappers.base import Wrapper
-
-        constants = set()
-        for node in plan.walk():
-            predicate = getattr(node, "predicate", None)
-            if isinstance(predicate, Expr):
-                for sub in predicate.walk():
-                    if isinstance(sub, Const) and isinstance(sub.value, str):
-                        constants.add(sub.value)
-        constants -= set(known)
-        estimates: dict = {}
-        for source_name, adapter in self.catalog.adapters().items():
-            if not isinstance(adapter, Wrapper):
-                continue
-            for constant in constants:
-                # The probe (a source round trip) runs outside the memo's
-                # lock; concurrent misses on one key both probe, and the
-                # answers are deterministic.
-                estimate = self._probes.get_or_build(
-                    (source_name, constant),
-                    adapter.estimate_text_selectivity, constant,
-                )
-                if estimate is not None:
-                    # Pessimistic across sources: keep the largest fraction.
-                    estimates[constant] = max(
-                        estimates.get(constant, 0.0), estimate
-                    )
-        return estimates
 
     # -- result caching ----------------------------------------------------------
 
@@ -537,8 +434,8 @@ class Mediator:
         Query shape and constants, the planning knobs (an unoptimized
         answer is ordered differently from an optimized one is a
         non-goal — they are byte-identical by the soundness invariant,
-        but keying on them costs nothing), the catalog epoch and
-        statistics version, and whether the reference engine ran.  The
+        but keying on them costs nothing), the catalog epoch, and
+        whether the reference engine ran.  The
         oracle's answers are byte-identical too, but keying on the bit
         keeps the cache conservative: an answer computed by one engine
         never stands in for the other's.  ``parallelism`` is excluded —
@@ -549,9 +446,7 @@ class Mediator:
             normalized.values,
             optimize,
             rounds,
-            self.gate_information_passing,
             self._epoch,
-            self._stats_version,
             self._reference(execution),
         )
 
@@ -798,7 +693,6 @@ class Mediator:
                 policy=policy, execution=execution, tracer=tracer,
                 context=None,
             )
-            self._absorb_actuals(optimized, tracer)
         else:
             if tracer is not None:
                 tracer = None  # a plan-only EXPLAIN never executes anything
@@ -816,34 +710,10 @@ class Mediator:
             result_cached=result_cached, materialized_views=materialized_views,
         )
 
-    def _absorb_actuals(self, plan: Plan, tracer) -> None:
-        """Fold EXPLAIN ANALYZE actuals into the observed statistics."""
-        from repro.observability.explain import collect_actuals
-
-        actuals = collect_actuals(tracer)
-        if not actuals:
-            return
-        with self._plan_lock:
-            changed = self._observed.absorb(plan, actuals)
-            if changed and self.gate_information_passing:
-                # Plans chosen under the old statistics must replan; the
-                # version bump makes their cache keys unreachable.
-                self._stats_version += 1
-        if changed and self.gate_information_passing:
-            if self.plan_cache is not None:
-                self.plan_cache.invalidate()
-            if self.result_cache is not None:
-                # Keys embed the statistics version, so the old entries
-                # are already unreachable; dropping them frees the bytes.
-                self.result_cache.invalidate()
-
     def memo_stats(self) -> dict:
         """``{memo name: Memo.stats()}`` for this mediator's own memos
         (a disabled cache contributes no row)."""
-        rows = {
-            "probes": self._probes.stats(),
-            "materialized_views": self.views.memo_stats(),
-        }
+        rows = {"materialized_views": self.views.memo_stats()}
         if self.plan_cache is not None:
             rows.update(self.plan_cache.memo_stats())
         if self.result_cache is not None:

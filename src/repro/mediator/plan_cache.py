@@ -2,7 +2,7 @@
 
 Planning a YAT_L query is expensive relative to executing it on the
 paper's workloads: the text is lexed and parsed, views are composed,
-source selectivities are probed, and three optimizer rounds run.  The
+and three optimizer rounds run.  The
 :class:`PlanCache` amortizes all of that across repeated queries the way
 a prepared-statement cache does:
 
@@ -10,8 +10,8 @@ a prepared-statement cache does:
   (:func:`repro.yatl.normalize.normalize_query`), so queries differing
   only in constants share an entry;
 * the mediator's **catalog epoch** (bumped by ``connect`` /
-  ``load_program`` / ``declare_containment``) and **statistics version**
-  are part of the key, so a stale plan can never serve;
+  ``load_program`` / ``declare_containment``) is part of the key, so a
+  stale plan can never serve;
 * on a hit whose constants differ from the cached ones, the cached plan
   is **rebound**: a structural walk replaces every parameter-tagged
   constant with the fresh value, sharing all untouched subtrees (which
@@ -138,7 +138,7 @@ def _rebind_plan(plan: Plan, values: Tuple[object, ...]) -> Tuple[Plan, bool]:
         # native text at call time anyway).
         inner, changed = _rebind_plan(plan.plan, values)
         if changed:
-            return PushedOp(plan.source, inner, native=None), True
+            return PushedOp(plan.source, inner, keyed=plan.keyed), True
         return plan, False
     children = plan.children()
     if not children:

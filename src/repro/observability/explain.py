@@ -36,7 +36,7 @@ class NodeActuals:
 
     __slots__ = ("evals", "rows", "wall", "cpu", "calls", "bytes",
                  "cache_hits", "twig_matches", "scanned", "batch_rows",
-                 "native")
+                 "keys", "native")
 
     def __init__(self) -> None:
         self.evals = 0
@@ -50,6 +50,8 @@ class NodeActuals:
         self.twig_matches = 0
         self.scanned = 0
         self.batch_rows = 0
+        #: Outer bindings passed up in set-valued calls (``Pushed`` only).
+        self.keys = 0
         #: First native query text this node executed (``Pushed`` only).
         self.native: Optional[str] = None
 
@@ -61,6 +63,8 @@ class NodeActuals:
         ]
         if self.calls:
             parts.append(f"calls={self.calls}")
+        if self.keys:
+            parts.append(f"keys={self.keys}")
         if self.bytes:
             parts.append(f"bytes={self.bytes}")
         if self.cache_hits:
@@ -103,10 +107,25 @@ def collect_actuals(tracer) -> Dict[int, NodeActuals]:
         entry.twig_matches += int(span.attrs.get("twig_matches", 0))  # type: ignore[arg-type]
         entry.scanned += int(span.attrs.get("scanned", 0))  # type: ignore[arg-type]
         entry.batch_rows += int(span.attrs.get("batch_rows", 0))  # type: ignore[arg-type]
+        entry.keys += int(span.attrs.get("keys", 0))  # type: ignore[arg-type]
         native = span.attrs.get("native")
         if entry.native is None and isinstance(native, str):
             entry.native = native
     return actuals
+
+
+def _first_key(entry: NodeActuals) -> str:
+    """The native text, cut after the first of many passed keys.
+
+    Display only: the recorded text (``ExecutionStats.native_queries``,
+    the span's ``native`` attribute) stays whole and replayable.
+    """
+    native = entry.native
+    if entry.keys > 1:
+        cuts = [at for at in (native.find(") or ("), native.find("), (")) if at > 0]
+        if cuts:
+            native = f"{native[:min(cuts) + 1]} ... [{entry.keys - 1} more keys]"
+    return native
 
 
 def _plan_rows(
@@ -141,7 +160,7 @@ def _plan_rows(
             # Parameterized fragment: the native text is generated per
             # call (information passing); show the first instantiation.
             label = "native" if entry.evals == 1 else f"native (1 of {entry.evals})"
-            out.append((f"{pad}  {label}: {entry.native}", ""))
+            out.append((f"{pad}  {label}: {_first_key(entry)}", ""))
         _plan_rows(plan.plan, depth + 1, actuals, out, plan.source, access_paths)
         return
     parts = []
@@ -195,7 +214,7 @@ def _pushdown_lines(
             if native is None and actuals is not None:
                 entry = actuals.get(id(node))
                 if entry is not None and entry.native is not None:
-                    native = entry.native
+                    native = _first_key(entry)
             native = native or "(native text generated at call time)"
             lines.append(f"pushed to {node.source}: {native}")
         elif isinstance(node, SourceOp):
@@ -289,8 +308,13 @@ class Explanation:
             if executed:
                 lines.append("  native queries executed:")
                 shown = executed[:8]
+                cut = {
+                    entry.native: _first_key(entry)
+                    for entry in (actuals or {}).values()
+                    if entry.keys > 1
+                }
                 for source, native in shown:
-                    lines.append(f"    {source}: {native}")
+                    lines.append(f"    {source}: {cut.get(native, native)}")
                 if len(executed) > len(shown):
                     lines.append(
                         f"    ... and {len(executed) - len(shown)} more"

@@ -421,8 +421,12 @@ def record_execution(
     ).inc(stats.mediator_rows)
     registry.counter(
         "yat_djoin_batched_calls_total",
-        "DJoin right-branch evaluations served from the batch memo.",
+        "DJoin right-branch evaluations avoided against one per outer row.",
     ).inc(stats.batched_calls)
+    registry.counter(
+        "yat_djoin_passed_keys_total",
+        "Outer binding tuples shipped to sources in set-valued pushed calls.",
+    ).inc(stats.passed_keys)
     registry.counter(
         "yat_parallel_branches_total",
         "Plan branches dispatched to the scheduler pool.",

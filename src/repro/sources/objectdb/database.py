@@ -74,8 +74,8 @@ class ObjectDatabase:
         }
         self._counter = 0
         self._ident_index: Optional[Dict[str, DataNode]] = None
-        #: Bumped on every update; result memos key on it so a cached
-        #: query answer can never outlive the data it was computed from.
+        #: Bumped on every update; caches above tag their entries with it
+        #: so a cached answer can never outlive the data it came from.
         self.version = 0
 
     # -- updates ---------------------------------------------------------------

@@ -1,15 +1,12 @@
 """Compiled evaluation of OQL selects: one closure chain per AST.
 
 The interpretive :class:`~repro.sources.objectdb.oql.evaluator._Engine`
-re-dispatches on AST node types for every object of every range — and a
-pushed fragment under a DJoin re-executes once per outer row, so that
-dispatch dominates the source-side cost of information passing.
+re-dispatches on AST node types for every object of every range.
 :func:`compile_select` walks the AST once and returns a
 :class:`CompiledSelect` of nested closures: paths become
 attribute-chasing loops, predicates become boolean closures, ranges
-become loop drivers.  The O2 wrapper keys compiled selects on the pushed
-plan and its inlined constants, so repeated executions pay the walk
-once.
+become loop drivers — and the key disjunction of a set-valued
+information-passing call becomes one hash probe per candidate.
 
 Differential contract (enforced by ``tests/test_oql_compiled.py``): the
 compiled form produces the same rows in the same order as the
@@ -64,24 +61,17 @@ class CompiledSelect:
     structure the interpretive engine would need a query rewrite for.
     """
 
-    __slots__ = ("_ranges", "_pre_guards", "_projections", "pure")
+    __slots__ = ("_ranges", "_pre_guards", "_projections")
 
     def __init__(
         self,
         ranges: Tuple[Tuple[str, Scalar, Tuple[Truth, ...]], ...],
         pre_guards: Tuple[Truth, ...],
         projections: Tuple[Tuple[str, Scalar], ...],
-        pure: bool = False,
     ) -> None:
         self._ranges = ranges
         self._pre_guards = pre_guards
         self._projections = projections
-        #: ``True`` when the select calls no schema methods, i.e. its
-        #: result is a function of the database contents alone — the
-        #: soundness condition for caching its answer against a database
-        #: version.  Method implementations are arbitrary Python, so any
-        #: select invoking one is never result-cached.
-        self.pure = pure
 
     def run(self, db: ObjectDatabase) -> List[Dict[str, object]]:
         results: List[Dict[str, object]] = []
@@ -145,12 +135,7 @@ def compile_select(query: OqlSelect) -> CompiledSelect:
     projections = tuple(
         (item.alias, _compile_scalar(item.expr)) for item in query.projections
     )
-    exprs: List[OqlNode] = [rng.collection for rng in query.ranges]
-    if query.where is not None:
-        exprs.append(query.where)
-    exprs.extend(item.expr for item in query.projections)
-    pure = not any(_contains_method(expr) for expr in exprs)
-    return CompiledSelect(ranges, tuple(guards[0]), projections, pure)
+    return CompiledSelect(ranges, tuple(guards[0]), projections)
 
 
 def _guard_depth(conjunct: OqlNode, positions: Dict[str, int], depth: int) -> int:
@@ -174,18 +159,6 @@ def _guard_depth(conjunct: OqlNode, positions: Dict[str, int], depth: int) -> in
         if position > deepest:
             deepest = position
     return deepest
-
-
-def _contains_method(expr: OqlNode) -> bool:
-    if isinstance(expr, OqlMethodCall):
-        return True
-    if isinstance(expr, OqlCompare):
-        return _contains_method(expr.left) or _contains_method(expr.right)
-    if isinstance(expr, (OqlAnd, OqlOr)):
-        return any(_contains_method(op) for op in expr.operands)
-    if isinstance(expr, OqlNot):
-        return _contains_method(expr.operand)
-    return False
 
 
 def _collect_roots(expr: OqlNode, roots: List[str]) -> None:
@@ -326,6 +299,61 @@ def _compile_method(expr: OqlMethodCall) -> Scalar:
 # Predicates
 # ---------------------------------------------------------------------------
 
+def _compile_key_probe(expr: OqlOr) -> Optional[Truth]:
+    """One hash probe per candidate for ``(e1 = k11 and e2 = k12) or
+    (e1 = k21 and e2 = k22) or ...`` — the where clause of a set-valued
+    information-passing call — instead of one comparison per key.
+
+    The literals are laid out as a trie, one level per compared
+    expression, and a candidate walks it with its own values.  This is
+    the interpretive evaluation exactly: ``e2`` is evaluated only once
+    some key matched on ``e1`` (so the same expressions raise the same
+    errors), and a dict lookup agrees with ``=`` on every hashable value
+    (``1 = 1.0 = true``); an unhashable value is compared key by key.
+    ``None`` when *expr* does not have that shape.
+    """
+    compared: Optional[List[str]] = None
+    scalars: Tuple[Scalar, ...] = ()
+    trie: Dict[object, dict] = {}
+    for alternative in expr.operands:
+        equalities = (
+            alternative.operands if isinstance(alternative, OqlAnd) else (alternative,)
+        )
+        for equality in equalities:
+            if not (
+                isinstance(equality, OqlCompare)
+                and equality.op == "="
+                and isinstance(equality.right, OqlLiteral)
+                and not isinstance(equality.left, OqlLiteral)
+            ):
+                return None
+        texts = [equality.left.text() for equality in equalities]
+        if compared is None:
+            compared = texts
+            scalars = tuple(_compile_scalar(eq.left) for eq in equalities)
+        elif texts != compared:
+            return None
+        level = trie
+        for equality in equalities:
+            level = level.setdefault(equality.right.value, {})
+
+    def probe(db, env):
+        level = trie
+        for scalar in scalars:
+            value = scalar(db, env)
+            try:
+                level = level.get(value)
+            except TypeError:
+                level = next(
+                    (below for key, below in level.items() if value == key), None
+                )
+            if level is None:
+                return False
+        return True
+
+    return probe
+
+
 def _compile_truth(expr: OqlNode) -> Truth:
     if isinstance(expr, OqlAnd):
         operands = tuple(_compile_truth(op) for op in expr.operands)
@@ -338,6 +366,9 @@ def _compile_truth(expr: OqlNode) -> Truth:
 
         return conjunction
     if isinstance(expr, OqlOr):
+        probe = _compile_key_probe(expr)
+        if probe is not None:
+            return probe
         operands = tuple(_compile_truth(op) for op in expr.operands)
 
         def disjunction(db, env):

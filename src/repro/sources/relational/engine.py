@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import sqlite3
 import threading
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.errors import SqlSourceError
 from repro.model.patterns import PAtomic, PNode, PStar, PatternLibrary
@@ -156,6 +156,22 @@ class SqlDatabase:
                 raise SqlSourceError(f"SQL error: {exc} in {sql!r}") from exc
             names = [description[0] for description in cursor.description]
             return [dict(zip(names, row)) for row in cursor.fetchall()]
+
+    def variable_limit(self) -> Optional[int]:
+        """How many ``?`` parameters one statement may bind, as the engine
+        itself reports it: the connection's run-time limit, or (Python
+        3.10 has no ``getlimit``) the compile-time one.  ``None`` when it
+        reports neither — there is then nothing to split at, and sqlite
+        rejects a statement that binds too many."""
+        getlimit = getattr(self._connection, "getlimit", None)
+        if getlimit is not None:
+            return getlimit(sqlite3.SQLITE_LIMIT_VARIABLE_NUMBER)
+        with self._query_lock:
+            options = self._connection.execute("PRAGMA compile_options").fetchall()
+        for (option,) in options:
+            if option.startswith("MAX_VARIABLE_NUMBER="):
+                return int(option.partition("=")[2])
+        return None
 
     def row_count(self, table_name: str) -> int:
         table = self.table(table_name)

@@ -292,10 +292,6 @@ class DocumentStore:
         with self._lock:
             return self._meta(name)[1]
 
-    def root_cardinality(self, name: str) -> int:
-        with self._lock:
-            return self._meta(name)[2]
-
     def root_label(self, name: str) -> str:
         with self._lock:
             row = self._conn.execute(

@@ -308,10 +308,10 @@ class FaultyAdapter(SourceAdapter):
 class FaultyWrapper(Wrapper):
     """A faulty :class:`Wrapper`: connectable to a mediator.
 
-    Planning-time surfaces (interface export, document statistics,
-    selectivity probes) pass through un-faulted; the execution-time
-    calls — ``document``, ``ident_index``, ``execute_pushed`` — go
-    through the same :class:`FaultInjector` as :class:`FaultyAdapter`.
+    Planning-time surfaces (interface export, document names, data
+    version) pass through un-faulted; the execution-time calls —
+    ``document``, ``ident_index``, ``execute_pushed`` — go through the
+    same :class:`FaultInjector` as :class:`FaultyAdapter`.
     """
 
     def __init__(
@@ -333,12 +333,6 @@ class FaultyWrapper(Wrapper):
     def build_interface(self):
         return self.inner.interface()
 
-    def document_stats(self):
-        return self.inner.document_stats()
-
-    def estimate_text_selectivity(self, text: str):
-        return self.inner.estimate_text_selectivity(text)
-
     def document_names(self) -> Tuple[str, ...]:
         return self.inner.document_names()
 
@@ -346,6 +340,11 @@ class FaultyWrapper(Wrapper):
         # Forwarded un-faulted: the result cache's version vector must
         # see the real source move even through an injected fault.
         return self.inner.data_version()
+
+    def memo_stats(self):
+        # The inner wrapper's memos do the work; this proxy's own are
+        # never used and would export as all-zero rows.
+        return self.inner.memo_stats()
 
     # -- execution-time fault injection --------------------------------------------
 

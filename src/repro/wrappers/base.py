@@ -34,8 +34,8 @@ from repro.core.algebra.operators import (
     SelectOp,
     SourceOp,
 )
-from repro.core.algebra.tab import Row, Tab
-from repro.core.algebra.expressions import Expr
+from repro.core.algebra.tab import BindingSet, Row, Tab
+from repro.core.algebra.expressions import Cmp, Expr, Var, conjuncts
 from repro.memo import Memo
 from repro.model.filters import Filter
 from repro.model.trees import DataNode
@@ -199,9 +199,8 @@ class Wrapper(SourceAdapter):
         Plans are immutable and the interface is fixed, so both the
         decomposition and the capability check are pure in the plan.
         The mediator's plan cache replays the very same plan objects on
-        every warm hit, and a DJoin sends the same fragment once per
-        outer row — this memo makes every crossing after the first a
-        dictionary lookup.  Rejections are not memoized; the error path
+        every warm hit — this memo makes every crossing after the first
+        a dictionary lookup.  Rejections are not memoized; the error path
         is cold by construction.
         """
         return self._fragments.get_or_build(
@@ -212,31 +211,6 @@ class Wrapper(SourceAdapter):
         fragment = analyze_fragment(plan, self.name)
         self.validate_fragment(fragment)
         return fragment
-
-    # -- statistics ----------------------------------------------------------------
-
-    def document_stats(self) -> Dict[str, Tuple[int, int]]:
-        """``{document: (serialized bytes, root cardinality)}``.
-
-        Computed locally at the source (the wrapper owns the data), so
-        the mediator can obtain size hints without transferring anything.
-        Wrappers with cheaper ways to know their sizes may override this.
-        """
-        from repro.model.xml_io import serialized_size
-
-        stats: Dict[str, Tuple[int, int]] = {}
-        for name in self.document_names():
-            document = self.document(name)
-            stats[name] = (serialized_size(document), len(document.children))
-        return stats
-
-    def estimate_text_selectivity(self, text: str) -> Optional[float]:
-        """Estimated fraction of this source's entries matching *text*.
-
-        ``None`` when the source has no cheap way to know.  Full-text
-        sources override this using their index's document frequencies.
-        """
-        return None
 
     # -- document export ----------------------------------------------------------
 
@@ -326,4 +300,44 @@ def outer_constant(outer: Optional[Row], name: str):
     raise SourceError(
         f"pushed plan references ${name}, which is neither bound by the "
         "fragment nor supplied by an outer row"
+    )
+
+
+def passed_columns(outer: BindingSet, bound: Dict[str, object]) -> list:
+    """What *bound* (the wrapper's ``{fragment column: native column}``)
+    holds for each key position of *outer*."""
+    try:
+        return [bound[column] for column, _variable in outer.pairs]
+    except KeyError as missing:
+        raise SourceError(
+            f"passed keys name ${missing.args[0]}, which the pushed filter "
+            "does not bind"
+        ) from None
+
+
+def without_passed(
+    selections: Tuple[Expr, ...], outer: BindingSet
+) -> Tuple[Expr, ...]:
+    """*selections* minus the one stating the equalities *outer* carries
+    for all its keys (information passing adds them as a selection of
+    their own).
+
+    A wrapper answering a set-valued call emits those equalities itself,
+    once per key in its own language; every other selection translates as
+    usual (and one that still mentions a passed variable fails in
+    :func:`outer_constant`, because a :class:`BindingSet` does not bind
+    it).
+    """
+    passed = {frozenset(pair) for pair in outer.pairs}
+    return tuple(
+        predicate
+        for predicate in selections
+        if not all(
+            isinstance(part, Cmp)
+            and part.op == "="
+            and isinstance(part.left, Var)
+            and isinstance(part.right, Var)
+            and frozenset((part.left.name, part.right.name)) in passed
+            for part in conjuncts(predicate)
+        )
     )

@@ -30,7 +30,7 @@ from repro.core.algebra.expressions import (
     Var,
 )
 from repro.core.algebra.operators import Plan
-from repro.core.algebra.tab import Row, Tab
+from repro.core.algebra.tab import BindingSet, Row, Tab
 from repro.memo import Memo
 from repro.model.filters import (
     FConst,
@@ -55,10 +55,16 @@ from repro.sources.objectdb.oql.ast import (
     OqlRange,
     OqlSelect,
 )
-from repro.sources.objectdb.oql.compiled import CompiledSelect, compile_select
+from repro.sources.objectdb.oql.compiled import compile_select
 from repro.sources.objectdb.oql.evaluator import evaluate_oql
 from repro.observability.context import current_context
-from repro.wrappers.base import PushedFragment, Wrapper, outer_constant
+from repro.wrappers.base import (
+    PushedFragment,
+    Wrapper,
+    outer_constant,
+    passed_columns,
+    without_passed,
+)
 
 _ATOMIC_RESULTS = {"Int": "Int", "Float": "Float", "String": "String", "Bool": "Bool"}
 
@@ -68,21 +74,13 @@ class O2Wrapper(Wrapper):
 
     #: Bound on the per-wrapper prepared-fragment memo.
     PREPARED_MEMO_CAPACITY = 256
-    #: Bound on compiled OQL selects, and on cached result Tabs, per
-    #: wrapper: one entry per (pushed plan, inlined constant vector).
-    OQL_MEMO_CAPACITY = 1024
 
     def __init__(self, name: str, database: ObjectDatabase) -> None:
         super().__init__(name)
         self._db = database
-        #: ``id(plan) -> _PreparedFragment``, anchored on the plan.
+        #: ``id(plan) -> _OqlTranslator`` of the plan's filter, anchored
+        #: on the plan.
         self._prepared = Memo(self.PREPARED_MEMO_CAPACITY)
-        #: ``(id(plan), constants) -> (native text, CompiledSelect)``,
-        #: anchored on the plan.
-        self._oql_values = Memo(self.OQL_MEMO_CAPACITY)
-        #: Same key ``-> Tab`` for pure selects, tagged with the database
-        #: version: an update replaces the entry instead of stranding it.
-        self._oql_results = Memo(self.OQL_MEMO_CAPACITY)
 
     # -- capability export ---------------------------------------------------
 
@@ -140,34 +138,49 @@ class O2Wrapper(Wrapper):
         self, fragment: PushedFragment, plan: Plan, outer: Optional[Row]
     ) -> Tuple[Tab, str]:
         context = current_context()
-        if context is None or not context.reference:
-            prepared = self._prepared.get_or_build(
-                id(plan), _PreparedFragment, self, fragment, plan,
-                anchor=plan,
-            )
-            return prepared.run(outer)
-        # The reference path (``ExecutionPolicy.serial()``), byte for
-        # byte the seed behavior: translate and evaluate from scratch on
-        # every call.
-        translator = _OqlTranslator(self._db, fragment.document, outer)
-        translator.translate_filter(fragment.filter)
-        for predicate in fragment.selections:
+        reference = context is not None and context.reference
+        if reference:
+            # ``ExecutionPolicy.serial()``, byte for byte the seed
+            # behavior: translate and interpret from scratch on every call.
+            translator = self._translated(fragment, outer)
+        else:
+            # The filter translates once per plan; each call specializes
+            # that translation with its outer bindings (one row, or a
+            # whole :class:`BindingSet`).
+            translator = self._prepared.get_or_build(
+                id(plan), self._translated, fragment, None, anchor=plan
+            ).specialized(outer)
+        selections = fragment.selections
+        if isinstance(outer, BindingSet):
+            selections = without_passed(selections, outer)
+        for predicate in selections:
             translator.add_predicate(predicate)
+        if isinstance(outer, BindingSet):
+            translator.add_keys(outer)
         columns = plan.output_columns()
         query = translator.build_select(columns, fragment.projection)
-        native = query.text()
-        oql_rows = evaluate_oql(query, self._db)
+        oql_rows = (
+            evaluate_oql(query, self._db)
+            if reference
+            else compile_select(query).run(self._db)
+        )
+        convert = self._to_cell
         rows = [
-            Row(columns, tuple(self._to_cell(raw.get(c)) for c in columns))
+            Row(columns, tuple(convert(raw.get(c)) for c in columns))
             for raw in oql_rows
         ]
-        return Tab(columns, rows), native
+        return Tab(columns, rows), query.text()
+
+    def _translated(
+        self, fragment: PushedFragment, outer: Optional[Row]
+    ) -> "_OqlTranslator":
+        translator = _OqlTranslator(self._db, fragment.document, outer)
+        translator.translate_filter(fragment.filter)
+        return translator
 
     def memo_stats(self) -> Dict[str, Dict[str, int]]:
         stats = super().memo_stats()
         stats["prepared"] = self._prepared.stats()
-        stats["oql_values"] = self._oql_values.stats()
-        stats["oql_results"] = self._oql_results.stats()
         return stats
 
     def _to_cell(self, value: object):
@@ -189,7 +202,8 @@ class _OqlTranslator:
     navigation becomes dependent ``from`` ranges (the OQL counterpart of
     the algebra's DJoin, Section 5.1); mediator predicates translate to
     the ``where`` clause, with outer-row variables inlined as literals
-    (information passing).
+    (information passing) — and a whole :class:`BindingSet` as one
+    disjunction of its keys.
     """
 
     def __init__(
@@ -337,6 +351,23 @@ class _OqlTranslator:
     def add_predicate(self, predicate: Expr) -> None:
         self._wheres.append(self._expr(predicate))
 
+    def add_keys(self, outer: BindingSet) -> None:
+        """``(c1 = k11 and c2 = k12) or (c1 = k21 and c2 = k22) or ...``:
+        the passed equalities for every binding of *outer* at once."""
+        paths = passed_columns(outer, self._paths)
+        alternatives: List[OqlNode] = []
+        for values in outer.keys.values():
+            equalities = [
+                OqlCompare("=", path, OqlLiteral(value))
+                for path, value in zip(paths, values)
+            ]
+            alternatives.append(
+                equalities[0] if len(equalities) == 1 else OqlAnd(equalities)
+            )
+        self._wheres.append(
+            alternatives[0] if len(alternatives) == 1 else OqlOr(alternatives)
+        )
+
     def _expr(self, expr: Expr) -> OqlNode:
         if isinstance(expr, Var):
             if expr.name in self._paths:
@@ -400,107 +431,3 @@ class _OqlTranslator:
         if self._wheres:
             where = self._wheres[0] if len(self._wheres) == 1 else OqlAnd(self._wheres)
         return OqlSelect(items, self._ranges, where)
-
-
-class _PreparedFragment:
-    """Compile-once execution state for one pushed plan.
-
-    Built on the first crossing and keyed by plan identity in the
-    wrapper: the filter translates once, and each distinct vector of
-    inlined outer constants (information passing) compiles its OQL select
-    into closures exactly once.  A DJoin replaying the same outer rows on
-    every warm plan-cache hit therefore lands on an already-compiled
-    select and pays only the evaluation loop.
-
-    On top of the compiled selects sits a result memo: a *pure* select
-    (no schema method calls — see ``CompiledSelect.pure``) is a function
-    of the database contents alone, so its converted Tab is cached under
-    the same key, tagged with the database version read before the
-    select runs.  Both memos live on the wrapper (one bound per wrapper,
-    not per fragment) and anchor their entries on the plan.
-    """
-
-    __slots__ = ("_wrapper", "_plan", "_fragment", "columns", "_base",
-                 "_outer_names")
-
-    def __init__(
-        self, wrapper: O2Wrapper, fragment: PushedFragment, plan: Plan
-    ) -> None:
-        self._wrapper = wrapper
-        self._plan = plan
-        self._fragment = fragment
-        self.columns = plan.output_columns()
-        base = _OqlTranslator(wrapper._db, fragment.document, None)
-        base.translate_filter(fragment.filter)
-        self._base = base
-        names: List[str] = []
-        seen: set = set()
-        for predicate in fragment.selections:
-            _collect_outer_variables(predicate, base._paths, names, seen)
-        self._outer_names = tuple(names)
-
-    def run(self, outer: Optional[Row]) -> Tuple[Tab, str]:
-        wrapper, plan = self._wrapper, self._plan
-        values = tuple(
-            outer_constant(outer, name) for name in self._outer_names
-        )
-        key = (id(plan), values)
-        try:
-            hash(key)
-        except TypeError:  # an unhashable outer constant (a tree cell)
-            native, compiled = self._compile(outer)
-            return self._build_tab(compiled), native
-        native, compiled = wrapper._oql_values.get_or_build(
-            key, self._compile, outer, anchor=plan
-        )
-        if not compiled.pure:
-            return self._build_tab(compiled), native
-        tab = wrapper._oql_results.get_or_build(
-            key, self._build_tab, compiled,
-            tag=wrapper._db.version, anchor=plan,
-        )
-        return tab, native
-
-    def _compile(self, outer: Optional[Row]) -> Tuple[str, CompiledSelect]:
-        translator = self._base.specialized(outer)
-        for predicate in self._fragment.selections:
-            translator.add_predicate(predicate)
-        query = translator.build_select(self.columns, self._fragment.projection)
-        return query.text(), compile_select(query)
-
-    def _build_tab(self, compiled: CompiledSelect) -> Tab:
-        wrapper = self._wrapper
-        convert = wrapper._to_cell
-        columns = self.columns
-        rows = [
-            Row(columns, tuple(convert(raw.get(c)) for c in columns))
-            for raw in compiled.run(wrapper._db)
-        ]
-        return Tab(columns, rows)
-
-
-def _collect_outer_variables(
-    expr: Expr, paths: Dict[str, OqlNode], names: List[str], seen: set
-) -> None:
-    """Variables the translator will resolve against the outer row.
-
-    Walks *expr* in the translator's own ``_expr`` order, so constant
-    resolution raises for a missing variable in the same order the
-    interpretive per-call translation would.  Method receivers never go
-    through ``_expr``; only trailing arguments do.
-    """
-    if isinstance(expr, Var):
-        if expr.name not in paths and expr.name not in seen:
-            seen.add(expr.name)
-            names.append(expr.name)
-    elif isinstance(expr, Cmp):
-        _collect_outer_variables(expr.left, paths, names, seen)
-        _collect_outer_variables(expr.right, paths, names, seen)
-    elif isinstance(expr, (BoolAnd, BoolOr)):
-        for operand in expr.operands:
-            _collect_outer_variables(operand, paths, names, seen)
-    elif isinstance(expr, BoolNot):
-        _collect_outer_variables(expr.operand, paths, names, seen)
-    elif isinstance(expr, FunCall):
-        for argument in expr.args[1:]:
-            _collect_outer_variables(argument, paths, names, seen)

@@ -26,12 +26,18 @@ from repro.core.algebra.expressions import (
     Var,
 )
 from repro.core.algebra.operators import Plan
-from repro.core.algebra.tab import Row, Tab
+from repro.core.algebra.tab import BindingSet, Row, Tab
 from repro.model.filters import FConst, FElem, FStar, FVar, Filter
 from repro.model.patterns import SYMBOL
 from repro.model.trees import DataNode
 from repro.sources.relational.engine import SqlDatabase
-from repro.wrappers.base import PushedFragment, Wrapper, outer_constant
+from repro.wrappers.base import (
+    PushedFragment,
+    Wrapper,
+    outer_constant,
+    passed_columns,
+    without_passed,
+)
 
 _SQL_OPS = {"=": "=", "!=": "<>", "<": "<", "<=": "<=", ">": ">", ">=": ">="}
 
@@ -130,7 +136,10 @@ class SqlWrapper(Wrapper):
         for column, value in constants:
             where_parts.append(f"{column} = ?")
             params.append(value)
-        for predicate in fragment.selections:
+        selections = fragment.selections
+        if isinstance(outer, BindingSet):
+            selections = without_passed(selections, outer)
+        for predicate in selections:
             part = self._predicate_sql(predicate, var_columns, params, outer)
             where_parts.append(part)
 
@@ -148,9 +157,19 @@ class SqlWrapper(Wrapper):
         if not select_items:
             raise SourceError("pushed SQL fragment projects no columns")
         sql = f"SELECT {', '.join(select_items)} FROM {table.name}"
-        if where_parts:
-            sql += " WHERE " + " AND ".join(where_parts)
-        raw_rows = self._db.query(sql, params)
+        blocks = [(None, [])]
+        if isinstance(outer, BindingSet):
+            blocks = self._key_blocks(outer, var_columns, len(params))
+        raw_rows: List[Dict[str, object]] = []
+        natives: List[str] = []
+        for condition, key_params in blocks:
+            parts = where_parts + ([condition] if condition else [])
+            statement = sql + (" WHERE " + " AND ".join(parts) if parts else "")
+            bound = params + key_params
+            raw_rows.extend(self._db.query(statement, bound))
+            natives.append(
+                f"{statement} -- params {tuple(bound)!r}" if bound else statement
+            )
         columns = plan.output_columns()
         missing = set(columns) - set(alias_of[v] for v in var_columns if v in wanted)
         if missing:
@@ -168,8 +187,34 @@ class SqlWrapper(Wrapper):
             )
             for raw in raw_rows
         ]
-        native = sql if not params else f"{sql} -- params {tuple(params)!r}"
-        return Tab(columns, rows), native
+        return Tab(columns, rows), "; ".join(natives)
+
+    def _key_blocks(
+        self, outer: BindingSet, var_columns: Dict[str, str], used: int
+    ) -> List[Tuple[str, List[object]]]:
+        """``(condition, its parameters)`` per statement of a set-valued call.
+
+        The keys become a row-value ``IN (VALUES ...)``, split only where
+        the bind-variable limit the engine reports forces it (*used* are
+        taken already): a key lives in exactly one block, so concatenating
+        the blocks' answers keeps the table's order within every key.
+        """
+        columns = passed_columns(outer, var_columns)
+        keys = list(outer.keys.values())
+        limit = self._db.variable_limit()
+        per_block = len(keys)
+        if limit is not None:
+            per_block = max(1, (limit - used) // len(columns))
+        row = "(" + ", ".join("?" * len(columns)) + ")"
+        blocks = []
+        for start in range(0, len(keys), per_block):
+            block = keys[start:start + per_block]
+            blocks.append((
+                f"({', '.join(columns)}) IN "
+                f"(VALUES {', '.join([row] * len(block))})",
+                [value for key in block for value in key],
+            ))
+        return blocks
 
     def _to_cell(self, value, table, var_columns, alias, alias_of):
         # SQLite loses the Bool/Int distinction; restore it from the schema.

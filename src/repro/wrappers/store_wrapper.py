@@ -116,14 +116,6 @@ class StoreWrapper(Wrapper):
     def build_document(self, name: str) -> DataNode:
         return self._store.hydrate_document(name)
 
-    def document_stats(self) -> Dict[str, Tuple[int, int]]:
-        # Straight from the documents metadata table: size hints cost
-        # two indexed reads per document, never a hydration.
-        return {
-            name: (self._store.byte_size(name), self._store.root_cardinality(name))
-            for name in self.document_names()
-        }
-
     def memo_stats(self) -> Dict[str, Dict[str, int]]:
         stats = super().memo_stats()
         stats["hydration"] = self._store.memo_stats()

@@ -146,14 +146,6 @@ class WaisWrapper(Wrapper):
     def ident_index(self) -> Dict[str, DataNode]:
         return {}
 
-    def estimate_text_selectivity(self, text: str) -> Optional[float]:
-        """Document frequency of *text*, straight from the inverted index."""
-        total = len(self._store)
-        if total == 0:
-            return None
-        matches = len(self._store.search(WaisQuery([WaisTerm(text)])))
-        return matches / total
-
     # -- pushed execution --------------------------------------------------------------
 
     def run_fragment(

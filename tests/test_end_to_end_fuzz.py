@@ -84,19 +84,6 @@ class TestOptimizerSoundness:
         if params["extra_works"] or True:
             assert "JoinBranchElimination" not in result.trace.rule_names()
 
-    @given(params=datasets)
-    @settings(max_examples=15, deadline=None)
-    def test_gated_optimizer_agrees(self, params):
-        database, store = CulturalDataset(**params).build()
-        mediator = Mediator(gate_information_passing=True)
-        mediator.connect(O2Wrapper("o2artifact", database))
-        mediator.connect(WaisWrapper("xmlartwork", store))
-        mediator.load_program(VIEW1_YAT)
-        assert (
-            mediator.query(Q2).document()
-            == mediator.query(Q2, optimize=False).document()
-        )
-
 
 class TestEngineSoundness:
     """Engine-vs-oracle differential over the figure queries.

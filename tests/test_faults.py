@@ -178,8 +178,8 @@ class TestFaultyWrapper:
         mediator.connect(O2Wrapper("o2artifact", database))
         interface = mediator.connect(wrapper)
         assert "artworks" in interface.documents
-        # Planning-time statistics bypass the data plane.
-        assert "artworks" in wrapper.document_stats()
+        # Planning-time metadata bypasses the data plane.
+        assert wrapper.document_names() == ("artworks",)
         assert wrapper.injected == []
 
     def test_execution_calls_are_faulted(self):
@@ -190,3 +190,13 @@ class TestFaultyWrapper:
         with pytest.raises(InjectedFaultError):
             wrapper.document("artworks")
         assert wrapper.document("artworks").label == "works"
+
+    def test_memo_rows_are_the_inner_wrappers(self):
+        """A faulted source exports the memos that do its work, not the
+        proxy's own never-used (all-zero) ones."""
+        _database, store = CulturalDataset(n_artifacts=5, seed=3).build()
+        inner = WaisWrapper("xmlartwork", store)
+        wrapper = FaultyWrapper(inner, FaultSchedule())
+        wrapper.document("artworks")
+        assert wrapper.memo_stats() == inner.memo_stats()
+        assert wrapper.memo_stats()["documents"]["misses"] == 1

@@ -310,53 +310,6 @@ class TestRaces:
 # Regressions the port fixed
 # ---------------------------------------------------------------------------
 
-def o2_filter():
-    return felem("set", FStar(felem("class", felem("artifact", felem(
-        "tuple", felem("title", FVar("t")), felem("year", FVar("y")),
-    )))))
-
-
-def year_fragment():
-    return SelectOp(
-        BindOp(SourceOp("o2artifact", "artifacts"), o2_filter(), on="artifacts"),
-        eq(Var("y"), Var("outer_year")),
-    )
-
-
-class TestOqlMemoBound:
-    def test_reported_capacity_is_the_enforced_bound(self, monkeypatch):
-        # The OQL memos used to live inside each prepared fragment: 64
-        # reported, 256 x 64 enforced.
-        monkeypatch.setattr(O2Wrapper, "OQL_MEMO_CAPACITY", 64)
-        database, _store = CulturalDataset(n_artifacts=6, seed=3).build()
-        wrapper = O2Wrapper("o2artifact", database)
-        fragments = [year_fragment() for _ in range(40)]
-        for fragment in fragments:
-            for year in range(1800, 1830):
-                wrapper.execute_pushed(fragment, Row(("outer_year",), (year,)))
-                stats = wrapper.memo_stats()
-                for memo in ("oql_values", "oql_results"):
-                    assert stats[memo]["entries"] <= stats[memo]["capacity"] == 64
-        assert wrapper.memo_stats()["oql_values"]["evictions"] > 0
-
-    def test_version_bump_replaces_the_result_instead_of_stranding_it(self):
-        database, _store = CulturalDataset(n_artifacts=6, seed=3).build()
-        wrapper = O2Wrapper("o2artifact", database)
-        fragment = year_fragment()
-        outer = Row(("outer_year",), (1901,))
-        before, _native = wrapper.execute_pushed(fragment, outer)
-        assert wrapper.execute_pushed(fragment, outer)[0] is before
-        database.insert(
-            "artifact",
-            {"title": "Fresh Canvas", "year": 1901, "creator": "N. Ewkid",
-             "price": 12.5, "owners": []},
-        )
-        after, _native = wrapper.execute_pushed(fragment, outer)
-        assert len(after) == len(before) + 1
-        stats = wrapper.memo_stats()["oql_results"]
-        assert (stats["entries"], stats["stale"], stats["evictions"]) == (1, 1, 0)
-
-
 class TestHonestCounters:
     def test_document_replacement_is_stale_not_an_eviction(self):
         database, store = CulturalDataset(n_artifacts=6, seed=3).build()

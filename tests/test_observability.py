@@ -357,9 +357,9 @@ def test_record_memo_stats_exports_every_number_once(cultural_mediator):
     # Uniform rows: every locked memo carries all six series.  (Which
     # memo names exist is checked against README in test_memo.py.)
     for memo in ("bind_engines", "predicate_kernels", "document_indexes",
-                 "plan_cache", "plan_texts", "probes", "materialized_views",
+                 "plan_cache", "plan_texts", "materialized_views",
                  "o2artifact.fragments", "o2artifact.prepared",
-                 "o2artifact.oql_results", "xmlartwork.documents"):
+                 "xmlartwork.documents"):
         for series in ("entries", "capacity", "hits", "misses", "stale",
                        "evictions_total"):
             assert f'yat_memo_{series}{{memo="{memo}"}}' in text

@@ -1,4 +1,4 @@
-"""Plan cache: normalization, rebinding, invalidation, statistics feedback."""
+"""Plan cache: normalization, rebinding, invalidation."""
 
 import pytest
 
@@ -7,16 +7,13 @@ from repro.core.algebra.scheduling import ExecutionPolicy
 from repro.datasets import CulturalDataset, Q1, Q2, VIEW1_YAT
 from repro.model.xml_io import tree_to_xml
 from repro.observability.metrics import MetricsRegistry, record_memo_stats
-from repro.wrappers.wais_wrapper import WaisWrapper as _Wais
 from repro.yatl.normalize import normalize_query, param_slot
 from repro.yatl.parser import parse_query
 
 
-def build(n_artifacts=10, seed=3, plan_cache_size=128, gate=False):
+def build(n_artifacts=10, seed=3, plan_cache_size=128):
     database, store = CulturalDataset(n_artifacts=n_artifacts, seed=seed).build()
-    mediator = Mediator(
-        gate_information_passing=gate, plan_cache_size=plan_cache_size
-    )
+    mediator = Mediator(plan_cache_size=plan_cache_size)
     mediator.connect(O2Wrapper("o2artifact", database))
     mediator.connect(WaisWrapper("xmlartwork", store))
     mediator.declare_containment("artworks", "artifacts")
@@ -24,8 +21,8 @@ def build(n_artifacts=10, seed=3, plan_cache_size=128, gate=False):
     return mediator
 
 
-def oracle_answer(text, **kwargs):
-    mediator = build(plan_cache_size=0, **kwargs)
+def oracle_answer(text):
+    mediator = build(plan_cache_size=0)
     result = mediator.query(text, execution=ExecutionPolicy.serial())
     return tree_to_xml(result.document())
 
@@ -177,90 +174,6 @@ class TestInvalidation:
         mediator.connect(WaisWrapper("xmlartwork", store))
         assert mediator._epoch == epoch + 1
         assert len(mediator.plan_cache) == 0
-
-
-class TestProbeMemoization:
-    def test_selectivity_probes_run_once_per_constant(self, monkeypatch):
-        calls = []
-        original = _Wais.estimate_text_selectivity
-
-        def counting(self, text):
-            calls.append(text)
-            return original(self, text)
-
-        monkeypatch.setattr(_Wais, "estimate_text_selectivity", counting)
-        mediator = build(gate=True)
-        mediator.query(Q2)
-        first = len(calls)
-        assert first >= 1
-        mediator.query(Q2, rounds=(1, 2))  # cache miss, same constants
-        assert len(calls) == first
-
-    def test_probe_memo_cleared_on_catalog_change(self, monkeypatch):
-        calls = []
-        original = _Wais.estimate_text_selectivity
-
-        def counting(self, text):
-            calls.append(text)
-            return original(self, text)
-
-        monkeypatch.setattr(_Wais, "estimate_text_selectivity", counting)
-        mediator = build(gate=True)
-        mediator.query(Q2)
-        first = len(calls)
-        mediator.declare_containment("paintings", "artifacts")
-        mediator.query(Q2)
-        assert len(calls) > first
-
-    def test_probe_memo_is_bounded(self, monkeypatch):
-        """A long-lived mediator's probe memo must not grow with the
-        query vocabulary (it was an unbounded dict)."""
-        import repro.mediator.mediator as mediator_module
-        from repro.core.algebra.expressions import Cmp, Const, Var
-        from repro.core.algebra.operators import SelectOp, SourceOp
-
-        capacity = 8
-        monkeypatch.setattr(mediator_module, "PROBE_MEMO_CAPACITY", capacity)
-        mediator = build(gate=True)
-        source = SourceOp("xmlartwork", "artworks")
-
-        def probe(constant):
-            plan = SelectOp(source, Cmp("=", Var("s"), Const(constant)))
-            return mediator._probe_text_selectivities(plan)
-
-        resident = probe("Impressionist")
-        for index in range(10 * capacity):
-            probe(f"term{index}")
-            assert probe("Impressionist") == resident  # kept warm, unchanged
-        stats = mediator.memo_stats()["probes"]
-        assert stats["entries"] <= stats["capacity"] == capacity
-        assert stats["evictions"] > 0
-
-
-class TestStatisticsFeedback:
-    def test_analyze_feeds_selectivities_back(self):
-        mediator = build(gate=True)
-        mediator.explain(Q2, analyze=True)
-        assert "Impressionist" in mediator._observed.text_selectivities
-
-    def test_identical_reruns_bump_stats_version_once(self):
-        mediator = build(gate=True)
-        mediator.explain(Q2, analyze=True)
-        version = mediator._stats_version
-        mediator.explain(Q2, analyze=True)
-        mediator.explain(Q2, analyze=True)
-        assert mediator._stats_version == version
-
-    def test_feedback_preserves_answers(self):
-        mediator = build(gate=True)
-        reference = oracle_answer(Q2, gate=True)
-        mediator.explain(Q2, analyze=True)
-        assert tree_to_xml(mediator.query(Q2).document()) == reference
-
-    def test_ungated_analyze_never_bumps_stats_version(self):
-        mediator = build(gate=False)
-        mediator.explain(Q2, analyze=True)
-        assert mediator._stats_version == 0
 
 
 class TestExplainAnnotation:

@@ -2,7 +2,13 @@
 
 import pytest
 
-from repro.core.algebra.expressions import Cmp, Const, Var
+from repro.core.algebra.expressions import (
+    BoolAnd,
+    Cmp,
+    Const,
+    Var,
+    eq,
+)
 from repro.core.algebra.operators import (
     BindOp,
     DJoinOp,
@@ -162,3 +168,22 @@ def parse_query_q2():
     from repro.yatl import parse_query
 
     return parse_query(Q2)
+
+
+class TestCostHintsSelectivity:
+    def test_one_conjunct_keeps_the_default_fraction(self):
+        hints = CostHints(default_selectivity=0.25)
+        predicate = eq(Var("s"), Const("whatever"))
+        assert hints.predicate_selectivity(predicate) == pytest.approx(0.25)
+
+    def test_conjunction_multiplies(self):
+        hints = CostHints(default_selectivity=0.5)
+        predicate = BoolAnd(
+            [eq(Var("x"), Const("a")), Cmp(">", Var("y"), Const(1))]
+        )
+        assert hints.predicate_selectivity(predicate) == pytest.approx(0.25)
+
+    def test_capped_at_one(self):
+        hints = CostHints(default_selectivity=1.5)
+        predicate = eq(Var("x"), Const("a"))
+        assert hints.predicate_selectivity(predicate) == 1.0

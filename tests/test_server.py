@@ -356,7 +356,7 @@ class TestExecutionOverride:
 
 def _server_mediator(sources):
     database, store = sources
-    mediator = Mediator(gate_information_passing=True, plan_cache_size=64)
+    mediator = Mediator(plan_cache_size=64)
     mediator.connect(O2Wrapper("o2artifact", database))
     mediator.connect(WaisWrapper("xmlartwork", store))
     mediator.declare_containment("artworks", "artifacts")
@@ -402,7 +402,7 @@ class TestConcurrentServing:
             tree_to_xml(reference_mediator.query(text).document())
             for text in SOAK_QUERIES
         ]
-        mediator = Mediator(gate_information_passing=True, plan_cache_size=64)
+        mediator = Mediator(plan_cache_size=64)
         mediator.connect(O2Wrapper("o2artifact", database))
         faulty = FaultyWrapper(
             WaisWrapper("xmlartwork", store),
