@@ -13,8 +13,8 @@ import pytest
 from repro.core.algebra.evaluator import Environment, evaluate
 from repro.core.algebra.operators import BindOp, ProjectOp, SourceOp
 from repro.core.optimizer import (
+    DemandNarrowingRule,
     OptimizerContext,
-    ProjectDrivenBindSimplifyRule,
     navigation_to_extent_join,
     ref_is,
     split_below_root,
@@ -137,7 +137,7 @@ class TestProjectionDrivenSimplification:
     def test_simplified_filter(self, benchmark, world):
         adapters, context = world
         plan = ProjectOp(works_bind(), [("t", "t")])
-        simplified = ProjectDrivenBindSimplifyRule().apply(plan, context)
+        simplified = DemandNarrowingRule().apply(plan, context)
         assert simplified is not None
         reference = run(plan, adapters)
         tab = benchmark(run, simplified, adapters)

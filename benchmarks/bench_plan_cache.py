@@ -6,7 +6,7 @@ view composition and the three rewriting rounds, leaving only
 execution — which itself runs on compiled Bind/predicate kernels.  The
 target shape: warm latency at least 5x below cold on the paper's Q1/Q2,
 with byte-identical answers.  Q1 (nearly all planning) meets it; Q2,
-whose join still executes on a hit, currently does not (3.4x) and is
+whose join still executes on a hit, currently does not (about 4x) and is
 reported as an expected failure below rather than given a lower bar.
 
 ``cold`` is a mediator built with ``plan_cache_size=0`` (every
@@ -85,7 +85,7 @@ def test_warm_is_at_least_5x_faster_than_cold():
         speedups[name] = speedup
     if speedups["q1"] >= 5.0 > speedups["q2"]:
         # Not met for Q2 since the O2 result memo went: a warm Q2 is its
-        # execution (~0.7 ms against ~2.4 ms cold); the 0.32 ms it used
+        # execution (~0.55 ms against ~2.3 ms cold); the 0.32 ms it used
         # to read was that memo answering the verbatim repeat.
         pytest.xfail(f"Q2 warm/cold below 5x: {speedups}")
     assert all(s >= 5.0 for s in speedups.values()), speedups

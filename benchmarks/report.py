@@ -31,8 +31,8 @@ from repro import ExecutionPolicy, Mediator, O2Wrapper, SqlWrapper, WaisWrapper
 from repro.core.algebra.evaluator import Environment, evaluate
 from repro.core.algebra.operators import BindOp, ProjectOp, SourceOp
 from repro.core.optimizer import (
+    DemandNarrowingRule,
     OptimizerContext,
-    ProjectDrivenBindSimplifyRule,
     navigation_to_extent_join,
     ref_is,
     split_below_root,
@@ -376,8 +376,7 @@ def report_equivalences():
         ("  = linear split form", split_below_root(works, context)[1]),
         ("Project(t) o full Bind", ProjectOp(works, [("t", "t")])),
         ("  = simplified Bind",
-         ProjectDrivenBindSimplifyRule().apply(ProjectOp(works, [("t", "t")]),
-                                               context)),
+         DemandNarrowingRule().apply(ProjectOp(works, [("t", "t")]), context)),
     ]
     print(f"{'form':40s} {'ms':>8} {'rows':>6}")
     for label, plan in cases:

@@ -15,18 +15,17 @@ measures faithfully through :class:`~repro.core.algebra.stats.ExecutionStats`:
   the paper, here once for *all* distinct outer bindings when the right
   input is a pushed fragment keyed on them (``PushedOp.keyed``).
 
-Federated scheduling (:mod:`repro.core.algebra.scheduling`) layers three
-optimizations over that baseline, none of which changes any answer:
+Federated scheduling (:mod:`repro.core.algebra.scheduling`) layers two
+optimizations over that baseline, neither of which changes any answer:
 Union branches and independent Join inputs evaluate concurrently on a
-bounded pool when ``ExecutionPolicy.parallelism > 1``; a DJoin passes
+bounded pool when ``ExecutionPolicy.parallelism > 1``; and a DJoin passes
 its distinct outer bindings as one set (or, failing that, evaluates its
-right input once per distinct binding); and a per-execution cache
-memoizes wrapper round trips.  Bind runs through the per-filter
+right input once per distinct binding).  Bind runs through the per-filter
 engine of :mod:`repro.core.algebra.engine` and emits columnar Tabs,
 which the downstream operators keep columnar.
 ``ExecutionPolicy.serial()`` — ``policy.reference`` — restores the
 naive engine byte for byte: recursive matcher, interpreted predicates,
-row-at-a-time Tabs, one right-branch evaluation per DJoin row, no cache.
+row-at-a-time Tabs, one right-branch evaluation per DJoin row.
 """
 
 from __future__ import annotations
@@ -70,7 +69,6 @@ from repro.core.algebra.operators import (
 from repro.core.algebra.scheduling import (
     ExecutionPolicy,
     PlanScheduler,
-    SourceCallCache,
     outer_binding_key,
     passed_pairs,
     plan_parameters,
@@ -163,27 +161,21 @@ class Environment:
         self.reference = self.policy.reference
         #: The :class:`~repro.observability.context.RequestContext` this
         #: evaluation runs under.  The environment *finalizes* it: the
-        #: reference flag always follows the execution policy, an
-        #: explicit ``tracer=`` argument wins over the context's, and the
-        #: per-request source-call cache is created here (the reference
-        #: engine runs without one).  Callers that pass no context get a
-        #: fresh anonymous one, so evaluation never falls back to globals.
+        #: reference flag always follows the execution policy, and an
+        #: explicit ``tracer=`` argument wins over the context's.  Callers
+        #: that pass no context get a fresh anonymous one, so evaluation
+        #: never falls back to globals.
         if context is None:
             context = RequestContext(tracer=tracer)
         elif tracer is None:
             tracer = context.tracer
         context.tracer = tracer
         context.reference = self.reference
-        if self.reference:
-            context.call_cache = None
-        elif context.call_cache is None:
-            context.call_cache = SourceCallCache()
         self.context = context
         #: Optional :class:`~repro.observability.tracer.Tracer`.  ``None``
         #: (the default) keeps the untraced fast path: every hook in this
         #: module is a single attribute read plus an ``is None`` test.
         self.tracer = tracer
-        self.call_cache = context.call_cache
         self._scheduler: Optional[PlanScheduler] = None
         self._ident_index: Optional[Dict[str, DataNode]] = None
         self._ident_lock = threading.Lock()
@@ -213,15 +205,6 @@ class Environment:
         if self._scheduler is not None:
             self._scheduler.shutdown()
             self._scheduler = None
-
-    def plan_key(self, plan: Plan) -> tuple:
-        """``plan._key()`` memoized on the plan itself.
-
-        Cached plans outlive any one execution, so the memo lives on the
-        (immutable) plan instance rather than per environment — warm
-        plan-cache hits skip the recomputation entirely.
-        """
-        return plan.cached_key()
 
     def deref(self) -> Callable[[DataNode], DataNode]:
         """Reference-chasing closure over the merged ident index.
@@ -359,19 +342,7 @@ def _eval_source(plan: SourceOp, env: Environment) -> Tab:
         raise UnknownDocumentError(
             f"source {plan.source!r} exports no document {plan.document!r}"
         )
-    cache = env.call_cache
-    key = ("document", plan.source, plan.document)
-    if cache is not None:
-        found, root = cache.lookup(key)
-        if found:
-            env.stats.record_cache_hit(plan.source)
-            env.stats.record_operator("Source", 1)
-            if env.tracer is not None:
-                env.tracer.annotate(source=plan.source, cache_hits=1)
-            return Tab((plan.document,), [Row((plan.document,), (root,))])
     root = adapter.document(plan.document)
-    if cache is not None:
-        cache.store(key, root)
     size = serialized_size(root)
     env.stats.record_call(plan.source)
     env.stats.record_transfer(plan.source, rows=1, size=size)
@@ -387,8 +358,7 @@ def _record_store_delta(adapter, env: Environment) -> None:
 
     Duck-typed: adapters over shredded stores expose ``pop_store_stats``
     returning ``{pushdowns, scans, hydrated_nodes, bytes_avoided}`` since
-    the last pop; everything else records nothing.  Cache hits never get
-    here — a served-from-cache call touched no store.
+    the last pop; everything else records nothing.
     """
     pop = getattr(adapter, "pop_store_stats", None)
     if pop is None:
@@ -404,27 +374,7 @@ def _record_store_delta(adapter, env: Environment) -> None:
 
 def _eval_pushed(plan: PushedOp, env: Environment, outer: Optional[Row]) -> Tab:
     adapter = env.source(plan.source)
-    cache = env.call_cache
-    key = None
-    if cache is not None:
-        # Two calls with the same fragment and the same outer constants
-        # (the only outer values a wrapper can inline) return the same Tab.
-        key = (
-            "pushed",
-            plan.source,
-            env.plan_key(plan.plan),
-            outer_binding_key(outer, plan_parameters(plan.plan)),
-        )
-        found, tab = cache.lookup(key)
-        if found:
-            env.stats.record_cache_hit(plan.source)
-            env.stats.record_operator("Pushed", len(tab))
-            if env.tracer is not None:
-                env.tracer.annotate(source=plan.source, cache_hits=1)
-            return tab
     tab, native = adapter.execute_pushed(plan.plan, outer)
-    if cache is not None:
-        cache.store(key, tab)
     size = tab_serialized_size(tab)
     env.stats.record_native(plan.source, native)
     env.stats.record_call(plan.source)

@@ -1,4 +1,4 @@
-"""Federated execution scheduling: policy, thread pool, source-call cache.
+"""Federated execution scheduling: policy, thread pool, outer parameters.
 
 The paper's mediator minimizes its *own* work by shipping fragments to
 wrapped sources, but the seed evaluator still talks to those sources one
@@ -14,16 +14,13 @@ to remove that serialization without changing any answer:
 * :class:`PlanScheduler` — a bounded thread pool for concurrent branch
   evaluation that cannot deadlock under nesting: a waiting thread
   reclaims any task the pool has not started yet and runs it inline;
-* :class:`SourceCallCache` — a per-execution memo of wrapper round trips
-  keyed by ``(operation, source, canonical plan key, outer constants)``;
-* :func:`plan_parameters` — the outer columns a plan can observe, which
-  is both the DJoin batching key and the pushed-call cache key — and
-  :func:`passed_pairs`, whether a DJoin may pass its bindings as one set.
+* :func:`plan_parameters` — the outer columns a plan can observe, the
+  DJoin batching key — and :func:`passed_pairs`, whether a DJoin may
+  pass its bindings as one set.
 """
 
 from __future__ import annotations
 
-import threading
 from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -42,7 +39,7 @@ from repro.core.algebra.operators import (
     UnionOp,
     UnitOp,
 )
-from repro.core.algebra.tab import BindingSet, Row
+from repro.core.algebra.tab import Row
 from repro.model.filters import MissingValue
 from repro.model.trees import DataNode
 
@@ -53,11 +50,10 @@ class ExecutionPolicy:
     ``parallelism`` bounds the number of plan branches evaluated
     concurrently; ``1`` (the default) keeps the seed's strictly serial
     evaluation order.  It is the only setting.  Everything else the
-    engine does to save mediator work — the per-execution source-call
-    cache, set-valued DJoin information passing, compiled Bind and
-    predicate kernels, twig joins over indexed documents, columnar Tab
-    batches, prepared OQL in the O2 wrapper — is always on, because none
-    of it can change a produced Tab.
+    engine does to save mediator work — set-valued DJoin information
+    passing, compiled Bind and predicate kernels, twig joins over indexed
+    documents, columnar Tab batches, prepared OQL in the O2 wrapper — is
+    always on, because none of it can change a produced Tab.
 
     :meth:`serial` builds the one other mode: the *reference* engine
     every optimization is tested against.  ``reference`` is read-only
@@ -76,8 +72,8 @@ class ExecutionPolicy:
     def serial(cls) -> "ExecutionPolicy":
         """The seed behavior, byte for byte (the differential oracle):
         interpretive matcher and predicates, row-at-a-time Tabs, one
-        right-branch evaluation per DJoin row, no source-call cache,
-        interpretive OQL in the O2 wrapper, no pool."""
+        right-branch evaluation per DJoin row, interpretive OQL in the O2
+        wrapper, no pool."""
         policy = cls(parallelism=1)
         policy._reference = True
         return policy
@@ -144,8 +140,8 @@ class PlanScheduler:
 
         When *context* is given, each thunk additionally runs under that
         :class:`~repro.observability.context.RequestContext` — bound
-        *outermost*, so the request's reference flag and call cache are
-        already active when the tracer binding installs its span parent.
+        *outermost*, so the request's reference flag is already active
+        when the tracer binding installs its span parent.
         One scheduler pool may serve many concurrent requests; the
         binding is what keeps each thunk inside its own request.
         """
@@ -175,47 +171,6 @@ def _capture(thunk: Callable[[], object]) -> tuple:
         return (None, error)
 
 
-class SourceCallCache:
-    """Per-execution memo of wrapper round trips.
-
-    Entries are keyed by ``(operation, source, canonical plan key, outer
-    constants)`` — everything a deterministic source call can depend on.
-    Sources are read-only for the duration of one execution (the paper's
-    setting), so a repeated call is pure waste; the evaluator consults
-    the cache before crossing the wrapper boundary and records a
-    ``cache_hits`` stat instead of a call on a hit.
-
-    The table is guarded by one lock, but misses run *outside* it: a slow
-    source never serializes unrelated calls.  Two threads missing on the
-    same key may both call the source — results are deterministic, so
-    either write is correct.
-
-    Deliberately a bare dict, not a :class:`repro.memo.Memo`: its lifetime
-    is one request and it is unbounded on purpose, so there is nothing to
-    evict and nothing to tag.
-    """
-
-    __slots__ = ("_lock", "_entries")
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self._entries: Dict[tuple, object] = {}
-
-    def lookup(self, key: tuple) -> Tuple[bool, object]:
-        with self._lock:
-            if key in self._entries:
-                return True, self._entries[key]
-        return False, None
-
-    def store(self, key: tuple, value: object) -> None:
-        with self._lock:
-            self._entries[key] = value
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
-
-
 # ---------------------------------------------------------------------------
 # Outer-parameter analysis
 # ---------------------------------------------------------------------------
@@ -229,12 +184,11 @@ def plan_parameters(plan: Plan) -> frozenset:
     or a pushed fragment inlining an outer constant (information
     passing).  Two outer rows that agree on these columns — compared by
     :func:`identity_cell_key` — make the plan evaluate identically,
-    which is exactly what DJoin batching and the pushed-call cache key
-    on.
+    which is exactly what DJoin batching keys on.
 
     Memoized on the (immutable) plan instance at every level of the
     recursion: a DJoin recomputes its right fragment's parameters once
-    per outer row, and the pushed-call cache once per round trip.
+    per evaluation.
     """
     try:
         return plan._params_memo
@@ -370,16 +324,10 @@ def identity_cell_key(cell: object) -> tuple:
 def outer_binding_key(
     outer: Optional[Row], parameters: frozenset
 ) -> tuple:
-    """The projection of *outer* onto *parameters*, as a hashable key.
-
-    A :class:`BindingSet` contributes its equality keys: two set-valued
-    calls return the same Tab exactly when they pass the same set.
-    """
+    """The projection of *outer* onto *parameters*, as a hashable key."""
     if not parameters:
         return ()
     parts = []
-    if isinstance(outer, BindingSet):
-        parts.append((outer.pairs, tuple(outer.keys)))
     for column in sorted(parameters):
         if outer is not None and column in outer:
             parts.append((column, identity_cell_key(outer[column])))

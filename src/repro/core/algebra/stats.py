@@ -55,8 +55,6 @@ class ExecutionStats:
         self.dropped_sources: Dict[str, str] = {}
         #: True when any part of the answer was sacrificed to keep going.
         self.degraded: bool = False
-        #: Round trips avoided by the per-execution source-call cache.
-        self.cache_hits: Counter = Counter()
         #: Right-branch DJoin evaluations avoided against the per-row
         #: nested loop (duplicate or set-passed outer bindings re-expanded
         #: from a shared answer).
@@ -151,11 +149,6 @@ class ExecutionStats:
             self.operator_counts[name] += 1
             self.mediator_rows += rows_out
 
-    def record_cache_hit(self, source: str) -> None:
-        """Record one round trip to *source* avoided by the call cache."""
-        with self._lock:
-            self.cache_hits[source] += 1
-
     def record_batched(self, avoided: int) -> None:
         """Record *avoided* DJoin right-branch evaluations."""
         if avoided <= 0:
@@ -233,7 +226,9 @@ class ExecutionStats:
 
     @property
     def total_cache_hits(self) -> int:
-        return sum(self.cache_hits.values())
+        """Always zero since the per-execution call cache was removed;
+        kept because ``benchmarks/e2e/layers.py`` reads it by name."""
+        return 0
 
     def as_dict(self) -> Dict[str, object]:
         """Plain-dictionary summary, convenient for benchmark reports."""
@@ -250,8 +245,6 @@ class ExecutionStats:
             "failures": dict(self.failures),
             "dropped_sources": dict(self.dropped_sources),
             "degraded": self.degraded,
-            "cache_hits": dict(self.cache_hits),
-            "total_cache_hits": self.total_cache_hits,
             "batched_calls": self.batched_calls,
             "passed_keys": self.passed_keys,
             "parallel_branches": self.parallel_branches,
@@ -287,10 +280,9 @@ class ExecutionStats:
             f"{name}×{count}" for name, count in sorted(self.operator_counts.items())
         )
         lines.append(f"operators: {ops}")
-        if self.total_cache_hits or self.batched_calls or self.parallel_branches:
+        if self.batched_calls or self.parallel_branches:
             lines.append(
-                f"scheduler: {self.total_cache_hits} cache hits, "
-                f"{self.batched_calls} batched calls, "
+                f"scheduler: {self.batched_calls} batched calls, "
                 f"{self.parallel_branches} parallel branches"
                 + (f", {self.passed_keys} passed keys" if self.passed_keys else "")
             )

@@ -200,8 +200,7 @@ class BindingSet(Row):
         #: ``((fragment column, outer variable), ...)``.
         self.pairs = tuple(pairs)
         #: ``{equality key: atom tuple}``, distinct, in first-appearance
-        #: order; the dict keys identify the set (call-cache key), the
-        #: values are what a wrapper inlines.
+        #: order; the values are what a wrapper inlines.
         self.keys = keys
 
 

@@ -1,9 +1,6 @@
 """The three-round heuristic optimizer (paper, Section 5)."""
 
-from repro.core.optimizer.bind_simplify import (
-    LabelVarExpansionRule,
-    ProjectDrivenBindSimplifyRule,
-)
+from repro.core.optimizer.bind_simplify import LabelVarExpansionRule
 from repro.core.optimizer.bind_split import (
     REF_IS,
     MergeBindChainRule,
@@ -17,12 +14,7 @@ from repro.core.optimizer.capabilities import (
     CapabilityPushdownRule,
     EquivalenceInsertionRule,
 )
-from repro.core.optimizer.cost import (
-    CostHints,
-    Estimate,
-    estimate,
-    estimate_cost,
-)
+from repro.core.optimizer.demand import DemandNarrowingRule
 from repro.core.optimizer.info_passing import BindJoinRule
 from repro.core.optimizer.planner import (
     Optimizer,
@@ -53,17 +45,15 @@ __all__ = [
     "BindJoinRule",
     "BindTreeEliminationRule",
     "CapabilityPushdownRule",
-    "CostHints",
+    "DemandNarrowingRule",
     "DropNoopProjectRule",
     "EquivalenceInsertionRule",
-    "Estimate",
     "JoinBranchEliminationRule",
     "LabelVarExpansionRule",
     "MergeBindChainRule",
     "Optimizer",
     "OptimizerContext",
     "ProjectComposeRule",
-    "ProjectDrivenBindSimplifyRule",
     "REF_IS",
     "RewriteRule",
     "RewriteTrace",
@@ -71,8 +61,6 @@ __all__ = [
     "TreeDecompositionRule",
     "decompose_tree",
     "apply_rules_once",
-    "estimate",
-    "estimate_cost",
     "navigation_to_extent_join",
     "optimize",
     "ref_is",

@@ -4,7 +4,8 @@ Two rewritings that need *type information* — one per direction of the
 structured/semistructured mix:
 
 **Structured queries over semistructured data**
-    (:class:`ProjectDrivenBindSimplifyRule`) — "assume a user is only
+    (:func:`simplify_filter`, driven by the demand analysis of
+    :mod:`repro.core.optimizer.demand`) — "assume a user is only
     interested in the title and artist elements ... this corresponds to a
     projection that can be used to rewrite the Bind operation and
     simplify the query.  Doing so, we must be careful not to change the
@@ -27,16 +28,14 @@ structured/semistructured mix:
 
 from __future__ import annotations
 
-from typing import List, Optional, Set, Tuple
+from typing import AbstractSet, List, Optional, Tuple
 
 from repro.core.algebra.expressions import Const
 from repro.core.algebra.operators import (
     BindOp,
-    DistinctOp,
     MapOp,
     Plan,
     ProjectOp,
-    SelectOp,
     SourceOp,
     UnionOp,
 )
@@ -68,7 +67,7 @@ def _resolve(pattern: Optional[Pattern], library: Optional[PatternLibrary]):
     return pattern
 
 
-def _source_structure(plan: BindOp, context: OptimizerContext):
+def source_structure(plan: BindOp, context: OptimizerContext):
     """(document pattern, library) for a Bind reading a Source, if known."""
     if not isinstance(plan.input, SourceOp):
         return None, None
@@ -86,53 +85,14 @@ def _source_structure(plan: BindOp, context: OptimizerContext):
     return library.resolve(pattern_name), library
 
 
-class ProjectDrivenBindSimplifyRule(RewriteRule):
-    """Drop filter items that bind only variables nobody needs."""
-
-    name = "ProjectDrivenBindSimplify"
-
-    def apply(self, plan: Plan, context: OptimizerContext) -> Optional[Plan]:
-        if not isinstance(plan, ProjectOp):
-            return None
-        needed: Set[str] = {column for column, _alias in plan.items}
-        chain: List[Plan] = []
-        node: Plan = plan.input
-        while isinstance(node, (SelectOp, BindOp, DistinctOp)):
-            if isinstance(node, SelectOp):
-                needed |= set(node.predicate.variables())
-            elif isinstance(node, BindOp):
-                needed.add(node.on)
-                # A deeper Bind both consumes and produces columns; its own
-                # variables may feed operators above it, which we already
-                # accounted for, so nothing else to add.
-                if isinstance(node.input, SourceOp):
-                    break
-            chain.append(node)
-            node = node.children()[0]
-        if not isinstance(node, BindOp) or not isinstance(node.input, SourceOp):
-            return None
-        bind = node
-        pattern, library = _source_structure(bind, context)
-        if pattern is None:
-            return None
-        simplified = _simplify_filter(bind.filter, pattern, library, needed)
-        if simplified is None or simplified == bind.filter:
-            return None
-        rebuilt: Plan = BindOp(
-            bind.input, simplified, on=bind.on, keep_on=bind.keep_on
-        )
-        for op in reversed(chain):
-            rebuilt = op.with_children([rebuilt])
-        return ProjectOp(rebuilt, plan.items)
-
-
-def _simplify_filter(
+def simplify_filter(
     flt: Filter,
     pattern: Optional[Pattern],
     library: Optional[PatternLibrary],
-    needed: Set[str],
-) -> Optional[Filter]:
-    """The filter with droppable items removed; ``None`` when nothing is known."""
+    needed: AbstractSet[str],
+) -> Filter:
+    """The filter with droppable items removed; *flt* itself when nothing
+    can go (or nothing is known)."""
     pattern = _resolve(pattern, library)
     if not isinstance(flt, FElem) or not isinstance(pattern, PNode):
         return flt
@@ -141,7 +101,7 @@ def _simplify_filter(
     for item in flt.children:
         if _binds_needed(item, needed):
             descended = _descend(item, pattern, library, needed)
-            changed = changed or descended != item
+            changed = changed or descended is not item
             kept.append(descended)
             continue
         if isinstance(item, FRest):
@@ -151,7 +111,7 @@ def _simplify_filter(
             changed = True
             continue
         descended = _descend(item, pattern, library, needed)
-        changed = changed or descended != item
+        changed = changed or descended is not item
         kept.append(descended)
     if not changed:
         return flt
@@ -162,24 +122,20 @@ def _descend(
     item: Filter,
     pattern: PNode,
     library: Optional[PatternLibrary],
-    needed: Set[str],
+    needed: AbstractSet[str],
 ) -> Filter:
     """Recurse into kept items to simplify deeper levels."""
     if isinstance(item, FStar):
         child_pattern = _star_child(pattern, item.child, library)
-        inner = _simplify_filter(item.child, child_pattern, library, needed)
-        if inner is not None and inner != item.child:
-            return FStar(inner)
-        return item
+        inner = simplify_filter(item.child, child_pattern, library, needed)
+        return item if inner is item.child else FStar(inner)
     if isinstance(item, FElem) and isinstance(item.label, str):
         child_pattern = _single_child(pattern, item.label, library)
-        inner = _simplify_filter(item, child_pattern, library, needed)
-        if inner is not None and inner != item:
-            return inner
+        return simplify_filter(item, child_pattern, library, needed)
     return item
 
 
-def _binds_needed(item: Filter, needed: Set[str]) -> bool:
+def _binds_needed(item: Filter, needed: AbstractSet[str]) -> bool:
     return any(name in needed for name in item.variables())
 
 

@@ -5,15 +5,19 @@ simple linear search strategy consisting of the three rewriting rounds
 presented in last section":
 
 1. **Composition & simplification** — eliminate Bind–Tree frontiers,
-   push selections and projections, simplify Binds with type
-   information, eliminate join branches under declared containments,
-   merge Bind chains (Figures 7 and 8);
+   push selections and projections, eliminate join branches under
+   declared containments, merge Bind chains, then simplify Binds with
+   type information where the query does not read what they bind
+   (Figures 7 and 8);
 2. **Capability-based rewriting** — apply declared equivalences and push
    admissible fragments to their sources (Figure 9, first part);
 3. **Information passing** — turn equi-joins over pushed fragments into
-   bind joins (Figure 9, second part).
+   bind joins (Figure 9, second part), then narrow every pushed fragment
+   to what the query reads.
 
 Each round runs its rule set to a fixpoint; rounds run once, in order.
+Rounds one and three end with one demand-narrowing pass over the whole
+plan (:mod:`repro.core.optimizer.demand`).
 :class:`Optimizer` records every application in a
 :class:`~repro.core.optimizer.rules.RewriteTrace` so callers can print
 the full derivation.
@@ -24,16 +28,14 @@ from __future__ import annotations
 from typing import List, Optional, Sequence, Tuple
 
 from repro.core.algebra.operators import Plan
-from repro.core.optimizer.bind_simplify import (
-    LabelVarExpansionRule,
-    ProjectDrivenBindSimplifyRule,
-)
+from repro.core.optimizer.bind_simplify import LabelVarExpansionRule
 from repro.core.optimizer.bind_split import MergeBindChainRule
 from repro.core.optimizer.bind_tree import BindTreeEliminationRule
 from repro.core.optimizer.capabilities import (
     CapabilityPushdownRule,
     EquivalenceInsertionRule,
 )
+from repro.core.optimizer.demand import DemandNarrowingRule
 from repro.core.optimizer.info_passing import BindJoinRule
 from repro.core.optimizer.pushdown import (
     DropNoopProjectRule,
@@ -57,7 +59,6 @@ def round_one_rules() -> List[RewriteRule]:
         ProjectComposeRule(),
         SelectPushdownRule(),
         JoinBranchEliminationRule(),
-        ProjectDrivenBindSimplifyRule(),
         LabelVarExpansionRule(),
         MergeBindChainRule(),
         DropNoopProjectRule(),
@@ -110,6 +111,15 @@ class Optimizer:
             if rules is None:
                 raise ValueError(f"unknown optimization round: {round_number}")
             plan = rewrite_fixpoint(plan, rules, self.context, trace)
+            if round_number in (1, 3):
+                # Once, at the root: demand flows top-down over the whole
+                # plan, and fragments can only be narrowed once round
+                # three has built the DJoins whose keys they must return.
+                narrowing = DemandNarrowingRule()
+                narrowed = narrowing.apply(plan, self.context)
+                if narrowed is not None:
+                    trace.record(narrowing, plan, narrowed)
+                    plan = narrowed
         return plan, trace
 
 

@@ -616,8 +616,8 @@ class Mediator:
         native OQL / SQL / Wais text).  With ``analyze=True`` the plan is
         also executed under a tracer (a fresh one unless *tracer* is
         given) and every node is annotated with its actuals — number of
-        evaluations, rows produced, inclusive wall time, source calls,
-        bytes and cache hits.
+        evaluations, rows produced, inclusive wall time, source calls
+        and bytes.
 
         Every mediator-side Bind node is annotated with what its engine
         (:func:`~repro.core.algebra.engine.bind_engine`) will do:

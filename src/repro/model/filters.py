@@ -123,19 +123,28 @@ LabelSpec = Union[str, LabelVar, LabelRegex]
 
 
 class Filter:
-    """Base class of filter nodes."""
+    """Base class of filter nodes.
 
-    __slots__ = ()
+    Filters are immutable, so :meth:`variables` is memoized on the
+    instance (``_variables_memo``).
+    """
+
+    __slots__ = ("_variables_memo",)
 
     def variables(self) -> Tuple[str, ...]:
         """All variables bound by this filter, in document order."""
+        try:
+            return self._variables_memo
+        except AttributeError:
+            pass
         seen: List[str] = []
         for node in self.walk():
             for var in node._own_variables():
                 if var in seen:
                     raise BindError(f"variable {var!r} bound twice in one filter")
                 seen.append(var)
-        return tuple(seen)
+        self._variables_memo = tuple(seen)
+        return self._variables_memo
 
     def _own_variables(self) -> Tuple[str, ...]:
         return ()

@@ -1,15 +1,12 @@
 """Per-request execution context and its cross-boundary propagation.
 
-Earlier revisions carried two independent thread-local slots — the
-active tracer and the kernel-mode flag — across the wrapper boundary,
-and kept the per-execution source-call cache as an attribute of the
-evaluator's environment.  Three pieces of per-execution state in three
-places is exactly the shape that breaks under concurrent serving: a pool
-thread that evaluates branches for two different queries must switch
-*all* of it atomically, or query A's wrapper calls run with query B's
-tracer, engine mode, or call cache.
+Per-execution state spread over several thread-local slots is exactly
+the shape that breaks under concurrent serving: a pool thread that
+evaluates branches for two different queries must switch *all* of it
+atomically, or query A's wrapper calls run with query B's tracer or
+engine mode.
 
-This module replaces those slots with one explicit
+This module keeps that state in one explicit
 :class:`RequestContext` — the identity and execution state of a single
 request — threaded through ``run_plan``, the evaluator environment, the
 scheduler, and (via one thread-local slot, the same pattern
@@ -19,7 +16,7 @@ adapter protocol has no signature to pass it.
 ``run_plan`` activates the context for the duration of one evaluation;
 :meth:`RequestContext.bind` re-activates it inside scheduler pool
 threads, so a pool shared by many concurrent requests always observes
-the dispatching request's tracer, reference flag and cache.  When no
+the dispatching request's tracer and reference flag.  When no
 context is active, :func:`current_context` is a single thread-local
 attribute read returning ``None`` — the disabled fast path.
 
@@ -35,7 +32,6 @@ from contextlib import contextmanager
 from typing import Iterator, Optional, TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.core.algebra.scheduling import SourceCallCache
     from repro.observability.tracer import Tracer
 
 _local = threading.local()
@@ -50,9 +46,8 @@ class RequestContext:
 
     * identity — ``request_id``, ``tenant``, ``priority``: who this
       execution serves, used by serving metrics and admission records;
-    * execution state — ``tracer``, ``reference``, ``call_cache``,
-      ``deadline``: the state that used to live in per-thread globals
-      and per-environment attributes.  ``reference`` mirrors
+    * execution state — ``tracer``, ``reference``, ``deadline``: the
+      state that used to live in per-thread globals.  ``reference`` mirrors
       ``ExecutionPolicy.reference`` (the evaluator environment sets it)
       so wrappers can take their interpretive path under the oracle
       policy.  ``deadline`` is *absolute* (on
@@ -62,14 +57,13 @@ class RequestContext:
       machinery by ``run_plan``.
 
     A context is owned by exactly one in-flight execution at a time;
-    reusing one across sequential executions is supported (the call
-    cache then spans them — only sound while the sources do not change),
-    sharing one between concurrent executions is not.
+    reusing one across sequential executions is supported, sharing one
+    between concurrent executions is not.
     """
 
     __slots__ = (
         "request_id", "tenant", "priority", "deadline",
-        "tracer", "reference", "call_cache",
+        "tracer", "reference",
     )
 
     def __init__(
@@ -80,7 +74,6 @@ class RequestContext:
         deadline: Optional[float] = None,
         tracer: Optional["Tracer"] = None,
         reference: bool = False,
-        call_cache: Optional["SourceCallCache"] = None,
     ) -> None:
         self.request_id = request_id
         self.tenant = tenant
@@ -88,7 +81,6 @@ class RequestContext:
         self.deadline = deadline
         self.tracer = tracer
         self.reference = reference
-        self.call_cache = call_cache
 
     def replace(self, **overrides) -> "RequestContext":
         """A copy of this context with *overrides* applied."""
@@ -101,8 +93,8 @@ class RequestContext:
 
         The scheduler binds every submitted thunk: whichever thread
         executes it — a pool thread, or the dispatching thread itself on
-        the reclaim path — sees this request's tracer, reference flag and
-        call cache for the duration, and has its previous context
+        the reclaim path — sees this request's tracer and reference flag
+        for the duration, and has its previous context
         restored afterwards.
         """
 

@@ -9,8 +9,8 @@ exactly that view from a live plan:
   pushdown decisions (``Pushed`` fragments show their native OQL / SQL /
   Wais text and their subtree is marked as running at the source);
 * :class:`NodeActuals` / :func:`collect_actuals` — per-plan-node actuals
-  (evaluations, rows out, inclusive wall/CPU time, source calls, bytes,
-  cache hits) aggregated from a :class:`~repro.observability.tracer.Tracer`;
+  (evaluations, rows out, inclusive wall/CPU time, source calls, bytes)
+  aggregated from a :class:`~repro.observability.tracer.Tracer`;
 * :class:`Explanation` — what :meth:`Mediator.explain` returns: the
   rendered text plus every ingredient (plans, rewrite trace, execution
   report, tracer), so tests and tools can inspect rather than re-parse.
@@ -35,7 +35,7 @@ class NodeActuals:
     """
 
     __slots__ = ("evals", "rows", "wall", "cpu", "calls", "bytes",
-                 "cache_hits", "twig_matches", "scanned", "batch_rows",
+                 "twig_matches", "scanned", "batch_rows",
                  "keys", "native")
 
     def __init__(self) -> None:
@@ -45,7 +45,6 @@ class NodeActuals:
         self.cpu = 0.0
         self.calls = 0
         self.bytes = 0
-        self.cache_hits = 0
         #: Bind targets matched by the twig join / by the scan kernel.
         self.twig_matches = 0
         self.scanned = 0
@@ -67,8 +66,6 @@ class NodeActuals:
             parts.append(f"keys={self.keys}")
         if self.bytes:
             parts.append(f"bytes={self.bytes}")
-        if self.cache_hits:
-            parts.append(f"cache={self.cache_hits}")
         if self.twig_matches or self.scanned:
             parts.append(f"twig={self.twig_matches}")
             parts.append(f"scanned={self.scanned}")
@@ -103,7 +100,6 @@ def collect_actuals(tracer) -> Dict[int, NodeActuals]:
             entry.rows += rows
         entry.calls += int(span.attrs.get("calls", 0))  # type: ignore[arg-type]
         entry.bytes += int(span.attrs.get("bytes", 0))  # type: ignore[arg-type]
-        entry.cache_hits += int(span.attrs.get("cache_hits", 0))  # type: ignore[arg-type]
         entry.twig_matches += int(span.attrs.get("twig_matches", 0))  # type: ignore[arg-type]
         entry.scanned += int(span.attrs.get("scanned", 0))  # type: ignore[arg-type]
         entry.batch_rows += int(span.attrs.get("batch_rows", 0))  # type: ignore[arg-type]

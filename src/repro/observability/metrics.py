@@ -393,10 +393,6 @@ def record_execution(
     failures = registry.counter(
         "yat_source_failures_total", "Failed source calls.", ("source",)
     )
-    cache_hits = registry.counter(
-        "yat_source_cache_hits_total",
-        "Round trips avoided by the per-execution call cache.", ("source",),
-    )
     for source, count in sorted(stats.source_calls.items()):
         calls.labels(source=source).inc(count)
     for source, count in sorted(stats.rows_transferred.items()):
@@ -407,8 +403,6 @@ def record_execution(
         retries.labels(source=source).inc(count)
     for source, count in sorted(stats.failures.items()):
         failures.labels(source=source).inc(count)
-    for source, count in sorted(stats.cache_hits.items()):
-        cache_hits.labels(source=source).inc(count)
 
     evaluations = registry.counter(
         "yat_operator_evaluations_total",

@@ -3,7 +3,7 @@
 A :class:`Tracer` records one span per traced unit of work — an operator
 evaluation, a guarded source call, a wrapper-side fragment execution —
 with wall and thread-CPU time, the owning thread, and free-form
-attributes (plan node, rows in/out, bytes, source, cache hits, retries).
+attributes (plan node, rows in/out, bytes, source, retries).
 Parenting is thread-aware: each thread keeps its own stack of open
 spans, and :meth:`Tracer.bind` carries the dispatching thread's open
 span into scheduler pool threads, so branches evaluated concurrently by

@@ -1,7 +1,7 @@
 """Abstract syntax of the OQL subset evaluated by the mini-O2 engine.
 
 The subset covers what the paper's wrapper generates (Section 4.1):
-``select``/``from``/``where`` with named projections, dependent ranges
+``select [distinct]``/``from``/``where`` with named projections, dependent ranges
 (``O in A.owners``), path expressions, method calls, comparisons and
 boolean connectives — plus bare extent queries.
 """
@@ -147,25 +147,34 @@ class OqlProjection(OqlNode):
 
 
 class OqlSelect(OqlNode):
-    """A ``select ... from ... where ...`` query."""
+    """A ``select [distinct] ... from ... where ...`` query.
 
-    __slots__ = ("projections", "ranges", "where")
+    ``distinct`` keeps the first of each group of equal result rows, in
+    order (ODMG ``select distinct``); see
+    :func:`~repro.sources.objectdb.oql.evaluator.distinct_rows` for what
+    "equal" means.
+    """
+
+    __slots__ = ("projections", "ranges", "where", "distinct")
 
     def __init__(
         self,
         projections: Sequence[OqlProjection],
         ranges: Sequence[OqlRange],
         where: Optional[OqlNode] = None,
+        distinct: bool = False,
     ) -> None:
         self.projections = tuple(projections)
         self.ranges = tuple(ranges)
         self.where = where
+        self.distinct = distinct
 
     def text(self) -> str:
         projections = ", ".join(p.text() for p in self.projections)
         ranges = ", ".join(r.text() for r in self.ranges)
         where = f" where {self.where.text()}" if self.where is not None else ""
-        return f"select {projections} from {ranges}{where}"
+        select = "select distinct" if self.distinct else "select"
+        return f"{select} {projections} from {ranges}{where}"
 
 
 class OqlExtent(OqlNode):

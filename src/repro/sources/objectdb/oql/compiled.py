@@ -32,6 +32,7 @@ from repro.sources.objectdb.oql.ast import (
     OqlPath,
     OqlSelect,
 )
+from repro.sources.objectdb.oql.evaluator import distinct_rows
 
 # Mirrors the interpretive comparison ladder, including its fallthrough:
 # any operator outside the first five evaluates as ``>=``.
@@ -61,17 +62,19 @@ class CompiledSelect:
     structure the interpretive engine would need a query rewrite for.
     """
 
-    __slots__ = ("_ranges", "_pre_guards", "_projections")
+    __slots__ = ("_ranges", "_pre_guards", "_projections", "_distinct")
 
     def __init__(
         self,
         ranges: Tuple[Tuple[str, Scalar, Tuple[Truth, ...]], ...],
         pre_guards: Tuple[Truth, ...],
         projections: Tuple[Tuple[str, Scalar], ...],
+        distinct: bool,
     ) -> None:
         self._ranges = ranges
         self._pre_guards = pre_guards
         self._projections = projections
+        self._distinct = distinct
 
     def run(self, db: ObjectDatabase) -> List[Dict[str, object]]:
         results: List[Dict[str, object]] = []
@@ -102,7 +105,7 @@ class CompiledSelect:
             env.pop(variable, None)
 
         loop(0)
-        return results
+        return distinct_rows(results) if self._distinct else results
 
 
 def compile_select(query: OqlSelect) -> CompiledSelect:
@@ -135,7 +138,7 @@ def compile_select(query: OqlSelect) -> CompiledSelect:
     projections = tuple(
         (item.alias, _compile_scalar(item.expr)) for item in query.projections
     )
-    return CompiledSelect(ranges, tuple(guards[0]), projections)
+    return CompiledSelect(ranges, tuple(guards[0]), projections, query.distinct)
 
 
 def _guard_depth(conjunct: OqlNode, positions: Dict[str, int], depth: int) -> int:

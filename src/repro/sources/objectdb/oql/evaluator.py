@@ -8,12 +8,13 @@ References are dereferenced transparently while navigating paths, so
 references).
 
 Results are lists of ``{alias: python value}`` dictionaries; the O2
-wrapper converts them to Tab rows.
+wrapper converts them to Tab rows.  ``select distinct`` keeps the first
+of each group of equal rows (:func:`distinct_rows`).
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List
+from typing import Dict, Iterator, List, Sequence
 
 from repro.errors import OqlError
 from repro.sources.objectdb.database import ObjectDatabase, OdmgObject, Oid
@@ -32,6 +33,39 @@ from repro.sources.objectdb.oql.ast import (
 from repro.sources.objectdb.oql.parser import parse_oql
 
 Bindings = Dict[str, object]
+
+
+def distinct_rows(rows: Sequence[Bindings]) -> List[Bindings]:
+    """*rows* without the later copies of equal rows, in order.
+
+    Equality is at least as fine as the mediator's cell equality
+    (``_cell_key``) on the cells the wrapper makes of these values, so a
+    dropped row is one the mediator would also call a duplicate: atoms
+    compare by type and value (``1``, ``1.0`` and ``true`` stay apart,
+    as do ``2**53`` and ``2**53 + 1``), objects and references by oid.
+    """
+    seen = set()
+    kept: List[Bindings] = []
+    for row in rows:
+        key = tuple(_distinct_key(value) for value in row.values())
+        if key not in seen:
+            seen.add(key)
+            kept.append(row)
+    return kept
+
+
+def _distinct_key(value: object) -> tuple:
+    if isinstance(value, OdmgObject):
+        return ("object", value.oid)
+    if isinstance(value, Oid):
+        return ("object", value.value)
+    if isinstance(value, list):
+        return ("list",) + tuple(_distinct_key(item) for item in value)
+    if isinstance(value, dict):
+        return ("tuple",) + tuple(
+            (name, _distinct_key(item)) for name, item in value.items()
+        )
+    return ("atom", type(value).__name__, value)
 
 
 def evaluate_oql(query: object, database: ObjectDatabase) -> List[Bindings]:
@@ -66,7 +100,7 @@ class _Engine:
                 for projection in query.projections
             }
             results.append(row)
-        return results
+        return distinct_rows(results) if query.distinct else results
 
     # -- range loops -------------------------------------------------------------
 

@@ -8,8 +8,8 @@ from typing import Iterator, NamedTuple
 from repro.errors import OqlSyntaxError
 
 #: Keywords are case-insensitive, per OQL tradition.
-KEYWORDS = frozenset({"select", "from", "where", "in", "and", "or", "not",
-                      "true", "false"})
+KEYWORDS = frozenset({"select", "distinct", "from", "where", "in", "and", "or",
+                      "not", "true", "false"})
 
 _TOKEN_RE = re.compile(
     r"""

@@ -3,7 +3,7 @@
 Grammar::
 
     query        := select_query | ident
-    select_query := SELECT projections FROM ranges [WHERE predicate]
+    select_query := SELECT [DISTINCT] projections FROM ranges [WHERE predicate]
     projections  := projection ("," projection)*
     projection   := ident ":" scalar
     ranges       := range ("," range)*
@@ -89,6 +89,7 @@ class _Parser:
 
     def _select_query(self) -> OqlSelect:
         self._expect("kw", "select")
+        distinct = self._accept("kw", "distinct") is not None
         projections = [self._projection()]
         while self._accept("punct", ","):
             projections.append(self._projection())
@@ -99,7 +100,7 @@ class _Parser:
         where = None
         if self._accept("kw", "where"):
             where = self._predicate()
-        return OqlSelect(projections, ranges, where)
+        return OqlSelect(projections, ranges, where, distinct)
 
     def _projection(self) -> OqlProjection:
         alias = self._expect("ident").value

@@ -29,6 +29,7 @@ from repro.capabilities.xml_codec import interface_to_xml
 from repro.core.algebra.evaluator import SourceAdapter
 from repro.core.algebra.operators import (
     BindOp,
+    DistinctOp,
     Plan,
     ProjectOp,
     SelectOp,
@@ -46,16 +47,17 @@ class PushedFragment:
     """Normal form of a pushable plan fragment.
 
     Every wrapper in this reproduction accepts the same fragment shape —
-    the shape capability-based rewriting produces (Section 5.3)::
+    the shape capability-based rewriting and demand narrowing produce
+    (Section 5.3)::
 
-        [Project] ( [Select]* ( Bind ( Source ) ) )
+        [Distinct] ( [Project] ( [Select]* ( Bind ( Source ) ) ) )
 
     ``analyze_fragment`` decomposes a plan into this normal form or
     raises :class:`PushdownRejectedError` when the plan does not fit —
     a deterministic rejection resilience policies never retry.
     """
 
-    __slots__ = ("document", "filter", "selections", "projection")
+    __slots__ = ("document", "filter", "selections", "projection", "distinct")
 
     def __init__(
         self,
@@ -63,15 +65,20 @@ class PushedFragment:
         filter: Filter,
         selections: Tuple[Expr, ...],
         projection: Optional[Tuple[Tuple[str, str], ...]],
+        distinct: bool,
     ) -> None:
         self.document = document
         self.filter = filter
         self.selections = selections
         self.projection = projection
+        self.distinct = distinct
 
 
 def analyze_fragment(plan: Plan, source_name: str) -> PushedFragment:
     """Decompose *plan* into the pushable normal form."""
+    distinct = isinstance(plan, DistinctOp)
+    if distinct:
+        plan = plan.input
     projection: Optional[Tuple[Tuple[str, str], ...]] = None
     if isinstance(plan, ProjectOp):
         projection = plan.items
@@ -103,7 +110,9 @@ def analyze_fragment(plan: Plan, source_name: str) -> PushedFragment:
         )
     # Selections were collected top-down; apply bottom-up.
     selections.reverse()
-    return PushedFragment(source_op.document, bind.filter, tuple(selections), projection)
+    return PushedFragment(
+        source_op.document, bind.filter, tuple(selections), projection, distinct
+    )
 
 
 class Wrapper(SourceAdapter):
@@ -185,11 +194,16 @@ class Wrapper(SourceAdapter):
                     f"wrapper {self.name!r} rejects pushed predicate "
                     f"{predicate.text()}: {pushable.reason}"
                 )
-        if fragment.projection is not None:
-            pushable = matcher.operation_pushable("project")
+        for operation, present in (
+            ("project", fragment.projection is not None),
+            ("distinct", fragment.distinct),
+        ):
+            if not present:
+                continue
+            pushable = matcher.operation_pushable(operation)
             if not pushable:
                 raise PushdownRejectedError(
-                    f"wrapper {self.name!r} rejects pushed projection: "
+                    f"wrapper {self.name!r} rejects pushed {operation}: "
                     f"{pushable.reason}"
                 )
 

@@ -9,7 +9,9 @@ The wrapper is *generic*: everything it exports — schema patterns, the
 Fmodel, extents, methods — is derived mechanically from the
 :class:`~repro.sources.objectdb.schema.Schema`, with no per-application
 code.  Pushed fragments are translated to OQL text (the Section 4.1
-example), evaluated by the OQL engine, and returned as a Tab.
+example), evaluated by the OQL engine, and returned as a Tab.  A
+fragment under set semantics (``Distinct`` on top) becomes ``select
+distinct``.
 """
 
 from __future__ import annotations
@@ -78,8 +80,9 @@ class O2Wrapper(Wrapper):
     def __init__(self, name: str, database: ObjectDatabase) -> None:
         super().__init__(name)
         self._db = database
-        #: ``id(plan) -> _OqlTranslator`` of the plan's filter, anchored
-        #: on the plan.
+        #: ``(document, filter) -> _OqlTranslator``: the translation
+        #: depends on nothing else, so a plan-cache rebind (fresh plan
+        #: objects, same filter) is a hit.
         self._prepared = Memo(self.PREPARED_MEMO_CAPACITY)
 
     # -- capability export ---------------------------------------------------
@@ -102,7 +105,7 @@ class O2Wrapper(Wrapper):
                 output=ArgSpec.value("yat", "Tab"),
             )
         )
-        for operation in ("select", "map", "project"):
+        for operation in ("select", "map", "project", "distinct"):
             interface.add_operation(OperationDecl(operation, "algebra"))
         for predicate in ("eq", "neq", "lt", "lte", "gt", "gte"):
             interface.add_operation(OperationDecl(predicate, "boolean"))
@@ -144,11 +147,12 @@ class O2Wrapper(Wrapper):
             # behavior: translate and interpret from scratch on every call.
             translator = self._translated(fragment, outer)
         else:
-            # The filter translates once per plan; each call specializes
-            # that translation with its outer bindings (one row, or a
-            # whole :class:`BindingSet`).
+            # The filter translates once per (document, filter); each call
+            # specializes that translation with its outer bindings (one
+            # row, or a whole :class:`BindingSet`).
             translator = self._prepared.get_or_build(
-                id(plan), self._translated, fragment, None, anchor=plan
+                (fragment.document, fragment.filter),
+                self._translated, fragment, None,
             ).specialized(outer)
         selections = fragment.selections
         if isinstance(outer, BindingSet):
@@ -158,7 +162,9 @@ class O2Wrapper(Wrapper):
         if isinstance(outer, BindingSet):
             translator.add_keys(outer)
         columns = plan.output_columns()
-        query = translator.build_select(columns, fragment.projection)
+        query = translator.build_select(
+            columns, fragment.projection, fragment.distinct
+        )
         oql_rows = (
             evaluate_oql(query, self._db)
             if reference
@@ -410,6 +416,7 @@ class _OqlTranslator:
         self,
         columns: Tuple[str, ...],
         projection: Optional[Tuple[Tuple[str, str], ...]],
+        distinct: bool,
     ) -> OqlSelect:
         if projection is not None:
             wanted = {column for column, _alias in projection}
@@ -430,4 +437,4 @@ class _OqlTranslator:
         where: Optional[OqlNode] = None
         if self._wheres:
             where = self._wheres[0] if len(self._wheres) == 1 else OqlAnd(self._wheres)
-        return OqlSelect(items, self._ranges, where)
+        return OqlSelect(items, self._ranges, where, distinct)

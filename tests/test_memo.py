@@ -336,10 +336,9 @@ class TestHonestCounters:
 # Structure guard: a sixteenth hand-rolled table fails here
 # ---------------------------------------------------------------------------
 
-#: The two tables deliberately left off the memo; each file says why.
+#: The one table deliberately left off the memo; its file says why.
 BARE_DICT_EXCEPTIONS = {
-    SRC / "core" / "algebra" / "tab.py",         # _COLUMN_MAPS
-    SRC / "core" / "algebra" / "scheduling.py",  # SourceCallCache
+    SRC / "core" / "algebra" / "tab.py",  # _COLUMN_MAPS
 }
 HAND_ROLLED = (
     ("OrderedDict", re.compile(r"\bOrderedDict\b")),

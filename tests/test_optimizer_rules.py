@@ -29,13 +29,13 @@ from repro.core.optimizer import (
     BindJoinRule,
     BindTreeEliminationRule,
     CapabilityPushdownRule,
+    DemandNarrowingRule,
     EquivalenceInsertionRule,
     JoinBranchEliminationRule,
     LabelVarExpansionRule,
     MergeBindChainRule,
     OptimizerContext,
     ProjectComposeRule,
-    ProjectDrivenBindSimplifyRule,
     RewriteTrace,
     SelectPushdownRule,
     navigation_to_extent_join,
@@ -401,11 +401,10 @@ class TestBindSimplify:
     def test_project_driven_simplification(self, setup):
         env_factory, context = setup
         plan = ProjectOp(works_bind(), [("t", "t")])
-        rewritten = ProjectDrivenBindSimplifyRule().apply(plan, context)
-        assert rewritten is not None
-        bind = rewritten.input
-        assert isinstance(bind, BindOp)
-        assert set(bind.filter.variables()) == {"t"}
+        rewritten = DemandNarrowingRule().apply(plan, context)
+        # The projection no longer changes anything, so it goes too.
+        assert isinstance(rewritten, BindOp)
+        assert set(rewritten.filter.variables()) == {"t"}
         assert_equivalent(plan, rewritten, env_factory)
 
     def test_needed_variables_survive(self, setup):
@@ -414,7 +413,7 @@ class TestBindSimplify:
             SelectOp(works_bind(), eq(Var("s"), Const("Impressionist"))),
             [("t", "t")],
         )
-        rewritten = ProjectDrivenBindSimplifyRule().apply(plan, context)
+        rewritten = DemandNarrowingRule().apply(plan, context)
         assert rewritten is not None
         bind = rewritten.input.input
         assert set(bind.filter.variables()) == {"t", "s"}

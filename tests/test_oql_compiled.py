@@ -212,6 +212,47 @@ class TestKeyProbeParity:
         )
 
 
+class TestSelectDistinct:
+    """``select distinct`` keeps the first of each group of equal rows, in
+    order, in both engines, and the text round-trips."""
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "select distinct t: A.title from A in artifacts, O in A.owners",
+            "select distinct t: A.title, y: A.year from A in artifacts, "
+            "O in A.owners where A.year > 1800",
+            # Objects compare by identity: the two owners stay apart.
+            "select distinct o: O from A in artifacts, O in A.owners",
+            "select distinct n: O.name from P in persons, A in artifacts, "
+            "O in A.owners",
+        ],
+    )
+    def test_rows_order_and_text(self, db, text):
+        rows = run_both(db, text)
+        plain = run_both(db, text.replace("select distinct", "select"))
+        assert rows == [row for i, row in enumerate(plain) if row not in plain[:i]]
+        assert parse_oql(text).text() == text
+
+    def test_atoms_stay_apart_by_type_and_value(self):
+        schema = Schema("codes")
+        schema.add_class(
+            ClassDef("item", TupleType([("code", AtomicType("Float"))]),
+                     extent="items")
+        )
+        database = ObjectDatabase(schema)
+        codes = [1, 1.0, True, 1, 2**53, 2**53 + 1, float(2**53), 1.0, True,
+                 2**53 + 1]
+        for code in codes:
+            database.insert("item", {"code": code})
+        rows = run_both(database, "select distinct c: I.code from I in items")
+        kept = [row["c"] for row in rows]
+        assert [(type(c), c) for c in kept] == [
+            (int, 1), (float, 1.0), (bool, True), (int, 2**53),
+            (int, 2**53 + 1), (float, float(2**53)),
+        ]
+
+
 class TestErrorParity:
     def test_unbound_variable(self, db):
         message = raise_both(

@@ -1,8 +1,8 @@
-"""Federated execution scheduler: policy, parallel dispatch, batching, cache.
+"""Federated execution scheduler: policy, parallel dispatch, batching.
 
 Everything here asserts one invariant from two directions: the scheduler
 may change *when* and *how often* sources are called, but never *what*
-the plan produces.  Serial, cached, batched and parallel runs of the
+the plan produces.  Serial, batched and parallel runs of the
 same plan must agree row for row.
 """
 
@@ -26,7 +26,6 @@ from repro.core.algebra.operators import (
 from repro.core.algebra.scheduling import (
     ABSENT,
     PlanScheduler,
-    SourceCallCache,
     identity_cell_key,
     outer_binding_key,
     plan_parameters,
@@ -227,60 +226,6 @@ class TestPlanParameters:
 
     def test_identity_key_missing_value(self):
         assert identity_cell_key(MissingValue()) == ("missing",)
-
-
-# ---------------------------------------------------------------------------
-# Source-call cache
-# ---------------------------------------------------------------------------
-
-class TestSourceCallCache:
-    def test_lookup_store(self):
-        cache = SourceCallCache()
-        assert cache.lookup(("k",)) == (False, None)
-        cache.store(("k",), 42)
-        assert cache.lookup(("k",)) == (True, 42)
-        assert len(cache) == 1
-
-    def test_repeated_source_op_hits_cache(self):
-        source = CountingSource()
-        plan = UnionOp(SourceOp("src", "doc"), SourceOp("src", "doc"))
-        env = Environment({"src": source})
-        tab = evaluate(plan, env)
-        assert source.document_calls == 1
-        assert env.stats.cache_hits["src"] == 1
-        assert env.stats.source_calls["src"] == 1
-        assert len(tab) == 1  # union of two identical one-row tabs
-
-    def test_serial_policy_disables_cache(self):
-        source = CountingSource()
-        plan = UnionOp(SourceOp("src", "doc"), SourceOp("src", "doc"))
-        env = Environment({"src": source}, policy=ExecutionPolicy.serial())
-        evaluate(plan, env)
-        assert source.document_calls == 2
-        assert env.stats.total_cache_hits == 0
-
-    def test_pushed_cache_keyed_on_outer_constants(self):
-        source = CountingSource()
-        env = Environment({"src": source})
-        plan = pushed_by_x()
-        first = evaluate(plan, env, outer=Row(("x",), (2,)))
-        again = evaluate(plan, env, outer=Row(("x",), (2,)))
-        other = evaluate(plan, env, outer=Row(("x",), (3,)))
-        assert first.rows == again.rows
-        assert other.rows != first.rows
-        assert source.pushed_calls == 2  # x=2 once, x=3 once
-        assert env.stats.cache_hits["src"] == 1
-
-    def test_cache_hits_do_not_count_as_calls_or_transfer(self):
-        source = CountingSource()
-        env = Environment({"src": source})
-        plan = pushed_by_x()
-        evaluate(plan, env, outer=Row(("x",), (1,)))
-        calls = env.stats.source_calls["src"]
-        transferred = env.stats.bytes_transferred["src"]
-        evaluate(plan, env, outer=Row(("x",), (1,)))
-        assert env.stats.source_calls["src"] == calls
-        assert env.stats.bytes_transferred["src"] == transferred
 
 
 # ---------------------------------------------------------------------------
@@ -490,7 +435,6 @@ class TestStatsThreadSafety:
                 stats.record_call(f"s{index % 2}")
                 stats.record_transfer("s", rows=1, size=3)
                 stats.record_operator("Op", 2)
-                stats.record_cache_hit("s")
                 stats.record_batched(1)
                 stats.record_parallel(1)
 
@@ -506,17 +450,14 @@ class TestStatsThreadSafety:
         assert stats.total_rows_transferred == total
         assert stats.bytes_transferred["s"] == 3 * total
         assert stats.mediator_rows == 2 * total
-        assert stats.total_cache_hits == total
         assert stats.batched_calls == total
         assert stats.parallel_branches == total
 
     def test_summary_mentions_scheduler_counters(self):
         stats = ExecutionStats()
-        stats.record_cache_hit("s")
         stats.record_batched(2)
         stats.record_parallel(3)
         text = stats.summary()
-        assert "1 cache hits" in text
         assert "2 batched calls" in text
         assert "3 parallel branches" in text
 

@@ -1,40 +1,19 @@
-"""Tests for the rewrite framework, the three-round planner, and costs."""
+"""Tests for the rewrite framework and the three-round planner."""
 
 import pytest
 
-from repro.core.algebra.expressions import (
-    BoolAnd,
-    Cmp,
-    Const,
-    Var,
-    eq,
-)
-from repro.core.algebra.operators import (
-    BindOp,
-    DJoinOp,
-    JoinOp,
-    LiteralOp,
-    PushedOp,
-    SelectOp,
-    SourceOp,
-)
+from repro.core.algebra.expressions import Cmp, Const, Var
+from repro.core.algebra.operators import DJoinOp, LiteralOp, PushedOp, SelectOp
 from repro.core.algebra.tab import Row, Tab
 from repro.core.optimizer import (
-    CostHints,
-    Optimizer,
     OptimizerContext,
     RewriteRule,
     RewriteTrace,
-    estimate,
-    estimate_cost,
     rewrite_fixpoint,
 )
 from repro.core.optimizer.rules import RewriteBudgetExceeded, apply_rules_once
-from repro.datasets.cultural import small_figure1_pair
-from repro.model.filters import FStar, FVar, felem
-from repro.wrappers import O2Wrapper, WaisWrapper
 
-from tests.conftest import Q1, Q2, build_mediator
+from tests.conftest import Q1, Q2
 
 
 class _CountingRule(RewriteRule):
@@ -121,69 +100,3 @@ class TestOptimizerRounds:
         for rounds in [(1,), (2,), (3,), (1, 2), (2, 3), (1, 2, 3)]:
             result = cultural_mediator.query(Q2, rounds=rounds)
             assert result.document() == reference, rounds
-
-
-class TestCostModel:
-    def _plans(self):
-        database, store = small_figure1_pair()
-        flt = felem("works", FStar(felem("work", var="w")))
-        bind = BindOp(SourceOp("xmlartwork", "artworks"), flt, on="artworks")
-        pushed = PushedOp("xmlartwork", bind)
-        return bind, pushed
-
-    def test_pushed_cheaper_than_full_transfer(self):
-        bind, pushed = self._plans()
-        hints = CostHints(document_sizes={"artworks": 100_000})
-        assert estimate_cost(pushed, hints) < estimate_cost(bind, hints)
-
-    def test_djoin_scales_with_outer_cardinality(self):
-        bind, pushed = self._plans()
-        left_small = LiteralOp(Tab(("k",), [Row(("k",), (1,))]))
-        big_rows = [Row(("k",), (i,)) for i in range(100)]
-        left_big = LiteralOp(Tab(("k",), big_rows))
-        small = estimate(DJoinOp(left_small, pushed))
-        big = estimate(DJoinOp(left_big, pushed))
-        assert big.cost > small.cost
-
-    def test_selection_reduces_cardinality(self):
-        bind, _ = self._plans()
-        selected = SelectOp(bind, Cmp("=", Var("w"), Const("x")))
-        assert estimate(selected).rows < estimate(bind).rows
-
-    def test_hints_override_defaults(self):
-        bind, _ = self._plans()
-        cheap = CostHints(document_sizes={"artworks": 10})
-        expensive = CostHints(document_sizes={"artworks": 1_000_000})
-        assert estimate_cost(bind, cheap) < estimate_cost(bind, expensive)
-
-    def test_optimized_q2_estimated_cheaper(self, figure1_mediator):
-        naive, optimized, _trace = figure1_mediator.plan_query(
-            parse_query_q2(), optimize=True
-        )
-        hints = CostHints(document_sizes={"artworks": 50_000, "artifacts": 50_000})
-        assert estimate_cost(optimized, hints) < estimate_cost(naive, hints)
-
-
-def parse_query_q2():
-    from repro.yatl import parse_query
-
-    return parse_query(Q2)
-
-
-class TestCostHintsSelectivity:
-    def test_one_conjunct_keeps_the_default_fraction(self):
-        hints = CostHints(default_selectivity=0.25)
-        predicate = eq(Var("s"), Const("whatever"))
-        assert hints.predicate_selectivity(predicate) == pytest.approx(0.25)
-
-    def test_conjunction_multiplies(self):
-        hints = CostHints(default_selectivity=0.5)
-        predicate = BoolAnd(
-            [eq(Var("x"), Const("a")), Cmp(">", Var("y"), Const(1))]
-        )
-        assert hints.predicate_selectivity(predicate) == pytest.approx(0.25)
-
-    def test_capped_at_one(self):
-        hints = CostHints(default_selectivity=1.5)
-        predicate = eq(Var("x"), Const("a"))
-        assert hints.predicate_selectivity(predicate) == 1.0
