@@ -74,14 +74,14 @@ def oracle_tuples(tree, flt):
 
 
 def build_stores(n, seed=1):
-    """Two stores over identical rows: one for pushdown (normal memo),
-    one for the materialization baseline (memo off: every hydration is a
-    cold rebuild, the out-of-core worst case)."""
+    """Two stores over identical rows: one for pushdown, one for the
+    materialization baseline (its memo is cleared before every read, so
+    each hydration is a cold rebuild, the out-of-core worst case)."""
     _database, wais = CulturalDataset(n_artifacts=n, seed=seed).build()
     tree = wais.collection_tree()
     pushdown_store = DocumentStore()
     pushdown_store.add("artworks", tree)
-    cold_store = DocumentStore(hydration_memo_capacity=0)
+    cold_store = DocumentStore()
     cold_store.add("artworks", tree)
     return tree, pushdown_store, cold_store
 
@@ -98,6 +98,7 @@ def speedup_rows(sizes=(25, 100, 400), repeats=10, seed=1):
         expected = oracle_tuples(tree, flt)
 
         def materialize():
+            cold_store._hydration.clear()
             hydrated = cold_store.hydrate_document("artworks")
             return oracle_tuples(hydrated, flt)
 

@@ -599,63 +599,6 @@ def report_result_cache():
     # always reflects this run.
 
 
-def report_twig():
-    banner("V1 — columnar batches + holistic twig joins vs recursive matching")
-    try:
-        from benchmarks.bench_twig_vectorized import q1_rows, speedup_rows
-    except ImportError:
-        from bench_twig_vectorized import q1_rows, speedup_rows
-
-    # The ISSUE 7 acceptance bar lives at n=400, so that size is always
-    # measured even in smoke mode — the speedup is a ratio of two
-    # timings on the same machine, immune to machine-speed scaling.
-    sizes = tuple(sorted(set(SIZES) | {400}))
-    repeats = 5 if QUICK else 15
-    print(f"{'n':>5} {'recursive ms':>13} {'twig ms':>9} {'speedup':>9}")
-    speedup_400 = None
-    for n, recursive_s, twig_s, speedup in speedup_rows(
-        sizes=sizes, repeats=repeats
-    ):
-        emit(
-            "twig_match",
-            {"n": n},
-            recursive_s=recursive_s,
-            twig_s=twig_s,
-            speedup=speedup,
-        )
-        print(f"{n:5d} {recursive_s * 1e3:13.3f} {twig_s * 1e3:9.3f} "
-              f"{speedup:8.1f}x")
-        if n == 400:
-            speedup_400 = speedup
-
-    print("\nend-to-end unoptimized Q1, serial seed vs columnar+twig default:")
-    print(f"{'n':>5} {'serial ms':>10} {'default ms':>11} {'speedup':>9}")
-    q1_speedup = None
-    for n, serial_s, default_s, speedup in q1_rows(
-        sizes=(400,), repeats=3 if QUICK else 5
-    ):
-        emit(
-            "twig_q1",
-            {"n": n},
-            serial_s=serial_s,
-            default_s=default_s,
-            speedup=speedup,
-        )
-        print(f"{n:5d} {serial_s * 1e3:10.1f} {default_s * 1e3:11.1f} "
-              f"{speedup:8.2f}x")
-        q1_speedup = speedup
-
-    acceptance = {
-        "twig_5x_at_400_ok": bool(speedup_400 is not None
-                                  and speedup_400 >= 5.0),
-        "q1_default_not_slower_ok": bool(q1_speedup is not None
-                                         and q1_speedup > 1.0),
-    }
-    emit("twig_acceptance", {}, **acceptance)
-    for name, passed in acceptance.items():
-        print(f"  {name}: {'PASS' if passed else 'FAIL'}")
-
-
 def report_store():
     banner("D1 — out-of-core store: SQL interval pushdown vs full materialization")
     try:
@@ -663,9 +606,8 @@ def report_store():
     except ImportError:
         from bench_store import speedup_rows
 
-    # The acceptance bar lives at n=400; like the twig gate it is a
-    # ratio of two timings on one machine, so it is measured even in
-    # smoke mode.
+    # The acceptance bar lives at n=400; it is a ratio of two timings on
+    # one machine, so it is measured even in smoke mode.
     sizes = tuple(sorted(set(SIZES) | {400}))
     repeats = 5 if QUICK else 10
     print(f"{'n':>5} {'materialize ms':>15} {'pushdown ms':>12} "
@@ -825,7 +767,6 @@ def main():
     report_observability()
     report_plan_cache()
     report_result_cache()
-    report_twig()
     report_store()
     report_serving()
     report_sharding()

@@ -3,43 +3,45 @@
 The interpretive :class:`~repro.core.algebra.bind.FilterMatcher` walks
 the filter tree for *every* candidate node, re-deciding at each step
 what kind of filter it is looking at, re-reading labels, and scanning
-every child of every element linearly.  On the serving path the filter
-is fixed per plan node while the data varies, so this module compiles a
-:class:`~repro.model.filters.Filter` once into a chain of specialized
-closures:
+every child of every element once per item.  On the serving path the
+filter is fixed per plan node while the data varies, so this module
+compiles a :class:`~repro.model.filters.Filter` once into a chain of
+specialized closures — the scan kernel, the one Bind executor behind
+:class:`~repro.core.algebra.engine.BindEngine`:
 
-* per-node dispatch (``FElem`` vs ``FConst`` vs ...) is resolved at
-  compile time — matching executes no ``isinstance`` on filters;
-* label comparison is specialized per label kind (string / variable /
-  regex) instead of re-dispatching per node;
-* when an element filter has two or more children with concrete string
-  labels, matching builds a per-node **label index** over the data
-  node's children, replacing the items × children linear scan with a
-  dict lookup (document order within a label is preserved, so the
-  produced bindings are ordered exactly as the interpreter's);
-* star / rest handling is pre-decided: the rest variable's name and the
-  per-item target filters are fixed in the closure environment.
+* per-node dispatch (``FElem`` vs ``FConst`` vs ...) and the label test
+  (string / variable / regex) are resolved at compile time;
+* an element matches in **one walk** over its direct children: each
+  child is dereferenced once and dispatched by label to pre-resolved
+  ``(slot, kind, own, value)`` records.  Simple field accesses
+  (``title``, ``title $t``, ``title [$t]``, ``style ['Cubist']``) are
+  matched inline; every other item is a compiled sub-matcher tried on
+  the children its label admits;
+* bindings are fixed-width tuples in the filter's declaration order
+  (:meth:`Filter.variables`) — an element's own cells, then each item's
+  cells, the rest capture at its declared position — so Bind zips them
+  straight into columns, with no per-binding dicts.
 
 ``Select`` / ``Join`` predicate :class:`~repro.core.algebra.expressions.Expr`
 trees get the same treatment via :func:`compile_predicate`.
 
 Compiled kernels are memoized per plan node — predicates here
-(:func:`compiled_predicate`), filter kernels inside the per-filter
-engine of :mod:`repro.core.algebra.engine`, which is the only caller of
+(:func:`compiled_predicate`), filter kernels in the per-filter engine
+of :mod:`repro.core.algebra.engine`, the only caller of
 :func:`compile_filter` — so a cached plan that is executed again, or a
 DJoin branch evaluated once per outer row, compiles nothing.  The
 interpretive ``FilterMatcher`` remains in place as the differential
-oracle: ``ExecutionPolicy.serial()`` disables kernels, and the fuzz
-suite checks byte-identical answers between the two.  Semantics match
-the interpreter exactly, including error messages, binding order, and
-the cartesian-explosion guard.
+oracle: ``ExecutionPolicy.serial()`` disables kernels, and the property
+suite checks identical bindings between the two.  Semantics match the
+interpreter exactly, including error messages, binding order, rest
+claiming, and the cartesian-explosion guard.
 """
 
 from __future__ import annotations
 
 import operator as _operator
 from itertools import product
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional
 
 from repro.core.algebra.expressions import (
     BoolAnd,
@@ -69,10 +71,10 @@ from repro.model.filters import (
 from repro.model.trees import DataNode
 
 __all__ = [
-    "CompiledFilter",
     "compile_filter",
     "compile_predicate",
     "compiled_predicate",
+    "identity_deref",
     "predicate_cache_stats",
 ]
 
@@ -81,41 +83,45 @@ def identity_deref(node: DataNode) -> DataNode:
     return node
 
 
-# A match function takes (node, deref) and returns a list of bindings.
-_MatchFn = Callable[[DataNode, Callable], List[dict]]
+# A match function takes (node, deref) and returns a list of binding
+# tuples in its filter's declaration order.
+_MatchFn = Callable[[DataNode, Callable], List[tuple]]
+
+# Item kinds of the element matcher's child dispatch.
+_BARE = 0        # childless element, no variable: binds nothing
+_NODE = 1        # childless element binding the child (or its atom)
+_LEAF_VAR = 2    # element whose single child is a variable
+_LEAF_CONST = 3  # element whose single child is a constant
+_SUB = 4         # anything else: a compiled sub-matcher
 
 
-def _compile(flt: Filter) -> _MatchFn:
+def compile_filter(flt: Filter) -> _MatchFn:
+    """Compile *flt* to a scan kernel (unmemoized; the engine memoizes)."""
     if isinstance(flt, FElem):
         return _compile_elem(flt)
     if isinstance(flt, FVar):
-        name = flt.name
 
         def match_var(node, deref):
             atom = node.atom
-            if atom is not None:
-                return [{name: atom}]
-            return [{name: node}]
+            return [(atom if atom is not None else node,)]
 
         return match_var
     if isinstance(flt, FConst):
         value = flt.value
 
         def match_const(node, deref):
-            node = deref(node)
-            atom = node.atom
+            atom = deref(node).atom
             if atom is not None and atom == value:
-                return [{}]
+                return [()]
             return []
 
         return match_const
     if isinstance(flt, FDescend):
-        inner = _compile(flt.child)
+        inner = compile_filter(flt.child)
 
         def match_descend(node, deref):
-            node = deref(node)
-            out: List[dict] = []
-            for descendant in node.descendants():
+            out: List[tuple] = []
+            for descendant in deref(node).descendants():
                 out.extend(inner(descendant, deref))
             return out
 
@@ -137,181 +143,178 @@ def _compile(flt: Filter) -> _MatchFn:
     return match_unknown
 
 
-def _compile_leaf_content(children) -> Optional[Callable[[DataNode], list]]:
-    """Matcher for an atom leaf's content, or ``None`` when it can't match.
+def _item_record(target: Filter, slot: int):
+    """``(dispatch label or None, record)`` for one star-unwrapped item.
 
-    Mirrors ``FilterMatcher._match_leaf_content``: an atom leaf satisfies
-    an element filter only when the filter has exactly one child that is
-    a variable (binds the atom) or a constant (compares the atom).
+    A ``None`` label means the item is tried on every child.
     """
-    if len(children) != 1:
-        return None
-    only = children[0]
-    if isinstance(only, FVar):
-        name = only.name
-
-        def leaf_var(node):
-            return [{name: node.atom}]
-
-        return leaf_var
-    if isinstance(only, FConst):
-        value = only.value
-
-        def leaf_const(node):
-            if node.atom == value:
-                return [{}]
-            return []
-
-        return leaf_const
-    return None
+    if isinstance(target, FElem) and isinstance(target.label, str):
+        own = target.var is not None
+        declared = target.children
+        if not declared:
+            return target.label, (slot, _NODE if own else _BARE, own, None)
+        if len(declared) == 1:
+            inner = declared[0]
+            if isinstance(inner, FVar):
+                return target.label, (slot, _LEAF_VAR, own, None)
+            if isinstance(inner, FConst):
+                return target.label, (slot, _LEAF_CONST, own, inner.value)
+        return target.label, (slot, _SUB, False, compile_filter(target))
+    return None, (slot, _SUB, False, compile_filter(target))
 
 
 def _compile_elem(flt: FElem) -> _MatchFn:
     label = flt.label
     var = flt.var
-    # Specialize the label test once instead of per candidate node.
-    if isinstance(label, str):
-        literal = label
-        label_var_name = None
-        regex = None
-    elif isinstance(label, LabelVar):
-        literal = None
-        label_var_name = label.name
-        regex = None
-    elif isinstance(label, LabelRegex):
-        literal = None
-        label_var_name = None
-        regex = label.matches
-    else:  # pragma: no cover - Filter validates labels at construction
-        literal = None
-        label_var_name = None
-        regex = None
+    literal = label if isinstance(label, str) else None
+    binds_label = isinstance(label, LabelVar)
+    regex = label.matches if isinstance(label, LabelRegex) else None
+    declared = flt.children
+    has_items = bool(declared)
 
-    leaf_fn = _compile_leaf_content(flt.children)
+    # An atom leaf satisfies an element filter only when its single
+    # child is a variable (binds the atom) or a constant (compares it).
+    leaf_var = leaf_const = False
+    leaf_value = None
+    if len(declared) == 1:
+        leaf_var = isinstance(declared[0], FVar)
+        if isinstance(declared[0], FConst):
+            leaf_const = True
+            leaf_value = declared[0].value
 
-    # Pre-split the children into the rest capture and the item matchers.
-    # A star item matches its inner filter against each child; mandatory
-    # items match themselves — the loop below treats both identically
-    # (one alternative list per item, element fails on an empty list),
-    # which is exactly the interpreter's behavior.
-    rest_name: Optional[str] = None
-    item_specs: List[Tuple[_MatchFn, Optional[str]]] = []
-    indexable = 0
-    for item in flt.children:
+    # Dispatch table: child label -> records of the items that label
+    # admits, followed by the items every child is tried against.
+    labeled: Dict[str, list] = {}
+    anywhere: list = []
+    rest_at: Optional[int] = None
+    slot = 0
+    for item in declared:
         if isinstance(item, FRest):
-            rest_name = item.name
+            rest_at = slot
             continue
         target = item.child if isinstance(item, FStar) else item
-        lookup: Optional[str] = None
-        if isinstance(target, FElem) and isinstance(target.label, str):
-            lookup = target.label
-            indexable += 1
-        item_specs.append((_compile(target), lookup))
-    # A label index pays off once two or more items can use it; with a
-    # single item the dict build costs as much as the scan it replaces.
-    use_index = indexable >= 2
-    has_children_filter = bool(flt.children)
+        key, record = _item_record(target, slot)
+        if key is None:
+            anywhere.append(record)
+        else:
+            labeled.setdefault(key, []).append(record)
+        slot += 1
+    n_items = slot
+    unlabeled = tuple(anywhere)
+    table = {key: tuple(records) + unlabeled for key, records in labeled.items()}
 
     def match_elem(node, deref):
-        node = deref(node)
+        if node.ref_target is not None:
+            node = deref(node)
         node_label = node.label
         if literal is not None:
             if node_label != literal:
                 return []
-        elif regex is not None:
-            if not regex(node_label):
-                return []
-        own: dict = {}
-        if label_var_name is not None:
-            own[label_var_name] = node_label
+        elif regex is not None and not regex(node_label):
+            return []
+        atom = node.atom
+        own: tuple = (node_label,) if binds_label else ()
         if var is not None:
-            atom = node.atom
-            own[var] = atom if atom is not None else node
-        if not has_children_filter:
+            own += (atom if atom is not None else node,)
+        if not has_items:
             return [own]
-        if node.atom is not None:
-            if leaf_fn is None:
-                return []
-            out = []
-            for binding in leaf_fn(node):
-                merged = dict(own)
-                merged.update(binding)
-                out.append(merged)
-            return out
-        kids = node.children
-        by_label: Optional[Dict[str, List[DataNode]]] = None
-        if use_index and kids:
-            by_label = {}
-            for child in kids:
-                by_label.setdefault(deref(child).label, []).append(child)
-        claimed: set = set()
-        alternatives: List[List[dict]] = []
-        for item_fn, lookup in item_specs:
-            if lookup is not None and by_label is not None:
-                candidates = by_label.get(lookup, ())
-            else:
-                candidates = kids
-            alts: List[dict] = []
-            for child in candidates:
-                bindings = item_fn(child, deref)
-                if bindings:
-                    claimed.add(id(child))
-                    alts.extend(bindings)
+        if atom is not None:
+            if leaf_var:
+                return [own + (atom,)]
+            if leaf_const and atom == leaf_value:
+                return [own]
+            return []
+
+        alternatives: List[list] = [[] for _ in range(n_items)]
+        rest: Optional[list] = [] if rest_at is not None else None
+        errors: Optional[dict] = None
+        for child in node.children:
+            found = child if child.ref_target is None else deref(child)
+            matched = False
+            for islot, kind, own_var, value in table.get(found.label, unlabeled):
+                alts = alternatives[islot]
+                if kind == _LEAF_VAR:
+                    catom = found.atom
+                    if catom is not None:
+                        alts.append((catom, catom) if own_var else (catom,))
+                        matched = True
+                    else:
+                        for grandchild in found.children:
+                            cell = grandchild.atom
+                            if cell is None:
+                                cell = grandchild
+                            alts.append((found, cell) if own_var else (cell,))
+                            matched = True
+                elif kind == _BARE:
+                    alts.append(())
+                    matched = True
+                elif kind == _NODE:
+                    catom = found.atom
+                    alts.append((catom if catom is not None else found,))
+                    matched = True
+                elif kind == _LEAF_CONST:
+                    catom = found.atom
+                    if catom is not None:
+                        if catom == value:
+                            alts.append((catom,) if own_var else ())
+                            matched = True
+                    else:
+                        for grandchild in found.children:
+                            if grandchild.ref_target is not None:
+                                grandchild = deref(grandchild)
+                            cell = grandchild.atom
+                            if cell is not None and cell == value:
+                                alts.append((found,) if own_var else ())
+                                matched = True
+                else:
+                    # A sub-matcher may raise; the oracle would only see
+                    # the error if every earlier item matched, so it is
+                    # held until the items are checked in order below.
+                    try:
+                        bindings = value(child, deref)
+                    except BindError as error:
+                        if errors is None:
+                            errors = {}
+                        errors.setdefault(islot, error)
+                        continue
+                    if bindings:
+                        alts.extend(bindings)
+                        matched = True
+            if not matched and rest is not None:
+                rest.append(child)
+
+        # The explosion guard runs after every item matched — a failing
+        # later item returns [] rather than raising, like the oracle.
+        total = 1
+        for islot, alts in enumerate(alternatives):
+            if errors is not None and islot in errors:
+                raise errors[islot]
             if not alts:
                 return []
-            alternatives.append(alts)
-        rest_value: Optional[tuple] = None
-        if rest_name is not None:
-            rest_value = tuple(
-                child for child in kids if id(child) not in claimed
-            )
-        # The explosion guard runs after every item matched — a failing
-        # later item must return [] rather than raise, like the
-        # interpreter.
-        total = 1
-        for alts in alternatives:
             total *= len(alts)
-            if total > MAX_MATCHES:
-                raise BindError(
-                    f"filter produces more than {MAX_MATCHES} bindings "
-                    f"for one tree; refusing the cartesian explosion"
-                )
-        results: List[dict] = []
+        if total > MAX_MATCHES:
+            raise BindError(
+                f"filter produces more than {MAX_MATCHES} bindings "
+                f"for one tree; refusing the cartesian explosion"
+            )
+        if rest is not None:
+            alternatives.insert(rest_at, [(tuple(rest),)])
+        if total == 1:
+            row = own
+            for alts in alternatives:
+                row += alts[0]
+            return [row]
+        if len(alternatives) == 1:
+            return [own + part for part in alternatives[0]]
+        results: List[tuple] = []
         for combo in product(*alternatives):
-            merged = dict(own)
-            if rest_name is not None:
-                merged[rest_name] = rest_value
-            for binding in combo:
-                merged.update(binding)
-            results.append(merged)
+            row = own
+            for part in combo:
+                row += part
+            results.append(row)
         return results
 
     return match_elem
-
-
-class CompiledFilter:
-    """A filter compiled to closures, with its output schema precomputed."""
-
-    __slots__ = ("filter", "variables", "_match")
-
-    def __init__(self, flt: Filter) -> None:
-        self.filter = flt
-        #: Variables the filter binds, in declaration order (this also
-        #: validates that no variable is bound twice, like the
-        #: interpretive path does before matching).
-        self.variables = flt.variables()
-        self._match = _compile(flt)
-
-    def match(self, node: DataNode, deref=identity_deref) -> List[dict]:
-        return self._match(node, deref)
-
-    def __repr__(self) -> str:
-        return f"CompiledFilter({self.filter!r})"
-
-
-def compile_filter(flt: Filter) -> CompiledFilter:
-    """Compile *flt* to a scan kernel (unmemoized; the engine memoizes)."""
-    return CompiledFilter(flt)
 
 
 _ORDERING_OPS = {

@@ -44,7 +44,7 @@ from repro.errors import (
 )
 from repro.core.algebra.bind import FilterMatcher
 from repro.core.algebra.compiled import compiled_predicate
-from repro.core.algebra.engine import BindCounters, bind_engine
+from repro.core.algebra.engine import bind_engine
 from repro.core.algebra.operators import (
     BindOp,
     DJoinOp,
@@ -398,27 +398,13 @@ def _eval_bind(plan: BindOp, env: Environment, outer: Optional[Row]) -> Tab:
     input_tab = _evaluate(plan.input, env, outer)
     if env.reference:
         result = _bind_reference(plan, env, outer, input_tab)
-        env.stats.record_operator("Bind", len(result))
+    else:
+        result = _bind_columnar(
+            plan, env, outer, input_tab, bind_engine(plan.filter)
+        )
         if env.tracer is not None:
-            env.tracer.annotate(access="scan")
-        return result
-    # Which matcher runs for each target is the engine's decision (twig
-    # join over indexed trees, scan kernel otherwise); the counters say
-    # what it decided.
-    engine = bind_engine(plan.filter)
-    counters = BindCounters()
-    result = _bind_columnar(plan, env, outer, input_tab, engine, counters)
+            env.tracer.annotate(batch_rows=len(result))
     env.stats.record_operator("Bind", len(result))
-    if counters.twig or counters.fallbacks:
-        env.stats.record_twig(
-            counters.twig, counters.twig_rows, counters.fallbacks
-        )
-    if env.tracer is not None:
-        env.tracer.annotate(
-            access="twig-join" if counters.twig else "scan",
-            twig_matches=counters.twig, scanned=counters.scanned,
-            batch_rows=len(result),
-        )
     return result
 
 
@@ -455,7 +441,7 @@ def _bind_reference(
 
 def _bind_columnar(
     plan: BindOp, env: Environment, outer: Optional[Row], input_tab: Tab,
-    engine, counters,
+    engine,
 ) -> Tab:
     """Engine Bind output: bindings zip straight into column arrays.
 
@@ -486,7 +472,7 @@ def _bind_columnar(
     all_bindings: List[tuple] = []
     for i in range(length):
         target = target_col[i] if target_col is not None else outer_target
-        bindings = engine.tuples(target, deref, counters)
+        bindings = engine.tuples(target, deref)
         counts.append(len(bindings))
         all_bindings.extend(bindings)
 

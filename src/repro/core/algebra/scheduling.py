@@ -51,9 +51,9 @@ class ExecutionPolicy:
     concurrently; ``1`` (the default) keeps the seed's strictly serial
     evaluation order.  It is the only setting.  Everything else the
     engine does to save mediator work — set-valued DJoin information
-    passing, compiled Bind and predicate kernels, twig joins over indexed
-    documents, columnar Tab batches, prepared OQL in the O2 wrapper — is
-    always on, because none of it can change a produced Tab.
+    passing, compiled Bind and predicate kernels, columnar Tab batches,
+    prepared OQL in the O2 wrapper — is always on, because none of it
+    can change a produced Tab.
 
     :meth:`serial` builds the one other mode: the *reference* engine
     every optimization is tested against.  ``reference`` is read-only

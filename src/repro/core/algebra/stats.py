@@ -66,15 +66,11 @@ class ExecutionStats:
         self.passed_keys: int = 0
         #: Plan branches dispatched to the scheduler's thread pool.
         self.parallel_branches: int = 0
-        #: Always zero since the index-seek matchers were removed; kept
-        #: because ``benchmarks/e2e/layers.py`` reads it by name.
+        #: Always zero since the index-seek matchers and the twig join
+        #: were removed; kept because ``benchmarks/e2e/layers.py`` reads
+        #: them by name (it is their only reader).
         self.bind_index_seeks: int = 0
-        #: Holistic twig matching: targets matched via the positional
-        #: twig join, binding tuples it produced, and targets of a
-        #: twig-fragment filter that the scan kernel matched instead
-        #: because their tree has no index (small / reference / shared).
         self.twig_matches: int = 0
-        self.twig_bindings: int = 0
         self.twig_fallbacks: int = 0
         #: Vectorized execution: operator evaluations that ran on
         #: columnar batches and the rows they carried.
@@ -166,13 +162,6 @@ class ExecutionStats:
         with self._lock:
             self.parallel_branches += branches
 
-    def record_twig(self, matches: int, bindings: int, fallbacks: int) -> None:
-        """Record one Bind's holistic twig-join usage."""
-        with self._lock:
-            self.twig_matches += matches
-            self.twig_bindings += bindings
-            self.twig_fallbacks += fallbacks
-
     def record_batch(self, rows: int) -> None:
         """Record one operator evaluation that ran on columnar batches."""
         with self._lock:
@@ -248,9 +237,6 @@ class ExecutionStats:
             "batched_calls": self.batched_calls,
             "passed_keys": self.passed_keys,
             "parallel_branches": self.parallel_branches,
-            "twig_matches": self.twig_matches,
-            "twig_bindings": self.twig_bindings,
-            "twig_fallbacks": self.twig_fallbacks,
             "batch_operators": self.batch_operators,
             "batch_rows": self.batch_rows,
             "store_pushdowns": self.store_pushdowns,
@@ -285,12 +271,6 @@ class ExecutionStats:
                 f"scheduler: {self.batched_calls} batched calls, "
                 f"{self.parallel_branches} parallel branches"
                 + (f", {self.passed_keys} passed keys" if self.passed_keys else "")
-            )
-        if self.twig_matches or self.twig_fallbacks:
-            lines.append(
-                f"twig join: {self.twig_matches} matches, "
-                f"{self.twig_bindings} bindings, "
-                f"{self.twig_fallbacks} fallbacks"
             )
         if self.batch_operators:
             lines.append(

@@ -41,7 +41,6 @@ from repro.mediator.views import (
     MaterializedViewSource,
     ViewRegistry,
 )
-from repro.model.indexes import invalidate_document_indexes
 from repro.model.trees import DataNode
 from repro.sources.wais.index import document_contains
 from repro.wrappers.base import Wrapper
@@ -305,9 +304,6 @@ class Mediator:
         # reloaded program may have added rules to the view); drop them
         # and let the next query refresh.
         self.views.reset_materialized()
-        # Document trees may be re-exported after a catalog change; the
-        # lazily built positional indexes over them follow the epoch.
-        invalidate_document_indexes()
 
     # -- planning ------------------------------------------------------------------
 
@@ -619,14 +615,11 @@ class Mediator:
         evaluations, rows produced, inclusive wall time, source calls
         and bytes.
 
-        Every mediator-side Bind node is annotated with what its engine
-        (:func:`~repro.core.algebra.engine.bind_engine`) will do:
-        ``bind: twig-join if indexed, else scan`` for a filter in the
-        twig fragment (the choice is per target tree, so ANALYZE's
-        ``twig=`` / ``scanned=`` actuals say how it fell), ``bind: scan``
-        otherwise — and always under the ``serial()`` reference policy.
+        Every mediator-side Bind node is annotated ``bind: scan``: the
+        scan kernel (:func:`~repro.core.algebra.engine.bind_engine`)
+        matches it, or the oracle under the ``serial()`` reference
+        policy.
         """
-        from repro.core.algebra.engine import bind_engine
         from repro.core.algebra.operators import (
             BindOp,
             PushedOp,
@@ -639,15 +632,10 @@ class Mediator:
         naive, optimized, trace, cached, normalized = self._plan_text(
             text, optimize, rounds
         )
-        reference = self._reference(execution)
-        access_paths = {}
-        for node in optimized.walk():
-            if isinstance(node, BindOp):
-                access = (
-                    "scan" if reference
-                    else bind_engine(node.filter).describe()
-                )
-                access_paths[id(node)] = f"bind: {access}"
+        access_paths = {
+            id(node): "bind: scan"
+            for node in optimized.walk() if isinstance(node, BindOp)
+        }
         # Scatter nodes: show the pruning decision — how many shards of
         # the topology this Bind chain actually reads, and whether each
         # outer row is routed to its owning shard at run time.

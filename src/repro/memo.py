@@ -28,10 +28,10 @@ check makes a recycled id miss instead of serving another plan's value.
 
 **Races** — :meth:`Memo.get_or_build` builds outside the lock; when two
 builders race on one key, tag and anchor, the incumbent is kept and
-returned to both, so every caller sees one stable object (document
-indexes key on tree identity).  :meth:`Memo.single_flight` additionally
-elects one leader per key while the others wait and re-look-up; a leader
-that raises still releases its waiters.
+returned to both, so every caller sees one stable object (trees cache
+their value keys and sizes on the instance).  :meth:`Memo.single_flight`
+additionally elects one leader per key while the others wait and
+re-look-up; a leader that raises still releases its waiters.
 
 **Counters** — :meth:`Memo.stats` returns the same keys for every memo:
 ``entries``, ``capacity``, ``hits``, ``misses``, ``stale``,

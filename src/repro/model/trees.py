@@ -67,8 +67,8 @@ class DataNode:
         #: Serialized byte size, cached by ``xml_io.serialized_size`` —
         #: transfer statistics re-measure shared trees on every call.
         self._ssize: Optional[int] = None
-        #: Node count, cached by ``size()`` — the index registry's size
-        #: gate consults it on every Bind over an uncached document.
+        #: Node count, cached by ``size()`` — the store wrapper counts
+        #: the nodes of memoized hydrated subtrees on every pushdown.
         self._nsize: Optional[int] = None
 
     # -- classification ----------------------------------------------------

@@ -35,8 +35,7 @@ class NodeActuals:
     """
 
     __slots__ = ("evals", "rows", "wall", "cpu", "calls", "bytes",
-                 "twig_matches", "scanned", "batch_rows",
-                 "keys", "native")
+                 "batch_rows", "keys", "native")
 
     def __init__(self) -> None:
         self.evals = 0
@@ -45,9 +44,7 @@ class NodeActuals:
         self.cpu = 0.0
         self.calls = 0
         self.bytes = 0
-        #: Bind targets matched by the twig join / by the scan kernel.
-        self.twig_matches = 0
-        self.scanned = 0
+        #: Rows a Bind produced as columnar batches.
         self.batch_rows = 0
         #: Outer bindings passed up in set-valued calls (``Pushed`` only).
         self.keys = 0
@@ -66,9 +63,6 @@ class NodeActuals:
             parts.append(f"keys={self.keys}")
         if self.bytes:
             parts.append(f"bytes={self.bytes}")
-        if self.twig_matches or self.scanned:
-            parts.append(f"twig={self.twig_matches}")
-            parts.append(f"scanned={self.scanned}")
         if self.batch_rows:
             parts.append(f"batch={self.batch_rows}")
         return " ".join(parts)
@@ -100,8 +94,6 @@ def collect_actuals(tracer) -> Dict[int, NodeActuals]:
             entry.rows += rows
         entry.calls += int(span.attrs.get("calls", 0))  # type: ignore[arg-type]
         entry.bytes += int(span.attrs.get("bytes", 0))  # type: ignore[arg-type]
-        entry.twig_matches += int(span.attrs.get("twig_matches", 0))  # type: ignore[arg-type]
-        entry.scanned += int(span.attrs.get("scanned", 0))  # type: ignore[arg-type]
         entry.batch_rows += int(span.attrs.get("batch_rows", 0))  # type: ignore[arg-type]
         entry.keys += int(span.attrs.get("keys", 0))  # type: ignore[arg-type]
         native = span.attrs.get("native")
@@ -180,8 +172,8 @@ def render_plan(
     """The plan tree, one node per line, actuals right-aligned when given.
 
     ``access_paths`` maps plan-node ids to their Bind access line
-    (``bind: twig-join if indexed, else scan`` / ``bind: scan`` /
-    ``bind: store-pushdown`` ...); the text joins the annotation column.
+    (``bind: scan`` / ``bind: store-pushdown`` ...); the text joins the
+    annotation column.
     """
     rows: List[Tuple[str, str]] = []
     _plan_rows(plan, 0, actuals, rows, None, access_paths)

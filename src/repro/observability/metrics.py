@@ -426,18 +426,6 @@ def record_execution(
         "Plan branches dispatched to the scheduler pool.",
     ).inc(stats.parallel_branches)
     registry.counter(
-        "yat_twig_matches_total",
-        "Bind targets matched by the holistic twig join.",
-    ).inc(stats.twig_matches)
-    registry.counter(
-        "yat_twig_bindings_total",
-        "Binding tuples produced by the holistic twig join.",
-    ).inc(stats.twig_bindings)
-    registry.counter(
-        "yat_twig_fallbacks_total",
-        "Targets of twig-fragment filters scanned for lack of an index.",
-    ).inc(stats.twig_fallbacks)
-    registry.counter(
         "yat_batch_operators_total",
         "Operator evaluations that ran on columnar batches.",
     ).inc(stats.batch_operators)
@@ -525,10 +513,6 @@ _EXTRA_GAUGES = (
      "Materialized view refresh executions (cold + stale)."),
     ("views", "yat_view_serves", "serves",
      "Queries served from a materialized view document."),
-    ("indexes", "yat_document_index_builds", "builds",
-     "Document indexes built since start."),
-    ("indexes", "yat_document_index_build_seconds", "build_seconds",
-     "Cumulative wall time spent building document indexes."),
 )
 
 
@@ -536,7 +520,7 @@ def record_memo_stats(registry: MetricsRegistry, mediator) -> None:
     """Export every memo as one ``yat_memo_*{memo=...}`` row.
 
     Rows come from the process-wide memos (Bind engines, predicate
-    kernels, document indexes, column maps), the mediator's own
+    kernels, column maps), the mediator's own
     (:meth:`Mediator.memo_stats`) and each connected adapter's
     ``memo_stats()``.  Gauges, not counters: the numbers are cumulative
     snapshots owned by the memos, so re-recording overwrites.  A memo
@@ -547,13 +531,10 @@ def record_memo_stats(registry: MetricsRegistry, mediator) -> None:
     from repro.core.algebra.compiled import predicate_cache_stats
     from repro.core.algebra.engine import engine_cache_stats
     from repro.core.algebra.tab import column_map_stats
-    from repro.model.indexes import index_registry_stats
 
-    indexes = index_registry_stats()
     rows = {
         "bind_engines": engine_cache_stats(),
         "predicate_kernels": predicate_cache_stats(),
-        "document_indexes": indexes,
         "column_maps": column_map_stats(),
     }
     rows.update(mediator.memo_stats())
@@ -575,7 +556,7 @@ def record_memo_stats(registry: MetricsRegistry, mediator) -> None:
         for memo, stats in rows.items():
             if key in stats:
                 gauge.labels(memo=memo).set(stats[key])
-    extras = {"indexes": indexes}
+    extras: Dict[str, Dict] = {}
     if mediator.plan_cache is not None:
         extras["plan_cache"] = mediator.plan_cache.stats()
     if mediator.result_cache is not None:

@@ -4,9 +4,9 @@ The mediator of the paper answers one query at a time; a portal serves
 many sessions at once.  This package is the serving layer between the
 two: a :class:`MediatorServer` runs a bounded worker pool over one
 shared :class:`~repro.mediator.mediator.Mediator` — so every session
-benefits from the same plan cache, compiled kernels and document
-indexes — while per-request state (tracer, deadline, source-call cache,
-tenant identity) travels in an explicit
+benefits from the same plan cache and compiled kernels — while
+per-request state (tracer, deadline, source-call cache, tenant identity)
+travels in an explicit
 :class:`~repro.observability.context.RequestContext` instead of process
 globals.
 

@@ -3,8 +3,8 @@
 A :class:`MediatorServer` is a thread-pool front-end (the same bounded
 worker model as :class:`~repro.core.algebra.scheduling.PlanScheduler`)
 that accepts many simultaneous YATL sessions against one mediator — all
-of them sharing its plan cache, compiled kernels and document indexes,
-none of them sharing per-request state, which travels in an explicit
+of them sharing its plan cache and compiled kernels, none of them
+sharing per-request state, which travels in an explicit
 :class:`~repro.observability.context.RequestContext` per admitted query.
 
 Overload robustness is the design center:

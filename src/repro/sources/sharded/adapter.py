@@ -167,8 +167,8 @@ class ShardedSourceAdapter(SourceAdapter):
         self.shards = tuple(shards)
         #: ``name -> tree``, tagged with the shard version vector:
         #: repeated reads at one version serve one stable tree, keeping
-        #: identity-keyed caches (document indexes) effective.  One slot
-        #: per exported document (sized by :meth:`document`), so nothing
+        #: per-node caches (value keys, serialized sizes) effective.  One
+        #: slot per exported document (sized by :meth:`document`), so nothing
         #: is ever evicted.
         self._documents = Memo(0)
 

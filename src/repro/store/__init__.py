@@ -1,4 +1,4 @@
-"""Out-of-core document storage (ROADMAP item 2).
+"""Out-of-core document storage.
 
 Shreds YAT trees into a sqlite ``nodes`` table keyed by pre-order
 position with half-open ``[pre, post)`` subtree intervals, hydrates

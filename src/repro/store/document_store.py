@@ -1,4 +1,4 @@
-"""Out-of-core document storage: sqlite-shredded trees (ROADMAP item 2).
+"""Out-of-core document storage: sqlite-shredded trees.
 
 Every other source in this reproduction materializes whole documents as
 Python trees before a single ``Bind`` runs, so data is capped by RAM and
@@ -9,9 +9,7 @@ one row per node::
     nodes(doc, pre, post, parent, name, kind, vtype, value, num, ident, col)
 
 ``pre`` is the node's pre-order position and ``post`` is the half-open
-end of its subtree interval (``post = pre + subtree size``), computed by
-exactly the traversal :class:`~repro.model.indexes.DocumentIndex` uses,
-so the two encodings are interchangeable position-for-position:
+end of its subtree interval (``post = pre + subtree size``), so:
 
 * *descendant of s*  ⇔  ``s.pre < t.pre AND t.pre < s.post``
 * *child of s*       ⇔  ``t.parent = s.pre``
@@ -29,10 +27,9 @@ Reads come in two granularities, cheapest first:
 
 All state is guarded by one lock (sqlite connections are shared across
 the server's request threads) and the hydration memo is bounded, the
-same ``RequestContext``-safety rules every process-wide memo follows
-since PR 6.  The ``version`` counter bumps on every insert/update so
-wrapper document memos, plan-cache epochs and the ``IndexRegistry``
-never serve stale shredded rows.
+same ``RequestContext``-safety rules every process-wide memo follows.
+The ``version`` counter bumps on every insert/update so wrapper document
+memos and plan-cache epochs never serve stale shredded rows.
 """
 
 from __future__ import annotations
@@ -46,6 +43,9 @@ from repro.memo import Memo
 from repro.model.trees import DataNode
 from repro.model.values import Atom, atom_type_name, parse_atom
 from repro.model.xml_io import serialized_size
+
+#: Bound on each store's ``(doc, pre) -> subtree`` hydration memo.
+HYDRATION_MEMO_CAPACITY = 128
 
 _SCHEMA = """
 CREATE TABLE IF NOT EXISTS documents (
@@ -110,12 +110,11 @@ def shred(root: DataNode) -> Tuple[list, int, bool]:
 
     Returns ``(rows, count, pushdown_safe)`` where each row is the
     ``nodes`` tuple minus the leading document name.  The traversal is
-    the :class:`~repro.model.indexes.DocumentIndex` one — iterative
-    pre-order with a backward subtree-size accumulation — so positions
-    agree with the in-memory index byte for byte.  Reference nodes and
-    shared subtrees make the document *pushdown-unsafe* (the mirror of
-    ``DocumentIndex.supports_seek``): its queries fall back to hydrated
-    scans where the in-memory Bind engine owns the semantics.
+    an iterative pre-order with a backward subtree-size accumulation.
+    Reference nodes and shared subtrees make the document
+    *pushdown-unsafe* (interval semantics cannot express a node with two
+    parents or a pointer): its queries fall back to hydrated scans where
+    the in-memory Bind engine owns the semantics.
     """
     nodes: List[DataNode] = []
     parents: List[int] = []
@@ -192,27 +191,18 @@ def _build_subtree(rows: Sequence[tuple]) -> DataNode:
 class DocumentStore:
     """A sqlite-backed store of shredded documents with lazy hydration."""
 
-    #: Bound on the ``(doc, pre) -> subtree`` hydration memo.
-    HYDRATION_MEMO_CAPACITY = 128
-
-    def __init__(
-        self, path: str = ":memory:", hydration_memo_capacity: Optional[int] = None
-    ) -> None:
+    def __init__(self, path: str = ":memory:") -> None:
         self.path = path
         self._conn = sqlite3.connect(path, check_same_thread=False)
         self._conn.executescript(_SCHEMA)
         self._conn.commit()
         self._lock = threading.RLock()
         #: Monotonic data version; every insert/update bumps it so the
-        #: wrapper document memo, the mediator's plan-cache epoch and the
-        #: ``IndexRegistry`` can detect stale shredded rows.
+        #: wrapper document memo and the mediator's plan-cache epoch can
+        #: detect stale shredded rows.
         self.version = 0
         #: ``(doc, pre) -> subtree``, tagged with the data version.
-        self._hydration = Memo(
-            self.HYDRATION_MEMO_CAPACITY
-            if hydration_memo_capacity is None
-            else hydration_memo_capacity
-        )
+        self._hydration = Memo(HYDRATION_MEMO_CAPACITY)
         # Cumulative counters (exported as yat_store_* gauges) and the
         # since-last-pop delta fed into per-execution ExecutionStats.
         self._counters = {
@@ -305,8 +295,8 @@ class DocumentStore:
         """Whether interval pushdown is sound for *name*.
 
         ``False`` for documents with reference nodes or shared subtrees
-        — the same shapes ``DocumentIndex.supports_seek`` refuses —
-        whose queries must run through the in-memory Bind engine instead.
+        — whose queries must run through the in-memory Bind engine
+        instead.
         """
         with self._lock:
             return self._meta(name)[3]
@@ -318,7 +308,7 @@ class DocumentStore:
 
         One pre/post range read, memoized per ``(doc, pre)`` and data
         version so repeated bindings of the same subtree share one node
-        object (document indexes and distinct() key on tree identity).
+        object (whose cached value key and size are then reused).
         """
         return self._hydration.get_or_build(
             (name, pre), self._read_subtree, name, pre, tag=self.version

@@ -23,8 +23,7 @@ A validated fragment executes through one of two access paths:
     subtrees, where interval semantics are unsound.  The document is
     hydrated once (memoized per data version) and matched by the same
     :func:`~repro.core.algebra.engine.bind_engine` the mediator's own
-    Bind uses — twig join when the filter and tree qualify, scan kernel
-    otherwise — so answers are byte-identical to the in-memory path by
+    Bind uses, so answers are byte-identical to the in-memory path by
     construction.
 
 The choice is exposed to EXPLAIN as ``[bind: store-pushdown]`` /
@@ -41,8 +40,7 @@ from repro.errors import SourceError
 from repro.capabilities.fmodel import store_fmodel
 from repro.capabilities.interface import ArgSpec, OperationDecl, SourceInterface
 from repro.core.algebra.bind import MAX_MATCHES
-from repro.core.algebra.compiled import identity_deref
-from repro.core.algebra.engine import BindCounters, bind_engine
+from repro.core.algebra.engine import bind_engine
 from repro.core.algebra.operators import Plan
 from repro.core.algebra.tab import Row, Tab
 from repro.memo import Memo
@@ -203,9 +201,7 @@ class StoreWrapper(Wrapper):
         self._store.note_scan(document)
         # No ident index crosses the wrapper boundary, so references in
         # an unsafe document bind as themselves (identity deref).
-        counters = BindCounters()
-        bindings = bind_engine(flt).tuples(root, identity_deref, counters)
+        bindings = bind_engine(flt).tuples(root)
         rows = [Row(columns, cells) for cells in bindings]
-        matcher = "twig" if counters.twig else "kernel"
-        native = f"store-scan {document} ({matcher}, full hydration)"
+        native = f"store-scan {document} (full hydration)"
         return Tab(columns, rows), native

@@ -1,13 +1,12 @@
 """The Bind engine against its oracle — the one matcher differential.
 
-``BindEngine.tuples`` (twig join over indexed trees, compiled scan kernel
-otherwise) must equal the recursive ``FilterMatcher`` projected onto the
-filter's declaration order: the same cells, the *same node objects*, in
-the same order, or the same ``BindError`` message.  The property runs
-over generated (filter, tree) pairs, stratified by the tree-pattern
-classes of the Hachicha & Darmont survey (path, twig, ``**``, rest,
-label variable / regex, value predicates) crossed with the tree kinds
-the engine's selector distinguishes (below the index gate, above it,
+``BindEngine.tuples`` (the compiled scan kernel) must equal the
+recursive ``FilterMatcher`` projected onto the filter's declaration
+order: the same cells, the *same node objects*, in the same order, or
+the same ``BindError`` message.  The property runs over generated
+(filter, tree) pairs, stratified by the tree-pattern classes of the
+Hachicha & Darmont survey (path, twig, ``**``, rest, label variable /
+regex, value predicates) crossed with four tree kinds (small, large,
 reference-bearing, shared-node).  The hand-written cases that used to
 live in per-matcher parity tests are inputs to the same assertion.
 """
@@ -20,12 +19,7 @@ from hypothesis import strategies as st
 
 from repro.core.algebra import engine as engine_module
 from repro.core.algebra.bind import FilterMatcher
-from repro.core.algebra.engine import (
-    BindCounters,
-    BindEngine,
-    bind_engine,
-    engine_cache_stats,
-)
+from repro.core.algebra.engine import BindEngine, bind_engine, engine_cache_stats
 from repro.core.algebra.evaluator import Environment
 from repro.errors import BindError
 from repro.model.filters import (
@@ -39,7 +33,6 @@ from repro.model.filters import (
     LabelVar,
     felem,
 )
-from repro.model.indexes import MIN_INDEX_NODES
 from repro.model.trees import DataNode, atom_leaf, collection_node, elem, ref
 from tests.test_evaluator import FakeSource
 
@@ -47,11 +40,16 @@ LABELS = ("a", "b", "c")
 ATOMS = ("x", "y", 1)
 
 #: Identifier index of the reference-bearing trees: a chain, a plain
-#: target, and (absent) a dangling identifier.
+#: target, an atom leaf, and (absent) a dangling identifier.
 IDENTS = {
     "r1": elem("b", atom_leaf("c", "x"), atom_leaf("a", 1), ident="r1"),
     "r2": DataNode("b", ref_target="r1", ident="r2"),
+    "r3": DataNode("n", atom=1, ident="r3"),
 }
+
+#: Node count the "large" tree kind is padded to: every element of the
+#: generated filters then sees many candidate children.
+LARGE_TREE_NODES = 48
 
 
 # ---------------------------------------------------------------------------
@@ -68,10 +66,8 @@ def _identity(cell):
     return (type(cell).__name__, cell)
 
 
-def assert_engine_equals_oracle(
-    target, flt, idents=None, max_rows=None
-) -> BindCounters:
-    """Engine and oracle agree on *target*; returns what the engine ran.
+def assert_engine_equals_oracle(target, flt, idents=None, max_rows=None):
+    """Engine and oracle agree on *target*; returns the engine's answer.
 
     *max_rows* discards generated examples whose answer is a large
     cartesian product: they cost seconds and test nothing a small one
@@ -83,7 +79,6 @@ def assert_engine_equals_oracle(
             trees = [t for t in target if isinstance(t, DataNode)]
             bindings = matcher.match_collection(trees, flt)
         else:
-            trees = [target]
             bindings = matcher.match(target, flt)
     except BindError as error:
         expected = str(error)
@@ -96,22 +91,20 @@ def assert_engine_equals_oracle(
         ]
     engine = BindEngine(flt)
     assert engine.variables == variables
-    counters = BindCounters()
     deref = Environment({"s": FakeSource({}, idents)}).deref()
     try:
         got = [
             tuple(_identity(cell) for cell in row)
-            for row in engine.tuples(target, deref, counters)
+            for row in engine.tuples(target, deref)
         ]
     except BindError as error:
         got = str(error)
     assert got == expected
-    assert counters.twig + counters.scanned <= len(trees)
-    return counters
+    return got
 
 
 # ---------------------------------------------------------------------------
-# Generated trees: four kinds, one per side of the engine's selector
+# Generated trees: four kinds
 # ---------------------------------------------------------------------------
 
 PLAIN = ATOMS + (None,)
@@ -152,12 +145,12 @@ def build(nodes) -> list:
 
 
 def _padded(forests) -> list:
-    """Fresh children cycling through *forests* up to the index gate."""
+    """Fresh children cycling through *forests* up to the large size."""
     children, size = [], 1
     for nodes in itertools.cycle(forests):
         children.extend(build(nodes))
         size += len(nodes)
-        if size >= MIN_INDEX_NODES:
+        if size >= LARGE_TREE_NODES:
             return children
 
 
@@ -234,7 +227,7 @@ def filters(draw, features):
     return root
 
 
-TREE_KINDS = ("small", "indexed", "references", "shared")
+TREE_KINDS = ("small", "large", "references", "shared")
 
 
 @pytest.mark.parametrize("kind", TREE_KINDS)
@@ -244,18 +237,7 @@ TREE_KINDS = ("small", "indexed", "references", "shared")
 def test_engine_equals_oracle(stratum, kind, data):
     flt = data.draw(filters(STRATA[stratum]))
     tree = data.draw(trees(kind))
-    counters = assert_engine_equals_oracle(tree, flt, IDENTS, max_rows=500)
-    # An answer past the explosion guard raises (equally, checked above)
-    # before either path is counted; the hand-written guard cases cover it.
-    assume(counters.twig + counters.scanned)
-    # The selector is observable: only a twig-fragment filter over an
-    # indexable tree takes the twig join; everything else is scanned.
-    twig_fragment = BindEngine(flt).describe() != "scan"
-    if kind == "indexed" and twig_fragment:
-        assert (counters.twig, counters.scanned) == (1, 0)
-    else:
-        assert (counters.twig, counters.scanned) == (0, 1)
-        assert counters.fallbacks == (1 if twig_fragment else 0)
+    assert_engine_equals_oracle(tree, flt, IDENTS, max_rows=500)
 
 
 @given(data=st.data())
@@ -314,9 +296,8 @@ def per_work(*items, var=None):
     return felem("works", FStar(felem("work", *items, var=var)))
 
 
-#: Filters over ``figure4_works()`` (scanned) and ``works_tree()`` (twig
-#: joined where the filter allows): every shape the old per-matcher
-#: parity suites exercised.
+#: Filters over ``figure4_works()`` and ``works_tree()``: every shape the
+#: old per-matcher parity suites exercised.
 WORKS_FILTERS = {
     "figure4": per_work(
         felem("artist", FVar("a")), felem("title", FVar("t")),
@@ -365,10 +346,8 @@ WORKS_FILTERS = {
 @pytest.mark.parametrize("name", sorted(WORKS_FILTERS))
 def test_works_cases(name):
     flt = WORKS_FILTERS[name]
-    assert assert_engine_equals_oracle(figure4_works(), flt).twig == 0
-    twig_fragment = BindEngine(flt).describe() != "scan"
-    counters = assert_engine_equals_oracle(works_tree(), flt)
-    assert counters.twig == (1 if twig_fragment else 0)
+    assert_engine_equals_oracle(figure4_works(), flt)
+    assert_engine_equals_oracle(works_tree(), flt)
 
 
 def wide(count=1001) -> DataNode:
@@ -428,19 +407,38 @@ OTHER_CASES = {
         elem("owner", ref("painting", "gone")),
         felem("owner", FStar(FVar("x"))),
     ),
+    "field-owners-bind-the-dereferenced-element": (
+        elem("owner", ref("b", "r2"), elem("c", atom_leaf("x", 1), atom_leaf("y", 2))),
+        felem("owner", FStar(felem("b", var="n")), felem("c", FVar("t"), var="w")),
+    ),
     "reference-followed": (
         elem("owner", ref("b", "r2")),
         felem("owner", felem("b", felem("c", FVar("t")))),
     ),
     # 1001 x 1001 alternatives trip the per-tree guard before any
     # product is enumerated; the message is the oracle's, byte for byte,
-    # from the twig join (literal labels) and from the kernel (regex).
+    # for dispatched field accesses (literal labels) and for a
+    # sub-matcher tried on every child (regex).
     "explosion-guard-twig": (
         wide(), felem("doc", felem("k", FVar("a")), felem("k", FVar("b"))),
     ),
     "explosion-guard-kernel": (
         wide(),
         felem("doc", FElem(LabelRegex("k"), [FVar("a")]), felem("k", FVar("b"))),
+    ),
+    # A misplaced star raises — unless an earlier item already failed,
+    # in which case the oracle never reaches it and returns [].
+    "nested-star-raises": (
+        elem("doc", atom_leaf("k", "x")),
+        felem("doc", FStar(FStar(FVar("v")))),
+    ),
+    "failing-earlier-item-suppresses-a-later-error": (
+        elem("doc", atom_leaf("k", "x")),
+        felem("doc", felem("absent", FVar("c")), FStar(FRest("r"))),
+    ),
+    "label-variable-item": (
+        elem("doc", atom_leaf("k", "x"), elem("m")),
+        felem("doc", FElem(LabelVar("l"), (), None), FRest("r")),
     ),
     # The guard runs only after every item matched: a failing later item
     # returns [] instead of raising.
@@ -462,7 +460,7 @@ def test_explosion_guard_cases_really_raise():
     for name in ("explosion-guard-twig", "explosion-guard-kernel"):
         tree, flt = OTHER_CASES[name]
         with pytest.raises(BindError, match="for one tree"):
-            BindEngine(flt).tuples(tree, lambda node: node, BindCounters())
+            BindEngine(flt).tuples(tree)
 
 
 def test_collection_guard_message_is_the_oracles(monkeypatch):
@@ -475,23 +473,49 @@ def test_collection_guard_message_is_the_oracles(monkeypatch):
     assert "across a collection" in str(from_oracle.value)
     for target in ((small, small, small), (large,) * 3, (small, large)):
         with pytest.raises(BindError) as from_engine:
-            BindEngine(flt).tuples(target, lambda node: node, BindCounters())
+            BindEngine(flt).tuples(target)
         assert str(from_engine.value) == str(from_oracle.value)
     monkeypatch.setattr(engine_module, "MAX_MATCHES", 48)
-    assert len(
-        BindEngine(flt).tuples((small,) * 3, lambda node: node, BindCounters())
-    ) == 48
+    assert len(BindEngine(flt).tuples((small,) * 3)) == 48
+    assert len(FilterMatcher(max_matches=48).match_collection([small] * 3, flt)) == 48
 
 
 def test_one_memo_entry_per_filter_whatever_the_fragment():
-    twig_able, scan_only = WORKS_FILTERS["figure4"], FVar("v")
+    # A filter of dispatched field accesses and one the kernel can only
+    # try on every node: one engine each, built once.
+    fields, anywhere = WORKS_FILTERS["figure4"], FVar("v")
     before = engine_cache_stats()
-    engines = [bind_engine(twig_able), bind_engine(scan_only)]
-    assert [engine.describe() for engine in engines] == [
-        "twig-join if indexed, else scan", "scan",
+    engines = [bind_engine(fields), bind_engine(anywhere)]
+    assert [engine.variables for engine in engines] == [
+        ("a", "t", "s", "si", "fields"), ("v",),
     ]
-    assert bind_engine(twig_able) is engines[0]
-    assert bind_engine(scan_only) is engines[1]
+    assert bind_engine(fields) is engines[0]
+    assert bind_engine(anywhere) is engines[1]
     after = engine_cache_stats()
     assert after["misses"] == before["misses"] + 2
     assert after["hits"] == before["hits"] + 2
+
+
+def test_field_accesses_through_references_and_shared_nodes():
+    # Every item is a field access, so each element matches in one walk
+    # over its children: dereferenced for dispatch, bound raw by
+    # variables, dereferenced again under constants, and claimed per
+    # occurrence when one node object appears twice.
+    shared = elem("b", atom_leaf("c", "y"), atom_leaf("a", 1), atom_leaf("d", 0))
+    tree = elem(
+        "a",
+        ref("b", "r2"),
+        shared,
+        elem("b", elem("c", ref("x", "r3")), elem("a", ref("n", "r3"))),
+        shared,
+        atom_leaf("d", "loose"),
+        elem("b", atom_leaf("c", "z"), atom_leaf("a", 2)),
+        ref("b", "dangling"),
+    )
+    flt = felem(
+        "a",
+        FStar(felem("b", felem("c", FVar("t")), felem("a", FConst(1)),
+                    FRest("r"), var="w")),
+        FRest("rest"),
+    )
+    assert len(assert_engine_equals_oracle(tree, flt, IDENTS)) == 4

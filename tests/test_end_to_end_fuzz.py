@@ -93,8 +93,7 @@ class TestEngineSoundness:
     reference; the default engine and a parallel one must serialize to
     the identical bytes for every dataset shape.  The artifacts side of
     these queries carries reference nodes and the per-row targets are
-    small, so the scan kernel, its dereferencing and (on larger
-    collections) the twig join are all on the path.
+    small, so the scan kernel and its dereferencing are on the path.
     """
 
     POLICIES = (ExecutionPolicy(), ExecutionPolicy.parallel(4))

@@ -86,31 +86,27 @@ def test_explain_analyze_actuals_cover_executed_nodes(cultural_mediator):
 
 
 def test_explain_tells_the_truth_about_bind(cultural_mediator):
-    # The static line is the engine's own description — a choice made
-    # per target tree, not a promise — and ANALYZE says how it fell:
-    # the Wais collection is indexed and twig-joined, the O2 extent
-    # carries references and is scanned.
+    # One executor: every mediator-side Bind is annotated as a scan, and
+    # ANALYZE reports the rows its batches carried — nothing about a
+    # matcher choice, because there is none to make.
     explanation = cultural_mediator.explain(Q1, optimize=False, analyze=True)
     binds = [
         line for line in explanation.render().splitlines()
         if line.lstrip().startswith("Bind(")
     ]
-    assert binds and all(
-        "[bind: twig-join if indexed, else scan " in line for line in binds
-    )
-    artifacts = next(line for line in binds if "on=$artifacts" in line)
-    assert "twig=0 scanned=1" in artifacts
-    assert any("twig=1 scanned=0" in line for line in binds)
+    assert binds and all("[bind: scan " in line for line in binds)
+    assert all(" batch=" in line for line in binds)
+    assert "twig" not in explanation.render()
     assert "seeks=" not in explanation.render()
     stats = explanation.report.stats
-    assert stats.twig_matches >= 1 and stats.twig_fallbacks == 1
+    # Always zero; kept for the benchmark's layer table, their only reader.
+    assert (stats.twig_matches, stats.twig_fallbacks) == (0, 0)
     assert stats.bind_index_seeks == 0
-    # The oracle scans everything, and EXPLAIN says so.
+    # The oracle scans everything too, and EXPLAIN says so.
     reference = cultural_mediator.explain(
         Q1, optimize=False, execution=ExecutionPolicy.serial()
     )
     assert "[bind: scan]" in reference.render()
-    assert "twig-join" not in reference.render()
 
 
 def test_render_plan_without_actuals_matches_tree_shape(cultural_mediator):
@@ -356,8 +352,7 @@ def test_record_memo_stats_exports_every_number_once(cultural_mediator):
     text = registry.exposition()
     # Uniform rows: every locked memo carries all six series.  (Which
     # memo names exist is checked against README in test_memo.py.)
-    for memo in ("bind_engines", "predicate_kernels", "document_indexes",
-                 "plan_cache", "plan_texts", "materialized_views",
+    for memo in ("bind_engines", "predicate_kernels", "plan_cache", "plan_texts", "materialized_views",
                  "o2artifact.fragments", "o2artifact.prepared",
                  "xmlartwork.documents"):
         for series in ("entries", "capacity", "hits", "misses", "stale",
@@ -369,14 +364,13 @@ def test_record_memo_stats_exports_every_number_once(cultural_mediator):
     # The result cache is off on this mediator: no row, no zeros.
     assert 'memo="result_cache"' not in text
     # Numbers with no memo-family row keep their own series ...
-    for name in ("yat_plan_cache_rebinds", "yat_document_index_builds",
-                 "yat_document_index_build_seconds"):
-        assert f"\n{name} " in text
+    assert "\nyat_plan_cache_rebinds " in text
     # ... and the series that restated a memo row are gone.
     for name in ("yat_plan_cache_entries", "yat_plan_cache_hits",
                  "yat_kernel_cache_hits", "yat_kernel_compiles",
-                 "yat_compiled_filter_kernels", "yat_document_indexes ",
-                 "yat_document_index_hits", "yat_view_documents"):
+                 "yat_compiled_filter_kernels", "yat_document_index",
+                 "yat_twig_", 'memo="document_indexes"',
+                 "yat_view_documents"):
         assert name not in text
 
 

@@ -37,7 +37,6 @@ from repro import (
 )
 from repro.datasets import CulturalDataset, Q1, Q2, VIEW1_YAT
 from repro.errors import QueryDeadlineError
-from repro.model.indexes import IndexRegistry
 from repro.model.xml_io import tree_to_xml
 from repro.observability.context import (
     RequestContext,
@@ -546,28 +545,3 @@ class TestConcurrentHammer:
         assert errors == []
         cache = mediator.plan_cache.stats()
         assert cache["hits"] >= 1
-
-    def test_index_registry_hammer(self, cultural_sources):
-        database, store = cultural_sources
-        wais = WaisWrapper("xmlartwork", store)
-        roots = [wais.document("artworks")]
-        registry = IndexRegistry(capacity=2)
-        errors = []
-
-        def worker():
-            try:
-                for _ in range(200):
-                    index = registry.get(roots[0])
-                    if index is not None:
-                        assert index.node_count >= 1
-            except BaseException as exc:  # noqa: BLE001
-                errors.append(exc)
-
-        threads = [threading.Thread(target=worker) for _ in range(8)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(30)
-        assert errors == []
-        stats = registry.stats()
-        assert stats["entries"] <= 2

@@ -2,8 +2,8 @@
 
 The contract under test is *byte-identical answers*: whatever a stored
 document is asked, the result must equal what the in-memory engines
-(:class:`~repro.core.algebra.bind.FilterMatcher`, the compiled twig
-join) produce over the same tree — same values, same order, same error
+(:class:`~repro.core.algebra.bind.FilterMatcher`, the compiled scan
+kernel) produce over the same tree — same values, same order, same error
 messages.  The pushdown pass earns its keep separately: the lazy-
 hydration tests prove that a selective interval join materializes only a
 small fraction of the document's nodes.
@@ -25,17 +25,34 @@ from repro.model.filters import (
     FVar,
     LabelVar,
 )
-from repro.model.indexes import DocumentIndex
 from repro.model.trees import DataNode, atom_leaf, elem, ref
 from repro.model.xml_io import tree_to_xml
 from repro.core.algebra.bind import FilterMatcher, match_filter
-from repro.store import DocumentStore, compile_pushdown, shred
+from repro.store import DocumentStore, compile_pushdown, document_store, shred
 from repro.yatl.parser import parse_filter
 
 
 def cultural_tree(n_artifacts=40, seed=7) -> DataNode:
     _database, wais = CulturalDataset(n_artifacts=n_artifacts, seed=seed).build()
     return wais.collection_tree()
+
+
+def preorder(tree):
+    """``(node, parent position or None)`` per node, in pre-order."""
+    walk = []
+
+    def visit(node, parent):
+        position = len(walk)
+        walk.append((node, parent))
+        for child in node.children:
+            visit(child, position)
+
+    visit(tree, None)
+    return walk
+
+
+def work_positions(tree):
+    return [pre for pre, (node, _) in enumerate(preorder(tree)) if node.label == "work"]
 
 
 def pushdown_rows(store, document, flt, bound=1_000_000):
@@ -129,34 +146,25 @@ class TestShredRoundTrip:
         # hydration is still exact (the copy is a proper tree)
         assert store.hydrate_document("doc") == tree
 
-    def test_positions_agree_with_document_index(self):
-        # Shredded (pre, post, parent, name) rows are DocumentIndex
-        # positions, which is what entitles the SQL interval joins to
-        # stand in for the twig join's positional arrays.
+    def test_positions_agree_with_a_preorder_walk(self):
+        # Shredded (pre, post, parent, name) rows are pre-order positions
+        # with half-open subtree intervals, which is what entitles the
+        # SQL interval joins to stand in for tree navigation.
         tree = cultural_tree(n_artifacts=12)
         rows, count, safe = shred(tree)
-        index = DocumentIndex(tree)
-        assert count == index.node_count
-        assert safe == index.supports_seek
-        assert [row[0] for row in rows] == list(range(count))
-        assert [row[1] for row in rows] == list(index.subtree_ends)
-        labels = [node.label for node in index.preorder_nodes]
-        assert [row[3] for row in rows] == labels
-        parents = {}
-        for label in set(labels):
-            for parent, children in index.children_map(label).items():
-                parents.update((child, parent) for child in children)
-        assert [row[2] for row in rows] == [None] + [
-            parents[pre] for pre in range(1, count)
+        walk = preorder(tree)
+        assert safe and count == len(walk) == tree.size()
+        assert [row[:4] for row in rows] == [
+            (pre, pre + node.size(), parent, node.label)
+            for pre, (node, parent) in enumerate(walk)
         ]
 
     def test_stored_rows_keep_their_positions(self):
         tree = cultural_tree(n_artifacts=15)
         store = DocumentStore()
         store.add("artworks", tree)
-        index = DocumentIndex(tree)
-        for pre in index.label_list("work")[:5]:
-            assert store.hydrate("artworks", pre) == index.preorder_nodes[pre]
+        for pre in work_positions(tree)[:5]:
+            assert store.hydrate("artworks", pre) == preorder(tree)[pre][0]
 
     def test_update_replaces_rows(self):
         store = DocumentStore()
@@ -353,15 +361,16 @@ class TestLazyHydration:
         assert rows
         assert store.stats()["hydrated_nodes"] == 0
 
-    def test_hydration_memo_capacity_is_the_enforced_bound(self):
+    def test_hydration_memo_capacity_is_the_enforced_bound(self, monkeypatch):
         # Wiring only; eviction mechanics are test_memo.py's.
+        monkeypatch.setattr(document_store, "HYDRATION_MEMO_CAPACITY", 4)
         tree = cultural_tree(n_artifacts=30)
-        store = DocumentStore(hydration_memo_capacity=4)
+        store = DocumentStore()
         store.add("artworks", tree)
-        work_positions = list(DocumentIndex(tree).label_list("work"))[:12]
-        first = store.hydrate("artworks", work_positions[0])
-        assert store.hydrate("artworks", work_positions[0]) is first
-        for position in work_positions:
+        positions = work_positions(tree)[:12]
+        first = store.hydrate("artworks", positions[0])
+        assert store.hydrate("artworks", positions[0]) is first
+        for position in positions:
             store.hydrate("artworks", position)
         memo = store.memo_stats()
         assert (memo["entries"], memo["capacity"]) == (4, 4)
@@ -411,9 +420,8 @@ class TestScanFallback:
         assert stats["pushdowns"] == 0
 
     def test_scan_runs_the_bind_engine_and_equals_the_oracle(self):
-        # A label variable is outside both the SQL and the twig
-        # fragment: the scan kernel answers it.  An FRest filter is in
-        # the twig fragment: the twig join does, on the same document.
+        # A label variable and a rest capture are both outside the SQL
+        # fragment: the scan kernel answers each on the hydrated tree.
         from repro.core.algebra.operators import BindOp, SourceOp
 
         tree = cultural_tree(n_artifacts=40)
@@ -421,18 +429,16 @@ class TestScanFallback:
         source.add_tree("artworks", tree)
         wrapper = StoreWrapper("depot", source)
         work = [FElem("title", [FVar("t")])]
-        cases = {
-            "kernel": [FElem(LabelVar("field"), [FConst("Giverny")])] + work,
-            "twig": work + [FRest("rest")],
-        }
-        for matcher, items in cases.items():
+        cases = (
+            [FElem(LabelVar("field"), [FConst("Giverny")])] + work,
+            work + [FRest("rest")],
+        )
+        for items in cases:
             flt = FElem("works", [FStar(FElem("work", items))])
             tab, native = wrapper.execute_pushed(
                 BindOp(SourceOp("depot", "artworks"), flt, on="artworks")
             )
-            assert native == (
-                f"store-scan artworks ({matcher}, full hydration)"
-            )
+            assert native == "store-scan artworks (full hydration)"
             expected = [
                 tuple(binding[var] for var in flt.variables())
                 for binding in match_filter(tree, flt)
