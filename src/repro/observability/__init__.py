@@ -20,10 +20,10 @@ execution observable:
   the ``python -m repro.explain`` CLI.
 
 Tracing is strictly opt-in: every hook starts with a single ``tracer is
-None`` check, so the default path stays within noise of the
-pre-instrumentation evaluator (see
-``benchmarks/bench_observability_overhead.py``) and produces
-byte-identical answers.
+None`` check, so the default path pays one attribute test per hook and
+produces byte-identical answers.  What turning the tracer on costs is
+the benchmark's ``observability.engine_tracer_overhead_pct``
+(``benchmarks/e2e``).
 """
 
 from repro.observability.context import (

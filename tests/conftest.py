@@ -9,7 +9,7 @@ import pytest
 from repro import Mediator, O2Wrapper, WaisWrapper
 from repro.datasets import CulturalDataset, Q1, Q2, VIEW1_YAT, small_figure1_pair
 
-__all__ = ["Q1", "Q2", "VIEW1_YAT", "build_mediator"]
+__all__ = ["Q1", "Q2", "VIEW1_YAT", "build_mediator", "transfer", "wan_ms"]
 
 
 @pytest.fixture
@@ -46,6 +46,21 @@ def build_mediator(database, store) -> Mediator:
     mediator.declare_containment("artworks", "artifacts")
     mediator.load_program(VIEW1_YAT)
     return mediator
+
+
+def transfer(result):
+    """A query result's (bytes transferred, source calls)."""
+    stats = result.report.stats
+    return stats.total_bytes_transferred, stats.total_source_calls
+
+
+def wan_ms(stats) -> float:
+    """Modeled WAN time of one execution: calls x 20 ms + bytes / 1 MB/s.
+
+    The formula of ``source_wan_ms_per_op`` in ``benchmarks/e2e/spec.py``,
+    for one execution instead of per op; no wall-clock term.
+    """
+    return stats.total_source_calls * 20.0 + stats.total_bytes_transferred / 1e3
 
 
 @pytest.fixture

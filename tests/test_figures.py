@@ -1,12 +1,13 @@
 """Per-figure reproduction tests: each class regenerates one paper artifact.
 
 These are the executable counterparts of the experiment index in
-DESIGN.md; EXPERIMENTS.md records their outcomes.
+DESIGN.md; EXPERIMENTS.md records their outcomes, and every number in
+its F7, F8 and F9 tables is pinned here.
 """
 
 import pytest
 
-from repro import Mediator, O2Wrapper, WaisWrapper
+from repro import ExecutionPolicy, Mediator, O2Wrapper, WaisWrapper
 from repro.capabilities import o2_fmodel, xml_to_interface
 from repro.core.algebra.bind import match_filter
 from repro.core.algebra.evaluator import Environment, evaluate
@@ -24,7 +25,15 @@ from repro.core.algebra.operators import (
 from repro.core.algebra.tab import Tab
 from repro.core.algebra.tree import CElem, CGroup, CIterate, CLeaf
 from repro.core.algebra.expressions import Var
-from repro.core.optimizer import OptimizerContext, ref_is, split_nested_collection
+from repro.core.optimizer import (
+    DemandNarrowingRule,
+    OptimizerContext,
+    navigation_to_extent_join,
+    ref_is,
+    split_below_root,
+    split_nested_collection,
+)
+from repro.datasets import CulturalDataset
 from repro.datasets.cultural import small_figure1_pair
 from repro.model.filters import FRest, FStar, FVar, felem
 from repro.model.instantiation import is_instance, subsumes
@@ -33,13 +42,44 @@ from repro.model.xml_io import tree_to_xml
 from repro.sources.wais.index import document_contains
 from repro.yatl import parse_program, parse_query, translate_query, translate_rule
 
-from tests.conftest import Q1, Q2, VIEW1_YAT, build_mediator
+from tests.conftest import Q1, Q2, VIEW1_YAT, build_mediator, transfer
 
 
 @pytest.fixture
 def mediator(figure1_sources):
     database, store = figure1_sources
     return build_mediator(database, store)
+
+
+@pytest.fixture(scope="module", params=[25, 100, 400])
+def seeded_mediator(request):
+    """The federation over seed-1 data of n artifacts, the sizes of
+    EXPERIMENTS F8 and F9."""
+    n = request.param
+    return n, build_mediator(*CulturalDataset(n_artifacts=n, seed=1).build())
+
+
+def works_filter():
+    """Figure 4's Bind filter over the works collection."""
+    return felem("works", FStar(felem(
+        "work", felem("artist", FVar("a")), felem("title", FVar("t")),
+        felem("style", FVar("s")), felem("size", FVar("si")),
+        FRest("fields"),
+    )))
+
+
+def navigation_bind():
+    """Figure 7's Bind over the view's O2 branch: titles and owner names."""
+    owner = felem("class", felem("person", felem("tuple",
+                                                 felem("name", FVar("o")))))
+    artifact = felem("tuple", felem("title", FVar("t")),
+                     felem("owners", felem("list", FStar(owner))))
+    flt = felem("set", FStar(felem("class", felem("artifact", artifact))))
+    return BindOp(SourceOp("o2artifact", "artifacts"), flt, on="artifacts")
+
+
+def value_keys(tab):
+    return {row._value_key() for row in tab}
 
 
 class TestFigure1SampleData:
@@ -117,24 +157,9 @@ class TestFigure3Metadata:
 class TestFigure4BindAndTree:
     """Figure 4: the Bind and Tree operators on the works collection."""
 
-    def figure4_filter(self):
-        return felem(
-            "works",
-            FStar(
-                felem(
-                    "work",
-                    felem("artist", FVar("a")),
-                    felem("title", FVar("t")),
-                    felem("style", FVar("s")),
-                    felem("size", FVar("si")),
-                    FRest("fields"),
-                )
-            ),
-        )
-
     def test_bind_produces_figure4_tab(self, figure1_sources):
         _, store = figure1_sources
-        rows = match_filter(store.collection_tree(), self.figure4_filter())
+        rows = match_filter(store.collection_tree(), works_filter())
         assert len(rows) == 2
         assert rows[0]["t"] == "Nympheas"
         assert rows[0]["si"] == "21 x 61"
@@ -143,7 +168,7 @@ class TestFigure4BindAndTree:
 
     def test_tree_regroups_by_artist(self, figure1_sources):
         _, store = figure1_sources
-        rows = match_filter(store.collection_tree(), self.figure4_filter())
+        rows = match_filter(store.collection_tree(), works_filter())
         columns = ("a", "t", "s", "si", "fields")
         tab = Tab.from_dicts(columns, rows)
         constructor = CElem(
@@ -278,43 +303,70 @@ class TestFigure7Equivalences:
         database, store = figure1_sources
         o2 = O2Wrapper("o2artifact", database)
         context = OptimizerContext(interfaces={"o2artifact": o2.interface()})
-        flt = felem(
-            "set",
-            FStar(
-                felem(
-                    "class",
-                    felem(
-                        "artifact",
-                        felem(
-                            "tuple",
-                            felem("title", FVar("t")),
-                            felem(
-                                "owners",
-                                felem(
-                                    "list",
-                                    FStar(
-                                        felem(
-                                            "class",
-                                            felem("person",
-                                                  felem("tuple",
-                                                        felem("name", FVar("o")))),
-                                        )
-                                    ),
-                                ),
-                            ),
-                        ),
-                    ),
-                )
-            ),
-        )
-        bind = BindOp(SourceOp("o2artifact", "artifacts"), flt, on="artifacts")
+        bind = navigation_bind()
         split = split_nested_collection(bind, context)
         env = Environment({"o2artifact": o2}, functions={"ref_is": ref_is})
         original = evaluate(bind, Environment({"o2artifact": o2}))
         rewritten = evaluate(split, env)
-        assert {r._value_key() for r in original} == {
-            r._value_key() for r in rewritten.project(original.columns)
+        assert value_keys(original) == value_keys(
+            rewritten.project(original.columns)
+        )
+
+    def test_each_form_gives_its_originals_rows(self):
+        """EXPERIMENTS F7 at n=150: seven forms, three row sets."""
+        database, store = CulturalDataset(n_artifacts=150, seed=1).build()
+        adapters = {
+            "o2artifact": O2Wrapper("o2artifact", database),
+            "xmlartwork": WaisWrapper("xmlartwork", store),
         }
+        context = OptimizerContext(interfaces={
+            name: wrapper.interface() for name, wrapper in adapters.items()
+        })
+        navigation = navigation_bind()
+        works = BindOp(SourceOp("xmlartwork", "artworks"), works_filter(),
+                       on="artworks")
+        titles = ProjectOp(works, [("t", "t")])
+        cases = [
+            (navigation, [split_nested_collection(navigation, context),
+                          navigation_to_extent_join(navigation, context)], 300),
+            (works, [split_below_root(works, context)[1]], 150),
+            (titles, [DemandNarrowingRule().apply(titles, context)], 150),
+        ]
+
+        def run(plan):
+            return evaluate(
+                plan, Environment(adapters, functions={"ref_is": ref_is})
+            )
+
+        for original, rewrites, rows in cases:
+            expected = run(original)
+            assert len(expected) == rows
+            for form in rewrites:
+                tab = run(form)
+                assert len(tab) == rows
+                assert value_keys(tab.project(expected.columns)) == value_keys(
+                    expected
+                )
+
+
+#: EXPERIMENTS F8 over seed-1 data: n -> Q1's (bytes, calls), naive and
+#: optimized.  Only the ``contains`` matches travel once optimized.
+Q1_TRANSFER = {
+    25: ((13_324, 2), (532, 1)),
+    100: ((54_120, 2), (1_770, 1)),
+    400: ((217_507, 2), (9_553, 1)),
+}
+
+#: EXPERIMENTS F9 over seed-1 data: n -> Q2 optimized (bytes, calls,
+#: passed keys) and the paper's per-row bind join under ``serial()``
+#: (bytes, calls).  Naive Q2 ships the same whole view as naive Q1.  The
+#: per-row plan runs at the two smaller sizes only: at n=400 its 116 calls
+#: through the interpretive oracle would be the slowest test here.
+Q2_TRANSFER = {
+    25: ((1_193, 2, 3), (1_247, 4)),
+    100: ((8_812, 2, 20), (9_325, 21)),
+    400: ((49_128, 2, 115), None),
+}
 
 
 class TestFigure8Q1Optimization:
@@ -347,6 +399,13 @@ class TestFigure8Q1Optimization:
             optimized.report.stats.total_bytes_transferred
             < naive.report.stats.total_bytes_transferred / 2
         )
+
+    def test_transfer_counters(self, seeded_mediator):
+        n, mediator = seeded_mediator
+        naive = mediator.query(Q1, optimize=False)
+        optimized = mediator.query(Q1)
+        assert naive.document() == optimized.document()
+        assert (transfer(naive), transfer(optimized)) == Q1_TRANSFER[n]
 
 
 class TestFigure9Q2Optimization:
@@ -396,3 +455,17 @@ class TestFigure9Q2Optimization:
             ] < 2_000_000.0:
                 expected.add(values["title"])
         assert {i.child("title").atom for i in items} == expected
+
+    def test_transfer_counters(self, seeded_mediator):
+        n, mediator = seeded_mediator
+        expected, per_row_expected = Q2_TRANSFER[n]
+        naive = mediator.query(Q2, optimize=False)
+        optimized = mediator.query(Q2)
+        assert naive.document() == optimized.document()
+        assert transfer(naive) == Q1_TRANSFER[n][0]
+        stats = optimized.report.stats
+        assert (*transfer(optimized), stats.passed_keys) == expected
+        if per_row_expected is not None:
+            per_row = mediator.query(Q2, execution=ExecutionPolicy.serial())
+            assert per_row.document() == optimized.document()
+            assert transfer(per_row) == per_row_expected

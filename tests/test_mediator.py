@@ -3,12 +3,30 @@
 import pytest
 
 from repro.errors import MediatorError, UnknownDocumentError, ViewError
-from repro import Mediator, O2Wrapper, WaisWrapper
+from repro import ExecutionPolicy, Mediator, O2Wrapper, WaisWrapper
 from repro.core.algebra.operators import PushedOp, SourceOp
 from repro.datasets import CulturalDataset, small_figure1_pair
 from repro.yatl import parse_query
 
-from tests.conftest import Q1, Q2, VIEW1_YAT, build_mediator
+from tests.conftest import (
+    Q1, Q2, VIEW1_YAT, build_mediator, transfer, wan_ms,
+)
+
+#: EXPERIMENTS E1, Q2 over seed-1 data at n=100: rounds -> (bytes, calls,
+#: mediator rows, modeled WAN ms).  ``None`` is the naive plan.
+ROUND_ABLATION = [
+    (None, (54_120, 2, 824, 94.1)),
+    ((1,), (54_120, 2, 619, 94.1)),
+    ((1, 2), (42_589, 2, 377, 82.6)),
+    ((1, 2, 3), (8_812, 2, 161, 48.8)),
+]
+#: The last prefix under ``serial()``: the paper's per-row bind join.
+PER_ROW = (9_325, 21, 161, 429.3)
+
+
+def ablation_counters(result):
+    stats = result.report.stats
+    return (*transfer(result), stats.mediator_rows, round(wan_ms(stats), 1))
 
 
 class TestSetup:
@@ -125,12 +143,28 @@ class TestQ2:
         assert "contains" in text
         assert "Pushed@xmlartwork" in text
 
-    def test_round_ablation(self, cultural_mediator):
-        """Each added round must preserve the answer."""
-        full = cultural_mediator.query(Q2)
-        for rounds in [(1,), (1, 2), (1, 2, 3)]:
-            partial = cultural_mediator.query(Q2, rounds=rounds)
-            assert partial.document() == full.document(), rounds
+    def test_round_ablation(self):
+        """Each added round preserves the answer and never raises the
+        modeled WAN time."""
+        mediator = build_mediator(
+            *CulturalDataset(n_artifacts=100, seed=1).build()
+        )
+        reference = mediator.query(Q2, optimize=False).document()
+        wan = []
+        for rounds, expected in ROUND_ABLATION:
+            if rounds is None:
+                result = mediator.query(Q2, optimize=False)
+            else:
+                result = mediator.query(Q2, rounds=rounds)
+            assert result.document() == reference, rounds
+            assert ablation_counters(result) == expected, rounds
+            wan.append(wan_ms(result.report.stats))
+        assert wan == sorted(wan, reverse=True)
+        per_row = mediator.query(
+            Q2, rounds=(1, 2, 3), execution=ExecutionPolicy.serial()
+        )
+        assert per_row.document() == reference
+        assert ablation_counters(per_row) == PER_ROW
 
 
 class TestMediatorFallbacks:

@@ -338,8 +338,13 @@ class TestSqlWrapper:
             BindOp(SourceOp("salesdb", "sales"), self.sales_filter(), on="sales"),
             Cmp("<", Var("p"), Const(1_000_000.0)),
         )
-        o2_tab, _ = o2.execute_pushed(o2_plan)
-        sql_tab, _ = sql.execute_pushed(sql_plan)
+        o2_tab, oql = o2.execute_pushed(o2_plan)
+        sql_tab, native = sql.execute_pushed(sql_plan)
         assert {(r["t"], r["p"]) for r in o2_tab} == {
             (r["t"], r["p"]) for r in sql_tab
         }
+        # The two native texts EXPERIMENTS E2 quotes.
+        assert oql == ("select t: R1.title, p: R1.price from R1 in artifacts "
+                       "where R1.price < 1000000.0")
+        assert native == ("SELECT title AS t, price AS p FROM sales "
+                          "WHERE price < ? -- params (1000000.0,)")
