@@ -21,11 +21,15 @@ Union branches and independent Join inputs evaluate concurrently on a
 bounded pool when ``ExecutionPolicy.parallelism > 1``; and a DJoin passes
 its distinct outer bindings as one set (or, failing that, evaluates its
 right input once per distinct binding).  Bind runs through the per-filter
-engine of :mod:`repro.core.algebra.engine` and emits columnar Tabs,
-which the downstream operators keep columnar.
-``ExecutionPolicy.serial()`` — ``policy.reference`` — restores the
-naive engine byte for byte: recursive matcher, interpreted predicates,
-row-at-a-time Tabs, one right-branch evaluation per DJoin row.
+engine of :mod:`repro.core.algebra.engine`.
+
+Every operator has one implementation over the Tab's column arrays: it
+reads ``column_data()`` (or a :class:`ColumnCursor` over it) and builds
+its output with ``Tab.from_columns``/``take``/``concat``.  Group, Tree
+and the oracle's per-row loops read the Tab's row view.
+``ExecutionPolicy.serial()`` — ``policy.reference`` — restores the naive
+algorithms byte for byte over the same storage: recursive matcher,
+interpreted predicates, one right-branch evaluation per DJoin row.
 """
 
 from __future__ import annotations
@@ -40,7 +44,6 @@ from repro.errors import (
     SourceUnavailableError,
     UnknownDocumentError,
     UnknownSourceError,
-    UnknownVariableError,
 )
 from repro.core.algebra.bind import FilterMatcher
 from repro.core.algebra.compiled import compiled_predicate
@@ -289,7 +292,7 @@ def _evaluate(plan: Plan, env: Environment, outer: Optional[Row]) -> Tab:
 
 def _dispatch(plan: Plan, env: Environment, outer: Optional[Row]) -> Tab:
     if isinstance(plan, UnitOp):
-        return Tab((), [Row((), ())])
+        return Tab.from_columns((), (), 1)
     if isinstance(plan, LiteralOp):
         return plan.tab
     if isinstance(plan, SourceOp):
@@ -299,11 +302,8 @@ def _dispatch(plan: Plan, env: Environment, outer: Optional[Row]) -> Tab:
     if isinstance(plan, SelectOp):
         return _eval_select(plan, env, outer)
     if isinstance(plan, DistinctOp):
-        source = _evaluate(plan.input, env, outer)
-        tab = source.distinct()
+        tab = _evaluate(plan.input, env, outer).distinct()
         env.stats.record_operator("Distinct", len(tab))
-        if source.is_columnar:
-            env.stats.record_batch(len(tab))
         return tab
     if isinstance(plan, ProjectOp):
         return _eval_project(plan, env, outer)
@@ -350,7 +350,7 @@ def _eval_source(plan: SourceOp, env: Environment) -> Tab:
     _record_store_delta(adapter, env)
     if env.tracer is not None:
         env.tracer.annotate(source=plan.source, calls=1, bytes=size)
-    return Tab((plan.document,), [Row((plan.document,), (root,))])
+    return _one_cell(plan.document, root)
 
 
 def _record_store_delta(adapter, env: Environment) -> None:
@@ -399,11 +399,7 @@ def _eval_bind(plan: BindOp, env: Environment, outer: Optional[Row]) -> Tab:
     if env.reference:
         result = _bind_reference(plan, env, outer, input_tab)
     else:
-        result = _bind_columnar(
-            plan, env, outer, input_tab, bind_engine(plan.filter)
-        )
-        if env.tracer is not None:
-            env.tracer.annotate(batch_rows=len(result))
+        result = _bind_scan(plan, env, outer, input_tab, bind_engine(plan.filter))
     env.stats.record_operator("Bind", len(result))
     return result
 
@@ -411,7 +407,7 @@ def _eval_bind(plan: BindOp, env: Environment, outer: Optional[Row]) -> Tab:
 def _bind_reference(
     plan: BindOp, env: Environment, outer: Optional[Row], input_tab: Tab
 ) -> Tab:
-    """The oracle's Bind: recursive ``FilterMatcher``, one Row per binding."""
+    """The oracle's Bind: recursive ``FilterMatcher``, row by row."""
     matcher = FilterMatcher(index=env.ident_index())
     flt = plan.filter
     variables = flt.variables()
@@ -419,7 +415,7 @@ def _bind_reference(
         c for c in input_tab.columns if plan.keep_on or c != plan.on
     )
     out_columns = base_columns + variables
-    rows: List[Row] = []
+    rows: List[tuple] = []
     for row in input_tab:
         target = _lookup(row, outer, plan.on)
         if isinstance(target, tuple):
@@ -432,21 +428,18 @@ def _bind_reference(
             continue
         base_cells = tuple(row[c] for c in base_columns)
         for binding in bindings:
-            rows.append(Row(
-                out_columns,
-                base_cells + tuple(binding[var] for var in variables),
-            ))
-    return Tab(out_columns, rows)
+            rows.append(base_cells + tuple(binding[var] for var in variables))
+    return Tab.from_tuples(out_columns, rows)
 
 
-def _bind_columnar(
+def _bind_scan(
     plan: BindOp, env: Environment, outer: Optional[Row], input_tab: Tab,
     engine,
 ) -> Tab:
     """Engine Bind output: bindings zip straight into column arrays.
 
     Base cells are gathered by repetition counts and binding tuples are
-    transposed once at the end — no per-output-row ``Row`` objects.
+    transposed once at the end.
     """
     variables = engine.variables
     deref = env.deref()
@@ -495,7 +488,6 @@ def _bind_columnar(
             out_cols.extend(zip(*all_bindings))
         else:
             out_cols.extend(() for _ in variables)
-    env.stats.record_batch(total)
     return Tab.from_columns(out_columns, out_cols, total)
 
 
@@ -507,115 +499,86 @@ def _evaluator_for(expr, env: Environment):
 
 def _eval_select(plan: SelectOp, env: Environment, outer: Optional[Row]) -> Tab:
     input_tab = _evaluate(plan.input, env, outer)
-    predicate = _evaluator_for(plan.predicate, env)
+    result = _filter(input_tab, _evaluator_for(plan.predicate, env), outer, env)
+    env.stats.record_operator("Select", len(result))
+    return result
+
+
+def _filter(tab: Tab, predicate, outer: Optional[Row], env: Environment) -> Tab:
+    """The rows of *tab* satisfying *predicate*, probed through a cursor
+    (with *outer* as the correlation overlay) and gathered by position."""
+    cursor = ColumnCursor(tab, outer)
     functions = env.functions
-    if input_tab.is_columnar:
-        # Batch select: the predicate probes a reusable cursor over the
-        # column arrays; survivors are gathered by position.
-        cursor = ColumnCursor(input_tab, outer)
-        keep = [
-            i for i in range(len(input_tab))
-            if bool(predicate(cursor.seek(i), functions))
-        ]
-        result = Tab.from_columns(
-            input_tab.columns,
-            tuple(
-                tuple(column[i] for i in keep)
-                for column in input_tab.column_data()
-            ),
-            len(keep),
-        )
-        env.stats.record_operator("Select", len(keep))
-        env.stats.record_batch(len(keep))
-        return result
-    rows = [
-        row
-        for row in input_tab
-        if bool(predicate(_overlay(row, outer), functions))
-    ]
-    env.stats.record_operator("Select", len(rows))
-    return Tab(input_tab.columns, rows)
+    return tab.take([
+        i for i in range(len(tab)) if bool(predicate(cursor.seek(i), functions))
+    ])
 
 
 def _eval_project(plan: ProjectOp, env: Environment, outer: Optional[Row]) -> Tab:
     input_tab = _evaluate(plan.input, env, outer)
-    columns = tuple(alias for _c, alias in plan.items)
-    if input_tab.is_columnar:
-        # Batch project: pure column selection, zero per-row work.
-        positions = {name: i for i, name in enumerate(input_tab.columns)}
-        in_cols = input_tab.column_data()
-        data = []
-        for name, _alias in plan.items:
-            index = positions.get(name)
-            if index is None:
-                raise UnknownVariableError(
-                    f"unknown variable ${name}; row has "
-                    f"{list(input_tab.columns)}"
-                )
-            data.append(in_cols[index])
-        result = Tab.from_columns(columns, data, len(input_tab))
-        env.stats.record_operator("Project", len(result))
-        env.stats.record_batch(len(result))
-        return result
-    rows = [
-        Row(columns, tuple(row[c] for c, _a in plan.items)) for row in input_tab
-    ]
-    env.stats.record_operator("Project", len(rows))
-    return Tab(columns, rows)
+    kept = input_tab.project(tuple(column for column, _alias in plan.items))
+    result = Tab.from_columns(plan.output_columns(), kept.column_data(), len(kept))
+    env.stats.record_operator("Project", len(result))
+    return result
 
 
 def _eval_group(plan: GroupOp, env: Environment, outer: Optional[Row]) -> Tab:
     input_tab = _evaluate(plan.input, env, outer)
     nested_columns = tuple(c for c in input_tab.columns if c not in plan.by)
     groups: Dict[tuple, List[Row]] = {}
-    order: List[tuple] = []
     keys_cells: Dict[tuple, tuple] = {}
     for row in input_tab:
         key_cells = tuple(row[c] for c in plan.by)
-        key = Row(plan.by, key_cells)._value_key()
+        key = tuple(map(_cell_key, key_cells))
         if key not in groups:
             groups[key] = []
-            order.append(key)
             keys_cells[key] = key_cells
         groups[key].append(row.projected(nested_columns))
-    out_columns = plan.by + (plan.into,)
-    rows = [
-        Row(out_columns, keys_cells[key] + (tuple(groups[key]),)) for key in order
-    ]
-    env.stats.record_operator("Group", len(rows))
-    return Tab(out_columns, rows)
+    result = Tab.from_tuples(
+        plan.by + (plan.into,),
+        [keys_cells[key] + (tuple(rows),) for key, rows in groups.items()],
+    )
+    env.stats.record_operator("Group", len(result))
+    return result
 
 
 def _eval_sort(plan: SortOp, env: Environment, outer: Optional[Row]) -> Tab:
     input_tab = _evaluate(plan.input, env, outer)
-    rows = sorted(
-        input_tab.rows,
-        key=lambda row: tuple(_orderable(row[c]) for c in plan.by),
+    keys = [input_tab.column(c) for c in plan.by]
+    result = input_tab.take(sorted(
+        range(len(input_tab)),
+        key=lambda i: tuple(_orderable(column[i]) for column in keys),
         reverse=plan.descending,
-    )
-    env.stats.record_operator("Sort", len(rows))
-    return Tab(input_tab.columns, rows)
+    ))
+    env.stats.record_operator("Sort", len(result))
+    return result
 
 
 def _eval_map(plan: MapOp, env: Environment, outer: Optional[Row]) -> Tab:
     input_tab = _evaluate(plan.input, env, outer)
     new_names = tuple(name for name, _e in plan.bindings)
-    out_columns = input_tab.columns + new_names
     evaluators = tuple(_evaluator_for(expr, env) for _n, expr in plan.bindings)
-    rows = []
-    for row in input_tab:
-        scoped = _overlay(row, outer)
-        computed = tuple(fn(scoped, env.functions) for fn in evaluators)
-        rows.append(Row(out_columns, row.cells + computed))
-    env.stats.record_operator("Map", len(rows))
-    return Tab(out_columns, rows)
+    cursor = ColumnCursor(input_tab, outer)
+    functions = env.functions
+    computed = Tab.from_tuples(new_names, [
+        tuple(fn(cursor.seek(i), functions) for fn in evaluators)
+        for i in range(len(input_tab))
+    ])
+    result = _beside(input_tab, computed)
+    env.stats.record_operator("Map", len(result))
+    return result
 
 
 def _eval_tree(plan: TreeOp, env: Environment, outer: Optional[Row]) -> Tab:
     input_tab = _evaluate(plan.input, env, outer)
     tree = construct(input_tab, plan.constructor, env.skolems, env.functions)
     env.stats.record_operator("Tree", 1)
-    return Tab((plan.document,), [Row((plan.document,), (tree,))])
+    return _one_cell(plan.document, tree)
+
+
+def _one_cell(column: str, cell) -> Tab:
+    """The one-row, one-column Tab holding *cell*."""
+    return Tab.from_columns((column,), ((cell,),))
 
 
 def _eval_fuse(plan: FuseOp, env: Environment, outer: Optional[Row]) -> Tab:
@@ -630,13 +593,13 @@ def _eval_fuse(plan: FuseOp, env: Environment, outer: Optional[Row]) -> Tab:
         tab = _evaluate(input_plan, env, outer)
         if len(tab.columns) != 1 or len(tab) != 1:
             raise EvaluationError("Fuse inputs must each build one document")
-        cell = tab.rows[0].cells[0]
+        cell = tab.column_data()[0][0]
         if not isinstance(cell, DataNode):
             raise EvaluationError("Fuse inputs must build document trees")
         documents.append(cell)
     fused = fuse_documents(documents)
     env.stats.record_operator("Fuse", 1)
-    return Tab((plan.document,), [Row((plan.document,), (fused,))])
+    return _one_cell(plan.document, fused)
 
 
 def fuse_documents(documents: List[DataNode]) -> DataNode:
@@ -710,42 +673,30 @@ def _eval_pair(
 
 def _eval_join(plan: JoinOp, env: Environment, outer: Optional[Row]) -> Tab:
     left, right = _eval_pair(plan.left, plan.right, env, outer)
-    out_columns = left.columns + right.columns
-
     # Associative access (the Figure 7 payoff): equality and
     # reference-identity predicates evaluate as hash joins; everything
-    # else falls back to the nested loop.
+    # else is the nested loop — every pair in left-major order, filtered.
     keys = _hash_join_keys(plan, left.columns, right.columns)
     if keys is not None:
-        left_keys, right_keys = keys
-        if left.is_columnar or right.is_columnar:
-            result = _hash_join_columnar(
-                left, right, out_columns, left_keys, right_keys
-            )
-            env.stats.record_operator("Join", len(result))
-            env.stats.record_batch(len(result))
-            return result
-        buckets: Dict[tuple, List[Row]] = {}
-        for rrow in right:
-            key = tuple(k(rrow) for k in right_keys)
-            buckets.setdefault(key, []).append(rrow)
-        rows: List[Row] = []
-        for lrow in left:
-            key = tuple(k(lrow) for k in left_keys)
-            for rrow in buckets.get(key, ()):
-                rows.append(Row(out_columns, lrow.cells + rrow.cells))
-        env.stats.record_operator("Join", len(rows))
-        return Tab(out_columns, rows)
+        result = _hash_join(left, right, *keys)
+    else:
+        n, m = len(left), len(right)
+        pairs = _beside(
+            left.take([i for i in range(n) for _ in range(m)]),
+            right.take(list(range(m)) * n),
+        )
+        result = _filter(pairs, _evaluator_for(plan.predicate, env), outer, env)
+    env.stats.record_operator("Join", len(result))
+    return result
 
-    predicate = _evaluator_for(plan.predicate, env)
-    rows = []
-    for lrow in left:
-        for rrow in right:
-            merged = Row(out_columns, lrow.cells + rrow.cells)
-            if bool(predicate(_overlay(merged, outer), env.functions)):
-                rows.append(merged)
-    env.stats.record_operator("Join", len(rows))
-    return Tab(out_columns, rows)
+
+def _beside(left: Tab, right: Tab) -> Tab:
+    """*left*'s columns followed by *right*'s, position by position."""
+    return Tab.from_columns(
+        left.columns + right.columns,
+        left.column_data() + right.column_data(),
+        len(left),
+    )
 
 
 def _hash_join_keys(plan: JoinOp, left_columns, right_columns):
@@ -754,8 +705,7 @@ def _hash_join_keys(plan: JoinOp, left_columns, right_columns):
 
     Hashable conjuncts: ``Var = Var`` across the two sides (keyed by the
     structural value), and ``ref_is($ref, $obj)`` (keyed by the reference
-    target / node identifier).  Key functions accept anything Row-shaped
-    (a Row or a :class:`ColumnCursor`).
+    target / node identifier).  Key functions read a :class:`ColumnCursor`.
     """
     from repro.core.algebra.expressions import Cmp, FunCall, Var, conjuncts
 
@@ -801,10 +751,8 @@ def _hash_join_keys(plan: JoinOp, left_columns, right_columns):
     return left_keys, right_keys
 
 
-def _hash_join_columnar(
-    left: Tab, right: Tab, out_columns, left_keys, right_keys
-) -> Tab:
-    """Batch hash join: match by cursor probes, emit by column gathers."""
+def _hash_join(left: Tab, right: Tab, left_keys, right_keys) -> Tab:
+    """Hash join: match by cursor probes, emit by position gathers."""
     right_cursor = ColumnCursor(right)
     buckets: Dict[tuple, List[int]] = {}
     for j in range(len(right)):
@@ -821,12 +769,7 @@ def _hash_join_columnar(
         if matched:
             left_picks.extend([i] * len(matched))
             right_picks.extend(matched)
-    data = [
-        tuple(column[i] for i in left_picks) for column in left.column_data()
-    ] + [
-        tuple(column[j] for j in right_picks) for column in right.column_data()
-    ]
-    return Tab.from_columns(out_columns, data, len(left_picks))
+    return _beside(left.take(left_picks), right.take(right_picks))
 
 
 def _unwrap(value):
@@ -862,10 +805,11 @@ def _node_ident(value):
 
 def _eval_djoin(plan: DJoinOp, env: Environment, outer: Optional[Row]) -> Tab:
     left = _evaluate(plan.left, env, outer)
-    # Column names come from the actual right-hand Tabs (a pushed fragment
-    # may order its columns differently from the static inference).
-    out_columns = plan.output_columns()
     if env.reference:
+        # The paper's per-row loop.  Column names come from the actual
+        # right-hand Tabs (a pushed fragment may order its columns
+        # differently from the static inference).
+        out_columns = plan.output_columns()
         rows = []
         for lrow in left:
             inner_outer = _overlay(lrow, outer)
@@ -890,13 +834,12 @@ def _eval_djoin(plan: DJoinOp, env: Environment, outer: Optional[Row]) -> Tab:
             env.stats.record_batched(avoided)
             if env.tracer is not None:
                 env.tracer.annotate(batched=avoided)
-            result = _hash_join_columnar(
-                left, right, left.columns + right.columns,
+            result = _hash_join(
+                left, right,
                 [lambda row, n=v: _eq_key(row[n]) for _c, v in pairs],
                 [lambda row, n=c: _eq_key(row[n]) for c, _v in pairs],
             )
             env.stats.record_operator("DJoin", len(result))
-            env.stats.record_batch(len(result))
             return result
 
     # Per-binding evaluation: the right plan only observes the outer
@@ -914,7 +857,7 @@ def _eval_djoin(plan: DJoinOp, env: Environment, outer: Optional[Row]) -> Tab:
         keys.append(key)
         if key not in representative:
             representative[key] = inner_outer
-    avoided = len(left.rows) - len(representative)
+    avoided = len(left) - len(representative)
     env.stats.record_batched(avoided)
     if env.tracer is not None and avoided > 0:
         env.tracer.annotate(batched=avoided)
@@ -939,53 +882,17 @@ def _eval_djoin(plan: DJoinOp, env: Environment, outer: Optional[Row]) -> Tab:
         for key in order:
             tabs[key] = _evaluate(plan.right, env, representative[key])
 
-    # Batched re-expansion as column gathers: when every right-branch Tab
-    # shares one column layout, the output is assembled without building a
-    # Row per result — left cells repeat per match count, right columns
-    # concatenate in outer-row order (identical to the nested loop).
-    right_columns = None
-    uniform = True
-    for tab in tabs.values():
-        if right_columns is None:
-            right_columns = tab.columns
-        elif tab.columns != right_columns:
-            uniform = False
-            break
-    if uniform and right_columns is not None:
-        out_columns = left.columns + right_columns
-        left_cols = left.column_data()
-        out_left = [[] for _ in left.columns]
-        out_right = [[] for _ in right_columns]
-        total = 0
-        for i, key in enumerate(keys):
-            right = tabs[key]
-            count = len(right)
-            if not count:
-                continue
-            total += count
-            for gathered, column in zip(out_left, left_cols):
-                if count == 1:
-                    gathered.append(column[i])
-                else:
-                    gathered.extend([column[i]] * count)
-            for gathered, column in zip(out_right, right.column_data()):
-                gathered.extend(column)
-        data = tuple(tuple(col) for col in out_left) + tuple(
-            tuple(col) for col in out_right
-        )
-        result = Tab.from_columns(out_columns, data, total)
-        env.stats.record_operator("DJoin", total)
-        env.stats.record_batch(total)
-        return result
-
-    rows = []
-    for lrow, key in zip(left.rows, keys):
-        right = tabs[key]
-        out_columns = left.columns + right.columns
-        for rrow in right:
-            rows.append(Row(out_columns, lrow.cells + rrow.cells))
-    env.stats.record_operator("DJoin", len(rows))
-    return Tab(out_columns, rows)
+    # Re-expansion in left-row order: each left row repeats once per row
+    # of its binding's answer.  An empty answer contributes no cells and
+    # does not decide the right columns (a pruned Scatter answers in the
+    # static column order).
+    answers = [tabs[key] for key in keys]
+    picks = [i for i, answer in enumerate(answers) for _ in range(len(answer))]
+    filled = [answer for answer in answers if len(answer)]
+    right_columns = filled[0].columns if filled else plan.right.output_columns()
+    result = _beside(left.take(picks), Tab.concat(right_columns, filled))
+    env.stats.record_operator("DJoin", len(result))
+    return result
 
 
 def _binding_set(pairs, left: Tab, outer: Optional[Row]) -> Optional[BindingSet]:
@@ -1045,73 +952,8 @@ def _eval_union(plan: UnionOp, env: Environment, outer: Optional[Row]) -> Tab:
     surviving branch is returned.  With both branches down there is no
     partial answer, so :class:`PartialResultError` is raised.
     """
-    scheduler = env.scheduler()
-    if scheduler is not None:
-        # Both branches evaluate concurrently; their outcomes are then
-        # folded in branch order, so degradation bookkeeping and error
-        # propagation match the serial path (a failing left branch under
-        # a fail-fast policy re-raises before the right is examined).
-        outcomes = scheduler.run(
-            [
-                lambda: _evaluate(plan.left, env, outer),
-                lambda: _evaluate(plan.right, env, outer),
-            ],
-            tracer=env.tracer,
-            context=env.context,
-        )
-        env.stats.record_parallel(2)
-
-        def branch_result(index: int, branch: Plan) -> Tab:
-            tab, error = outcomes[index]
-            if error is not None:
-                raise error
-            return tab
-
-    else:
-
-        def branch_result(index: int, branch: Plan) -> Tab:
-            return _evaluate(branch, env, outer)
-
-    branches: List[Optional[Tab]] = []
-    last_error: Optional[SourceUnavailableError] = None
-    for index, branch in enumerate((plan.left, plan.right)):
-        try:
-            branches.append(branch_result(index, branch))
-        except SourceUnavailableError as error:
-            if env.resilience is None or not env.resilience.allow_partial:
-                raise
-            involved = ", ".join(sorted(_branch_sources(branch))) or "?"
-            failed = error.source or involved
-            env.resilience.record_dropped(
-                failed, f"union branch over [{involved}] dropped: {error}"
-            )
-            if env.tracer is not None:
-                env.tracer.annotate(dropped=failed)
-            last_error = error
-            branches.append(None)
-    left, right = branches
-    if left is None and right is None:
-        raise PartialResultError(
-            "every Union branch failed; no partial result to return"
-        ) from last_error
-    if left is None or right is None:
-        combined = (left if right is None else right).distinct()
-        env.stats.record_operator("Union", len(combined))
-        return combined
-    if left.columns != right.columns:
-        right = right.project(left.columns)
-    if left.is_columnar or right.is_columnar:
-        data = tuple(
-            lcol + rcol
-            for lcol, rcol in zip(left.column_data(), right.column_data())
-        )
-        combined = Tab.from_columns(
-            left.columns, data, len(left) + len(right)
-        ).distinct()
-        env.stats.record_operator("Union", len(combined))
-        env.stats.record_batch(len(combined))
-        return combined
-    combined = Tab(left.columns, tuple(left.rows) + tuple(right.rows)).distinct()
+    tabs = _surviving_branches("Union", (plan.left, plan.right), env, outer)
+    combined = Tab.concat(tabs[0].columns, tabs).distinct()
     env.stats.record_operator("Union", len(combined))
     return combined
 
@@ -1154,67 +996,62 @@ def _eval_scatter(plan: ScatterOp, env: Environment, outer: Optional[Row]) -> Ta
     if not active:
         # Every branch statically targeted other shards than the outer
         # row's key value: the row matches nothing on this source.
-        return Tab(plan.output_columns(), [])
+        return Tab(plan.output_columns())
+    tabs = _surviving_branches(
+        "shard", [branch for _sid, branch in active], env, outer
+    )
+    combined = Tab.concat(tabs[0].columns, tabs)
+    env.stats.record_operator("Scatter", len(combined))
+    return combined
 
-    scheduler = env.scheduler() if len(active) > 1 else None
+
+def _surviving_branches(
+    kind: str, branches, env: Environment, outer: Optional[Row]
+) -> List[Tab]:
+    """Evaluate *branches* — concurrently under a parallel policy — and
+    fold their outcomes in branch order, so degradation bookkeeping and
+    error propagation match the serial path (a failing first branch
+    under a fail-fast policy re-raises before the next is examined).
+
+    Under a partial-results policy a branch whose sources are unavailable
+    is dropped and recorded; with every branch down there is no partial
+    answer.
+    """
+    scheduler = env.scheduler() if len(branches) > 1 else None
     if scheduler is not None:
         outcomes = scheduler.run(
-            [lambda b=branch: _evaluate(b, env, outer) for _sid, branch in active],
+            [lambda b=branch: _evaluate(b, env, outer) for branch in branches],
             tracer=env.tracer,
             context=env.context,
         )
-        env.stats.record_parallel(len(active))
-
-        def branch_result(index: int) -> Tab:
-            tab, error = outcomes[index]
-            if error is not None:
-                raise error
-            return tab
-
-    else:
-
-        def branch_result(index: int) -> Tab:
-            return _evaluate(active[index][1], env, outer)
-
+        env.stats.record_parallel(len(branches))
     tabs: List[Tab] = []
     last_error: Optional[SourceUnavailableError] = None
-    for index, (_sid, branch) in enumerate(active):
+    for index, branch in enumerate(branches):
         try:
-            tabs.append(branch_result(index))
+            if scheduler is None:
+                tab = _evaluate(branch, env, outer)
+            else:
+                tab, error = outcomes[index]
+                if error is not None:
+                    raise error
+            tabs.append(tab)
         except SourceUnavailableError as error:
             if env.resilience is None or not env.resilience.allow_partial:
                 raise
             involved = ", ".join(sorted(_branch_sources(branch))) or "?"
             failed = error.source or involved
             env.resilience.record_dropped(
-                failed, f"shard branch over [{involved}] dropped: {error}"
+                failed, f"{kind.lower()} branch over [{involved}] dropped: {error}"
             )
             if env.tracer is not None:
                 env.tracer.annotate(dropped=failed)
             last_error = error
     if not tabs:
         raise PartialResultError(
-            "every shard branch failed; no partial result to return"
+            f"every {kind} branch failed; no partial result to return"
         ) from last_error
-    columns = tabs[0].columns
-    tabs = [
-        tab if tab.columns == columns else tab.project(columns) for tab in tabs
-    ]
-    if any(tab.is_columnar for tab in tabs):
-        data = tuple(
-            tuple(cell for tab in tabs for cell in tab.column_data()[i])
-            for i in range(len(columns))
-        )
-        combined = Tab.from_columns(columns, data, sum(len(t) for t in tabs))
-        env.stats.record_operator("Scatter", len(combined))
-        env.stats.record_batch(len(combined))
-        return combined
-    rows: List[Row] = []
-    for tab in tabs:
-        rows.extend(tab.rows)
-    combined = Tab(columns, rows)
-    env.stats.record_operator("Scatter", len(combined))
-    return combined
+    return tabs
 
 
 def _branch_sources(plan: Plan) -> set:
@@ -1229,10 +1066,10 @@ def _eval_intersect(plan: IntersectOp, env: Environment, outer: Optional[Row]) -
     left, right = _eval_pair(plan.left, plan.right, env, outer)
     if left.columns != right.columns:
         right = right.project(left.columns)
-    right_keys = {row._value_key() for row in right}
-    result = Tab(
-        left.columns, [row for row in left if row._value_key() in right_keys]
-    ).distinct()
+    right_keys = set(right.row_keys())
+    result = left.take([
+        i for i, key in enumerate(left.row_keys()) if key in right_keys
+    ]).distinct()
     env.stats.record_operator("Intersect", len(result))
     return result
 

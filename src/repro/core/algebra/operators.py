@@ -141,7 +141,7 @@ class LiteralOp(Plan):
         return self.tab.columns
 
     def _key(self):
-        return ("literal", self.tab.columns, tuple(r._value_key() for r in self.tab.rows))
+        return ("literal", self.tab.columns, tuple(self.tab.row_keys()))
 
     def describe(self):
         return f"Literal({len(self.tab)} rows)"

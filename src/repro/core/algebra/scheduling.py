@@ -51,9 +51,8 @@ class ExecutionPolicy:
     concurrently; ``1`` (the default) keeps the seed's strictly serial
     evaluation order.  It is the only setting.  Everything else the
     engine does to save mediator work — set-valued DJoin information
-    passing, compiled Bind and predicate kernels, columnar Tab batches,
-    prepared OQL in the O2 wrapper — is always on, because none of it
-    can change a produced Tab.
+    passing, compiled Bind and predicate kernels, prepared OQL in the O2
+    wrapper — is always on, because none of it can change a produced Tab.
 
     :meth:`serial` builds the one other mode: the *reference* engine
     every optimization is tested against.  ``reference`` is read-only
@@ -71,9 +70,9 @@ class ExecutionPolicy:
     @classmethod
     def serial(cls) -> "ExecutionPolicy":
         """The seed behavior, byte for byte (the differential oracle):
-        interpretive matcher and predicates, row-at-a-time Tabs, one
-        right-branch evaluation per DJoin row, interpretive OQL in the O2
-        wrapper, no pool."""
+        interpretive matcher and predicates, one right-branch evaluation
+        per DJoin row, interpretive OQL in the O2 wrapper, no pool.  Only
+        the Tab storage is shared with the default engine."""
         policy = cls(parallelism=1)
         policy._reference = True
         return policy

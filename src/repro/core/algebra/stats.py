@@ -72,10 +72,6 @@ class ExecutionStats:
         self.bind_index_seeks: int = 0
         self.twig_matches: int = 0
         self.twig_fallbacks: int = 0
-        #: Vectorized execution: operator evaluations that ran on
-        #: columnar batches and the rows they carried.
-        self.batch_operators: int = 0
-        self.batch_rows: int = 0
         #: Out-of-core document store: pushed Binds answered by SQL
         #: interval self-joins vs. hydrated scans, nodes materialized
         #: from shredded rows, and serialized bytes the pushdowns never
@@ -162,12 +158,6 @@ class ExecutionStats:
         with self._lock:
             self.parallel_branches += branches
 
-    def record_batch(self, rows: int) -> None:
-        """Record one operator evaluation that ran on columnar batches."""
-        with self._lock:
-            self.batch_operators += 1
-            self.batch_rows += rows
-
     def record_store(
         self,
         pushdowns: int = 0,
@@ -237,8 +227,6 @@ class ExecutionStats:
             "batched_calls": self.batched_calls,
             "passed_keys": self.passed_keys,
             "parallel_branches": self.parallel_branches,
-            "batch_operators": self.batch_operators,
-            "batch_rows": self.batch_rows,
             "store_pushdowns": self.store_pushdowns,
             "store_scans": self.store_scans,
             "store_hydrated_nodes": self.store_hydrated_nodes,
@@ -271,11 +259,6 @@ class ExecutionStats:
                 f"scheduler: {self.batched_calls} batched calls, "
                 f"{self.parallel_branches} parallel branches"
                 + (f", {self.passed_keys} passed keys" if self.passed_keys else "")
-            )
-        if self.batch_operators:
-            lines.append(
-                f"vectorized: {self.batch_operators} batch operators, "
-                f"{self.batch_rows} batch rows"
             )
         if self.store_pushdowns or self.store_scans:
             lines.append(

@@ -17,12 +17,20 @@ sigil) and rows of cells.  A cell holds:
 Tabs are the unit of exchange between wrappers and the mediator: a pushed
 ``Bind`` returns a Tab serialized in XML, and
 :func:`tab_to_xml`/:func:`xml_to_tab` define that wire format.
+
+A Tab is stored one way only: parallel per-column cell arrays.  Wrappers
+build their answers as columns, every evaluator operator reads and
+writes columns, and transfer accounting prices columns.  A :class:`Row`
+is a view of one position, built on demand and cached, for the consumers
+that read row by row: ``Tree`` construction, the XML encoder, ``Group``'s
+nested cells, the ``serial()`` oracle's per-row loops and the public API.
 """
 
 from __future__ import annotations
 
 import xml.etree.ElementTree as ET
-from typing import Callable, Iterable, Iterator, List, Sequence, Tuple
+from itertools import chain
+from typing import Iterable, Iterator, List, Sequence, Tuple
 
 from repro.errors import AlgebraError, UnknownVariableError, XmlFormatError
 from repro.model.filters import MISSING, MissingValue
@@ -33,6 +41,7 @@ from repro.model.xml_io import (
     element_to_tree,
     element_size,
     encode_atom_text,
+    escaped_attr_size,
     escaped_text_size,
     serialized_size,
     tree_to_element,
@@ -218,30 +227,31 @@ def _cell_key(cell: Cell) -> object:
 
 
 class Tab:
-    """A ¬1NF relation: named columns plus a sequence of rows.
+    """A ¬1NF relation: named columns over parallel per-column cell arrays.
 
-    Storage is dual: a Tab holds either materialized :class:`Row` objects
-    (the seed representation, still the wire/wrapper format) or parallel
-    per-column cell arrays (the vectorized evaluator's batch format, see
-    :meth:`from_columns`).  Either side is derived lazily from the other
-    and cached — *late materialization*: a columnar Tab only pays for Row
-    objects when a row-at-a-time consumer (serialization, tree
-    construction, the interpretive oracle) actually iterates it.
+    The column arrays are the only storage.  :attr:`rows` is a view of
+    them, one :class:`Row` per position, built on first row-wise access
+    and cached; nothing on the optimized path asks for it.
     """
 
-    __slots__ = ("_columns", "_rows", "_cols", "_length", "_ssize")
+    __slots__ = ("_columns", "_cols", "_length", "_view", "_ssize")
 
     def __init__(self, columns: Sequence[str], rows: Iterable[Row] = ()) -> None:
-        self._columns, _ = _column_map(columns)
+        columns, _ = _column_map(columns)
         rows = tuple(rows)
         for row in rows:
-            if row.columns is not self._columns and row.columns != self._columns:
+            if row.columns is not columns and row.columns != columns:
                 raise AlgebraError(
-                    f"row columns {row.columns} do not match tab columns {self._columns}"
+                    f"row columns {row.columns} do not match tab columns {columns}"
                 )
-        self._rows = rows
-        self._cols = None
+        self._columns = columns
+        self._cols = (
+            tuple(zip(*(row.cells for row in rows))) if rows
+            else ((),) * len(columns)
+        )
         self._length = len(rows)
+        # The given rows are exactly the view this Tab would build.
+        self._view = rows
         # Serialized byte size, cached by ``tab_serialized_size`` — a
         # wrapper-cached pushed result is re-measured on every hit.
         self._ssize = None
@@ -249,11 +259,18 @@ class Tab:
     @classmethod
     def from_dicts(cls, columns: Sequence[str], dicts: Iterable[dict]) -> "Tab":
         """Build a Tab from dictionaries (missing keys become MISSING)."""
-        columns = tuple(columns)
-        rows = [
-            Row(columns, tuple(d.get(c, MISSING) for c in columns)) for d in dicts
-        ]
-        return cls(columns, rows)
+        dicts = list(dicts)
+        return cls.from_columns(
+            columns,
+            [tuple(d.get(c, MISSING) for d in dicts) for c in columns],
+            len(dicts),
+        )
+
+    @classmethod
+    def from_tuples(cls, columns: Sequence[str], tuples: Sequence[tuple]) -> "Tab":
+        """Build a Tab from one cell tuple per row, transposed once."""
+        data = tuple(zip(*tuples)) if tuples else ((),) * len(columns)
+        return cls.from_columns(columns, data, len(tuples))
 
     @classmethod
     def from_columns(
@@ -262,11 +279,10 @@ class Tab:
         column_data: Sequence[Sequence[Cell]],
         length: int = None,
     ) -> "Tab":
-        """Build a columnar Tab from parallel per-column cell arrays.
+        """Build a Tab from parallel per-column cell arrays.
 
-        No Row objects are created; they materialize lazily on first
-        row-wise access.  All columns must share one length (pass
-        *length* explicitly for the zero-column edge case).
+        All columns must share one length (pass *length* explicitly for
+        the zero-column edge case).
         """
         tab = cls.__new__(cls)
         tab._columns, _ = _column_map(columns)
@@ -285,11 +301,27 @@ class Tab:
                 raise AlgebraError(
                     f"ragged column data: expected {length} cells, got {len(data)}"
                 )
-        tab._rows = None
         tab._cols = cols
         tab._length = length
+        tab._view = None
         tab._ssize = None
         return tab
+
+    @classmethod
+    def concat(cls, columns: Sequence[str], tabs: Sequence["Tab"]) -> "Tab":
+        """The bag concatenation of *tabs*, each projected onto *columns*."""
+        columns = tuple(columns)
+        tabs = [tab if tab.columns == columns else tab.project(columns) for tab in tabs]
+        if len(tabs) == 1:
+            return tabs[0]
+        return cls.from_columns(
+            columns,
+            [
+                tuple(chain.from_iterable(tab._cols[i] for tab in tabs))
+                for i in range(len(columns))
+            ],
+            sum(tab._length for tab in tabs),
+        )
 
     @property
     def columns(self) -> Tuple[str, ...]:
@@ -297,31 +329,20 @@ class Tab:
 
     @property
     def rows(self) -> Tuple[Row, ...]:
-        rows = self._rows
-        if rows is None:
+        """The row view: one :class:`Row` per position (built once)."""
+        view = self._view
+        if view is None:
             columns = self._columns
             if self._cols:
-                rows = tuple(Row(columns, cells) for cells in zip(*self._cols))
+                view = tuple(Row(columns, cells) for cells in zip(*self._cols))
             else:
-                rows = tuple(Row(columns, ()) for _ in range(self._length))
-            self._rows = rows
-        return rows
-
-    @property
-    def is_columnar(self) -> bool:
-        """True while the Tab holds only column arrays (no Row objects)."""
-        return self._rows is None
+                view = tuple(Row(columns, ()) for _ in range(self._length))
+            self._view = view
+        return view
 
     def column_data(self) -> Tuple[Tuple[Cell, ...], ...]:
-        """Parallel per-column cell arrays (derived from rows if needed)."""
-        cols = self._cols
-        if cols is None:
-            if self._rows:
-                cols = tuple(zip(*(row.cells for row in self._rows)))
-            else:
-                cols = tuple(() for _ in self._columns)
-            self._cols = cols
-        return cols
+        """The parallel per-column cell arrays."""
+        return self._cols
 
     def column(self, name: str) -> Tuple[Cell, ...]:
         """One column's cells, by name."""
@@ -330,7 +351,7 @@ class Tab:
             raise UnknownVariableError(
                 f"unknown variable ${name}; tab has {list(self._columns)}"
             )
-        return self.column_data()[index]
+        return self._cols[index]
 
     def __len__(self) -> int:
         return self._length
@@ -339,82 +360,68 @@ class Tab:
         return iter(self.rows)
 
     def __eq__(self, other: object) -> bool:
+        # Row equality, column by column: ``_cell_key`` keeps 1, 1.0 and
+        # True apart, which ``==`` on the arrays would not.
         if not isinstance(other, Tab):
             return NotImplemented
-        return self._columns == other._columns and self.rows == other.rows
+        return (
+            self._columns == other._columns
+            and self._length == other._length
+            and all(
+                list(map(_cell_key, mine)) == list(map(_cell_key, theirs))
+                for mine, theirs in zip(self._cols, other._cols)
+            )
+        )
 
     def __repr__(self) -> str:
         return f"Tab({list(self._columns)}, {self._length} rows)"
 
     # -- algebra-support helpers -------------------------------------------
 
+    def row_keys(self) -> List[tuple]:
+        """One structural key per row: what :class:`Row` equality compares
+        within a Tab."""
+        if not self._cols:
+            return [()] * self._length
+        return [tuple(map(_cell_key, cells)) for cells in zip(*self._cols)]
+
+    def take(self, positions: Sequence[int]) -> "Tab":
+        """The rows at *positions*, in that order (repeats allowed)."""
+        return Tab.from_columns(
+            self._columns,
+            [tuple(column[i] for i in positions) for column in self._cols],
+            len(positions),
+        )
+
     def project(self, columns: Sequence[str]) -> "Tab":
         """Restrict every row to *columns* (order preserved as given)."""
-        columns = tuple(columns)
-        if self._rows is None:
-            positions = _column_map(self._columns)[1]
-            data = []
-            for name in columns:
-                index = positions.get(name)
-                if index is None:
-                    raise UnknownVariableError(
-                        f"unknown variable ${name}; row has {list(self._columns)}"
-                    )
-                data.append(self._cols[index])
-            return Tab.from_columns(columns, data, self._length)
-        return Tab(columns, [row.projected(columns) for row in self._rows])
+        positions = _column_map(self._columns)[1]
+        data = []
+        for name in columns:
+            index = positions.get(name)
+            if index is None:
+                raise UnknownVariableError(
+                    f"unknown variable ${name}; row has {list(self._columns)}"
+                )
+            data.append(self._cols[index])
+        return Tab.from_columns(columns, data, self._length)
 
     def rename(self, mapping: dict) -> "Tab":
         """Rename columns through *mapping* (old -> new)."""
         renamed = tuple(mapping.get(c, c) for c in self._columns)
-        if self._rows is None:
-            return Tab.from_columns(renamed, self._cols, self._length)
-        return Tab(renamed, [row.renamed(mapping) for row in self._rows])
-
-    def select(self, predicate: Callable[[Row], bool]) -> "Tab":
-        """Keep rows satisfying *predicate*."""
-        return Tab(self._columns, [row for row in self.rows if predicate(row)])
+        return Tab.from_columns(renamed, self._cols, self._length)
 
     def distinct(self) -> "Tab":
         """Remove duplicate rows (structural value equality)."""
-        if self._rows is None:
-            # Batch-level distinct: structural keys straight off the
-            # column arrays, no Row materialization.
-            cols = self._cols
-            seen = set()
-            keep: List[int] = []
-            for index, cells in enumerate(zip(*cols) if cols else ()):
-                key = tuple(_cell_key(cell) for cell in cells)
-                if key not in seen:
-                    seen.add(key)
-                    keep.append(index)
-            if not cols:
-                keep = [0] if self._length else []
-            if len(keep) == self._length:
-                return self
-            return Tab.from_columns(
-                self._columns,
-                tuple(tuple(col[i] for i in keep) for col in cols),
-                len(keep),
-            )
         seen = set()
-        kept: List[Row] = []
-        for row in self._rows:
-            key = row._value_key()
+        keep: List[int] = []
+        for index, key in enumerate(self.row_keys()):
             if key not in seen:
                 seen.add(key)
-                kept.append(row)
-        return Tab(self._columns, kept)
-
-    def extend(self, columns: Sequence[str], compute: Callable[[Row], Sequence[Cell]]) -> "Tab":
-        """Append computed columns to every row."""
-        new_columns = self._columns + tuple(columns)
-        rows = [row.extended(columns, compute(row)) for row in self.rows]
-        return Tab(new_columns, rows)
-
-    def sorted_by(self, key: Callable[[Row], object], reverse: bool = False) -> "Tab":
-        """Rows sorted by *key*."""
-        return Tab(self._columns, sorted(self.rows, key=key, reverse=reverse))
+                keep.append(index)
+        if len(keep) == self._length:
+            return self
+        return self.take(keep)
 
     def pretty(self, limit: int = 20) -> str:
         """Plain-text table rendering for examples and debugging."""
@@ -428,14 +435,13 @@ class Tab:
 
 
 class ColumnCursor:
-    """A reusable Row-shaped view over one position of a columnar Tab.
+    """A reusable Row-shaped view over one position of a Tab.
 
-    Vectorized Select/Join evaluate predicates against this cursor
-    instead of materializing a Row per input position: :meth:`seek` moves
-    the view, ``__getitem__``/``get``/``__contains__`` behave exactly
-    like the Row they stand in for.  Optional *outer* provides the
-    correlation overlay (DJoin outer bindings) consulted for columns the
-    batch does not carry.
+    Select, Map and the joins evaluate predicates and keys against this
+    cursor instead of a Row per position: :meth:`seek` moves the view,
+    ``__getitem__``/``get``/``__contains__`` behave exactly like the Row
+    they stand in for.  Optional *outer* provides the correlation overlay
+    (DJoin outer bindings) consulted for columns the Tab does not carry.
     """
 
     __slots__ = ("_columns", "_positions", "_cols", "_outer", "_index")
@@ -547,7 +553,8 @@ def element_to_tab(root: ET.Element) -> Tab:
         raise XmlFormatError(f"expected <tab>, got <{root.tag}>")
     columns_attr = root.get("columns", "")
     columns = tuple(columns_attr.split()) if columns_attr else ()
-    rows = []
+    data: List[list] = [[] for _ in columns]
+    length = 0
     for row_el in root:
         if row_el.tag != "row":
             raise XmlFormatError(f"expected <row>, got <{row_el.tag}>")
@@ -557,8 +564,10 @@ def element_to_tab(root: ET.Element) -> Tab:
             if var is None:
                 raise XmlFormatError("<cell> requires a var attribute")
             cells[var] = _element_to_cell(cell_el)
-        rows.append(Row(columns, tuple(cells.get(c, MISSING) for c in columns)))
-    return Tab(columns, rows)
+        for column, name in zip(data, columns):
+            column.append(cells.get(name, MISSING))
+        length += 1
+    return Tab.from_columns(columns, data, length)
 
 
 def _element_to_cell(cell_el: ET.Element) -> Cell:
@@ -595,43 +604,42 @@ def xml_to_tab(text: str) -> Tab:
     return element_to_tab(root)
 
 
-def _cell_size(tag: str, attrs: list, cell: Cell) -> int:
-    """Serialized byte size of one ``<cell>``/``<item>`` element.
+def _cell_tail_size(cell: Cell) -> int:
+    """Bytes of one ``<cell>``/``<item>`` element after its opening
+    ``<cell var="..."`` or ``<item``.
 
-    Mirrors :func:`_cell_into_element` structurally, so the arithmetic
-    total matches ``len(tab_to_xml(tab).encode())`` byte for byte.
+    Mirrors :func:`_cell_into_element`.  Both tags are four bytes long,
+    so closing either costs ``>`` + ``</cell>``: 8 bytes plus content.
     """
-    if isinstance(cell, MissingValue):
-        attrs.append(("missing", "true"))
-        return element_size(tag, attrs, None)
-    if is_atom(cell):
-        attrs.append(("type", atom_type_name(cell)))
-        text, encoding = encode_atom_text(cell)
-        if encoding is not None:
-            attrs.append(("enc", encoding))
-        content = escaped_text_size(text) if text else None
-        return element_size(tag, attrs, content)
     if isinstance(cell, DataNode):
-        return element_size(tag, attrs, serialized_size(cell))
+        return serialized_size(cell) + 8
+    if isinstance(cell, MissingValue):
+        return 18  # ' missing="true" />'
     if isinstance(cell, tuple):
-        attrs.append(("kind", "coll"))
         items = 0
         for item in cell:
-            items += _cell_size("item", [], item)
-        coll = element_size("coll", (), items if cell else None)
-        return element_size(tag, attrs, coll)
+            items += 5 + _cell_tail_size(item)  # '<item' ...
+        # ' kind="coll">' '<coll>' ... '</coll>' (or '<coll />') '</cell>'
+        return 12 + (items + 13 if cell else 8) + 8
+    if is_atom(cell):
+        text, encoding = encode_atom_text(cell)
+        size = 8 + len(atom_type_name(cell))  # ' type="String"'
+        if encoding is not None:
+            size += 10  # ' enc="b64"'
+        return size + (escaped_text_size(text) + 8 if text else 3)
     raise XmlFormatError(f"cannot serialize cell: {cell!r}")
 
 
 def tab_serialized_size(tab: Tab) -> int:
     """UTF-8 byte size of the Tab's XML serialization (transfer cost).
 
-    Computed arithmetically instead of materializing the XML string —
-    this runs for every pushed-fragment result, and on the paper's Q2 it
-    was about half the mediator-side execution time.  Kept byte-for-byte
-    consistent with ``len(tab_to_xml(tab).encode())`` (tested
-    differentially).  Cached on the (immutable) Tab, so a pushed result
-    served from a wrapper memo is measured once.
+    Computed arithmetically, column by column, instead of materializing
+    the XML string: each column pays its ``<cell var="...">`` prefix once
+    per row, each cell its type attribute and escaped text, and a tree
+    cell its cached ``serialized_size``.  No :class:`Row` is built.  Kept
+    byte-for-byte consistent with ``len(tab_to_xml(tab).encode())``
+    (a generated property checks the two).  Cached on the (immutable)
+    Tab, so a pushed result served from a wrapper memo is measured once.
     """
     cached = tab._ssize
     if cached is not None:
@@ -642,13 +650,13 @@ def tab_serialized_size(tab: Tab) -> int:
 
 
 def _compute_tab_serialized_size(tab: Tab) -> int:
-    rows_size = 0
-    for row in tab.rows:
-        cells = 0
-        for column, cell in zip(row.columns, row.cells):
-            cells += _cell_size("cell", [("var", column)], cell)
-        rows_size += element_size("row", (), cells if row.cells else None)
-    columns_value = " ".join(tab.columns)
+    length = len(tab)
+    columns = tab.columns
+    # '<row>' ... '</row>' around each row's cells; '<row />' without any.
+    rows_size = length * (11 if columns else 7)
+    for column, cells in zip(columns, tab.column_data()):
+        rows_size += length * (12 + escaped_attr_size(column))  # '<cell var="c"'
+        rows_size += sum(map(_cell_tail_size, cells))
     return element_size(
-        "tab", (("columns", columns_value),), rows_size if tab.rows else None
+        "tab", (("columns", " ".join(columns)),), rows_size if length else None
     )

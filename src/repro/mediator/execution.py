@@ -64,7 +64,7 @@ class ExecutionReport:
             raise ExecutionReportError(
                 "the plan did not produce a single document; inspect .tab instead"
             )
-        cell = self.tab.rows[0].cells[0]
+        cell = self.tab.column_data()[0][0]
         if not isinstance(cell, DataNode):
             raise ExecutionReportError(
                 "the plan's single cell is not a document tree"

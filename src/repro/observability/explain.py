@@ -34,8 +34,8 @@ class NodeActuals:
     evaluations.
     """
 
-    __slots__ = ("evals", "rows", "wall", "cpu", "calls", "bytes",
-                 "batch_rows", "keys", "native")
+    __slots__ = ("evals", "rows", "wall", "cpu", "calls", "bytes", "keys",
+                 "native")
 
     def __init__(self) -> None:
         self.evals = 0
@@ -44,8 +44,6 @@ class NodeActuals:
         self.cpu = 0.0
         self.calls = 0
         self.bytes = 0
-        #: Rows a Bind produced as columnar batches.
-        self.batch_rows = 0
         #: Outer bindings passed up in set-valued calls (``Pushed`` only).
         self.keys = 0
         #: First native query text this node executed (``Pushed`` only).
@@ -63,8 +61,6 @@ class NodeActuals:
             parts.append(f"keys={self.keys}")
         if self.bytes:
             parts.append(f"bytes={self.bytes}")
-        if self.batch_rows:
-            parts.append(f"batch={self.batch_rows}")
         return " ".join(parts)
 
     def __repr__(self) -> str:
@@ -94,7 +90,6 @@ def collect_actuals(tracer) -> Dict[int, NodeActuals]:
             entry.rows += rows
         entry.calls += int(span.attrs.get("calls", 0))  # type: ignore[arg-type]
         entry.bytes += int(span.attrs.get("bytes", 0))  # type: ignore[arg-type]
-        entry.batch_rows += int(span.attrs.get("batch_rows", 0))  # type: ignore[arg-type]
         entry.keys += int(span.attrs.get("keys", 0))  # type: ignore[arg-type]
         native = span.attrs.get("native")
         if entry.native is None and isinstance(native, str):

@@ -426,14 +426,6 @@ def record_execution(
         "Plan branches dispatched to the scheduler pool.",
     ).inc(stats.parallel_branches)
     registry.counter(
-        "yat_batch_operators_total",
-        "Operator evaluations that ran on columnar batches.",
-    ).inc(stats.batch_operators)
-    registry.counter(
-        "yat_batch_rows_total",
-        "Rows carried by columnar batch operator evaluations.",
-    ).inc(stats.batch_rows)
-    registry.counter(
         "yat_shard_scatter_total",
         "Scatter branches evaluated over sharded logical sources.",
     ).inc(stats.shard_scatter)

@@ -311,9 +311,9 @@ class MediatorServer:
         *deadline* is a relative time budget in seconds (defaulting to
         the server's ``default_deadline``); it bounds queueing *and*
         execution.  *execution* overrides the server's configured
-        :class:`ExecutionPolicy` for this one request — a client can turn
-        off vectorization or run the serial oracle for a differential
-        check — but it must not claim more parallel workers than the
+        :class:`ExecutionPolicy` for this one request — a client can run
+        the ``serial()`` oracle for a differential check — but it must
+        not claim more parallel workers than the
         server's own policy grants (``ValueError`` otherwise, decided at
         submission so the caller finds out immediately, not through the
         ticket).  When the mediator serves sharded sources, the ticket

@@ -240,10 +240,7 @@ class ShardedSourceAdapter(SourceAdapter):
             retargeted = _retarget(plan, self.name, shard.name)
             tab, native = shard.execute_pushed(retargeted, outer)
             tabs.append(tab)
-        rows: List[Row] = []
-        for tab in tabs:
-            rows.extend(tab.rows)
         return (
-            Tab(tabs[0].columns, rows),
+            Tab.concat(tabs[0].columns, tabs),
             f"scatter[{len(self.shards)} shards]: {native}",
         )

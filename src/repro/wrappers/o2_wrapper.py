@@ -171,11 +171,8 @@ class O2Wrapper(Wrapper):
             else compile_select(query).run(self._db)
         )
         convert = self._to_cell
-        rows = [
-            Row(columns, tuple(convert(raw.get(c)) for c in columns))
-            for raw in oql_rows
-        ]
-        return Tab(columns, rows), query.text()
+        data = [tuple(convert(raw.get(c)) for raw in oql_rows) for c in columns]
+        return Tab.from_columns(columns, data, len(oql_rows)), query.text()
 
     def _translated(
         self, fragment: PushedFragment, outer: Optional[Row]

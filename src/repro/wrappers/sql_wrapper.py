@@ -77,6 +77,16 @@ def sql_fmodel(model_name: str = "sqlfmodel") -> FModel:
     return model
 
 
+def _restored(declared: Optional[str], values: List[object]) -> tuple:
+    """One answer column with the types SQLite loses put back from the
+    schema: Bool and Float columns come back as integers."""
+    if declared == "Bool":
+        return tuple(bool(v) if isinstance(v, int) else v for v in values)
+    if declared == "Float":
+        return tuple(float(v) if isinstance(v, int) else v for v in values)
+    return tuple(values)
+
+
 class SqlWrapper(Wrapper):
     """Wraps one :class:`SqlDatabase` as a YAT source."""
 
@@ -177,17 +187,16 @@ class SqlWrapper(Wrapper):
                 f"pushed SQL plan expects columns {sorted(missing)} the filter "
                 "does not bind"
             )
-        rows = [
-            Row(
-                columns,
-                tuple(
-                    self._to_cell(raw[c], table, var_columns, c, alias_of)
-                    for c in columns
-                ),
-            )
-            for raw in raw_rows
+        declared = {
+            alias_of[var]: table.column(column).type_name
+            for var, column in var_columns.items()
+            if var in alias_of
+        }
+        data = [
+            _restored(declared.get(c), [raw[c] for raw in raw_rows])
+            for c in columns
         ]
-        return Tab(columns, rows), "; ".join(natives)
+        return Tab.from_columns(columns, data, len(raw_rows)), "; ".join(natives)
 
     def _key_blocks(
         self, outer: BindingSet, var_columns: Dict[str, str], used: int
@@ -215,17 +224,6 @@ class SqlWrapper(Wrapper):
                 [value for key in block for value in key],
             ))
         return blocks
-
-    def _to_cell(self, value, table, var_columns, alias, alias_of):
-        # SQLite loses the Bool/Int distinction; restore it from the schema.
-        for var, column in var_columns.items():
-            if alias_of.get(var) == alias:
-                declared = table.column(column).type_name
-                if declared == "Bool" and isinstance(value, int):
-                    return bool(value)
-                if declared == "Float" and isinstance(value, int):
-                    return float(value)
-        return value
 
     def _filter_columns(self, flt: Filter, table):
         """Extract ``{variable: column}`` and constant equality constraints."""

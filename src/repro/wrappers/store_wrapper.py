@@ -175,12 +175,10 @@ class StoreWrapper(Wrapper):
         raw = self._store.fetch_bounded(
             compiled.sql, compiled.bind_params(document), MAX_MATCHES
         )
-        width = len(compiled.variables)
         touched: Dict[int, int] = {}
-        rows = []
+        data = [[] for _ in compiled.variables]
         for record in raw:
-            cells = []
-            for i in range(width):
+            for i, cells in enumerate(data):
                 pre, kind, vtype, value = record[4 * i : 4 * i + 4]
                 if kind == "atom":
                     touched.setdefault(pre, 1)
@@ -189,10 +187,9 @@ class StoreWrapper(Wrapper):
                     node = self._store.hydrate(document, pre)
                     touched.setdefault(pre, node.size())
                     cells.append(node)
-            rows.append(Row(columns, tuple(cells)))
         self._store.note_pushdown(document, sum(touched.values()))
         native = f"store-pushdown {document}: {compiled.sql}"
-        return Tab(columns, rows), native
+        return Tab.from_columns(columns, data, len(raw)), native
 
     def _run_scan(
         self, document: str, flt: Filter, columns: Tuple[str, ...]
@@ -202,6 +199,5 @@ class StoreWrapper(Wrapper):
         # No ident index crosses the wrapper boundary, so references in
         # an unsafe document bind as themselves (identity deref).
         bindings = bind_engine(flt).tuples(root)
-        rows = [Row(columns, cells) for cells in bindings]
         native = f"store-scan {document} (full hydration)"
-        return Tab(columns, rows), native
+        return Tab.from_tuples(columns, bindings), native

@@ -163,11 +163,9 @@ class WaisWrapper(Wrapper):
                 f"Wais fragments bind exactly the work variable; expected "
                 f"column {work_var!r}, plan declares {columns}"
             )
-        rows = [
-            Row(columns, (self._store.fetch(doc_id),)) for doc_id in doc_ids
-        ]
+        works = tuple(self._store.fetch(doc_id) for doc_id in doc_ids)
         native = f"wais-search {query.render()}"
-        return Tab(columns, rows), native
+        return Tab.from_columns(columns, (works,)), native
 
     def _work_variable(self, flt: Filter) -> str:
         if (

@@ -13,7 +13,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro import ExecutionPolicy, Mediator, O2Wrapper, WaisWrapper
-from repro.core.algebra.operators import DistinctOp, PushedOp, ProjectOp
+from repro.core.algebra.operators import DJoinOp, DistinctOp, PushedOp, ProjectOp
+from repro.core.algebra.scheduling import passed_pairs
+from repro.core.algebra.tab import Row
 from repro.datasets import CulturalDataset, Q2, VIEW1_YAT
 from repro.datasets.cultural import ARTISTS, STYLES
 from repro.model.trees import atom_leaf, elem
@@ -79,6 +81,34 @@ def test_o2_transfer_is_the_query_columns_once_each(paper, text, rows, size):
     assert stats.source_calls["o2artifact"] == 1
     assert stats.rows_transferred["o2artifact"] == rows
     assert stats.bytes_transferred["o2artifact"] == size
+
+
+# -- one Tab representation: the pushed answer stays columns ------------------------
+
+
+def test_pushed_year_answer_builds_no_row(paper, monkeypatch):
+    # The O2 call answers with columns, transfer accounting prices them
+    # and the set-valued DJoin re-expands them: no Row per answer row (a
+    # BindingSet is the one outer row the call carries, not an answer).
+    result = paper.query(YEAR.format(year=1873))
+    (djoin,) = [
+        node for node in result.plan.walk()
+        if isinstance(node, DJoinOp) and passed_pairs(node)
+    ]
+    built = []
+    construct = Row.__init__
+
+    def counting(self, columns, cells):
+        if type(self) is Row:
+            built.append(columns)
+        construct(self, columns, cells)
+
+    monkeypatch.setattr(Row, "__init__", counting)
+    stats = paper.execute(djoin).stats
+    assert stats.source_calls["o2artifact"] == 1
+    assert stats.rows_transferred["o2artifact"] == 126
+    assert stats.passed_keys > 1
+    assert built == []
 
 
 # -- the prepared OQL memo is keyed on the fragment's structure ----------------------

@@ -364,6 +364,23 @@ def test_no_hand_rolled_bounded_table_outside_memo_py():
     assert offenders == []
 
 
+def test_one_tab_representation():
+    # A Tab is its column arrays; no code asks how it is stored, and no
+    # wrapper or source builds a Row per answer row.
+    offenders = []
+    for path in sorted(SRC.rglob("*.py")):
+        text = path.read_text()
+        relative = path.relative_to(SRC)
+        for needle in ("is_columnar", "_rows is None"):
+            if needle in text:
+                offenders.append(f"{relative}: {needle}")
+        if relative.parts[0] in ("wrappers", "sources") and re.search(
+            r"\bRow\(", text
+        ):
+            offenders.append(f"{relative}: Row(")
+    assert offenders == []
+
+
 def test_the_named_exceptions_say_why():
     for path in BARE_DICT_EXCEPTIONS:
         assert "Deliberately a bare dict, not a :class:`repro.memo.Memo`" in (

@@ -87,15 +87,15 @@ def test_explain_analyze_actuals_cover_executed_nodes(cultural_mediator):
 
 def test_explain_tells_the_truth_about_bind(cultural_mediator):
     # One executor: every mediator-side Bind is annotated as a scan, and
-    # ANALYZE reports the rows its batches carried — nothing about a
-    # matcher choice, because there is none to make.
+    # ANALYZE reports the rows it produced — nothing about a matcher
+    # choice, because there is none to make.
     explanation = cultural_mediator.explain(Q1, optimize=False, analyze=True)
     binds = [
         line for line in explanation.render().splitlines()
         if line.lstrip().startswith("Bind(")
     ]
     assert binds and all("[bind: scan " in line for line in binds)
-    assert all(" batch=" in line for line in binds)
+    assert all(" rows=" in line for line in binds)
     assert "twig" not in explanation.render()
     assert "seeks=" not in explanation.render()
     stats = explanation.report.stats
