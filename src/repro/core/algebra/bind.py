@@ -23,6 +23,7 @@ from __future__ import annotations
 from itertools import product
 from typing import Dict, List, Optional, Sequence
 
+from repro.core.algebra.expressions import bound
 from repro.errors import BindError
 from repro.model.filters import (
     FConst,
@@ -108,7 +109,7 @@ class FilterMatcher:
             return [{flt.name: _bound_value(node)}]
         if isinstance(flt, FConst):
             target = self._deref(node)
-            if target.is_atom_leaf and target.atom == flt.value:
+            if target.is_atom_leaf and target.atom == bound(flt.value):
                 return [{}]
             return []
         if isinstance(flt, FElem):
@@ -153,7 +154,7 @@ class FilterMatcher:
         if isinstance(flt, FVar):
             return [{flt.name: node.atom}]
         if isinstance(flt, FConst):
-            return [{}] if node.atom == flt.value else []
+            return [{}] if node.atom == bound(flt.value) else []
         return []
 
     def _match_children(

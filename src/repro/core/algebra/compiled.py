@@ -29,7 +29,10 @@ Compiled kernels are memoized per plan node — predicates here
 (:func:`compiled_predicate`), filter kernels in the per-filter engine
 of :mod:`repro.core.algebra.engine`, the only caller of
 :func:`compile_filter` — so a cached plan that is executed again, or a
-DJoin branch evaluated once per outer row, compiles nothing.  The
+DJoin branch evaluated once per outer row, compiles nothing.  A lifted
+query constant (a :class:`~repro.core.algebra.expressions.Param`)
+compiles to a read of the request's parameter vector at match time, so
+one kernel serves every vector and holds none.  The
 interpretive ``FilterMatcher`` remains in place as the differential
 oracle: ``ExecutionPolicy.serial()`` disables kernels, and the property
 suite checks identical bindings between the two.  Semantics match the
@@ -51,7 +54,9 @@ from repro.core.algebra.expressions import (
     Const,
     Expr,
     FunCall,
+    Param,
     Var,
+    bound,
 )
 from repro.core.algebra.bind import MAX_MATCHES
 from repro.errors import BindError, EvaluationError
@@ -111,7 +116,7 @@ def compile_filter(flt: Filter) -> _MatchFn:
 
         def match_const(node, deref):
             atom = deref(node).atom
-            if atom is not None and atom == value:
+            if atom is not None and atom == bound(value):
                 return [()]
             return []
 
@@ -221,7 +226,7 @@ def _compile_elem(flt: FElem) -> _MatchFn:
         if atom is not None:
             if leaf_var:
                 return [own + (atom,)]
-            if leaf_const and atom == leaf_value:
+            if leaf_const and atom == bound(leaf_value):
                 return [own]
             return []
 
@@ -253,6 +258,8 @@ def _compile_elem(flt: FElem) -> _MatchFn:
                     alts.append((catom if catom is not None else found,))
                     matched = True
                 elif kind == _LEAF_CONST:
+                    if value.__class__ is Param:
+                        value = bound(value)
                     catom = found.atom
                     if catom is not None:
                         if catom == value:
@@ -336,6 +343,12 @@ def _compile_expr(expr: Expr) -> Callable[..., object]:
         return eval_var
     if isinstance(expr, Const):
         value = expr.value
+        if value.__class__ is Param:
+
+            def eval_param(row, functions):
+                return bound(value)
+
+            return eval_param
 
         def eval_const(row, functions):
             return value

@@ -968,37 +968,29 @@ def _eval_scatter(plan: ScatterOp, env: Environment, outer: Optional[Row]) -> Ta
     and fold in shard order, so the result — and error propagation — is
     byte-identical to serial evaluation.
 
-    ``prune_param`` adds information-passing pruning: when the outer row
-    supplies the column the rule equated with the partition key, only
-    the branch owning that value's shard evaluates; the others are
-    pruned at runtime (per outer row, under a DJoin).
+    Only the branches :meth:`ScatterOp.shards` keeps are evaluated: the
+    partition-key restrictions on this request's bound constants, and
+    the owner of the outer row's key under ``prune_param`` (per outer
+    row, under a DJoin).
 
     Degradation mirrors Union: under a partial-results policy a branch
     whose shard is unavailable (all replicas down) is dropped and
     recorded; with every branch down there is no partial answer.
     """
-    active: List[Tuple[int, Plan]] = list(zip(plan.shard_ids, plan.branches))
-    runtime_pruned = 0
-    if plan.prune_param is not None and outer is not None and plan.prune_param in outer:
-        target = plan.partition.shard_of(_unwrap(outer[plan.prune_param]))
-        kept = [(sid, branch) for sid, branch in active if sid == target]
-        runtime_pruned = len(active) - len(kept)
-        active = kept
-    env.stats.record_shard(
-        scatter=len(active),
-        pruned=(plan.total - len(plan.branches)) + runtime_pruned,
-    )
+    shards = plan.shards(outer)
+    total = len(plan.branches)
+    env.stats.record_shard(scatter=len(shards), pruned=total - len(shards))
     if env.tracer is not None:
         env.tracer.annotate(
-            shards=len(active), shard_total=plan.total,
-            shard_pruned=plan.total - len(active),
+            shards=len(shards), shard_total=total,
+            shard_pruned=total - len(shards),
         )
-    if not active:
-        # Every branch statically targeted other shards than the outer
-        # row's key value: the row matches nothing on this source.
+    if not shards:
+        # No shard can hold a match (contradictory key restrictions, or
+        # the outer row's owner was restricted away): the empty answer.
         return Tab(plan.output_columns())
     tabs = _surviving_branches(
-        "shard", [branch for _sid, branch in active], env, outer
+        "shard", [plan.branches[shard] for shard in shards], env, outer
     )
     combined = Tab.concat(tabs[0].columns, tabs)
     env.stats.record_operator("Scatter", len(combined))

@@ -7,6 +7,12 @@ function calls — because the paper extends it through *declared source
 operations* (Section 4): a method like ``current_price`` or a predicate
 like ``contains`` is a :class:`FunCall` whose implementation is looked up
 in the evaluation context's function registry.
+
+A :class:`Const` holds either a literal atom or a :class:`Param`: a query
+constant the plan cache lifted out of the text, whose value each request
+supplies in its parameter vector.  :func:`bound` is how everything that
+reads a constant's value at execution time — operators, kernels,
+wrappers — gets it.
 """
 
 from __future__ import annotations
@@ -17,9 +23,63 @@ from repro.errors import EvaluationError
 from repro.model.filters import MissingValue
 from repro.model.trees import DataNode
 from repro.model.values import Atom
+from repro.observability.context import current_context
 
 #: Comparison operators understood by :class:`Cmp`.
 COMPARISON_OPS = ("=", "!=", "<", "<=", ">", ">=")
+
+
+class Param:
+    """A lifted query constant: slot *slot* of the request's parameter vector.
+
+    ``kind`` is the lifted atom's type (``str``, ``int`` or ``float``) —
+    the only thing about the constant planning may read, so one plan
+    serves every vector of the same kinds.  The value is read at
+    execution time from the active
+    :class:`~repro.observability.context.RequestContext` (:func:`bound`);
+    no plan node ever holds it.  Rendered, a parameter shows its bound
+    value inside a request and ``:p<slot>`` outside one.
+    """
+
+    __slots__ = ("slot", "kind")
+
+    def __init__(self, slot: int, kind: type) -> None:
+        self.slot = slot
+        self.kind = kind
+
+    def _key(self) -> tuple:
+        return ("param", self.kind.__name__, self.slot)
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, Param) and self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        context = current_context()
+        if context is not None and self.slot < len(context.params):
+            return repr(context.params[self.slot])
+        return f":p{self.slot}"
+
+
+def bound(value):
+    """*value*, or the active request's value for a :class:`Param`."""
+    if value.__class__ is not Param:
+        return value
+    context = current_context()
+    if context is None or value.slot >= len(context.params):
+        raise EvaluationError(
+            f"query parameter :p{value.slot} has no bound value; execute "
+            "a cached plan through Mediator.query or with its request's "
+            "parameters"
+        )
+    return context.params[value.slot]
+
+
+def atom_kind(value) -> type:
+    """The type of a constant's atom, without reading a parameter's value."""
+    return value.kind if value.__class__ is Param else type(value)
 
 
 class Expr:
@@ -104,7 +164,7 @@ class Var(Expr):
 
 
 class Const(Expr):
-    """A literal atom."""
+    """A literal atom, or a :class:`Param` bound per request."""
 
     __slots__ = ("value",)
 
@@ -112,7 +172,7 @@ class Const(Expr):
         self.value = value
 
     def evaluate(self, row, functions=None):
-        return self.value
+        return bound(self.value)
 
     def substitute(self, mapping):
         return self

@@ -18,7 +18,7 @@ from __future__ import annotations
 from typing import Dict, Iterator, Optional, Sequence, Tuple
 
 from repro.errors import AlgebraError
-from repro.core.algebra.expressions import Expr
+from repro.core.algebra.expressions import Const, Expr, bound
 from repro.core.algebra.tree import Constructor
 from repro.model.filters import Filter
 
@@ -552,13 +552,13 @@ class FuseOp(Plan):
 class ScatterOp(Plan):
     """Scatter-gather over the shards of one partitioned logical source.
 
-    Produced by the shard-expansion rewrite: each branch is the original
-    ``[Project?][Select*]Bind(Source)`` chain re-targeted at one shard of
-    the logical source.  Evaluation concatenates the branch Tabs in shard
-    order — *bag* semantics, no ``distinct``: the partitioning function
-    places every document on exactly one shard, so branches are disjoint
-    by construction and the concatenation equals the logical source's
-    shard-major document order.
+    Produced by the shard-expansion rewrite: branch ``i`` is the original
+    ``[Project?][Select*]Bind(Source)`` chain re-targeted at shard ``i``
+    of the logical source, one branch per shard.  Evaluation concatenates
+    the branch Tabs in shard order — *bag* semantics, no ``distinct``:
+    the partitioning function places every document on exactly one shard,
+    so branches are disjoint by construction and the concatenation equals
+    the logical source's shard-major document order.
 
     The logical source's name is deliberately held in ``logical`` rather
     than ``source``: :meth:`Plan.sources` (and therefore the result
@@ -566,44 +566,60 @@ class ScatterOp(Plan):
     attribute, and a scatter plan's freshness depends only on the shards
     its surviving branches actually read.
 
-    ``shard_ids`` are the shard indexes of the surviving branches (shard
-    order); ``total`` is the full shard count, so ``len(branches)/total``
-    is the pruning decision.  ``prune_param``, when set, names an outer
-    column equated with the partition key inside the branches: per outer
-    row, only the branch owning that row's key value is evaluated
-    (information-passing pruning under a DJoin).
+    Which branches survive is decided per execution by :meth:`shards`,
+    never at planning time: ``restrictions`` are the ``(op, Const)``
+    comparisons on the partition key the rule found — query constants,
+    whose values the request binds — and ``prune_param``, when set, names
+    an outer column equated with the key (information-passing pruning
+    under a DJoin).
     """
 
-    __slots__ = ("branches", "logical", "shard_ids", "total", "partition",
+    __slots__ = ("branches", "logical", "partition", "restrictions",
                  "prune_param")
 
     def __init__(
         self,
         branches: Sequence[Plan],
         logical: str,
-        shard_ids: Sequence[int],
-        total: int,
         partition,
+        restrictions: Sequence[Tuple[str, Const]] = (),
         prune_param: Optional[str] = None,
     ) -> None:
         if not branches:
             raise AlgebraError("Scatter requires at least one branch")
-        if len(branches) != len(shard_ids):
-            raise AlgebraError("Scatter needs one shard id per branch")
         self.branches = tuple(branches)
         self.logical = logical
-        self.shard_ids = tuple(shard_ids)
-        self.total = total
         self.partition = partition
+        self.restrictions = tuple(restrictions)
         self.prune_param = prune_param
+
+    def shards(self, outer=None) -> Tuple[int, ...]:
+        """The shards one execution reads, in shard order.
+
+        Each restriction keeps the shards :meth:`prune` admits for its
+        bound value; an *outer* row supplying ``prune_param`` keeps only
+        the owner of that row's key.  Placement and pruning share the
+        partition's functions, so no shard holding a match is dropped —
+        and contradictory restrictions keep none.
+        """
+        kept = range(len(self.branches))
+        for op, constant in self.restrictions:
+            allowed = self.partition.prune(op, bound(constant.value))
+            if allowed is not None:
+                kept = [shard for shard in kept if shard in allowed]
+        param = self.prune_param
+        if param is not None and outer is not None and param in outer:
+            owner = self.partition.shard_of(outer[param])
+            kept = [shard for shard in kept if shard == owner]
+        return tuple(kept)
 
     def children(self):
         return self.branches
 
     def with_children(self, children):
         return ScatterOp(
-            children, self.logical, self.shard_ids, self.total,
-            self.partition, self.prune_param,
+            children, self.logical, self.partition, self.restrictions,
+            self.prune_param,
         )
 
     def output_columns(self):
@@ -613,18 +629,21 @@ class ScatterOp(Plan):
         return (
             "scatter",
             self.logical,
-            self.shard_ids,
-            self.total,
             self.partition.spec_key(),
+            tuple((op, constant._key()) for op, constant in self.restrictions),
             self.prune_param,
             tuple(b._key() for b in self.branches),
         )
 
     def describe(self):
+        keys = "".join(
+            f", {self.partition.key} {op} {constant.text()}"
+            for op, constant in self.restrictions
+        )
         param = f", prune=${self.prune_param}" if self.prune_param else ""
         return (
-            f"Scatter({self.logical}, "
-            f"{len(self.branches)}/{self.total} shards{param})"
+            f"Scatter({self.logical}, {len(self.branches)} shards"
+            f"{keys}{param})"
         )
 
 

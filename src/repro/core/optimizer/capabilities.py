@@ -38,6 +38,7 @@ from repro.core.algebra.expressions import (
     Expr,
     FunCall,
     Var,
+    atom_kind,
     conjuncts,
 )
 from repro.core.algebra.operators import (
@@ -119,8 +120,12 @@ class EquivalenceInsertionRule(RewriteRule):
     @staticmethod
     def _matching_constant(
         conjunct: Expr, implication: SelectionImplication, bound: set
-    ) -> Optional[Tuple[str, str]]:
-        """``(variable, constant)`` of ``$x = "text"`` when applicable."""
+    ) -> Optional[Tuple[str, Const]]:
+        """``(variable, constant)`` of ``$x = "text"`` when applicable.
+
+        Reads the constant's type, never its value: a query parameter of
+        kind ``str`` qualifies whatever text a request binds to it.
+        """
         if not isinstance(conjunct, Cmp) or conjunct.op != implication.mediator_predicate:
             return None
         sides = (conjunct.left, conjunct.right)
@@ -130,12 +135,11 @@ class EquivalenceInsertionRule(RewriteRule):
             return None
         if variables[0].name not in bound:
             return None
-        value = constants[0].value
-        if not isinstance(value, str):
+        if atom_kind(constants[0].value) is not str:
             return None  # only textual predicates imply a full-text search
         if implication.argument_type not in (None, "String"):
             return None
-        return variables[0].name, value
+        return variables[0].name, constants[0]
 
     def _insert(
         self,
@@ -143,13 +147,13 @@ class EquivalenceInsertionRule(RewriteRule):
         chain: List[Plan],
         bind: BindOp,
         predicate_name: str,
-        constant: str,
+        constant: Const,
         context: OptimizerContext,
     ) -> Optional[Plan]:
         root_var, new_filter = self._rooted_filter(bind.filter, context)
         if root_var is None:
             return None
-        derived = FunCall(predicate_name, [Var(root_var), Const(constant)])
+        derived = FunCall(predicate_name, [Var(root_var), constant])
         # Idempotence: never insert the same derived predicate twice.
         for op in chain:
             if isinstance(op, SelectOp) and derived in conjuncts(op.predicate):
@@ -268,6 +272,11 @@ class CapabilityPushdownRule(RewriteRule):
     # -- the Bind must be split first (Figure 9, Wais side) ------------------------
 
     def _push_split(self, plan, projection, selects, bind, source, matcher, context):
+        # Decline before splitting when no predicate could go along: a
+        # declined split must not spend a fresh variable, or the shard
+        # branches of one Scatter would each see different names.
+        if not any(matcher.predicate_pushable(s.predicate) for s in selects):
+            return None
         split = split_below_root(bind, context)
         if split is None:
             return None

@@ -14,17 +14,20 @@ semantics; no dedup).  Expanding *before* capability pushdown lets each
 branch push its own fragment to its shard wrapper, and the scatter
 branches run under the plan scheduler's parallelism.
 
-Pruning drops branches that cannot contribute rows.  A restriction on
-the partition-key value — an in-filter constant (``artist: "Monet"``) or
-a Select comparison against a key-bound variable — is handed to the
+Pruning skips branches that cannot contribute rows, and it happens per
+execution, never here: the rule reads no constant's value, so one
+cached plan serves every constant.  A restriction on the partition-key
+value — an in-filter constant (``artist: "Monet"``) or a Select
+comparison of a key-bound variable with a constant — is recorded on the
+Scatter; each execution hands the request's bound value to the
 partition scheme's :meth:`prune`, which answers with the shards that
-could hold a matching document.  Soundness rests on placement and
-pruning sharing one function (see :mod:`repro.sources.sharded.partition`);
-``contains`` predicates never prune (word containment says nothing about
-the key's full value).  An equality against an *outer* variable (under a
-DJoin) cannot be pruned statically; it becomes the Scatter's
-``prune_param`` and the evaluator routes each outer row to its one
-owning shard at run time.
+could hold a matching document (:meth:`ScatterOp.shards`).  Soundness
+rests on placement and pruning sharing one function (see
+:mod:`repro.sources.sharded.partition`); ``contains`` predicates never
+prune (word containment says nothing about the key's full value).  An
+equality against an *outer* variable (under a DJoin) becomes the
+Scatter's ``prune_param``, and each outer row is routed to its one
+owning shard.
 """
 
 from __future__ import annotations
@@ -73,42 +76,27 @@ class ShardExpansionRule(RewriteRule):
             return None
 
         partition = topology.partition
-        key_vars, static_consts = _key_restrictions(
+        key_vars, key_consts = _key_restrictions(
             flt.children[0].child, partition.key
         )
         local = set(bind.output_columns())
-        restrictions: List[Tuple[str, object]] = [
-            ("=", Const(value)) for value in static_consts
+        restrictions: List[Tuple[str, Const]] = [
+            ("=", constant) for constant in key_consts
         ]
+        prune_param: Optional[str] = None
         for select in selects:
             for part in conjuncts(select.predicate):
                 found = _key_comparison(part, key_vars, local)
-                if found is not None:
+                if found is None:
+                    continue
+                op, operand = found
+                if isinstance(operand, Const):
                     restrictions.append(found)
-
-        allowed: Optional[frozenset] = None
-        prune_param: Optional[str] = None
-        for op, operand in restrictions:
-            if isinstance(operand, Const):
-                pruned = partition.prune(op, operand.value)
-                if pruned is not None:
-                    allowed = pruned if allowed is None else allowed & pruned
-            elif op == "=" and prune_param is None:
-                prune_param = operand  # outer column name, pruned at run time
-
-        shard_ids = [
-            index
-            for index in range(topology.total)
-            if allowed is None or index in allowed
-        ]
-        if not shard_ids:
-            # Contradictory key restrictions: no shard can match.  A
-            # Scatter needs at least one branch, so keep shard 0 — it
-            # dutifully computes the empty answer.
-            shard_ids = [0]
+                elif op == "=" and prune_param is None:
+                    prune_param = operand  # outer column name
 
         branches = []
-        for index in shard_ids:
+        for index in range(topology.total):
             branch: Plan = BindOp(
                 SourceOp(topology.shard_names[index], source.document),
                 flt,
@@ -122,9 +110,8 @@ class ShardExpansionRule(RewriteRule):
         return ScatterOp(
             branches,
             logical=source.source,
-            shard_ids=shard_ids,
-            total=topology.total,
             partition=partition,
+            restrictions=restrictions,
             prune_param=prune_param,
         )
 
@@ -165,7 +152,7 @@ def _distributes(flt) -> bool:
     )
 
 
-def _key_restrictions(pattern, key: str) -> Tuple[Set[str], List[object]]:
+def _key_restrictions(pattern, key: str) -> Tuple[Set[str], List[Const]]:
     """Partition-key variables and in-filter key constants of one
     per-document pattern.
 
@@ -174,7 +161,7 @@ def _key_restrictions(pattern, key: str) -> Tuple[Set[str], List[object]]:
     those items are guaranteed to bind the value placement saw.
     """
     names: Set[str] = set()
-    consts: List[object] = []
+    consts: List[Const] = []
     if not isinstance(pattern, FElem):
         return names, consts
     for item in pattern.children:
@@ -189,7 +176,7 @@ def _key_restrictions(pattern, key: str) -> Tuple[Set[str], List[object]]:
                 if item.var is not None:
                     names.add(item.var)
             elif isinstance(inner, FConst):
-                consts.append(inner.value)
+                consts.append(Const(inner.value))
     return names, consts
 
 

@@ -24,7 +24,7 @@ from typing import Optional, Sequence, Tuple
 
 from repro.errors import UnknownDocumentError, ViewError
 from repro.capabilities.interface import SourceInterface
-from repro.core.algebra.operators import Plan
+from repro.core.algebra.operators import Plan, ScatterOp
 from repro.core.algebra.scheduling import ExecutionPolicy
 from repro.core.algebra.stats import ExecutionStats
 from repro.core.algebra.tab import Tab
@@ -33,7 +33,7 @@ from repro.core.optimizer.planner import Optimizer
 from repro.core.optimizer.rules import OptimizerContext, RewriteTrace
 from repro.mediator.catalog import Catalog
 from repro.mediator.execution import ExecutionReport, run_plan
-from repro.mediator.plan_cache import CachedPlan, PlanCache, rebind_plan
+from repro.mediator.plan_cache import BoundPlan, CachedPlan, PlanCache
 from repro.mediator.resilience import ResiliencePolicy
 from repro.mediator.result_cache import ResultCache
 from repro.mediator.views import (
@@ -42,6 +42,7 @@ from repro.mediator.views import (
     ViewRegistry,
 )
 from repro.model.trees import DataNode
+from repro.observability.context import RequestContext, activate_context
 from repro.sources.wais.index import document_contains
 from repro.wrappers.base import Wrapper
 from repro.yatl.ast import YatlQuery
@@ -63,16 +64,25 @@ def _adapter_version(adapter) -> int:
     return 0
 
 
-def _constant_pruned(plan: Plan) -> bool:
-    """Does *plan* contain a Scatter whose shard set was pruned on a
-    constant?  Such plans are bound to their constants — rebinding a
-    cached one to new values would keep the stale shard selection."""
-    from repro.core.algebra.operators import ScatterOp
+def _with_params(
+    context: Optional[RequestContext], params: Tuple[object, ...]
+) -> RequestContext:
+    """*context* (or a fresh one) carrying the request's parameter vector."""
+    if context is None:
+        return RequestContext(params=params)
+    return context.replace(params=params)
 
-    return any(
-        isinstance(node, ScatterOp) and len(node.branches) < node.total
-        for node in plan.walk()
-    )
+
+def _read_nodes(plan: Plan):
+    """*plan*'s nodes, pre-order, minus the Scatter branches the active
+    request's parameters prune (:meth:`ScatterOp.shards`)."""
+    yield plan
+    if isinstance(plan, ScatterOp):
+        children = [plan.branches[shard] for shard in plan.shards()]
+    else:
+        children = plan.children()
+    for child in children:
+        yield from _read_nodes(child)
 
 
 def _mediator_contains(document: object, text: object) -> bool:
@@ -105,7 +115,7 @@ class QueryResult:
 
     __slots__ = (
         "naive_plan", "plan", "trace", "report", "cached", "result_cached",
-        "admission",
+        "params", "admission",
     )
 
     def __init__(
@@ -116,17 +126,25 @@ class QueryResult:
         report: ExecutionReport,
         cached: bool = False,
         result_cached: bool = False,
+        params: Tuple[object, ...] = (),
     ) -> None:
         self.naive_plan = naive_plan
         self.plan = plan
         self.trace = trace
         self.report = report
-        #: True when the plan came from the plan cache (possibly after
-        #: constant rebinding) instead of a fresh planning pass.
+        #: True when the plan came from the plan cache instead of a fresh
+        #: planning pass: the very plan objects of the first query of
+        #: this shape, bound to this query's ``params``.
         self.cached = cached
         #: True when the *answer* came from the result cache — nothing
         #: was executed and the report carries empty statistics.
         self.result_cached = result_cached
+        #: The parameter vector ``plan`` ran with: the values of the
+        #: constants it holds as :class:`~repro.core.algebra.expressions.Param`
+        #: slots (empty when the plan cache is off and the plan holds its
+        #: constants inline).  Re-executing a part of ``plan`` needs it:
+        #: ``mediator.execute(node, context=RequestContext(params=...))``.
+        self.params = params
         #: :class:`~repro.server.AdmissionOutcome` when this result came
         #: through a :class:`~repro.server.MediatorServer` (queueing time,
         #: forced degradation, deadline); ``None`` for direct calls —
@@ -334,13 +352,24 @@ class Mediator:
         optimize: bool = True,
         rounds: Sequence[int] = (1, 2, 3),
     ) -> Tuple[Plan, Plan, RewriteTrace]:
-        """(naive plan, optimized plan, trace) for a parsed query."""
+        """(naive plan, optimized plan, trace) for a parsed query.
+
+        With the plan cache on, both plans are the cached parametric ones
+        bound to *query*'s constants (:class:`BoundPlan`), which
+        :meth:`execute` runs as they are.
+        """
         if self.plan_cache is None:
             return self._plan_fresh(query, optimize, tuple(rounds))
-        naive, optimized, trace, _cached = self._plan_normalized(
-            normalize_query(query), optimize, tuple(rounds)
+        normalized = normalize_query(query)
+        entry, _cached = self._plan_normalized(
+            normalized, optimize, tuple(rounds)
         )
-        return naive, optimized, trace
+        params = normalized.values
+        return (
+            BoundPlan(entry.naive, params),
+            BoundPlan(entry.plan, params),
+            entry.trace,
+        )
 
     def _plan_text(
         self, text: str, optimize: bool, rounds: Sequence[int]
@@ -366,41 +395,26 @@ class Mediator:
         if normalized is None:
             normalized = normalize_query(parse_query(text))
             cache.remember_text(text, normalized)
-        naive, optimized, trace, cached = self._plan_normalized(
-            normalized, optimize, rounds
-        )
-        return naive, optimized, trace, cached, normalized
+        entry, cached = self._plan_normalized(normalized, optimize, rounds)
+        return entry.naive, entry.plan, entry.trace, cached, normalized
 
     def _plan_normalized(
         self,
         normalized: NormalizedQuery,
         optimize: bool,
         rounds: tuple,
-    ) -> Tuple[Plan, Plan, RewriteTrace, bool]:
-        """Serve a plan from the cache, rebinding constants on a hit."""
+    ) -> Tuple[CachedPlan, bool]:
+        """``(entry, hit)``: the cached parametric plans of *normalized*'s
+        shape, planned once on a miss and served to every vector after."""
         cache = self.plan_cache
         assert cache is not None
         key = (normalized.key, optimize, rounds, self._epoch)
         entry = cache.lookup(key)
         if entry is not None:
-            if entry.values == normalized.values:
-                return entry.naive, entry.plan, entry.trace, True
-            if not _constant_pruned(entry.plan):
-                # Same shape, different constants: splice the new values
-                # into the cached plans instead of replanning.  The trace
-                # still describes the rewrites (constant-independent) —
-                # *except* when a Scatter was pruned on a constant: which
-                # shards survive depends on the constant's value, so such
-                # plans replan per value vector instead of rebinding.
-                cache.record_rebind()
-                naive = rebind_plan(entry.naive, normalized.values)
-                optimized = rebind_plan(entry.plan, normalized.values)
-                return naive, optimized, entry.trace, True
-        naive, optimized, trace = self._plan_fresh(
-            normalized.query, optimize, rounds
-        )
-        cache.store(key, CachedPlan(naive, optimized, trace, normalized.values))
-        return naive, optimized, trace, False
+            return entry, True
+        entry = CachedPlan(*self._plan_fresh(normalized.query, optimize, rounds))
+        cache.store(key, entry)
+        return entry, False
 
     def _plan_fresh(
         self, query: YatlQuery, optimize: bool, rounds: Sequence[int]
@@ -457,10 +471,12 @@ class Mediator:
 
         Materialized-view leaves expand to the base sources the view
         transitively reads, so an update to any of them invalidates the
-        cached answers of queries served through the view.
+        cached answers of queries served through the view.  A Scatter
+        contributes only the shards the active request's parameters
+        leave it.
         """
         names: set = set()
-        for node in plan.walk():
+        for node in _read_nodes(plan):
             source = getattr(node, "source", None)
             if source is None:
                 continue
@@ -583,14 +599,17 @@ class Mediator:
         naive, optimized, trace, cached, normalized = self._plan_text(
             text, optimize, rounds
         )
-        report, result_cached = self._execute_maybe_cached(
-            optimized, normalized, optimize, tuple(rounds),
-            policy=policy, execution=execution, tracer=tracer,
-            context=context, use_result_cache=use_result_cache,
-        )
+        params = normalized.values if normalized is not None else ()
+        context = _with_params(context, params)
+        with activate_context(context):
+            report, result_cached = self._execute_maybe_cached(
+                optimized, normalized, optimize, tuple(rounds),
+                policy=policy, execution=execution, tracer=tracer,
+                context=context, use_result_cache=use_result_cache,
+            )
         return QueryResult(
             naive, optimized, trace, report,
-            cached=cached, result_cached=result_cached,
+            cached=cached, result_cached=result_cached, params=params,
         )
 
     def explain(
@@ -619,34 +638,72 @@ class Mediator:
         scan kernel (:func:`~repro.core.algebra.engine.bind_engine`)
         matches it, or the oracle under the ``serial()`` reference
         policy.
+
+        Everything that depends on a constant's value — native texts,
+        shard pruning, the store's access path — is decided on this
+        query's bound parameters, so a cached plan explains exactly like
+        a fresh one (bar the ``plan: cached`` line).
         """
-        from repro.core.algebra.operators import (
-            BindOp,
-            PushedOp,
-            ScatterOp,
-            SourceOp,
-        )
+        from repro.core.algebra.operators import SourceOp
         from repro.observability.explain import Explanation
         from repro.observability.tracer import Tracer
 
         naive, optimized, trace, cached, normalized = self._plan_text(
             text, optimize, rounds
         )
+        rounds = tuple(rounds)
+        params = normalized.values if normalized is not None else ()
+        context = RequestContext(params=params)
+        report = None
+        result_cached = False
+        with activate_context(context):
+            access_paths = self._access_paths(optimized)
+            if analyze:
+                if tracer is None:
+                    tracer = Tracer()
+                report, result_cached = self._execute_maybe_cached(
+                    optimized, normalized, optimize, rounds,
+                    policy=policy, execution=execution, tracer=tracer,
+                    context=context,
+                )
+            else:
+                tracer = None  # a plan-only EXPLAIN never executes anything
+                if self.result_cache is not None and normalized is not None:
+                    # Non-mutating peek: would this query serve from cache?
+                    result_cached = self.result_cache.peek(
+                        self._result_key(normalized, optimize, rounds, execution),
+                        self._version_vector(optimized),
+                    )
+        materialized_views = tuple(sorted({
+            node.document
+            for node in optimized.walk()
+            if isinstance(node, SourceOp) and node.source == VIEW_SOURCE
+        }))
+        return Explanation(
+            text, naive, optimized, trace, report=report, tracer=tracer,
+            cached=cached, access_paths=access_paths,
+            result_cached=result_cached, materialized_views=materialized_views,
+            params=params,
+        )
+
+    def _access_paths(self, optimized: Plan) -> dict:
+        """``{id(node): "bind: ..."}`` for EXPLAIN, on the active request's
+        parameters."""
+        from repro.core.algebra.operators import BindOp, PushedOp
+
         access_paths = {
             id(node): "bind: scan"
             for node in optimized.walk() if isinstance(node, BindOp)
         }
         # Scatter nodes: show the pruning decision — how many shards of
-        # the topology this Bind chain actually reads, and whether each
-        # outer row is routed to its owning shard at run time.
+        # the topology this Bind chain reads for these parameters, and
+        # whether each outer row is routed to its owning shard.
         for node in optimized.walk():
             if not isinstance(node, ScatterOp):
                 continue
-            kept = len(node.branches)
-            if kept < node.total:
-                label = f"bind: shard-pruned {kept}/{node.total}"
-            else:
-                label = f"bind: scatter {kept}/{node.total}"
+            kept, total = len(node.shards()), len(node.branches)
+            verb = "shard-pruned" if kept < total else "scatter"
+            label = f"bind: {verb} {kept}/{total}"
             if node.prune_param is not None:
                 label += f", runtime prune on ${node.prune_param}"
             access_paths[id(node)] = label
@@ -666,37 +723,7 @@ class Mediator:
                     access_paths[id(inner)] = (
                         f"bind: {chooser(inner.filter, inner.on)}"
                     )
-        materialized_views = tuple(sorted({
-            node.document
-            for node in optimized.walk()
-            if isinstance(node, SourceOp) and node.source == VIEW_SOURCE
-        }))
-        report = None
-        result_cached = False
-        if analyze:
-            if tracer is None:
-                tracer = Tracer()
-            report, result_cached = self._execute_maybe_cached(
-                optimized, normalized, optimize, tuple(rounds),
-                policy=policy, execution=execution, tracer=tracer,
-                context=None,
-            )
-        else:
-            if tracer is not None:
-                tracer = None  # a plan-only EXPLAIN never executes anything
-            if self.result_cache is not None and normalized is not None:
-                # Non-mutating peek: would this query serve from cache?
-                result_cached = self.result_cache.peek(
-                    self._result_key(
-                        normalized, optimize, tuple(rounds), execution
-                    ),
-                    self._version_vector(optimized),
-                )
-        return Explanation(
-            text, naive, optimized, trace, report=report, tracer=tracer,
-            cached=cached, access_paths=access_paths,
-            result_cached=result_cached, materialized_views=materialized_views,
-        )
+        return access_paths
 
     def memo_stats(self) -> dict:
         """``{memo name: Memo.stats()}`` for this mediator's own memos
@@ -723,8 +750,13 @@ class Mediator:
         *execution* (or the mediator-wide default) configures the
         federated scheduler — see :func:`run_plan`.  *tracer* records
         hierarchical spans of the execution (see
-        :mod:`repro.observability`).
+        :mod:`repro.observability`).  A parametric plan runs with the
+        parameters of *context*, or — a :class:`BoundPlan` from
+        :meth:`plan_query` — with its own.
         """
+        if isinstance(plan, BoundPlan):
+            context = _with_params(context, plan.params)
+            plan = plan.plan
         adapters = self.catalog.adapters()
         if self.views.has_materialized():
             # Materialized view documents are served (and lazily

@@ -33,7 +33,6 @@ from repro.observability.context import (
     current_context,
     current_tracer,
 )
-from repro.observability.explain import Explanation, NodeActuals, collect_actuals, render_plan
 from repro.observability.metrics import (
     Counter,
     Gauge,
@@ -43,6 +42,20 @@ from repro.observability.metrics import (
     record_memo_stats,
 )
 from repro.observability.tracer import Span, Tracer
+
+_EXPLAIN = ("Explanation", "NodeActuals", "collect_actuals", "render_plan")
+
+
+def __getattr__(name: str):
+    # The EXPLAIN renderer reads plans, and plans read this package's
+    # request context (a query parameter's bound value): import the
+    # renderer on first use so the context never drags in the algebra.
+    if name in _EXPLAIN:
+        from repro.observability import explain
+
+        return getattr(explain, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "Counter",

@@ -16,7 +16,7 @@ adapter protocol has no signature to pass it.
 ``run_plan`` activates the context for the duration of one evaluation;
 :meth:`RequestContext.bind` re-activates it inside scheduler pool
 threads, so a pool shared by many concurrent requests always observes
-the dispatching request's tracer and reference flag.  When no
+the dispatching request's tracer, reference flag and parameters.  When no
 context is active, :func:`current_context` is a single thread-local
 attribute read returning ``None`` — the disabled fast path.
 
@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import threading
 from contextlib import contextmanager
-from typing import Iterator, Optional, TYPE_CHECKING
+from typing import Iterator, Optional, Tuple, TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.observability.tracer import Tracer
@@ -47,7 +47,13 @@ class RequestContext:
     * identity — ``request_id``, ``tenant``, ``priority``: who this
       execution serves, used by serving metrics and admission records;
     * execution state — ``tracer``, ``reference``, ``deadline``: the
-      state that used to live in per-thread globals.  ``reference`` mirrors
+      state that used to live in per-thread globals — and ``params``,
+      the request's parameter vector: the values of the query constants
+      the plan cache lifted into
+      :class:`~repro.core.algebra.expressions.Param` slots, read at
+      execution time by every operator, kernel and wrapper (one cached
+      plan serves every vector because no plan node holds one).
+      ``reference`` mirrors
       ``ExecutionPolicy.reference`` (the evaluator environment sets it)
       so wrappers can take their interpretive path under the oracle
       policy.  ``deadline`` is *absolute* (on
@@ -63,7 +69,7 @@ class RequestContext:
 
     __slots__ = (
         "request_id", "tenant", "priority", "deadline",
-        "tracer", "reference",
+        "tracer", "reference", "params",
     )
 
     def __init__(
@@ -74,6 +80,7 @@ class RequestContext:
         deadline: Optional[float] = None,
         tracer: Optional["Tracer"] = None,
         reference: bool = False,
+        params: Tuple[object, ...] = (),
     ) -> None:
         self.request_id = request_id
         self.tenant = tenant
@@ -81,6 +88,7 @@ class RequestContext:
         self.deadline = deadline
         self.tracer = tracer
         self.reference = reference
+        self.params = params
 
     def replace(self, **overrides) -> "RequestContext":
         """A copy of this context with *overrides* applied."""
@@ -93,8 +101,8 @@ class RequestContext:
 
         The scheduler binds every submitted thunk: whichever thread
         executes it — a pool thread, or the dispatching thread itself on
-        the reclaim path — sees this request's tracer and reference flag
-        for the duration, and has its previous context
+        the reclaim path — sees this request's tracer, reference flag and
+        parameters for the duration, and has its previous context
         restored afterwards.
         """
 

@@ -21,6 +21,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Tuple
 
 from repro.core.algebra.operators import Plan, PushedOp, SourceOp
+from repro.observability.context import RequestContext, activate_context
 
 __all__ = ["Explanation", "NodeActuals", "collect_actuals", "render_plan"]
 
@@ -213,6 +214,7 @@ class Explanation:
     __slots__ = (
         "query", "naive_plan", "plan", "rewrites", "report", "tracer",
         "cached", "access_paths", "result_cached", "materialized_views",
+        "params",
     )
 
     def __init__(
@@ -227,6 +229,7 @@ class Explanation:
         access_paths: Optional[Dict[int, str]] = None,
         result_cached: bool = False,
         materialized_views: Tuple[str, ...] = (),
+        params: Tuple[object, ...] = (),
     ) -> None:
         self.query = query
         self.naive_plan = naive_plan
@@ -249,6 +252,9 @@ class Explanation:
         #: Names of materialized views the plan reads as documents
         #: instead of splicing their plans.
         self.materialized_views = materialized_views
+        #: The query's parameter vector: :meth:`render` shows the plan's
+        #: parameter slots as these bound values.
+        self.params = params
 
     @property
     def analyze(self) -> bool:
@@ -258,6 +264,10 @@ class Explanation:
         return collect_actuals(self.tracer) if self.tracer is not None else None
 
     def render(self) -> str:
+        with activate_context(RequestContext(params=self.params)):
+            return self._render()
+
+    def _render(self) -> str:
         lines: List[str] = []
         lines.append("EXPLAIN ANALYZE" if self.analyze else "EXPLAIN")
         rewrites = len(self.rewrites) if self.rewrites is not None else 0

@@ -492,8 +492,6 @@ _MEMO_SERIES = (
 
 #: Cache numbers that are not a row of the memo family.
 _EXTRA_GAUGES = (
-    ("plan_cache", "yat_plan_cache_rebinds", "rebinds",
-     "Cache hits served by rebinding constants into a cached plan."),
     ("result_cache", "yat_result_cache_bytes", "bytes",
      "Serialized bytes held by cached answers."),
     ("result_cache", "yat_result_cache_flight_waits", "flight_waits",
@@ -549,8 +547,6 @@ def record_memo_stats(registry: MetricsRegistry, mediator) -> None:
             if key in stats:
                 gauge.labels(memo=memo).set(stats[key])
     extras: Dict[str, Dict] = {}
-    if mediator.plan_cache is not None:
-        extras["plan_cache"] = mediator.plan_cache.stats()
     if mediator.result_cache is not None:
         extras["result_cache"] = mediator.result_cache.stats()
     if mediator.views.has_materialized():

@@ -12,8 +12,8 @@ Two driver shapes, matching the two standard ways to load a server:
   rate, rejection latency, admitted-request p99, goodput).
 
 The query mix is zipfian over the paper's Q1/Q2 and a portal grouping
-query, with Q2's price constant drawn from a small set so the plan cache
-exercises its constant-rebinding path, and tenants drawn zipfian so
+query, with Q2's price constant drawn from a small set so one cached plan
+serves several parameter vectors, and tenants drawn zipfian so
 quotas see realistic skew.  Everything is seeded (``random.Random``);
 two runs with the same seed offer the same requests in the same order.
 Source faults are injected outside the driver — wrap the mediator's
@@ -43,7 +43,7 @@ MATCH artworks WITH doc . work [ title . $t, artist . $a ]
 """
 
 #: Q2 price constants — same plan shape, different binding, so repeats
-#: hit the plan cache's constant-rebinding path rather than re-planning.
+#: execute the one cached parametric plan rather than re-planning.
 Q2_PRICES = (1500000.0, 2000000.0, 2500000.0, 3000000.0)
 
 

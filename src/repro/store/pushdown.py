@@ -43,9 +43,12 @@ byte.  Three observations carry the proof:
   ``(g.parent = s.pre OR (s.kind = 'atom' AND g.pre = s.pre))``.
 
 Anything outside the provable fragment — label variables or regexes,
-``FRest`` (needs the unclaimed-sibling set), constants whose REAL key
-is lossy — makes :func:`compile_pushdown` return ``None`` and the
-wrapper falls back to a hydrated scan through the matcher itself.
+``FRest`` (needs the unclaimed-sibling set), numeric constants whose
+REAL key is lossy — falls back to a hydrated scan through the matcher
+itself: :func:`compile_pushdown` returns ``None`` for the structural
+cases, and :meth:`PushdownQuery.bind_params` for a query parameter whose bound
+value is lossy (the SQL text is one per filter; only its ``?`` values
+come from the request).
 
 One divergence is accepted and documented in DESIGN.md: the matcher's
 cartesian-explosion guard can fire while enumerating an element whose
@@ -59,6 +62,7 @@ from __future__ import annotations
 
 from typing import List, Optional, Tuple
 
+from repro.core.algebra.expressions import Param, atom_kind, bound
 from repro.model.filters import (
     FConst,
     FDescend,
@@ -77,8 +81,9 @@ class PushdownQuery:
     four columns ``(pre, kind, vtype, value)`` of the matched node —
     enough to decode an atom binding without touching the store again,
     and to hydrate a subtree binding lazily from its ``pre``.  The first
-    bind parameter is always the document name; :meth:`bind_params`
-    prepends it.
+    bind parameter is always the document name; the rest are ``params``,
+    where a query parameter stands for the value each request binds
+    (:meth:`bind_params`).
     """
 
     __slots__ = ("sql", "params", "variables")
@@ -90,8 +95,21 @@ class PushdownQuery:
         self.params = params
         self.variables = variables
 
-    def bind_params(self, document: str) -> Tuple[object, ...]:
-        return (document, *self.params)
+    def bind_params(self, document: str) -> Optional[Tuple[object, ...]]:
+        """*document* and ``params``, the active request's constants
+        bound; ``None`` when a bound numeric constant's REAL key is lossy
+        (the wrapper then scans)."""
+        values = [document]
+        for param in self.params:
+            if param.__class__ is Param:
+                value = bound(param)
+                if param.kind is not str:
+                    value = _real_key(value)
+                    if value is None:
+                        return None
+                param = value
+            values.append(param)
+        return tuple(values)
 
     def __repr__(self) -> str:
         return f"PushdownQuery({len(self.variables)} vars: {self.sql})"
@@ -225,23 +243,32 @@ class _Compiler:
 
     def constant(self, alias: str, value: object) -> None:
         self.conditions.append(f"{alias}.kind = 'atom'")
-        if isinstance(value, str):
+        if atom_kind(value) is str:
             # String equality never crosses types; match on the stored text.
             self.conditions.append(f"{alias}.vtype = 'String'")
             self.conditions.append(f"{alias}.value = ?")
-            self.params.append(value)
         else:
             # Numerics compare through the REAL key, which the store only
             # populates for exactly-representable values; a constant whose
-            # own key is lossy cannot be matched faithfully in SQL.
-            try:
-                key = float(value)
-            except OverflowError:
-                raise _Abort() from None
-            if key != key or key != value:
-                raise _Abort()
+            # own key is lossy cannot be matched faithfully in SQL.  A
+            # query parameter's key is taken when a request binds it.
             self.conditions.append(f"{alias}.num = ?")
-            self.params.append(key)
+            if value.__class__ is not Param:
+                value = _real_key(value)
+                if value is None:
+                    raise _Abort()
+        self.params.append(value)
+
+
+def _real_key(value) -> Optional[float]:
+    """The store's REAL key of a numeric constant, ``None`` if lossy."""
+    try:
+        key = float(value)
+    except OverflowError:
+        return None
+    if key != key or key != value:
+        return None
+    return key
 
 
 def compile_pushdown(flt: Filter, table: str = "nodes") -> Optional[PushdownQuery]:

@@ -30,6 +30,7 @@ from repro.core.algebra.expressions import (
     Expr,
     FunCall,
     Var,
+    bound,
 )
 from repro.core.algebra.operators import Plan
 from repro.core.algebra.tab import BindingSet, Row, Tab
@@ -81,8 +82,8 @@ class O2Wrapper(Wrapper):
         super().__init__(name)
         self._db = database
         #: ``(document, filter) -> _OqlTranslator``: the translation
-        #: depends on nothing else, so a plan-cache rebind (fresh plan
-        #: objects, same filter) is a hit.
+        #: depends on nothing else — a filter constant is a slot each
+        #: call binds — so every parameter vector of a cached plan hits.
         self._prepared = Memo(self.PREPARED_MEMO_CAPACITY)
 
     # -- capability export ---------------------------------------------------
@@ -145,15 +146,17 @@ class O2Wrapper(Wrapper):
         if reference:
             # ``ExecutionPolicy.serial()``, byte for byte the seed
             # behavior: translate and interpret from scratch on every call.
-            translator = self._translated(fragment, outer)
+            prepared = self._translated(fragment)
         else:
-            # The filter translates once per (document, filter); each call
-            # specializes that translation with its outer bindings (one
-            # row, or a whole :class:`BindingSet`).
-            translator = self._prepared.get_or_build(
+            # The filter translates once per (document, filter).
+            prepared = self._prepared.get_or_build(
                 (fragment.document, fragment.filter),
-                self._translated, fragment, None,
-            ).specialized(outer)
+                self._translated, fragment,
+            )
+        # Each call specializes the translation with the request's bound
+        # constants and its outer bindings (one row, or a whole
+        # :class:`BindingSet`).
+        translator = prepared.specialized(outer)
         selections = fragment.selections
         if isinstance(outer, BindingSet):
             selections = without_passed(selections, outer)
@@ -174,10 +177,8 @@ class O2Wrapper(Wrapper):
         data = [tuple(convert(raw.get(c)) for raw in oql_rows) for c in columns]
         return Tab.from_columns(columns, data, len(oql_rows)), query.text()
 
-    def _translated(
-        self, fragment: PushedFragment, outer: Optional[Row]
-    ) -> "_OqlTranslator":
-        translator = _OqlTranslator(self._db, fragment.document, outer)
+    def _translated(self, fragment: PushedFragment) -> "_OqlTranslator":
+        translator = _OqlTranslator(self._db, fragment.document)
         translator.translate_filter(fragment.filter)
         return translator
 
@@ -204,19 +205,20 @@ class _OqlTranslator:
     Variables of the filter become OQL projections; nested collection
     navigation becomes dependent ``from`` ranges (the OQL counterpart of
     the algebra's DJoin, Section 5.1); mediator predicates translate to
-    the ``where`` clause, with outer-row variables inlined as literals
-    (information passing) — and a whole :class:`BindingSet` as one
-    disjunction of its keys.
+    the ``where`` clause, with query constants and outer-row variables
+    inlined as literals (information passing) — and a whole
+    :class:`BindingSet` as one disjunction of its keys.
     """
 
-    def __init__(
-        self, database: ObjectDatabase, document: str, outer: Optional[Row]
-    ) -> None:
+    def __init__(self, database: ObjectDatabase, document: str) -> None:
         self._db = database
         self._document = document
-        self._outer = outer
+        self._outer: Optional[Row] = None
         self._ranges: List[OqlRange] = []
         self._projections: Dict[str, OqlNode] = {}
+        #: ``(path, constant)`` equalities of the filter, in filter order;
+        #: a :class:`Param` constant is bound per call (:meth:`specialized`).
+        self._constants: List[Tuple[OqlPath, object]] = []
         self._wheres: List[OqlNode] = []
         self._paths: Dict[str, OqlNode] = {}
         self._range_counter = 0
@@ -296,7 +298,7 @@ class _OqlTranslator:
             self._paths[content.name] = path
             return
         if isinstance(content, FConst):
-            self._wheres.append(OqlCompare("=", path, OqlLiteral(content.value)))
+            self._constants.append((path, content.value))
             return
         if isinstance(content, FElem) and isinstance(content.label, str):
             if content.label in COLLECTION_KINDS:
@@ -331,12 +333,14 @@ class _OqlTranslator:
     def specialized(self, outer: Optional[Row]) -> "_OqlTranslator":
         """A per-call view sharing this translator's structural state.
 
-        The filter translation (ranges, projected paths, constant
-        predicates) never depends on the outer row; only predicates added
-        afterwards do.  The clone shares those structures read-only and
-        gets its own where list and outer row, so one filter translation
-        serves every information-passing round trip without mutation —
-        which also keeps concurrent DJoin dispatch safe.
+        The filter translation (ranges, projected paths, the paths its
+        constants compare) depends on neither the request's constants nor
+        the outer row; the where clause does.  The clone shares those
+        structures read-only and gets its own where list — the filter's
+        equalities on the bound constants first — and outer row, so one
+        filter translation serves every parameter vector and every
+        information-passing round trip without mutation, which also keeps
+        concurrent requests and DJoin dispatch safe.
         """
         clone = _OqlTranslator.__new__(_OqlTranslator)
         clone._db = self._db
@@ -345,7 +349,11 @@ class _OqlTranslator:
         clone._ranges = self._ranges
         clone._projections = self._projections
         clone._paths = self._paths
-        clone._wheres = list(self._wheres)
+        clone._constants = self._constants
+        clone._wheres = [
+            OqlCompare("=", path, OqlLiteral(bound(value)))
+            for path, value in self._constants
+        ]
         clone._range_counter = self._range_counter
         return clone
 
@@ -377,7 +385,7 @@ class _OqlTranslator:
                 return self._paths[expr.name]
             return OqlLiteral(outer_constant(self._outer, expr.name))
         if isinstance(expr, Const):
-            return OqlLiteral(expr.value)
+            return OqlLiteral(bound(expr.value))
         if isinstance(expr, Cmp):
             return OqlCompare(expr.op, self._expr(expr.left), self._expr(expr.right))
         if isinstance(expr, BoolAnd):

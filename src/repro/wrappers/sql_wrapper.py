@@ -24,6 +24,7 @@ from repro.core.algebra.expressions import (
     Const,
     Expr,
     Var,
+    bound,
 )
 from repro.core.algebra.operators import Plan
 from repro.core.algebra.tab import BindingSet, Row, Tab
@@ -256,7 +257,7 @@ class SqlWrapper(Wrapper):
             if isinstance(content, FVar):
                 var_columns[content.name] = item.label
             elif isinstance(content, FConst):
-                constants.append((item.label, content.value))
+                constants.append((item.label, bound(content.value)))
             else:
                 raise SourceError(
                     f"column content must be a variable or constant, got {content!r}"
@@ -303,7 +304,7 @@ class SqlWrapper(Wrapper):
             params.append(outer_constant(outer, expr.name))
             return "?"
         if isinstance(expr, Const):
-            value = expr.value
+            value = bound(expr.value)
             params.append(int(value) if isinstance(value, bool) else value)
             return "?"
         raise SourceError(f"cannot translate expression {expr!r} to SQL")

@@ -19,8 +19,9 @@ A validated fragment executes through one of two access paths:
 
 ``store-scan``
     The filter left the translatable fragment (``FRest``, label
-    variables, lossy constants) or the document holds references/shared
-    subtrees, where interval semantics are unsound.  The document is
+    variables, a numeric constant whose bound value has a lossy REAL key)
+    or the document holds references/shared subtrees, where interval
+    semantics are unsound.  The document is
     hydrated once (memoized per data version) and matched by the same
     :func:`~repro.core.algebra.engine.bind_engine` the mediator's own
     Bind uses, so answers are byte-identical to the in-memory path by
@@ -70,8 +71,8 @@ class StoreWrapper(Wrapper):
         self._store = source.store
         self._enable_pushdown = enable_pushdown
         #: ``id(filter) -> compiled-or-None``, anchored on the filter;
-        #: compilation is pure in the filter and plans replay the same
-        #: filter objects.
+        #: compilation is pure in the filter (its constants are bound per
+        #: call) and cached plans replay the same filter objects.
         self._pushdowns = Memo(self.PUSHDOWN_MEMO_CAPACITY)
 
     # -- capability export ------------------------------------------------------
@@ -136,13 +137,22 @@ class StoreWrapper(Wrapper):
 
     def pushdown_access(self, flt: Filter, document: Optional[str] = None) -> str:
         """The access path a pushed Bind of *flt* would take (EXPLAIN)."""
-        if (
-            self._enable_pushdown
-            and (document is None or self._store.pushdown_safe(document))
-            and self.compiled_pushdown(flt) is not None
-        ):
+        if self._pushdown(flt, document) is not None:
             return "store-pushdown"
         return "store-scan"
+
+    def _pushdown(
+        self, flt: Filter, document: Optional[str]
+    ) -> Optional[Tuple[PushdownQuery, Tuple[object, ...]]]:
+        """``(compiled query, its bound parameters)`` when *flt* runs as
+        SQL on *document* for the active request; ``None`` to scan."""
+        if not self._enable_pushdown or (
+            document is not None and not self._store.pushdown_safe(document)
+        ):
+            return None
+        compiled = self.compiled_pushdown(flt)
+        params = compiled.bind_params(document) if compiled is not None else None
+        return None if params is None else (compiled, params)
 
     # -- pushed execution --------------------------------------------------------------
 
@@ -162,19 +172,16 @@ class StoreWrapper(Wrapper):
                 f"{tuple(variables)}, plan declares {tuple(columns)}"
             )
         document = fragment.document
-        compiled = None
-        if self._enable_pushdown and self._store.pushdown_safe(document):
-            compiled = self.compiled_pushdown(fragment.filter)
-        if compiled is not None:
-            return self._run_pushdown(document, compiled, columns)
+        pushdown = self._pushdown(fragment.filter, document)
+        if pushdown is not None:
+            return self._run_pushdown(document, *pushdown, columns)
         return self._run_scan(document, fragment.filter, columns)
 
     def _run_pushdown(
-        self, document: str, compiled: PushdownQuery, columns: Tuple[str, ...]
+        self, document: str, compiled: PushdownQuery,
+        params: Tuple[object, ...], columns: Tuple[str, ...],
     ) -> Tuple[Tab, str]:
-        raw = self._store.fetch_bounded(
-            compiled.sql, compiled.bind_params(document), MAX_MATCHES
-        )
+        raw = self._store.fetch_bounded(compiled.sql, params, MAX_MATCHES)
         touched: Dict[int, int] = {}
         data = [[] for _ in compiled.variables]
         for record in raw:

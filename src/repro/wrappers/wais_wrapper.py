@@ -26,7 +26,7 @@ from repro.errors import SourceError
 from repro.capabilities.equivalences import SelectionImplication
 from repro.capabilities.fmodel import wais_fmodel
 from repro.capabilities.interface import ArgSpec, OperationDecl, SourceInterface
-from repro.core.algebra.expressions import Const, Expr, FunCall, Var
+from repro.core.algebra.expressions import Const, Expr, FunCall, Var, bound
 from repro.core.algebra.operators import Plan
 from repro.core.algebra.tab import Row, Tab
 from repro.model.filters import FElem, FStar, FVar, Filter
@@ -215,7 +215,7 @@ class WaisWrapper(Wrapper):
                 f"contains must test the bound work variable ${work_var}"
             )
         if isinstance(text, Const):
-            value = text.value
+            value = bound(text.value)
         elif isinstance(text, Var):
             value = outer_constant(outer, text.name)
         else:

@@ -2,214 +2,99 @@
 
 The plan cache (:mod:`repro.mediator.plan_cache`) wants two queries that
 differ only in their literal constants — ``WHERE $s = "Impressionist"``
-vs ``WHERE $s = "Cubist"`` — to share one optimized plan.  This module
-computes, for a parsed :class:`~repro.yatl.ast.YatlQuery`:
+vs ``WHERE $s = "Cubist"`` — to share one optimized plan, the way SQL's
+``?`` and ODMG OQL's ``$1`` let one prepared statement serve every
+binding.  This module computes, for a parsed
+:class:`~repro.yatl.ast.YatlQuery`:
 
-* a **structural key**: the query's shape with every liftable constant
-  replaced by a typed parameter marker.  Two queries with equal keys are
-  guaranteed to plan identically up to their constant values;
-* a **value vector**: the lifted constants in a deterministic order
-  (MATCH clauses left to right, filters pre-order, then the WHERE
-  predicate);
-* a **tagged query**: a copy of the query in which each lifted constant
-  is replaced by a *parameter-tagged* value — a ``str``/``int``/``float``
-  subclass carrying its slot index.  Tagged values behave exactly like
-  the raw atoms during translation, optimization, and pushdown (equality,
-  hashing, rendering and ``isinstance`` checks are inherited), but the
-  cache can later find them inside an optimized plan and rebind fresh
-  constants in their place — including constants that *collide* (two
-  equal literals in different syntactic positions keep distinct slots)
-  and constants that optimizer rules duplicated into derived predicates.
+* a **parametric query**: a copy in which each lifted constant is a
+  typed :class:`~repro.core.algebra.expressions.Param` slot instead of
+  the atom.  Planning sees the slot and its kind, never the value, and
+  every consumer reads the value from the request at execution time
+  (:func:`~repro.core.algebra.expressions.bound`).  Two equal literals
+  in different positions keep distinct slots;
+* a **structural key**: the parametric query's own structure — a
+  parameter keys by kind and slot, so ``5`` and ``5.0`` never share a
+  plan;
+* a **value vector**: the lifted constants in slot order (MATCH clauses
+  left to right, filters pre-order, then the WHERE predicate) — the
+  request's parameters.
 
 Only MATCH-filter constants (:class:`~repro.model.filters.FConst`) and
 WHERE constants (:class:`~repro.core.algebra.expressions.Const`) are
 lifted.  MAKE-clause constants are left alone: they flow verbatim into
-answer documents, whose structural value keys record the atom's concrete
-type, so tagging them would be observable.  Booleans are never lifted
-(``bool`` cannot be subclassed, and ``True == 1`` would blur slots).
+answer documents.  Booleans are never lifted (``True == 1`` would blur
+an int slot's kind).
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 from repro.core.algebra.expressions import (
-    BoolAnd,
     BoolNot,
-    BoolOr,
     Cmp,
     Const,
     Expr,
     FunCall,
-    Var,
+    Param,
 )
-from repro.model.filters import (
-    FConst,
-    FDescend,
-    FElem,
-    Filter,
-    FRest,
-    FStar,
-    FVar,
-    LabelRegex,
-    LabelVar,
-)
+from repro.model.filters import FConst, FDescend, FElem, Filter, FStar
 from repro.yatl.ast import MatchClause, YatlQuery
 
-__all__ = [
-    "NormalizedQuery",
-    "normalize_query",
-    "param_slot",
-]
+__all__ = ["NormalizedQuery", "normalize_query"]
+
+#: Atom types lifted into parameters (``bool`` is an ``int`` subclass and
+#: is checked for exactly, not with ``isinstance``).
+_LIFTED = (str, int, float)
 
 
-# The tag classes carry one extra attribute, ``slot``.  They cannot use
-# __slots__: CPython forbids nonempty slots on subclasses of the
-# variable-length builtins (str, int), so each instance pays for a dict —
-# acceptable, since only lifted constants of cached queries are tagged.
-
-class _ParamStr(str):
-    """A string constant lifted into a plan parameter (slot-tagged)."""
-
-
-class _ParamInt(int):
-    """An integer constant lifted into a plan parameter (slot-tagged)."""
-
-
-class _ParamFloat(float):
-    """A float constant lifted into a plan parameter (slot-tagged)."""
-
-
-_PARAM_TYPES = (_ParamStr, _ParamInt, _ParamFloat)
-
-
-def param_slot(value: object) -> Optional[int]:
-    """The parameter slot of a tagged constant, or ``None`` for raw atoms."""
-    if isinstance(value, _PARAM_TYPES):
-        return value.slot
-    return None
-
-
-def _tag(value: object, slot: int):
-    """A slot-tagged copy of *value*, or ``None`` when it is not liftable."""
-    if isinstance(value, bool):
-        return None  # bool cannot be subclassed; True == 1 would blur slots
-    if isinstance(value, str):
-        tagged = _ParamStr(value)
-    elif isinstance(value, int):
-        tagged = _ParamInt(value)
-    elif isinstance(value, float):
-        tagged = _ParamFloat(value)
-    else:
+def _lift(value: object, values: List[object]):
+    """A fresh :class:`Param` for *value* (appended to *values*), or
+    ``None`` when the atom stays inline."""
+    if type(value) not in _LIFTED:
         return None
-    tagged.slot = slot
-    return tagged
+    values.append(value)
+    return Param(len(values) - 1, type(value))
 
 
-def _param_type_name(value: object) -> str:
-    """Base-type name for the structural key (keeps int/float slots apart)."""
-    if isinstance(value, str):
-        return "str"
-    if isinstance(value, int):
-        return "int"
-    return "float"
-
-
-def _label_key(label) -> tuple:
-    if isinstance(label, str):
-        return ("l", label)
-    if isinstance(label, LabelVar):
-        return ("lv", label.name)
-    if isinstance(label, LabelRegex):
-        return ("lr", label.pattern)
-    return ("lo", repr(label))
-
-
-def _norm_filter(flt: Filter, values: List[object]) -> Tuple[Filter, tuple]:
-    """``(tagged filter, structural key)``; appends lifted values in order."""
+def _norm_filter(flt: Filter, values: List[object]) -> Filter:
+    """*flt* with its constants lifted; appends their values in order."""
     if isinstance(flt, FConst):
-        tagged = _tag(flt.value, len(values))
-        if tagged is None:
-            return flt, ("fconst", type(flt.value).__name__, flt.value)
-        values.append(flt.value)
-        return FConst(tagged), ("param", _param_type_name(flt.value))
-    if isinstance(flt, FVar):
-        return flt, ("fvar", flt.name)
-    if isinstance(flt, FRest):
-        return flt, ("frest", flt.name)
+        param = _lift(flt.value, values)
+        return flt if param is None else FConst(param)
     if isinstance(flt, FElem):
-        new_children: List[Filter] = []
-        child_keys: List[tuple] = []
-        changed = False
-        for child in flt.children:
-            normalized, key = _norm_filter(child, values)
-            changed = changed or normalized is not child
-            new_children.append(normalized)
-            child_keys.append(key)
-        rebuilt = FElem(flt.label, new_children, var=flt.var) if changed else flt
-        return rebuilt, (
-            "felem", _label_key(flt.label), flt.var, tuple(child_keys)
-        )
-    if isinstance(flt, FStar):
-        inner, key = _norm_filter(flt.child, values)
-        return (FStar(inner) if inner is not flt.child else flt), ("fstar", key)
-    if isinstance(flt, FDescend):
-        inner, key = _norm_filter(flt.child, values)
-        rebuilt = FDescend(inner) if inner is not flt.child else flt
-        return rebuilt, ("fdescend", key)
-    # Unknown filter kinds are left opaque: their constants stay inline,
-    # so differing constants yield differing keys — correct, just uncached.
-    return flt, ("opaque", flt._key())
+        children = [_norm_filter(child, values) for child in flt.children]
+        if all(new is old for new, old in zip(children, flt.children)):
+            return flt
+        return FElem(flt.label, children, var=flt.var)
+    if isinstance(flt, (FStar, FDescend)):
+        inner = _norm_filter(flt.child, values)
+        return flt if inner is flt.child else type(flt)(inner)
+    # Variables, rests and unknown kinds hold no constant to lift.
+    return flt
 
 
-def _norm_expr(expr: Expr, values: List[object]) -> Tuple[Expr, tuple]:
-    """``(tagged expression, structural key)`` for a WHERE predicate."""
+def _norm_expr(expr: Expr, values: List[object]) -> Expr:
+    """*expr* with its constants lifted; appends their values in order."""
     if isinstance(expr, Const):
-        tagged = _tag(expr.value, len(values))
-        if tagged is None:
-            return expr, ("const", type(expr.value).__name__, expr.value)
-        values.append(expr.value)
-        return Const(tagged), ("param", _param_type_name(expr.value))
-    if isinstance(expr, Var):
-        return expr, ("var", expr.name)
+        param = _lift(expr.value, values)
+        return expr if param is None else Const(param)
+    children = expr.children()
+    lifted = [_norm_expr(child, values) for child in children]
+    if all(new is old for new, old in zip(lifted, children)):
+        return expr
     if isinstance(expr, Cmp):
-        left, left_key = _norm_expr(expr.left, values)
-        right, right_key = _norm_expr(expr.right, values)
-        changed = left is not expr.left or right is not expr.right
-        rebuilt = Cmp(expr.op, left, right) if changed else expr
-        return rebuilt, ("cmp", expr.op, left_key, right_key)
-    if isinstance(expr, (BoolAnd, BoolOr)):
-        operands: List[Expr] = []
-        keys: List[tuple] = []
-        changed = False
-        for operand in expr.operands:
-            normalized, key = _norm_expr(operand, values)
-            changed = changed or normalized is not operand
-            operands.append(normalized)
-            keys.append(key)
-        kind = "and" if isinstance(expr, BoolAnd) else "or"
-        rebuilt = type(expr)(operands) if changed else expr
-        return rebuilt, (kind,) + tuple(keys)
+        return Cmp(expr.op, *lifted)
     if isinstance(expr, BoolNot):
-        inner, key = _norm_expr(expr.operand, values)
-        rebuilt = BoolNot(inner) if inner is not expr.operand else expr
-        return rebuilt, ("not", key)
+        return BoolNot(lifted[0])
     if isinstance(expr, FunCall):
-        args: List[Expr] = []
-        keys = []
-        changed = False
-        for arg in expr.args:
-            normalized, key = _norm_expr(arg, values)
-            changed = changed or normalized is not arg
-            args.append(normalized)
-            keys.append(key)
-        rebuilt = FunCall(expr.name, args) if changed else expr
-        return rebuilt, ("fun", expr.name) + tuple(keys)
-    return expr, ("opaque", expr._key())
+        return FunCall(expr.name, lifted)
+    return type(expr)(lifted)  # BoolAnd / BoolOr
 
 
 class NormalizedQuery:
-    """A query's structural key, lifted constants, and tagged form."""
+    """A query's structural key, lifted constants, and parametric form."""
 
     __slots__ = ("key", "values", "query")
 
@@ -227,26 +112,17 @@ class NormalizedQuery:
 def normalize_query(query: YatlQuery) -> NormalizedQuery:
     """Lift MATCH/WHERE constants of *query* into ordered parameters."""
     values: List[object] = []
-    new_matches: List[MatchClause] = []
-    match_keys: List[tuple] = []
-    changed = False
-    for clause in query.matches:
-        normalized, key = _norm_filter(clause.filter, values)
-        if normalized is not clause.filter:
-            changed = True
-            new_matches.append(MatchClause(clause.document, normalized))
-        else:
-            new_matches.append(clause)
-        match_keys.append((clause.document, key))
-    where = query.where
-    where_key: Optional[tuple] = None
-    if where is not None:
-        normalized_where, where_key = _norm_expr(where, values)
-        if normalized_where is not where:
-            changed = True
-            where = normalized_where
-    tagged = (
-        YatlQuery(query.make, new_matches, where) if changed else query
+    matches = [
+        MatchClause(clause.document, _norm_filter(clause.filter, values))
+        for clause in query.matches
+    ]
+    where = _norm_expr(query.where, values) if query.where is not None else None
+    key = (
+        "yatl",
+        query.make._key(),
+        tuple((clause.document, clause.filter._key()) for clause in matches),
+        where._key() if where is not None else None,
     )
-    key = ("yatl", query.make._key(), tuple(match_keys), where_key)
-    return NormalizedQuery(key, tuple(values), tagged)
+    return NormalizedQuery(
+        key, tuple(values), YatlQuery(query.make, matches, where)
+    )

@@ -27,7 +27,7 @@ from repro import (
     WaisWrapper,
 )
 from repro.core.algebra.evaluator import Environment, evaluate
-from repro.core.algebra.expressions import Cmp, Const, Var
+from repro.core.algebra.expressions import Cmp, Const, Param, Var
 from repro.core.algebra.operators import (
     BindOp,
     DJoinOp,
@@ -46,7 +46,12 @@ from repro.errors import MediatorError, SourceError, SourceUnavailableError
 from repro.model.filters import FConst, FStar, FVar, felem
 from repro.model.trees import atom_leaf, elem
 from repro.model.xml_io import tree_to_xml
-from repro.observability import MetricsRegistry, record_execution
+from repro.observability import (
+    MetricsRegistry,
+    RequestContext,
+    activate_context,
+    record_execution,
+)
 from repro.sources.sharded import (
     HashPartition,
     RangePartition,
@@ -65,9 +70,11 @@ MATCH artworks WITH doc . work [ title . $t, artist . $a ]
 WHERE $a = "%s"
 """
 
+RANGE_Q = PRUNE_Q.replace("$a =", "$a >")
+
 
 def build_pair(n_artifacts=60, seed=3, shards=4, replicas=1, wrap=None,
-               **mediator_kwargs):
+               partition=None, **mediator_kwargs):
     """A sharded mediator plus its monolithic shard-major oracle.
 
     Both run the same program over the same physical data; the oracle's
@@ -75,7 +82,7 @@ def build_pair(n_artifacts=60, seed=3, shards=4, replicas=1, wrap=None,
     adapter (and every scatter plan) is defined to produce.
     """
     database, store = CulturalDataset(n_artifacts=n_artifacts, seed=seed).build()
-    partition = HashPartition("artist", shards)
+    partition = partition or HashPartition("artist", shards)
     stores = shard_wais_store(store, partition)
 
     mono = Mediator(result_cache_bytes=0)
@@ -222,16 +229,32 @@ class TestShardExpansionRule:
         scatter = self.rule.apply(plan, sharded_context(partition))
         assert isinstance(scatter, ScatterOp)
         assert scatter.logical == "xmlartwork"
-        assert scatter.total == 4 and len(scatter.branches) == 4
+        assert len(scatter.branches) == 4 and scatter.shards() == (0, 1, 2, 3)
         sources = [b.input.source for b in scatter.branches]
         assert sources == [shard_name("xmlartwork", i) for i in range(4)]
 
-    def test_in_filter_constant_prunes_statically(self):
+    def test_in_filter_constant_prunes_per_execution(self):
         partition = HashPartition("artist", 4)
         plan = self.chain(work_filter(felem("artist", FConst("Monet"))))
         scatter = self.rule.apply(plan, sharded_context(partition))
-        assert scatter.shard_ids == (partition.shard_of("Monet"),)
-        assert len(scatter.branches) == 1 and scatter.total == 4
+        # Every shard keeps its branch; the constant is a restriction
+        # each execution applies.
+        assert len(scatter.branches) == 4
+        assert scatter.shards() == (partition.shard_of("Monet"),)
+
+    def test_rule_reads_no_constant_value(self):
+        # A query parameter has no value at planning time (reading one
+        # outside a request raises), yet one Scatter prunes per vector.
+        partition = HashPartition("artist", 4)
+        plan = self.chain(
+            work_filter(felem("artist", FVar("a"))),
+            selects=[Cmp("=", Var("a"), Const(Param(0, str)))],
+        )
+        scatter = self.rule.apply(plan, sharded_context(partition))
+        assert "artist = :p0" in scatter.describe()
+        for artist in ARTISTS:
+            with activate_context(RequestContext(params=(artist,))):
+                assert scatter.shards() == (partition.shard_of(artist),)
 
     def test_select_equality_on_key_variable_prunes(self):
         partition = HashPartition("artist", 4)
@@ -240,7 +263,7 @@ class TestShardExpansionRule:
             selects=[Cmp("=", Var("a"), Const("Monet"))],
         )
         scatter = self.rule.apply(plan, sharded_context(partition))
-        assert scatter.shard_ids == (partition.shard_of("Monet"),)
+        assert scatter.shards() == (partition.shard_of("Monet"),)
 
     def test_flipped_comparison_and_range_scheme(self):
         partition = RangePartition("price", (100.0, 1000.0))
@@ -249,13 +272,12 @@ class TestShardExpansionRule:
             selects=[Cmp(">", Const(100.0), Var("p"))],  # 100 > p  ⇔  p < 100
         )
         scatter = self.rule.apply(plan, sharded_context(partition))
-        assert scatter.shard_ids == (0,)
+        assert scatter.shards() == (0,)
 
-    def test_contradictory_restrictions_keep_one_empty_branch(self):
+    def test_contradictory_restrictions_prune_every_shard(self):
         partition = HashPartition("artist", 4)
         # Two different key constants whose shards differ: no shard can
-        # satisfy both, but a Scatter needs a branch — shard 0 computes
-        # the (empty) answer.
+        # satisfy both, so an execution reads none (the empty answer).
         pool = [a for a in ARTISTS if partition.shard_of(a) != partition.shard_of("Monet")]
         other = pool[0]
         plan = self.chain(
@@ -266,8 +288,8 @@ class TestShardExpansionRule:
             ],
         )
         scatter = self.rule.apply(plan, sharded_context(partition))
-        assert scatter.shard_ids == (0,)
-        assert scatter.total == 4
+        assert scatter.shards() == ()
+        assert len(scatter.branches) == 4
 
     def test_outer_variable_equality_becomes_runtime_prune_param(self):
         partition = HashPartition("artist", 4)
@@ -346,8 +368,6 @@ class TestRuntimeScatterPruning:
         scatter = ScatterOp(
             [self.inner(shard_name("xmlartwork", i)) for i in range(4)],
             logical="xmlartwork",
-            shard_ids=list(range(4)),
-            total=4,
             partition=partition,
             prune_param="k",
         )
@@ -413,13 +433,37 @@ class TestShardedFederation:
         assert "yat_shard_scatter_total 1" in text
         assert "yat_shard_pruned_total 3" in text
 
-    def test_plan_cache_replans_constant_pruned_plans(self):
-        # A plan pruned for one key constant must not be rebound to a
-        # different constant — the shard choice depends on the value.
+    def test_one_plan_serves_every_key_constant(self):
+        # The shard choice depends on the key constant's value, so it is
+        # made per execution: one cached plan object serves every artist.
         mono, sharded, _partition, _stores = build_pair(result_cache_bytes=0)
+        first = sharded.query(PRUNE_Q % "Monet")
         for artist in ("Monet", "Picasso", "Rodin", "Degas", "Monet"):
             query = PRUNE_Q % artist
-            assert answer(mono.query(query)) == answer(sharded.query(query))
+            result = sharded.query(query)
+            assert result.plan is first.plan
+            assert answer(result) == answer(mono.query(query))
+
+    def test_warm_plan_prunes_on_each_requests_constant(self):
+        # Regression: a plan first built for ``$a > "A"`` (nothing to
+        # prune) used to serve ``$a > "Z"`` still reading 3/3 shards.
+        partition = RangePartition("artist", ("H", "Q"))
+        mono, warm, _partition, _stores = build_pair(
+            partition=partition, result_cache_bytes=0
+        )
+        _mono, cold, _partition, _stores = build_pair(
+            partition=partition, plan_cache_size=0
+        )
+        assert warm.query(RANGE_Q % "A").report.stats.shard_scatter == 3
+        result = warm.query(RANGE_Q % "Z")
+        assert result.cached
+        assert result.report.stats.shard_scatter == 1
+        assert answer(result) == answer(mono.query(RANGE_Q % "Z"))
+        rendered = warm.explain(RANGE_Q % "Z").render()
+        assert "shard-pruned 1/3" in rendered
+        assert rendered.replace("plan: cached\n", "") == (
+            cold.explain(RANGE_Q % "Z").render()
+        )
 
     def test_connect_sharded_validates_topology(self):
         database, store = CulturalDataset(n_artifacts=8, seed=3).build()
