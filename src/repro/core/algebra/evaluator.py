@@ -141,16 +141,13 @@ class Environment:
         self,
         sources: Dict[str, SourceAdapter],
         functions: Optional[Dict[str, Callable]] = None,
-        stats: Optional[ExecutionStats] = None,
         skolems: Optional[SkolemRegistry] = None,
         resilience=None,
         policy: Optional[ExecutionPolicy] = None,
-        tracer=None,
-        context=None,
+        context: Optional[RequestContext] = None,
     ) -> None:
         self.sources = dict(sources)
         self.functions = dict(functions or {})
-        self.stats = stats if stats is not None else ExecutionStats()
         self.skolems = skolems if skolems is not None else SkolemRegistry()
         #: Optional :class:`~repro.mediator.resilience.PolicyRuntime`;
         #: when set and permitting partial results, Union branches and
@@ -163,22 +160,20 @@ class Environment:
         #: takes its naive form (the differential oracle).
         self.reference = self.policy.reference
         #: The :class:`~repro.observability.context.RequestContext` this
-        #: evaluation runs under.  The environment *finalizes* it: the
-        #: reference flag always follows the execution policy, and an
-        #: explicit ``tracer=`` argument wins over the context's.  Callers
-        #: that pass no context get a fresh anonymous one, so evaluation
-        #: never falls back to globals.
+        #: evaluation runs under, as ``run_plan`` derived it: the carrier
+        #: of the request's statistics, tracer and parameters.  Without
+        #: one the environment makes a fresh anonymous context, so
+        #: evaluation never falls back to globals.
         if context is None:
-            context = RequestContext(tracer=tracer)
-        elif tracer is None:
-            tracer = context.tracer
-        context.tracer = tracer
-        context.reference = self.reference
+            context = RequestContext(
+                stats=ExecutionStats(), reference=self.reference
+            )
         self.context = context
-        #: Optional :class:`~repro.observability.tracer.Tracer`.  ``None``
-        #: (the default) keeps the untraced fast path: every hook in this
-        #: module is a single attribute read plus an ``is None`` test.
-        self.tracer = tracer
+        #: The context's statistics and tracer, read once.  A ``None``
+        #: tracer keeps the untraced fast path: every hook in this module
+        #: is a single attribute read plus an ``is None`` test.
+        self.stats = context.stats
+        self.tracer = context.tracer
         self._scheduler: Optional[PlanScheduler] = None
         self._ident_index: Optional[Dict[str, DataNode]] = None
         self._ident_lock = threading.Lock()
@@ -347,29 +342,9 @@ def _eval_source(plan: SourceOp, env: Environment) -> Tab:
     env.stats.record_call(plan.source)
     env.stats.record_transfer(plan.source, rows=1, size=size)
     env.stats.record_operator("Source", 1)
-    _record_store_delta(adapter, env)
     if env.tracer is not None:
         env.tracer.annotate(source=plan.source, calls=1, bytes=size)
     return _one_cell(plan.document, root)
-
-
-def _record_store_delta(adapter, env: Environment) -> None:
-    """Fold a document-store adapter's counter delta into the stats.
-
-    Duck-typed: adapters over shredded stores expose ``pop_store_stats``
-    returning ``{pushdowns, scans, hydrated_nodes, bytes_avoided}`` since
-    the last pop; everything else records nothing.
-    """
-    pop = getattr(adapter, "pop_store_stats", None)
-    if pop is None:
-        return
-    delta = pop()
-    if delta:
-        env.stats.record_store(**delta)
-        if env.tracer is not None:
-            env.tracer.annotate(
-                **{f"store_{name}": value for name, value in delta.items()}
-            )
 
 
 def _eval_pushed(plan: PushedOp, env: Environment, outer: Optional[Row]) -> Tab:
@@ -380,7 +355,6 @@ def _eval_pushed(plan: PushedOp, env: Environment, outer: Optional[Row]) -> Tab:
     env.stats.record_call(plan.source)
     env.stats.record_transfer(plan.source, rows=len(tab), size=size)
     env.stats.record_operator("Pushed", len(tab))
-    _record_store_delta(adapter, env)
     if env.tracer is not None:
         env.tracer.annotate(source=plan.source, calls=1, bytes=size, native=native)
     if isinstance(outer, BindingSet):
@@ -661,7 +635,6 @@ def _eval_pair(
             lambda: _evaluate(left_plan, env, outer),
             lambda: _evaluate(right_plan, env, outer),
         ],
-        tracer=env.tracer,
         context=env.context,
     )
     env.stats.record_parallel(2)
@@ -870,7 +843,6 @@ def _eval_djoin(plan: DJoinOp, env: Environment, outer: Optional[Row]) -> Tab:
                 lambda o=representative[key]: _evaluate(plan.right, env, o)
                 for key in order
             ],
-            tracer=env.tracer,
             context=env.context,
         )
         env.stats.record_parallel(len(order))
@@ -1013,7 +985,6 @@ def _surviving_branches(
     if scheduler is not None:
         outcomes = scheduler.run(
             [lambda b=branch: _evaluate(b, env, outer) for branch in branches],
-            tracer=env.tracer,
             context=env.context,
         )
         env.stats.record_parallel(len(branches))

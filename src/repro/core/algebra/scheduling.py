@@ -123,7 +123,7 @@ class PlanScheduler:
         )
 
     def run(
-        self, thunks: Sequence[Callable[[], object]], tracer=None, context=None
+        self, thunks: Sequence[Callable[[], object]], context=None
     ) -> List[tuple]:
         """Evaluate *thunks*, returning ``(value, error)`` pairs in order.
 
@@ -132,22 +132,15 @@ class PlanScheduler:
         (the evaluator prefers the leftmost branch's error, matching
         serial semantics).
 
-        When *tracer* is given, each thunk is bound to the dispatching
-        thread's open span (:meth:`~repro.observability.tracer.Tracer.bind`),
-        so spans created on pool threads — or inline on the reclaim
-        path — parent exactly as they would under serial evaluation.
-
-        When *context* is given, each thunk additionally runs under that
-        :class:`~repro.observability.context.RequestContext` — bound
-        *outermost*, so the request's reference flag is already active
-        when the tracer binding installs its span parent.
-        One scheduler pool may serve many concurrent requests; the
-        binding is what keeps each thunk inside its own request.
+        When *context* is given, each thunk runs under that
+        :class:`~repro.observability.context.RequestContext`
+        (:meth:`~repro.observability.context.RequestContext.bind`): its
+        statistics, parameters and tracer, with spans created on pool
+        threads — or inline on the reclaim path — parented exactly as
+        under serial evaluation.  One scheduler pool may serve many
+        concurrent requests; the binding is what keeps each thunk inside
+        its own request.
         """
-        if tracer is None and context is not None:
-            tracer = context.tracer
-        if tracer is not None:
-            thunks = [tracer.bind(thunk) for thunk in thunks]
         if context is not None:
             thunks = [context.bind(thunk) for thunk in thunks]
         futures = [self._executor.submit(_capture, thunk) for thunk in thunks]

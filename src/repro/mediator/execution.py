@@ -97,59 +97,57 @@ def run_plan(
     functions: Optional[Dict[str, Callable]] = None,
     policy: Optional[ResiliencePolicy] = None,
     execution: Optional[ExecutionPolicy] = None,
-    tracer=None,
     context: Optional[RequestContext] = None,
 ) -> ExecutionReport:
     """Evaluate *plan* with fresh statistics and timing.
 
     *policy* defaults to :meth:`ResiliencePolicy.direct` — no retries, no
-    breakers, fail-fast — so all existing call sites behave exactly as
-    before.  Pass a retrying policy to guard the source calls.
+    breakers, fail-fast.  Pass a retrying policy to guard the source
+    calls.
 
-    *execution* configures the federated scheduler (parallel branch
-    dispatch, DJoin batching, source-call caching).  The default policy
-    keeps ``parallelism=1``: strictly serial evaluation order, with
-    caching and batching on — which never change the produced Tab.  Pass
-    :meth:`ExecutionPolicy.serial` for the pre-scheduler seed behavior
-    or :meth:`ExecutionPolicy.parallel` for concurrent dispatch.
-
-    *tracer* (a :class:`~repro.observability.tracer.Tracer`) records one
-    hierarchical span per operator evaluation, guarded source call and
-    wrapper-side native run; the tracer is attached to the report as
-    ``report.trace``.  ``None`` — the default — keeps the untraced fast
-    path and changes nothing.
+    *execution* configures the federated scheduler.  The default policy
+    keeps ``parallelism=1``: strictly serial evaluation order.  Pass
+    :meth:`ExecutionPolicy.serial` for the reference engine (the
+    differential oracle) or :meth:`ExecutionPolicy.parallel` for
+    concurrent dispatch.
 
     *context* (a :class:`~repro.observability.context.RequestContext`)
-    identifies the request this execution serves; the serving layer
-    passes one per admitted query.  Its tracer, kernel mode and call
-    cache are what cross the wrapper boundary, and its ``deadline``
-    (absolute, on the resilience policy's clock) is folded into the
-    per-query deadline machinery.  ``None`` gets a fresh anonymous
-    context, so two concurrent ``run_plan`` calls can never observe each
-    other's state.
+    is the request this execution serves; ``None`` stands for a fresh
+    anonymous one.  It is never modified: the execution runs under a
+    context *derived* from it, carrying this run's fresh
+    :class:`ExecutionStats` and the execution policy's reference flag,
+    and that derived context is the one carrier of per-request state
+    below this call — evaluator, scheduler pool threads, resilience
+    runtime, wrappers, replica sets and the document store all read it.
+    Its ``tracer`` (``None`` keeps the untraced fast path) records one
+    hierarchical span per operator evaluation, guarded source call and
+    wrapper-side native run, and is attached to the report as
+    ``report.trace``; its ``deadline`` (absolute, on the resilience
+    policy's clock) is folded into the per-query deadline machinery.
     """
     if policy is None:
         policy = ResiliencePolicy.direct()
-    if context is not None and tracer is None:
-        tracer = context.tracer
-    deadline = context.deadline if context is not None else None
-    if deadline is not None and policy.is_direct:
+    if execution is None:
+        execution = ExecutionPolicy()
+    context = (context if context is not None else RequestContext()).replace(
+        stats=ExecutionStats(), reference=execution.reference
+    )
+    if context.deadline is not None and policy.is_direct:
         # The direct policy has no runtime to enforce a deadline; a
         # request that carries one gets the minimal non-direct policy
         # (no retries, no partial results — still fail-fast).
         policy = ResiliencePolicy()
-    stats = ExecutionStats()
-    runtime = policy.start(stats, tracer=tracer, deadline=deadline)
+    runtime = policy.start(context)
     sources = runtime.wrap(adapters) if runtime is not None else adapters
-    env = Environment(sources, functions=functions, stats=stats,
-                      resilience=runtime, policy=execution, tracer=tracer,
-                      context=context)
+    env = Environment(sources, functions=functions, resilience=runtime,
+                      policy=execution, context=context)
+    tracer = context.tracer
     started = time.perf_counter()
     try:
-        # The finalized request context crosses the wrapper boundary
-        # thread-locally (the adapter protocol keeps its signature);
-        # the scheduler re-activates it on pool threads.
-        with activate_context(env.context):
+        # The request context crosses the wrapper boundary thread-locally
+        # (the adapter protocol keeps its signature); the scheduler
+        # re-activates it on pool threads.
+        with activate_context(context):
             if tracer is None:
                 tab = evaluate(plan, env)
             else:
@@ -161,5 +159,5 @@ def run_plan(
     elapsed = time.perf_counter() - started
     outcomes = runtime.outcomes() if runtime is not None else ()
     return ExecutionReport(
-        plan, tab, stats, elapsed, outcomes=outcomes, trace=tracer
+        plan, tab, context.stats, elapsed, outcomes=outcomes, trace=tracer
     )

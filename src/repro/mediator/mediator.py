@@ -502,8 +502,7 @@ class Mediator:
         rounds: tuple,
         policy: Optional[ResiliencePolicy],
         execution: Optional[ExecutionPolicy],
-        tracer,
-        context,
+        context: RequestContext,
         use_result_cache: bool = True,
     ) -> Tuple[ExecutionReport, bool]:
         """Serve *optimized* from the result cache or execute and store.
@@ -515,16 +514,14 @@ class Mediator:
         cache = self.result_cache
         if cache is None or not use_result_cache or normalized is None:
             report = self.execute(
-                optimized, policy=policy, execution=execution, tracer=tracer,
-                context=context,
+                optimized, policy=policy, execution=execution, context=context
             )
             return report, False
         key = self._result_key(normalized, optimize, rounds, execution)
 
         def execute(versions: tuple) -> ExecutionReport:
             report = self.execute(
-                optimized, policy=policy, execution=execution, tracer=tracer,
-                context=context,
+                optimized, policy=policy, execution=execution, context=context
             )
             if not report.degraded:
                 # Degraded (partial) answers must never serve later
@@ -536,7 +533,10 @@ class Mediator:
             key, lambda: self._version_vector(optimized), execute
         )
         if hit:
-            return ExecutionReport(optimized, value, ExecutionStats(), 0.0), True
+            report = ExecutionReport(
+                optimized, value, ExecutionStats(), 0.0, trace=context.tracer
+            )
+            return report, True
         return value, False
 
     def materialized_document(self, name: str) -> DataNode:
@@ -585,9 +585,11 @@ class Mediator:
         """Parse, plan, optimize and evaluate a YAT_L query.
 
         *context* (a :class:`~repro.observability.context.RequestContext`)
-        carries the requesting session's identity, deadline, tracer and
-        per-request caches through the execution; the serving layer
-        passes one per admitted request.
+        carries the requesting session's identity, deadline and tracer
+        through the execution; the serving layer passes one per admitted
+        request.  *tracer* records hierarchical spans of the execution
+        (see :mod:`repro.observability`): it is put on the request's
+        context, once, and wins over the context's own.
 
         With a result cache configured (``result_cache_bytes > 0`` at
         construction) a repeated query whose sources did not change is
@@ -601,11 +603,13 @@ class Mediator:
         )
         params = normalized.values if normalized is not None else ()
         context = _with_params(context, params)
+        if tracer is not None:
+            context = context.replace(tracer=tracer)
         with activate_context(context):
             report, result_cached = self._execute_maybe_cached(
                 optimized, normalized, optimize, tuple(rounds),
-                policy=policy, execution=execution, tracer=tracer,
-                context=context, use_result_cache=use_result_cache,
+                policy=policy, execution=execution, context=context,
+                use_result_cache=use_result_cache,
             )
         return QueryResult(
             naive, optimized, trace, report,
@@ -653,37 +657,33 @@ class Mediator:
         )
         rounds = tuple(rounds)
         params = normalized.values if normalized is not None else ()
-        context = RequestContext(params=params)
+        if analyze and tracer is None:
+            tracer = Tracer()
+        context = RequestContext(params=params, tracer=tracer)
         report = None
         result_cached = False
         with activate_context(context):
             access_paths = self._access_paths(optimized)
             if analyze:
-                if tracer is None:
-                    tracer = Tracer()
                 report, result_cached = self._execute_maybe_cached(
                     optimized, normalized, optimize, rounds,
-                    policy=policy, execution=execution, tracer=tracer,
-                    context=context,
+                    policy=policy, execution=execution, context=context,
                 )
-            else:
-                tracer = None  # a plan-only EXPLAIN never executes anything
-                if self.result_cache is not None and normalized is not None:
-                    # Non-mutating peek: would this query serve from cache?
-                    result_cached = self.result_cache.peek(
-                        self._result_key(normalized, optimize, rounds, execution),
-                        self._version_vector(optimized),
-                    )
+            elif self.result_cache is not None and normalized is not None:
+                # Non-mutating peek: would this query serve from cache?
+                result_cached = self.result_cache.peek(
+                    self._result_key(normalized, optimize, rounds, execution),
+                    self._version_vector(optimized),
+                )
         materialized_views = tuple(sorted({
             node.document
             for node in optimized.walk()
             if isinstance(node, SourceOp) and node.source == VIEW_SOURCE
         }))
         return Explanation(
-            text, naive, optimized, trace, report=report, tracer=tracer,
-            cached=cached, access_paths=access_paths,
-            result_cached=result_cached, materialized_views=materialized_views,
-            params=params,
+            text, naive, optimized, trace, report=report, cached=cached,
+            access_paths=access_paths, result_cached=result_cached,
+            materialized_views=materialized_views, params=params,
         )
 
     def _access_paths(self, optimized: Plan) -> dict:
@@ -740,19 +740,18 @@ class Mediator:
         plan: Plan,
         policy: Optional[ResiliencePolicy] = None,
         execution: Optional[ExecutionPolicy] = None,
-        tracer=None,
-        context=None,
+        context: Optional[RequestContext] = None,
     ) -> ExecutionReport:
         """Evaluate an already-planned query with fresh statistics.
 
         *policy* (or the mediator-wide default given at construction)
         guards every source call; absent both, execution is fail-fast.
         *execution* (or the mediator-wide default) configures the
-        federated scheduler — see :func:`run_plan`.  *tracer* records
-        hierarchical spans of the execution (see
-        :mod:`repro.observability`).  A parametric plan runs with the
-        parameters of *context*, or — a :class:`BoundPlan` from
-        :meth:`plan_query` — with its own.
+        federated scheduler — see :func:`run_plan`.  *context* is the
+        request, whose tracer (if any) records the execution; it is
+        never modified.  A parametric plan runs with the parameters of
+        *context*, or — a :class:`BoundPlan` from :meth:`plan_query` —
+        with its own.
         """
         if isinstance(plan, BoundPlan):
             context = _with_params(context, plan.params)
@@ -769,6 +768,5 @@ class Mediator:
             functions=self.functions,
             policy=policy if policy is not None else self.policy,
             execution=execution if execution is not None else self.execution,
-            tracer=tracer,
             context=context,
         )

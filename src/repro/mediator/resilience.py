@@ -41,9 +41,9 @@ from repro.errors import (
 )
 from repro.core.algebra.evaluator import SourceAdapter
 from repro.core.algebra.operators import Plan
-from repro.core.algebra.stats import ExecutionStats
 from repro.core.algebra.tab import Row, Tab
 from repro.model.trees import DataNode
+from repro.observability.context import RequestContext
 
 T = TypeVar("T")
 
@@ -240,19 +240,19 @@ class ResiliencePolicy:
     def is_direct(self) -> bool:
         return self._direct
 
-    def start(
-        self, stats: ExecutionStats, tracer=None, deadline=None
-    ) -> Optional["PolicyRuntime"]:
-        """Per-query runtime state, or ``None`` for the direct policy.
+    def start(self, context: RequestContext) -> Optional["PolicyRuntime"]:
+        """Per-query runtime state for the request *context*, or ``None``
+        for the direct policy.
 
-        *deadline* is an optional **absolute** time (on this policy's
-        clock) imposed from outside — the serving layer's per-request
-        deadline.  The runtime enforces whichever of the external
-        deadline and the policy's own ``query_deadline`` comes first.
+        The runtime records into the context's ``stats``, traces guarded
+        calls under its ``tracer``, and enforces whichever of the
+        context's absolute ``deadline`` (on this policy's clock — the
+        serving layer's per-request deadline) and the policy's own
+        ``query_deadline`` comes first.
         """
         if self._direct:
             return None
-        return PolicyRuntime(self, stats, tracer=tracer, deadline=deadline)
+        return PolicyRuntime(self, context)
 
 
 class PolicyRuntime:
@@ -264,19 +264,14 @@ class PolicyRuntime:
     source never serializes calls to other sources.
     """
 
-    def __init__(
-        self,
-        policy: ResiliencePolicy,
-        stats: ExecutionStats,
-        tracer=None,
-        deadline: Optional[float] = None,
-    ) -> None:
+    def __init__(self, policy: ResiliencePolicy, context: RequestContext) -> None:
         self.policy = policy
-        self.stats = stats
-        #: Optional :class:`~repro.observability.tracer.Tracer`: when set,
-        #: every guarded source call gets a ``source_call`` span recording
-        #: attempts, retries and the final error.
-        self.tracer = tracer
+        self.stats = context.stats
+        #: The request's tracer, or ``None``: when set, every guarded
+        #: source call gets a ``source_call`` span recording attempts,
+        #: retries and the final error.
+        self.tracer = context.tracer
+        deadline = context.deadline
         self._lock = threading.RLock()
         self._breakers: Dict[str, CircuitBreaker] = {}
         self._calls: Dict[str, int] = {}
@@ -306,16 +301,22 @@ class PolicyRuntime:
         """Adapters guarded by this runtime (idempotent per name).
 
         A :class:`~repro.sources.sharded.adapter.ReplicaSet` is guarded
-        *replica by replica* (:class:`FailoverAdapter`): each replica
-        gets its own breaker and outcome record, and a failed replica
-        routes the call to the next one instead of failing the shard.
+        *replica by replica*: it becomes a replica set of guarded
+        replicas, each called under its own scope (``shard/r0``,
+        ``shard/r1``, ...) with its own breaker and outcome record.  A
+        replica whose guarded call still fails — retries exhausted or
+        circuit open — fails over to the next one through the set's own
+        loop, the one failover implementation.
         """
         from repro.sources.sharded.adapter import ReplicaSet
 
         wrapped: Dict[str, SourceAdapter] = {}
         for name, adapter in adapters.items():
             if isinstance(adapter, ReplicaSet):
-                wrapped[name] = FailoverAdapter(name, adapter, self)
+                wrapped[name] = ReplicaSet(name, [
+                    ResilientAdapter(adapter.replica_name(index), replica, self)
+                    for index, replica in enumerate(adapter.replicas)
+                ])
             else:
                 wrapped[name] = ResilientAdapter(name, adapter, self)
         return wrapped
@@ -486,6 +487,9 @@ class ResilientAdapter(SourceAdapter):
     def document_name_set(self) -> frozenset:
         return self.inner.document_name_set()
 
+    def data_version(self):
+        return getattr(self.inner, "data_version", lambda: 0)()
+
     def document(self, name: str) -> DataNode:
         return self.runtime.call(
             self.name, "document", lambda: self.inner.document(name)
@@ -503,69 +507,4 @@ class ResilientAdapter(SourceAdapter):
             self.name,
             "execute_pushed",
             lambda: self.inner.execute_pushed(plan, outer),
-        )
-
-
-class FailoverAdapter(SourceAdapter):
-    """A replica set guarded replica by replica.
-
-    Every replica is called under its own scope name (``shard/r0``,
-    ``shard/r1``, ...), so each has its own circuit breaker, retry
-    accounting and :class:`SourceOutcome` record.  A replica whose
-    guarded call still fails — retries exhausted or circuit already
-    open — *fails over*: the call is routed to the next replica instead
-    of failing the shard, and only when every replica is exhausted does
-    the shard raise :class:`~repro.errors.SourceUnavailableError`.
-    Failovers are counted on the execution statistics
-    (``shard_failovers``); the answer is complete, never ``degraded``.
-    """
-
-    __slots__ = ("name", "inner", "runtime")
-
-    def __init__(self, name: str, inner, runtime: PolicyRuntime) -> None:
-        self.name = name
-        self.inner = inner
-        self.runtime = runtime
-
-    def document_names(self) -> Tuple[str, ...]:
-        return self.inner.document_names()
-
-    def document_name_set(self) -> frozenset:
-        return self.inner.document_name_set()
-
-    def data_version(self):
-        return self.inner.data_version()
-
-    def _failover(self, operation: str, invoke: Callable[[SourceAdapter], T]) -> T:
-        replicas = self.inner.replicas
-        last_error: Optional[SourceUnavailableError] = None
-        for index, replica in enumerate(replicas):
-            scope = self.inner.replica_name(index)
-            try:
-                return self.runtime.call(
-                    scope, operation, lambda r=replica: invoke(r)
-                )
-            except SourceUnavailableError as error:
-                # QueryDeadlineError is not caught: out of time means out
-                # of time on every replica.
-                last_error = error
-                if index + 1 < len(replicas):
-                    self.runtime.stats.record_shard(failovers=1)
-        raise SourceUnavailableError(
-            f"every replica of {self.name!r} failed {operation}: {last_error}",
-            source=self.name,
-            attempts=len(replicas),
-        ) from last_error
-
-    def document(self, name: str) -> DataNode:
-        return self._failover("document", lambda r: r.document(name))
-
-    def ident_index(self) -> Dict[str, DataNode]:
-        return self._failover("ident_index", lambda r: r.ident_index())
-
-    def execute_pushed(
-        self, plan: Plan, outer: Optional[Row] = None
-    ) -> Tuple[Tab, str]:
-        return self._failover(
-            "execute_pushed", lambda r: r.execute_pushed(plan, outer)
         )

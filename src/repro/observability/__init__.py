@@ -29,7 +29,6 @@ the benchmark's ``observability.engine_tracer_overhead_pct``
 from repro.observability.context import (
     RequestContext,
     activate_context,
-    activate_tracer,
     current_context,
     current_tracer,
 )
@@ -68,7 +67,6 @@ __all__ = [
     "Span",
     "Tracer",
     "activate_context",
-    "activate_tracer",
     "collect_actuals",
     "current_context",
     "current_tracer",

@@ -8,21 +8,24 @@ engine mode.
 
 This module keeps that state in one explicit
 :class:`RequestContext` — the identity and execution state of a single
-request — threaded through ``run_plan``, the evaluator environment, the
-scheduler, and (via one thread-local slot, the same pattern
-OpenTelemetry uses for context propagation) the wrapper boundary, whose
-adapter protocol has no signature to pass it.
+request.  It is the *one carrier* of per-request state: the tracer, the
+request's :class:`~repro.core.algebra.stats.ExecutionStats`, the
+parameters, the reference flag and the deadline reach the evaluator,
+the scheduler's pool threads, the resilience runtime, the wrappers,
+replica sets and the document store through it and through nothing
+else (``tests/test_memo.py::test_one_carrier_for_request_state``
+guards the rule).  Below ``run_plan`` it travels in one thread-local
+slot — the same pattern OpenTelemetry uses for context propagation —
+because the adapter protocol has no signature to pass it.
 
-``run_plan`` activates the context for the duration of one evaluation;
-:meth:`RequestContext.bind` re-activates it inside scheduler pool
-threads, so a pool shared by many concurrent requests always observes
-the dispatching request's tracer, reference flag and parameters.  When no
-context is active, :func:`current_context` is a single thread-local
-attribute read returning ``None`` — the disabled fast path.
-
-:func:`current_tracer` (and its ``activate_tracer`` / ``set_tracer``
-shapes) is a thin view over the active context for wrapper-side call
-sites.
+``run_plan`` derives the request's context once and activates it for
+the duration of one evaluation; :meth:`RequestContext.bind` re-activates
+it inside scheduler pool threads, together with the dispatching
+thread's open span, so a pool shared by many concurrent requests always
+observes the dispatching request's state.  When no context is active,
+:func:`current_context` is a single thread-local attribute read
+returning ``None`` — the disabled fast path.  :func:`current_tracer` is
+a read-only view over the active context.
 """
 
 from __future__ import annotations
@@ -32,6 +35,7 @@ from contextlib import contextmanager
 from typing import Iterator, Optional, Tuple, TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.core.algebra.stats import ExecutionStats
     from repro.observability.tracer import Tracer
 
 _local = threading.local()
@@ -41,35 +45,33 @@ class RequestContext:
     """Everything one request carries through a federated execution.
 
     The context is *per request*: the serving layer builds a fresh one
-    for every admitted query, and ``run_plan`` builds an anonymous one
-    when the caller passes none.  Fields fall in two groups:
+    for every admitted query, and ``run_plan`` derives the executing one
+    (with the request's fresh ``stats``) from whatever the caller passed.
+    Fields fall in two groups:
 
     * identity — ``request_id``, ``tenant``, ``priority``: who this
       execution serves, used by serving metrics and admission records;
-    * execution state — ``tracer``, ``reference``, ``deadline``: the
-      state that used to live in per-thread globals — and ``params``,
-      the request's parameter vector: the values of the query constants
-      the plan cache lifted into
+    * execution state — ``tracer``, ``stats``, ``reference``,
+      ``deadline`` and ``params``.  ``stats`` is the
+      :class:`~repro.core.algebra.stats.ExecutionStats` every layer
+      records into (the store's pushdowns, a replica set's failovers);
+      ``reference`` mirrors ``ExecutionPolicy.reference`` so wrappers can
+      take their interpretive path under the oracle policy; ``params``
+      is the request's parameter vector — the values of the query
+      constants the plan cache lifted into
       :class:`~repro.core.algebra.expressions.Param` slots, read at
-      execution time by every operator, kernel and wrapper (one cached
-      plan serves every vector because no plan node holds one).
-      ``reference`` mirrors
-      ``ExecutionPolicy.reference`` (the evaluator environment sets it)
-      so wrappers can take their interpretive path under the oracle
-      policy.  ``deadline`` is *absolute* (on
-      the resilience policy's clock, ``time.monotonic`` by default) and
-      is folded into the
-      :class:`~repro.mediator.resilience.PolicyRuntime` deadline
-      machinery by ``run_plan``.
+      execution time by every operator, kernel and wrapper.
+      ``deadline`` is *absolute* (on the resilience policy's clock,
+      ``time.monotonic`` by default).
 
-    A context is owned by exactly one in-flight execution at a time;
-    reusing one across sequential executions is supported, sharing one
-    between concurrent executions is not.
+    A context is never assigned to after construction: :meth:`replace`
+    derives a new one, so a context may be shared between threads and
+    reused across executions.
     """
 
     __slots__ = (
         "request_id", "tenant", "priority", "deadline",
-        "tracer", "reference", "params",
+        "tracer", "reference", "params", "stats",
     )
 
     def __init__(
@@ -81,6 +83,7 @@ class RequestContext:
         tracer: Optional["Tracer"] = None,
         reference: bool = False,
         params: Tuple[object, ...] = (),
+        stats: Optional["ExecutionStats"] = None,
     ) -> None:
         self.request_id = request_id
         self.tenant = tenant
@@ -89,6 +92,7 @@ class RequestContext:
         self.tracer = tracer
         self.reference = reference
         self.params = params
+        self.stats = stats
 
     def replace(self, **overrides) -> "RequestContext":
         """A copy of this context with *overrides* applied."""
@@ -101,16 +105,26 @@ class RequestContext:
 
         The scheduler binds every submitted thunk: whichever thread
         executes it — a pool thread, or the dispatching thread itself on
-        the reclaim path — sees this request's tracer, reference flag and
-        parameters for the duration, and has its previous context
-        restored afterwards.
+        the reclaim path — sees this request's state for the duration
+        and has its previous context restored afterwards.  Under a
+        tracer, the dispatching thread's open span is captured here and
+        becomes the executing thread's parent span, so branches nest
+        under the operator that dispatched them exactly as they would
+        serially.
         """
+        tracer = self.tracer
+        parent = tracer.current() if tracer is not None else None
 
         def bound():
             previous = set_context(self)
+            stack = tracer._stack() if tracer is not None else []
+            depth = len(stack)
+            if parent is not None:
+                stack.append(parent)
             try:
                 return thunk()
             finally:
+                del stack[depth:]
                 set_context(previous)
 
         return bound
@@ -151,44 +165,7 @@ def activate_context(
         set_context(previous)
 
 
-# ---------------------------------------------------------------------------
-# Tracer views over the active context
-# ---------------------------------------------------------------------------
-
 def current_tracer() -> Optional["Tracer"]:
     """The tracer of this thread's active context, or ``None``."""
     context = getattr(_local, "context", None)
     return context.tracer if context is not None else None
-
-
-def set_tracer(tracer: Optional["Tracer"]) -> Optional["Tracer"]:
-    """Make *tracer* this thread's active tracer; returns the previous.
-
-    Contexts may be shared across pool threads, so the active context is
-    never mutated: a *derived* context (same request identity, different
-    tracer) is installed instead.
-    """
-    context = getattr(_local, "context", None)
-    previous = context.tracer if context is not None else None
-    if context is None:
-        if tracer is not None:
-            _local.context = RequestContext(tracer=tracer)
-    elif context.tracer is not tracer:
-        _local.context = context.replace(tracer=tracer)
-    return previous
-
-
-@contextmanager
-def activate_tracer(tracer: Optional["Tracer"]) -> Iterator[Optional["Tracer"]]:
-    """Make *tracer* the thread's active tracer for the ``with`` body."""
-    context = getattr(_local, "context", None)
-    derived = (
-        RequestContext(tracer=tracer)
-        if context is None
-        else context.replace(tracer=tracer)
-    )
-    previous = set_context(derived)
-    try:
-        yield tracer
-    finally:
-        set_context(previous)

@@ -68,15 +68,15 @@ class NodeActuals:
         return f"NodeActuals({self.describe()})"
 
 
-def collect_actuals(tracer) -> Dict[int, NodeActuals]:
-    """Aggregate a tracer's operator spans by plan node.
+def collect_actuals(trace) -> Dict[int, NodeActuals]:
+    """Aggregate the operator spans of *trace* (a tracer) by plan node.
 
     Keys are the ``id()`` of the plan-node objects the evaluator traced,
     so callers index with ``actuals[id(node)]`` while walking the same
     plan object that was executed.
     """
     actuals: Dict[int, NodeActuals] = {}
-    for span in tracer.spans:
+    for span in trace.spans:
         node = span.attrs.get("node")
         if span.kind != "operator" or not isinstance(node, int) or span.end is None:
             continue
@@ -212,9 +212,8 @@ class Explanation:
     """Everything :meth:`Mediator.explain` learned about one query."""
 
     __slots__ = (
-        "query", "naive_plan", "plan", "rewrites", "report", "tracer",
-        "cached", "access_paths", "result_cached", "materialized_views",
-        "params",
+        "query", "naive_plan", "plan", "rewrites", "report", "cached",
+        "access_paths", "result_cached", "materialized_views", "params",
     )
 
     def __init__(
@@ -224,7 +223,6 @@ class Explanation:
         plan: Plan,
         rewrites,
         report=None,
-        tracer=None,
         cached: bool = False,
         access_paths: Optional[Dict[int, str]] = None,
         result_cached: bool = False,
@@ -241,9 +239,6 @@ class Explanation:
         #: :class:`~repro.mediator.execution.ExecutionReport` under
         #: ``analyze=True``; ``None`` for plain EXPLAIN.
         self.report = report
-        #: The :class:`~repro.observability.tracer.Tracer` that observed
-        #: the ANALYZE execution (chrome-trace it, feed it to metrics).
-        self.tracer = tracer
         #: True when the plan was served from the mediator's plan cache.
         self.cached = cached
         #: True when the *answer* came (ANALYZE) or would come (plain
@@ -259,6 +254,12 @@ class Explanation:
     @property
     def analyze(self) -> bool:
         return self.report is not None
+
+    @property
+    def tracer(self):
+        """The :class:`~repro.observability.tracer.Tracer` that observed
+        the ANALYZE execution (chrome-trace it, feed it to metrics)."""
+        return self.report.trace if self.report is not None else None
 
     def actuals(self) -> Optional[Dict[int, NodeActuals]]:
         return collect_actuals(self.tracer) if self.tracer is not None else None

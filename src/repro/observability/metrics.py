@@ -353,8 +353,8 @@ def record_execution(
     Per-source counters come from the report's
     :class:`~repro.core.algebra.stats.ExecutionStats`; per-operator
     wall-time histograms additionally need the report to carry a trace
-    (``run_plan(..., tracer=...)`` attaches one).  *query* labels the
-    per-query counters (defaults to ``"-"``).
+    (a request context with a ``tracer`` attaches one).  *query* labels
+    the per-query counters (defaults to ``"-"``).
     """
     label = query if query is not None else "-"
     stats = report.stats

@@ -5,15 +5,17 @@ evaluation, a guarded source call, a wrapper-side fragment execution —
 with wall and thread-CPU time, the owning thread, and free-form
 attributes (plan node, rows in/out, bytes, source, retries).
 Parenting is thread-aware: each thread keeps its own stack of open
-spans, and :meth:`Tracer.bind` carries the dispatching thread's open
-span into scheduler pool threads, so branches evaluated concurrently by
+spans, and :meth:`~repro.observability.context.RequestContext.bind`
+carries the dispatching thread's open span into scheduler pool threads,
+so branches evaluated concurrently by
 :class:`~repro.core.algebra.scheduling.PlanScheduler` nest under the
-operator that dispatched them exactly as they would serially.
+operator that dispatched them exactly as they would serially.  A tracer
+reaches the engine only as the request context's ``tracer``.
 
 Design constraints, in order:
 
-1. **Zero cost when off.**  The evaluator holds ``tracer = env.tracer``
-   and skips everything on ``None``; no tracer object, no clock reads.
+1. **Zero cost when off.**  Every hook reads the request's tracer and
+   skips everything on ``None``; no tracer object, no clock reads.
 2. **Determinism when serial.**  Span ids are sequential, spans are
    recorded in start order, and :meth:`Tracer.structure` projects a
    trace onto its timing-free shape — two runs under
@@ -196,34 +198,6 @@ class Tracer:
         span = self.current()
         if span is not None:
             span.annotate(**attrs)
-
-    # -- cross-thread propagation ---------------------------------------------
-
-    def bind(self, thunk: Callable[[], object]) -> Callable[[], object]:
-        """Wrap *thunk* so it runs under this thread's current span.
-
-        The scheduler submits bound thunks to its pool: whichever thread
-        executes one (a pool thread, or the dispatching thread itself on
-        the reclaim path) sees the dispatching thread's open span as its
-        parent and this tracer as the thread-local active tracer.
-        """
-        from repro.observability.context import set_tracer
-
-        parent = self.current()
-
-        def bound() -> object:
-            previous_tracer = set_tracer(self)
-            stack = self._stack()
-            depth = len(stack)
-            if parent is not None:
-                stack.append(parent)
-            try:
-                return thunk()
-            finally:
-                del stack[depth:]
-                set_tracer(previous_tracer)
-
-        return bound
 
     # -- inspection -----------------------------------------------------------
 

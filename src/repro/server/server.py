@@ -138,33 +138,32 @@ def _degraded_variant(policy: Optional[ResiliencePolicy]) -> ResiliencePolicy:
 class Ticket:
     """Handle on one admitted request; :meth:`result` blocks for it."""
 
-    __slots__ = ("request_id", "text", "tenant", "priority", "deadline",
-                 "degrade", "tracer", "execution", "submitted_at",
+    __slots__ = ("context", "request_id", "text", "tenant", "priority",
+                 "deadline", "degrade", "execution", "submitted_at",
                  "shard_fanout", "fanout_capped",
                  "started_at", "completed_at", "_event", "_result", "_error")
 
     def __init__(
         self,
-        request_id: str,
+        context: RequestContext,
         text: str,
-        tenant: str,
-        priority: str,
-        deadline: Optional[float],
         degrade: bool,
-        tracer,
         submitted_at: float,
         execution: Optional[ExecutionPolicy] = None,
         shard_fanout: int = 0,
         fanout_capped: bool = False,
     ) -> None:
-        self.request_id = request_id
+        #: The request's :class:`RequestContext` (identity, absolute
+        #: deadline, tracer), built once at admission; the worker executes
+        #: under it.
+        self.context = context
+        self.request_id = context.request_id
         self.text = text
-        self.tenant = tenant
-        self.priority = priority
-        self.deadline = deadline
+        self.tenant = context.tenant
+        self.priority = context.priority
+        self.deadline = context.deadline
         #: True when shedding flipped this request into degraded mode.
         self.degrade = degrade
-        self.tracer = tracer
         #: Per-request :class:`ExecutionPolicy` override (``None`` defers
         #: to the server's configured policy).
         self.execution = execution
@@ -310,7 +309,9 @@ class MediatorServer:
 
         *deadline* is a relative time budget in seconds (defaulting to
         the server's ``default_deadline``); it bounds queueing *and*
-        execution.  *execution* overrides the server's configured
+        execution.  *tracer* records the request's execution: like the
+        deadline, it is put on the request's context once, here.
+        *execution* overrides the server's configured
         :class:`ExecutionPolicy` for this one request — a client can run
         the ``serial()`` oracle for a differential check — but it must
         not claim more parallel workers than the
@@ -391,13 +392,15 @@ class MediatorServer:
             parallelism = effective.parallelism if effective is not None else 1
             self._next_id += 1
             ticket = Ticket(
-                request_id=f"r{self._next_id}",
+                RequestContext(
+                    request_id=f"r{self._next_id}",
+                    tenant=tenant,
+                    priority=priority,
+                    deadline=absolute,
+                    tracer=tracer,
+                ),
                 text=text,
-                tenant=tenant,
-                priority=priority,
-                deadline=absolute,
                 degrade=degrade,
-                tracer=tracer,
                 submitted_at=now,
                 execution=execution,
                 shard_fanout=fanout,
@@ -459,13 +462,6 @@ class MediatorServer:
                 self._clock(),
             )
             return
-        context = RequestContext(
-            request_id=ticket.request_id,
-            tenant=ticket.tenant,
-            priority=ticket.priority,
-            deadline=ticket.deadline,
-            tracer=ticket.tracer,
-        )
         policy = self.config.policy
         if ticket.degrade:
             policy = self._degraded_policy
@@ -480,7 +476,7 @@ class MediatorServer:
                     if ticket.execution is not None
                     else self.config.execution
                 ),
-                context=context,
+                context=ticket.context,
             )
         except BaseException as exc:  # delivered through Ticket.result
             error = exc

@@ -7,12 +7,13 @@ interfaces) register under the shard names ``logical#0 .. logical#N-1``.
 Three adapters cooperate:
 
 * :class:`ReplicaSet` — one shard served by several interchangeable
-  replicas.  Direct (policy-less) execution fails over in-adapter: each
-  call tries replicas in declaration order and the first healthy answer
-  wins.  Under a :class:`~repro.mediator.resilience.PolicyRuntime` the
-  runtime's :class:`~repro.mediator.resilience.FailoverAdapter` takes
-  over instead, giving every replica its own circuit breaker and
-  :class:`~repro.mediator.resilience.SourceOutcome` record.
+  replicas.  Each call tries replicas in declaration order and the first
+  healthy answer wins; every replica passed over counts one
+  ``shard_failovers`` on the active request's statistics, under every
+  policy.  A :class:`~repro.mediator.resilience.PolicyRuntime` guards
+  the set replica by replica (its own circuit breaker and
+  :class:`~repro.mediator.resilience.SourceOutcome` record each), and
+  the set's loop stays the one failover implementation.
 * :class:`ShardedSourceAdapter` — the logical source itself.  Its
   ``document()`` is *defined* as the shard-major concatenation of the
   shard documents (shard 0's entries, then shard 1's, ...), which is the
@@ -38,6 +39,7 @@ from repro.core.algebra.operators import Plan, SourceOp
 from repro.core.algebra.tab import Row, Tab
 from repro.memo import Memo
 from repro.model.trees import DataNode
+from repro.observability.context import current_context
 
 
 def shard_name(logical: str, index: int) -> str:
@@ -120,21 +122,27 @@ class ReplicaSet(SourceAdapter):
             for replica in self.replicas
         )
 
-    # -- data plane with in-adapter failover --------------------------------------
+    # -- data plane with failover --------------------------------------------------
 
     def _failover(self, operation, invoke):
-        errors: List[SourceError] = []
+        last_error: Optional[SourceError] = None
         for replica in self.replicas:
+            if last_error is not None:
+                context = current_context()
+                if context is not None and context.stats is not None:
+                    context.stats.record_shard(failovers=1)
             try:
                 return invoke(replica)
             except SourceError as error:
-                errors.append(error)
+                # QueryDeadlineError is not a SourceError: out of time
+                # means out of time on every replica.
+                last_error = error
         raise SourceUnavailableError(
             f"every replica of {self.name!r} failed {operation}: "
-            f"{errors[-1]}",
+            f"{last_error}",
             source=self.name,
             attempts=len(self.replicas),
-        ) from errors[-1]
+        ) from last_error
 
     def document(self, name: str) -> DataNode:
         return self._failover("document", lambda r: r.document(name))

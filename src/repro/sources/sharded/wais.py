@@ -29,9 +29,18 @@ from repro.wrappers.wais_wrapper import WaisWrapper
 
 
 def shard_wais_store(store: WaisStore, partition) -> Tuple[WaisStore, ...]:
-    """Split *store* into ``partition.shards`` stores by the key label."""
+    """Split *store* into ``partition.shards`` stores by the key label.
+
+    Every shard inherits the source's Z39.50 field policy (its queryable
+    and retrievable fields): a shard may not be searched on a field the
+    source refuses.
+    """
     shards = [
-        WaisStore(collection_label=store.collection_label)
+        WaisStore(
+            collection_label=store.collection_label,
+            queryable_fields=store.queryable_fields,
+            retrievable_fields=store.retrievable_fields,
+        )
         for _ in range(partition.shards)
     ]
     for doc_id in store.document_ids():
@@ -44,7 +53,11 @@ def shard_wais_store(store: WaisStore, partition) -> Tuple[WaisStore, ...]:
 def shard_major_store(shards: Sequence[WaisStore]) -> WaisStore:
     """One monolithic store holding the shards' documents in shard-major
     order — the oracle a scatter-gather execution must equal."""
-    merged = WaisStore(collection_label=shards[0].collection_label)
+    merged = WaisStore(
+        collection_label=shards[0].collection_label,
+        queryable_fields=shards[0].queryable_fields,
+        retrievable_fields=shards[0].retrievable_fields,
+    )
     for shard in shards:
         for doc_id in shard.document_ids():
             merged.add(shard.fetch(doc_id), doc_id=doc_id)

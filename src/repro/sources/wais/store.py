@@ -33,8 +33,12 @@ class WaisStore:
         retrievable_fields: Optional[Iterable[str]] = None,
     ) -> None:
         self.collection_label = collection_label
-        self._queryable = frozenset(queryable_fields) if queryable_fields else None
-        self._retrievable = (
+        #: The field policy: searchable / exportable element labels, or
+        #: ``None`` for "every field".
+        self.queryable_fields = (
+            frozenset(queryable_fields) if queryable_fields else None
+        )
+        self.retrievable_fields = (
             frozenset(retrievable_fields) if retrievable_fields else None
         )
         self._documents: Dict[str, DataNode] = {}
@@ -68,15 +72,15 @@ class WaisStore:
 
     def field_queryable(self, field: str) -> bool:
         """May clients search on this field?"""
-        if self._queryable is None:
+        if self.queryable_fields is None:
             return True
-        return field == ANY_FIELD or field in self._queryable
+        return field == ANY_FIELD or field in self.queryable_fields
 
     def field_retrievable(self, field: str) -> bool:
         """May clients see this element in retrieved documents?"""
-        if self._retrievable is None:
+        if self.retrievable_fields is None:
             return True
-        return field in self._retrievable
+        return field in self.retrievable_fields
 
     def search(self, query: WaisQuery) -> Tuple[str, ...]:
         """Document ids matching every term, in insertion order."""
@@ -97,7 +101,7 @@ class WaisStore:
         document = self._documents.get(doc_id)
         if document is None:
             raise WaisError(f"unknown document id: {doc_id!r}")
-        if self._retrievable is None:
+        if self.retrievable_fields is None:
             return document
         pruned_children = [
             child for child in document.children if self.field_retrievable(child.label)

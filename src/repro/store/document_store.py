@@ -43,6 +43,7 @@ from repro.memo import Memo
 from repro.model.trees import DataNode
 from repro.model.values import Atom, atom_type_name, parse_atom
 from repro.model.xml_io import serialized_size
+from repro.observability.context import current_context
 
 #: Bound on each store's ``(doc, pre) -> subtree`` hydration memo.
 HYDRATION_MEMO_CAPACITY = 128
@@ -167,6 +168,21 @@ def shred(root: DataNode) -> Tuple[list, int, bool]:
     return rows, count, not has_references and not shared
 
 
+def _count(**delta: int) -> None:
+    """Count store work into the active request's statistics, and onto
+    its open span when the request is traced (nothing outside a
+    request)."""
+    context = current_context()
+    if context is None or context.stats is None:
+        return
+    context.stats.record_store(**delta)
+    span = context.tracer.current() if context.tracer is not None else None
+    if span is not None:
+        for name, value in delta.items():
+            if value:
+                span.add(f"store_{name}", value)
+
+
 def _build_subtree(rows: Sequence[tuple]) -> DataNode:
     """Rebuild a tree from its ``(pre, parent, name, kind, vtype, value,
     ident, col)`` rows, which must be a complete subtree in pre order."""
@@ -203,16 +219,11 @@ class DocumentStore:
         self.version = 0
         #: ``(doc, pre) -> subtree``, tagged with the data version.
         self._hydration = Memo(HYDRATION_MEMO_CAPACITY)
-        # Cumulative counters (exported as yat_store_* gauges) and the
-        # since-last-pop delta fed into per-execution ExecutionStats.
+        # Cumulative counters, exported as yat_store_* gauges.  Each
+        # event is also counted into the active request's statistics
+        # (:func:`_count`), so a request sees exactly its own work.
         self._counters = {
             "rows_shredded": 0,
-            "pushdowns": 0,
-            "scans": 0,
-            "hydrated_nodes": 0,
-            "bytes_avoided": 0,
-        }
-        self._delta = {
             "pushdowns": 0,
             "scans": 0,
             "hydrated_nodes": 0,
@@ -324,7 +335,7 @@ class DocumentStore:
                 (name, pre, name, pre),
             ).fetchall()
             self._counters["hydrated_nodes"] += len(rows)
-            self._delta["hydrated_nodes"] += len(rows)
+        _count(hydrated_nodes=len(rows))
         if not rows:
             raise SourceError(
                 f"document {name!r} has no node at position {pre}"
@@ -374,24 +385,15 @@ class DocumentStore:
                 else 0
             )
             self._counters["pushdowns"] += 1
-            self._delta["pushdowns"] += 1
             self._counters["bytes_avoided"] += avoided
-            self._delta["bytes_avoided"] += avoided
+        _count(pushdowns=1, bytes_avoided=avoided)
 
     def note_scan(self, name: str) -> None:
         with self._lock:
             self._counters["scans"] += 1
-            self._delta["scans"] += 1
+        _count(scans=1)
 
     # -- statistics ----------------------------------------------------------------
-
-    def pop_stats(self) -> Dict[str, int]:
-        """Per-execution counter delta since the last pop (may be empty)."""
-        with self._lock:
-            delta = {key: value for key, value in self._delta.items() if value}
-            for key in self._delta:
-                self._delta[key] = 0
-        return delta
 
     def stats(self) -> Dict[str, int]:
         """Cumulative counters (process lifetime)."""

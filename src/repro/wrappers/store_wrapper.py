@@ -28,9 +28,10 @@ A validated fragment executes through one of two access paths:
     construction.
 
 The choice is exposed to EXPLAIN as ``[bind: store-pushdown]`` /
-``[bind: store-scan]`` via :meth:`StoreWrapper.pushdown_access`, and the
-store's counters flow into ``ExecutionStats`` through
-:meth:`StoreWrapper.pop_store_stats` after every pushed call.
+``[bind: store-scan]`` via :meth:`StoreWrapper.pushdown_access`.  The
+store counts each pushdown, scan and hydrated node into the
+``ExecutionStats`` of the request that caused it, which it reads from the
+active :class:`~repro.observability.context.RequestContext`.
 """
 
 from __future__ import annotations
@@ -120,10 +121,6 @@ class StoreWrapper(Wrapper):
         stats["hydration"] = self._store.memo_stats()
         stats["pushdowns"] = self._pushdowns.stats()
         return stats
-
-    def pop_store_stats(self) -> Dict[str, int]:
-        """Store counter delta since the last pop (evaluator hook)."""
-        return self._store.pop_stats()
 
     def store_stats(self) -> Dict[str, int]:
         """Cumulative store counters (metrics export)."""

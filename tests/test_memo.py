@@ -5,6 +5,7 @@ tests only check that each is *wired* to its bound.  What a bounded,
 tagged, anchored, single-flight table must do is checked here.
 """
 
+import ast
 import random
 import re
 import sys
@@ -361,6 +362,61 @@ def test_no_hand_rolled_bounded_table_outside_memo_py():
         for name, pattern in HAND_ROLLED:
             if pattern.search(text):
                 offenders.append(f"{path.relative_to(REPO)}: {name}")
+    assert offenders == []
+
+
+#: The only functions that take a ``tracer``: the public calls that put it
+#: on the request's context, once, plus the context's own constructor and
+#: a span's link to the tracer that owns it.
+TRACER_PARAMETERS = {
+    ("mediator/mediator.py", "query"),
+    ("mediator/mediator.py", "explain"),
+    ("server/server.py", "submit"),
+    ("observability/context.py", "__init__"),
+    ("observability/tracer.py", "__init__"),
+}
+RETIRED_PLUMBING = re.compile(
+    r"\b(FailoverAdapter|pop_store_stats|pop_stats|set_tracer|activate_tracer)\b"
+)
+CONTEXT_FIELDS = {
+    "request_id", "tenant", "priority", "deadline",
+    "tracer", "reference", "params", "stats",
+}
+
+
+def test_one_carrier_for_request_state():
+    # Per-request state (tracer, stats, parameters, reference flag,
+    # deadline) reaches the layers below the mediator through the active
+    # RequestContext only: no tracer plumbing, no side channel, and no
+    # code that edits a context someone else may be sharing.
+    offenders = []
+    for path in sorted(SRC.rglob("*.py")):
+        relative = path.relative_to(SRC).as_posix()
+        text = path.read_text()
+        offenders.extend(
+            f"{relative}: {match}" for match in RETIRED_PLUMBING.findall(text)
+        )
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, (ast.FunctionDef, ast.Lambda)):
+                args = node.args
+                names = {a.arg for a in args.posonlyargs + args.args + args.kwonlyargs}
+                where = (relative, getattr(node, "name", "<lambda>"))
+                if "tracer" in names and where not in TRACER_PARAMETERS:
+                    offenders.append(f"{relative}:{node.lineno}: tracer parameter")
+            elif isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
+                targets = (
+                    node.targets if isinstance(node, ast.Assign) else [node.target]
+                )
+                for target in targets:
+                    if (
+                        relative != "observability/context.py"
+                        and isinstance(target, ast.Attribute)
+                        and target.attr in CONTEXT_FIELDS
+                        and ast.unparse(target.value).endswith("context")
+                    ):
+                        offenders.append(
+                            f"{relative}:{node.lineno}: assigns {ast.unparse(target)}"
+                        )
     assert offenders == []
 
 

@@ -27,7 +27,7 @@ from repro import (
 from repro.core.algebra.stats import ExecutionStats
 from repro.mediator.resilience import RetryPolicy
 from repro.observability import collect_actuals, render_plan
-from repro.observability.context import activate_tracer, current_tracer
+from repro.observability.context import RequestContext, current_tracer
 from repro.observability.metrics import DURATION_BUCKETS
 
 from tests.conftest import Q1, Q2, build_mediator
@@ -171,6 +171,7 @@ def test_bind_carries_parent_into_other_threads():
     from concurrent.futures import ThreadPoolExecutor
 
     tracer = Tracer()
+    context = RequestContext(tracer=tracer)
     with tracer.start("execute", kind="execution") as root:
         def branch():
             assert current_tracer() is tracer
@@ -179,12 +180,16 @@ def test_bind_carries_parent_into_other_threads():
             return tracer.current()
 
         with ThreadPoolExecutor(max_workers=1) as pool:
-            leftover = pool.submit(tracer.bind(branch)).result()
+            bound = context.bind(branch)
+            leftover = pool.submit(bound).result()
+            # Bound once, the thunk runs under the same parent on any
+            # thread — here inline, on the dispatching thread itself.
+            assert bound() is root
     # The pool thread saw the dispatching thread's span as parent...
-    child = next(s for s in tracer.spans if s.name == "child")
-    assert child.parent_id == root.span_id
-    assert child.thread_name != root.thread_name
-    # ...and bind() restored both the stack and the active tracer.
+    children = [s for s in tracer.spans if s.name == "child"]
+    assert [child.parent_id for child in children] == [root.span_id] * 2
+    assert children[0].thread_name != root.thread_name
+    # ...and bind() restored both the stack and the active context.
     assert leftover is root
     assert current_tracer() is None
     assert tracer.current() is None
@@ -201,24 +206,13 @@ def test_span_context_manager_records_errors():
     assert tracer.current() is None
 
 
-def test_activate_tracer_restores_previous():
-    assert current_tracer() is None
-    outer, inner = Tracer(), Tracer()
-    with activate_tracer(outer):
-        assert current_tracer() is outer
-        with activate_tracer(inner):
-            assert current_tracer() is inner
-        assert current_tracer() is outer
-    assert current_tracer() is None
-
-
 def test_retry_spans_annotated():
     policy = ResiliencePolicy.default(
         retry=RetryPolicy(max_attempts=3, base_delay=0.0, max_delay=0.0,
                           jitter=0.0)
     )
     tracer = Tracer()
-    runtime = policy.start(ExecutionStats(), tracer=tracer)
+    runtime = policy.start(RequestContext(stats=ExecutionStats(), tracer=tracer))
     from repro.errors import SourceTimeoutError
 
     failures = iter([SourceTimeoutError("flaky"), None])

@@ -39,6 +39,7 @@ from repro.core.algebra.operators import (
 )
 from repro.core.algebra.stats import ExecutionStats
 from repro.core.algebra.tab import Row, Tab
+from repro.observability.context import RequestContext
 from repro.model.filters import FStar, FVar, felem
 
 
@@ -154,7 +155,7 @@ class TestRetry:
         clock = VirtualClock()
         source_adapters = adapters(database, store)
         stats = ExecutionStats()
-        runtime = virtual_policy(clock).start(stats)
+        runtime = virtual_policy(clock).start(RequestContext(stats=stats))
         calls = []
 
         def reject():

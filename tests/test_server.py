@@ -16,6 +16,7 @@ Three kinds of coverage:
 
 from __future__ import annotations
 
+import sys
 import threading
 import time
 from types import SimpleNamespace
@@ -32,6 +33,8 @@ from repro import (
     ResiliencePolicy,
     RetryPolicy,
     ServerConfig,
+    StoredXmlSource,
+    StoreWrapper,
     Tracer,
     WaisWrapper,
 )
@@ -54,6 +57,15 @@ from repro.server.workload import percentile, zipf_weights
 from repro.testing import FaultSchedule, FaultyWrapper
 
 from tests.conftest import build_mediator
+from tests.test_sharding import build_pair, dead_primary
+
+#: A twig the store answers in SQL, and an ``FRest`` it must scan.
+STORE_TWIG_Q = """MAKE doc [ * hit [ title: $t ] ]
+MATCH stored_artworks WITH works .. work [ cplace . "Giverny", title . $t ]
+"""
+STORE_REST_Q = """MAKE doc [ * hit [ title: $t, more: $f ] ]
+MATCH stored_artworks WITH works . work [ title . $t, cplace . "Giverny", *($f) ]
+"""
 
 
 # ---------------------------------------------------------------------------
@@ -472,6 +484,73 @@ class TestConcurrentServing:
             thread.join(10)
         assert seen["a"] == ("a", True, tracer)
         assert seen["b"] == ("b", False, None)
+
+    def test_execute_leaves_the_callers_context_untouched(self, cultural_sources):
+        mediator = _server_mediator(cultural_sources)
+        result = mediator.query(Q1)
+        context = RequestContext(request_id="mine", params=result.params)
+        report = mediator.execute(
+            result.plan, execution=ExecutionPolicy.serial(), context=context
+        )
+        assert tree_to_xml(report.document()) == tree_to_xml(result.document())
+        assert context.reference is False
+        assert context.tracer is None and context.stats is None
+
+    def test_request_counters_stay_with_their_request(self):
+        # Store work and replica failovers are counted into the request
+        # that caused them, however the threads interleave.
+        stored = StoredXmlSource()
+        stored.add_tree(
+            "stored_artworks",
+            CulturalDataset(n_artifacts=40, seed=7).build()[1].collection_tree(),
+        )
+        store_mediator = Mediator()
+        store_mediator.connect(StoreWrapper("depot", stored))
+        _mono, sharded, _partition, _stores = build_pair(
+            n_artifacts=16, replicas=2, wrap=dead_primary
+        )
+
+        def store_counts(report):
+            return report.stats.store_pushdowns, report.stats.store_scans
+
+        def failovers(report):
+            return report.stats.shard_failovers
+
+        streams = [
+            (store_mediator, STORE_TWIG_Q, store_counts, 30),
+            (store_mediator, STORE_REST_Q, store_counts, 30),
+            (sharded, Q1, failovers, 4),
+            (sharded, Q1, failovers, 4),
+        ]
+        expected = [
+            count(mediator.query(text).report)
+            for mediator, text, count, _runs in streams
+        ]
+        assert expected[:2] == [(1, 0), (0, 1)] and expected[2] > 0
+        seen = [[] for _ in streams]
+
+        def client(index):
+            mediator, text, count, runs = streams[index]
+            for _ in range(runs):
+                seen[index].append(count(mediator.query(text).report))
+
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [
+                threading.Thread(target=client, args=(index,))
+                for index in range(len(streams))
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(30)
+        finally:
+            sys.setswitchinterval(previous)
+        assert seen == [
+            [value] * runs
+            for value, (_m, _t, _c, runs) in zip(expected, streams)
+        ]
 
     def test_workload_drivers_smoke(self, cultural_sources):
         mediator = _server_mediator(cultural_sources)

@@ -63,6 +63,7 @@ from repro.sources.sharded import (
     shard_wais_store,
 )
 from repro.sources.sharded.partition import canonical_key, document_key_value
+from repro.sources.wais.store import WaisStore
 from repro.testing import FaultSchedule, FaultyWrapper
 
 PRUNE_Q = """MAKE $t
@@ -528,6 +529,27 @@ class TestShardedResultCache:
         assert not sharded.query(Q1).result_cached
 
 
+def test_shards_inherit_the_wais_field_policy():
+    _database, source = CulturalDataset(n_artifacts=12, seed=3).build()
+    restricted = WaisStore(
+        queryable_fields=["style"], retrievable_fields=["title", "artist", "style"]
+    )
+    for doc_id in source.document_ids():
+        restricted.add(source.fetch(doc_id), doc_id=doc_id)
+    shards = shard_wais_store(restricted, HashPartition("artist", 3))
+    labels = source.element_labels() + ("any", "nosuchfield")
+    for shard in shards + (shard_major_store(shards),):
+        for label in labels:
+            assert shard.field_queryable(label) == restricted.field_queryable(label)
+            assert shard.field_retrievable(label) == restricted.field_retrievable(
+                label
+            )
+    for wrapper in build_sharded_wais("xmlartwork", shards):
+        operations = wrapper.interface().operations
+        assert "contains_title" not in operations
+        assert "contains_style" in operations
+
+
 # ---------------------------------------------------------------------------
 # replica failover
 # ---------------------------------------------------------------------------
@@ -560,7 +582,15 @@ class TestReplicaFailover:
         mono, sharded, _partition, _stores = build_pair(
             replicas=2, wrap=dead_primary, result_cache_bytes=0
         )
-        assert answer(mono.query(Q1)) == answer(sharded.query(Q1))
+        direct = sharded.query(Q1)
+        assert answer(mono.query(Q1)) == answer(direct)
+        # One failover loop: it counts under every policy, the same.
+        guarded = sharded.query(Q1, policy=self.policy)
+        assert direct.report.stats.shard_failovers > 0
+        assert (
+            direct.report.stats.shard_failovers
+            == guarded.report.stats.shard_failovers
+        )
 
     def test_all_replicas_dead_is_unavailable_not_wrong(self):
         def all_dead(wrapper, shard, replica):
