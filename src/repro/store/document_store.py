@@ -21,15 +21,19 @@ Reads come in two granularities, cheapest first:
 
 * lazy subtree hydration (:meth:`DocumentStore.hydrate`) — one pre/post
   range read materializes just the subtree a binding needs, memoized per
-  ``(doc, pre)`` and data version;
+  ``(doc, pre)`` and tagged with that document's write version;
 * full document hydration (:meth:`DocumentStore.hydrate_document`) —
-  the compatibility path behind ``Wrapper.document()``.
+  the same memo at ``pre = 0``, which is what ``StoreWrapper.document()``
+  returns.
 
 All state is guarded by one lock (sqlite connections are shared across
 the server's request threads) and the hydration memo is bounded, the
 same ``RequestContext``-safety rules every process-wide memo follows.
-The ``version`` counter bumps on every insert/update so wrapper document
-memos and plan-cache epochs never serve stale shredded rows.
+The store-wide ``version`` counter bumps on every insert/update; it is
+the wrapper's ``data_version()``, so result-cache version vectors never
+serve stale shredded rows.  A hydration is tagged with the ``version``
+of its own document's last write, so replacing one document leaves the
+other documents' hydrations warm.
 """
 
 from __future__ import annotations
@@ -214,10 +218,13 @@ class DocumentStore:
         self._conn.commit()
         self._lock = threading.RLock()
         #: Monotonic data version; every insert/update bumps it so the
-        #: wrapper document memo and the mediator's plan-cache epoch can
-        #: detect stale shredded rows.
+        #: result cache's version vectors detect stale shredded rows.
         self.version = 0
-        #: ``(doc, pre) -> subtree``, tagged with the data version.
+        #: ``doc -> version`` at that document's last :meth:`add` in this
+        #: process (a document only read from the file has tag 0).
+        self._written: Dict[str, int] = {}
+        #: ``(doc, pre) -> subtree``, tagged with the document's entry in
+        #: ``_written``.
         self._hydration = Memo(HYDRATION_MEMO_CAPACITY)
         # Cumulative counters, exported as yat_store_* gauges.  Each
         # event is also counted into the active request's statistics
@@ -235,13 +242,16 @@ class DocumentStore:
     def add(self, name: str, tree: DataNode) -> int:
         """Shred *tree* as document *name*, replacing any previous rows.
 
-        Returns the number of node rows written.  Bumps :attr:`version`:
-        stale hydrations and downstream document memos die with the old
-        version number.
+        Returns the number of node rows written.  Bumps :attr:`version`
+        and records it as *name*'s write version: *name*'s hydrations die
+        by tag, every other document's stay warm.
         """
         rows, count, safe = shred(tree)
         byte_size = serialized_size(tree)
         with self._lock:
+            new_name = name not in self._written and self._conn.execute(
+                "SELECT 1 FROM documents WHERE doc = ?", (name,)
+            ).fetchone() is None
             self._conn.execute("DELETE FROM nodes WHERE doc = ?", (name,))
             self._conn.executemany(
                 "INSERT INTO nodes (doc, pre, post, parent, name, kind, vtype,"
@@ -254,16 +264,17 @@ class DocumentStore:
                 " VALUES (?,?,?,?,?)",
                 (name, count, byte_size, len(tree.children), int(safe)),
             )
-            # Refresh planner statistics: interval self-joins pick join
-            # orders from these, and stale/absent stats turn an indexed
-            # probe into a per-row table scan.
-            self._conn.execute("ANALYZE")
+            # Planner statistics follow the document set: a new document
+            # changes the per-document row counts the interval self-joins
+            # pick join orders from, so re-ANALYZE.  A replacement leaves
+            # sqlite_stat1 as it was; a same-shaped document would not
+            # change it anyway.
+            if new_name:
+                self._conn.execute("ANALYZE")
             self._conn.commit()
             self.version += 1
+            self._written[name] = self.version
             self._counters["rows_shredded"] += count
-            # Every hydration is tagged with the old version now; free
-            # them rather than waiting for lookups to find them stale.
-            self._hydration.clear()
         return count
 
     # -- metadata ----------------------------------------------------------------
@@ -317,12 +328,15 @@ class DocumentStore:
     def hydrate(self, name: str, pre: int = 0) -> DataNode:
         """Materialize the subtree rooted at position *pre* of *name*.
 
-        One pre/post range read, memoized per ``(doc, pre)`` and data
-        version so repeated bindings of the same subtree share one node
-        object (whose cached value key and size are then reused).
+        One pre/post range read, memoized per ``(doc, pre)`` and the
+        document's write version so repeated bindings of the same subtree
+        share one node object (whose cached value key and size are then
+        reused).  The tag is read before the build: a write racing it
+        makes the entry look stale, never serves old rows as new.
         """
         return self._hydration.get_or_build(
-            (name, pre), self._read_subtree, name, pre, tag=self.version
+            (name, pre), self._read_subtree, name, pre,
+            tag=self._written.get(name, 0),
         )
 
     def _read_subtree(self, name: str, pre: int) -> DataNode:
@@ -352,6 +366,12 @@ class DocumentStore:
             self._meta(name)
 
     # -- pushdown plumbing ---------------------------------------------------------
+
+    def reading(self) -> "threading.RLock":
+        """The store's lock, for a reader whose several reads must see one
+        version of a document: a pushdown's fetch and the hydrations of
+        the subtrees it bound.  Writers wait until it is released."""
+        return self._lock
 
     def fetch_bounded(
         self, sql: str, params: Sequence[object], bound: int

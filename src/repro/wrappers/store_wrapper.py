@@ -21,11 +21,11 @@ A validated fragment executes through one of two access paths:
     The filter left the translatable fragment (``FRest``, label
     variables, a numeric constant whose bound value has a lossy REAL key)
     or the document holds references/shared subtrees, where interval
-    semantics are unsound.  The document is
-    hydrated once (memoized per data version) and matched by the same
-    :func:`~repro.core.algebra.engine.bind_engine` the mediator's own
-    Bind uses, so answers are byte-identical to the in-memory path by
-    construction.
+    semantics are unsound.  The document is hydrated once per write to
+    it (the store's hydration memo, tagged per document) and matched by
+    the same :func:`~repro.core.algebra.engine.bind_engine` the
+    mediator's own Bind uses, so answers are byte-identical to the
+    in-memory path by construction.
 
 The choice is exposed to EXPLAIN as ``[bind: store-pushdown]`` /
 ``[bind: store-scan]`` via :meth:`StoreWrapper.pushdown_access`.  The
@@ -113,14 +113,20 @@ class StoreWrapper(Wrapper):
     def data_version(self) -> int:
         return self._store.version
 
-    def build_document(self, name: str) -> DataNode:
+    def document(self, name: str) -> DataNode:
+        """The store's own hydration memo serves the document; its per-
+        document tag is finer than the base memo's ``data_version()``."""
         return self._store.hydrate_document(name)
 
+    build_document = document
+
     def memo_stats(self) -> Dict[str, Dict[str, int]]:
-        stats = super().memo_stats()
-        stats["hydration"] = self._store.memo_stats()
-        stats["pushdowns"] = self._pushdowns.stats()
-        return stats
+        # No "documents" row: document() never touches the base memo.
+        return {
+            "fragments": self._fragments.stats(),
+            "hydration": self._store.memo_stats(),
+            "pushdowns": self._pushdowns.stats(),
+        }
 
     def store_stats(self) -> Dict[str, int]:
         """Cumulative store counters (metrics export)."""
@@ -178,19 +184,22 @@ class StoreWrapper(Wrapper):
         self, document: str, compiled: PushdownQuery,
         params: Tuple[object, ...], columns: Tuple[str, ...],
     ) -> Tuple[Tab, str]:
-        raw = self._store.fetch_bounded(compiled.sql, params, MAX_MATCHES)
         touched: Dict[int, int] = {}
         data = [[] for _ in compiled.variables]
-        for record in raw:
-            for i, cells in enumerate(data):
-                pre, kind, vtype, value = record[4 * i : 4 * i + 4]
-                if kind == "atom":
-                    touched.setdefault(pre, 1)
-                    cells.append(parse_atom(vtype, value))
-                else:
-                    node = self._store.hydrate(document, pre)
-                    touched.setdefault(pre, node.size())
-                    cells.append(node)
+        # A write between the fetch and a hydration would hand this read
+        # the replacement's node at an old position.
+        with self._store.reading():
+            raw = self._store.fetch_bounded(compiled.sql, params, MAX_MATCHES)
+            for record in raw:
+                for i, cells in enumerate(data):
+                    pre, kind, vtype, value = record[4 * i : 4 * i + 4]
+                    if kind == "atom":
+                        touched.setdefault(pre, 1)
+                        cells.append(parse_atom(vtype, value))
+                    else:
+                        node = self._store.hydrate(document, pre)
+                        touched.setdefault(pre, node.size())
+                        cells.append(node)
         self._store.note_pushdown(document, sum(touched.values()))
         native = f"store-pushdown {document}: {compiled.sql}"
         return Tab.from_columns(columns, data, len(raw)), native

@@ -16,7 +16,16 @@ no memo it holds is older than the read it answers.  It declares the
 same view materialized because that is catalog, not cache state: over
 shards the refresh plan (unoptimized) and the spliced plan (optimized)
 order a join differently, at this commit and before it.
+
+The store holds two documents and every write replaces one of them, so
+the oracle also checks the store's per-document hydration tags: a write
+to one document must reach its reads and leave the other's alone.  A
+threaded check then races one writer against readers of both.
 """
+
+import sys
+import threading
+import time
 
 from hypothesis import settings
 from hypothesis import strategies as st
@@ -52,15 +61,26 @@ WHERE $s = "%s"
 """
 STYLES = ("Impressionist", "Baroque", "Cubist")
 
+#: The stored source's documents and the title prefix of each one's works.
+STORED = {"stored_artworks": "Stored", "stored_prints": "Print"}
+#: Stored reads: interval pushdown to atoms, pushdown binding a subtree
+#: (hydrated per work), and a rest variable (hydrated scan).
+STORED_QUERIES = (
+    'MAKE $t MATCH {doc} WITH works .. work [ title . $t, cplace . $c ] '
+    'WHERE $c = "Giverny"',
+    'MAKE doc [ * hit [ w: $w ] ] MATCH {doc} WITH works . work $w',
+    'MAKE doc [ * hit [ title: $t, more: $f ] ] MATCH {doc} WITH '
+    'works . work [ title . $t, cplace . "Giverny", *($f) ]',
+)
+
 QUERIES = (
     Q1,  # spliced view over O2 + sharded Wais, result-cached
     Q2,
     "MAKE $t MATCH selection WITH doc . item [ title . $t ]",  # via the view
-    # Stored source: interval pushdown, then a rest variable (hydrated scan).
-    'MAKE $t MATCH stored_artworks WITH works .. work [ title . $t, cplace . $c ] '
-    'WHERE $c = "Giverny"',
-    'MAKE doc [ * hit [ title: $t, more: $f ] ] MATCH stored_artworks WITH '
-    'works . work [ title . $t, cplace . "Giverny", *($f) ]',
+    STORED_QUERIES[0].format(doc="stored_artworks"),
+    STORED_QUERIES[2].format(doc="stored_artworks"),
+    STORED_QUERIES[1].format(doc="stored_prints"),
+    STORED_QUERIES[2].format(doc="stored_prints"),
 )
 ARTISTS = ("Claude Monet", "Edgar Degas")
 SHARDS = 2
@@ -71,9 +91,9 @@ artists = st.sampled_from(ARTISTS)
 serials = st.integers(0, 1)
 
 
-def stored_tree(works: int):
+def stored_tree(works: int, prefix: str = "Stored"):
     return elem("works", *[
-        elem("work", atom_leaf("title", f"Stored {index}"),
+        elem("work", atom_leaf("title", f"{prefix} {index}"),
              atom_leaf("cplace", "Giverny" if index % 2 == 0 else "Paris"))
         for index in range(works)
     ])
@@ -89,9 +109,8 @@ class FreshnessMachine(RuleBasedStateMachine):
         self.database, store = CulturalDataset(n_artifacts=6, seed=3).build()
         self.partition = HashPartition("artist", SHARDS)
         self.stores = shard_wais_store(store, self.partition)
-        self.stored_works = 3
-        self.stored = StoredXmlSource()
-        self.stored.add_tree("stored_artworks", stored_tree(self.stored_works))
+        self.stored_works = dict.fromkeys(STORED, 3)
+        self.stored = self.stored_source()
         self.replicas = {}
         self.reloads = 0
         self.written = 0
@@ -119,14 +138,18 @@ class FreshnessMachine(RuleBasedStateMachine):
         mediator.materialize_view("selection")
         return mediator
 
+    def stored_source(self) -> StoredXmlSource:
+        stored = StoredXmlSource()
+        for name, prefix in STORED.items():
+            stored.add_tree(name, stored_tree(self.stored_works[name], prefix))
+        return stored
+
     def recompute(self, text: str) -> str:
         """The answer over the same sources *now*, sharing no memo."""
-        stored = StoredXmlSource()
-        stored.add_tree("stored_artworks", stored_tree(self.stored_works))
         oracle = self.connect(
             Mediator(plan_cache_size=0),
             build_sharded_wais("xmlartwork", self.stores),
-            stored,
+            self.stored_source(),
         )
         return answer(oracle.query(text))
 
@@ -165,10 +188,11 @@ class FreshnessMachine(RuleBasedStateMachine):
         )
         self.read(query)
 
-    @rule(works=st.integers(1, 5), query=queries)
-    def write_stored(self, works, query):
-        self.stored_works = works
-        self.stored.add_tree("stored_artworks", stored_tree(works))
+    @rule(document=st.sampled_from(sorted(STORED)), works=st.integers(1, 5),
+          query=queries)
+    def write_stored(self, document, works, query):
+        self.stored_works[document] = works
+        self.stored.add_tree(document, stored_tree(works, STORED[document]))
         self.read(query)
 
     @rule(query=queries)
@@ -203,3 +227,71 @@ FreshnessMachine.TestCase.settings = settings(
     max_examples=10, stateful_step_count=10, deadline=None
 )
 TestFreshness = FreshnessMachine.TestCase
+
+
+def stored_answer(trees, text: str) -> str:
+    """*text* over a fresh store holding *trees*, sharing no memo."""
+    source = StoredXmlSource()
+    for name, tree in trees.items():
+        source.add_tree(name, tree)
+    mediator = Mediator(plan_cache_size=0)
+    mediator.connect(StoreWrapper("depot", source))
+    return answer(mediator.query(text))
+
+
+def test_a_racing_writer_reaches_only_its_own_document():
+    """One writer flips ``a`` between two trees while three readers read
+    ``a`` and ``b``: every ``a`` answer is the old or the new document's,
+    and every ``b`` answer is the one it always was."""
+    old, new, other = stored_tree(2), stored_tree(4, "Fresh"), stored_tree(3, "Print")
+    texts = [query.format(doc=doc) for query in STORED_QUERIES for doc in "ab"]
+    allowed = {
+        text: {stored_answer({"a": tree, "b": other}, text) for tree in (old, new)}
+        for text in texts
+    }
+    for text in texts:  # the check can tell old from new, and b is constant
+        assert len(allowed[text]) == (2 if " a WITH" in text else 1), text
+    source = StoredXmlSource()
+    source.add_tree("a", old)
+    source.add_tree("b", other)
+    mediator = Mediator(result_cache_bytes=1 << 20)
+    mediator.connect(StoreWrapper("depot", source))
+    writing = threading.Event()
+    writing.set()
+    failures, reads, writes = [], [], []
+
+    def reader(index):
+        rotation = texts[index:] + texts[:index]
+        try:
+            while writing.is_set():
+                for text in rotation:
+                    served = answer(mediator.query(text))
+                    reads.append(1)
+                    if served not in allowed[text]:
+                        failures.append((text, served))
+        except Exception as error:  # noqa: BLE001 - reported below
+            failures.append(repr(error))
+
+    def writer():
+        deadline = time.perf_counter() + 0.4
+        try:
+            while time.perf_counter() < deadline:
+                source.add_tree("a", new if len(writes) % 2 == 0 else old)
+                writes.append(1)
+        finally:
+            writing.clear()
+
+    previous = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=reader, args=(i,)) for i in range(3)]
+        threads.append(threading.Thread(target=writer))
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(30)
+    finally:
+        sys.setswitchinterval(previous)
+    assert not any(thread.is_alive() for thread in threads)
+    assert failures == []
+    assert len(writes) >= 4 and len(reads) >= 3 * len(texts)

@@ -337,10 +337,16 @@ def test_record_execution_taxonomy(cultural_mediator):
 
 
 def test_record_memo_stats_exports_every_number_once(cultural_mediator):
+    from repro import StoredXmlSource, StoreWrapper
+    from repro.model.trees import atom_leaf, elem
     from repro.observability import record_memo_stats
 
+    stored = StoredXmlSource()
+    stored.add_tree("stored", elem("works", elem("work", atom_leaf("title", "T"))))
+    cultural_mediator.connect(StoreWrapper("depot", stored))
     cultural_mediator.query(Q1)
     cultural_mediator.query(Q2)
+    cultural_mediator.query("MAKE $t MATCH stored WITH works . work [ title . $t, *($f) ]")
     registry = MetricsRegistry()
     record_memo_stats(registry, cultural_mediator)
     text = registry.exposition()
@@ -348,7 +354,7 @@ def test_record_memo_stats_exports_every_number_once(cultural_mediator):
     # memo names exist is checked against README in test_memo.py.)
     for memo in ("bind_engines", "predicate_kernels", "plan_cache", "plan_texts", "materialized_views",
                  "o2artifact.fragments", "o2artifact.prepared",
-                 "xmlartwork.documents"):
+                 "xmlartwork.documents", "depot.hydration"):
         for series in ("entries", "capacity", "hits", "misses", "stale",
                        "evictions_total"):
             assert f'yat_memo_{series}{{memo="{memo}"}}' in text
@@ -357,6 +363,9 @@ def test_record_memo_stats_exports_every_number_once(cultural_mediator):
     assert 'yat_memo_entries{memo="bind_engines"} 0' not in text
     # The result cache is off on this mediator: no row, no zeros.
     assert 'memo="result_cache"' not in text
+    # The store serves documents from its hydration memo alone, so the
+    # wrapper's never-used document memo exports no always-zero row.
+    assert 'memo="depot.documents"' not in text
     # The series that restated a memo row are gone, and so is the
     # plan cache's rebinding counter (a hit binds, it never rebuilds).
     for name in ("yat_plan_cache_entries", "yat_plan_cache_hits",

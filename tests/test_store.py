@@ -497,6 +497,96 @@ class TestDataVersion:
         memo = store.memo_stats()
         assert (memo["stale"], memo["evictions"]) == (1, 0)
 
+    def test_a_write_invalidates_only_its_own_document(self):
+        def catalog(title):
+            return elem("catalog", elem("work", atom_leaf("title", title),
+                                        atom_leaf("cplace", "Giverny")))
+
+        source = StoredXmlSource()
+        source.add_tree("a", catalog("A old"))
+        source.add_tree("b", catalog("B"))
+        mediator = Mediator()
+        mediator.connect(StoreWrapper("depot", source))
+        scan = (  # FRest: a hydrated scan of the whole document
+            'MAKE doc [ * hit [ title: $t, more: $f ] ] MATCH {doc} WITH '
+            'catalog . work [ title . $t, *($f) ]'
+        )
+        store = source.store
+        b_answer = tree_to_xml(mediator.query(scan.format(doc="b")).document())
+        hydrated = store.stats()["hydrated_nodes"]
+        hits = store.memo_stats()["hits"]
+        source.add_tree("a", catalog("A new"))
+        again = tree_to_xml(mediator.query(scan.format(doc="b")).document())
+        assert again == b_answer
+        assert store.stats()["hydrated_nodes"] == hydrated  # b stayed warm
+        assert store.memo_stats()["hits"] > hits
+        a_answer = tree_to_xml(mediator.query(scan.format(doc="a")).document())
+        assert "A new" in a_answer and "A old" not in a_answer
+
+
+class TestPlannerStatistics:
+    """ANALYZE runs when the document set changes, and a replacement's
+    stale statistics pick the plans fresh ones would."""
+
+    SHAPES = (  # stored_descent's twig and deep-twig filters
+        'works .. work [ cplace . "Giverny", artist . "Claude Monet", title . $t ]',
+        'works .. work [ artist . "Claude Monet", title . $t,'
+        ' history . technique . $q ]',
+    )
+
+    @staticmethod
+    def traced(store):
+        statements = []
+        store._conn.set_trace_callback(statements.append)
+        return statements
+
+    @staticmethod
+    def analyzes(statements):
+        return sum(sql.strip().upper() == "ANALYZE" for sql in statements)
+
+    def plans(self, store, document):
+        plans = []
+        for text in self.SHAPES:
+            compiled = compile_pushdown(parse_filter(text))
+            plans.append(store._conn.execute(
+                "EXPLAIN QUERY PLAN " + compiled.sql,
+                compiled.bind_params(document),
+            ).fetchall())
+        return plans
+
+    def test_analyze_once_per_new_document_name(self, tmp_path):
+        path = str(tmp_path / "store.sqlite")
+        store = DocumentStore(path)
+        statements = self.traced(store)
+        store.add("coll0", cultural_tree(seed=1))
+        store.add("coll1", cultural_tree(seed=2))
+        assert self.analyzes(statements) == 2
+        for seed in (3, 4, 5):
+            store.add("coll0", cultural_tree(seed=seed))
+        assert self.analyzes(statements) == 2
+        store.close()
+        # A store reopened from its file keeps sqlite_stat1: replacing a
+        # document the file holds is not new, a third name is.
+        reopened = DocumentStore(path)
+        statements = self.traced(reopened)
+        reopened.add("coll1", cultural_tree(seed=6))
+        reopened.add("coll2", cultural_tree(seed=7))
+        assert self.analyzes(statements) == 1
+        reopened.close()
+
+    def test_replacements_keep_the_pushdown_plans(self):
+        store = DocumentStore()
+        store.add("coll0", cultural_tree(n_artifacts=60, seed=1))
+        store.add("coll1", cultural_tree(n_artifacts=60, seed=2))
+        after_ingest = self.plans(store, "coll0")
+        for seed in (3, 4, 5):
+            store.add("coll0", cultural_tree(n_artifacts=60, seed=seed))
+        assert self.plans(store, "coll0") == after_ingest
+        # What every replacement used to run: fresh statistics pick the
+        # same plans the ingest statistics do.
+        store._conn.execute("ANALYZE")
+        assert self.plans(store, "coll0") == after_ingest
+
 
 class TestWrapperIntegration:
     def build(self, **kwargs):
