@@ -6,8 +6,8 @@ This example registers an 8-shard artist-partitioned Wais source under
 the single logical name ``xmlartwork`` and shows the four behaviors the
 sharding layer adds — without changing a single query:
 
-* scatter-gather — a full scan fans out to every shard, serially or
-  overlapped under ``ExecutionPolicy(parallelism=8)``;
+* scatter-gather — a full scan fans out to every shard that holds data,
+  serially or overlapped under ``ExecutionPolicy(parallelism=8)``;
 * shard pruning — an artist-equality query is planned against the one
   shard that can hold the answer (``EXPLAIN`` shows the decision);
 * byte identity — every answer matches a monolithic mediator over the
@@ -38,7 +38,7 @@ MATCH artworks WITH doc . work [ title . $t, artist . $a ]
 """
 PRUNE_Q = """MAKE $t
 MATCH artworks WITH doc . work [ title . $t, artist . $a ]
-WHERE $a = "Monet"
+WHERE $a = "Claude Monet"
 """
 SHARDS = 8
 
@@ -82,11 +82,12 @@ def main() -> None:
     serial = portal.query(SCAN_Q, execution=ExecutionPolicy(parallelism=1))
     parallel = portal.query(SCAN_Q, execution=ExecutionPolicy(parallelism=8))
     reference = tree_to_xml(mono.query(SCAN_Q).document())
-    print(f"   shards read: {serial.report.stats.shard_scatter}/{SHARDS}")
+    print(f"   shards read: {serial.report.stats.shard_scatter}/{SHARDS}  "
+          f"(empty shards skipped: {serial.report.stats.shard_pruned})")
     print(f"   serial == parallel == monolithic answer: "
           f"{tree_to_xml(serial.document()) == tree_to_xml(parallel.document()) == reference}")
 
-    print("\n2. shard pruning: WHERE $a = \"Monet\" plans one shard")
+    print("\n2. shard pruning: WHERE $a = \"Claude Monet\" reads one shard")
     pruned = portal.query(PRUNE_Q)
     print(f"   shards read: {pruned.report.stats.shard_scatter}/{SHARDS}  "
           f"(pruned {pruned.report.stats.shard_pruned})")

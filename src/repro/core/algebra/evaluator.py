@@ -36,11 +36,12 @@ from __future__ import annotations
 
 import threading
 from abc import ABC, abstractmethod
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import (
     EvaluationError,
     PartialResultError,
+    SourceError,
     SourceUnavailableError,
     UnknownDocumentError,
     UnknownSourceError,
@@ -121,7 +122,6 @@ class SourceAdapter(ABC):
     def ident_index(self) -> Dict[str, DataNode]:
         """Identifier index used to dereference references during Bind."""
 
-    @abstractmethod
     def execute_pushed(
         self, plan: Plan, outer: Optional[Row] = None
     ) -> Tuple[Tab, str]:
@@ -130,8 +130,10 @@ class SourceAdapter(ABC):
         *outer* may be a :class:`~repro.core.algebra.tab.BindingSet` when
         the plan came from a ``PushedOp`` with ``keyed`` columns: the
         answer is then the rows matching any of the set's keys, each
-        once, in the source's own order.
+        once, in the source's own order.  The default declares no
+        native capability, so the optimizer never pushes to it.
         """
+        raise SourceError(f"{type(self).__name__} takes no pushed fragments")
 
 
 class Environment:
@@ -248,6 +250,8 @@ class Environment:
             if self._ident_index is None:
                 merged: Dict[str, DataNode] = {}
                 for name, adapter in self.sources.items():
+                    if not holds_data(adapter):
+                        continue  # an empty source indexes nothing
                     try:
                         merged.update(adapter.ident_index())
                     except SourceUnavailableError as error:
@@ -943,13 +947,13 @@ def _eval_scatter(plan: ScatterOp, env: Environment, outer: Optional[Row]) -> Ta
     Only the branches :meth:`ScatterOp.shards` keeps are evaluated: the
     partition-key restrictions on this request's bound constants, and
     the owner of the outer row's key under ``prune_param`` (per outer
-    row, under a DJoin).
+    row, under a DJoin).  Of those, empty shards are skipped too.
 
     Degradation mirrors Union: under a partial-results policy a branch
     whose shard is unavailable (all replicas down) is dropped and
     recorded; with every branch down there is no partial answer.
     """
-    shards = plan.shards(outer)
+    shards = holding_shards(plan, plan.shards(outer), env.sources)
     total = len(plan.branches)
     env.stats.record_shard(scatter=len(shards), pruned=total - len(shards))
     if env.tracer is not None:
@@ -958,8 +962,8 @@ def _eval_scatter(plan: ScatterOp, env: Environment, outer: Optional[Row]) -> Ta
             shard_pruned=total - len(shards),
         )
     if not shards:
-        # No shard can hold a match (contradictory key restrictions, or
-        # the outer row's owner was restricted away): the empty answer.
+        # No shard can hold a match (contradictory key restrictions, the
+        # outer row's owner restricted away, or only empty shards left).
         return Tab(plan.output_columns())
     tabs = _surviving_branches(
         "shard", [plan.branches[shard] for shard in shards], env, outer
@@ -967,6 +971,26 @@ def _eval_scatter(plan: ScatterOp, env: Environment, outer: Optional[Row]) -> Ta
     combined = Tab.concat(tabs[0].columns, tabs)
     env.stats.record_operator("Scatter", len(combined))
     return combined
+
+
+def holds_data(adapter) -> bool:
+    """The duck-typed ``holds_data()`` metadata; unknown means "may"."""
+    probe = getattr(adapter, "holds_data", None)
+    return probe is None or probe()
+
+
+def holding_shards(
+    plan: ScatterOp, shards: Sequence[int], sources: Dict[str, SourceAdapter]
+) -> Tuple[int, ...]:
+    """The shards among *shards* whose branch reads a source that may
+    hold data.  Read per execution, never planned."""
+    return tuple(
+        shard for shard in shards
+        if any(
+            holds_data(sources.get(name))
+            for name in plan.branches[shard].sources()
+        )
+    )
 
 
 def _surviving_branches(

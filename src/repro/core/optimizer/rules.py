@@ -54,8 +54,9 @@ class OptimizerContext:
         self._fresh_counter = 0
 
     def matcher(self, source: str) -> Optional[CapabilityMatcher]:
-        """Capability matcher for *source* (``None`` if unknown)."""
-        if source not in self.interfaces:
+        """Capability matcher for *source* (``None`` if unknown, or a
+        sharded logical source: only its shards take fragments)."""
+        if source not in self.interfaces or source in self.shards:
             return None
         if source not in self._matchers:
             self._matchers[source] = CapabilityMatcher(self.interfaces[source])

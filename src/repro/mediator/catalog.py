@@ -14,7 +14,7 @@ from typing import Dict, Optional, Sequence, Tuple
 
 from repro.errors import MediatorError, UnknownSourceError
 from repro.capabilities.interface import SourceInterface
-from repro.capabilities.xml_codec import xml_to_interface
+from repro.capabilities.xml_codec import interface_to_xml, xml_to_interface
 from repro.core.algebra.evaluator import SourceAdapter
 from repro.wrappers.base import Wrapper
 
@@ -62,12 +62,11 @@ class Catalog:
         target the shards.  The exported documents are claimed by the
         *logical* name, which gets a
         :class:`~repro.sources.sharded.adapter.ShardedSourceAdapter`
-        (shard-major concatenation) plus the shards' *common* interface
-        re-imported under the logical name: shards are homogeneous, so
-        the logical source supports exactly what shard 0 declared, and
-        type-driven planning treats it like any other source.  A
-        fragment pushed to the logical source (possible only when shard
-        expansion declined the chain) is scattered by the adapter.
+        (shard-major concatenation) plus the one interface all shards
+        declare, re-imported under the logical name.  Shards split one
+        source by data, not by capability: a shard whose interface
+        differs (bar its name) is a :class:`MediatorError`.  For split
+        Wais stores that interface is the source's field policy.
         """
         from repro.sources.sharded import (
             ShardedSourceAdapter,
@@ -81,7 +80,7 @@ class Catalog:
         if logical in self._adapters:
             raise MediatorError(f"source {logical!r} already connected")
         interfaces: Dict[str, SourceInterface] = {}
-        documents: Optional[Tuple[str, ...]] = None
+        logical_xml: Optional[str] = None
         for name, adapter in zip(names, shards):
             if name in self._adapters:
                 raise MediatorError(f"source {name!r} already connected")
@@ -91,31 +90,32 @@ class Catalog:
                     f"shard adapter {name!r} exported an interface named "
                     f"{interface.name!r}"
                 )
-            if documents is None:
-                documents = tuple(interface.documents)
-            elif tuple(interface.documents) != documents:
+            interface.name = logical
+            renamed = interface_to_xml(interface)
+            interface.name = name
+            if logical_xml is None:
+                logical_xml = renamed
+            elif renamed != logical_xml:
                 raise MediatorError(
-                    f"shards of {logical!r} disagree on exported documents: "
-                    f"{documents!r} vs {tuple(interface.documents)!r}"
+                    f"shard {name!r} declares a different interface than "
+                    f"{names[0]!r}: the shards of {logical!r} must declare "
+                    "one interface"
                 )
             interfaces[name] = interface
-        for document in documents or ():
+        logical_interface = xml_to_interface(logical_xml)
+        documents = tuple(logical_interface.documents)
+        for document in documents:
             if document in self._document_sources:
                 raise MediatorError(
                     f"document {document!r} is exported by both "
                     f"{self._document_sources[document]!r} and {logical!r}"
                 )
-        logical_adapter = ShardedSourceAdapter(logical, shards)
-        # The logical source's interface is shard 0's, re-imported under
-        # the logical name (a fresh parse, so renaming it is safe).
-        logical_interface = xml_to_interface(shards[0].interface_xml())
-        logical_interface.name = logical
         for name, adapter in zip(names, shards):
             self._adapters[name] = adapter
             self._interfaces[name] = interfaces[name]
-        for document in documents or ():
+        for document in documents:
             self._document_sources[document] = logical
-        self._adapters[logical] = logical_adapter
+        self._adapters[logical] = ShardedSourceAdapter(logical, shards)
         self._interfaces[logical] = logical_interface
         self._topologies[logical] = topology
         return tuple(interfaces[name] for name in names)

@@ -24,6 +24,7 @@ from typing import Optional, Sequence, Tuple
 
 from repro.errors import UnknownDocumentError, ViewError
 from repro.capabilities.interface import SourceInterface
+from repro.core.algebra.evaluator import holding_shards
 from repro.core.algebra.operators import Plan, ScatterOp
 from repro.core.algebra.scheduling import ExecutionPolicy
 from repro.core.algebra.stats import ExecutionStats
@@ -75,7 +76,8 @@ def _with_params(
 
 def _read_nodes(plan: Plan):
     """*plan*'s nodes, pre-order, minus the Scatter branches the active
-    request's parameters prune (:meth:`ScatterOp.shards`)."""
+    request's parameters prune (:meth:`ScatterOp.shards`).  Empty shards
+    stay: emptiness is a fact at a version, like any other read."""
     yield plan
     if isinstance(plan, ScatterOp):
         children = [plan.branches[shard] for shard in plan.shards()]
@@ -696,14 +698,19 @@ class Mediator:
             for node in optimized.walk() if isinstance(node, BindOp)
         }
         # Scatter nodes: show the pruning decision — how many shards of
-        # the topology this Bind chain reads for these parameters, and
-        # whether each outer row is routed to its owning shard.
+        # the topology this Bind chain reads for these parameters, how
+        # many it skips as empty, and whether each outer row is routed to
+        # its owning shard.
+        adapters = self.catalog.adapters()
         for node in optimized.walk():
             if not isinstance(node, ScatterOp):
                 continue
-            kept, total = len(node.shards()), len(node.branches)
-            verb = "shard-pruned" if kept < total else "scatter"
-            label = f"bind: {verb} {kept}/{total}"
+            kept, total = node.shards(), len(node.branches)
+            empty = len(kept) - len(holding_shards(node, kept, adapters))
+            verb = "shard-pruned" if len(kept) < total else "scatter"
+            label = f"bind: {verb} {len(kept) - empty}/{total}"
+            if empty:
+                label += f" ({empty} empty)"
             if node.prune_param is not None:
                 label += f", runtime prune on ${node.prune_param}"
             access_paths[id(node)] = label
@@ -711,7 +718,6 @@ class Mediator:
         # (SQL interval pushdown vs. hydrated scan for store-backed
         # sources).  walk() stops at PushedOp on purpose — the fragment
         # is not rewritable — so descend explicitly for annotation only.
-        adapters = self.catalog.adapters()
         for node in optimized.walk():
             if not isinstance(node, PushedOp):
                 continue

@@ -39,7 +39,7 @@ from repro.errors import (
     SourceTimeoutError,
     SourceUnavailableError,
 )
-from repro.core.algebra.evaluator import SourceAdapter
+from repro.core.algebra.evaluator import SourceAdapter, holds_data
 from repro.core.algebra.operators import Plan
 from repro.core.algebra.tab import Row, Tab
 from repro.model.trees import DataNode
@@ -489,6 +489,9 @@ class ResilientAdapter(SourceAdapter):
 
     def data_version(self):
         return getattr(self.inner, "data_version", lambda: 0)()
+
+    def holds_data(self) -> bool:
+        return holds_data(self.inner)
 
     def document(self, name: str) -> DataNode:
         return self.runtime.call(

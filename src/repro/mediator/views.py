@@ -257,9 +257,3 @@ class MaterializedViewSource(SourceAdapter):
 
     def ident_index(self) -> dict:
         return {}
-
-    def execute_pushed(self, plan: Plan, outer=None):
-        raise ViewError(
-            "materialized views declare no native capabilities; "
-            "nothing can be pushed to them"
-        )

@@ -27,6 +27,7 @@ Three adapters cooperate:
 versions, and the logical adapter's is the tuple of its shards' — the
 result cache compares version vectors by equality, so a write to one
 shard invalidates exactly the entries whose plans read that shard.
+``holds_data()`` of a replica set is its primary's, like its interface.
 """
 
 from __future__ import annotations
@@ -34,8 +35,8 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import SourceError, SourceUnavailableError
-from repro.core.algebra.evaluator import SourceAdapter
-from repro.core.algebra.operators import Plan, SourceOp
+from repro.core.algebra.evaluator import SourceAdapter, holds_data
+from repro.core.algebra.operators import Plan
 from repro.core.algebra.tab import Row, Tab
 from repro.memo import Memo
 from repro.model.trees import DataNode
@@ -45,18 +46,6 @@ from repro.observability.context import current_context
 def shard_name(logical: str, index: int) -> str:
     """Catalog name of shard *index* of the logical source *logical*."""
     return f"{logical}#{index}"
-
-
-def _retarget(plan: Plan, old: str, new: str) -> Plan:
-    """The same fragment with its Source leaves renamed *old* → *new*."""
-    if isinstance(plan, SourceOp) and plan.source == old:
-        return SourceOp(new, plan.document)
-    children = plan.children()
-    if not children:
-        return plan
-    return plan.with_children(
-        [_retarget(child, old, new) for child in children]
-    )
 
 
 class ShardTopology:
@@ -122,6 +111,9 @@ class ReplicaSet(SourceAdapter):
             for replica in self.replicas
         )
 
+    def holds_data(self) -> bool:
+        return holds_data(self.replicas[0])
+
     # -- data plane with failover --------------------------------------------------
 
     def _failover(self, operation, invoke):
@@ -161,11 +153,11 @@ class ReplicaSet(SourceAdapter):
 class ShardedSourceAdapter(SourceAdapter):
     """The logical source: shard-major concatenation of shard documents.
 
-    Reading the logical source transfers *every* shard — it exists so
-    that un-expanded plans (and the optimizer-off baseline) stay
-    correct.  The shard-expansion rule rewrites Bind chains over this
-    source into per-shard scatter branches that reproduce exactly this
-    adapter's document order.
+    Reading it transfers every shard that holds data — it keeps the
+    chains shard expansion declines (nothing is pushed here) and the
+    optimizer-off baseline correct.  The shard-expansion rule rewrites
+    Bind chains over this source into per-shard scatter branches that
+    reproduce exactly this adapter's document order.
     """
 
     def __init__(self, name: str, shards: Sequence[SourceAdapter]) -> None:
@@ -201,7 +193,9 @@ class ShardedSourceAdapter(SourceAdapter):
         )
 
     def _concatenate(self, name: str) -> DataNode:
-        parts = [shard.document(name) for shard in self.shards]
+        # Empty shards add no entry; with all empty, shard 0 gives the root.
+        live = [shard for shard in self.shards if holds_data(shard)]
+        parts = [shard.document(name) for shard in live or self.shards[:1]]
         label = parts[0].label
         children: List[DataNode] = []
         for part in parts:
@@ -224,31 +218,3 @@ class ShardedSourceAdapter(SourceAdapter):
         # environment already merges their ident indexes; contributing
         # them twice here would only duplicate work.
         return {}
-
-    def execute_pushed(
-        self, plan: Plan, outer: Optional[Row] = None
-    ) -> Tuple[Tab, str]:
-        """Scatter a fragment pushed at the *logical* source.
-
-        Reached only when shard expansion declined the chain but
-        capability pushdown still matched it.  Every admissible fragment
-        binds per-work rows (``bind.on`` is the document and ``keep_on``
-        is false), so the shard-major concatenation of the per-shard
-        answers equals the answer over the concatenated document.
-        """
-        for node in plan.walk():
-            if getattr(node, "keep_on", False):
-                raise SourceError(
-                    f"fragment keeps the whole document of {self.name!r}; "
-                    "a sharded source cannot scatter it"
-                )
-        tabs = []
-        native = ""
-        for shard in self.shards:
-            retargeted = _retarget(plan, self.name, shard.name)
-            tab, native = shard.execute_pushed(retargeted, outer)
-            tabs.append(tab)
-        return (
-            Tab.concat(tabs[0].columns, tabs),
-            f"scatter[{len(self.shards)} shards]: {native}",
-        )

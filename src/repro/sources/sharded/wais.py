@@ -33,12 +33,14 @@ def shard_wais_store(store: WaisStore, partition) -> Tuple[WaisStore, ...]:
 
     Every shard inherits the source's Z39.50 field policy (its queryable
     and retrievable fields): a shard may not be searched on a field the
-    source refuses.
+    source refuses.  A source without a queryable-field policy hands its
+    shards its data's labels as one, so every shard, empty or not,
+    declares the logical source's interface.
     """
     shards = [
         WaisStore(
             collection_label=store.collection_label,
-            queryable_fields=store.queryable_fields,
+            queryable_fields=store.queryable_fields or store.element_labels(),
             retrievable_fields=store.retrievable_fields,
         )
         for _ in range(partition.shards)

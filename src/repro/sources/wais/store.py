@@ -15,7 +15,7 @@ sets to reproduce restricted configurations.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.errors import WaisError
 from repro.model.trees import DataNode
@@ -65,9 +65,6 @@ class WaisStore:
         self.version += 1
         return doc_id
 
-    def add_all(self, documents: Iterable[DataNode]) -> Tuple[str, ...]:
-        return tuple(self.add(document) for document in documents)
-
     # -- querying ------------------------------------------------------------------
 
     def field_queryable(self, field: str) -> bool:
@@ -112,9 +109,6 @@ class WaisStore:
             ident=document.ident,
             collection=document.collection,
         )
-
-    def fetch_all(self, doc_ids: Sequence[str]) -> Tuple[DataNode, ...]:
-        return tuple(self.fetch(doc_id) for doc_id in doc_ids)
 
     def collection_tree(self, query: Optional[WaisQuery] = None) -> DataNode:
         """The (matching subset of the) collection as one document tree."""

@@ -32,7 +32,7 @@ from collections import Counter
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.errors import SourceError
-from repro.core.algebra.evaluator import SourceAdapter
+from repro.core.algebra.evaluator import SourceAdapter, holds_data
 from repro.core.algebra.operators import Plan
 from repro.core.algebra.tab import Row, Tab
 from repro.model.trees import DataNode
@@ -290,6 +290,9 @@ class FaultyAdapter(SourceAdapter):
     def document_name_set(self) -> frozenset:
         return self.inner.document_name_set()
 
+    def holds_data(self) -> bool:
+        return holds_data(self.inner)
+
     def document(self, name: str) -> DataNode:
         self.injector.before("document")
         return self.inner.document(name)
@@ -309,7 +312,7 @@ class FaultyWrapper(Wrapper):
     """A faulty :class:`Wrapper`: connectable to a mediator.
 
     Planning-time surfaces (interface export, document names, data
-    version) pass through un-faulted; the execution-time calls —
+    version, emptiness) pass through un-faulted; the execution-time calls —
     ``document``, ``ident_index``, ``execute_pushed`` — go through the
     same :class:`FaultInjector` as :class:`FaultyAdapter`.
     """
@@ -340,6 +343,9 @@ class FaultyWrapper(Wrapper):
         # Forwarded un-faulted: the result cache's version vector must
         # see the real source move even through an injected fault.
         return self.inner.data_version()
+
+    def holds_data(self) -> bool:
+        return holds_data(self.inner)
 
     def memo_stats(self):
         # The inner wrapper's memos do the work; this proxy's own are

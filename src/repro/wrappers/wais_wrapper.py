@@ -122,13 +122,13 @@ class WaisWrapper(Wrapper):
         return interface
 
     def _queryable_fields(self) -> Tuple[str, ...]:
-        """Element labels clients may search on, per the store's policy."""
+        """Element labels clients may search on: the store's declared
+        policy, whatever the data (so every shard of one split store
+        declares one interface), else every label its data holds."""
         skip = {self._store.collection_label, "work"}
-        return tuple(
-            label
-            for label in self._store.element_labels()
-            if label not in skip and self._store.field_queryable(label)
-        )
+        declared = self._store.queryable_fields
+        labels = sorted(declared) if declared else self._store.element_labels()
+        return tuple(label for label in labels if label not in skip)
 
     # -- SourceAdapter ------------------------------------------------------------
 
@@ -137,6 +137,9 @@ class WaisWrapper(Wrapper):
 
     def data_version(self) -> int:
         return self._store.version
+
+    def holds_data(self) -> bool:
+        return len(self._store) > 0
 
     def build_document(self, name: str) -> DataNode:
         if name != self._document_name:

@@ -9,13 +9,17 @@ recompute over the same sources now** — and a degraded answer is never
 served to a later read.
 
 The machine drives one mediator with everything on (plan cache, result
-cache, a materialized view over a spliced view, O2 / stored / 2-shard
+cache, a materialized view over a spliced view, O2 / stored / 5-shard
 replicated sources).  The oracle is rebuilt from scratch for every read
 — fresh wrappers, ``plan_cache_size=0``, no result cache, no faults — so
 no memo it holds is older than the read it answers.  It declares the
 same view materialized because that is catalog, not cache state: over
 shards the refresh plan (unoptimized) and the spliced plan (optimized)
 order a join differently, at this commit and before it.
+
+The shards start with two of them empty, and shard writes can fill one:
+a scatter skips a shard that holds nothing, yet a write into it must
+reach the next read.
 
 The store holds two documents and every write replaces one of them, so
 the oracle also checks the store's per-document hydration tags: a write
@@ -82,8 +86,11 @@ QUERIES = (
     STORED_QUERIES[1].format(doc="stored_prints"),
     STORED_QUERIES[2].format(doc="stored_prints"),
 )
-ARTISTS = ("Claude Monet", "Edgar Degas")
-SHARDS = 2
+#: Five hash shards over the six artists of the data leave shards 0 and
+#: 4 empty; Alfred Sisley belongs on shard 0, so writing his works fills
+#: a shard that every earlier scatter skipped.
+ARTISTS = ("Claude Monet", "Alfred Sisley")
+SHARDS = 5
 PARTIAL = ResiliencePolicy(allow_partial_results=True)
 
 queries = st.sampled_from(QUERIES)
@@ -109,6 +116,11 @@ class FreshnessMachine(RuleBasedStateMachine):
         self.database, store = CulturalDataset(n_artifacts=6, seed=3).build()
         self.partition = HashPartition("artist", SHARDS)
         self.stores = shard_wais_store(store, self.partition)
+        assert len(self.stores[self.partition.shard_of(ARTISTS[1])]) == 0
+        #: An existing owner for inserted artifacts: pushed O2 fragments
+        #: range over ``owners``, so an owner-less artifact joins nothing.
+        first = self.database.get(self.database.extent("artifacts")[0])
+        self.owners = first.values["owners"][:1]
         self.stored_works = dict.fromkeys(STORED, 3)
         self.stored = self.stored_source()
         self.replicas = {}
@@ -170,7 +182,7 @@ class FreshnessMachine(RuleBasedStateMachine):
     def write_o2(self, artist, serial, query):
         self.database.insert("artifact", {
             "title": f"Fresh {serial}", "year": 1901, "creator": artist,
-            "price": 1000.0 + serial, "owners": [],
+            "price": 1000.0 + serial, "owners": list(self.owners),
         })
         self.read(query)
 
@@ -227,6 +239,16 @@ FreshnessMachine.TestCase.settings = settings(
     max_examples=10, stateful_step_count=10, deadline=None
 )
 TestFreshness = FreshnessMachine.TestCase
+
+
+def test_a_write_into_an_empty_shard_reaches_the_next_read():
+    """The machine's rules in the one order that needs a skipped shard in
+    the version vector: the artifact first (O2 moves, the entry is
+    re-stored while shard 0 is still empty), then its work on shard 0."""
+    machine = FreshnessMachine()
+    machine.write_o2(ARTISTS[1], 0, Q1)
+    machine.write_shard(ARTISTS[1], 0, Q1)
+    assert "Fresh 0" in answer(machine.mediator.query(Q1))
 
 
 def stored_answer(trees, text: str) -> str:

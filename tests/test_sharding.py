@@ -26,13 +26,15 @@ from repro import (
     ServerConfig,
     WaisWrapper,
 )
-from repro.core.algebra.evaluator import Environment, evaluate
+from repro.capabilities.xml_codec import interface_to_xml, xml_to_interface
+from repro.core.algebra.evaluator import Environment, SourceAdapter, evaluate
 from repro.core.algebra.expressions import Cmp, Const, Param, Var
 from repro.core.algebra.operators import (
     BindOp,
     DJoinOp,
     LiteralOp,
     ProjectOp,
+    PushedOp,
     ScatterOp,
     SelectOp,
     SourceOp,
@@ -65,6 +67,7 @@ from repro.sources.sharded import (
 from repro.sources.sharded.partition import canonical_key, document_key_value
 from repro.sources.wais.store import WaisStore
 from repro.testing import FaultSchedule, FaultyWrapper
+from repro.wrappers.base import Wrapper
 
 PRUNE_Q = """MAKE $t
 MATCH artworks WITH doc . work [ title . $t, artist . $a ]
@@ -72,6 +75,13 @@ WHERE $a = "%s"
 """
 
 RANGE_Q = PRUNE_Q.replace("$a =", "$a >")
+
+#: Every work, through an 8/8 scatter (the benchmark's ``scatter_scan``).
+SCAN_Q = PRUNE_Q.replace('WHERE $a = "%s"\n', "")
+
+#: ``HashPartition("artist", 8)`` places the dataset's eight artists on
+#: six shards: shards 4 and 5 hold nothing.
+EMPTY = (4, 5)
 
 
 def build_pair(n_artifacts=60, seed=3, shards=4, replicas=1, wrap=None,
@@ -425,6 +435,22 @@ class TestShardedFederation:
         full = sharded.explain(Q1).render()
         assert "scatter 4/4" in full
 
+    def test_explain_counts_empty_shards_as_the_calls_do(self):
+        _mono, sharded, _partition, _stores = build_pair(shards=8)
+        explained = sharded.explain(SCAN_Q, analyze=True)
+        rendered = explained.render()
+        assert "bind: scatter 6/8 (2 empty)" in rendered
+        assert "shards: 6 scattered, 2 pruned" in rendered
+        calls = {
+            source: n
+            for source, n in explained.report.stats.source_calls.items()
+            if source.startswith("xmlartwork")
+        }
+        assert calls == {
+            shard_name("xmlartwork", index): 1
+            for index in range(8) if index not in EMPTY
+        }
+
     def test_shard_metrics_are_exported(self):
         _mono, sharded, _partition, _stores = build_pair(result_cache_bytes=0)
         result = sharded.query(PRUNE_Q % "Monet")
@@ -447,7 +473,7 @@ class TestShardedFederation:
 
     def test_warm_plan_prunes_on_each_requests_constant(self):
         # Regression: a plan first built for ``$a > "A"`` (nothing to
-        # prune) used to serve ``$a > "Z"`` still reading 3/3 shards.
+        # prune) used to serve ``$a > "L"`` still reading every shard.
         partition = RangePartition("artist", ("H", "Q"))
         mono, warm, _partition, _stores = build_pair(
             partition=partition, result_cache_bytes=0
@@ -455,15 +481,17 @@ class TestShardedFederation:
         _mono, cold, _partition, _stores = build_pair(
             partition=partition, plan_cache_size=0
         )
-        assert warm.query(RANGE_Q % "A").report.stats.shard_scatter == 3
-        result = warm.query(RANGE_Q % "Z")
+        # No artist sorts at or after "Q": shard 2 is empty and skipped,
+        # so even the unpruned scatter reads two shards.
+        assert warm.query(RANGE_Q % "A").report.stats.shard_scatter == 2
+        result = warm.query(RANGE_Q % "L")
         assert result.cached
         assert result.report.stats.shard_scatter == 1
-        assert answer(result) == answer(mono.query(RANGE_Q % "Z"))
-        rendered = warm.explain(RANGE_Q % "Z").render()
-        assert "shard-pruned 1/3" in rendered
+        assert answer(result) == answer(mono.query(RANGE_Q % "L"))
+        rendered = warm.explain(RANGE_Q % "L").render()
+        assert "shard-pruned 1/3 (1 empty)" in rendered
         assert rendered.replace("plan: cached\n", "") == (
-            cold.explain(RANGE_Q % "Z").render()
+            cold.explain(RANGE_Q % "L").render()
         )
 
     def test_connect_sharded_validates_topology(self):
@@ -528,6 +556,30 @@ class TestShardedResultCache:
         )
         assert not sharded.query(Q1).result_cached
 
+    def test_write_into_an_empty_shard_is_read_next_time(self):
+        # The scatter skips the empty shard, yet its version stays in the
+        # entry's version vector: emptiness is a fact at a version.
+        _mono, sharded, partition, stores = build_pair(
+            shards=8, result_cache_bytes=32 << 20
+        )
+        empty = EMPTY[0]
+        assert len(stores[empty]) == 0
+        sharded.query(SCAN_Q)
+        assert sharded.query(SCAN_Q).result_cached
+        artist = next(
+            name for name in (f"Artist {i}" for i in range(1000))
+            if partition.shard_of(name) == empty
+        )
+        stores[empty].add(
+            elem("work", atom_leaf("artist", artist),
+                 atom_leaf("title", "Into The Empty Shard")),
+            doc_id="extra-empty",
+        )
+        refreshed = sharded.query(SCAN_Q)
+        assert not refreshed.result_cached
+        assert "Into The Empty Shard" in answer(refreshed)
+        assert refreshed.report.stats.shard_scatter == 7
+
 
 def test_shards_inherit_the_wais_field_policy():
     _database, source = CulturalDataset(n_artifacts=12, seed=3).build()
@@ -548,6 +600,108 @@ def test_shards_inherit_the_wais_field_policy():
         operations = wrapper.interface().operations
         assert "contains_title" not in operations
         assert "contains_style" in operations
+
+
+# ---------------------------------------------------------------------------
+# empty shards: one interface, no round trip
+# ---------------------------------------------------------------------------
+
+class TestEmptyShards:
+    def test_holds_data_has_no_base_class_default(self):
+        # A proxy that forwards only what Wrapper lacks would shadow the
+        # wrapper's answer with the default and read every empty shard.
+        assert not hasattr(Wrapper, "holds_data")
+        assert not hasattr(SourceAdapter, "holds_data")
+
+    def test_every_shard_declares_the_logical_interface(self):
+        _mono, sharded, _partition, stores = build_pair(shards=8)
+        assert [i for i, store in enumerate(stores) if not len(store)] == list(EMPTY)
+        logical = interface_to_xml(sharded.catalog.interface("xmlartwork"))
+        for index, adapter in enumerate(build_sharded_wais("xmlartwork", stores)):
+            interface = xml_to_interface(adapter.interface_xml())
+            assert interface.name == shard_name("xmlartwork", index)
+            interface.name = "xmlartwork"
+            assert interface_to_xml(interface) == logical
+        assert "contains_style" in xml_to_interface(logical).operations
+
+    def test_a_shard_with_another_interface_is_refused(self):
+        database, store = CulturalDataset(n_artifacts=8, seed=3).build()
+        partition = HashPartition("artist", 2)
+        adapters = list(build_sharded_wais(
+            "xmlartwork", shard_wais_store(store, partition)
+        ))
+        adapters[1] = WaisWrapper(
+            shard_name("xmlartwork", 1), WaisStore(queryable_fields=["style"])
+        )
+        mediator = Mediator()
+        with pytest.raises(MediatorError, match="one interface"):
+            mediator.connect_sharded("xmlartwork", adapters, partition)
+        assert mediator.catalog.source_names() == ()
+
+    @pytest.mark.parametrize("query", [Q1, Q2], ids=["q1", "q2"])
+    def test_every_branch_is_pushed_the_same_native_text(self, query):
+        _mono, sharded, _partition, _stores = build_pair(
+            shards=8, result_cache_bytes=0
+        )
+        result = sharded.query(query)
+        scatter = next(
+            node for node in result.plan.walk() if isinstance(node, ScatterOp)
+        )
+        adapters = sharded.catalog.adapters()
+        natives = set()
+        with activate_context(RequestContext(params=result.params)):
+            # Each branch's fragment, run at its shard directly: the
+            # empty shards take the same native query as the others.
+            for branch in scatter.branches:
+                pushed = next(
+                    node for node in branch.walk() if isinstance(node, PushedOp)
+                )
+                natives.add(adapters[pushed.source].execute_pushed(pushed.plan)[1])
+        assert len(natives) == 1
+        executed = {
+            native
+            for source, native in result.report.stats.distinct_native_queries()
+            if source.startswith("xmlartwork#")
+        }
+        assert executed == natives
+
+    @pytest.mark.parametrize(
+        "execution, policy, replicas",
+        [
+            (ExecutionPolicy.serial(), None, 1),
+            (ExecutionPolicy.parallel(4), None, 1),
+            (None, ResiliencePolicy(retry=None), 2),
+        ],
+        ids=["serial", "par4", "resilient-replicas"],
+    )
+    def test_no_data_plane_call_reaches_an_empty_shard(
+        self, execution, policy, replicas
+    ):
+        proxies = {}
+
+        def counting(wrapper, shard, replica):
+            proxy = FaultyWrapper(wrapper, FaultSchedule())
+            proxies[(shard, replica)] = proxy
+            return proxy
+
+        mono, sharded, _partition, _stores = build_pair(
+            shards=8, replicas=replicas, wrap=counting, result_cache_bytes=0
+        )
+        for query in (Q1, Q2, SCAN_Q):
+            served = sharded.query(query, execution=execution, policy=policy)
+            assert answer(served) == answer(mono.query(query))
+        # Unexpanded, the logical source is read whole: every shard that
+        # holds data, and no other.
+        whole = sharded.query(
+            SCAN_Q, optimize=False, execution=execution, policy=policy
+        )
+        assert answer(whole) == answer(mono.query(SCAN_Q, optimize=False))
+        for (shard, replica), proxy in proxies.items():
+            calls = sum(proxy.injector.call_counts.values())
+            if shard in EMPTY:
+                assert calls == 0, (shard, proxy.injector.call_counts)
+            elif replica == 0:
+                assert calls >= 4, (shard, proxy.injector.call_counts)
 
 
 # ---------------------------------------------------------------------------
