@@ -1,22 +1,18 @@
-"""Result caching & materialized views: serve repeats, never serve stale.
+"""Result caching: serve repeats, never serve stale.
 
 The mediator plans once per query shape (the plan cache) — this example
 shows the layer above it: the **result cache** keeps finished answers
 keyed by (normalized query, constants, source versions, execution
-knobs), and a **materialized view** keeps the view's integrated document
-itself, so repeated portal queries stop touching the sources at all.
-Both invalidate incrementally: a ``data_version()`` bump at any source
+knobs), so repeated portal queries stop touching the sources at all.
+It invalidates incrementally: a ``data_version()`` bump at any source
 a cached answer read is reflected by the very next query.
 
 1. warm result-cache hits on Q1/Q2 — microseconds instead of a
    federated execution, ``result: cached`` in EXPLAIN;
 2. an O2 insert invalidates exactly the entries that read it; the next
    query recomputes and re-caches;
-3. ``materialize_view("artworks")`` executes the integration plan once
-   and Binds later queries against the kept document (watch
-   ``source_calls`` drop to the mediator itself);
-4. the ``yat_memo_*{memo="result_cache"|"materialized_views"}`` rows and
-   the ``yat_result_cache_*`` / ``yat_view_*`` counters.
+3. the ``yat_memo_*{memo="result_cache"}`` row and the
+   ``yat_result_cache_*`` counters.
 
 Run:  python examples/cached_portal.py [n_artifacts]
 """
@@ -81,26 +77,11 @@ def main() -> int:
     print(f"  ...and is cached again: {again.result_cached} "
           f"({again_s * 1e3:.3f} ms)")
 
-    print("\n== 3. materialized view ==")
-    mediator.materialize_view("artworks")
-    first, first_s = timed_query(mediator, Q1, use_result_cache=False)
-    second, second_s = timed_query(mediator, Q1, use_result_cache=False)
-    print(f"  first Q1 refreshes the view ({first_s * 1e3:.2f} ms), "
-          f"source calls: {dict(first.report.stats.source_calls)}")
-    print(f"  second Q1 Binds against the kept document "
-          f"({second_s * 1e3:.2f} ms), "
-          f"source calls: {dict(second.report.stats.source_calls)}")
-    for line in mediator.explain(Q1).render().splitlines():
-        if "view: materialized" in line:
-            print(f"  {line}")
-
-    print("\n== 4. the counters ==")
+    print("\n== 3. the counters ==")
     registry = MetricsRegistry()
     record_memo_stats(registry, mediator)
     for line in registry.exposition().splitlines():
-        if line.startswith(("yat_result_cache", "yat_view")) or (
-            'memo="result_cache"' in line or 'memo="materialized_views"' in line
-        ):
+        if line.startswith("yat_result_cache") or 'memo="result_cache"' in line:
             print(f"  {line}")
     return 0
 

@@ -9,8 +9,7 @@ many concurrent sessions, and a server that says *no* gracefully:
    (``QuotaExceededError`` with the exact seconds until the next token);
 3. a deliberate overload of a tiny-queue server — low-priority queries
    degrade, then shed; every rejection carries a ``retry_after`` hint;
-4. a seeded closed-loop workload reporting p50/p99/QPS/shed-rate;
-5. graceful drain: everything admitted finishes, nothing new enters.
+4. graceful drain: everything admitted finishes, nothing new enters.
 
 Run:  python examples/served_portal.py [n_artifacts]
 """
@@ -28,7 +27,6 @@ from repro import (
     WaisWrapper,
 )
 from repro.datasets import CulturalDataset, Q1, Q2, VIEW1_YAT
-from repro.server import run_closed_loop
 
 
 def build_portal(n_artifacts: int) -> Mediator:
@@ -98,16 +96,8 @@ def main() -> None:
         print(f"  {outcomes} (last retry_after hint: {hint * 1e3:.1f} ms)")
 
     print()
-    print("=== 4. seeded closed-loop workload (8 clients) ===")
+    print("=== 4. graceful drain ===")
     with MediatorServer(mediator, ServerConfig(workers=4)) as server:
-        run = run_closed_loop(server, clients=8, requests_per_client=10,
-                              seed=7)
-        print(f"  {run.completed}/{run.offered} answered, "
-              f"qps={run.qps:.0f}, p50={run.p50 * 1e3:.1f} ms, "
-              f"p99={run.p99 * 1e3:.1f} ms, mix={run.by_query}")
-
-        print()
-        print("=== 5. graceful drain ===")
         parting = server.submit(Q1)
         drained = server.drain(timeout=30)
         print(f"  drained={drained}, parting answer rows intact: "

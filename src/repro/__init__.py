@@ -23,7 +23,7 @@ Quickstart::
 """
 
 from repro.core.algebra import evaluate
-from repro.core.optimizer import Optimizer, OptimizerContext, optimize
+from repro.core.optimizer import Optimizer, OptimizerContext
 from repro.errors import OverloadedError, QuotaExceededError
 from repro.mediator import (
     ExecutionPolicy,
@@ -70,7 +70,6 @@ __all__ = [
     "Tracer",
     "WaisWrapper",
     "evaluate",
-    "optimize",
     "parse_program",
     "parse_query",
     "record_execution",

@@ -36,7 +36,7 @@ the module provides the two Fmodels of the paper — :func:`o2_fmodel`
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 from repro.errors import CapabilityError
 from repro.model.patterns import SYMBOL
@@ -106,11 +106,6 @@ class FPat:
         self.ref = ref
         self.collection = collection
         self.descend = descend
-
-    def walk(self) -> Iterator["FPat"]:
-        yield self
-        for child in self.children:
-            yield from child.walk()
 
     def _key(self) -> tuple:
         return (

@@ -567,9 +567,9 @@ class ScatterOp(Plan):
     its surviving branches actually read.
 
     Which branches survive is decided per execution by :meth:`shards`,
-    never at planning time: ``restrictions`` are the ``(op, Const)``
-    comparisons on the partition key the rule found — query constants,
-    whose values the request binds — and ``prune_param``, when set, names
+    never at planning time: ``restrictions`` are the constants the rule
+    found equated with the partition key — query constants, whose values
+    the request binds — and ``prune_param``, when set, names
     an outer column equated with the key (information-passing pruning
     under a DJoin).
     """
@@ -582,7 +582,7 @@ class ScatterOp(Plan):
         branches: Sequence[Plan],
         logical: str,
         partition,
-        restrictions: Sequence[Tuple[str, Const]] = (),
+        restrictions: Sequence[Const] = (),
         prune_param: Optional[str] = None,
     ) -> None:
         if not branches:
@@ -596,15 +596,15 @@ class ScatterOp(Plan):
     def shards(self, outer=None) -> Tuple[int, ...]:
         """The shards one execution reads, in shard order.
 
-        Each restriction keeps the shards :meth:`prune` admits for its
+        Each restriction keeps the shard :meth:`prune` admits for its
         bound value; an *outer* row supplying ``prune_param`` keeps only
         the owner of that row's key.  Placement and pruning share the
         partition's functions, so no shard holding a match is dropped —
         and contradictory restrictions keep none.
         """
         kept = range(len(self.branches))
-        for op, constant in self.restrictions:
-            allowed = self.partition.prune(op, bound(constant.value))
+        for constant in self.restrictions:
+            allowed = self.partition.prune(bound(constant.value))
             if allowed is not None:
                 kept = [shard for shard in kept if shard in allowed]
         param = self.prune_param
@@ -630,15 +630,15 @@ class ScatterOp(Plan):
             "scatter",
             self.logical,
             self.partition.spec_key(),
-            tuple((op, constant._key()) for op, constant in self.restrictions),
+            tuple(constant._key() for constant in self.restrictions),
             self.prune_param,
             tuple(b._key() for b in self.branches),
         )
 
     def describe(self):
         keys = "".join(
-            f", {self.partition.key} {op} {constant.text()}"
-            for op, constant in self.restrictions
+            f", {self.partition.key} = {constant.text()}"
+            for constant in self.restrictions
         )
         param = f", prune=${self.prune_param}" if self.prune_param else ""
         return (

@@ -50,11 +50,5 @@ class SkolemRegistry:
                 self._idents[key] = ident
             return ident
 
-    def known(self, function: str, args: tuple) -> bool:
-        """``True`` when an identifier was already minted for these arguments."""
-        key = (function, tuple(_cell_key(arg) for arg in args))
-        with self._lock:
-            return key in self._idents
-
     def __len__(self) -> int:
         return len(self._idents)

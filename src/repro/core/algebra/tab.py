@@ -439,8 +439,8 @@ class ColumnCursor:
 
     Select, Map and the joins evaluate predicates and keys against this
     cursor instead of a Row per position: :meth:`seek` moves the view,
-    ``__getitem__``/``get``/``__contains__`` behave exactly like the Row
-    they stand in for.  Optional *outer* provides the correlation overlay
+    ``__getitem__``/``__contains__`` behave exactly like the Row they
+    stand in for.  Optional *outer* provides the correlation overlay
     (DJoin outer bindings) consulted for columns the Tab does not carry.
     """
 
@@ -465,14 +465,6 @@ class ColumnCursor:
         raise UnknownVariableError(
             f"unknown variable ${column}; row has {list(self._columns)}"
         )
-
-    def get(self, column: str, default: Cell = None) -> Cell:
-        position = self._positions.get(column)
-        if position is not None:
-            return self._cols[position][self._index]
-        if self._outer is not None:
-            return self._outer.get(column, default)
-        return default
 
     def __contains__(self, column: str) -> bool:
         if column in self._positions:

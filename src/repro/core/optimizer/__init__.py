@@ -18,7 +18,6 @@ from repro.core.optimizer.demand import DemandNarrowingRule
 from repro.core.optimizer.info_passing import BindJoinRule
 from repro.core.optimizer.planner import (
     Optimizer,
-    optimize,
     round_one_rules,
     round_three_rules,
     round_two_rules,
@@ -62,7 +61,6 @@ __all__ = [
     "decompose_tree",
     "apply_rules_once",
     "navigation_to_extent_join",
-    "optimize",
     "ref_is",
     "rewrite_fixpoint",
     "round_one_rules",

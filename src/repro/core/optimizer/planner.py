@@ -121,12 +121,3 @@ class Optimizer:
                     trace.record(narrowing, plan, narrowed)
                     plan = narrowed
         return plan, trace
-
-
-def optimize(
-    plan: Plan,
-    context: OptimizerContext,
-    rounds: Sequence[int] = (1, 2, 3),
-) -> Tuple[Plan, RewriteTrace]:
-    """Convenience one-shot entry point."""
-    return Optimizer(context).optimize(plan, rounds=rounds)

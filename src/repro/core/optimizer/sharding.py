@@ -16,12 +16,13 @@ branches run under the plan scheduler's parallelism.
 
 Pruning skips branches that cannot contribute rows, and it happens per
 execution, never here: the rule reads no constant's value, so one
-cached plan serves every constant.  A restriction on the partition-key
+cached plan serves every constant.  An equality on the partition-key
 value — an in-filter constant (``artist: "Monet"``) or a Select
-comparison of a key-bound variable with a constant — is recorded on the
+equality of a key-bound variable with a constant — is recorded on the
 Scatter; each execution hands the request's bound value to the
-partition scheme's :meth:`prune`, which answers with the shards that
-could hold a matching document (:meth:`ScatterOp.shards`).  Soundness
+partition scheme's :meth:`prune`, which answers with the shard that
+could hold a matching document (:meth:`ScatterOp.shards`).  Only
+equalities prune: a hash preserves nothing about order.  Soundness
 rests on placement and pruning sharing one function (see
 :mod:`repro.sources.sharded.partition`); ``contains`` predicates never
 prune (word containment says nothing about the key's full value).  An
@@ -32,7 +33,7 @@ owning shard.
 
 from __future__ import annotations
 
-from typing import List, Optional, Set, Tuple
+from typing import List, Optional, Set, Tuple, Union
 
 from repro.core.algebra.expressions import Cmp, Const, Var, conjuncts
 from repro.core.algebra.operators import (
@@ -45,12 +46,6 @@ from repro.core.algebra.operators import (
 )
 from repro.core.optimizer.rules import OptimizerContext, RewriteRule
 from repro.model.filters import FConst, FElem, FStar, FVar
-
-#: Comparison operators a partition scheme can act on.  ``!=`` excludes
-#: at most one value and never excludes a shard, so it is not listed.
-_COMPARISONS = frozenset(("=", "<", "<=", ">", ">="))
-_FLIP = {"=": "=", "<": ">", "<=": ">=", ">": "<", ">=": "<="}
-
 
 class ShardExpansionRule(RewriteRule):
     """``Bind(Source(logical))`` chain ⇒ ``Scatter`` of per-shard chains."""
@@ -80,19 +75,14 @@ class ShardExpansionRule(RewriteRule):
             flt.children[0].child, partition.key
         )
         local = set(bind.output_columns())
-        restrictions: List[Tuple[str, Const]] = [
-            ("=", constant) for constant in key_consts
-        ]
+        restrictions: List[Const] = list(key_consts)
         prune_param: Optional[str] = None
         for select in selects:
             for part in conjuncts(select.predicate):
-                found = _key_comparison(part, key_vars, local)
-                if found is None:
-                    continue
-                op, operand = found
+                operand = _key_equality(part, key_vars, local)
                 if isinstance(operand, Const):
-                    restrictions.append(found)
-                elif op == "=" and prune_param is None:
+                    restrictions.append(operand)
+                elif operand is not None and prune_param is None:
                     prune_param = operand  # outer column name
 
         branches = []
@@ -180,19 +170,21 @@ def _key_restrictions(pattern, key: str) -> Tuple[Set[str], List[Const]]:
     return names, consts
 
 
-def _key_comparison(part, key_vars: Set[str], local: Set[str]):
-    """``(op, Const)`` or ``(op, outer column name)`` when *part* compares
-    a key-bound variable with a constant or an outer variable."""
-    if not isinstance(part, Cmp) or part.op not in _COMPARISONS:
+def _key_equality(
+    part, key_vars: Set[str], local: Set[str]
+) -> Union[Const, str, None]:
+    """The ``Const`` or outer column name *part* equates with a
+    key-bound variable, if it is such an equality."""
+    if not isinstance(part, Cmp) or part.op != "=":
         return None
     if isinstance(part.left, Var) and part.left.name in key_vars:
-        op, other = part.op, part.right
+        other = part.right
     elif isinstance(part.right, Var) and part.right.name in key_vars:
-        op, other = _FLIP[part.op], part.left
+        other = part.left
     else:
         return None
     if isinstance(other, Const):
-        return op, other
+        return other
     if isinstance(other, Var) and other.name not in local:
-        return op, other.name
+        return other.name
     return None

@@ -11,11 +11,7 @@ from repro.mediator.resilience import (
     SourceOutcome,
 )
 from repro.mediator.result_cache import ResultCache
-from repro.mediator.views import (
-    VIEW_SOURCE,
-    MaterializedViewSource,
-    ViewRegistry,
-)
+from repro.mediator.views import VIEW_SOURCE, ViewRegistry
 from repro.observability.explain import Explanation
 
 __all__ = [
@@ -24,7 +20,6 @@ __all__ = [
     "CircuitBreaker",
     "ExecutionPolicy",
     "ExecutionReport",
-    "MaterializedViewSource",
     "Mediator",
     "QueryResult",
     "ResiliencePolicy",

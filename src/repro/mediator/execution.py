@@ -71,17 +71,6 @@ class ExecutionReport:
             )
         return cell
 
-    def summary(self) -> str:
-        lines = [
-            f"rows: {len(self.tab)}  elapsed: {self.elapsed * 1000:.2f} ms",
-            self.stats.summary(),
-        ]
-        if self.outcomes:
-            lines.append(
-                "sources: " + "; ".join(repr(o) for o in self.outcomes)
-            )
-        return "\n".join(lines)
-
     def __repr__(self) -> str:
         degraded = ", degraded" if self.degraded else ""
         return (

@@ -22,7 +22,7 @@ from __future__ import annotations
 import threading
 from typing import Optional, Sequence, Tuple
 
-from repro.errors import UnknownDocumentError, ViewError
+from repro.errors import UnknownDocumentError
 from repro.capabilities.interface import SourceInterface
 from repro.core.algebra.evaluator import holding_shards
 from repro.core.algebra.operators import Plan, ScatterOp
@@ -37,11 +37,7 @@ from repro.mediator.execution import ExecutionReport, run_plan
 from repro.mediator.plan_cache import BoundPlan, CachedPlan, PlanCache
 from repro.mediator.resilience import ResiliencePolicy
 from repro.mediator.result_cache import ResultCache
-from repro.mediator.views import (
-    VIEW_SOURCE,
-    MaterializedViewSource,
-    ViewRegistry,
-)
+from repro.mediator.views import VIEW_SOURCE, ViewRegistry
 from repro.model.trees import DataNode
 from repro.observability.context import RequestContext, activate_context
 from repro.sources.wais.index import document_contains
@@ -50,12 +46,6 @@ from repro.yatl.ast import YatlQuery
 from repro.yatl.normalize import NormalizedQuery, normalize_query
 from repro.yatl.parser import parse_program, parse_query
 from repro.yatl.translator import translate_query, translate_rule
-
-#: Per-thread set of materialized views currently refreshing: a view
-#: whose refresh transitively reads itself fails fast instead of
-#: recursing (or waiting on its own single-flight).
-_REFRESHING = threading.local()
-
 
 def _adapter_version(adapter) -> int:
     """A source's ``data_version()``, 0 for version-less adapters."""
@@ -208,10 +198,6 @@ class Mediator:
             if result_cache_bytes > 0
             else None
         )
-        #: Evaluator adapter that serves materialized view documents
-        #: under the ``mediator`` pseudo-source (joined into the adapter
-        #: map only while at least one view is materialized).
-        self._view_source = MaterializedViewSource(self)
         #: Bumped whenever the catalog changes shape (connect, views,
         #: containments); part of every cache key, so stale plans are
         #: unreachable even before the explicit invalidate() frees them.
@@ -261,8 +247,7 @@ class Mediator:
         *shards* are per-shard wrappers (or
         :class:`~repro.sources.sharded.adapter.ReplicaSet` bundles of
         them) in shard order; *partition* is the placement scheme
-        (:class:`~repro.sources.sharded.partition.HashPartition` or
-        :class:`~repro.sources.sharded.partition.RangePartition`).  The
+        (:class:`~repro.sources.sharded.partition.HashPartition`).  The
         optimizer learns the topology through :meth:`optimizer_context`
         and expands Bind chains over the logical source into pruned
         scatter plans; see :mod:`repro.core.optimizer.sharding`.
@@ -301,17 +286,6 @@ class Mediator:
         self._containments.add((subset_document, superset_document))
         self._invalidate_plans()
 
-    def materialize_view(self, name: str) -> None:
-        """Declare view *name* materialized.
-
-        Its plan will execute once on first use; later queries MATCHing
-        the view Bind against the kept document instead of re-splicing
-        (and re-executing) the view plan, and the document refreshes
-        lazily whenever a base source's ``data_version()`` moves.
-        """
-        self.views.materialize(name)
-        self._invalidate_plans()
-
     def _invalidate_plans(self) -> None:
         """Catalog changed: cached plans are suspect."""
         with self._plan_lock:
@@ -320,10 +294,6 @@ class Mediator:
             self.plan_cache.invalidate()
         if self.result_cache is not None:
             self.result_cache.invalidate()
-        # Materialized documents were built against the old catalog (a
-        # reloaded program may have added rules to the view); drop them
-        # and let the next query refresh.
-        self.views.reset_materialized()
 
     # -- planning ------------------------------------------------------------------
 
@@ -471,25 +441,15 @@ class Mediator:
     def _version_vector(self, plan: Plan) -> tuple:
         """``((source, data_version), ...)`` for every source *plan* reads.
 
-        Materialized-view leaves expand to the base sources the view
-        transitively reads, so an update to any of them invalidates the
-        cached answers of queries served through the view.  A Scatter
-        contributes only the shards the active request's parameters
-        leave it.
+        Views are spliced, so their base sources are leaves of *plan*.  A
+        Scatter contributes only the shards the active request's
+        parameters leave it.
         """
-        names: set = set()
-        for node in _read_nodes(plan):
-            source = getattr(node, "source", None)
-            if source is None:
-                continue
-            if source == VIEW_SOURCE:
-                names |= self.views.base_sources(node.document)
-            else:
-                names.add(source)
-        return self._versions(names)
-
-    def _versions(self, names) -> tuple:
-        """The live ``((source, data_version), ...)`` vector of *names*."""
+        names = {
+            node.source
+            for node in _read_nodes(plan)
+            if getattr(node, "source", None) is not None
+        }
         adapters = self.catalog.adapters()
         return tuple(
             (name, _adapter_version(adapters.get(name)))
@@ -540,36 +500,6 @@ class Mediator:
             )
             return report, True
         return value, False
-
-    def materialized_document(self, name: str) -> DataNode:
-        """The kept document of materialized view *name*, refreshed if stale.
-
-        Single-flight per view, tagged with the base-source version
-        vector (:meth:`ViewRegistry.kept_document`).  The refresh runs
-        fail-fast — a partial view document must never be kept.
-        """
-        refreshing = getattr(_REFRESHING, "names", None)
-        if refreshing is None:
-            refreshing = _REFRESHING.names = set()
-        if name in refreshing:
-            raise ViewError(
-                f"materialized view {name!r} transitively reads itself"
-            )
-
-        def refresh() -> DataNode:
-            refreshing.add(name)
-            try:
-                report = self.execute(
-                    self.views.refresh_plan(name),
-                    policy=ResiliencePolicy.direct(),
-                )
-                return report.document()
-            finally:
-                refreshing.discard(name)
-
-        return self.views.kept_document(
-            name, lambda: self._versions(self.views.base_sources(name)), refresh
-        )
 
     # -- querying --------------------------------------------------------------------
 
@@ -650,7 +580,6 @@ class Mediator:
         query's bound parameters, so a cached plan explains exactly like
         a fresh one (bar the ``plan: cached`` line).
         """
-        from repro.core.algebra.operators import SourceOp
         from repro.observability.explain import Explanation
         from repro.observability.tracer import Tracer
 
@@ -677,15 +606,10 @@ class Mediator:
                     self._result_key(normalized, optimize, rounds, execution),
                     self._version_vector(optimized),
                 )
-        materialized_views = tuple(sorted({
-            node.document
-            for node in optimized.walk()
-            if isinstance(node, SourceOp) and node.source == VIEW_SOURCE
-        }))
         return Explanation(
             text, naive, optimized, trace, report=report, cached=cached,
             access_paths=access_paths, result_cached=result_cached,
-            materialized_views=materialized_views, params=params,
+            params=params,
         )
 
     def _access_paths(self, optimized: Plan) -> dict:
@@ -734,7 +658,7 @@ class Mediator:
     def memo_stats(self) -> dict:
         """``{memo name: Memo.stats()}`` for this mediator's own memos
         (a disabled cache contributes no row)."""
-        rows = {"materialized_views": self.views.memo_stats()}
+        rows = {}
         if self.plan_cache is not None:
             rows.update(self.plan_cache.memo_stats())
         if self.result_cache is not None:
@@ -762,15 +686,9 @@ class Mediator:
         if isinstance(plan, BoundPlan):
             context = _with_params(context, plan.params)
             plan = plan.plan
-        adapters = self.catalog.adapters()
-        if self.views.has_materialized():
-            # Materialized view documents are served (and lazily
-            # refreshed) by the mediator itself under the "mediator"
-            # pseudo-source the composed plans reference.
-            adapters[VIEW_SOURCE] = self._view_source
         return run_plan(
             plan,
-            adapters,
+            self.catalog.adapters(),
             functions=self.functions,
             policy=policy if policy is not None else self.policy,
             execution=execution if execution is not None else self.execution,

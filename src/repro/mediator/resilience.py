@@ -165,17 +165,6 @@ class SourceOutcome:
     def ok(self) -> bool:
         return not self.dropped and self.circuit == CLOSED
 
-    def as_dict(self) -> Dict[str, object]:
-        return {
-            "source": self.source,
-            "calls": self.calls,
-            "retries": self.retries,
-            "failures": self.failures,
-            "circuit": self.circuit,
-            "dropped": self.dropped,
-            "error": self.error,
-        }
-
     def __repr__(self) -> str:
         status = "dropped" if self.dropped else self.circuit
         return (

@@ -213,7 +213,7 @@ class Explanation:
 
     __slots__ = (
         "query", "naive_plan", "plan", "rewrites", "report", "cached",
-        "access_paths", "result_cached", "materialized_views", "params",
+        "access_paths", "result_cached", "params",
     )
 
     def __init__(
@@ -226,7 +226,6 @@ class Explanation:
         cached: bool = False,
         access_paths: Optional[Dict[int, str]] = None,
         result_cached: bool = False,
-        materialized_views: Tuple[str, ...] = (),
         params: Tuple[object, ...] = (),
     ) -> None:
         self.query = query
@@ -244,9 +243,6 @@ class Explanation:
         #: True when the *answer* came (ANALYZE) or would come (plain
         #: EXPLAIN) from the mediator's result cache.
         self.result_cached = result_cached
-        #: Names of materialized views the plan reads as documents
-        #: instead of splicing their plans.
-        self.materialized_views = materialized_views
         #: The query's parameter vector: :meth:`render` shows the plan's
         #: parameter slots as these bound values.
         self.params = params
@@ -278,8 +274,6 @@ class Explanation:
             lines.append("plan: cached")
         if self.result_cached:
             lines.append("result: cached")
-        for view in self.materialized_views:
-            lines.append(f"view: materialized ({view})")
         lines.append(f"plan ({rewrites} rewrites applied):")
         actuals = self.actuals()
         lines.append(render_plan(self.plan, actuals, self.access_paths))

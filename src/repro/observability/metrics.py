@@ -120,9 +120,6 @@ class Gauge(_Metric):
         with self.family.registry._lock:
             self._value += amount
 
-    def dec(self, amount: float = 1.0) -> None:
-        self.inc(-amount)
-
     @property
     def value(self) -> float:
         return self._value
@@ -223,9 +220,6 @@ class _Family:
 
     def set(self, value: float) -> None:
         self._default().set(value)  # type: ignore[attr-defined]
-
-    def dec(self, amount: float = 1.0) -> None:
-        self._default().dec(amount)  # type: ignore[attr-defined]
 
     def observe(self, value: float) -> None:
         self._default().observe(value)  # type: ignore[attr-defined]
@@ -447,7 +441,7 @@ def record_execution(
     ).inc(stats.store_scans)
     registry.counter(
         "yat_store_hydrated_nodes_total",
-        "Nodes materialized from shredded document-store rows.",
+        "Nodes rebuilt from shredded document-store rows.",
     ).inc(stats.store_hydrated_nodes)
     registry.counter(
         "yat_store_bytes_avoided_total",
@@ -490,19 +484,13 @@ _MEMO_SERIES = (
      "bound, per memo."),
 )
 
-#: Cache numbers that are not a row of the memo family.
-_EXTRA_GAUGES = (
-    ("result_cache", "yat_result_cache_bytes", "bytes",
+#: Result-cache numbers that are not a row of the memo family.
+_RESULT_CACHE_GAUGES = (
+    ("yat_result_cache_bytes", "bytes",
      "Serialized bytes held by cached answers."),
-    ("result_cache", "yat_result_cache_flight_waits", "flight_waits",
+    ("yat_result_cache_flight_waits", "flight_waits",
      "Concurrent misses that waited on another session's single-flight "
      "execution."),
-    ("views", "yat_view_materialized", "declared",
-     "Views declared materialized."),
-    ("views", "yat_view_refreshes", "refreshes",
-     "Materialized view refresh executions (cold + stale)."),
-    ("views", "yat_view_serves", "serves",
-     "Queries served from a materialized view document."),
 )
 
 
@@ -546,11 +534,7 @@ def record_memo_stats(registry: MetricsRegistry, mediator) -> None:
         for memo, stats in rows.items():
             if key in stats:
                 gauge.labels(memo=memo).set(stats[key])
-    extras: Dict[str, Dict] = {}
     if mediator.result_cache is not None:
-        extras["result_cache"] = mediator.result_cache.stats()
-    if mediator.views.has_materialized():
-        extras["views"] = mediator.views.materialized_stats()
-    for owner, name, key, help_text in _EXTRA_GAUGES:
-        if owner in extras:
-            registry.gauge(name, help_text).set(extras[owner][key])
+        stats = mediator.result_cache.stats()
+        for name, key, help_text in _RESULT_CACHE_GAUGES:
+            registry.gauge(name, help_text).set(stats[key])

@@ -15,9 +15,12 @@ Robustness under load is explicit and typed:
 * :mod:`repro.server.admission` — token-bucket tenant quotas, tiered
   load shedding (degrade, then shed), EWMA-based ``retry_after`` hints;
 * :mod:`repro.server.server` — the bounded admission queue, priority
-  scheduling, queued-deadline enforcement and graceful drain;
-* :mod:`repro.server.workload` — seeded open/closed-loop drivers with a
-  zipfian query and tenant mix, reporting p50/p99/QPS/shed-rate.
+  scheduling, queued-deadline enforcement and graceful drain.
+
+Load is measured from outside: the ``served_mix`` workload of
+``benchmarks/e2e`` drives two seeded closed-loop clients through a
+server (it draws its portal query and zipfian weights from
+:mod:`repro.server.workload`).
 """
 
 from repro.server.admission import (
@@ -27,12 +30,6 @@ from repro.server.admission import (
     TokenBucket,
 )
 from repro.server.server import MediatorServer, ServerConfig, Ticket
-from repro.server.workload import (
-    WorkloadResult,
-    default_mix,
-    run_closed_loop,
-    run_open_loop,
-)
 
 __all__ = [
     "PRIORITIES",
@@ -42,8 +39,4 @@ __all__ = [
     "ServiceEstimator",
     "Ticket",
     "TokenBucket",
-    "WorkloadResult",
-    "default_mix",
-    "run_closed_loop",
-    "run_open_loop",
 ]

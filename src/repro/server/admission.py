@@ -27,7 +27,7 @@ attached to the :class:`~repro.mediator.mediator.QueryResult`.
 from __future__ import annotations
 
 import threading
-from typing import Callable, Dict, Optional
+from typing import Optional
 
 #: Request priorities, in pop order.  ``low`` is the sheddable tier.
 PRIORITIES = ("high", "normal", "low")
@@ -126,16 +126,6 @@ class AdmissionOutcome:
         self.degraded_forced = degraded_forced
         #: The absolute deadline the request ran under, if any.
         self.deadline = deadline
-
-    def as_dict(self) -> Dict[str, object]:
-        return {
-            "request_id": self.request_id,
-            "tenant": self.tenant,
-            "priority": self.priority,
-            "queued_seconds": self.queued_seconds,
-            "degraded_forced": self.degraded_forced,
-            "deadline": self.deadline,
-        }
 
     def __repr__(self) -> str:
         forced = ", degraded_forced" if self.degraded_forced else ""

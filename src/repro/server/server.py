@@ -182,10 +182,6 @@ class Ticket:
         self._result = None
         self._error: Optional[BaseException] = None
 
-    @property
-    def done(self) -> bool:
-        return self._event.is_set()
-
     def result(self, timeout: Optional[float] = None):
         """The :class:`~repro.mediator.mediator.QueryResult`, blocking
         until the request completes; re-raises the execution's error."""
@@ -204,7 +200,7 @@ class Ticket:
         self._event.set()
 
     def __repr__(self) -> str:
-        state = "done" if self.done else "pending"
+        state = "done" if self._event.is_set() else "pending"
         return (
             f"Ticket({self.request_id}, {self.tenant!r}/{self.priority}, "
             f"{state})"
@@ -504,11 +500,6 @@ class MediatorServer:
         ticket._complete(result, error, completed)
 
     # -- lifecycle ----------------------------------------------------------------
-
-    @property
-    def queue_depth(self) -> int:
-        with self._lock:
-            return self._depth
 
     def stats(self) -> Dict[str, object]:
         """Snapshot of admission counters and current load."""

@@ -13,7 +13,6 @@ from repro.sources.sharded.adapter import (
 )
 from repro.sources.sharded.partition import (
     HashPartition,
-    RangePartition,
     canonical_key,
     document_key_value,
 )
@@ -25,7 +24,6 @@ from repro.sources.sharded.wais import (
 
 __all__ = [
     "HashPartition",
-    "RangePartition",
     "ReplicaSet",
     "ShardTopology",
     "ShardedSourceAdapter",

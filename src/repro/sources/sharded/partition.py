@@ -2,6 +2,8 @@
 
 A partition scheme maps the value of one *partition-key label* (e.g.
 every work's ``artist`` element) to the shard that owns the document.
+The one scheme is :class:`HashPartition`, and only an equality on the
+key prunes.
 The same function serves two masters, and soundness of shard pruning is
 exactly their agreement:
 
@@ -9,7 +11,7 @@ exactly their agreement:
   calls :meth:`shard_of` on each document's key value to decide where
   the document lives;
 * **pruning** — the shard-expansion rule calls :meth:`prune` on the
-  constant of a partition-key restriction to decide which shards could
+  constant of a partition-key equality to decide which shards could
   possibly hold a matching document.
 
 Values are canonicalized exactly like the evaluator's ``=`` (see
@@ -23,8 +25,7 @@ yields no pruning (:meth:`prune` returns ``None``), never a wrong shard.
 from __future__ import annotations
 
 import hashlib
-from bisect import bisect_left, bisect_right
-from typing import Optional, Sequence, Tuple
+from typing import Optional
 
 from repro.errors import SourceError
 from repro.model.filters import MissingValue
@@ -60,8 +61,6 @@ class HashPartition:
     restrictions prune — a hash preserves nothing about order.
     """
 
-    kind = "hash"
-
     __slots__ = ("key", "shards")
 
     def __init__(self, key: str, shards: int) -> None:
@@ -79,10 +78,8 @@ class HashPartition:
         digest = hashlib.sha256(repr(canonical).encode()).digest()
         return int.from_bytes(digest[:8], "big") % self.shards
 
-    def prune(self, op: str, value) -> Optional[frozenset]:
-        """Shards that could hold a document whose key *op* *value*."""
-        if op != "=":
-            return None
+    def prune(self, value) -> Optional[frozenset]:
+        """Shards that could hold a document whose key equals *value*."""
         if canonical_key(value) is None:
             return None
         return frozenset((self.shard_of(value),))
@@ -92,76 +89,6 @@ class HashPartition:
 
     def __repr__(self) -> str:
         return f"HashPartition(key={self.key!r}, shards={self.shards})"
-
-
-class RangePartition:
-    """Range partitioning on one key label over sorted split bounds.
-
-    ``bounds`` are the N-1 split points of N shards: shard 0 holds
-    values below ``bounds[0]``, shard i holds ``bounds[i-1] <= v <
-    bounds[i]``, and the last shard holds everything from the final
-    bound up.  All bounds must canonicalize to one class (all numeric
-    or all string); equality *and* bounded comparisons prune.
-    """
-
-    kind = "range"
-
-    __slots__ = ("key", "bounds", "_class", "_edges")
-
-    def __init__(self, key: str, bounds: Sequence) -> None:
-        if not bounds:
-            raise ValueError("a range partition needs at least one bound")
-        self.key = key
-        self.bounds = tuple(bounds)
-        canonicals = [canonical_key(bound) for bound in self.bounds]
-        if any(c is None for c in canonicals):
-            raise ValueError("range bounds must be atoms (numbers or strings)")
-        classes = {c[0] for c in canonicals}
-        if len(classes) != 1:
-            raise ValueError("range bounds must all be numeric or all strings")
-        self._class = classes.pop()
-        self._edges = tuple(c[1] for c in canonicals)
-        if list(self._edges) != sorted(self._edges):
-            raise ValueError("range bounds must be strictly increasing")
-        if len(set(self._edges)) != len(self._edges):
-            raise ValueError("range bounds must be strictly increasing")
-
-    @property
-    def shards(self) -> int:
-        return len(self.bounds) + 1
-
-    def _edge_value(self, value) -> Optional[object]:
-        canonical = canonical_key(value)
-        if canonical is None or canonical[0] != self._class:
-            return None
-        return canonical[1]
-
-    def shard_of(self, value) -> int:
-        edge = self._edge_value(value)
-        if edge is None:
-            return 0
-        return bisect_right(self._edges, edge)
-
-    def prune(self, op: str, value) -> Optional[frozenset]:
-        edge = self._edge_value(value)
-        if edge is None:
-            return None
-        total = self.shards
-        if op == "=":
-            return frozenset((bisect_right(self._edges, edge),))
-        if op == "<":
-            return frozenset(range(0, bisect_left(self._edges, edge) + 1))
-        if op == "<=":
-            return frozenset(range(0, bisect_right(self._edges, edge) + 1))
-        if op in (">", ">="):
-            return frozenset(range(bisect_right(self._edges, edge), total))
-        return None
-
-    def spec_key(self) -> tuple:
-        return ("range", self.key, self._class, self._edges)
-
-    def __repr__(self) -> str:
-        return f"RangePartition(key={self.key!r}, bounds={self.bounds!r})"
 
 
 def document_key_value(document: DataNode, key: str):

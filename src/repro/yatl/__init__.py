@@ -2,11 +2,7 @@
 
 from repro.yatl.ast import MatchClause, YatlProgram, YatlQuery, YatlRule
 from repro.yatl.parser import parse_filter, parse_program, parse_query
-from repro.yatl.translator import (
-    translate_program,
-    translate_query,
-    translate_rule,
-)
+from repro.yatl.translator import translate_query, translate_rule
 
 __all__ = [
     "MatchClause",
@@ -16,7 +12,6 @@ __all__ = [
     "parse_filter",
     "parse_program",
     "parse_query",
-    "translate_program",
     "translate_query",
     "translate_rule",
 ]

@@ -16,7 +16,7 @@ available; anything left over becomes a final selection.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List
+from typing import Callable, List
 
 from repro.errors import YatlTranslationError
 from repro.core.algebra.expressions import conjunction, conjuncts
@@ -29,7 +29,7 @@ from repro.core.algebra.operators import (
     TreeOp,
 )
 from repro.core.algebra.tree import CElem, CGroup, CIterate, Constructor
-from repro.yatl.ast import YatlProgram, YatlQuery, YatlRule
+from repro.yatl.ast import YatlQuery, YatlRule
 
 #: Resolves a document name to the source exporting it.
 DocumentResolver = Callable[[str], str]
@@ -108,12 +108,3 @@ def translate_rule(
 ) -> Plan:
     """Translate a named rule; the rule name becomes the document name."""
     return translate_query(rule.query, resolve_source, document_name=rule.name)
-
-
-def translate_program(
-    program: YatlProgram, resolve_source: DocumentResolver
-) -> Dict[str, Plan]:
-    """Translate every rule of a program, keyed by rule name."""
-    return {
-        rule.name: translate_rule(rule, resolve_source) for rule in program.rules
-    }

@@ -9,13 +9,10 @@ recompute over the same sources now** — and a degraded answer is never
 served to a later read.
 
 The machine drives one mediator with everything on (plan cache, result
-cache, a materialized view over a spliced view, O2 / stored / 5-shard
-replicated sources).  The oracle is rebuilt from scratch for every read
-— fresh wrappers, ``plan_cache_size=0``, no result cache, no faults — so
-no memo it holds is older than the read it answers.  It declares the
-same view materialized because that is catalog, not cache state: over
-shards the refresh plan (unoptimized) and the spliced plan (optimized)
-order a join differently, at this commit and before it.
+cache, a view over a spliced view, O2 / stored / 5-shard replicated
+sources).  The oracle is rebuilt from scratch for every read — fresh
+wrappers, ``plan_cache_size=0``, no result cache, no faults — so no memo
+it holds is older than the read it answers.
 
 The shards start with two of them empty, and shard writes can fill one:
 a scatter skips a shard that holds nothing, yet a write into it must
@@ -54,8 +51,8 @@ from repro.sources.sharded import (
 from repro.testing import FaultSchedule, FaultyWrapper
 from repro.testing.faults import FaultInjector
 
-#: A second view over the (spliced) artworks view; this one is
-#: materialized.  Re-registering it adds a rule for the next style, so a
+#: A second view over the artworks view; both are spliced into the
+#: query.  Re-registering it adds a rule for the next style, so a
 #: catalog change the mediator ignored shows up as missing items.
 SELECTION_YAT = """
 selection() :=
@@ -147,7 +144,6 @@ class FreshnessMachine(RuleBasedStateMachine):
         mediator.load_program(VIEW1_YAT)
         for style in STYLES[: 1 + self.reloads]:
             mediator.load_program(SELECTION_YAT % style)
-        mediator.materialize_view("selection")
         return mediator
 
     def stored_source(self) -> StoredXmlSource:

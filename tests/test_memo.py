@@ -473,7 +473,6 @@ def emitted_memos():
     )
     mediator.connect(StoreWrapper("depot", stored))
     mediator.load_program(VIEW1_YAT)
-    mediator.materialize_view("artworks")
     mediator.query(Q1)
     mediator.query(Q2)
     registry = MetricsRegistry()

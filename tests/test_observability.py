@@ -352,7 +352,7 @@ def test_record_memo_stats_exports_every_number_once(cultural_mediator):
     text = registry.exposition()
     # Uniform rows: every locked memo carries all six series.  (Which
     # memo names exist is checked against README in test_memo.py.)
-    for memo in ("bind_engines", "predicate_kernels", "plan_cache", "plan_texts", "materialized_views",
+    for memo in ("bind_engines", "predicate_kernels", "plan_cache", "plan_texts",
                  "o2artifact.fragments", "o2artifact.prepared",
                  "xmlartwork.documents", "depot.hydration"):
         for series in ("entries", "capacity", "hits", "misses", "stale",
@@ -373,7 +373,7 @@ def test_record_memo_stats_exports_every_number_once(cultural_mediator):
                  "yat_kernel_cache_hits", "yat_kernel_compiles",
                  "yat_compiled_filter_kernels", "yat_document_index",
                  "yat_twig_", 'memo="document_indexes"',
-                 "yat_view_documents"):
+                 "yat_view_", 'memo="materialized_views"'):
         assert name not in text
 
 

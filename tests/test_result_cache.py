@@ -1,6 +1,6 @@
-"""Result cache and materialized views: hits, invalidation, concurrency.
+"""Result cache: hits, invalidation, concurrency, queries over views.
 
-The correctness bar for both features is absolute: a cached answer must
+The correctness bar is absolute: a cached answer must
 be byte-identical to what a fresh execution would produce *right now* —
 which means a ``data_version()`` bump at any source must be reflected by
 the very next query, even under concurrent readers and writers.
@@ -24,8 +24,7 @@ from repro import (
 )
 from repro.core.algebra.tab import Tab, tab_serialized_size
 from repro.datasets import CulturalDataset, Q1, Q2, VIEW1_YAT
-from repro.errors import ViewError
-from repro.model.xml_io import tree_to_xml, xml_to_tree
+from repro.model.xml_io import tree_to_xml
 from repro.testing import FaultSchedule, FaultyWrapper
 
 
@@ -242,121 +241,27 @@ class TestMediatorResultCache:
 
 
 # ---------------------------------------------------------------------------
-# Materialized views
+# Queries over views: the spliced plan, served from the result cache
 # ---------------------------------------------------------------------------
 
-class TestMaterializedViews:
-    def test_answers_match_the_splice_path_byte_for_byte(self):
-        spliced, _db, _store = build_federation()
-        materialized, _db2, _store2 = build_federation()
-        materialized.materialize_view("artworks")
-        for text in (Q1, Q2):
-            assert answer(materialized.query(text)) == answer(
-                spliced.query(text)
-            )
-
-    def test_second_query_serves_from_kept_document(self):
-        mediator, _db, _store = build_federation()
-        mediator.materialize_view("artworks")
-        mediator.query(Q2)
-        again = mediator.query(Q2)
-        stats = mediator.views.materialized_stats()
-        assert stats["refreshes"] == 1 and stats["serves"] >= 2
-        # The re-serve never touched the base sources.
-        assert "xmlartwork" not in again.report.stats.source_calls
-
-    def test_stale_vector_triggers_lazy_refresh(self):
-        mediator, database, store = build_federation()
-        mediator.materialize_view("artworks")
-        mediator.query(Q2)
-        assert mediator.views.materialized_stats()["refreshes"] == 1
-        store.add(xml_to_tree(
-            "<work><artist>Claude Monet</artist>"
-            "<title>Impression, Sunrise</title>"
-            "<style>Impressionist</style>"
-            "<size>48 x 63</size>"
-            "<cplace>Le Havre</cplace></work>"
-        ))
-        after = mediator.query(Q2)
-        # The Wais version bump forced a refresh, and the refreshed
-        # answer is byte-identical to a fresh splice-path mediator over
-        # the same (mutated) dataset.
-        assert mediator.views.materialized_stats()["refreshes"] == 2
-        spliced, _db, _store = build_federation(sources=(database, store))
-        assert answer(after) == answer(spliced.query(Q2))
-
-    def test_explain_renders_view_materialized_line(self):
-        mediator, _db, _store = build_federation()
-        assert "view: materialized" not in mediator.explain(Q2).render()
-        mediator.materialize_view("artworks")
-        assert "view: materialized (artworks)" in mediator.explain(Q2).render()
-
-    def test_materializing_unknown_view_fails(self):
-        mediator, _db, _store = build_federation()
-        with pytest.raises(ViewError):
-            mediator.materialize_view("nonexistent")
-
-    def test_program_reload_drops_the_kept_document(self):
-        mediator, _db, _store = build_federation()
-        mediator.materialize_view("artworks")
-        mediator.query(Q2)
-        assert mediator.views.materialized_stats()["populated"] == 1
-        mediator.load_program(VIEW1_YAT)  # re-register: adds a rule
-        assert mediator.views.materialized_stats()["populated"] == 0
-
-    SELECTION_YAT = """
-selection() :=
-MAKE doc [ * item [ title: $t ] ]
-MATCH artworks WITH doc . work [ title . $t, style . $s ]
-WHERE $s = "%s"
-"""
-
-    @pytest.mark.usefixtures("deadlock_guard")
-    def test_program_reload_racing_a_refresh_is_not_served_as_fresh(self):
-        mediator, database, store = build_federation()
-        mediator.load_program(self.SELECTION_YAT % "Impressionist")
-        mediator.materialize_view("selection")
-        executed, release = threading.Event(), threading.Event()
-        execute = mediator.execute
-
-        def held_execute(plan, **kwargs):
-            report = execute(plan, **kwargs)
-            if not executed.is_set():  # the refresh, built from one rule
-                executed.set()
-                release.wait(10)
-            return report
-
-        mediator.execute = held_execute
-        reader = threading.Thread(
-            target=mediator.materialized_document, args=("selection",)
+class TestViewQueries:
+    def test_warm_hit_over_a_view_equals_a_cacheless_splice(self):
+        mediator, database, store = build_federation(
+            result_cache_bytes=32 << 20
         )
-        reader.start()
-        assert executed.wait(10)
-        # The catalog moves while the refresh is in flight.  Whether the
-        # reload waits for the refresh or not, the one-rule document must
-        # not be what later reads are served.
-        loader = threading.Thread(
-            target=mediator.load_program,
-            args=(self.SELECTION_YAT % "Baroque",),
+        spliced, _db, _store = build_federation(
+            sources=(database, store), plan_cache_size=0
         )
-        loader.start()
-        loader.join(0.5)
-        release.set()
-        reader.join()
-        loader.join()
-        fresh, _db, _store = build_federation(sources=(database, store))
-        fresh.load_program(self.SELECTION_YAT % "Impressionist")
-        fresh.load_program(self.SELECTION_YAT % "Baroque")
-        fresh.materialize_view("selection")
-        served = tree_to_xml(mediator.materialized_document("selection"))
-        assert served == tree_to_xml(fresh.materialized_document("selection"))
-        assert mediator.views.materialized_stats()["refreshes"] == 2
+        for text in (Q1, Q2):  # both MATCH the artworks view
+            mediator.query(text)
+            warm = mediator.query(text)
+            assert warm.result_cached
+            assert answer(warm) == answer(spliced.query(text))
 
-    def test_result_cache_over_materialized_view_stays_fresh(self):
+    def test_result_cache_over_a_view_stays_fresh(self):
         mediator, database, _store = build_federation(
             result_cache_bytes=32 << 20
         )
-        mediator.materialize_view("artworks")
         mediator.query(Q1)
         assert mediator.query(Q1).result_cached
         database.insert(
@@ -364,8 +269,8 @@ WHERE $s = "%s"
             {"title": "Update Probe", "year": 1950, "creator": "Anon",
              "price": 10.0, "owners": []},
         )
-        # The plan only reads Source(mediator.artworks); the version
-        # vector must still expand to the base sources behind the view.
+        # The query names only the view; its spliced plan reads the base
+        # sources, so their version vector tags the entry.
         assert not mediator.query(Q1).result_cached
 
 

@@ -47,13 +47,8 @@ from repro.observability.context import (
     current_context,
     current_tracer,
 )
-from repro.server import (
-    ServiceEstimator,
-    TokenBucket,
-    run_closed_loop,
-    run_open_loop,
-)
-from repro.server.workload import percentile, zipf_weights
+from repro.server import ServiceEstimator, TokenBucket
+from repro.server.workload import zipf_weights
 from repro.testing import FaultSchedule, FaultyWrapper
 
 from tests.conftest import build_mediator
@@ -104,12 +99,6 @@ class TestServiceEstimator:
 
 
 class TestWorkloadHelpers:
-    def test_percentile_nearest_rank(self):
-        samples = [0.01 * i for i in range(1, 101)]
-        assert percentile(samples, 50) == pytest.approx(0.50)
-        assert percentile(samples, 99) == pytest.approx(0.99)
-        assert percentile([], 99) == 0.0
-
     def test_zipf_weights_decrease(self):
         weights = zipf_weights(4)
         assert weights == sorted(weights, reverse=True)
@@ -551,22 +540,6 @@ class TestConcurrentServing:
             [value] * runs
             for value, (_m, _t, _c, runs) in zip(expected, streams)
         ]
-
-    def test_workload_drivers_smoke(self, cultural_sources):
-        mediator = _server_mediator(cultural_sources)
-        with MediatorServer(mediator, ServerConfig(workers=4)) as server:
-            closed = run_closed_loop(
-                server, clients=3, requests_per_client=4, seed=1
-            )
-            assert closed.offered == 12
-            assert closed.completed + closed.failed + closed.shed \
-                + closed.quota_rejected == 12
-            assert closed.p99 >= closed.p50 > 0
-            open_result = run_open_loop(server, rate=500.0, requests=10, seed=2)
-            assert open_result.offered == 10
-            payload = open_result.as_dict()
-            assert payload["mode"] == "open"
-            assert 0.0 <= payload["goodput"] <= 1.0
 
     def test_overload_sheds_and_recovers(self, cultural_sources):
         mediator = _server_mediator(cultural_sources)

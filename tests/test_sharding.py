@@ -56,7 +56,6 @@ from repro.observability import (
 )
 from repro.sources.sharded import (
     HashPartition,
-    RangePartition,
     ReplicaSet,
     ShardTopology,
     build_sharded_wais,
@@ -73,8 +72,6 @@ PRUNE_Q = """MAKE $t
 MATCH artworks WITH doc . work [ title . $t, artist . $a ]
 WHERE $a = "%s"
 """
-
-RANGE_Q = PRUNE_Q.replace("$a =", "$a >")
 
 #: Every work, through an 8/8 scatter (the benchmark's ``scatter_scan``).
 SCAN_Q = PRUNE_Q.replace('WHERE $a = "%s"\n', "")
@@ -128,7 +125,7 @@ class TestHashPartition:
     def test_equality_prunes_to_the_placement_shard(self):
         partition = HashPartition("artist", 5)
         for artist in ARTISTS:
-            assert partition.prune("=", artist) == {partition.shard_of(artist)}
+            assert partition.prune(artist) == {partition.shard_of(artist)}
 
     def test_numeric_canonicalization_matches_equality_semantics(self):
         # 5, 5.0 and True/1 are all ``=``-equal, so they must co-locate.
@@ -139,53 +136,29 @@ class TestHashPartition:
         assert canonical_key(atom_leaf("price", 5)) == ("num", 5.0)
 
     def test_only_equality_prunes(self):
+        # A hash preserves nothing about order: an order comparison on
+        # the key, either way round, records no restriction.
         partition = HashPartition("price", 4)
+        rule = ShardExpansionRule()
         for op in ("<", "<=", ">", ">="):
-            assert partition.prune(op, 10.0) is None
+            for predicate in (Cmp(op, Var("p"), Const(10.0)),
+                              Cmp(op, Const(10.0), Var("p"))):
+                plan = SelectOp(
+                    BindOp(
+                        SourceOp("xmlartwork", "artworks"),
+                        work_filter(felem("price", FVar("p"))),
+                        on="artworks",
+                    ),
+                    predicate,
+                )
+                scatter = rule.apply(plan, sharded_context(partition))
+                assert scatter.restrictions == ()
+                assert scatter.shards() == (0, 1, 2, 3)
 
     def test_unkeyable_values_never_prune(self):
         partition = HashPartition("artist", 4)
-        assert partition.prune("=", None) is None
-        assert partition.prune("=", elem("artist", atom_leaf("x", 1))) is None
-
-
-class TestRangePartition:
-    def test_placement_and_equality_agree(self):
-        partition = RangePartition("price", (100.0, 1000.0))
-        assert partition.shards == 3
-        for value in (50, 100, 500, 1000, 5000):
-            assert partition.prune("=", value) == {partition.shard_of(value)}
-
-    def test_bounded_comparisons_prune_prefixes_and_suffixes(self):
-        partition = RangePartition("price", (100.0, 1000.0))
-        assert partition.prune("<", 100.0) == {0}
-        assert partition.prune("<=", 100.0) == {0, 1}
-        assert partition.prune("<", 99.0) == {0}
-        assert partition.prune(">", 100.0) == {1, 2}
-        assert partition.prune(">=", 1000.0) == {2}
-        assert partition.prune("<", 5000.0) == {0, 1, 2}
-
-    def test_string_bounds(self):
-        partition = RangePartition("artist", ("H", "Q"))
-        assert partition.shard_of("Degas") == 0
-        assert partition.shard_of("Monet") == 1
-        assert partition.shard_of("Rodin") == 2
-        assert partition.prune("<", "H") == {0}
-
-    def test_cross_class_value_neither_prunes_nor_crashes(self):
-        partition = RangePartition("price", (100.0,))
-        assert partition.prune("=", "not a number") is None
-        assert partition.shard_of("not a number") == 0
-
-    def test_bound_validation(self):
-        with pytest.raises(ValueError):
-            RangePartition("k", ())
-        with pytest.raises(ValueError):
-            RangePartition("k", (2.0, 1.0))
-        with pytest.raises(ValueError):
-            RangePartition("k", (1.0, 1.0))
-        with pytest.raises(ValueError):
-            RangePartition("k", (1.0, "x"))
+        assert partition.prune(None) is None
+        assert partition.prune(elem("artist", atom_leaf("x", 1))) is None
 
 
 class TestDocumentKeyValue:
@@ -276,14 +249,14 @@ class TestShardExpansionRule:
         scatter = self.rule.apply(plan, sharded_context(partition))
         assert scatter.shards() == (partition.shard_of("Monet"),)
 
-    def test_flipped_comparison_and_range_scheme(self):
-        partition = RangePartition("price", (100.0, 1000.0))
+    def test_flipped_equality_prunes(self):
+        partition = HashPartition("artist", 4)
         plan = self.chain(
-            work_filter(felem("price", FVar("p"))),
-            selects=[Cmp(">", Const(100.0), Var("p"))],  # 100 > p  ⇔  p < 100
+            work_filter(felem("artist", FVar("a"))),
+            selects=[Cmp("=", Const("Monet"), Var("a"))],  # "Monet" = $a
         )
         scatter = self.rule.apply(plan, sharded_context(partition))
-        assert scatter.shards() == (0,)
+        assert scatter.shards() == (partition.shard_of("Monet"),)
 
     def test_contradictory_restrictions_prune_every_shard(self):
         partition = HashPartition("artist", 4)
@@ -472,26 +445,28 @@ class TestShardedFederation:
             assert answer(result) == answer(mono.query(query))
 
     def test_warm_plan_prunes_on_each_requests_constant(self):
-        # Regression: a plan first built for ``$a > "A"`` (nothing to
-        # prune) used to serve ``$a > "L"`` still reading every shard.
-        partition = RangePartition("artist", ("H", "Q"))
-        mono, warm, _partition, _stores = build_pair(
-            partition=partition, result_cache_bytes=0
+        # Regression: a plan first built for one artist must not keep
+        # reading that artist's shard when it serves another artist.
+        mono, warm, partition, _stores = build_pair(result_cache_bytes=0)
+        _mono, cold, _partition, _stores = build_pair(plan_cache_size=0)
+        first = ARTISTS[0]
+        other = next(
+            artist for artist in ARTISTS
+            if partition.shard_of(artist) != partition.shard_of(first)
         )
-        _mono, cold, _partition, _stores = build_pair(
-            partition=partition, plan_cache_size=0
-        )
-        # No artist sorts at or after "Q": shard 2 is empty and skipped,
-        # so even the unpruned scatter reads two shards.
-        assert warm.query(RANGE_Q % "A").report.stats.shard_scatter == 2
-        result = warm.query(RANGE_Q % "L")
+        warm.query(PRUNE_Q % first)
+        result = warm.query(PRUNE_Q % other)
         assert result.cached
-        assert result.report.stats.shard_scatter == 1
-        assert answer(result) == answer(mono.query(RANGE_Q % "L"))
-        rendered = warm.explain(RANGE_Q % "L").render()
-        assert "shard-pruned 1/3 (1 empty)" in rendered
+        read = {
+            source for source in result.report.stats.source_calls
+            if source.startswith("xmlartwork")
+        }
+        assert read == {shard_name("xmlartwork", partition.shard_of(other))}
+        assert answer(result) == answer(mono.query(PRUNE_Q % other))
+        rendered = warm.explain(PRUNE_Q % other).render()
+        assert "shard-pruned 1/4" in rendered
         assert rendered.replace("plan: cached\n", "") == (
-            cold.explain(RANGE_Q % "L").render()
+            cold.explain(PRUNE_Q % other).render()
         )
 
     def test_connect_sharded_validates_topology(self):

@@ -2,6 +2,8 @@
 
 import pytest
 
+from repro import ExecutionPolicy
+from repro.datasets import CulturalDataset
 from repro.errors import YatlSyntaxError, YatlTranslationError
 from repro.core.algebra.expressions import BoolAnd, Cmp, FunCall, Var
 from repro.core.algebra.operators import (
@@ -11,12 +13,13 @@ from repro.core.algebra.operators import (
     SourceOp,
     TreeOp,
 )
-from repro.core.algebra.tree import CElem, CGroup, CIterate, CLeaf, CValue
+from repro.core.algebra.tree import CElem, CGroup, CIterate, CLeaf, CRef, CValue
 from repro.model.filters import FConst, FElem, FRest, FStar, FVar, LabelVar
+from repro.model.xml_io import tree_to_xml
 from repro.yatl import parse_filter, parse_program, parse_query, translate_query
 from repro.yatl.lexer import tokenize
 
-from tests.conftest import Q1, VIEW1_YAT
+from tests.conftest import Q1, VIEW1_YAT, build_mediator
 
 
 class TestLexer:
@@ -215,3 +218,27 @@ class TestTranslation:
         inner_join = outer_join.left
         assert isinstance(inner_join, JoinOp)
         assert inner_join.predicate.text() == "$a = $b"
+
+
+#: A reference MAKE: each item holds a reference to the Skolem identifier
+#: ``artwork($t)``, not a copy of the work (paper, Section 2).
+REFERENCE_MAKE = (
+    "MAKE doc [ * item [ &artwork($t): work ] ] "
+    "MATCH artworks WITH doc . work [ title . $t ]"
+)
+
+
+class TestReferenceMake:
+    def test_parses_to_a_reference_constructor(self):
+        item = parse_query(REFERENCE_MAKE).make.children[0].child
+        assert isinstance(item.children[0], CRef)
+
+    @pytest.mark.parametrize(
+        "execution", [None, ExecutionPolicy.serial()], ids=["default", "serial"]
+    )
+    def test_builds_one_reference_per_title(self, execution):
+        mediator = build_mediator(*CulturalDataset(n_artifacts=6, seed=3).build())
+        result = mediator.query(REFERENCE_MAKE, execution=execution)
+        assert tree_to_xml(result.document()) == "<doc>" + "".join(
+            f'<item><work ref="artwork_{index}" /></item>' for index in range(1, 7)
+        ) + "</doc>"
