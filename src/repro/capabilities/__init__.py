@@ -9,7 +9,6 @@ from repro.capabilities.equivalences import Equivalence, SelectionImplication
 from repro.capabilities.fmodel import (
     FModel,
     FPat,
-    fany,
     fleaf,
     fnode,
     fref,
@@ -42,7 +41,6 @@ __all__ = [
     "SelectionImplication",
     "SourceInterface",
     "element_to_interface",
-    "fany",
     "fleaf",
     "fnode",
     "fref",

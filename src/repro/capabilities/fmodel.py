@@ -164,9 +164,6 @@ class FModel:
     def __contains__(self, name: str) -> bool:
         return name in self._patterns
 
-    def names(self) -> Tuple[str, ...]:
-        return tuple(self._patterns)
-
     def items(self):
         return self._patterns.items()
 
@@ -215,11 +212,6 @@ def fref(
     """A reference to a named pattern in another model."""
     return FPat("ref", ref=(model, pattern), bind=bind, inst=inst,
                 descend=descend)
-
-
-def fany(bind: str = "any") -> FPat:
-    """The unconstrained Fpattern."""
-    return FPat("any", bind=bind)
 
 
 # ---------------------------------------------------------------------------

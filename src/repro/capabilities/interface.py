@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.errors import CapabilityError, OperationNotSupportedError
+from repro.errors import CapabilityError
 from repro.capabilities.equivalences import Equivalence
 from repro.capabilities.fmodel import FModel
 from repro.model.patterns import Pattern, PatternLibrary
@@ -178,14 +178,6 @@ class SourceInterface:
     def supports(self, operation_name: str) -> bool:
         """Does the source evaluate this operation?"""
         return operation_name in self.operations
-
-    def operation(self, name: str) -> OperationDecl:
-        try:
-            return self.operations[name]
-        except KeyError:
-            raise OperationNotSupportedError(
-                f"source {self.name!r} does not support operation {name!r}"
-            ) from None
 
     def bind_filter_specs(self) -> Tuple[ArgSpec, ...]:
         """The Fpattern specs accepted by the source's ``bind`` operation."""

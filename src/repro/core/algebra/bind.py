@@ -6,11 +6,11 @@ the variable bindings resulting from the pattern-matching" (paper,
 Section 3.1 and Figure 4).
 
 :class:`FilterMatcher` computes, for one data tree and one filter, the
-list of binding dictionaries.  Each distinct way the filter's mandatory
-items can be matched against the tree contributes one binding; optional
-(starred) items iterate over their matches or bind
-:data:`~repro.model.filters.MISSING`; rest items (``*($fields)``) bind the
-collection of children claimed by no sibling.
+list of binding dictionaries.  Each distinct way the filter's items can
+be matched against the tree contributes one binding; starred items
+iterate over their matches, and zero matches fail the element like a
+plain item; rest items (``*($fields)``) bind the collection of children
+claimed by no sibling.
 
 References are followed transparently when an identifier index is
 supplied: the view definition of Section 2 navigates from an artifact's

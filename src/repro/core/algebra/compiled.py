@@ -1,16 +1,14 @@
 """Compiled Bind-filter and predicate kernels.
 
-The interpretive :class:`~repro.core.algebra.bind.FilterMatcher` walks
-the filter tree for *every* candidate node, re-deciding at each step
-what kind of filter it is looking at, re-reading labels, and scanning
-every child of every element once per item.  On the serving path the
-filter is fixed per plan node while the data varies, so this module
-compiles a :class:`~repro.model.filters.Filter` once into a chain of
-specialized closures — the scan kernel, the one Bind executor behind
-:class:`~repro.core.algebra.engine.BindEngine`:
+The scan kernel, the one Bind executor behind
+:class:`~repro.core.algebra.engine.BindEngine`, compiles a filter once
+into a chain of specialized closures built from its steps
+(:func:`~repro.core.algebra.lowering.lower` — the same steps the store
+prints as SQL).  Where the interpretive
+:class:`~repro.core.algebra.bind.FilterMatcher` re-decides at every
+candidate node what each filter node is, here the dispatch and the label
+test (string / variable / regex) are resolved at compile time:
 
-* per-node dispatch (``FElem`` vs ``FConst`` vs ...) and the label test
-  (string / variable / regex) are resolved at compile time;
 * an element matches in **one walk** over its direct children: each
   child is dereferenced once and dispatched by label to pre-resolved
   ``(slot, kind, own, value)`` records.  Simple field accesses
@@ -22,22 +20,16 @@ specialized closures — the scan kernel, the one Bind executor behind
   cells, the rest capture at its declared position — so Bind zips them
   straight into columns, with no per-binding dicts.
 
-``Select`` / ``Join`` predicate :class:`~repro.core.algebra.expressions.Expr`
-trees get the same treatment via :func:`compile_predicate`.
-
-Compiled kernels are memoized per plan node — predicates here
-(:func:`compiled_predicate`), filter kernels in the per-filter engine
-of :mod:`repro.core.algebra.engine`, the only caller of
-:func:`compile_filter` — so a cached plan that is executed again, or a
-DJoin branch evaluated once per outer row, compiles nothing.  A lifted
-query constant (a :class:`~repro.core.algebra.expressions.Param`)
-compiles to a read of the request's parameter vector at match time, so
-one kernel serves every vector and holds none.  The
-interpretive ``FilterMatcher`` remains in place as the differential
-oracle: ``ExecutionPolicy.serial()`` disables kernels, and the property
-suite checks identical bindings between the two.  Semantics match the
-interpreter exactly, including error messages, binding order, rest
-claiming, and the cartesian-explosion guard.
+``Select`` / ``Join`` predicates get the same treatment via
+:func:`compile_predicate`.  Kernels are memoized per plan node —
+predicates here (:func:`compiled_predicate`), filter kernels in
+:mod:`repro.core.algebra.engine`, the only caller of
+:func:`compile_filter` — so a cached plan compiles nothing again.  A
+lifted query constant (:class:`~repro.core.algebra.expressions.Param`)
+compiles to a read of the request's parameter vector, so one kernel
+serves every vector.  ``FilterMatcher`` stays the differential oracle
+(``ExecutionPolicy.serial()``): semantics match it exactly, including
+error messages, binding order, rest claiming and the explosion guard.
 """
 
 from __future__ import annotations
@@ -59,20 +51,19 @@ from repro.core.algebra.expressions import (
     bound,
 )
 from repro.core.algebra.bind import MAX_MATCHES
+from repro.core.algebra.lowering import (
+    CHILD,
+    CONSTANT,
+    DESCENDING,
+    ELEMENT,
+    NONE,
+    VARIABLE,
+    Step,
+    lower,
+)
 from repro.errors import BindError, EvaluationError
 from repro.memo import Memo
-from repro.model.filters import (
-    FConst,
-    FDescend,
-    FElem,
-    Filter,
-    FRest,
-    FStar,
-    FVar,
-    LabelRegex,
-    LabelVar,
-    MissingValue,
-)
+from repro.model.filters import Filter, LabelRegex, LabelVar, MissingValue
 from repro.model.trees import DataNode
 
 __all__ = [
@@ -102,17 +93,38 @@ _SUB = 4         # anything else: a compiled sub-matcher
 
 def compile_filter(flt: Filter) -> _MatchFn:
     """Compile *flt* to a scan kernel (unmemoized; the engine memoizes)."""
-    if isinstance(flt, FElem):
-        return _compile_elem(flt)
-    if isinstance(flt, FVar):
+    return _compile_step(lower(flt).steps[0])
+
+
+def _compile_step(step: Step) -> _MatchFn:
+    """The matcher of *step* at its anchor point (a ``**`` axis walks
+    the point's descendants-or-self)."""
+    inner = _compile_test(step)
+    if step.axis not in DESCENDING:
+        return inner
+
+    def match_descend(node, deref):
+        out: List[tuple] = []
+        for descendant in deref(node).descendants():
+            out.extend(inner(descendant, deref))
+        return out
+
+    return match_descend
+
+
+def _compile_test(step: Step) -> _MatchFn:
+    test = step.test
+    if test == ELEMENT:
+        return _compile_elem(step)
+    if test == VARIABLE:
 
         def match_var(node, deref):
             atom = node.atom
             return [(atom if atom is not None else node,)]
 
         return match_var
-    if isinstance(flt, FConst):
-        value = flt.value
+    if test == CONSTANT:
+        value = step.value
 
         def match_const(node, deref):
             atom = deref(node).atom
@@ -121,90 +133,59 @@ def compile_filter(flt: Filter) -> _MatchFn:
             return []
 
         return match_const
-    if isinstance(flt, FDescend):
-        inner = compile_filter(flt.child)
+    if test == NONE:
+        return _compile_step(step.items[0])
+    message = step.value
 
-        def match_descend(node, deref):
-            out: List[tuple] = []
-            for descendant in deref(node).descendants():
-                out.extend(inner(descendant, deref))
-            return out
+    def match_invalid(node, deref):
+        raise BindError(message)
 
-        return match_descend
-    if isinstance(flt, (FStar, FRest)):
-        message = (
-            f"{type(flt).__name__} is only meaningful as a child of an "
-            "element filter"
-        )
-
-        def match_invalid(node, deref):
-            raise BindError(message)
-
-        return match_invalid
-
-    def match_unknown(node, deref, _flt=flt):
-        raise BindError(f"unknown filter kind: {_flt!r}")
-
-    return match_unknown
+    return match_invalid
 
 
-def _item_record(target: Filter, slot: int):
-    """``(dispatch label or None, record)`` for one star-unwrapped item.
-
-    A ``None`` label means the item is tried on every child.
-    """
-    if isinstance(target, FElem) and isinstance(target.label, str):
-        own = target.var is not None
-        declared = target.children
-        if not declared:
-            return target.label, (slot, _NODE if own else _BARE, own, None)
-        if len(declared) == 1:
-            inner = declared[0]
-            if isinstance(inner, FVar):
-                return target.label, (slot, _LEAF_VAR, own, None)
-            if isinstance(inner, FConst):
-                return target.label, (slot, _LEAF_CONST, own, inner.value)
-        return target.label, (slot, _SUB, False, compile_filter(target))
-    return None, (slot, _SUB, False, compile_filter(target))
+def _item_record(step: Step, slot: int):
+    """``(dispatch label, record)``; a ``None`` label tries every child."""
+    label = step.value
+    if step.axis != CHILD or step.test != ELEMENT or not isinstance(label, str):
+        return None, (slot, _SUB, False, _compile_step(step))
+    own = step.var is not None
+    if not step.items and step.rest is None:
+        return label, (slot, _NODE if own else _BARE, own, None)
+    leaf = step.leaf()
+    if leaf is not None and leaf.test == VARIABLE:
+        return label, (slot, _LEAF_VAR, own, None)
+    if leaf is not None and leaf.test == CONSTANT:
+        return label, (slot, _LEAF_CONST, own, leaf.value)
+    return label, (slot, _SUB, False, _compile_step(step))
 
 
-def _compile_elem(flt: FElem) -> _MatchFn:
-    label = flt.label
-    var = flt.var
+def _compile_elem(step: Step) -> _MatchFn:
+    label = step.value
+    var = step.var
     literal = label if isinstance(label, str) else None
     binds_label = isinstance(label, LabelVar)
     regex = label.matches if isinstance(label, LabelRegex) else None
-    declared = flt.children
-    has_items = bool(declared)
+    has_items = bool(step.items) or step.rest is not None
 
     # An atom leaf satisfies an element filter only when its single
     # child is a variable (binds the atom) or a constant (compares it).
-    leaf_var = leaf_const = False
-    leaf_value = None
-    if len(declared) == 1:
-        leaf_var = isinstance(declared[0], FVar)
-        if isinstance(declared[0], FConst):
-            leaf_const = True
-            leaf_value = declared[0].value
+    leaf = step.leaf()
+    leaf_var = leaf is not None and leaf.test == VARIABLE
+    leaf_const = leaf is not None and leaf.test == CONSTANT
+    leaf_value = leaf.value if leaf_const else None
 
     # Dispatch table: child label -> records of the items that label
     # admits, followed by the items every child is tried against.
     labeled: Dict[str, list] = {}
     anywhere: list = []
-    rest_at: Optional[int] = None
-    slot = 0
-    for item in declared:
-        if isinstance(item, FRest):
-            rest_at = slot
-            continue
-        target = item.child if isinstance(item, FStar) else item
-        key, record = _item_record(target, slot)
+    for slot, item in enumerate(step.items):
+        key, record = _item_record(item, slot)
         if key is None:
             anywhere.append(record)
         else:
             labeled.setdefault(key, []).append(record)
-        slot += 1
-    n_items = slot
+    rest_at = step.rest
+    n_items = len(step.items)
     unlabeled = tuple(anywhere)
     table = {key: tuple(records) + unlabeled for key, records in labeled.items()}
 

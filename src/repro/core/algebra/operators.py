@@ -15,7 +15,7 @@ fixpoints.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, Optional, Sequence, Tuple
+from typing import Iterator, Optional, Sequence, Tuple
 
 from repro.errors import AlgebraError
 from repro.core.algebra.expressions import Const, Expr, bound
@@ -253,11 +253,6 @@ class ProjectOp(Plan):
 
     def output_columns(self):
         return tuple(alias for _column, alias in self.items)
-
-    @property
-    def renaming(self) -> Dict[str, str]:
-        """``{column: alias}`` view of the projection items."""
-        return {column: alias for column, alias in self.items}
 
     def _key(self):
         return ("project", self.input._key(), self.items)

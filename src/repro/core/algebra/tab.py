@@ -11,8 +11,9 @@ sigil) and rows of cells.  A cell holds:
 * a :class:`~repro.model.trees.DataNode` — a bound subtree,
 * a tuple of cells — a bound *collection* (edge variables like
   ``$fields`` in Figure 4, or the output of ``Group``),
-* :data:`~repro.model.filters.MISSING` — an optional item that matched
-  nothing.
+* :data:`~repro.model.filters.MISSING` — an absent cell: a wire cell
+  marked missing or absent (:func:`element_to_tab`), a key missing from
+  :meth:`Tab.from_dicts`'s dicts, or ``Tree``'s absent-column default.
 
 Tabs are the unit of exchange between wrappers and the mediator: a pushed
 ``Bind`` returns a Tab serialized in XML, and

@@ -25,7 +25,6 @@ from repro.errors import YatError
 from repro.capabilities.interface import SourceInterface
 from repro.capabilities.matcher import CapabilityMatcher
 from repro.core.algebra.operators import Plan
-from repro.model.patterns import Pattern
 
 
 class OptimizerContext:
@@ -64,13 +63,6 @@ class OptimizerContext:
 
     def interface(self, source: str) -> Optional[SourceInterface]:
         return self.interfaces.get(source)
-
-    def document_pattern(self, source: str, document: str) -> Optional[Pattern]:
-        """Structure pattern of a document's root, when the source exports one."""
-        interface = self.interfaces.get(source)
-        if interface is None:
-            return None
-        return interface.document_pattern(document)
 
     def declare_containment(self, subset_document: str, superset_document: str) -> None:
         """Declare that every entity of the first document appears in the second."""

@@ -92,10 +92,6 @@ class FilterNotSupportedError(CapabilityError):
     """A filter is not admissible under a source's Fmodel."""
 
 
-class OperationNotSupportedError(CapabilityError):
-    """An operation is absent from a source's operational interface."""
-
-
 # ---------------------------------------------------------------------------
 # Sources
 # ---------------------------------------------------------------------------

@@ -122,12 +122,6 @@ class Catalog:
 
     # -- lookups -----------------------------------------------------------------
 
-    def adapter(self, source: str) -> SourceAdapter:
-        try:
-            return self._adapters[source]
-        except KeyError:
-            raise UnknownSourceError(f"source {source!r} is not connected") from None
-
     def interface(self, source: str) -> SourceInterface:
         try:
             return self._interfaces[source]

@@ -58,7 +58,7 @@ from repro.model.values import Atom
 
 
 class MissingValue:
-    """Singleton marker bound by optional filter items that matched nothing."""
+    """Singleton marker for an absent cell (see :data:`MISSING`)."""
 
     _instance: Optional["MissingValue"] = None
 
@@ -74,7 +74,10 @@ class MissingValue:
         return False
 
 
-#: The value bound by an optional (starred) filter item that matched nothing.
+#: An absent cell.  No filter binds it (a star with zero matches fails its
+#: element); it comes from a wire cell marked missing or absent
+#: (``element_to_tab``), a key a dict lacks (``Tab.from_dicts``) and
+#: ``Tree``'s default for a column a row lacks.
 MISSING = MissingValue()
 
 

@@ -231,10 +231,6 @@ class Tracer:
 
         return tuple(project(span) for span in children.get(None, ()))
 
-    def total_wall(self) -> float:
-        """Wall seconds covered by root spans (no parent)."""
-        return sum(s.duration for s in self.spans if s.parent_id is None)
-
     # -- export ---------------------------------------------------------------
 
     def chrome_trace(self) -> Dict[str, object]:

@@ -67,12 +67,6 @@ class TupleType(OdmgType):
             raise SchemaError(f"duplicate attribute names in tuple: {names}")
         self.attributes: Tuple[Tuple[str, OdmgType], ...] = tuple(attributes)
 
-    def attribute(self, name: str) -> OdmgType:
-        for attr_name, attr_type in self.attributes:
-            if attr_name == name:
-                return attr_type
-        raise SchemaError(f"tuple has no attribute {name!r}")
-
     def attribute_names(self) -> Tuple[str, ...]:
         return tuple(name for name, _t in self.attributes)
 
@@ -199,12 +193,6 @@ class Schema:
     def extents(self) -> Dict[str, str]:
         """``{extent name: class name}`` for all classes with extents."""
         return dict(self._extents)
-
-    def extent_class(self, extent: str) -> ClassDef:
-        try:
-            return self.classes[self._extents[extent]]
-        except KeyError:
-            raise SchemaError(f"unknown extent: {extent!r}") from None
 
     def validate(self) -> None:
         """Check that every reference targets a defined class."""

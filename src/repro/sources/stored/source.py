@@ -44,15 +44,6 @@ class StoredXmlSource:
         """Parse and shred an XML document; returns rows written."""
         return self.add_tree(name, xml_to_tree(text))
 
-    def load_file(self, path: str, name: Optional[str] = None) -> int:
-        """Shred the XML document at *path* (named after its stem by
-        default); returns rows written."""
-        if name is None:
-            stem = path.rsplit("/", 1)[-1]
-            name = stem[:-4] if stem.endswith(".xml") else stem
-        with open(path, "r", encoding="utf-8") as handle:
-            return self.add_xml(name, handle.read())
-
     # -- catalog ------------------------------------------------------------
 
     def document_names(self) -> Tuple[str, ...]:

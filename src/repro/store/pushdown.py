@@ -1,54 +1,21 @@
-"""Translating Bind filters into SQL interval self-joins.
+"""Printing a Bind filter's lowering as one SQL interval self-join.
 
 The store keeps every node's pre-order position and half-open subtree
-interval ``[pre, post)``, so the structural axes of a filter are single
-range predicates instead of recursive walks::
+interval ``[pre, post)``.  :func:`compile_pushdown` prints one table
+alias ``n<i>`` per step of :func:`~repro.core.algebra.lowering.lower`
+and each step's axis as range predicates on its anchor's alias —
+``ORDER BY`` every alias's ``pre`` then reproduces the matcher's rows
+and enumeration order (the argument is in the lowering's docstring).
+The result is **binding tuples**: the mediator never sees nodes the
+query did not touch.  A refused lowering, or a query parameter whose
+bound value has a lossy REAL key (:meth:`PushdownQuery.bind_params`),
+falls back to a hydrated scan.
 
-    child of s            t.parent = s.pre
-    strict descendant     s.pre < t.pre AND t.pre < s.post
-    descendant-or-self    s.pre <= t.pre AND t.pre < s.post
-
-:func:`compile_pushdown` walks a filter once and emits one table alias
-per structural filter node, ``AND``-ing the axis predicates together —
-the classic interval self-join of the relational XML mappings.  The
-result is **binding tuples**, not documents: the mediator never sees
-nodes the query did not touch.
-
-Byte-identical parity with the recursive matcher
-------------------------------------------------
-
-The compiled query must reproduce :class:`repro.core.algebra.bind
-.FilterMatcher` exactly — rows, duplicates *and enumeration order* —
-because the differential fuzz compares serialized answers byte for
-byte.  Three observations carry the proof:
-
-* The matcher enumerates each element's items with ``itertools.product``
-  (first item slowest, last fastest) and each item's alternatives in
-  child pre order, recursively.  Unfolding the recursion, bindings are
-  produced in lexicographic order of the matched nodes' pre positions,
-  taken in DFS order of the filter's structural nodes.  Aliases are
-  created in exactly that DFS order, so ``ORDER BY a0.pre, a1.pre, ...``
-  reproduces the enumeration (the order is total: two distinct rows
-  differ at some alias, and pre positions are unique within a document).
-* A ``**`` step under an element ``s`` pairs each child of ``s`` with
-  that child's descendants-or-self; every strict descendant of ``s`` is
-  reached through exactly one child, so one strict-descendant alias is
-  a bijection — same rows, same duplicates.  Nested ``**`` steps are
-  *not* bijective (the matcher re-reaches a node once per intermediate
-  anchor); the intermediate alias stays in the join and in ``ORDER BY``
-  to reproduce that multiplicity exactly.
-* An element filter with one bare variable/constant item matches leaf
-  *content* when the node is an atom leaf but a *child* when it is an
-  element.  One alias covers both runtime shapes with
-  ``(g.parent = s.pre OR (s.kind = 'atom' AND g.pre = s.pre))``.
-
-Anything outside the provable fragment — label variables or regexes,
-``FRest`` (needs the unclaimed-sibling set), numeric constants whose
-REAL key is lossy — falls back to a hydrated scan through the matcher
-itself: :func:`compile_pushdown` returns ``None`` for the structural
-cases, and :meth:`PushdownQuery.bind_params` for a query parameter whose bound
-value is lossy (the SQL text is one per filter; only its ``?`` values
-come from the request).
+Every axis states its implied subtree bounds ``s.pre <(=) t.pre <
+s.post``, so sqlite drives each join through the ``(doc, pre)`` primary
+key — an interval probe — and applies the parent equality or the
+leaf-or-child disjunction, unindexable on its own, as a residual filter
+over that tiny range.
 
 One divergence is accepted and documented in DESIGN.md: the matcher's
 cartesian-explosion guard can fire while enumerating an element whose
@@ -63,15 +30,18 @@ from __future__ import annotations
 from typing import List, Optional, Tuple
 
 from repro.core.algebra.expressions import Param, atom_kind, bound
-from repro.model.filters import (
-    FConst,
-    FDescend,
-    FElem,
-    Filter,
-    FRest,
-    FStar,
-    FVar,
+from repro.core.algebra.lowering import (
+    CHILD,
+    CONSTANT,
+    DESCENDANT,
+    DESCENDANT_OR_SELF,
+    ELEMENT,
+    LEAF_OR_CHILD,
+    ROOT,
+    lower,
+    real_key,
 )
+from repro.model.filters import Filter
 
 
 class PushdownQuery:
@@ -104,7 +74,7 @@ class PushdownQuery:
             if param.__class__ is Param:
                 value = bound(param)
                 if param.kind is not str:
-                    value = _real_key(value)
+                    value = real_key(value)
                     if value is None:
                         return None
                 param = value
@@ -115,190 +85,75 @@ class PushdownQuery:
         return f"PushdownQuery({len(self.variables)} vars: {self.sql})"
 
 
-class _Abort(Exception):
-    """The filter left the translatable fragment; fall back to a scan."""
-
-
-class _Compiler:
-    def __init__(self, table: str) -> None:
-        self._table = table
-        self.aliases: List[str] = []
-        self.conditions: List[str] = []
-        self.params: List[object] = []
-        self.var_alias: dict = {}
-
-    def alias(self) -> str:
-        name = f"n{len(self.aliases)}"
-        self.aliases.append(name)
-        return name
-
-    def bind(self, var: str, alias: str) -> None:
-        if var in self.var_alias:
-            raise _Abort()
-        self.var_alias[var] = alias
-
-    # -- filter walk (one alias per structural node, DFS order) ----------------
-
-    def root(self, flt: Filter) -> None:
-        if isinstance(flt, FElem):
-            anchor = self.alias()
-            self.conditions.append(f"{anchor}.doc = ?")
-            self.conditions.append(f"{anchor}.pre = 0")
-            self.element(anchor, flt)
-        elif isinstance(flt, FDescend):
-            # Descendant-or-self of the document root: every node.
-            anchor = self.alias()
-            self.conditions.append(f"{anchor}.doc = ?")
-            self.apply(anchor, flt.child)
-        else:
-            raise _Abort()
-
-    def apply(self, alias: str, flt: Filter) -> None:
-        """Constrain *alias* to nodes the filter matches at that point."""
-        if isinstance(flt, FElem):
-            self.element(alias, flt)
-        elif isinstance(flt, FVar):
-            self.bind(flt.name, alias)
-        elif isinstance(flt, FConst):
-            self.constant(alias, flt.value)
-        elif isinstance(flt, FDescend):
-            self.descend(alias, flt, strict=False)
-        else:
-            raise _Abort()
-
-    def element(self, alias: str, flt: FElem) -> None:
-        if not isinstance(flt.label, str):
-            raise _Abort()  # label variables/regexes stay mediator-side
-        self.conditions.append(f"{alias}.name = ?")
-        self.params.append(flt.label)
-        if flt.var is not None:
-            self.bind(flt.var, alias)
-        items = flt.children
-        if not items:
-            return
-        if len(items) == 1 and isinstance(items[0], (FVar, FConst)):
-            self.leaf_or_child(alias, items[0])
-            return
-        for item in items:
-            if isinstance(item, FRest):
-                raise _Abort()  # needs the unclaimed-sibling set
-            target = item.child if isinstance(item, FStar) else item
-            self.item(alias, target)
-
-    def leaf_or_child(self, alias: str, item: Filter) -> None:
-        """One bare variable/constant item: leaf content *or* a child.
-
-        Atom leaves have no child rows, so the parent disjunct is vacuous
-        for them and the self disjunct is vacuous for elements — exactly
-        one disjunct fires per runtime shape, like the matcher's
-        ``_match_leaf_content`` / ``_match_children`` split.
-
-        The disjunction itself is unindexable, so both disjuncts' implied
-        subtree bounds (``pre >= parent.pre AND pre < parent.post``) are
-        stated explicitly: sqlite then drives the join through the
-        ``(doc, pre)`` primary key — an interval probe — and applies the
-        disjunction as a residual filter over that tiny range.
-        """
-        item_alias = self.alias()
-        self.conditions.append(f"{item_alias}.doc = {alias}.doc")
-        self.conditions.append(f"{item_alias}.pre >= {alias}.pre")
-        self.conditions.append(f"{item_alias}.pre < {alias}.post")
-        self.conditions.append(
-            f"({item_alias}.parent = {alias}.pre"
-            f" OR ({alias}.kind = 'atom' AND {item_alias}.pre = {alias}.pre))"
-        )
-        if isinstance(item, FVar):
-            self.bind(item.name, item_alias)
-        else:
-            self.constant(item_alias, item.value)
-
-    def item(self, alias: str, target: Filter) -> None:
-        if isinstance(target, FDescend):
-            self.descend(alias, target, strict=True)
-            return
-        item_alias = self.alias()
-        self.conditions.append(f"{item_alias}.doc = {alias}.doc")
-        # The implied interval bound gives the planner an indexable
-        # alternative to the parent-equality join (same rows: children
-        # are strict descendants).
-        self.conditions.append(f"{item_alias}.pre > {alias}.pre")
-        self.conditions.append(f"{item_alias}.pre < {alias}.post")
-        self.conditions.append(f"{item_alias}.parent = {alias}.pre")
-        if isinstance(target, FElem):
-            self.element(item_alias, target)
-        elif isinstance(target, FVar):
-            self.bind(target.name, item_alias)
-        elif isinstance(target, FConst):
-            self.constant(item_alias, target.value)
-        else:
-            raise _Abort()
-
-    def descend(self, scope: str, flt: FDescend, strict: bool) -> None:
-        descendant = self.alias()
-        self.conditions.append(f"{descendant}.doc = {scope}.doc")
-        comparison = ">" if strict else ">="
-        self.conditions.append(f"{descendant}.pre {comparison} {scope}.pre")
-        self.conditions.append(f"{descendant}.pre < {scope}.post")
-        self.apply(descendant, flt.child)
-
-    def constant(self, alias: str, value: object) -> None:
-        self.conditions.append(f"{alias}.kind = 'atom'")
-        if atom_kind(value) is str:
-            # String equality never crosses types; match on the stored text.
-            self.conditions.append(f"{alias}.vtype = 'String'")
-            self.conditions.append(f"{alias}.value = ?")
-        else:
-            # Numerics compare through the REAL key, which the store only
-            # populates for exactly-representable values; a constant whose
-            # own key is lossy cannot be matched faithfully in SQL.  A
-            # query parameter's key is taken when a request binds it.
-            self.conditions.append(f"{alias}.num = ?")
-            if value.__class__ is not Param:
-                value = _real_key(value)
-                if value is None:
-                    raise _Abort()
-        self.params.append(value)
-
-
-def _real_key(value) -> Optional[float]:
-    """The store's REAL key of a numeric constant, ``None`` if lossy."""
-    try:
-        key = float(value)
-    except OverflowError:
-        return None
-    if key != key or key != value:
-        return None
-    return key
+#: ``axis -> (lower pre bound, residual predicate)`` of step ``t``
+#: anchored at ``s``.  Atom leaves have no child rows, so exactly one
+#: leaf-or-child disjunct fires per runtime shape.
+_AXES = {
+    CHILD: (">", "{t}.parent = {s}.pre"),
+    DESCENDANT: (">", None),
+    DESCENDANT_OR_SELF: (">=", None),
+    LEAF_OR_CHILD: (
+        ">=", "({t}.parent = {s}.pre OR ({s}.kind = 'atom' AND {t}.pre = {s}.pre))"
+    ),
+}
 
 
 def compile_pushdown(flt: Filter, table: str = "nodes") -> Optional[PushdownQuery]:
-    """Compile *flt* into an interval self-join, or ``None`` to scan."""
-    variables = tuple(flt.variables())
-    if len(set(variables)) != len(variables):
+    """Print *flt*'s lowering as an interval self-join, or ``None`` to scan."""
+    lowering = lower(flt)
+    if lowering.refusal is not None:
         return None
-    compiler = _Compiler(table)
-    try:
-        compiler.root(flt)
-    except _Abort:
-        return None
-    if set(compiler.var_alias) != set(variables):
-        return None
-    select = []
-    for var in variables:
-        alias = compiler.var_alias[var]
-        select.extend(
-            (f"{alias}.pre", f"{alias}.kind", f"{alias}.vtype", f"{alias}.value")
-        )
-    if not select:  # variable-free filter: row count still matters
-        select.append(f"{compiler.aliases[0]}.pre")
+    conditions: List[str] = []
+    params: List[object] = []
+    binder = {}
+    for step in lowering.steps:
+        alias = f"n{step.index}"
+        if step.anchor is None:
+            conditions.append(f"{alias}.doc = ?")
+            if step.axis == ROOT:
+                conditions.append(f"{alias}.pre = 0")
+        else:
+            anchor = f"n{step.anchor}"
+            bound_op, extra = _AXES[step.axis]
+            conditions.append(f"{alias}.doc = {anchor}.doc")
+            conditions.append(f"{alias}.pre {bound_op} {anchor}.pre")
+            conditions.append(f"{alias}.pre < {anchor}.post")
+            if extra is not None:
+                conditions.append(extra.format(s=anchor, t=alias))
+        value = step.value
+        if step.test == ELEMENT:
+            conditions.append(f"{alias}.name = ?")
+            params.append(value)
+        elif step.test == CONSTANT:
+            conditions.append(f"{alias}.kind = 'atom'")
+            if atom_kind(value) is str:
+                # String equality never crosses types; match the stored text.
+                conditions.append(f"{alias}.vtype = 'String'")
+                conditions.append(f"{alias}.value = ?")
+            else:
+                # Numerics compare through the REAL key, which the store
+                # only populates for exactly-representable values.
+                conditions.append(f"{alias}.num = ?")
+                if value.__class__ is not Param:
+                    value = real_key(value)
+            params.append(value)
+        if step.var is not None:
+            binder[step.var] = alias
+    variables = flt.variables()
+    select = [
+        f"{binder[var]}.{column}"
+        for var in variables
+        for column in ("pre", "kind", "vtype", "value")
+    ] or ["n0.pre"]  # variable-free filter: row count still matters
+    aliases = [f"n{step.index}" for step in lowering.steps]
     sql = (
         "SELECT "
         + ", ".join(select)
         + " FROM "
-        + ", ".join(f"{table} {alias}" for alias in compiler.aliases)
+        + ", ".join(f"{table} {alias}" for alias in aliases)
         + " WHERE "
-        + " AND ".join(compiler.conditions)
+        + " AND ".join(conditions)
         + " ORDER BY "
-        + ", ".join(f"{alias}.pre" for alias in compiler.aliases)
+        + ", ".join(f"{alias}.pre" for alias in aliases)
     )
-    return PushdownQuery(sql, tuple(compiler.params), variables)
+    return PushdownQuery(sql, tuple(params), variables)

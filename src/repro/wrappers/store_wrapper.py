@@ -18,20 +18,22 @@ A validated fragment executes through one of two access paths:
     nodes ever becomes a Python object.
 
 ``store-scan``
-    The filter left the translatable fragment (``FRest``, label
-    variables, a numeric constant whose bound value has a lossy REAL key)
-    or the document holds references/shared subtrees, where interval
-    semantics are unsound.  The document is hydrated once per write to
-    it (the store's hydration memo, tagged per document) and matched by
-    the same :func:`~repro.core.algebra.engine.bind_engine` the
-    mediator's own Bind uses, so answers are byte-identical to the
-    in-memory path by construction.
+    The filter's lowering was refused (``FRest``, label variables, a
+    lossy numeric constant), a query parameter's bound value has a lossy
+    REAL key, pushdown is off, or the document holds references/shared
+    subtrees, where interval semantics are unsound.  The document is
+    hydrated once per write to it (the store's hydration memo, tagged per
+    document) and matched by the same
+    :func:`~repro.core.algebra.engine.bind_engine` the mediator's own
+    Bind uses, so answers are byte-identical to the in-memory path by
+    construction.
 
 The choice is exposed to EXPLAIN as ``[bind: store-pushdown]`` /
-``[bind: store-scan]`` via :meth:`StoreWrapper.pushdown_access`.  The
-store counts each pushdown, scan and hydrated node into the
-``ExecutionStats`` of the request that caused it, which it reads from the
-active :class:`~repro.observability.context.RequestContext`.
+``[bind: store-scan (<reason>)]`` via
+:meth:`StoreWrapper.pushdown_access`.  The store counts each pushdown,
+scan and hydrated node into the ``ExecutionStats`` of the request that
+caused it, which it reads from the active
+:class:`~repro.observability.context.RequestContext`.
 """
 
 from __future__ import annotations
@@ -43,6 +45,7 @@ from repro.capabilities.fmodel import store_fmodel
 from repro.capabilities.interface import ArgSpec, OperationDecl, SourceInterface
 from repro.core.algebra.bind import MAX_MATCHES
 from repro.core.algebra.engine import bind_engine
+from repro.core.algebra.lowering import lower
 from repro.core.algebra.operators import Plan
 from repro.core.algebra.tab import Row, Tab
 from repro.memo import Memo
@@ -139,23 +142,30 @@ class StoreWrapper(Wrapper):
         return self._pushdowns.get_or_build(id(flt), compile_pushdown, flt, anchor=flt)
 
     def pushdown_access(self, flt: Filter, document: Optional[str] = None) -> str:
-        """The access path a pushed Bind of *flt* would take (EXPLAIN)."""
-        if self._pushdown(flt, document) is not None:
-            return "store-pushdown"
-        return "store-scan"
+        """The access path a pushed Bind of *flt* would take (EXPLAIN),
+        with the reason when it scans."""
+        compiled, detail = self._pushdown(flt, document)
+        return "store-pushdown" if compiled is not None else f"store-scan ({detail})"
 
     def _pushdown(
         self, flt: Filter, document: Optional[str]
-    ) -> Optional[Tuple[PushdownQuery, Tuple[object, ...]]]:
+    ) -> Tuple[Optional[PushdownQuery], object]:
         """``(compiled query, its bound parameters)`` when *flt* runs as
-        SQL on *document* for the active request; ``None`` to scan."""
-        if not self._enable_pushdown or (
-            document is not None and not self._store.pushdown_safe(document)
-        ):
-            return None
+        SQL on *document* for the active request, else ``(None, why it
+        scans)``."""
+        if not self._enable_pushdown:
+            return None, "pushdown off"
+        if document is not None and not self._store.pushdown_safe(document):
+            return None, "document not pushdown-safe"
         compiled = self.compiled_pushdown(flt)
-        params = compiled.bind_params(document) if compiled is not None else None
-        return None if params is None else (compiled, params)
+        if compiled is None:
+            return None, lower(flt).refusal
+        params = compiled.bind_params(document)
+        if params is None:
+            # Worded like the lowering's refusal, so a cached plan's
+            # EXPLAIN reads like its cold plan's.
+            return None, "lossy numeric constant"
+        return compiled, params
 
     # -- pushed execution --------------------------------------------------------------
 
@@ -175,9 +185,9 @@ class StoreWrapper(Wrapper):
                 f"{tuple(variables)}, plan declares {tuple(columns)}"
             )
         document = fragment.document
-        pushdown = self._pushdown(fragment.filter, document)
-        if pushdown is not None:
-            return self._run_pushdown(document, *pushdown, columns)
+        compiled, params = self._pushdown(fragment.filter, document)
+        if compiled is not None:
+            return self._run_pushdown(document, compiled, params, columns)
         return self._run_scan(document, fragment.filter, columns)
 
     def _run_pushdown(

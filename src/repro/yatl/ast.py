@@ -78,11 +78,5 @@ class YatlProgram:
     def __init__(self, rules: Sequence[YatlRule]) -> None:
         self.rules = tuple(rules)
 
-    def rule(self, name: str) -> YatlRule:
-        for rule in self.rules:
-            if rule.name == name:
-                return rule
-        raise KeyError(name)
-
     def __repr__(self) -> str:
         return f"YatlProgram({[r.name for r in self.rules]})"

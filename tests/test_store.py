@@ -28,6 +28,9 @@ from repro.model.filters import (
 from repro.model.trees import DataNode, atom_leaf, elem, ref
 from repro.model.xml_io import tree_to_xml
 from repro.core.algebra.bind import FilterMatcher, match_filter
+from repro.core.algebra.expressions import Param
+from repro.core.algebra.lowering import lower
+from repro.observability.context import RequestContext, activate_context
 from repro.store import DocumentStore, compile_pushdown, document_store, shred
 from repro.yatl.parser import parse_filter
 
@@ -193,12 +196,17 @@ class TestPushdownCompile:
             assert compile_pushdown(flt) is not None, repr(flt)
 
     def test_untranslatable_shapes_refused(self):
-        assert compile_pushdown(FElem("a", [FRest("rest")])) is None
-        assert compile_pushdown(FElem(LabelVar("l"), [FVar("v")])) is None
-        assert compile_pushdown(FVar("x")) is None
-        # lossy numeric constants can't use the REAL comparison key
-        assert compile_pushdown(FElem("a", [FConst(2**63 + 1)])) is None
-        assert compile_pushdown(FElem("a", [FConst(float("nan"))])) is None
+        for flt, reason in (
+            (FElem("a", [FRest("rest")]), "rest item"),
+            (FElem(LabelVar("l"), [FVar("v")]), "label variable or regex"),
+            (FVar("x"), "bare root"),
+            (FElem("a", [FStar(FStar(FVar("x")))]), "misplaced star or rest"),
+            # lossy numeric constants can't use the REAL comparison key
+            (FElem("a", [FConst(2**63 + 1)]), "lossy numeric constant"),
+            (FElem("a", [FConst(float("nan"))]), "lossy numeric constant"),
+        ):
+            assert compile_pushdown(flt) is None, repr(flt)
+            assert lower(flt).refusal == reason, repr(flt)
 
     def test_starred_items_compile_like_plain(self):
         flt = FElem("works", [FStar(FElem("work", [FVar("w")]))])
@@ -394,7 +402,10 @@ class TestScanFallback:
         _tree, source = self.make_unsafe_source()
         wrapper = StoreWrapper("depot", source)
         flt = parse_filter('doc . work . title . $t')
-        assert wrapper.pushdown_access(flt, "refdoc") == "store-scan"
+        assert (
+            wrapper.pushdown_access(flt, "refdoc")
+            == "store-scan (document not pushdown-safe)"
+        )
         # but the same filter on a safe document takes the pushdown
         source.add_tree("safe", elem("doc", elem("work", atom_leaf("title", "C"))))
         assert wrapper.pushdown_access(flt, "safe") == "store-pushdown"
@@ -403,7 +414,22 @@ class TestScanFallback:
         _tree, source = self.make_unsafe_source()
         wrapper = StoreWrapper("depot", source, enable_pushdown=False)
         flt = parse_filter('doc . work . title . $t')
-        assert wrapper.pushdown_access(flt) == "store-scan"
+        assert wrapper.pushdown_access(flt) == "store-scan (pushdown off)"
+
+    def test_scan_access_names_the_refusal(self):
+        source = StoredXmlSource()
+        source.add_tree("safe", elem("doc", atom_leaf("n", 1)))
+        wrapper = StoreWrapper("depot", source)
+        rest = FElem("doc", [FRest("r")])
+        assert wrapper.pushdown_access(rest, "safe") == "store-scan (rest item)"
+        lifted = FElem("doc", [FElem("n", [FConst(Param(0, int))])])
+        with activate_context(RequestContext(params=(1,))):
+            assert wrapper.pushdown_access(lifted, "safe") == "store-pushdown"
+        with activate_context(RequestContext(params=(2**63 + 1,))):
+            assert (
+                wrapper.pushdown_access(lifted, "safe")
+                == "store-scan (lossy numeric constant)"
+            )
 
     def test_unsafe_document_answers_via_scan(self):
         tree, source = self.make_unsafe_source()

@@ -6,8 +6,10 @@ Every ``def`` in ``src/repro`` is listed with ``ast``; a profile hook
 (``sys.setprofile`` + ``threading.setprofile``) records the
 ``(file, first line)`` of every call, first over ``pytest`` on
 ``tests/``, then over one ``--seconds S --trace 1`` run of each workload
-of ``benchmarks/e2e``.  It prints, per file, the functions that never
-ran (dunders counted apart) and those that ran only under tests.
+of ``benchmarks/e2e``, then over one run of each ``examples/*.py`` (CI
+runs them all).  It prints, per file, the functions that never ran
+(dunders counted apart), those that ran only under tests and those
+that only examples ran.
 Stdlib only; the profiler makes everything 3-5x slower, so it is part
 of no test suite.
 """
@@ -16,7 +18,9 @@ from __future__ import annotations
 
 import argparse
 import ast
+import contextlib
 import os
+import runpy
 import sys
 import threading
 from collections import defaultdict
@@ -111,8 +115,14 @@ def main() -> int:
     for name in WORKLOADS:
         workloads |= recorder.record(lambda: cli.main(
             ["--workload", name, "--seconds", args.seconds, "--trace", "1"]))
+    examples = set()
+    for path in sorted((ROOT / "examples").glob("*.py")):
+        sys.argv = [str(path)]
+        with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+            examples |= recorder.record(
+                lambda: runpy.run_path(str(path), run_name="__main__"))
     found = functions()
-    never = {k: v for k, v in found.items() if k not in tests | workloads}
+    never = {k: v for k, v in found.items() if k not in tests | workloads | examples}
     dunders = {k: v for k, v in never.items() if v[0].rsplit(".", 1)[-1].startswith("__")}
     print(f"\n{len(found)} functions, {sum(n for _, n in found.values())} lines in src/repro")
     print(f"never run: {len(never)} functions, {sum(n for _, n in never.values())} lines, "
@@ -121,6 +131,8 @@ def main() -> int:
           {k: v for k, v in never.items() if k not in dunders}, args.v)
     table("run only under tests",
           {k: v for k, v in found.items() if k in tests and k not in workloads}, args.v)
+    table("run only by examples",
+          {k: v for k, v in found.items() if k in examples - tests - workloads}, args.v)
     return 0
 
 
