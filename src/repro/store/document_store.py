@@ -4,10 +4,12 @@ Every other source in this reproduction materializes whole documents as
 Python trees before a single ``Bind`` runs, so data is capped by RAM and
 cold-start pays full materialization even when a query touches one
 subtree.  :class:`DocumentStore` persists the *shredded* form instead —
-one row per node::
+one row per node, each document in its own table clustered on ``pre``::
 
-    nodes(doc, pre, post, parent, name, kind, vtype, value, num, ident, col)
+    documents(doc, tab, nodes, bytes, root_children, pushdown_safe)
+    nodes<tab>(pre, post, parent, name, kind, vtype, value, num, ident, col)
 
+with the indexes ``(name, pre)``, ``(parent, pre)`` and ``(value)``.
 ``pre`` is the node's pre-order position and ``post`` is the half-open
 end of its subtree interval (``post = pre + subtree size``), so:
 
@@ -16,6 +18,10 @@ end of its subtree interval (``post = pre + subtree size``), so:
 
 which is what lets the pushdown pass (:mod:`repro.store.pushdown`)
 translate ``**`` descents into interval self-joins the database runs.
+A table name is built from ``tab`` alone, never from a document name.
+A replacement truncates and refills its table, which keeps the planner
+statistics of its first ``ANALYZE``.  A file in the earlier layout, one
+shared ``nodes`` table, is refused: re-ingest it.
 
 Reads come in two granularities, cheapest first:
 
@@ -52,33 +58,31 @@ from repro.observability.context import current_context
 #: Bound on each store's ``(doc, pre) -> subtree`` hydration memo.
 HYDRATION_MEMO_CAPACITY = 128
 
+#: sqlite VM instructions one pushdown may run: about half a second on a
+#: 2-core box, where streaming a million rows takes some 12 million.
+PUSHDOWN_STEPS = 20_000_000
+
 _SCHEMA = """
 CREATE TABLE IF NOT EXISTS documents (
     doc TEXT PRIMARY KEY,
+    tab INTEGER NOT NULL UNIQUE,
     nodes INTEGER NOT NULL,
     bytes INTEGER NOT NULL,
     root_children INTEGER NOT NULL,
     pushdown_safe INTEGER NOT NULL
-);
-CREATE TABLE IF NOT EXISTS nodes (
-    doc TEXT NOT NULL,
-    pre INTEGER NOT NULL,
-    post INTEGER NOT NULL,
-    parent INTEGER,
-    name TEXT NOT NULL,
-    kind TEXT NOT NULL,
-    vtype TEXT,
-    value TEXT,
-    num REAL,
-    ident TEXT,
-    col TEXT,
-    PRIMARY KEY (doc, pre)
-);
-CREATE INDEX IF NOT EXISTS nodes_by_name ON nodes (doc, name, pre);
-CREATE INDEX IF NOT EXISTS nodes_by_parent ON nodes (doc, parent, pre);
-CREATE INDEX IF NOT EXISTS nodes_by_num ON nodes (doc, num);
-CREATE INDEX IF NOT EXISTS nodes_by_value ON nodes (doc, value);
+)
 """
+
+#: A document's table ``{t}`` and its indexes.  Without a rowid every
+#: index entry ends in ``pre``: a ``value`` probe is an interval probe.
+_TABLE = (
+    "CREATE TABLE {t} (pre INTEGER PRIMARY KEY, post INTEGER NOT NULL,"
+    " parent INTEGER, name TEXT NOT NULL, kind TEXT NOT NULL, vtype TEXT,"
+    " value TEXT, num REAL, ident TEXT, col TEXT) WITHOUT ROWID",
+    "CREATE INDEX {t}_by_name ON {t} (name, pre)",
+    "CREATE INDEX {t}_by_parent ON {t} (parent, pre)",
+    "CREATE INDEX {t}_by_value ON {t} (value)",
+)
 
 
 def _atom_text(atom: Atom) -> str:
@@ -113,63 +117,53 @@ def _atom_num(atom: Atom) -> Optional[float]:
 def shred(root: DataNode) -> Tuple[list, int, bool]:
     """Flatten *root* into node rows with pre/post interval positions.
 
-    Returns ``(rows, count, pushdown_safe)`` where each row is the
-    ``nodes`` tuple minus the leading document name.  The traversal is
-    an iterative pre-order with a backward subtree-size accumulation.
+    Returns ``(rows, count, pushdown_safe)`` where each row is a node
+    table tuple, in pre order.  One pass: a leaf's row is final when it
+    is reached, an element's slot is reserved on entry and filled when
+    its subtree closes, the next free position then being its ``post``.
     Reference nodes and shared subtrees make the document
     *pushdown-unsafe* (interval semantics cannot express a node with two
     parents or a pointer): its queries fall back to hydrated scans where
     the in-memory Bind engine owns the semantics.
     """
-    nodes: List[DataNode] = []
-    parents: List[int] = []
+    rows: list = []
     seen_ids: set = set()
-    shared = False
-    has_references = False
-    stack: List[Tuple[DataNode, int]] = [(root, -1)]
+    safe = True
+    # Open elements: (element, its position, its parent, unvisited
+    # children); the bottom frame holds the root and writes no row.
+    stack: list = [(None, None, None, iter((root,)))]
     while stack:
-        node, parent = stack.pop()
-        position = len(nodes)
-        if id(node) in seen_ids:
-            shared = True
-        seen_ids.add(id(node))
-        nodes.append(node)
-        parents.append(parent)
-        if node.is_reference:
-            has_references = True
-        for child in reversed(node.children):
-            stack.append((child, position))
-
-    count = len(nodes)
-    sizes = [1] * count
-    for position in range(count - 1, 0, -1):
-        sizes[parents[position]] += sizes[position]
-
-    rows = []
-    for position, node in enumerate(nodes):
-        parent = parents[position] if position else None
-        if node.is_atom_leaf:
-            kind, vtype = "atom", atom_type_name(node.atom)
-            value, num = _atom_text(node.atom), _atom_num(node.atom)
-        elif node.is_reference:
-            kind, vtype, value, num = "ref", None, node.ref_target, None
+        element, pre, parent, children = stack[-1]
+        for child in children:
+            position = len(rows)
+            if id(child) in seen_ids:
+                safe = False
+            seen_ids.add(id(child))
+            if child.children:
+                rows.append(None)
+                stack.append((child, position, pre, iter(child.children)))
+                break
+            if child.is_atom_leaf:
+                atom = child.atom
+                kind, vtype = "atom", atom_type_name(atom)
+                value, num = _atom_text(atom), _atom_num(atom)
+            elif child.is_reference:
+                safe = False
+                kind, vtype, value, num = "ref", None, child.ref_target, None
+            else:
+                kind, vtype, value, num = "elem", None, None, None
+            rows.append((
+                position, position + 1, pre, child.label, kind, vtype, value,
+                num, child.ident, child.collection,
+            ))
         else:
-            kind, vtype, value, num = "elem", None, None, None
-        rows.append(
-            (
-                position,
-                position + sizes[position],
-                parent,
-                node.label,
-                kind,
-                vtype,
-                value,
-                num,
-                node.ident,
-                node.collection,
-            )
-        )
-    return rows, count, not has_references and not shared
+            stack.pop()
+            if element is not None:
+                rows[pre] = (
+                    pre, len(rows), parent, element.label, "elem", None, None,
+                    None, element.ident, element.collection,
+                )
+    return rows, len(rows), safe
 
 
 def _count(**delta: int) -> None:
@@ -214,7 +208,15 @@ class DocumentStore:
     def __init__(self, path: str = ":memory:") -> None:
         self.path = path
         self._conn = sqlite3.connect(path, check_same_thread=False)
-        self._conn.executescript(_SCHEMA)
+        if self._conn.execute(
+            "SELECT 1 FROM sqlite_master WHERE name = 'nodes'"
+        ).fetchone() is not None:
+            self._conn.close()
+            raise SourceError(
+                f"{path} holds a store in the shared-table layout, which this"
+                " version does not read; re-ingest its documents into a new file"
+            )
+        self._conn.execute(_SCHEMA)
         self._conn.commit()
         self._lock = threading.RLock()
         #: Monotonic data version; every insert/update bumps it so the
@@ -249,29 +251,37 @@ class DocumentStore:
         rows, count, safe = shred(tree)
         byte_size = serialized_size(tree)
         with self._lock:
-            new_name = name not in self._written and self._conn.execute(
-                "SELECT 1 FROM documents WHERE doc = ?", (name,)
-            ).fetchone() is None
-            self._conn.execute("DELETE FROM nodes WHERE doc = ?", (name,))
-            self._conn.executemany(
-                "INSERT INTO nodes (doc, pre, post, parent, name, kind, vtype,"
-                " value, num, ident, col) VALUES (?,?,?,?,?,?,?,?,?,?,?)",
-                [(name, *row) for row in rows],
-            )
-            self._conn.execute(
-                "INSERT OR REPLACE INTO documents"
-                " (doc, nodes, bytes, root_children, pushdown_safe)"
-                " VALUES (?,?,?,?,?)",
-                (name, count, byte_size, len(tree.children), int(safe)),
-            )
-            # Planner statistics follow the document set: a new document
-            # changes the per-document row counts the interval self-joins
-            # pick join orders from, so re-ANALYZE.  A replacement leaves
-            # sqlite_stat1 as it was; a same-shaped document would not
-            # change it anyway.
-            if new_name:
-                self._conn.execute("ANALYZE")
-            self._conn.commit()
+            with self._conn:
+                self._conn.execute("BEGIN IMMEDIATE")
+                row = self._conn.execute(
+                    "SELECT tab FROM documents WHERE doc = ?", (name,)
+                ).fetchone()
+                new = row is None
+                if new:
+                    (number,) = self._conn.execute(
+                        "SELECT COALESCE(MAX(tab) + 1, 0) FROM documents"
+                    ).fetchone()
+                    for statement in _TABLE:
+                        self._conn.execute(statement.format(t=f"nodes{number}"))
+                else:
+                    (number,) = row
+                    # No WHERE clause: sqlite's truncate path, which keeps
+                    # the table's sqlite_stat1 rows.
+                    self._conn.execute(f"DELETE FROM nodes{number}")
+                table = f"nodes{number}"
+                self._conn.executemany(
+                    f"INSERT INTO {table} VALUES (?,?,?,?,?,?,?,?,?,?)", rows
+                )
+                self._conn.execute(
+                    "INSERT OR REPLACE INTO documents (doc, tab, nodes, bytes,"
+                    " root_children, pushdown_safe) VALUES (?,?,?,?,?,?)",
+                    (name, number, count, byte_size, len(tree.children),
+                     int(safe)),
+                )
+                # A new table gets planner statistics once; replacements
+                # keep them, as a same-shaped document would not move them.
+                if new:
+                    self._conn.execute(f"ANALYZE {table}")
             self.version += 1
             self._written[name] = self.version
             self._counters["rows_shredded"] += count
@@ -286,15 +296,19 @@ class DocumentStore:
             ).fetchall()
         return tuple(row[0] for row in rows)
 
-    def _meta(self, name: str) -> Tuple[int, int, int, bool]:
+    def _meta(self, name: str) -> Tuple[int, int, int, bool, int]:
         row = self._conn.execute(
-            "SELECT nodes, bytes, root_children, pushdown_safe"
+            "SELECT nodes, bytes, root_children, pushdown_safe, tab"
             " FROM documents WHERE doc = ?",
             (name,),
         ).fetchone()
         if row is None:
             raise SourceError(f"document store holds no document {name!r}")
-        return row[0], row[1], row[2], bool(row[3])
+        return row[0], row[1], row[2], bool(row[3]), row[4]
+
+    def _table(self, name: str) -> str:
+        """*name*'s node table, built from its number alone."""
+        return f"nodes{self._meta(name)[4]}"
 
     def node_count(self, name: str) -> int:
         with self._lock:
@@ -306,12 +320,9 @@ class DocumentStore:
 
     def root_label(self, name: str) -> str:
         with self._lock:
-            row = self._conn.execute(
-                "SELECT name FROM nodes WHERE doc = ? AND pre = 0", (name,)
-            ).fetchone()
-        if row is None:
-            raise SourceError(f"document store holds no document {name!r}")
-        return row[0]
+            return self._conn.execute(
+                f"SELECT name FROM {self._table(name)} WHERE pre = 0"
+            ).fetchone()[0]
 
     def pushdown_safe(self, name: str) -> bool:
         """Whether interval pushdown is sound for *name*.
@@ -341,12 +352,12 @@ class DocumentStore:
 
     def _read_subtree(self, name: str, pre: int) -> DataNode:
         with self._lock:
+            table = self._table(name)
             rows = self._conn.execute(
                 "SELECT pre, parent, name, kind, vtype, value, ident, col"
-                " FROM nodes WHERE doc = ? AND pre >= ? AND pre <"
-                " (SELECT post FROM nodes WHERE doc = ? AND pre = ?)"
-                " ORDER BY pre",
-                (name, pre, name, pre),
+                f" FROM {table} WHERE pre >= ? AND pre <"
+                f" (SELECT post FROM {table} WHERE pre = ?) ORDER BY pre",
+                (pre, pre),
             ).fetchall()
             self._counters["hydrated_nodes"] += len(rows)
         _count(hydrated_nodes=len(rows))
@@ -373,13 +384,32 @@ class DocumentStore:
         the subtrees it bound.  Writers wait until it is released."""
         return self._lock
 
+    def statement(self, sql: str, name: str) -> str:
+        """Pushdown *sql* as it runs on document *name*: with its table in
+        place of ``{table}``."""
+        return sql.format(table=self._table(name))
+
     def fetch_bounded(
         self, sql: str, params: Sequence[object], bound: int
-    ) -> List[tuple]:
-        """Run a pushdown query, refusing result sets past *bound* rows."""
+    ) -> Optional[List[tuple]]:
+        """Run a pushdown query, refusing result sets past *bound* rows.
+
+        ``params[0]`` names the document.  A plan that sorts builds its
+        whole join before its first row, which the row bound cannot stop:
+        past :data:`PUSHDOWN_STEPS` sqlite instructions this returns
+        ``None``, for the caller to scan instead."""
+        steps = iter(range(PUSHDOWN_STEPS // 1000))
         with self._lock:
-            cursor = self._conn.execute(sql, tuple(params))
-            rows = cursor.fetchmany(bound + 1)
+            statement = self.statement(sql, params[0])
+            self._conn.set_progress_handler(lambda: next(steps, None) is None, 1000)
+            try:
+                rows = self._conn.execute(statement, params[1:]).fetchmany(bound + 1)
+            except sqlite3.OperationalError:
+                if next(steps, None) is not None:  # not the budget's interrupt
+                    raise
+                return None
+            finally:
+                self._conn.set_progress_handler(None, 0)
         if len(rows) > bound:
             from repro.errors import BindError
 
@@ -397,7 +427,7 @@ class DocumentStore:
         from real stored metadata, not a guess.
         """
         with self._lock:
-            total_nodes, total_bytes, _children, _safe = self._meta(name)
+            total_nodes, total_bytes = self._meta(name)[:2]
             touched = min(touched_nodes, total_nodes)
             avoided = (
                 total_bytes * (total_nodes - touched) // total_nodes

@@ -1,21 +1,23 @@
 """Printing a Bind filter's lowering as one SQL interval self-join.
 
 The store keeps every node's pre-order position and half-open subtree
-interval ``[pre, post)``.  :func:`compile_pushdown` prints one table
-alias ``n<i>`` per step of :func:`~repro.core.algebra.lowering.lower`
-and each step's axis as range predicates on its anchor's alias —
-``ORDER BY`` every alias's ``pre`` then reproduces the matcher's rows
-and enumeration order (the argument is in the lowering's docstring).
-The result is **binding tuples**: the mediator never sees nodes the
-query did not touch.  A refused lowering, or a query parameter whose
-bound value has a lossy REAL key (:meth:`PushdownQuery.bind_params`),
-falls back to a hydrated scan.
+interval ``[pre, post)``, one table per document.  :func:`compile_pushdown`
+prints one alias ``n<i>`` of the document's table ``{table}`` per step
+of :func:`~repro.core.algebra.lowering.lower` and each step's axis as
+range predicates on its anchor's alias — ``ORDER BY`` every alias's
+``pre`` then reproduces the matcher's rows and enumeration order (the
+argument is in the lowering's docstring).  The result is **binding
+tuples**: the mediator never sees nodes the query did not touch.  A
+refused lowering, or a query parameter whose bound value has a lossy
+REAL key (:meth:`PushdownQuery.bind_params`), falls back to a scan.
 
 Every axis states its implied subtree bounds ``s.pre <(=) t.pre <
-s.post``, so sqlite drives each join through the ``(doc, pre)`` primary
-key — an interval probe — and applies the parent equality or the
-leaf-or-child disjunction, unindexable on its own, as a residual filter
-over that tiny range.
+s.post``, an interval probe on the ``pre`` key.  A constant's
+leaf-or-child test drops the anchor's ``kind = 'atom'``, which
+``t.pre = s.pre`` implies for an atom row.  With a string constant the
+sort keys are printed ``+n<i>.pre``: the same order, but sqlite no
+longer plans to avoid the sort, which pinned the join top-down; it
+seeks the constant through the value index and climbs by primary key.
 
 One divergence is accepted and documented in DESIGN.md: the matcher's
 cartesian-explosion guard can fire while enumerating an element whose
@@ -51,9 +53,9 @@ class PushdownQuery:
     four columns ``(pre, kind, vtype, value)`` of the matched node —
     enough to decode an atom binding without touching the store again,
     and to hydrate a subtree binding lazily from its ``pre``.  The first
-    bind parameter is always the document name; the rest are ``params``,
-    where a query parameter stands for the value each request binds
-    (:meth:`bind_params`).
+    bind parameter is always the document name, whose table the store
+    puts in place of ``{table}``; the rest are ``params``, where a query
+    parameter stands for the value each request binds (:meth:`bind_params`).
     """
 
     __slots__ = ("sql", "params", "variables")
@@ -96,9 +98,11 @@ _AXES = {
         ">=", "({t}.parent = {s}.pre OR ({s}.kind = 'atom' AND {t}.pre = {s}.pre))"
     ),
 }
+#: Leaf-or-child for a constant, without the anchor's ``kind`` test.
+_CONSTANT_LEAF = "({t}.parent = {s}.pre OR {t}.pre = {s}.pre)"
 
 
-def compile_pushdown(flt: Filter, table: str = "nodes") -> Optional[PushdownQuery]:
+def compile_pushdown(flt: Filter) -> Optional[PushdownQuery]:
     """Print *flt*'s lowering as an interval self-join, or ``None`` to scan."""
     lowering = lower(flt)
     if lowering.refusal is not None:
@@ -106,16 +110,17 @@ def compile_pushdown(flt: Filter, table: str = "nodes") -> Optional[PushdownQuer
     conditions: List[str] = []
     params: List[object] = []
     binder = {}
+    seek = False
     for step in lowering.steps:
         alias = f"n{step.index}"
         if step.anchor is None:
-            conditions.append(f"{alias}.doc = ?")
             if step.axis == ROOT:
                 conditions.append(f"{alias}.pre = 0")
         else:
             anchor = f"n{step.anchor}"
             bound_op, extra = _AXES[step.axis]
-            conditions.append(f"{alias}.doc = {anchor}.doc")
+            if step.axis == LEAF_OR_CHILD and step.test == CONSTANT:
+                extra = _CONSTANT_LEAF
             conditions.append(f"{alias}.pre {bound_op} {anchor}.pre")
             conditions.append(f"{alias}.pre < {anchor}.post")
             if extra is not None:
@@ -130,6 +135,7 @@ def compile_pushdown(flt: Filter, table: str = "nodes") -> Optional[PushdownQuer
                 # String equality never crosses types; match the stored text.
                 conditions.append(f"{alias}.vtype = 'String'")
                 conditions.append(f"{alias}.value = ?")
+                seek = True
             else:
                 # Numerics compare through the REAL key, which the store
                 # only populates for exactly-representable values.
@@ -146,14 +152,14 @@ def compile_pushdown(flt: Filter, table: str = "nodes") -> Optional[PushdownQuer
         for column in ("pre", "kind", "vtype", "value")
     ] or ["n0.pre"]  # variable-free filter: row count still matters
     aliases = [f"n{step.index}" for step in lowering.steps]
+    sort = "+" if seek else ""
     sql = (
         "SELECT "
         + ", ".join(select)
         + " FROM "
-        + ", ".join(f"{table} {alias}" for alias in aliases)
-        + " WHERE "
-        + " AND ".join(conditions)
+        + ", ".join(f"{{table}} {alias}" for alias in aliases)
+        + (" WHERE " + " AND ".join(conditions) if conditions else "")
         + " ORDER BY "
-        + ", ".join(f"{alias}.pre" for alias in aliases)
+        + ", ".join(f"{sort}{alias}.pre" for alias in aliases)
     )
     return PushdownQuery(sql, tuple(params), variables)

@@ -21,7 +21,8 @@ A validated fragment executes through one of two access paths:
     The filter's lowering was refused (``FRest``, label variables, a
     lossy numeric constant), a query parameter's bound value has a lossy
     REAL key, pushdown is off, or the document holds references/shared
-    subtrees, where interval semantics are unsound.  The document is
+    subtrees, where interval semantics are unsound; or a pushdown ran
+    past the store's step budget.  The document is
     hydrated once per write to it (the store's hydration memo, tagged per
     document) and matched by the same
     :func:`~repro.core.algebra.engine.bind_engine` the mediator's own
@@ -186,20 +187,23 @@ class StoreWrapper(Wrapper):
             )
         document = fragment.document
         compiled, params = self._pushdown(fragment.filter, document)
-        if compiled is not None:
-            return self._run_pushdown(document, compiled, params, columns)
-        return self._run_scan(document, fragment.filter, columns)
+        pushed = compiled and self._run_pushdown(document, compiled, params, columns)
+        return pushed or self._run_scan(document, fragment.filter, columns)
 
     def _run_pushdown(
         self, document: str, compiled: PushdownQuery,
         params: Tuple[object, ...], columns: Tuple[str, ...],
-    ) -> Tuple[Tab, str]:
+    ) -> Optional[Tuple[Tab, str]]:
+        """``None`` when the statement ran past the store's step budget."""
         touched: Dict[int, int] = {}
         data = [[] for _ in compiled.variables]
         # A write between the fetch and a hydration would hand this read
         # the replacement's node at an old position.
         with self._store.reading():
             raw = self._store.fetch_bounded(compiled.sql, params, MAX_MATCHES)
+            if raw is None:
+                return None
+            statement = self._store.statement(compiled.sql, document)
             for record in raw:
                 for i, cells in enumerate(data):
                     pre, kind, vtype, value = record[4 * i : 4 * i + 4]
@@ -211,7 +215,7 @@ class StoreWrapper(Wrapper):
                         touched.setdefault(pre, node.size())
                         cells.append(node)
         self._store.note_pushdown(document, sum(touched.values()))
-        native = f"store-pushdown {document}: {compiled.sql}"
+        native = f"store-pushdown {document}: {statement}"
         return Tab.from_columns(columns, data, len(raw)), native
 
     def _run_scan(

@@ -10,6 +10,9 @@ small fraction of the document's nodes.
 """
 
 import random
+import re
+import sqlite3
+import time
 
 import pytest
 
@@ -278,6 +281,47 @@ class TestPushdownParity:
         ):
             self.assert_parity(tree, flt)
 
+    def test_bare_descent_has_no_conditions(self):
+        # Every node binds: the statement has no WHERE clause at all.
+        tree = elem("doc", elem("doc", atom_leaf("x", 1)), atom_leaf("y", "z"))
+        self.assert_parity(tree, FDescend(FVar("d")))
+
+    def test_order_survives_a_seek_first_plan(self):
+        # Two a's times two b . "k"'s.  A plan that seeks the rare "k"
+        # first enumerates (b, a) pairs, out of the matcher's (a, b)
+        # order: only the printed ORDER BY puts the rows back.
+        filler = [atom_leaf("c", f"v{i}") for i in range(40)]
+        rare = elem(
+            "r",
+            atom_leaf("a", 1),
+            atom_leaf("a", 2),
+            atom_leaf("b", "k"),
+            atom_leaf("b", "k"),
+        )
+        tree = elem("doc", rare, *filler)
+        self.assert_parity(tree, parse_filter('doc . r [ a . $x, b . "k" ]'))
+
+    def test_numeric_constant_without_an_index(self):
+        # No index covers num, so a numeric constant is a residual test
+        # wherever the plan puts it: an exact REAL key, NULL for strings
+        # and lossy values, equal across 1 == 1.0 == True.
+        values = [1, 1.0, True, "1", 2**63 + 1, 2.5, 0, False]
+        tree = elem(
+            "doc",
+            *[
+                elem(
+                    "item",
+                    atom_leaf("n", values[i % len(values)]),
+                    atom_leaf("id", i),
+                )
+                for i in range(48)
+            ],
+        )
+        for constant in (1, 2.5, False):
+            item = [FElem("n", [FConst(constant)]), FElem("id", [FVar("i")])]
+            self.assert_parity(tree, FElem("doc", [FElem("item", item)]))
+            self.assert_parity(tree, FDescend(FElem("n", [FConst(constant)])))
+
     def test_randomized_parity_fuzz(self):
         rng = random.Random(20260808)
         labels = ["a", "b", "c", "d"]
@@ -345,6 +389,41 @@ class TestPushdownParity:
         with pytest.raises(BindError) as store_error:
             store.fetch_bounded(compiled.sql, compiled.bind_params("doc"), 3)
         assert str(store_error.value) == str(matcher_error.value)
+
+
+class TestStepBudget:
+    """A plan that sorts builds its whole join before its first row, so
+    the store's step budget, not the row bound, stops it; the scan then
+    decides."""
+
+    @staticmethod
+    def mediator(tree):
+        source = StoredXmlSource()
+        source.add_tree("stored", tree)
+        mediator = Mediator()
+        mediator.connect(StoreWrapper("depot", source))
+        return source.store, mediator
+
+    def test_a_sorted_explosion_is_refused_in_bounded_time(self):
+        # 10^8 (x, y) pairs beside a seekable constant: the printer
+        # sorts, so the step budget ends the join and the scan refuses.
+        leaves = [atom_leaf("a", f"v{i}") for i in range(10_000)]
+        store, mediator = self.mediator(elem("doc", *leaves, atom_leaf("a", "k")))
+        started = time.perf_counter()
+        with pytest.raises(BindError, match="refusing the cartesian explosion"):
+            mediator.query('MAKE $x MATCH stored WITH doc [ a . $x, a . $y, a . "k" ]')
+        assert time.perf_counter() - started < 20
+        assert store.stats()["scans"] == 1
+
+    def test_past_the_budget_the_scan_answers(self, monkeypatch):
+        monkeypatch.setattr(document_store, "PUSHDOWN_STEPS", 0)
+        tree = cultural_tree(n_artifacts=40)
+        store, mediator = self.mediator(tree)
+        result = mediator.query("MAKE $t MATCH stored WITH works .. work . title . $t")
+        flt = parse_filter("works .. work . title . $t")
+        expected = sorted(b["t"] for b in match_filter(tree, flt))
+        assert sorted(c.atom for c in result.document().children) == expected
+        assert (store.stats()["pushdowns"], store.stats()["scans"]) == (0, 1)
 
 
 class TestLazyHydration:
@@ -568,15 +647,15 @@ class TestPlannerStatistics:
 
     @staticmethod
     def analyzes(statements):
-        return sum(sql.strip().upper() == "ANALYZE" for sql in statements)
+        return sum(sql.strip().upper().startswith("ANALYZE") for sql in statements)
 
     def plans(self, store, document):
         plans = []
         for text in self.SHAPES:
             compiled = compile_pushdown(parse_filter(text))
             plans.append(store._conn.execute(
-                "EXPLAIN QUERY PLAN " + compiled.sql,
-                compiled.bind_params(document),
+                "EXPLAIN QUERY PLAN " + store.statement(compiled.sql, document),
+                compiled.bind_params(document)[1:],
             ).fetchall())
         return plans
 
@@ -600,6 +679,30 @@ class TestPlannerStatistics:
         assert self.analyzes(statements) == 1
         reopened.close()
 
+    def test_twig_plans_seek_the_value_index_before_the_work(self):
+        # Pins sqlite's planner choice, as written against sqlite 3.40.1
+        # (sqlite3.sqlite_version); another build may plan differently.
+        store = DocumentStore()
+        store.add("coll0", cultural_tree(n_artifacts=60, seed=1))
+        store.add("coll1", cultural_tree(n_artifacts=60, seed=2))
+        for text, plan in zip(self.SHAPES, self.plans(store, "coll0")):
+            (work,) = [
+                step.index
+                for step in lower(parse_filter(text)).steps
+                if step.value == "work"
+            ]
+            details = [row[3] for row in plan]
+            seek = next(
+                (i for i, detail in enumerate(details) if "_by_value" in detail),
+                None,
+            )
+            step = next(
+                i
+                for i, detail in enumerate(details)
+                if re.match(rf"(SEARCH|SCAN) n{work}\b", detail)
+            )
+            assert seek is not None and seek < step, details
+
     def test_replacements_keep_the_pushdown_plans(self):
         store = DocumentStore()
         store.add("coll0", cultural_tree(n_artifacts=60, seed=1))
@@ -612,6 +715,42 @@ class TestPlannerStatistics:
         # same plans the ingest statistics do.
         store._conn.execute("ANALYZE")
         assert self.plans(store, "coll0") == after_ingest
+
+
+class TestStoreFile:
+    def test_a_shared_table_file_is_refused(self, tmp_path):
+        # The layout before one table per document: a shared nodes table.
+        path = str(tmp_path / "shared.sqlite")
+        conn = sqlite3.connect(path)
+        conn.executescript(
+            "CREATE TABLE documents (doc TEXT PRIMARY KEY, nodes INTEGER,"
+            " bytes INTEGER, root_children INTEGER, pushdown_safe INTEGER);"
+            "CREATE TABLE nodes (doc TEXT, pre INTEGER, post INTEGER,"
+            " parent INTEGER, name TEXT, kind TEXT, vtype TEXT, value TEXT,"
+            " num REAL, ident TEXT, col TEXT, PRIMARY KEY (doc, pre));"
+            "INSERT INTO documents VALUES ('doc', 1, 10, 0, 1);"
+            "INSERT INTO nodes VALUES ('doc', 0, 1, NULL, 'doc', 'elem',"
+            " NULL, NULL, NULL, NULL, NULL);"
+        )
+        conn.close()
+        with pytest.raises(SourceError, match="re-ingest"):
+            DocumentStore(path)
+
+    def test_a_document_name_never_reaches_sql_text(self, tmp_path):
+        path = str(tmp_path / "store.sqlite")
+        name = 'x"; DROP TABLE documents; --'
+        tree = cultural_tree(n_artifacts=8)
+        flt = parse_filter('works . work . title . $t')
+        store = DocumentStore(path)
+        store.add(name, cultural_tree(n_artifacts=5, seed=2))
+        store.add(name, tree)
+        assert store.document_names() == (name,)
+        assert pushdown_rows(store, name, flt) == matcher_rows(tree, flt)
+        store.close()
+        reopened = DocumentStore(path)
+        assert reopened.hydrate_document(name) == tree
+        assert reopened.root_label(name) == "works"
+        reopened.close()
 
 
 class TestWrapperIntegration:
@@ -646,6 +785,8 @@ class TestWrapperIntegration:
         rendered = explanation.render()
         assert "bind: store-pushdown" in rendered
         assert "store-pushdown stored_artworks: SELECT" in rendered
+        # The statement that ran, with the document's table in place.
+        assert "FROM nodes0 n0" in rendered and "{table}" not in rendered
         assert explanation.report.stats.store_pushdowns >= 1
         assert explanation.report.stats.store_scans == 0
         assert "document store:" in rendered
