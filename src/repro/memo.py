@@ -8,7 +8,7 @@ them again:
 **Eviction** — least-recently-used, one entry at a time.  The bound is
 an entry count, or the summed ``weigh(value)`` when a weigher is given
 (the result cache's bytes); a value heavier than the whole bound is not
-stored.  ``capacity`` is a plain attribute: an owner whose table has a
+stored, and its key's older value goes.  ``capacity`` is a plain attribute: an owner whose table has a
 natural size it learns late (one slot per exported document, per
 declared view) assigns it instead of guessing a constant.
 
@@ -19,7 +19,9 @@ entry holding any other tag is dropped, counted ``stale``, and the
 lookup misses.  Because the tag is captured first, a write racing the
 computation can only make the entry *look* stale — an old value is never
 served under a new tag.  :meth:`Memo.clear` is the same rule applied to
-everything at once (the catalog epoch moved under every entry).
+everything at once (the catalog epoch moved under every entry).  A
+writer that holds the new value itself may :meth:`Memo.replace` a
+resident entry under the new tag; it never inserts one.
 
 **Identity keys** — an entry may carry an ``anchor`` object compared
 with ``is`` on lookup.  Memos keyed by ``id(plan)`` pass the plan as the
@@ -104,11 +106,11 @@ class Memo:
 
     def _store(self, key, value, tag, anchor, weight: int) -> None:
         """Insert or replace *key*, then evict; caller holds the lock."""
-        if weight > self.capacity:
-            return
         previous = self._entries.pop(key, None)
         if previous is not None:
             self._weight -= previous[3]
+        if weight > self.capacity:
+            return
         self._entries[key] = (value, tag, anchor, weight)
         self._weight += weight
         while self._weight > self.capacity:
@@ -138,6 +140,19 @@ class Memo:
         weight = self._weigh_value(value)
         with self._lock:
             self._store(key, value, tag, anchor, weight)
+
+    def replace(self, key, value, tag=None, anchor=None) -> None:
+        """Store *value* under *tag* only if *key* is resident.
+
+        For a writer that holds what a rebuild would compute: the entry
+        moves to the new tag instead of dying stale, and nothing absent
+        is inserted.  A racing builder may overwrite it under its older
+        tag, which only makes the next lookup rebuild.
+        """
+        weight = self._weigh_value(value)
+        with self._lock:
+            if key in self._entries:
+                self._store(key, value, tag, anchor, weight)
 
     def get_or_build(self, key, build: Callable, *args, tag=None, anchor=None):
         """The value for *key* at *tag*, calling ``build(*args)`` on a miss.

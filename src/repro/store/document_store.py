@@ -28,9 +28,18 @@ Reads come in two granularities, cheapest first:
 * lazy subtree hydration (:meth:`DocumentStore.hydrate`) — one pre/post
   range read materializes just the subtree a binding needs, memoized per
   ``(doc, pre)`` and tagged with that document's write version;
-* full document hydration (:meth:`DocumentStore.hydrate_document`) —
-  the same memo at ``pre = 0``, which is what ``StoreWrapper.document()``
-  returns.
+* full document hydration — the same memo at ``pre = 0``, which is
+  what ``StoreWrapper.document()`` returns.  A write of a pushdown-safe
+  tree moves a *resident* entry there to the written tree
+  (:meth:`Memo.replace`): it is what a read of its rows would build, so
+  the next scan skips the rebuild, and the store keeps a reference to an
+  immutable ``DataNode``.
+
+A write binds no ``None``: CPython's ``sqlite3`` binds ``int``, ``float``
+and ``str`` directly, but sends ``None`` through the adapter-protocol
+lookup, about 0.7 µs each, and a 3,000-row replacement bound some 10,000
+of them.  :func:`shred` writes stand-ins that :data:`_INSERT` maps back
+to NULL, so the stored rows are the same.
 
 All state is guarded by one lock (sqlite connections are shared across
 the server's request threads) and the hydration memo is bounded, the
@@ -46,7 +55,7 @@ from __future__ import annotations
 
 import sqlite3
 import threading
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.errors import SourceError
 from repro.memo import Memo
@@ -84,6 +93,14 @@ _TABLE = (
     "CREATE INDEX {t}_by_value ON {t} (value)",
 )
 
+#: A bare parameter has no affinity, so the INTEGER stand-ins never equal
+#: a stored TEXT such as ``'0'``; sqlite stores a NaN REAL as NULL.
+_INSERT = (
+    "INSERT INTO {t} VALUES (?, ?, NULLIF(?, -1), ?, ?, NULLIF(?, 0),"
+    " NULLIF(?, 0), ?, NULLIF(?, 0), NULLIF(?, 0))"
+)
+_NAN = float("nan")
+
 
 def _atom_text(atom: Atom) -> str:
     """Round-trippable text for an atom (inverse of ``parse_atom``)."""
@@ -94,8 +111,9 @@ def _atom_text(atom: Atom) -> str:
     return str(atom)
 
 
-def _atom_num(atom: Atom) -> Optional[float]:
-    """The REAL comparison key for numeric atoms, ``None`` when unsafe.
+def _atom_num(atom: Atom) -> float:
+    """The REAL comparison key for numeric atoms, NaN (stored NULL) when
+    unsafe.
 
     Stored only when ``float(atom) == atom`` exactly: then two exactly-
     representable numerics are Python-equal iff their REALs are equal
@@ -104,13 +122,13 @@ def _atom_num(atom: Atom) -> Optional[float]:
     ``num`` NULL is the correct "matches no pushed constant" encoding.
     """
     if isinstance(atom, str):
-        return None
+        return _NAN
     try:
         key = float(atom)
     except OverflowError:
-        return None
+        return _NAN
     if key != key or key != atom:  # NaN, or not exactly representable
-        return None
+        return _NAN
     return key
 
 
@@ -118,9 +136,11 @@ def shred(root: DataNode) -> Tuple[list, int, bool]:
     """Flatten *root* into node rows with pre/post interval positions.
 
     Returns ``(rows, count, pushdown_safe)`` where each row is a node
-    table tuple, in pre order.  One pass: a leaf's row is final when it
-    is reached, an element's slot is reserved on entry and filled when
-    its subtree closes, the next free position then being its ``post``.
+    table tuple, in pre order, holding no ``None``: :data:`_INSERT` maps
+    a ``-1`` parent, a ``0`` text column and a NaN ``num`` to NULL.  One
+    pass: a leaf's row is final when it is reached, an element's slot is
+    reserved on entry and filled when its subtree closes, the next free
+    position then being its ``post``.
     Reference nodes and shared subtrees make the document
     *pushdown-unsafe* (interval semantics cannot express a node with two
     parents or a pointer): its queries fall back to hydrated scans where
@@ -131,7 +151,7 @@ def shred(root: DataNode) -> Tuple[list, int, bool]:
     safe = True
     # Open elements: (element, its position, its parent, unvisited
     # children); the bottom frame holds the root and writes no row.
-    stack: list = [(None, None, None, iter((root,)))]
+    stack: list = [(None, -1, None, iter((root,)))]
     while stack:
         element, pre, parent, children = stack[-1]
         for child in children:
@@ -143,25 +163,29 @@ def shred(root: DataNode) -> Tuple[list, int, bool]:
                 rows.append(None)
                 stack.append((child, position, pre, iter(child.children)))
                 break
-            if child.is_atom_leaf:
-                atom = child.atom
+            atom = child.atom
+            if atom.__class__ is str:
+                kind, vtype, value, num = "atom", "String", atom, _NAN
+            elif atom is not None:
                 kind, vtype = "atom", atom_type_name(atom)
                 value, num = _atom_text(atom), _atom_num(atom)
-            elif child.is_reference:
+            elif child.ref_target is not None:
                 safe = False
-                kind, vtype, value, num = "ref", None, child.ref_target, None
+                kind, vtype, value, num = "ref", 0, child.ref_target, _NAN
             else:
-                kind, vtype, value, num = "elem", None, None, None
+                kind, vtype, value, num = "elem", 0, 0, _NAN
+            ident, col = child.ident, child.collection
             rows.append((
                 position, position + 1, pre, child.label, kind, vtype, value,
-                num, child.ident, child.collection,
+                num, 0 if ident is None else ident, 0 if col is None else col,
             ))
         else:
             stack.pop()
             if element is not None:
+                ident, col = element.ident, element.collection
                 rows[pre] = (
-                    pre, len(rows), parent, element.label, "elem", None, None,
-                    None, element.ident, element.collection,
+                    pre, len(rows), parent, element.label, "elem", 0, 0, _NAN,
+                    0 if ident is None else ident, 0 if col is None else col,
                 )
     return rows, len(rows), safe
 
@@ -179,6 +203,15 @@ def _count(**delta: int) -> None:
         for name, value in delta.items():
             if value:
                 span.add(f"store_{name}", value)
+
+
+class DocumentMeta(NamedTuple):
+    """A document's ``documents`` row, which a pushdown reads once."""
+
+    nodes: int
+    bytes: int
+    pushdown_safe: bool
+    table: str
 
 
 def _build_subtree(rows: Sequence[tuple]) -> DataNode:
@@ -246,7 +279,9 @@ class DocumentStore:
 
         Returns the number of node rows written.  Bumps :attr:`version`
         and records it as *name*'s write version: *name*'s hydrations die
-        by tag, every other document's stay warm.
+        by tag, every other document's stay warm.  A resident whole-
+        document hydration of a pushdown-safe *tree* moves to *tree*
+        itself, which is what a read of the new rows would build.
         """
         rows, count, safe = shred(tree)
         byte_size = serialized_size(tree)
@@ -269,9 +304,7 @@ class DocumentStore:
                     # the table's sqlite_stat1 rows.
                     self._conn.execute(f"DELETE FROM nodes{number}")
                 table = f"nodes{number}"
-                self._conn.executemany(
-                    f"INSERT INTO {table} VALUES (?,?,?,?,?,?,?,?,?,?)", rows
-                )
+                self._conn.executemany(_INSERT.format(t=table), rows)
                 self._conn.execute(
                     "INSERT OR REPLACE INTO documents (doc, tab, nodes, bytes,"
                     " root_children, pushdown_safe) VALUES (?,?,?,?,?,?)",
@@ -284,6 +317,8 @@ class DocumentStore:
                     self._conn.execute(f"ANALYZE {table}")
             self.version += 1
             self._written[name] = self.version
+            if safe:
+                self._hydration.replace((name, 0), tree, tag=self.version)
             self._counters["rows_shredded"] += count
         return count
 
@@ -296,63 +331,54 @@ class DocumentStore:
             ).fetchall()
         return tuple(row[0] for row in rows)
 
-    def _meta(self, name: str) -> Tuple[int, int, int, bool, int]:
-        row = self._conn.execute(
-            "SELECT nodes, bytes, root_children, pushdown_safe, tab"
-            " FROM documents WHERE doc = ?",
-            (name,),
-        ).fetchone()
+    def meta(self, name: str) -> DocumentMeta:
+        """*name*'s ``documents`` row; its table is built from ``tab`` alone."""
+        with self._lock:
+            row = self._conn.execute(
+                "SELECT nodes, bytes, pushdown_safe, tab FROM documents"
+                " WHERE doc = ?",
+                (name,),
+            ).fetchone()
         if row is None:
             raise SourceError(f"document store holds no document {name!r}")
-        return row[0], row[1], row[2], bool(row[3]), row[4]
-
-    def _table(self, name: str) -> str:
-        """*name*'s node table, built from its number alone."""
-        return f"nodes{self._meta(name)[4]}"
+        return DocumentMeta(row[0], row[1], bool(row[2]), f"nodes{row[3]}")
 
     def node_count(self, name: str) -> int:
-        with self._lock:
-            return self._meta(name)[0]
+        return self.meta(name).nodes
 
     def byte_size(self, name: str) -> int:
-        with self._lock:
-            return self._meta(name)[1]
+        return self.meta(name).bytes
 
     def root_label(self, name: str) -> str:
         with self._lock:
             return self._conn.execute(
-                f"SELECT name FROM {self._table(name)} WHERE pre = 0"
+                f"SELECT name FROM {self.meta(name).table} WHERE pre = 0"
             ).fetchone()[0]
-
-    def pushdown_safe(self, name: str) -> bool:
-        """Whether interval pushdown is sound for *name*.
-
-        ``False`` for documents with reference nodes or shared subtrees
-        — whose queries must run through the in-memory Bind engine
-        instead.
-        """
-        with self._lock:
-            return self._meta(name)[3]
 
     # -- hydration ---------------------------------------------------------------
 
-    def hydrate(self, name: str, pre: int = 0) -> DataNode:
+    def hydrate(
+        self, name: str, pre: int = 0, table: Optional[str] = None
+    ) -> DataNode:
         """Materialize the subtree rooted at position *pre* of *name*.
 
         One pre/post range read, memoized per ``(doc, pre)`` and the
         document's write version so repeated bindings of the same subtree
         share one node object (whose cached value key and size are then
         reused).  The tag is read before the build: a write racing it
-        makes the entry look stale, never serves old rows as new.
+        makes the entry look stale, never serves old rows as new.  A
+        caller that holds *name*'s :class:`DocumentMeta` passes its table.
         """
         return self._hydration.get_or_build(
-            (name, pre), self._read_subtree, name, pre,
+            (name, pre), self._read_subtree, name, pre, table,
             tag=self._written.get(name, 0),
         )
 
-    def _read_subtree(self, name: str, pre: int) -> DataNode:
+    def _read_subtree(
+        self, name: str, pre: int, table: Optional[str]
+    ) -> DataNode:
         with self._lock:
-            table = self._table(name)
+            table = table or self.meta(name).table
             rows = self._conn.execute(
                 "SELECT pre, parent, name, kind, vtype, value, ident, col"
                 f" FROM {table} WHERE pre >= ? AND pre <"
@@ -367,43 +393,29 @@ class DocumentStore:
             )
         return _build_subtree(rows)
 
-    def hydrate_document(self, name: str) -> DataNode:
-        """Materialize the whole document (the full-transfer path)."""
-        self._meta_checked(name)
-        return self.hydrate(name, 0)
-
-    def _meta_checked(self, name: str) -> None:
-        with self._lock:
-            self._meta(name)
-
     # -- pushdown plumbing ---------------------------------------------------------
 
     def reading(self) -> "threading.RLock":
         """The store's lock, for a reader whose several reads must see one
-        version of a document: a pushdown's fetch and the hydrations of
-        the subtrees it bound.  Writers wait until it is released."""
+        version of a document: a pushdown's ``documents`` row, its fetch
+        and the hydrations of the subtrees it bound.  Writers wait until
+        it is released."""
         return self._lock
 
-    def statement(self, sql: str, name: str) -> str:
-        """Pushdown *sql* as it runs on document *name*: with its table in
-        place of ``{table}``."""
-        return sql.format(table=self._table(name))
-
     def fetch_bounded(
-        self, sql: str, params: Sequence[object], bound: int
+        self, statement: str, params: Sequence[object], bound: int
     ) -> Optional[List[tuple]]:
-        """Run a pushdown query, refusing result sets past *bound* rows.
+        """Run a pushdown *statement*, refusing result sets past *bound* rows.
 
-        ``params[0]`` names the document.  A plan that sorts builds its
-        whole join before its first row, which the row bound cannot stop:
-        past :data:`PUSHDOWN_STEPS` sqlite instructions this returns
-        ``None``, for the caller to scan instead."""
+        A plan that sorts builds its whole join before its first row,
+        which the row bound cannot stop: past :data:`PUSHDOWN_STEPS`
+        sqlite instructions this returns ``None``, for the caller to scan
+        instead."""
         steps = iter(range(PUSHDOWN_STEPS // 1000))
         with self._lock:
-            statement = self.statement(sql, params[0])
             self._conn.set_progress_handler(lambda: next(steps, None) is None, 1000)
             try:
-                rows = self._conn.execute(statement, params[1:]).fetchmany(bound + 1)
+                rows = self._conn.execute(statement, params).fetchmany(bound + 1)
             except sqlite3.OperationalError:
                 if next(steps, None) is not None:  # not the budget's interrupt
                     raise
@@ -419,21 +431,19 @@ class DocumentStore:
             )
         return rows
 
-    def note_pushdown(self, name: str, touched_nodes: int) -> None:
-        """Account one pushdown execution that touched *touched_nodes*.
+    def note_pushdown(self, meta: DocumentMeta, touched_nodes: int) -> None:
+        """Account one pushdown execution that touched *touched_nodes* of
+        the document *meta* describes.
 
         ``bytes_avoided`` is the serialized size of the document scaled
         by the untouched node fraction — an estimate, but one computed
         from real stored metadata, not a guess.
         """
+        touched = min(touched_nodes, meta.nodes)
+        avoided = (
+            meta.bytes * (meta.nodes - touched) // meta.nodes if meta.nodes else 0
+        )
         with self._lock:
-            total_nodes, total_bytes = self._meta(name)[:2]
-            touched = min(touched_nodes, total_nodes)
-            avoided = (
-                total_bytes * (total_nodes - touched) // total_nodes
-                if total_nodes
-                else 0
-            )
             self._counters["pushdowns"] += 1
             self._counters["bytes_avoided"] += avoided
         _count(pushdowns=1, bytes_avoided=avoided)

@@ -52,10 +52,10 @@ class PushdownQuery:
     ``sql`` selects, for every filter variable in document order, the
     four columns ``(pre, kind, vtype, value)`` of the matched node —
     enough to decode an atom binding without touching the store again,
-    and to hydrate a subtree binding lazily from its ``pre``.  The first
-    bind parameter is always the document name, whose table the store
-    puts in place of ``{table}``; the rest are ``params``, where a query
-    parameter stands for the value each request binds (:meth:`bind_params`).
+    and to hydrate a subtree binding lazily from its ``pre``.  The caller
+    puts the document's table in place of ``{table}``; in ``params`` a
+    query parameter stands for the value each request binds
+    (:meth:`bind_params`).
     """
 
     __slots__ = ("sql", "params", "variables")
@@ -67,11 +67,11 @@ class PushdownQuery:
         self.params = params
         self.variables = variables
 
-    def bind_params(self, document: str) -> Optional[Tuple[object, ...]]:
-        """*document* and ``params``, the active request's constants
-        bound; ``None`` when a bound numeric constant's REAL key is lossy
-        (the wrapper then scans)."""
-        values = [document]
+    def bind_params(self) -> Optional[Tuple[object, ...]]:
+        """``params``, the active request's constants bound; ``None``
+        when a bound numeric constant's REAL key is lossy (the wrapper
+        then scans)."""
+        values = []
         for param in self.params:
             if param.__class__ is Param:
                 value = bound(param)

@@ -23,8 +23,9 @@ A validated fragment executes through one of two access paths:
     REAL key, pushdown is off, or the document holds references/shared
     subtrees, where interval semantics are unsound; or a pushdown ran
     past the store's step budget.  The document is
-    hydrated once per write to it (the store's hydration memo, tagged per
-    document) and matched by the same
+    hydrated at most once per write to it (the store's hydration memo,
+    tagged per document; a write updates a resident entry) and matched
+    by the same
     :func:`~repro.core.algebra.engine.bind_engine` the mediator's own
     Bind uses, so answers are byte-identical to the in-memory path by
     construction.
@@ -55,6 +56,7 @@ from repro.model.patterns import PAny, PNode, PStar, PatternLibrary
 from repro.model.trees import DataNode
 from repro.model.values import parse_atom
 from repro.sources.stored.source import StoredXmlSource
+from repro.store.document_store import DocumentMeta
 from repro.store.pushdown import PushdownQuery, compile_pushdown
 from repro.wrappers.base import PushedFragment, Wrapper
 
@@ -120,7 +122,7 @@ class StoreWrapper(Wrapper):
     def document(self, name: str) -> DataNode:
         """The store's own hydration memo serves the document; its per-
         document tag is finer than the base memo's ``data_version()``."""
-        return self._store.hydrate_document(name)
+        return self._store.hydrate(name)
 
     build_document = document
 
@@ -145,23 +147,24 @@ class StoreWrapper(Wrapper):
     def pushdown_access(self, flt: Filter, document: Optional[str] = None) -> str:
         """The access path a pushed Bind of *flt* would take (EXPLAIN),
         with the reason when it scans."""
-        compiled, detail = self._pushdown(flt, document)
+        meta = self._store.meta(document) if document is not None else None
+        compiled, detail = self._pushdown(flt, meta)
         return "store-pushdown" if compiled is not None else f"store-scan ({detail})"
 
     def _pushdown(
-        self, flt: Filter, document: Optional[str]
+        self, flt: Filter, meta: Optional[DocumentMeta]
     ) -> Tuple[Optional[PushdownQuery], object]:
         """``(compiled query, its bound parameters)`` when *flt* runs as
-        SQL on *document* for the active request, else ``(None, why it
-        scans)``."""
+        SQL on the document *meta* describes for the active request, else
+        ``(None, why it scans)``."""
         if not self._enable_pushdown:
             return None, "pushdown off"
-        if document is not None and not self._store.pushdown_safe(document):
+        if meta is not None and not meta.pushdown_safe:
             return None, "document not pushdown-safe"
         compiled = self.compiled_pushdown(flt)
         if compiled is None:
             return None, lower(flt).refusal
-        params = compiled.bind_params(document)
+        params = compiled.bind_params()
         if params is None:
             # Worded like the lowering's refusal, so a cached plan's
             # EXPLAIN reads like its cold plan's.
@@ -186,35 +189,38 @@ class StoreWrapper(Wrapper):
                 f"{tuple(variables)}, plan declares {tuple(columns)}"
             )
         document = fragment.document
-        compiled, params = self._pushdown(fragment.filter, document)
-        pushed = compiled and self._run_pushdown(document, compiled, params, columns)
+        # A write between the metadata read, the fetch and a hydration
+        # would hand this read the replacement's node at an old position.
+        with self._store.reading():
+            meta = self._store.meta(document)
+            compiled, params = self._pushdown(fragment.filter, meta)
+            pushed = compiled and self._run_pushdown(
+                document, meta, compiled, params, columns
+            )
         return pushed or self._run_scan(document, fragment.filter, columns)
 
     def _run_pushdown(
-        self, document: str, compiled: PushdownQuery,
+        self, document: str, meta: DocumentMeta, compiled: PushdownQuery,
         params: Tuple[object, ...], columns: Tuple[str, ...],
     ) -> Optional[Tuple[Tab, str]]:
         """``None`` when the statement ran past the store's step budget."""
         touched: Dict[int, int] = {}
         data = [[] for _ in compiled.variables]
-        # A write between the fetch and a hydration would hand this read
-        # the replacement's node at an old position.
-        with self._store.reading():
-            raw = self._store.fetch_bounded(compiled.sql, params, MAX_MATCHES)
-            if raw is None:
-                return None
-            statement = self._store.statement(compiled.sql, document)
-            for record in raw:
-                for i, cells in enumerate(data):
-                    pre, kind, vtype, value = record[4 * i : 4 * i + 4]
-                    if kind == "atom":
-                        touched.setdefault(pre, 1)
-                        cells.append(parse_atom(vtype, value))
-                    else:
-                        node = self._store.hydrate(document, pre)
-                        touched.setdefault(pre, node.size())
-                        cells.append(node)
-        self._store.note_pushdown(document, sum(touched.values()))
+        statement = compiled.sql.format(table=meta.table)
+        raw = self._store.fetch_bounded(statement, params, MAX_MATCHES)
+        if raw is None:
+            return None
+        for record in raw:
+            for i, cells in enumerate(data):
+                pre, kind, vtype, value = record[4 * i : 4 * i + 4]
+                if kind == "atom":
+                    touched.setdefault(pre, 1)
+                    cells.append(parse_atom(vtype, value))
+                else:
+                    node = self._store.hydrate(document, pre, meta.table)
+                    touched.setdefault(pre, node.size())
+                    cells.append(node)
+        self._store.note_pushdown(meta, sum(touched.values()))
         native = f"store-pushdown {document}: {statement}"
         return Tab.from_columns(columns, data, len(raw)), native
 

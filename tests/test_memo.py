@@ -159,6 +159,36 @@ class TestTagsAndAnchors:
         assert memo.stats() == before
 
 
+class TestReplace:
+    """A writer that holds the new value moves a resident entry to it."""
+
+    def test_replaces_a_resident_key_under_the_new_tag(self):
+        memo = Memo(4)
+        memo.put("doc", "tree@1", tag=1)
+        memo.replace("doc", "tree@2", tag=2)
+        assert memo.peek("doc", tag=2) and not memo.peek("doc", tag=1)
+        assert memo.get("doc", tag=2) == "tree@2"
+        stats = memo.stats()
+        assert (stats["entries"], stats["hits"], stats["stale"]) == (1, 1, 0)
+
+    def test_never_inserts(self):
+        memo = Memo(4)
+        memo.replace("doc", "tree@1", tag=1)
+        memo.put("other", "x")
+        memo.replace("doc", "tree@2", tag=2)
+        assert len(memo) == 1 and memo.get("doc", tag=2) is None
+
+    def test_respects_the_bound(self):
+        memo = Memo(10, weigh=len)
+        memo.put("a", "xxxx")
+        memo.put("b", "xxxx")
+        memo.replace("b", "x" * 8)  # 12 > 10: evicts a, not b
+        assert (memo.get("a"), memo.get("b")) == (None, "x" * 8)
+        memo.replace("b", "x" * 11)  # heavier than the whole bound
+        stats = memo.stats()
+        assert (stats["entries"], stats["weight"], stats["evictions"]) == (0, 0, 1)
+
+
 # ---------------------------------------------------------------------------
 # Races and single-flight
 # ---------------------------------------------------------------------------

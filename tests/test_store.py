@@ -12,6 +12,8 @@ small fraction of the document's nodes.
 import random
 import re
 import sqlite3
+import sys
+import threading
 import time
 
 import pytest
@@ -61,11 +63,18 @@ def work_positions(tree):
     return [pre for pre, (node, _) in enumerate(preorder(tree)) if node.label == "work"]
 
 
+def statement(store, compiled, document):
+    """*compiled*'s SQL as it runs on *document*'s table."""
+    return compiled.sql.format(table=store.meta(document).table)
+
+
 def pushdown_rows(store, document, flt, bound=1_000_000):
     """Execute a compiled pushdown and decode its binding tuples."""
     compiled = compile_pushdown(flt)
     assert compiled is not None, f"filter did not compile: {flt!r}"
-    raw = store.fetch_bounded(compiled.sql, compiled.bind_params(document), bound)
+    raw = store.fetch_bounded(
+        statement(store, compiled, document), compiled.bind_params(), bound
+    )
     from repro.model.values import parse_atom
 
     rows = []
@@ -92,11 +101,11 @@ class TestShredRoundTrip:
         tree = cultural_tree()
         store = DocumentStore()
         store.add("artworks", tree)
-        hydrated = store.hydrate_document("artworks")
+        hydrated = store.hydrate("artworks")
         assert hydrated == tree
         assert tree_to_xml(hydrated) == tree_to_xml(tree)
         assert store.node_count("artworks") == tree.size()
-        assert store.pushdown_safe("artworks")
+        assert store.meta("artworks").pushdown_safe
 
     def test_round_trip_preserves_refs_idents_collections(self):
         tree = DataNode(
@@ -114,7 +123,7 @@ class TestShredRoundTrip:
         )
         store = DocumentStore()
         store.add("catalog", tree)
-        hydrated = store.hydrate_document("catalog")
+        hydrated = store.hydrate("catalog")
         assert hydrated == tree
         assert hydrated.ident == "root"
         assert hydrated.children[0].ident == "e1"
@@ -122,7 +131,7 @@ class TestShredRoundTrip:
         assert hydrated.children[1].ref_target == "person:monet"
         assert hydrated.children[2].collection == "list"
         # references make interval pushdown unsound for this document
-        assert not store.pushdown_safe("catalog")
+        assert not store.meta("catalog").pushdown_safe
 
     def test_atom_types_round_trip(self):
         tree = elem(
@@ -136,7 +145,7 @@ class TestShredRoundTrip:
         )
         store = DocumentStore()
         store.add("doc", tree)
-        hydrated = store.hydrate_document("doc")
+        hydrated = store.hydrate("doc")
         for original, copy in zip(tree.children, hydrated.children):
             assert copy.atom == original.atom
             assert type(copy.atom) is type(original.atom)
@@ -148,20 +157,21 @@ class TestShredRoundTrip:
         assert not safe
         store = DocumentStore()
         store.add("doc", tree)
-        assert not store.pushdown_safe("doc")
+        assert not store.meta("doc").pushdown_safe
         # hydration is still exact (the copy is a proper tree)
-        assert store.hydrate_document("doc") == tree
+        assert store.hydrate("doc") == tree
 
     def test_positions_agree_with_a_preorder_walk(self):
         # Shredded (pre, post, parent, name) rows are pre-order positions
         # with half-open subtree intervals, which is what entitles the
-        # SQL interval joins to stand in for tree navigation.
+        # SQL interval joins to stand in for tree navigation.  The root's
+        # parent is shredded as -1, which the INSERT stores as NULL.
         tree = cultural_tree(n_artifacts=12)
         rows, count, safe = shred(tree)
         walk = preorder(tree)
         assert safe and count == len(walk) == tree.size()
         assert [row[:4] for row in rows] == [
-            (pre, pre + node.size(), parent, node.label)
+            (pre, pre + node.size(), -1 if parent is None else parent, node.label)
             for pre, (node, parent) in enumerate(walk)
         ]
 
@@ -178,12 +188,105 @@ class TestShredRoundTrip:
         assert store.node_count("doc") == 2
         store.add("doc", elem("doc", atom_leaf("x", 1), atom_leaf("y", 2)))
         assert store.node_count("doc") == 3
-        assert len(store.hydrate_document("doc").children) == 2
+        assert len(store.hydrate("doc").children) == 2
 
     def test_missing_document_raises(self):
         store = DocumentStore()
         with pytest.raises(SourceError):
-            store.hydrate_document("ghost")
+            store.hydrate("ghost")
+
+
+def edge_case_tree(with_ref=True):
+    """Every encoding corner a row can hit: a lossy int, NaN, inf, an
+    empty and a ``'0'`` string, a bool, ident/collection, a reference
+    (when *with_ref*) and an empty element."""
+    return DataNode(
+        "edge",
+        children=(
+            atom_leaf("lossy", 2**63 + 1),
+            atom_leaf("nan", float("nan")),
+            atom_leaf("inf", float("inf")),
+            atom_leaf("empty", ""),
+            atom_leaf("zero", "0"),
+            atom_leaf("b", True),
+            atom_leaf("i", 0),
+            atom_leaf("f", 0.0),
+            elem("idcol", atom_leaf("t", "x"), ident="e1"),
+            DataNode("list", children=(atom_leaf("n", 1),), collection="list"),
+            *((ref("r", "person:monet"),) if with_ref else ()),
+            DataNode("void"),
+        ),
+        ident="root",
+    )
+
+
+class RecordingConnection:
+    """A connection that keeps the rows handed to ``executemany``."""
+
+    def __init__(self, conn):
+        self.conn = conn
+        self.batches = []
+
+    def __getattr__(self, name):
+        return getattr(self.conn, name)
+
+    def __enter__(self):
+        return self.conn.__enter__()
+
+    def __exit__(self, *exc):
+        return self.conn.__exit__(*exc)
+
+    def executemany(self, sql, rows):
+        rows = list(rows)
+        self.batches.append(rows)
+        return self.conn.executemany(sql, rows)
+
+
+class TestStoredRowEncoding:
+    #: ``quote() typeof()`` of the ten columns of every row of
+    #: :func:`edge_case_tree`, as sqlite stores them.
+    EDGE_ROWS = """
+    0 integer|15 integer|NULL null|'edge' text|'elem' text|NULL null|NULL null|NULL null|'root' text|NULL null
+    1 integer|2 integer|0 integer|'lossy' text|'atom' text|'Int' text|'9223372036854775809' text|NULL null|NULL null|NULL null
+    2 integer|3 integer|0 integer|'nan' text|'atom' text|'Float' text|'nan' text|NULL null|NULL null|NULL null
+    3 integer|4 integer|0 integer|'inf' text|'atom' text|'Float' text|'inf' text|Inf real|NULL null|NULL null
+    4 integer|5 integer|0 integer|'empty' text|'atom' text|'String' text|'' text|NULL null|NULL null|NULL null
+    5 integer|6 integer|0 integer|'zero' text|'atom' text|'String' text|'0' text|NULL null|NULL null|NULL null
+    6 integer|7 integer|0 integer|'b' text|'atom' text|'Bool' text|'true' text|1.0 real|NULL null|NULL null
+    7 integer|8 integer|0 integer|'i' text|'atom' text|'Int' text|'0' text|0.0 real|NULL null|NULL null
+    8 integer|9 integer|0 integer|'f' text|'atom' text|'Float' text|'0.0' text|0.0 real|NULL null|NULL null
+    9 integer|11 integer|0 integer|'idcol' text|'elem' text|NULL null|NULL null|NULL null|'e1' text|NULL null
+    10 integer|11 integer|9 integer|'t' text|'atom' text|'String' text|'x' text|NULL null|NULL null|NULL null
+    11 integer|13 integer|0 integer|'list' text|'elem' text|NULL null|NULL null|NULL null|NULL null|'list' text
+    12 integer|13 integer|11 integer|'n' text|'atom' text|'Int' text|'1' text|1.0 real|NULL null|NULL null
+    13 integer|14 integer|0 integer|'r' text|'ref' text|NULL null|'person:monet' text|NULL null|NULL null|NULL null
+    14 integer|15 integer|0 integer|'void' text|'elem' text|NULL null|NULL null|NULL null|NULL null|NULL null
+    """
+
+    def test_edge_case_rows_are_pinned(self):
+        store = DocumentStore()
+        store.add("edge", edge_case_tree())
+        columns = "pre, post, parent, name, kind, vtype, value, num, ident, col"
+        cells = ", ".join(
+            f"quote({c}) || ' ' || typeof({c})" for c in columns.split(", ")
+        )
+        stored = store._conn.execute(
+            f"SELECT {cells} FROM {store.meta('edge').table} ORDER BY pre"
+        ).fetchall()
+        assert ["|".join(row) for row in stored] == [
+            line.strip() for line in self.EDGE_ROWS.strip().splitlines()
+        ]
+
+    def test_rows_handed_to_executemany_hold_no_none(self):
+        # A None parameter takes CPython's adapter lookup; the INSERT maps
+        # the stand-ins back to NULL instead.
+        store = DocumentStore()
+        store._conn = RecordingConnection(store._conn)
+        store.add("edge", edge_case_tree())
+        store.add("artworks", cultural_tree(n_artifacts=10))
+        rows = [row for batch in store._conn.batches for row in batch]
+        assert len(rows) == 15 + cultural_tree(n_artifacts=10).size()
+        assert [row for row in rows if None in row] == []
 
 
 class TestPushdownCompile:
@@ -222,7 +325,7 @@ class TestPushdownParity:
     def assert_parity(self, tree, flt):
         store = DocumentStore()
         store.add("doc", tree)
-        assert store.pushdown_safe("doc")
+        assert store.meta("doc").pushdown_safe
         variables, sql_rows = pushdown_rows(store, "doc", flt)
         m_variables, m_rows = matcher_rows(tree, flt)
         assert variables == m_variables
@@ -387,7 +490,9 @@ class TestPushdownParity:
         store.add("doc", tree)
         compiled = compile_pushdown(flt)
         with pytest.raises(BindError) as store_error:
-            store.fetch_bounded(compiled.sql, compiled.bind_params("doc"), 3)
+            store.fetch_bounded(
+                statement(store, compiled, "doc"), compiled.bind_params(), 3
+            )
         assert str(store_error.value) == str(matcher_error.value)
 
 
@@ -598,9 +703,10 @@ class TestDataVersion:
         fresh = store.hydrate("doc", 0)
         assert fresh is not old
         assert fresh.children[0].atom == 2
-        # The write dropped the old hydration as stale, not as an eviction.
+        # The write moved the resident hydration to the written tree: the
+        # old one was neither dropped as stale nor evicted.
         memo = store.memo_stats()
-        assert (memo["stale"], memo["evictions"]) == (1, 0)
+        assert (memo["stale"], memo["evictions"]) == (0, 0)
 
     def test_a_write_invalidates_only_its_own_document(self):
         def catalog(title):
@@ -629,6 +735,109 @@ class TestDataVersion:
         assert "A new" in a_answer and "A old" not in a_answer
 
 
+class TestWriteUpdate:
+    """A write moves a resident whole-document hydration of a pushdown-
+    safe document to the written tree; nothing else changes."""
+
+    @staticmethod
+    def identities(tree):
+        return [(node.ident, node.collection) for node, _ in preorder(tree)]
+
+    @pytest.mark.parametrize("tree", [
+        cultural_tree(n_artifacts=20, seed=4), edge_case_tree(with_ref=False),
+    ], ids=["cultural", "edge-cases"])
+    def test_the_updated_tree_is_what_the_rows_hydrate(self, tmp_path, tree):
+        path = str(tmp_path / "store.sqlite")
+        store = DocumentStore(path)
+        store.add("doc", cultural_tree(n_artifacts=5))
+        store.hydrate("doc")
+        store.add("doc", tree)
+        served = store.hydrate("doc")
+        assert served is tree
+        store.close()
+        reopened = DocumentStore(path)
+        fresh = reopened.hydrate("doc")
+        assert reopened.stats()["hydrated_nodes"] == tree.size()
+        # repr: a NaN atom never equals itself, its key's text does.
+        assert repr(served._value_key()) == repr(fresh._value_key())
+        assert tree_to_xml(served) == tree_to_xml(fresh)
+        assert self.identities(served) == self.identities(fresh)
+        reopened.close()
+
+    def test_ingest_retains_no_hydration(self):
+        store = DocumentStore()
+        for index in range(20):
+            store.add(f"doc{index}", cultural_tree(n_artifacts=3, seed=index))
+        assert store.memo_stats()["entries"] == 0
+
+    def test_a_shared_subtree_document_is_rebuilt_from_rows(self):
+        leaf = atom_leaf("x", 1)
+        store = DocumentStore()
+        store.add("doc", DataNode("doc", children=(elem("a", leaf), elem("b", leaf))))
+        store.hydrate("doc")
+        tree = DataNode("doc", children=(elem("a", leaf), elem("c", leaf)))
+        store.add("doc", tree)
+        hydrated = store.stats()["hydrated_nodes"]
+        served = store.hydrate("doc")
+        assert served is not tree and served == tree
+        assert store.stats()["hydrated_nodes"] == hydrated + tree.size()
+        assert store.memo_stats()["stale"] == 1
+
+    def test_a_racing_read_never_sees_an_older_write(self):
+        # Write j stores atom j and makes the version j + 1: a read that
+        # began at version v may serve write v - 1 or later, never older.
+        store = DocumentStore()
+        store.add("doc", elem("doc", atom_leaf("n", 0)))
+        writing = threading.Event()
+        writing.set()
+        failures, reads, writes = [], [], [0]
+
+        def reader():
+            try:
+                while writing.is_set():
+                    began = store.version
+                    served = store.hydrate("doc").children[0].atom
+                    reads.append(1)
+                    if served < began - 1:
+                        failures.append((began, served))
+            except Exception as error:  # noqa: BLE001 - reported below
+                failures.append(repr(error))
+
+        def writer():
+            deadline = time.perf_counter() + 0.2
+            try:
+                while time.perf_counter() < deadline:
+                    writes.append(writes[-1] + 1)
+                    store.add("doc", elem("doc", atom_leaf("n", writes[-1])))
+            finally:
+                writing.clear()
+
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=reader) for _ in range(3)]
+            threads.append(threading.Thread(target=writer))
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(30)
+        finally:
+            sys.setswitchinterval(previous)
+        assert not any(thread.is_alive() for thread in threads)
+        assert failures == []
+        assert len(writes) >= 4 and len(reads) >= 3
+        assert store.hydrate("doc").children[0].atom == writes[-1]
+
+    def test_subtree_hydrations_still_die_by_tag(self):
+        store = DocumentStore()
+        store.add("doc", elem("doc", elem("w", atom_leaf("x", 1))))
+        old = store.hydrate("doc", 1)
+        store.add("doc", elem("doc", elem("w", atom_leaf("x", 2))))
+        fresh = store.hydrate("doc", 1)
+        assert fresh is not old and fresh.children[0].atom == 2
+        assert store.memo_stats()["stale"] == 1
+
+
 class TestPlannerStatistics:
     """ANALYZE runs when the document set changes, and a replacement's
     stale statistics pick the plans fresh ones would."""
@@ -654,8 +863,8 @@ class TestPlannerStatistics:
         for text in self.SHAPES:
             compiled = compile_pushdown(parse_filter(text))
             plans.append(store._conn.execute(
-                "EXPLAIN QUERY PLAN " + store.statement(compiled.sql, document),
-                compiled.bind_params(document)[1:],
+                "EXPLAIN QUERY PLAN " + statement(store, compiled, document),
+                compiled.bind_params(),
             ).fetchall())
         return plans
 
@@ -748,7 +957,7 @@ class TestStoreFile:
         assert pushdown_rows(store, name, flt) == matcher_rows(tree, flt)
         store.close()
         reopened = DocumentStore(path)
-        assert reopened.hydrate_document(name) == tree
+        assert reopened.hydrate(name) == tree
         assert reopened.root_label(name) == "works"
         reopened.close()
 
@@ -798,6 +1007,26 @@ class TestWrapperIntegration:
         total = wrapper._store.node_count("stored_artworks")
         assert stats.store_hydrated_nodes < 0.2 * total
         assert stats.store_bytes_avoided > 0
+
+    def test_one_documents_read_per_pushdown(self):
+        _tree, wrapper, mediator = self.build()
+        store = wrapper._store
+        query = (
+            'MAKE doc [ *$w ] MATCH stored_artworks WITH '
+            'works .. work $w [ cplace . "Giverny" ]'
+        )
+        mediator.query(query)  # plans, and builds the interface
+        store._hydration.clear()  # so the traced run hydrates subtrees
+        before = store.stats()
+        statements = []
+        store._conn.set_trace_callback(statements.append)
+        mediator.query(query)
+        store._conn.set_trace_callback(None)
+        after = store.stats()
+        assert after["pushdowns"] - before["pushdowns"] == 1
+        assert after["hydrated_nodes"] > before["hydrated_nodes"]
+        assert sum("FROM documents" in sql for sql in statements) == 1, statements
+
 
     def test_interface_advertises_descend(self):
         _tree, wrapper, _mediator = self.build()
