@@ -21,7 +21,7 @@ test (string / variable / regex) are resolved at compile time:
   straight into columns, with no per-binding dicts.
 
 ``Select`` / ``Join`` predicates get the same treatment via
-:func:`compile_predicate`.  Kernels are memoized per plan node —
+:func:`compile_predicate`.  A kernel is kept on the node it compiles —
 predicates here (:func:`compiled_predicate`), filter kernels in
 :mod:`repro.core.algebra.engine`, the only caller of
 :func:`compile_filter` — so a cached plan compiles nothing again.  A
@@ -62,7 +62,6 @@ from repro.core.algebra.lowering import (
     lower,
 )
 from repro.errors import BindError, EvaluationError
-from repro.memo import Memo
 from repro.model.filters import Filter, LabelRegex, LabelVar, MissingValue
 from repro.model.trees import DataNode
 
@@ -71,7 +70,6 @@ __all__ = [
     "compile_predicate",
     "compiled_predicate",
     "identity_deref",
-    "predicate_cache_stats",
 ]
 
 #: ``deref`` for matching without an ident index (no reference chasing).
@@ -418,17 +416,10 @@ def compile_predicate(expr: Expr) -> Callable[..., object]:
     return _compile_expr(expr)
 
 
-#: ``id(expr) -> compiled evaluator``, anchored on the expression.  Plans
-#: are immutable, so compiling per object identity is sound; the bound
-#: exists only to keep long-lived servers flat.
-_PREDICATE_KERNELS = Memo(4096)
-
-
 def compiled_predicate(expr: Expr) -> Callable[..., object]:
-    """The memoized compiled evaluator for *expr*."""
-    return _PREDICATE_KERNELS.get_or_build(id(expr), _compile_expr, expr, anchor=expr)
-
-
-def predicate_cache_stats() -> Dict[str, int]:
-    """Counters of the predicate-kernel memo (see :meth:`Memo.stats`)."""
-    return _PREDICATE_KERNELS.stats()
+    """The compiled evaluator of *expr*, kept on the (immutable) node."""
+    try:
+        return expr._kernel_memo
+    except AttributeError:
+        kernel = expr._kernel_memo = _compile_expr(expr)
+        return kernel

@@ -15,15 +15,14 @@ the filter-kernel compiler.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List
+from typing import Callable, List
 
 from repro.core.algebra.bind import MAX_MATCHES, collection_explosion
 from repro.core.algebra.compiled import compile_filter, identity_deref
-from repro.memo import Memo
 from repro.model.filters import Filter
 from repro.model.trees import DataNode
 
-__all__ = ["BindEngine", "bind_engine", "engine_cache_stats"]
+__all__ = ["BindEngine", "bind_engine"]
 
 
 class BindEngine:
@@ -66,16 +65,11 @@ class BindEngine:
         return f"BindEngine({self.filter!r})"
 
 
-#: ``id(filter) -> BindEngine``, anchored on the filter (plans are
-#: immutable, so one engine per filter object is sound).
-_ENGINES = Memo(4096)
-
-
 def bind_engine(flt: Filter) -> BindEngine:
-    """The memoized engine for *flt* (keyed by plan-node identity)."""
-    return _ENGINES.get_or_build(id(flt), BindEngine, flt, anchor=flt)
-
-
-def engine_cache_stats() -> Dict[str, int]:
-    """Counters of the engine memo (see :meth:`Memo.stats`)."""
-    return _ENGINES.stats()
+    """The engine of *flt*, compiled once and kept on the filter (filters
+    are immutable, so it lives exactly as long as its plan)."""
+    try:
+        return flt._engine_memo
+    except AttributeError:
+        engine = flt._engine_memo = BindEngine(flt)
+        return engine

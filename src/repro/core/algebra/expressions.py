@@ -83,9 +83,13 @@ def atom_kind(value) -> type:
 
 
 class Expr:
-    """Base class of expression nodes (immutable)."""
+    """Base class of expression nodes (immutable).
 
-    __slots__ = ()
+    The compiled evaluator of a node is kept on it (``_kernel_memo``,
+    :func:`~repro.core.algebra.compiled.compiled_predicate`).
+    """
+
+    __slots__ = ("_kernel_memo",)
 
     def variables(self) -> Tuple[str, ...]:
         """Names of the Tab columns this expression reads."""

@@ -28,10 +28,11 @@ class Plan:
 
     Operators are immutable after construction (rewrites build new
     nodes), so derived values — the canonical key, the outer-parameter
-    set — are memoized on the instance in the two base slots.
+    set, the validated fragment a wrapper runs it as — are memoized on
+    the instance in the three base slots.
     """
 
-    __slots__ = ("_key_memo", "_params_memo")
+    __slots__ = ("_key_memo", "_params_memo", "_fragment_memo")
 
     def children(self) -> Tuple["Plan", ...]:
         """Input plans of this operator."""

@@ -16,9 +16,9 @@ a prepared-statement cache does:
 * a cached plan is **parametric**: it holds parameter slots, never
   values, and each request brings its vector in its
   :class:`~repro.observability.context.RequestContext`.  A hit is lookup,
-  bind, execute — the very plan objects serve every vector, which keeps
-  every memo keyed on plan-node identity (compiled kernels, wrapper
-  fragments, store pushdowns) warm across constants.
+  bind, execute — the very plan objects serve every vector, so what
+  execution compiles and keeps on a plan node (Bind engines, predicate
+  kernels, wrapper fragments, store pushdowns) serves every constant.
 
 The cache is a bounded :class:`~repro.memo.Memo` and counts hits /
 misses / invalidations for the ``yat_*`` metrics and ``EXPLAIN`` output.

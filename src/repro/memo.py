@@ -2,7 +2,7 @@
 
 The paper's mediator holds no data (Section 2): every cache here is an
 extension whose whole correctness contract is *freshness*.  This module
-makes the five decisions that contract needs once, so no cache argues
+makes the four decisions that contract needs once, so no cache argues
 them again:
 
 **Eviction** — least-recently-used, one entry at a time.  The bound is
@@ -23,13 +23,8 @@ everything at once (the catalog epoch moved under every entry).  A
 writer that holds the new value itself may :meth:`Memo.replace` a
 resident entry under the new tag; it never inserts one.
 
-**Identity keys** — an entry may carry an ``anchor`` object compared
-with ``is`` on lookup.  Memos keyed by ``id(plan)`` pass the plan as the
-anchor: the entry's reference keeps the id from being recycled, and the
-check makes a recycled id miss instead of serving another plan's value.
-
 **Races** — :meth:`Memo.get_or_build` builds outside the lock; when two
-builders race on one key, tag and anchor, the incumbent is kept and
+builders race on one key and tag, the incumbent is kept and
 returned to both, so every caller sees one stable object (trees cache
 their value keys and sizes on the instance).  :meth:`Memo.single_flight`
 additionally elects one leader per key while the others wait and
@@ -70,14 +65,14 @@ class Memo:
         self.capacity = capacity
         self._weigh = weigh
         self._lock = threading.Lock()
-        #: ``key -> (value, tag, anchor, weight)``, least recently used first.
+        #: ``key -> (value, tag, weight)``, least recently used first.
         self._entries: "OrderedDict[object, tuple]" = OrderedDict()
         self._weight = 0
         #: Single-flight: ``key -> Event`` set when the leader is done.
         self._inflight: Dict[object, threading.Event] = {}
         self.hits = 0
         self.misses = 0
-        #: Entries dropped because their tag or anchor no longer matched,
+        #: Entries dropped because their tag no longer matched,
         #: or by :meth:`clear`.
         self.stale = 0
         #: Entries dropped to stay under the bound.
@@ -90,58 +85,56 @@ class Memo:
 
     # -- lookup / store -----------------------------------------------------------
 
-    def _lookup(self, key, tag, anchor):
+    def _lookup(self, key, tag):
         """The resident value or ``_MISSING``; caller holds the lock."""
         entry = self._entries.get(key)
         if entry is not None:
-            if entry[1] == tag and entry[2] is anchor:
+            if entry[1] == tag:
                 self._entries.move_to_end(key)
                 self.hits += 1
                 return entry[0]
             del self._entries[key]
-            self._weight -= entry[3]
+            self._weight -= entry[2]
             self.stale += 1
         self.misses += 1
         return _MISSING
 
-    def _store(self, key, value, tag, anchor, weight: int) -> None:
+    def _store(self, key, value, tag, weight: int) -> None:
         """Insert or replace *key*, then evict; caller holds the lock."""
         previous = self._entries.pop(key, None)
         if previous is not None:
-            self._weight -= previous[3]
+            self._weight -= previous[2]
         if weight > self.capacity:
             return
-        self._entries[key] = (value, tag, anchor, weight)
+        self._entries[key] = (value, tag, weight)
         self._weight += weight
         while self._weight > self.capacity:
             _key, evicted = self._entries.popitem(last=False)
-            self._weight -= evicted[3]
+            self._weight -= evicted[2]
             self.evictions += 1
 
     def _weigh_value(self, value) -> int:
         return 1 if self._weigh is None else self._weigh(value)
 
-    def get(self, key, tag=None, anchor=None):
+    def get(self, key, tag=None):
         """The value stored for *key* under the live *tag*, or ``None``."""
         with self._lock:
-            value = self._lookup(key, tag, anchor)
+            value = self._lookup(key, tag)
         return None if value is _MISSING else value
 
-    def peek(self, key, tag=None, anchor=None) -> bool:
+    def peek(self, key, tag=None) -> bool:
         """Would :meth:`get` hit right now?  Mutates nothing (EXPLAIN)."""
         with self._lock:
             entry = self._entries.get(key)
-            return (
-                entry is not None and entry[1] == tag and entry[2] is anchor
-            )
+            return entry is not None and entry[1] == tag
 
-    def put(self, key, value, tag=None, anchor=None) -> None:
+    def put(self, key, value, tag=None) -> None:
         """Store *value* for *key*, replacing any resident entry."""
         weight = self._weigh_value(value)
         with self._lock:
-            self._store(key, value, tag, anchor, weight)
+            self._store(key, value, tag, weight)
 
-    def replace(self, key, value, tag=None, anchor=None) -> None:
+    def replace(self, key, value, tag=None) -> None:
         """Store *value* under *tag* only if *key* is resident.
 
         For a writer that holds what a rebuild would compute: the entry
@@ -152,26 +145,26 @@ class Memo:
         weight = self._weigh_value(value)
         with self._lock:
             if key in self._entries:
-                self._store(key, value, tag, anchor, weight)
+                self._store(key, value, tag, weight)
 
-    def get_or_build(self, key, build: Callable, *args, tag=None, anchor=None):
+    def get_or_build(self, key, build: Callable, *args, tag=None):
         """The value for *key* at *tag*, calling ``build(*args)`` on a miss.
 
         The build runs outside the lock.  If a racing builder stored the
-        same key, tag and anchor first, its value is kept and returned.
+        same key and tag first, its value is kept and returned.
         Passing *args* here spares hot callers a closure per probe.
         """
         with self._lock:
-            value = self._lookup(key, tag, anchor)
+            value = self._lookup(key, tag)
         if value is not _MISSING:
             return value
         value = build(*args)
         weight = self._weigh_value(value)
         with self._lock:
             entry = self._entries.get(key)
-            if entry is not None and entry[1] == tag and entry[2] is anchor:
+            if entry is not None and entry[1] == tag:
                 return entry[0]
-            self._store(key, value, tag, anchor, weight)
+            self._store(key, value, tag, weight)
         return value
 
     def single_flight(
@@ -189,7 +182,7 @@ class Memo:
         while True:
             tag = live_tag()
             with self._lock:
-                value = self._lookup(key, tag, None)
+                value = self._lookup(key, tag)
                 if value is not _MISSING:
                     return True, value
                 event = self._inflight.get(key)

@@ -128,11 +128,13 @@ LabelSpec = Union[str, LabelVar, LabelRegex]
 class Filter:
     """Base class of filter nodes.
 
-    Filters are immutable, so :meth:`variables` is memoized on the
-    instance (``_variables_memo``).
+    Filters are immutable, so what is derived from one is kept on the
+    instance: :meth:`variables` (``_variables_memo``), the Bind engine
+    (``_engine_memo``) and the store's compiled pushdown or its refusal
+    (``_pushdown_memo``).
     """
 
-    __slots__ = ("_variables_memo",)
+    __slots__ = ("_variables_memo", "_engine_memo", "_pushdown_memo")
 
     def variables(self) -> Tuple[str, ...]:
         """All variables bound by this filter, in document order."""

@@ -497,8 +497,7 @@ _RESULT_CACHE_GAUGES = (
 def record_memo_stats(registry: MetricsRegistry, mediator) -> None:
     """Export every memo as one ``yat_memo_*{memo=...}`` row.
 
-    Rows come from the process-wide memos (Bind engines, predicate
-    kernels, column maps), the mediator's own
+    Rows come from the process-wide column-map memo, the mediator's own
     (:meth:`Mediator.memo_stats`) and each connected adapter's
     ``memo_stats()``.  Gauges, not counters: the numbers are cumulative
     snapshots owned by the memos, so re-recording overwrites.  A memo
@@ -506,15 +505,9 @@ def record_memo_stats(registry: MetricsRegistry, mediator) -> None:
     keys than its bound holds.  The few cache numbers with no memo-family
     equivalent follow as plain gauges.
     """
-    from repro.core.algebra.compiled import predicate_cache_stats
-    from repro.core.algebra.engine import engine_cache_stats
     from repro.core.algebra.tab import column_map_stats
 
-    rows = {
-        "bind_engines": engine_cache_stats(),
-        "predicate_kernels": predicate_cache_stats(),
-        "column_maps": column_map_stats(),
-    }
+    rows = {"column_maps": column_map_stats()}
     rows.update(mediator.memo_stats())
     shredded = registry.gauge(
         "yat_store_rows_shredded",

@@ -57,7 +57,9 @@ class PushedFragment:
     a deterministic rejection resilience policies never retry.
     """
 
-    __slots__ = ("document", "filter", "selections", "projection", "distinct")
+    __slots__ = (
+        "document", "filter", "selections", "projection", "distinct", "prepared",
+    )
 
     def __init__(
         self,
@@ -72,6 +74,9 @@ class PushedFragment:
         self.selections = selections
         self.projection = projection
         self.distinct = distinct
+        #: What the wrapper compiled from the fragment on its first
+        #: non-reference run (a wrapper's own business; O2's translation).
+        self.prepared = None
 
 
 def analyze_fragment(plan: Plan, source_name: str) -> PushedFragment:
@@ -118,18 +123,11 @@ def analyze_fragment(plan: Plan, source_name: str) -> PushedFragment:
 class Wrapper(SourceAdapter):
     """Base class of generic wrappers."""
 
-    #: Bound on the per-wrapper fragment memo (``checked_fragment``).
-    FRAGMENT_MEMO_CAPACITY = 256
-
     def __init__(self, name: str) -> None:
         self.name = name
         self._interface: Optional[SourceInterface] = None
         self._document_name_set: Optional[frozenset] = None
         self._matcher: Optional[CapabilityMatcher] = None
-        #: ``id(plan) -> fragment``, anchored on the plan.  One wrapper
-        #: serves every concurrent session; fragment analysis and
-        #: document builds run outside the memo's lock.
-        self._fragments = Memo(self.FRAGMENT_MEMO_CAPACITY)
         #: ``name -> tree``, tagged with the data version it was built at;
         #: one slot per exported document (sized by :meth:`document`, the
         #: names are the subclass's to know), so nothing is ever evicted.
@@ -208,22 +206,24 @@ class Wrapper(SourceAdapter):
                 )
 
     def checked_fragment(self, plan: Plan) -> PushedFragment:
-        """Analyze and validate *plan* once per plan object.
+        """Analyze and validate *plan* once per plan object and wrapper.
 
         Plans are immutable and the interface is fixed, so both the
         decomposition and the capability check are pure in the plan.
         The mediator's plan cache replays the very same plan objects on
-        every warm hit — this memo makes every crossing after the first
-        a dictionary lookup.  Rejections are not memoized; the error path
-        is cold by construction.
+        every warm hit, so the fragment is kept on the plan, with the
+        wrapper that accepted it: another wrapper (a replica, say)
+        validates again.  Rejections are not kept; the error path is
+        cold by construction.
         """
-        return self._fragments.get_or_build(
-            id(plan), self._check_fragment, plan, anchor=plan
-        )
-
-    def _check_fragment(self, plan: Plan) -> PushedFragment:
-        fragment = analyze_fragment(plan, self.name)
-        self.validate_fragment(fragment)
+        try:
+            wrapper, fragment = plan._fragment_memo
+        except AttributeError:
+            wrapper = None
+        if wrapper is not self:
+            fragment = analyze_fragment(plan, self.name)
+            self.validate_fragment(fragment)
+            plan._fragment_memo = (self, fragment)
         return fragment
 
     # -- document export ----------------------------------------------------------
@@ -261,12 +261,9 @@ class Wrapper(SourceAdapter):
     def memo_stats(self) -> Dict[str, Dict[str, int]]:
         """``{memo name: Memo.stats()}`` for metrics export.
 
-        Subclasses with additional memos extend the dict.
+        Subclasses with other memos override it.
         """
-        return {
-            "fragments": self._fragments.stats(),
-            "documents": self._documents.stats(),
-        }
+        return {"documents": self._documents.stats()}
 
     # -- SourceAdapter defaults ---------------------------------------------------
 

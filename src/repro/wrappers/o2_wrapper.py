@@ -34,7 +34,6 @@ from repro.core.algebra.expressions import (
 )
 from repro.core.algebra.operators import Plan
 from repro.core.algebra.tab import BindingSet, Row, Tab
-from repro.memo import Memo
 from repro.model.filters import (
     FConst,
     FElem,
@@ -75,16 +74,9 @@ _ATOMIC_RESULTS = {"Int": "Int", "Float": "Float", "String": "String", "Bool": "
 class O2Wrapper(Wrapper):
     """Wraps one :class:`ObjectDatabase` as a YAT source."""
 
-    #: Bound on the per-wrapper prepared-fragment memo.
-    PREPARED_MEMO_CAPACITY = 256
-
     def __init__(self, name: str, database: ObjectDatabase) -> None:
         super().__init__(name)
         self._db = database
-        #: ``(document, filter) -> _OqlTranslator``: the translation
-        #: depends on nothing else — a filter constant is a slot each
-        #: call binds — so every parameter vector of a cached plan hits.
-        self._prepared = Memo(self.PREPARED_MEMO_CAPACITY)
 
     # -- capability export ---------------------------------------------------
 
@@ -148,11 +140,13 @@ class O2Wrapper(Wrapper):
             # behavior: translate and interpret from scratch on every call.
             prepared = self._translated(fragment)
         else:
-            # The filter translates once per (document, filter).
-            prepared = self._prepared.get_or_build(
-                (fragment.document, fragment.filter),
-                self._translated, fragment,
-            )
+            # The filter translates once per fragment, which its plan
+            # keeps: the translation depends on the document and the
+            # filter only — a filter constant is a slot each call binds —
+            # so every parameter vector of a cached plan reuses it.
+            prepared = fragment.prepared
+            if prepared is None:
+                prepared = fragment.prepared = self._translated(fragment)
         # Each call specializes the translation with the request's bound
         # constants and its outer bindings (one row, or a whole
         # :class:`BindingSet`).
@@ -181,11 +175,6 @@ class O2Wrapper(Wrapper):
         translator = _OqlTranslator(self._db, fragment.document)
         translator.translate_filter(fragment.filter)
         return translator
-
-    def memo_stats(self) -> Dict[str, Dict[str, int]]:
-        stats = super().memo_stats()
-        stats["prepared"] = self._prepared.stats()
-        return stats
 
     def _to_cell(self, value: object):
         if isinstance(value, OdmgObject):

@@ -40,7 +40,7 @@ caused it, which it reads from the active
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional, Tuple, Union
 
 from repro.errors import SourceError
 from repro.capabilities.fmodel import store_fmodel
@@ -50,7 +50,6 @@ from repro.core.algebra.engine import bind_engine
 from repro.core.algebra.lowering import lower
 from repro.core.algebra.operators import Plan
 from repro.core.algebra.tab import Row, Tab
-from repro.memo import Memo
 from repro.model.filters import Filter
 from repro.model.patterns import PAny, PNode, PStar, PatternLibrary
 from repro.model.trees import DataNode
@@ -64,11 +63,23 @@ from repro.wrappers.base import PushedFragment, Wrapper
 STRUCTURE_MODEL = "Store_Structure"
 
 
+def _compiled(flt: Filter) -> Union[PushdownQuery, str]:
+    """:func:`compile_pushdown` of *flt*, or its lowering's refusal,
+    compiled once and kept on the filter: both are pure in it (its
+    constants are bound per call) and cached plans replay it."""
+    try:
+        return flt._pushdown_memo
+    except AttributeError:
+        pass
+    compiled = compile_pushdown(flt)
+    if compiled is None:
+        compiled = lower(flt).refusal
+    flt._pushdown_memo = compiled
+    return compiled
+
+
 class StoreWrapper(Wrapper):
     """Wraps one :class:`StoredXmlSource` as a YAT source."""
-
-    #: Bound on the compiled-pushdown memo (keyed by filter identity).
-    PUSHDOWN_MEMO_CAPACITY = 256
 
     def __init__(
         self, name: str, source: StoredXmlSource, enable_pushdown: bool = True
@@ -77,10 +88,6 @@ class StoreWrapper(Wrapper):
         self._source = source
         self._store = source.store
         self._enable_pushdown = enable_pushdown
-        #: ``id(filter) -> compiled-or-None``, anchored on the filter;
-        #: compilation is pure in the filter (its constants are bound per
-        #: call) and cached plans replay the same filter objects.
-        self._pushdowns = Memo(self.PUSHDOWN_MEMO_CAPACITY)
 
     # -- capability export ------------------------------------------------------
 
@@ -128,21 +135,13 @@ class StoreWrapper(Wrapper):
 
     def memo_stats(self) -> Dict[str, Dict[str, int]]:
         # No "documents" row: document() never touches the base memo.
-        return {
-            "fragments": self._fragments.stats(),
-            "hydration": self._store.memo_stats(),
-            "pushdowns": self._pushdowns.stats(),
-        }
+        return {"hydration": self._store.memo_stats()}
 
     def store_stats(self) -> Dict[str, int]:
         """Cumulative store counters (metrics export)."""
         return self._store.stats()
 
     # -- access-path choice --------------------------------------------------------
-
-    def compiled_pushdown(self, flt: Filter) -> Optional[PushdownQuery]:
-        """Memoized :func:`compile_pushdown` (keyed by filter identity)."""
-        return self._pushdowns.get_or_build(id(flt), compile_pushdown, flt, anchor=flt)
 
     def pushdown_access(self, flt: Filter, document: Optional[str] = None) -> str:
         """The access path a pushed Bind of *flt* would take (EXPLAIN),
@@ -161,9 +160,9 @@ class StoreWrapper(Wrapper):
             return None, "pushdown off"
         if meta is not None and not meta.pushdown_safe:
             return None, "document not pushdown-safe"
-        compiled = self.compiled_pushdown(flt)
-        if compiled is None:
-            return None, lower(flt).refusal
+        compiled = _compiled(flt)
+        if isinstance(compiled, str):
+            return None, compiled
         params = compiled.bind_params()
         if params is None:
             # Worded like the lowering's refusal, so a cached plan's

@@ -2,7 +2,7 @@
 
 Every cache in ``src/`` sits on :class:`repro.memo.Memo`; the per-cache
 tests only check that each is *wired* to its bound.  What a bounded,
-tagged, anchored, single-flight table must do is checked here.
+tagged, single-flight table must do is checked here.
 """
 
 import ast
@@ -132,15 +132,6 @@ class TestTagsAndAnchors:
         assert memo.get_or_build("doc", lambda: "v2", tag=2) == "v2"
         stats = memo.stats()
         assert (stats["entries"], stats["stale"], stats["evictions"]) == (1, 1, 0)
-
-    def test_anchor_mismatch_on_a_reused_key_misses(self):
-        memo = Memo(4)
-        first, second = object(), object()
-        memo.put(7, "first's value", anchor=first)
-        assert memo.get(7, anchor=first) == "first's value"
-        assert memo.get(7, anchor=second) is None
-        assert memo.get_or_build(7, lambda: "second's", anchor=second) == "second's"
-        assert memo.get(7, anchor=second) == "second's"
 
     def test_none_is_a_storable_value(self):
         memo = Memo(4)
@@ -392,6 +383,30 @@ def test_no_hand_rolled_bounded_table_outside_memo_py():
         for name, pattern in HAND_ROLLED:
             if pattern.search(text):
                 offenders.append(f"{path.relative_to(REPO)}: {name}")
+    assert offenders == []
+
+
+#: A name bound to a Memo, and a call on it whose key is (or starts with)
+#: an ``id(...)``.
+MEMO_NAME = re.compile(r"(\w+)\s*(?::[^=\n]*)?=\s*Memo\(")
+IDENTITY_KEY = r"\b{}\.\w+\(\s*\(?\s*id\("
+
+
+def test_no_memo_keyed_on_object_identity():
+    # What a plan node compiles is kept on the node, so it lives exactly
+    # as long as the plan.  A Memo keyed by id(...) would serve a dead
+    # object's value to whatever reuses its id, and the memo no longer
+    # carries an identity anchor to stop that.
+    offenders = []
+    for path in sorted(SRC.rglob("*.py")):
+        text = path.read_text()
+        if "Memo(" not in text:
+            continue
+        for name in set(MEMO_NAME.findall(text)):
+            if re.search(IDENTITY_KEY.format(re.escape(name)), text):
+                offenders.append(f"{path.relative_to(REPO)}: {name} keyed by id()")
+    if re.search(r"\banchor", (SRC / "memo.py").read_text()):
+        offenders.append("src/repro/memo.py: anchor")
     assert offenders == []
 
 

@@ -352,15 +352,15 @@ def test_record_memo_stats_exports_every_number_once(cultural_mediator):
     text = registry.exposition()
     # Uniform rows: every locked memo carries all six series.  (Which
     # memo names exist is checked against README in test_memo.py.)
-    for memo in ("bind_engines", "predicate_kernels", "plan_cache", "plan_texts",
-                 "o2artifact.fragments", "o2artifact.prepared",
+    for memo in ("plan_cache", "plan_texts", "o2artifact.documents",
                  "xmlartwork.documents", "depot.hydration"):
         for series in ("entries", "capacity", "hits", "misses", "stale",
                        "evictions_total"):
             assert f'yat_memo_{series}{{memo="{memo}"}}' in text
-    # Engines and predicates are separate rows, not one summed gauge, and
-    # the engine memo actually held something for Q1/Q2.
-    assert 'yat_memo_entries{memo="bind_engines"} 0' not in text
+    # What a plan node compiles is kept on the node: no memo row for it.
+    for memo in ("bind_engines", "predicate_kernels", "o2artifact.fragments",
+                 "o2artifact.prepared", "depot.fragments", "depot.pushdowns"):
+        assert f'memo="{memo}"' not in text
     # The result cache is off on this mediator: no row, no zeros.
     assert 'memo="result_cache"' not in text
     # The store serves documents from its hydration memo alone, so the

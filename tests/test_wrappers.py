@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.errors import SourceError
+from repro.errors import PushdownRejectedError, SourceError
 from repro.core.algebra.expressions import Cmp, Const, FunCall, Var, eq
 from repro.core.algebra.operators import (
     BindOp,
@@ -162,6 +162,29 @@ class TestO2Wrapper:
         plan = BindOp(SourceOp("o2artifact", "artifacts"), flt, on="artifacts")
         with pytest.raises(SourceError):
             o2.execute_pushed(plan)
+
+    def test_a_kept_fragment_is_validated_again_by_another_wrapper(
+        self, o2, sources
+    ):
+        # One plan object through two wrappers of one source name: the
+        # fragment the first accepted is kept on the plan, and must not
+        # spare the second, which declares no range comparison, its check.
+        class EqualityOnly(O2Wrapper):
+            def build_interface(self):
+                interface = super().build_interface()
+                for name in ("lt", "lte", "gt", "gte"):
+                    del interface.operations[name]
+                return interface
+
+        plan = SelectOp(
+            BindOp(SourceOp("o2artifact", "artifacts"), o2_filter(), on="artifacts"),
+            Cmp(">", Var("y"), Const(1898)),
+        )
+        strict = EqualityOnly("o2artifact", sources[0])
+        for _ in range(2):
+            assert len(o2.execute_pushed(plan)[0]) == 1
+            with pytest.raises(PushdownRejectedError, match="'>'"):
+                strict.execute_pushed(plan)
 
     def test_nested_collection_navigation(self, o2):
         flt = felem(
