@@ -34,7 +34,6 @@ from repro.mediator import (
     RetryPolicy,
 )
 from repro.observability import (
-    Explanation,
     MetricsRegistry,
     RequestContext,
     Tracer,
@@ -49,7 +48,6 @@ __version__ = "1.0.0"
 
 __all__ = [
     "ExecutionPolicy",
-    "Explanation",
     "Mediator",
     "MediatorServer",
     "MetricsRegistry",

@@ -26,6 +26,51 @@ from collections import Counter
 from typing import Dict
 
 
+#: The counters an execution report exports, declared once as
+#: ``(attribute, yat_* series, help, label)``: ``label`` is ``"source"``
+#: for a per-source :class:`~collections.Counter` and ``None`` for a
+#: plain total.  :meth:`ExecutionStats.as_dict` and
+#: :func:`~repro.observability.metrics.record_execution` iterate it.
+COUNTERS = (
+    ("source_calls", "yat_source_calls_total",
+     "Round trips per source.", "source"),
+    ("rows_transferred", "yat_source_rows_transferred_total",
+     "Rows received across the wrapper boundary.", "source"),
+    ("bytes_transferred", "yat_source_bytes_transferred_total",
+     "Bytes received across the wrapper boundary.", "source"),
+    ("retries", "yat_source_retries_total",
+     "Retried source calls.", "source"),
+    ("failures", "yat_source_failures_total",
+     "Failed source calls.", "source"),
+    ("mediator_rows", "yat_mediator_rows_total",
+     "Rows processed by mediator-side operators.", None),
+    ("batched_calls", "yat_djoin_batched_calls_total",
+     "DJoin right-branch evaluations avoided against one per outer row.",
+     None),
+    ("passed_keys", "yat_djoin_passed_keys_total",
+     "Outer binding tuples shipped to sources in set-valued pushed calls.",
+     None),
+    ("parallel_branches", "yat_parallel_branches_total",
+     "Plan branches dispatched to the scheduler pool.", None),
+    ("store_pushdowns", "yat_store_pushdowns_total",
+     "Pushed Binds answered by SQL interval self-joins in a document store.",
+     None),
+    ("store_scans", "yat_store_scans_total",
+     "Pushed Binds that fell back to a hydrated document scan.", None),
+    ("store_hydrated_nodes", "yat_store_hydrated_nodes_total",
+     "Nodes rebuilt from shredded document-store rows.", None),
+    ("store_bytes_avoided", "yat_store_bytes_avoided_total",
+     "Serialized bytes pushdowns never transferred (untouched node share).",
+     None),
+    ("shard_scatter", "yat_shard_scatter_total",
+     "Scatter branches evaluated over sharded logical sources.", None),
+    ("shard_pruned", "yat_shard_pruned_total",
+     "Shard branches skipped by partition-key pruning.", None),
+    ("shard_failovers", "yat_shard_failovers_total",
+     "Shard calls rerouted from a failed replica to the next one.", None),
+)
+
+
 class ExecutionStats:
     """Mutable counters filled in by the evaluator.
 
@@ -211,30 +256,18 @@ class ExecutionStats:
 
     def as_dict(self) -> Dict[str, object]:
         """Plain-dictionary summary, convenient for benchmark reports."""
-        return {
-            "rows_transferred": dict(self.rows_transferred),
-            "bytes_transferred": dict(self.bytes_transferred),
-            "source_calls": dict(self.source_calls),
+        summary: Dict[str, object] = {
             "operator_counts": dict(self.operator_counts),
-            "mediator_rows": self.mediator_rows,
             "total_rows_transferred": self.total_rows_transferred,
             "total_bytes_transferred": self.total_bytes_transferred,
             "total_source_calls": self.total_source_calls,
-            "retries": dict(self.retries),
-            "failures": dict(self.failures),
             "dropped_sources": dict(self.dropped_sources),
             "degraded": self.degraded,
-            "batched_calls": self.batched_calls,
-            "passed_keys": self.passed_keys,
-            "parallel_branches": self.parallel_branches,
-            "store_pushdowns": self.store_pushdowns,
-            "store_scans": self.store_scans,
-            "store_hydrated_nodes": self.store_hydrated_nodes,
-            "store_bytes_avoided": self.store_bytes_avoided,
-            "shard_scatter": self.shard_scatter,
-            "shard_pruned": self.shard_pruned,
-            "shard_failovers": self.shard_failovers,
         }
+        for attribute, _series, _help, label in COUNTERS:
+            value = getattr(self, attribute)
+            summary[attribute] = dict(value) if label else value
+        return summary
 
     def summary(self) -> str:
         """Multi-line human-readable report."""

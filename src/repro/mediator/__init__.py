@@ -12,10 +12,8 @@ from repro.mediator.resilience import (
 )
 from repro.mediator.result_cache import ResultCache
 from repro.mediator.views import VIEW_SOURCE, ViewRegistry
-from repro.observability.explain import Explanation
 
 __all__ = [
-    "Explanation",
     "Catalog",
     "CircuitBreaker",
     "ExecutionPolicy",

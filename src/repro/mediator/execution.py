@@ -4,12 +4,12 @@ Thin wrapper around the algebra evaluator that times the run and bundles
 the result Tab with the :class:`~repro.core.algebra.stats.ExecutionStats`
 collected along the way — the unit benchmarks and examples report.
 
-Execution runs under a :class:`~repro.mediator.resilience.ResiliencePolicy`;
-the default ``ResiliencePolicy.direct()`` is the historical fail-fast
-behavior with zero wrapping, so every existing call site is unchanged.
-A retrying policy guards each source call with retry/backoff, circuit
-breakers and deadlines, and (when ``allow_partial_results`` is set) lets
-the evaluator degrade gracefully — the report then carries
+Execution runs under an optional
+:class:`~repro.mediator.resilience.ResiliencePolicy`; without one it is
+the historical fail-fast behavior with zero wrapping.  A retrying
+policy guards each source call with retry/backoff, circuit breakers
+and deadlines, and (when ``allow_partial_results`` is set) lets the
+evaluator degrade gracefully — the report then carries
 ``degraded=True`` plus per-source :class:`SourceOutcome` records.
 """
 
@@ -47,7 +47,7 @@ class ExecutionReport:
         self.tab = tab
         self.stats = stats
         self.elapsed = elapsed
-        #: Per-source resilience records (empty under the direct policy).
+        #: Per-source resilience records (empty without a policy).
         self.outcomes = outcomes
         #: The :class:`~repro.observability.tracer.Tracer` that observed
         #: this execution, or ``None`` when tracing was off.
@@ -90,9 +90,8 @@ def run_plan(
 ) -> ExecutionReport:
     """Evaluate *plan* with fresh statistics and timing.
 
-    *policy* defaults to :meth:`ResiliencePolicy.direct` — no retries, no
-    breakers, fail-fast.  Pass a retrying policy to guard the source
-    calls.
+    Without a *policy* there are no retries and no breakers: fail-fast.
+    Pass a retrying policy to guard the source calls.
 
     *execution* configures the federated scheduler.  The default policy
     keeps ``parallelism=1``: strictly serial evaluation order.  Pass
@@ -114,19 +113,17 @@ def run_plan(
     ``report.trace``; its ``deadline`` (absolute, on the resilience
     policy's clock) is folded into the per-query deadline machinery.
     """
-    if policy is None:
-        policy = ResiliencePolicy.direct()
     if execution is None:
         execution = ExecutionPolicy()
     context = (context if context is not None else RequestContext()).replace(
         stats=ExecutionStats(), reference=execution.reference
     )
-    if context.deadline is not None and policy.is_direct:
-        # The direct policy has no runtime to enforce a deadline; a
-        # request that carries one gets the minimal non-direct policy
-        # (no retries, no partial results — still fail-fast).
+    if policy is None and context.deadline is not None:
+        # No policy means no runtime to enforce a deadline; a request
+        # that carries one gets the minimal policy (no retries, no
+        # partial results — still fail-fast).
         policy = ResiliencePolicy()
-    runtime = policy.start(context)
+    runtime = policy.start(context) if policy is not None else None
     sources = runtime.wrap(adapters) if runtime is not None else adapters
     env = Environment(sources, functions=functions, resilience=runtime,
                       policy=execution, context=context)

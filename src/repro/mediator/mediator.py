@@ -206,7 +206,7 @@ class Mediator:
         #: caches carry their own locks.
         self._plan_lock = threading.RLock()
         #: Resilience policy used by :meth:`execute` / :meth:`query` unless
-        #: overridden per call; ``None`` means fail-fast (direct).
+        #: overridden per call; ``None`` means fail-fast, unwrapped.
         self.policy = policy
         #: Execution policy (parallelism, or the ``serial()`` reference
         #: engine); ``None`` means the default :class:`ExecutionPolicy` —
@@ -561,7 +561,7 @@ class Mediator:
         """EXPLAIN (plan only) or EXPLAIN ANALYZE (plan + actuals) *text*.
 
         Plans the query exactly as :meth:`query` would and returns an
-        :class:`~repro.observability.explain.Explanation` whose
+        :class:`~repro.explain.Explanation` whose
         ``render()`` / ``str()`` shows the optimized plan annotated with
         the pushdown decisions (which fragments run natively, and the
         native OQL / SQL / Wais text).  With ``analyze=True`` the plan is
@@ -580,7 +580,7 @@ class Mediator:
         query's bound parameters, so a cached plan explains exactly like
         a fresh one (bar the ``plan: cached`` line).
         """
-        from repro.observability.explain import Explanation
+        from repro.explain import Explanation
         from repro.observability.tracer import Tracer
 
         naive, optimized, trace, cached, normalized = self._plan_text(

@@ -18,8 +18,8 @@ real mediation stacks need, while keeping the happy path unchanged:
 
 A policy object is immutable configuration; :meth:`ResiliencePolicy.start`
 creates the per-query mutable state (:class:`PolicyRuntime`: breakers,
-deadline, outcome records).  ``ResiliencePolicy.direct()`` is the no-op
-default every existing call site gets: no wrapping, no overhead.
+deadline, outcome records).  No policy (``policy=None``, the default
+at every call site) means no wrapping and no overhead.
 
 Clocks and sleeping are injectable so tests drive time with a
 :class:`~repro.testing.faults.VirtualClock`.
@@ -176,15 +176,15 @@ class SourceOutcome:
 class ResiliencePolicy:
     """Immutable resilience configuration for federated execution.
 
-    ``ResiliencePolicy.direct()`` — the default everywhere — disables the
-    whole layer: adapters are not wrapped and the evaluator behaves
+    No policy at all (``policy=None``, the default everywhere) disables
+    the whole layer: adapters are not wrapped and the evaluator behaves
     exactly as before.  ``ResiliencePolicy.default()`` enables retries
     and the breaker with conservative settings.
     """
 
     __slots__ = ("retry", "circuit_failure_threshold", "circuit_recovery_time",
                  "call_timeout", "query_deadline", "allow_partial_results",
-                 "clock", "sleep", "_direct")
+                 "clock", "sleep")
 
     def __init__(
         self,
@@ -205,14 +205,6 @@ class ResiliencePolicy:
         self.allow_partial_results = allow_partial_results
         self.clock = clock
         self.sleep = sleep
-        self._direct = False
-
-    @classmethod
-    def direct(cls) -> "ResiliencePolicy":
-        """The no-op policy: fail-fast, zero wrapping (the seed behavior)."""
-        policy = cls()
-        policy._direct = True
-        return policy
 
     @classmethod
     def default(cls, **overrides) -> "ResiliencePolicy":
@@ -225,13 +217,8 @@ class ResiliencePolicy:
         settings.update(overrides)
         return cls(**settings)
 
-    @property
-    def is_direct(self) -> bool:
-        return self._direct
-
-    def start(self, context: RequestContext) -> Optional["PolicyRuntime"]:
-        """Per-query runtime state for the request *context*, or ``None``
-        for the direct policy.
+    def start(self, context: RequestContext) -> "PolicyRuntime":
+        """Per-query runtime state for the request *context*.
 
         The runtime records into the context's ``stats``, traces guarded
         calls under its ``tracer``, and enforces whichever of the
@@ -239,8 +226,6 @@ class ResiliencePolicy:
         serving layer's per-request deadline) and the policy's own
         ``query_deadline`` comes first.
         """
-        if self._direct:
-            return None
         return PolicyRuntime(self, context)
 
 

@@ -13,11 +13,13 @@ execution observable:
   Chrome-trace JSON export;
 * :mod:`repro.observability.metrics` — a dependency-free metrics
   registry (counters, gauges, histograms with deterministic bucket
-  bounds) with Prometheus text exposition and a per-source /
-  per-operator taxonomy fed from execution reports;
-* :mod:`repro.observability.explain` — the EXPLAIN / EXPLAIN ANALYZE
-  renderer behind :meth:`repro.mediator.mediator.Mediator.explain` and
-  the ``python -m repro.explain`` CLI.
+  bounds) with Prometheus text exposition and the ``yat_*`` series fed
+  from execution reports.
+
+The EXPLAIN / EXPLAIN ANALYZE renderer reads plans, which read this
+package's request context, so it lives above both: :mod:`repro.explain`
+holds the renderer behind :meth:`repro.mediator.mediator.Mediator.explain`
+and the ``python -m repro.explain`` CLI.
 
 Tracing is strictly opt-in: every hook starts with a single ``tracer is
 None`` check, so the default path pays one attribute test per hook and
@@ -42,35 +44,17 @@ from repro.observability.metrics import (
 )
 from repro.observability.tracer import Span, Tracer
 
-_EXPLAIN = ("Explanation", "NodeActuals", "collect_actuals", "render_plan")
-
-
-def __getattr__(name: str):
-    # The EXPLAIN renderer reads plans, and plans read this package's
-    # request context (a query parameter's bound value): import the
-    # renderer on first use so the context never drags in the algebra.
-    if name in _EXPLAIN:
-        from repro.observability import explain
-
-        return getattr(explain, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
 __all__ = [
     "Counter",
-    "Explanation",
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "NodeActuals",
     "RequestContext",
     "Span",
     "Tracer",
     "activate_context",
-    "collect_actuals",
     "current_context",
     "current_tracer",
     "record_execution",
     "record_memo_stats",
-    "render_plan",
 ]

@@ -27,6 +27,8 @@ import re
 import threading
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
+from repro.core.algebra.stats import COUNTERS
+
 __all__ = [
     "Counter",
     "DURATION_BUCKETS",
@@ -46,9 +48,6 @@ DURATION_BUCKETS: Tuple[float, ...] = (
     0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025, 0.05,
     0.1, 0.25, 0.5, 1.0, 2.5, 5.0, 10.0,
 )
-
-#: Deterministic size ladder (bytes): powers of four from 256 B to 64 MB.
-SIZE_BUCKETS: Tuple[float, ...] = tuple(256.0 * 4 ** i for i in range(10))
 
 
 def _escape_label(value: str) -> str:
@@ -116,10 +115,6 @@ class Gauge(_Metric):
         with self.family.registry._lock:
             self._value = float(value)
 
-    def inc(self, amount: float = 1.0) -> None:
-        with self.family.registry._lock:
-            self._value += amount
-
     @property
     def value(self) -> float:
         return self._value
@@ -183,28 +178,18 @@ class _Family:
         self.buckets = buckets
         self._children: Dict[Tuple[str, ...], _Metric] = {}
 
-    def labels(self, *values: object, **kwvalues: object) -> _Metric:
+    def labels(self, **values: object) -> _Metric:
         """The child for one label-value combination (created on demand)."""
-        if kwvalues:
-            if values:
-                raise ValueError("pass label values positionally or by name")
-            try:
-                values = tuple(str(kwvalues[name]) for name in self.labelnames)
-            except KeyError as missing:
-                raise ValueError(f"missing label {missing} for {self.name}") from None
-            if len(kwvalues) != len(self.labelnames):
-                raise ValueError(f"unexpected labels for {self.name}")
-        else:
-            values = tuple(str(v) for v in values)
-        if len(values) != len(self.labelnames):
+        if values.keys() != set(self.labelnames):
             raise ValueError(
-                f"{self.name} takes labels {self.labelnames}, got {values!r}"
+                f"{self.name} takes labels {self.labelnames}, got {sorted(values)}"
             )
+        key = tuple(str(values[name]) for name in self.labelnames)
         with self.registry._lock:
-            child = self._children.get(values)
+            child = self._children.get(key)
             if child is None:
-                child = _KINDS[self.kind](self, values)
-                self._children[values] = child
+                child = _KINDS[self.kind](self, key)
+                self._children[key] = child
             return child
 
     def _default(self) -> _Metric:
@@ -224,10 +209,6 @@ class _Family:
     def observe(self, value: float) -> None:
         self._default().observe(value)  # type: ignore[attr-defined]
 
-    @property
-    def value(self) -> float:
-        return self._default().value  # type: ignore[attr-defined]
-
     def children(self) -> List[_Metric]:
         with self.registry._lock:
             return [self._children[key] for key in sorted(self._children)]
@@ -236,10 +217,7 @@ class _Family:
 class MetricsRegistry:
     """A process-local collection of metric families."""
 
-    def __init__(self, namespace: str = "") -> None:
-        if namespace and not _NAME_RE.match(namespace):
-            raise ValueError(f"invalid metric namespace {namespace!r}")
-        self.namespace = namespace
+    def __init__(self) -> None:
         self._lock = threading.RLock()
         self._families: Dict[str, _Family] = {}
 
@@ -251,8 +229,6 @@ class MetricsRegistry:
         labelnames: Iterable[str],
         buckets: Tuple[float, ...] = (),
     ) -> _Family:
-        if self.namespace:
-            name = f"{self.namespace}_{name}"
         if not _NAME_RE.match(name):
             raise ValueError(f"invalid metric name {name!r}")
         labelnames = tuple(labelnames)
@@ -370,83 +346,20 @@ def record_execution(
             ("query",),
         ).labels(query=label).inc()
 
-    calls = registry.counter(
-        "yat_source_calls_total", "Round trips per source.", ("source",)
-    )
-    rows = registry.counter(
-        "yat_source_rows_transferred_total",
-        "Rows received across the wrapper boundary.", ("source",),
-    )
-    transferred = registry.counter(
-        "yat_source_bytes_transferred_total",
-        "Bytes received across the wrapper boundary.", ("source",),
-    )
-    retries = registry.counter(
-        "yat_source_retries_total", "Retried source calls.", ("source",)
-    )
-    failures = registry.counter(
-        "yat_source_failures_total", "Failed source calls.", ("source",)
-    )
-    for source, count in sorted(stats.source_calls.items()):
-        calls.labels(source=source).inc(count)
-    for source, count in sorted(stats.rows_transferred.items()):
-        rows.labels(source=source).inc(count)
-    for source, size in sorted(stats.bytes_transferred.items()):
-        transferred.labels(source=source).inc(size)
-    for source, count in sorted(stats.retries.items()):
-        retries.labels(source=source).inc(count)
-    for source, count in sorted(stats.failures.items()):
-        failures.labels(source=source).inc(count)
-
+    for attribute, series, help_text, by in COUNTERS:
+        family = registry.counter(series, help_text, (by,) if by else ())
+        value = getattr(stats, attribute)
+        if by is None:
+            family.inc(value)
+            continue
+        for key, count in sorted(value.items()):
+            family.labels(**{by: key}).inc(count)
     evaluations = registry.counter(
         "yat_operator_evaluations_total",
         "Operator evaluations by kind.", ("operator",),
     )
     for operator, count in sorted(stats.operator_counts.items()):
         evaluations.labels(operator=operator).inc(count)
-    registry.counter(
-        "yat_mediator_rows_total", "Rows processed by mediator-side operators."
-    ).inc(stats.mediator_rows)
-    registry.counter(
-        "yat_djoin_batched_calls_total",
-        "DJoin right-branch evaluations avoided against one per outer row.",
-    ).inc(stats.batched_calls)
-    registry.counter(
-        "yat_djoin_passed_keys_total",
-        "Outer binding tuples shipped to sources in set-valued pushed calls.",
-    ).inc(stats.passed_keys)
-    registry.counter(
-        "yat_parallel_branches_total",
-        "Plan branches dispatched to the scheduler pool.",
-    ).inc(stats.parallel_branches)
-    registry.counter(
-        "yat_shard_scatter_total",
-        "Scatter branches evaluated over sharded logical sources.",
-    ).inc(stats.shard_scatter)
-    registry.counter(
-        "yat_shard_pruned_total",
-        "Shard branches skipped by partition-key pruning.",
-    ).inc(stats.shard_pruned)
-    registry.counter(
-        "yat_shard_failovers_total",
-        "Shard calls rerouted from a failed replica to the next one.",
-    ).inc(stats.shard_failovers)
-    registry.counter(
-        "yat_store_pushdowns_total",
-        "Pushed Binds answered by SQL interval self-joins in a document store.",
-    ).inc(stats.store_pushdowns)
-    registry.counter(
-        "yat_store_scans_total",
-        "Pushed Binds that fell back to a hydrated document scan.",
-    ).inc(stats.store_scans)
-    registry.counter(
-        "yat_store_hydrated_nodes_total",
-        "Nodes rebuilt from shredded document-store rows.",
-    ).inc(stats.store_hydrated_nodes)
-    registry.counter(
-        "yat_store_bytes_avoided_total",
-        "Serialized bytes pushdowns never transferred (untouched node share).",
-    ).inc(stats.store_bytes_avoided)
 
     trace = getattr(report, "trace", None)
     if trace is not None:

@@ -29,17 +29,9 @@ from __future__ import annotations
 import json
 import threading
 import time
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 __all__ = ["Span", "Tracer"]
-
-
-def _thread_cpu() -> float:
-    """Per-thread CPU seconds (falls back to process CPU off-POSIX)."""
-    try:
-        return time.thread_time()
-    except (AttributeError, OSError):  # pragma: no cover - exotic platforms
-        return time.process_time()
 
 
 class Span:
@@ -127,18 +119,12 @@ class Tracer:
     ``threading.local``.
     """
 
-    def __init__(
-        self,
-        clock: Callable[[], float] = time.perf_counter,
-        cpu_clock: Callable[[], float] = _thread_cpu,
-    ) -> None:
-        self.clock = clock
-        self.cpu_clock = cpu_clock
+    def __init__(self) -> None:
         self.spans: List[Span] = []
         self._lock = threading.Lock()
         self._next_id = 1
         self._local = threading.local()
-        self._epoch = clock()
+        self._epoch = time.perf_counter()
 
     # -- span lifecycle -------------------------------------------------------
 
@@ -172,21 +158,17 @@ class Tracer:
                 parent.span_id if parent is not None else None,
                 name,
                 kind,
-                self.clock(),
-                self.cpu_clock(),
+                time.perf_counter(),
+                time.thread_time(),
                 dict(attrs),
             )
             self.spans.append(span)
         self._stack().append(span)
         return span
 
-    def span(self, name: str, kind: str = "span", **attrs: object) -> Span:
-        """Context-manager alias for :meth:`start` (``with tracer.span(...)``)."""
-        return self.start(name, kind, **attrs)
-
     def _finish(self, span: Span) -> None:
-        span.end = self.clock()
-        span.cpu_end = self.cpu_clock()
+        span.end = time.perf_counter()
+        span.cpu_end = time.thread_time()
         stack = self._stack()
         if stack and stack[-1] is span:
             stack.pop()

@@ -115,11 +115,11 @@ class ServerConfig:
 def _degraded_variant(policy: Optional[ResiliencePolicy]) -> ResiliencePolicy:
     """*policy* with graceful degradation forced on.
 
-    A direct (or absent) base policy degrades to the minimal non-direct
-    policy — no retries, no breaker tuning changes — because the direct
-    policy has no runtime to drop branches with.
+    An absent base policy degrades to the minimal policy — no retries,
+    no breaker tuning changes — because without a policy there is no
+    runtime to drop branches with.
     """
-    if policy is None or policy.is_direct:
+    if policy is None:
         return ResiliencePolicy(allow_partial_results=True)
     if policy.allow_partial_results:
         return policy

@@ -13,7 +13,14 @@ Four contracts, in the order the ISSUE states them:
 
 from __future__ import annotations
 
+import inspect
 import json
+import os
+import re
+import subprocess
+import sys
+from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -24,13 +31,23 @@ from repro import (
     Tracer,
     record_execution,
 )
-from repro.core.algebra.stats import ExecutionStats
+from repro.core.algebra.stats import COUNTERS, ExecutionStats
+from repro.explain import collect_actuals, render_plan
+from repro.mediator.execution import run_plan
 from repro.mediator.resilience import RetryPolicy
-from repro.observability import collect_actuals, render_plan
 from repro.observability.context import RequestContext, current_tracer
-from repro.observability.metrics import DURATION_BUCKETS
+from repro.observability.metrics import DURATION_BUCKETS, record_memo_stats
+from repro.testing import FaultSchedule, VirtualClock
 
 from tests.conftest import Q1, Q2, build_mediator
+from tests.test_resilience import (
+    Q1_UNION_PLAN,
+    adapters,
+    build_sources,
+    virtual_policy,
+)
+
+REPO = Path(__file__).resolve().parent.parent
 
 
 # ---------------------------------------------------------------------------
@@ -339,7 +356,6 @@ def test_record_execution_taxonomy(cultural_mediator):
 def test_record_memo_stats_exports_every_number_once(cultural_mediator):
     from repro import StoredXmlSource, StoreWrapper
     from repro.model.trees import atom_leaf, elem
-    from repro.observability import record_memo_stats
 
     stored = StoredXmlSource()
     stored.add_tree("stored", elem("works", elem("work", atom_leaf("title", "T"))))
@@ -415,3 +431,137 @@ def test_collect_actuals_skips_open_spans():
     span.finish()
     actuals = collect_actuals(tracer)
     assert actuals[123].rows == 5 and actuals[123].evals == 1
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["q2", "--rounds", "x"], "argument --rounds: expected comma-separated"),
+    (["q2", "--rounds", "9"], "argument --rounds: expected comma-separated"),
+    (["q2", "--chrome-trace", "t.json"], "--chrome-trace and --metrics need --analyze"),
+    (["q2", "--metrics", "-"], "--chrome-trace and --metrics need --analyze"),
+])
+def test_explain_cli_refuses_bad_input(capsys, tmp_path, monkeypatch, argv, message):
+    from repro.explain import main
+
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exit_:
+        main(argv)
+    assert exit_.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    error = captured.err.splitlines()[-1]
+    assert error.startswith("python -m repro.explain: error: ") and message in error
+    assert list(tmp_path.iterdir()) == []  # nothing written
+
+
+def test_explain_lives_in_one_module():
+    import repro
+    import repro.mediator
+    import repro.observability
+
+    for package in (repro, repro.mediator, repro.observability):
+        for name in ("Explanation", "NodeActuals", "collect_actuals", "render_plan"):
+            assert not hasattr(package, name), (package.__name__, name)
+    assert not (REPO / "src/repro/observability/explain.py").exists()
+    # The package root does not import the CLI module, so running it
+    # loads it once: runpy's double-import warning would fail here.
+    completed = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "repro.explain", "q1", "--n", "8"],
+        capture_output=True, text=True, cwd=REPO, timeout=120,
+        env={**os.environ, "PYTHONPATH": str(REPO / "src")},
+    )
+    assert completed.returncode == 0, completed.stderr
+    assert completed.stdout.startswith("EXPLAIN\n")
+
+
+# ---------------------------------------------------------------------------
+# One counter declaration behind as_dict and record_execution
+# ---------------------------------------------------------------------------
+
+#: Always zero; ``benchmarks/e2e/layers.py`` reads them by name, so they
+#: stay on ExecutionStats without an exported series.
+ALWAYS_ZERO = {"bind_index_seeks", "twig_matches", "twig_fallbacks"}
+
+
+def test_counter_declaration_names_every_numeric_counter():
+    stats = ExecutionStats()
+    numeric = {
+        name for name, value in vars(stats).items()
+        if isinstance(value, Counter) or type(value) is int
+    }
+    declared = [attribute for attribute, _series, _help, _label in COUNTERS]
+    assert len(declared) == len(set(declared))
+    assert set(declared) == numeric - {"operator_counts"} - ALWAYS_ZERO
+    for attribute, series, help_text, label in COUNTERS:
+        assert series.startswith("yat_") and series.endswith("_total")
+        assert help_text.endswith(".")
+        assert label == ("source" if isinstance(getattr(stats, attribute), Counter)
+                         else None)
+    # The two readers iterate the declaration instead of naming counters.
+    for reader in (ExecutionStats.as_dict, record_execution):
+        text = inspect.getsource(reader)
+        assert [a for a in declared if re.search(rf"\b{a}\b", text)] == []
+
+
+def test_as_dict_and_exposition_carry_every_declared_counter(cultural_mediator):
+    report = cultural_mediator.query(Q2).report
+    summary = report.stats.as_dict()
+    registry = MetricsRegistry()
+    record_execution(registry, report, query="q2")
+    text = registry.exposition()
+    for attribute, series, _help, label in COUNTERS:
+        value = getattr(report.stats, attribute)
+        if label is None:
+            assert summary[attribute] == value
+            assert f"\n{series} {value}\n" in text
+        else:
+            assert summary[attribute] == dict(value)
+            for source, count in value.items():
+                assert f'\n{series}{{{label}="{source}"}} {count}\n' in text
+
+
+# ---------------------------------------------------------------------------
+# Catalogue: README's yat_* table == the families the code emits
+# ---------------------------------------------------------------------------
+
+def documented_families():
+    readme = (REPO / "README.md").read_text()
+    section = readme.split("## Observability (extension)", 1)[1].split("\n## ", 1)[0]
+    return {
+        match.group(1)
+        for match in re.finditer(r"^\|\s*`(yat_[a-z_]+)`", section, re.MULTILINE)
+    }
+
+
+def emitted_families():
+    from repro import MediatorServer, ServerConfig
+    from repro.explain import build_mediator as build_federation
+
+    registry = MetricsRegistry()
+    # record_execution: a traced run, then a degraded one.
+    database, store = build_sources(n=8)
+    mediator = build_mediator(database, store)
+    record_execution(registry, mediator.query(Q2, tracer=Tracer()).report)
+    clock = VirtualClock()
+    degraded = run_plan(
+        Q1_UNION_PLAN,
+        adapters(database, store, FaultSchedule().dead_source(), clock),
+        policy=virtual_policy(clock, allow_partial_results=True),
+    )
+    assert degraded.degraded
+    record_execution(registry, degraded)
+    # record_memo_stats: a mediator with a store and a result cache.
+    federation = build_federation(8, 1, store_path=":memory:")
+    assert federation.result_cache is not None
+    federation.query(Q1)
+    record_memo_stats(registry, federation)
+    # The serving tier's live series, serving one query.
+    config = ServerConfig(workers=1, metrics=registry)
+    with MediatorServer(build_mediator(database, store), config) as server:
+        server.submit(Q1).result()
+    return set(re.findall(r"^# TYPE (\S+) ", registry.exposition(), re.MULTILINE))
+
+
+def test_readme_series_table_matches_the_emitted_families():
+    documented, emitted = documented_families(), emitted_families()
+    assert documented - emitted == set(), "documented but never emitted"
+    assert emitted - documented == set(), "emitted but undocumented"
