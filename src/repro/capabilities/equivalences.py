@@ -24,22 +24,15 @@ from __future__ import annotations
 
 from typing import Optional
 
+from repro.model.node import Node
 
-class Equivalence:
+
+class Equivalence(Node):
     """Base class of declared source equivalences."""
 
+    __slots__ = ()
+
     kind: str = "equivalence"
-
-    def _key(self) -> tuple:
-        raise NotImplementedError
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Equivalence):
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
 
 
 class SelectionImplication(Equivalence):
@@ -73,6 +66,9 @@ class SelectionImplication(Equivalence):
         to the mediator" — free-WAIS-sf's structured fields.
     """
 
+    __slots__ = ("mediator_predicate", "source_predicate", "argument_type",
+                 "field_scoped")
+
     kind = "selection_implication"
 
     def __init__(
@@ -90,15 +86,6 @@ class SelectionImplication(Equivalence):
     def scoped_predicate(self, field: str) -> str:
         """Name of the field-scoped variant for element label *field*."""
         return f"{self.source_predicate}_{field}"
-
-    def _key(self) -> tuple:
-        return (
-            self.kind,
-            self.mediator_predicate,
-            self.source_predicate,
-            self.argument_type,
-            self.field_scoped,
-        )
 
     def __repr__(self) -> str:
         scoped = ", field-scoped" if self.field_scoped else ""

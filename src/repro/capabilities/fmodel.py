@@ -39,6 +39,7 @@ from __future__ import annotations
 from typing import Dict, Optional, Sequence, Tuple
 
 from repro.errors import CapabilityError
+from repro.model.node import Node
 from repro.model.patterns import SYMBOL
 
 #: Allowed values of the ``bind`` flag.
@@ -54,7 +55,7 @@ DESCEND_FLAGS = ("none", "any")
 FPAT_KINDS = ("node", "leaf", "star", "union", "ref", "any")
 
 
-class FPat:
+class FPat(Node):
     """One node of an Fpattern: a flagged type-pattern node.
 
     ``kind`` selects the shape:
@@ -106,26 +107,6 @@ class FPat:
         self.ref = ref
         self.collection = collection
         self.descend = descend
-
-    def _key(self) -> tuple:
-        return (
-            self.kind,
-            self.label,
-            self.bind,
-            self.inst,
-            self.ref,
-            self.collection,
-            self.descend,
-            tuple(c._key() for c in self.children),
-        )
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, FPat):
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
 
     def __repr__(self) -> str:
         flags = []

@@ -19,13 +19,14 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.errors import CapabilityError
 from repro.capabilities.equivalences import Equivalence
 from repro.capabilities.fmodel import FModel
+from repro.model.node import Node
 from repro.model.patterns import Pattern, PatternLibrary
 
 #: Operation kinds of the interface language.
 OPERATION_KINDS = ("algebra", "boolean", "external", "method")
 
 
-class ArgSpec:
+class ArgSpec(Node):
     """One input/output slot of an operation signature.
 
     ``role`` distinguishes the three spec elements of Figure 6:
@@ -70,21 +71,8 @@ class ArgSpec:
             return f"ArgSpec(leaf {self.leaf_type})"
         return f"ArgSpec({self.role} {self.model}:{self.pattern})"
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, ArgSpec):
-            return NotImplemented
-        return (
-            self.role == other.role
-            and self.model == other.model
-            and self.pattern == other.pattern
-            and self.leaf_type == other.leaf_type
-        )
 
-    def __hash__(self) -> int:
-        return hash((self.role, self.model, self.pattern, self.leaf_type))
-
-
-class OperationDecl:
+class OperationDecl(Node):
     """One exported operation: name, kind, and signature.
 
     Kinds follow the paper: ``algebra`` (an operator of the YAT algebra
@@ -112,19 +100,6 @@ class OperationDecl:
 
     def __repr__(self) -> str:
         return f"OperationDecl({self.name!r}, kind={self.kind!r})"
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, OperationDecl):
-            return NotImplemented
-        return (
-            self.name == other.name
-            and self.kind == other.kind
-            and self.inputs == other.inputs
-            and self.output == other.output
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.name, self.kind, self.inputs, self.output))
 
 
 class SourceInterface:

@@ -114,6 +114,15 @@ class SourceAdapter(ABC):
         """
         return frozenset(self.document_names())
 
+    def data_version(self) -> int:
+        """Monotonic version of the source's data; any change bumps it.
+
+        Adapters over mutable stores override this with the store's own
+        version counter.  The default (a constant) means "immutable",
+        which keeps a wrapper's document memo valid forever.
+        """
+        return 0
+
     @abstractmethod
     def document(self, name: str) -> DataNode:
         """The full tree of the named document (an expensive transfer)."""

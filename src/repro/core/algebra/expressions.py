@@ -21,6 +21,7 @@ from typing import Callable, Dict, Iterator, Optional, Sequence, Tuple
 
 from repro.errors import EvaluationError
 from repro.model.filters import MissingValue
+from repro.model.node import Node
 from repro.model.trees import DataNode
 from repro.model.values import Atom
 from repro.observability.context import current_context
@@ -29,7 +30,7 @@ from repro.observability.context import current_context
 COMPARISON_OPS = ("=", "!=", "<", "<=", ">", ">=")
 
 
-class Param:
+class Param(Node):
     """A lifted query constant: slot *slot* of the request's parameter vector.
 
     ``kind`` is the lifted atom's type (``str``, ``int`` or ``float``) —
@@ -46,15 +47,6 @@ class Param:
     def __init__(self, slot: int, kind: type) -> None:
         self.slot = slot
         self.kind = kind
-
-    def _key(self) -> tuple:
-        return ("param", self.kind.__name__, self.slot)
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, Param) and self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
 
     def __repr__(self) -> str:
         context = current_context()
@@ -82,7 +74,7 @@ def atom_kind(value) -> type:
     return value.kind if value.__class__ is Param else type(value)
 
 
-class Expr:
+class Expr(Node):
     """Base class of expression nodes (immutable).
 
     The compiled evaluator of a node is kept on it (``_kernel_memo``,
@@ -107,12 +99,9 @@ class Expr:
                 seen.append(node.name)
         return tuple(seen)
 
-    def children(self) -> Tuple["Expr", ...]:
-        return ()
-
     def walk(self) -> Iterator["Expr"]:
         yield self
-        for child in self.children():
+        for child in self.parts(Expr):
             yield from child.walk()
 
     def evaluate(self, row, functions: Optional[Dict[str, Callable]] = None):
@@ -121,22 +110,11 @@ class Expr:
 
     def substitute(self, mapping: Dict[str, "Expr"]) -> "Expr":
         """Return a copy with variables replaced per *mapping*."""
-        raise NotImplementedError
+        return self.remade(Expr, lambda part: part.substitute(mapping))
 
     def rename(self, mapping: Dict[str, str]) -> "Expr":
         """Return a copy with variables renamed (old name -> new name)."""
         return self.substitute({old: Var(new) for old, new in mapping.items()})
-
-    def _key(self) -> tuple:
-        raise NotImplementedError
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Expr):
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
 
     def __repr__(self) -> str:
         return self.text()
@@ -160,9 +138,6 @@ class Var(Expr):
     def substitute(self, mapping):
         return mapping.get(self.name, self)
 
-    def _key(self):
-        return ("var", self.name)
-
     def text(self):
         return f"${self.name}"
 
@@ -177,12 +152,6 @@ class Const(Expr):
 
     def evaluate(self, row, functions=None):
         return bound(self.value)
-
-    def substitute(self, mapping):
-        return self
-
-    def _key(self):
-        return ("const", type(self.value).__name__, self.value)
 
     def text(self):
         return repr(self.value)
@@ -206,9 +175,6 @@ class Cmp(Expr):
         self.left = left
         self.right = right
 
-    def children(self):
-        return (self.left, self.right)
-
     def evaluate(self, row, functions=None):
         left = _comparable(self.left.evaluate(row, functions))
         right = _comparable(self.right.evaluate(row, functions))
@@ -231,12 +197,6 @@ class Cmp(Expr):
                 f"cannot compare {left!r} {self.op} {right!r}"
             ) from exc
 
-    def substitute(self, mapping):
-        return Cmp(self.op, self.left.substitute(mapping), self.right.substitute(mapping))
-
-    def _key(self):
-        return ("cmp", self.op, self.left._key(), self.right._key())
-
     def text(self):
         return f"{self.left.text()} {self.op} {self.right.text()}"
 
@@ -249,17 +209,8 @@ class BoolAnd(Expr):
     def __init__(self, operands: Sequence[Expr]) -> None:
         self.operands = tuple(operands)
 
-    def children(self):
-        return self.operands
-
     def evaluate(self, row, functions=None):
         return all(bool(op.evaluate(row, functions)) for op in self.operands)
-
-    def substitute(self, mapping):
-        return BoolAnd([op.substitute(mapping) for op in self.operands])
-
-    def _key(self):
-        return ("and",) + tuple(op._key() for op in self.operands)
 
     def text(self):
         return " AND ".join(f"({op.text()})" for op in self.operands)
@@ -273,17 +224,8 @@ class BoolOr(Expr):
     def __init__(self, operands: Sequence[Expr]) -> None:
         self.operands = tuple(operands)
 
-    def children(self):
-        return self.operands
-
     def evaluate(self, row, functions=None):
         return any(bool(op.evaluate(row, functions)) for op in self.operands)
-
-    def substitute(self, mapping):
-        return BoolOr([op.substitute(mapping) for op in self.operands])
-
-    def _key(self):
-        return ("or",) + tuple(op._key() for op in self.operands)
 
     def text(self):
         return " OR ".join(f"({op.text()})" for op in self.operands)
@@ -297,17 +239,8 @@ class BoolNot(Expr):
     def __init__(self, operand: Expr) -> None:
         self.operand = operand
 
-    def children(self):
-        return (self.operand,)
-
     def evaluate(self, row, functions=None):
         return not bool(self.operand.evaluate(row, functions))
-
-    def substitute(self, mapping):
-        return BoolNot(self.operand.substitute(mapping))
-
-    def _key(self):
-        return ("not", self.operand._key())
 
     def text(self):
         return f"NOT ({self.operand.text()})"
@@ -328,9 +261,6 @@ class FunCall(Expr):
         self.name = name
         self.args = tuple(args)
 
-    def children(self):
-        return self.args
-
     def evaluate(self, row, functions=None):
         if not functions or self.name not in functions:
             raise EvaluationError(
@@ -339,12 +269,6 @@ class FunCall(Expr):
             )
         values = [arg.evaluate(row, functions) for arg in self.args]
         return functions[self.name](*values)
-
-    def substitute(self, mapping):
-        return FunCall(self.name, [arg.substitute(mapping) for arg in self.args])
-
-    def _key(self):
-        return ("fun", self.name) + tuple(arg._key() for arg in self.args)
 
     def text(self):
         return f"{self.name}({', '.join(arg.text() for arg in self.args)})"

@@ -10,7 +10,8 @@ capability-based rewriting, Section 5.3).
 
 Rewrites never mutate plans: :meth:`Plan.with_children` produces modified
 copies, and plans compare structurally so the optimizer can detect
-fixpoints.
+fixpoints.  Both come from :class:`~repro.model.node.Node`: an
+operator's inputs are the plans its fields hold.
 """
 
 from __future__ import annotations
@@ -21,28 +22,34 @@ from repro.errors import AlgebraError
 from repro.core.algebra.expressions import Const, Expr, bound
 from repro.core.algebra.tree import Constructor
 from repro.model.filters import Filter
+from repro.model.node import Node
 
 
-class Plan:
+class Plan(Node):
     """Base class of plan operators.
 
     Operators are immutable after construction (rewrites build new
     nodes), so derived values — the canonical key, the outer-parameter
     set, the validated fragment a wrapper runs it as — are memoized on
-    the instance in the three base slots.
+    the instance.
     """
 
-    __slots__ = ("_key_memo", "_params_memo", "_fragment_memo")
+    __slots__ = ("_params_memo", "_fragment_memo")
 
     def children(self) -> Tuple["Plan", ...]:
         """Input plans of this operator."""
-        return ()
+        return self.parts(Plan)
 
     def with_children(self, children: Sequence["Plan"]) -> "Plan":
         """A copy of this operator with new input plans."""
-        if children:
-            raise AlgebraError(f"{type(self).__name__} takes no inputs")
-        return self
+        inputs = len(self.children())
+        if len(children) != inputs:
+            raise AlgebraError(
+                f"{type(self).__name__} takes {inputs} inputs, "
+                f"not {len(children)}"
+            )
+        replacements = iter(children)
+        return self.remade(Plan, lambda _child: next(replacements))
 
     def walk(self) -> Iterator["Plan"]:
         """This node and all descendants, pre-order."""
@@ -62,25 +69,6 @@ class Plan:
             if name is not None and name not in seen:
                 seen.append(name)
         return tuple(seen)
-
-    def _key(self) -> tuple:
-        raise NotImplementedError
-
-    def cached_key(self) -> tuple:
-        """``self._key()``, computed once per instance."""
-        try:
-            return self._key_memo
-        except AttributeError:
-            key = self._key_memo = self._key()
-            return key
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Plan):
-            return NotImplemented
-        return self.cached_key() == other.cached_key()
-
-    def __hash__(self) -> int:
-        return hash(self.cached_key())
 
     def operator_name(self) -> str:
         """Short name used in plan renderings (``Bind``, ``Select``...)."""
@@ -119,9 +107,6 @@ class SourceOp(Plan):
     def output_columns(self):
         return (self.document,)
 
-    def _key(self):
-        return ("source", self.source, self.document)
-
     def describe(self):
         return f"Source({self.source}.{self.document})"
 
@@ -142,6 +127,7 @@ class LiteralOp(Plan):
         return self.tab.columns
 
     def _key(self):
+        # A Tab is unhashable: key it by its rows.
         return ("literal", self.tab.columns, tuple(self.tab.row_keys()))
 
     def describe(self):
@@ -160,9 +146,6 @@ class UnitOp(Plan):
 
     def output_columns(self):
         return ()
-
-    def _key(self):
-        return ("unit",)
 
     def describe(self):
         return "Unit"
@@ -184,21 +167,11 @@ class BindOp(Plan):
         self.on = on
         self.keep_on = keep_on
 
-    def children(self):
-        return (self.input,)
-
-    def with_children(self, children):
-        (child,) = children
-        return BindOp(child, self.filter, self.on, self.keep_on)
-
     def output_columns(self):
         base = [
             c for c in self.input.output_columns() if self.keep_on or c != self.on
         ]
         return tuple(base) + self.filter.variables()
-
-    def _key(self):
-        return ("bind", self.input._key(), self.filter._key(), self.on, self.keep_on)
 
     def describe(self):
         vars_text = ", ".join(f"${v}" for v in self.filter.variables())
@@ -214,18 +187,8 @@ class SelectOp(Plan):
         self.input = input
         self.predicate = predicate
 
-    def children(self):
-        return (self.input,)
-
-    def with_children(self, children):
-        (child,) = children
-        return SelectOp(child, self.predicate)
-
     def output_columns(self):
         return self.input.output_columns()
-
-    def _key(self):
-        return ("select", self.input._key(), self.predicate._key())
 
     def describe(self):
         return f"Select({self.predicate.text()})"
@@ -245,18 +208,8 @@ class ProjectOp(Plan):
         """Projection without renaming."""
         return cls(input, [(c, c) for c in columns])
 
-    def children(self):
-        return (self.input,)
-
-    def with_children(self, children):
-        (child,) = children
-        return ProjectOp(child, self.items)
-
     def output_columns(self):
         return tuple(alias for _column, alias in self.items)
-
-    def _key(self):
-        return ("project", self.input._key(), self.items)
 
     def describe(self):
         parts = [
@@ -275,18 +228,8 @@ class JoinOp(Plan):
         self.right = right
         self.predicate = predicate
 
-    def children(self):
-        return (self.left, self.right)
-
-    def with_children(self, children):
-        left, right = children
-        return JoinOp(left, right, self.predicate)
-
     def output_columns(self):
         return self.left.output_columns() + self.right.output_columns()
-
-    def _key(self):
-        return ("join", self.left._key(), self.right._key(), self.predicate._key())
 
     def describe(self):
         return f"Join({self.predicate.text()})"
@@ -308,18 +251,8 @@ class DJoinOp(Plan):
         self.left = left
         self.right = right
 
-    def children(self):
-        return (self.left, self.right)
-
-    def with_children(self, children):
-        left, right = children
-        return DJoinOp(left, right)
-
     def output_columns(self):
         return self.left.output_columns() + self.right.output_columns()
-
-    def _key(self):
-        return ("djoin", self.left._key(), self.right._key())
 
     def describe(self):
         return "DJoin"
@@ -334,18 +267,8 @@ class UnionOp(Plan):
         self.left = left
         self.right = right
 
-    def children(self):
-        return (self.left, self.right)
-
-    def with_children(self, children):
-        left, right = children
-        return UnionOp(left, right)
-
     def output_columns(self):
         return self.left.output_columns()
-
-    def _key(self):
-        return ("union", self.left._key(), self.right._key())
 
 
 class IntersectOp(Plan):
@@ -357,18 +280,8 @@ class IntersectOp(Plan):
         self.left = left
         self.right = right
 
-    def children(self):
-        return (self.left, self.right)
-
-    def with_children(self, children):
-        left, right = children
-        return IntersectOp(left, right)
-
     def output_columns(self):
         return self.left.output_columns()
-
-    def _key(self):
-        return ("intersect", self.left._key(), self.right._key())
 
 
 class DistinctOp(Plan):
@@ -379,18 +292,8 @@ class DistinctOp(Plan):
     def __init__(self, input: Plan) -> None:
         self.input = input
 
-    def children(self):
-        return (self.input,)
-
-    def with_children(self, children):
-        (child,) = children
-        return DistinctOp(child)
-
     def output_columns(self):
         return self.input.output_columns()
-
-    def _key(self):
-        return ("distinct", self.input._key())
 
 
 class GroupOp(Plan):
@@ -407,18 +310,8 @@ class GroupOp(Plan):
         self.by = tuple(by)
         self.into = into
 
-    def children(self):
-        return (self.input,)
-
-    def with_children(self, children):
-        (child,) = children
-        return GroupOp(child, self.by, self.into)
-
     def output_columns(self):
         return self.by + (self.into,)
-
-    def _key(self):
-        return ("group", self.input._key(), self.by, self.into)
 
     def describe(self):
         return f"Group(by={[f'${c}' for c in self.by]}, into=${self.into})"
@@ -434,18 +327,8 @@ class SortOp(Plan):
         self.by = tuple(by)
         self.descending = descending
 
-    def children(self):
-        return (self.input,)
-
-    def with_children(self, children):
-        (child,) = children
-        return SortOp(child, self.by, self.descending)
-
     def output_columns(self):
         return self.input.output_columns()
-
-    def _key(self):
-        return ("sort", self.input._key(), self.by, self.descending)
 
     def describe(self):
         direction = " desc" if self.descending else ""
@@ -461,22 +344,8 @@ class MapOp(Plan):
         self.input = input
         self.bindings = tuple(bindings)
 
-    def children(self):
-        return (self.input,)
-
-    def with_children(self, children):
-        (child,) = children
-        return MapOp(child, self.bindings)
-
     def output_columns(self):
         return self.input.output_columns() + tuple(n for n, _e in self.bindings)
-
-    def _key(self):
-        return (
-            "map",
-            self.input._key(),
-            tuple((n, e._key()) for n, e in self.bindings),
-        )
 
     def describe(self):
         parts = ", ".join(f"${n} := {e.text()}" for n, e in self.bindings)
@@ -493,18 +362,8 @@ class TreeOp(Plan):
         self.constructor = constructor
         self.document = document
 
-    def children(self):
-        return (self.input,)
-
-    def with_children(self, children):
-        (child,) = children
-        return TreeOp(child, self.constructor, self.document)
-
     def output_columns(self):
         return (self.document,)
-
-    def _key(self):
-        return ("tree", self.input._key(), self.constructor._key(), self.document)
 
     def describe(self):
         return f"Tree(-> {self.document})"
@@ -529,17 +388,8 @@ class FuseOp(Plan):
         self.inputs = tuple(inputs)
         self.document = document
 
-    def children(self):
-        return self.inputs
-
-    def with_children(self, children):
-        return FuseOp(children, self.document)
-
     def output_columns(self):
         return (self.document,)
-
-    def _key(self):
-        return ("fuse", tuple(i._key() for i in self.inputs), self.document)
 
     def describe(self):
         return f"Fuse({len(self.inputs)} rules -> {self.document})"
@@ -609,27 +459,8 @@ class ScatterOp(Plan):
             kept = [shard for shard in kept if shard == owner]
         return tuple(kept)
 
-    def children(self):
-        return self.branches
-
-    def with_children(self, children):
-        return ScatterOp(
-            children, self.logical, self.partition, self.restrictions,
-            self.prune_param,
-        )
-
     def output_columns(self):
         return self.branches[0].output_columns()
-
-    def _key(self):
-        return (
-            "scatter",
-            self.logical,
-            self.partition.spec_key(),
-            tuple(constant._key() for constant in self.restrictions),
-            self.prune_param,
-            tuple(b._key() for b in self.branches),
-        )
 
     def describe(self):
         keys = "".join(
@@ -685,9 +516,6 @@ class PushedOp(Plan):
 
     def output_columns(self):
         return self.plan.output_columns()
-
-    def _key(self):
-        return ("pushed", self.source, self.plan._key(), self.native, self.keyed)
 
     def describe(self):
         native = f" [{self.native}]" if self.native else ""

@@ -40,46 +40,29 @@ from repro.core.algebra.expressions import Expr
 from repro.core.algebra.skolem import SkolemRegistry
 from repro.core.algebra.tab import Row, Tab, _cell_key
 from repro.model.filters import MISSING, MissingValue
+from repro.model.node import Node
 from repro.model.trees import DataNode
 
 
-class Constructor:
+class Constructor(Node):
     """Base class of ``Tree`` constructor nodes (immutable)."""
 
     __slots__ = ()
 
-    def children_constructors(self) -> Tuple["Constructor", ...]:
-        return ()
-
     def walk(self) -> Iterator["Constructor"]:
         yield self
-        for child in self.children_constructors():
+        for child in self.parts(Constructor):
             yield from child.walk()
-
-    def expressions(self) -> Tuple[Expr, ...]:
-        """Expressions evaluated directly by this constructor node."""
-        return ()
 
     def variables(self) -> Tuple[str, ...]:
         """All Tab columns read anywhere in this constructor subtree."""
         seen: List[str] = []
         for node in self.walk():
-            for expr in node.expressions():
+            for expr in node.parts(Expr):
                 for name in expr.variables():
                     if name not in seen:
                         seen.append(name)
         return tuple(seen)
-
-    def _key(self) -> tuple:
-        raise NotImplementedError
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Constructor):
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
 
 
 class CElem(Constructor):
@@ -102,20 +85,6 @@ class CElem(Constructor):
         self.children = tuple(children)
         self.skolem = (skolem[0], tuple(skolem[1])) if skolem else None
 
-    def children_constructors(self):
-        return self.children
-
-    def expressions(self):
-        return self.skolem[1] if self.skolem else ()
-
-    def _key(self):
-        skolem_key = (
-            (self.skolem[0], tuple(e._key() for e in self.skolem[1]))
-            if self.skolem
-            else None
-        )
-        return ("celem", self.label, skolem_key, tuple(c._key() for c in self.children))
-
 
 class CLeaf(Constructor):
     """Build a labelled field ``<label>value</label>`` from an expression.
@@ -132,12 +101,6 @@ class CLeaf(Constructor):
         self.label = label
         self.expr = expr
 
-    def expressions(self):
-        return (self.expr,)
-
-    def _key(self):
-        return ("cleaf", self.label, self.expr._key())
-
 
 class CValue(Constructor):
     """Splice the expression's value into the parent's child list."""
@@ -146,12 +109,6 @@ class CValue(Constructor):
 
     def __init__(self, expr: Expr) -> None:
         self.expr = expr
-
-    def expressions(self):
-        return (self.expr,)
-
-    def _key(self):
-        return ("cvalue", self.expr._key())
 
 
 class CGroup(Constructor):
@@ -166,15 +123,6 @@ class CGroup(Constructor):
     def __init__(self, by: Sequence[Expr], child: Constructor) -> None:
         self.by = tuple(by)
         self.child = child
-
-    def children_constructors(self):
-        return (self.child,)
-
-    def expressions(self):
-        return self.by
-
-    def _key(self):
-        return ("cgroup", tuple(e._key() for e in self.by), self.child._key())
 
 
 class CIterate(Constructor):
@@ -193,21 +141,6 @@ class CIterate(Constructor):
         self.distinct = distinct
         self.order_by = tuple(order_by)
         self.descending = descending
-
-    def children_constructors(self):
-        return (self.child,)
-
-    def expressions(self):
-        return self.order_by
-
-    def _key(self):
-        return (
-            "citerate",
-            self.child._key(),
-            self.distinct,
-            tuple(e._key() for e in self.order_by),
-            self.descending,
-        )
 
 
 class CNest(Constructor):
@@ -228,16 +161,10 @@ class CNest(Constructor):
         self.column = column
         self.child = child
 
-    def children_constructors(self):
-        return (self.child,)
-
     def variables(self) -> Tuple[str, ...]:
         # The nested rows supply the child's variables; from the outer
         # Tab's point of view only the nested column is consumed.
         return (self.column,)
-
-    def _key(self):
-        return ("cnest", self.column, self.child._key())
 
 
 class CRef(Constructor):
@@ -249,12 +176,6 @@ class CRef(Constructor):
         self.label = label
         self.function = function
         self.args = tuple(args)
-
-    def expressions(self):
-        return self.args
-
-    def _key(self):
-        return ("cref", self.label, self.function, tuple(a._key() for a in self.args))
 
 
 # ---------------------------------------------------------------------------

@@ -39,6 +39,7 @@ from repro.core.algebra.operators import (
     SourceOp,
     UnionOp,
 )
+from repro.core.optimizer.bind_split import _replace
 from repro.core.optimizer.rules import OptimizerContext, RewriteRule
 from repro.model.filters import (
     FElem,
@@ -213,9 +214,7 @@ class LabelVarExpansionRule(RewriteRule):
         branches: List[Plan] = []
         for attribute in attributes:
             ground = FElem(attribute, target.children, var=target.var)
-            new_filter = _replace_filter(plan.filter, target, ground)
-            if new_filter is None:
-                return None
+            new_filter = _replace(plan.filter, target, ground)
             branch: Plan = BindOp(
                 plan.input, new_filter, on=plan.on, keep_on=plan.keep_on
             )
@@ -274,25 +273,3 @@ def _tuple_attributes(interface, class_name: str) -> Tuple[str, ...]:
             if isinstance(child, PNode)
         )
     return ()
-
-
-def _replace_filter(flt: Filter, old: Filter, new: Filter) -> Optional[Filter]:
-    if flt is old:
-        return new
-    if isinstance(flt, FElem):
-        children: List[Filter] = []
-        changed = False
-        for child in flt.children:
-            replaced = _replace_filter(child, old, new)
-            if replaced is not child:
-                changed = True
-            children.append(replaced)
-        if changed:
-            return FElem(flt.label, children, var=flt.var)
-        return flt
-    if isinstance(flt, FStar):
-        replaced = _replace_filter(flt.child, old, new)
-        if replaced is not flt.child:
-            return FStar(replaced)
-        return flt
-    return flt

@@ -23,7 +23,7 @@ in the other way, we can merge the remaining filters").
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
 from repro.core.algebra.expressions import FunCall, Var
 from repro.core.algebra.operators import (
@@ -216,8 +216,6 @@ class MergeBindChainRule(RewriteRule):
             var=None,
         )
         merged_filter = _replace(inner.filter, target, merged_elem)
-        if merged_filter is None:
-            return None
         return BindOp(inner.input, merged_filter, on=inner.on, keep_on=inner.keep_on)
 
     @staticmethod
@@ -228,29 +226,11 @@ class MergeBindChainRule(RewriteRule):
         return None
 
 
-def _replace(flt: Filter, old: Filter, new: Filter) -> Optional[Filter]:
-    """Structurally replace *old* (by identity) with *new* inside *flt*."""
+def _replace(flt: Filter, old: Filter, new: Filter) -> Filter:
+    """*flt* with the sub-filter *old* (by identity) replaced by *new*."""
     if flt is old:
         return new
-    if isinstance(flt, FElem):
-        changed = False
-        children: List[Filter] = []
-        for child in flt.children:
-            replaced = _replace(child, old, new)
-            if replaced is not None and replaced is not child:
-                changed = True
-                children.append(replaced)
-            else:
-                children.append(child)
-        if changed:
-            return FElem(flt.label, children, var=flt.var)
-        return flt
-    if isinstance(flt, FStar):
-        replaced = _replace(flt.child, old, new)
-        if replaced is not None and replaced is not flt.child:
-            return FStar(replaced)
-        return flt
-    return flt
+    return flt.remade(Filter, lambda part: _replace(part, old, new))
 
 
 # ---------------------------------------------------------------------------
@@ -290,7 +270,7 @@ def navigation_to_extent_join(
     new_collection = FElem(collection_elem.label, [FStar(FVar(ref_var))])
     new_attr = FElem(attr_elem.label, [new_collection], var=attr_elem.var)
     outer_filter = _replace(bind.filter, attr_elem, new_attr)
-    if outer_filter is None or outer_filter is bind.filter:
+    if outer_filter is bind.filter:
         return None
     outer = BindOp(bind.input, outer_filter, on=bind.on, keep_on=bind.keep_on)
 

@@ -47,14 +47,6 @@ from repro.yatl.normalize import NormalizedQuery, normalize_query
 from repro.yatl.parser import parse_program, parse_query
 from repro.yatl.translator import translate_query, translate_rule
 
-def _adapter_version(adapter) -> int:
-    """A source's ``data_version()``, 0 for version-less adapters."""
-    version = getattr(adapter, "data_version", None)
-    if callable(version):
-        return version()
-    return 0
-
-
 def _with_params(
     context: Optional[RequestContext], params: Tuple[object, ...]
 ) -> RequestContext:
@@ -452,7 +444,7 @@ class Mediator:
         }
         adapters = self.catalog.adapters()
         return tuple(
-            (name, _adapter_version(adapters.get(name)))
+            (name, adapters[name].data_version())
             for name in sorted(names)
         )
 

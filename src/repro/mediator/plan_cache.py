@@ -61,18 +61,8 @@ class BoundPlan(Plan):
         self.plan = plan
         self.params = params
 
-    def children(self):
-        return (self.plan,)
-
-    def with_children(self, children):
-        (child,) = children
-        return BoundPlan(child, self.params)
-
     def output_columns(self):
         return self.plan.output_columns()
-
-    def _key(self):
-        return ("bound", self.plan._key(), self.params)
 
     def describe(self):
         return f"Bound({', '.join(map(repr, self.params))})"

@@ -462,7 +462,7 @@ class ResilientAdapter(SourceAdapter):
         return self.inner.document_name_set()
 
     def data_version(self):
-        return getattr(self.inner, "data_version", lambda: 0)()
+        return self.inner.data_version()
 
     def holds_data(self) -> bool:
         return holds_data(self.inner)

@@ -46,6 +46,7 @@ import re
 from typing import Iterator, List, Optional, Sequence, Tuple, Union
 
 from repro.errors import BindError
+from repro.model.node import Node
 from repro.model.patterns import (
     PAny,
     PConstLeaf,
@@ -81,7 +82,7 @@ class MissingValue:
 MISSING = MissingValue()
 
 
-class LabelVar:
+class LabelVar(Node):
     """A label variable: matches any label and binds it (e.g. ``$l: $v``)."""
 
     __slots__ = ("name",)
@@ -92,14 +93,8 @@ class LabelVar:
     def __repr__(self) -> str:
         return f"LabelVar({self.name!r})"
 
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, LabelVar) and other.name == self.name
 
-    def __hash__(self) -> int:
-        return hash(("labelvar", self.name))
-
-
-class LabelRegex:
+class LabelRegex(Node):
     """A regular expression over labels (horizontal navigation)."""
 
     __slots__ = ("pattern", "_compiled")
@@ -115,17 +110,11 @@ class LabelRegex:
     def __repr__(self) -> str:
         return f"LabelRegex({self.pattern!r})"
 
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, LabelRegex) and other.pattern == self.pattern
-
-    def __hash__(self) -> int:
-        return hash(("labelregex", self.pattern))
-
 
 LabelSpec = Union[str, LabelVar, LabelRegex]
 
 
-class Filter:
+class Filter(Node):
     """Base class of filter nodes.
 
     Filters are immutable, so what is derived from one is kept on the
@@ -154,25 +143,11 @@ class Filter:
     def _own_variables(self) -> Tuple[str, ...]:
         return ()
 
-    def children_filters(self) -> Tuple["Filter", ...]:
-        return ()
-
     def walk(self) -> Iterator["Filter"]:
         """Yield this filter and every sub-filter, pre-order."""
         yield self
-        for child in self.children_filters():
+        for child in self.parts(Filter):
             yield from child.walk()
-
-    def _key(self) -> tuple:
-        raise NotImplementedError
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Filter):
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
 
     def to_pattern(self) -> Pattern:
         """Erase variables: the type pattern this filter requires of its data."""
@@ -196,9 +171,6 @@ class FVar(Filter):
     def _own_variables(self) -> Tuple[str, ...]:
         return (self.name,)
 
-    def _key(self) -> tuple:
-        return ("fvar", self.name)
-
     def to_pattern(self) -> Pattern:
         return PAny()
 
@@ -213,9 +185,6 @@ class FConst(Filter):
 
     def __init__(self, value: Atom) -> None:
         self.value = value
-
-    def _key(self) -> tuple:
-        return ("fconst", type(self.value).__name__, self.value)
 
     def to_pattern(self) -> Pattern:
         return PConstLeaf(self.value)
@@ -250,9 +219,6 @@ class FElem(Filter):
             names.append(self.var)
         return tuple(names)
 
-    def children_filters(self) -> Tuple[Filter, ...]:
-        return self.children
-
     def label_matches(self, label: str) -> bool:
         """Does *label* satisfy this filter's label specification?"""
         if isinstance(self.label, str):
@@ -260,9 +226,6 @@ class FElem(Filter):
         if isinstance(self.label, LabelVar):
             return True
         return self.label.matches(label)
-
-    def _key(self) -> tuple:
-        return ("felem", self.label, self.var, tuple(c._key() for c in self.children))
 
     def to_pattern(self) -> Pattern:
         label = self.label if isinstance(self.label, str) else SYMBOL
@@ -289,12 +252,6 @@ class FStar(Filter):
     def __init__(self, child: Filter) -> None:
         self.child = child
 
-    def children_filters(self) -> Tuple[Filter, ...]:
-        return (self.child,)
-
-    def _key(self) -> tuple:
-        return ("fstar", self.child._key())
-
     def to_pattern(self) -> Pattern:
         return PStar(self.child.to_pattern())
 
@@ -313,9 +270,6 @@ class FRest(Filter):
     def _own_variables(self) -> Tuple[str, ...]:
         return (self.name,)
 
-    def _key(self) -> tuple:
-        return ("frest", self.name)
-
     def to_pattern(self) -> Pattern:
         return PStar(PAny())
 
@@ -330,12 +284,6 @@ class FDescend(Filter):
 
     def __init__(self, child: Filter) -> None:
         self.child = child
-
-    def children_filters(self) -> Tuple[Filter, ...]:
-        return (self.child,)
-
-    def _key(self) -> tuple:
-        return ("fdescend", self.child._key())
 
     def to_pattern(self) -> Pattern:
         # Descendant steps erase to the universal pattern: the type of the

@@ -10,10 +10,12 @@ Two checks are provided:
 * :func:`is_instance` — is this :class:`~repro.model.trees.DataNode` an
   instance of this :class:`~repro.model.patterns.Pattern`?
 * :func:`subsumes` — is every instance of ``specific`` also an instance of
-  ``general``?  This is a *conservative* structural check (it may answer
+  ``general``?  This is a *conservative* structural check: it may answer
   ``False`` for exotic patterns that are in fact subsumed, but never
-  answers ``True`` wrongly), which is the safe direction for the
-  optimizer: a missed subsumption only disables a rewrite.
+  answers ``True`` wrongly.
+
+This is the instantiation check of Figure 3 and Section 2, pinned by
+``tests/test_instantiation.py``; nothing else in ``src/`` calls it.
 
 Both checks are coinductive over named-pattern references so that
 recursive patterns (``Ftype`` referencing ``Fclass`` referencing

@@ -33,6 +33,7 @@ from __future__ import annotations
 from typing import Dict, Iterator, Optional, Sequence, Tuple
 
 from repro.errors import PatternError
+from repro.model.node import Node
 from repro.model.values import ATOMIC_TYPE_NAMES, Atom
 
 #: Wildcard label: matches any element label (the ``Symbol`` meta-node of
@@ -40,35 +41,20 @@ from repro.model.values import ATOMIC_TYPE_NAMES, Atom
 SYMBOL = "Symbol"
 
 
-class Pattern:
+class Pattern(Node):
     """Base class of all pattern nodes.
 
-    Patterns are immutable; subclasses define ``_key`` for equality and
-    hashing so patterns can be deduplicated and memoized during
-    instantiation checks.
+    Patterns are immutable and compare structurally
+    (:class:`~repro.model.node.Node`), so they can be deduplicated and
+    memoized during instantiation checks.
     """
 
     __slots__ = ()
 
-    def _key(self) -> tuple:
-        raise NotImplementedError
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Pattern):
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
-
-    def children_patterns(self) -> Tuple["Pattern", ...]:
-        """Direct sub-patterns (empty for leaves)."""
-        return ()
-
     def walk(self) -> Iterator["Pattern"]:
         """Yield this pattern and all sub-patterns, pre-order."""
         yield self
-        for child in self.children_patterns():
+        for child in self.parts(Pattern):
             yield from child.walk()
 
     def pretty(self, indent: int = 0) -> str:
@@ -80,9 +66,6 @@ class PAny(Pattern):
     """Matches any tree: the top of the YAT (meta)model."""
 
     __slots__ = ()
-
-    def _key(self) -> tuple:
-        return ("any",)
 
     def __repr__(self) -> str:
         return "PAny()"
@@ -101,9 +84,6 @@ class PAtomic(Pattern):
             raise PatternError(f"unknown atomic type: {type_name!r}")
         self.type_name = type_name
 
-    def _key(self) -> tuple:
-        return ("atomic", self.type_name)
-
     def __repr__(self) -> str:
         return f"PAtomic({self.type_name!r})"
 
@@ -118,9 +98,6 @@ class PConstLeaf(Pattern):
 
     def __init__(self, value: Atom) -> None:
         self.value = value
-
-    def _key(self) -> tuple:
-        return ("const", type(self.value).__name__, self.value)
 
     def __repr__(self) -> str:
         return f"PConstLeaf({self.value!r})"
@@ -154,12 +131,6 @@ class PNode(Pattern):
         """``True`` when the label is the ``Symbol`` wildcard."""
         return self.label == SYMBOL
 
-    def children_patterns(self) -> Tuple[Pattern, ...]:
-        return self.children
-
-    def _key(self) -> tuple:
-        return ("node", self.label, self.collection, tuple(c._key() for c in self.children))
-
     def __repr__(self) -> str:
         return f"PNode({self.label!r}, {len(self.children)} children)"
 
@@ -180,12 +151,6 @@ class PStar(Pattern):
     def __init__(self, child: Pattern) -> None:
         self.child = child
 
-    def children_patterns(self) -> Tuple[Pattern, ...]:
-        return (self.child,)
-
-    def _key(self) -> tuple:
-        return ("star", self.child._key())
-
     def __repr__(self) -> str:
         return f"PStar({self.child!r})"
 
@@ -202,12 +167,6 @@ class PUnion(Pattern):
         if not alternatives:
             raise PatternError("a union pattern needs at least one alternative")
         self.alternatives: Tuple[Pattern, ...] = tuple(alternatives)
-
-    def children_patterns(self) -> Tuple[Pattern, ...]:
-        return self.alternatives
-
-    def _key(self) -> tuple:
-        return ("union", tuple(a._key() for a in self.alternatives))
 
     def __repr__(self) -> str:
         return f"PUnion({len(self.alternatives)} alternatives)"
@@ -227,9 +186,6 @@ class PRef(Pattern):
 
     def __init__(self, name: str) -> None:
         self.name = name
-
-    def _key(self) -> tuple:
-        return ("ref", self.name)
 
     def __repr__(self) -> str:
         return f"PRef({self.name!r})"

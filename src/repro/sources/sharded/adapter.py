@@ -106,10 +106,7 @@ class ReplicaSet(SourceAdapter):
         return self.replicas[0].document_name_set()
 
     def data_version(self):
-        return tuple(
-            getattr(replica, "data_version", lambda: 0)()
-            for replica in self.replicas
-        )
+        return tuple(replica.data_version() for replica in self.replicas)
 
     def holds_data(self) -> bool:
         return holds_data(self.replicas[0])
@@ -179,10 +176,7 @@ class ShardedSourceAdapter(SourceAdapter):
         return self.shards[0].document_name_set()
 
     def data_version(self):
-        return tuple(
-            getattr(shard, "data_version", lambda: 0)()
-            for shard in self.shards
-        )
+        return tuple(shard.data_version() for shard in self.shards)
 
     def document(self, name: str) -> DataNode:
         documents = self._documents

@@ -29,6 +29,7 @@ from typing import Optional
 
 from repro.errors import SourceError
 from repro.model.filters import MissingValue
+from repro.model.node import Node
 from repro.model.trees import DataNode
 
 
@@ -53,7 +54,7 @@ def canonical_key(value) -> Optional[tuple]:
     return None
 
 
-class HashPartition:
+class HashPartition(Node):
     """Hash partitioning on one key label: ``sha256(canonical) mod N``.
 
     Deterministic across processes (no Python hash randomization), so a
@@ -83,9 +84,6 @@ class HashPartition:
         if canonical_key(value) is None:
             return None
         return frozenset((self.shard_of(value),))
-
-    def spec_key(self) -> tuple:
-        return ("hash", self.key, self.shards)
 
     def __repr__(self) -> str:
         return f"HashPartition(key={self.key!r}, shards={self.shards})"

@@ -228,15 +228,6 @@ class Wrapper(SourceAdapter):
 
     # -- document export ----------------------------------------------------------
 
-    def data_version(self) -> int:
-        """Monotonic version of the source's data; any change bumps it.
-
-        Wrappers over mutable stores override this with the store's own
-        version counter.  The default (a constant) means "immutable",
-        which keeps the document memo valid forever.
-        """
-        return 0
-
     def document(self, name: str) -> DataNode:
         """The named document tree, memoized per data version.
 

@@ -31,15 +31,8 @@ from __future__ import annotations
 
 from typing import List, Tuple
 
-from repro.core.algebra.expressions import (
-    BoolNot,
-    Cmp,
-    Const,
-    Expr,
-    FunCall,
-    Param,
-)
-from repro.model.filters import FConst, FDescend, FElem, Filter, FStar
+from repro.core.algebra.expressions import Const, Expr, Param
+from repro.model.filters import FConst, Filter
 from repro.yatl.ast import MatchClause, YatlQuery
 
 __all__ = ["NormalizedQuery", "normalize_query"]
@@ -58,39 +51,12 @@ def _lift(value: object, values: List[object]):
     return Param(len(values) - 1, type(value))
 
 
-def _norm_filter(flt: Filter, values: List[object]) -> Filter:
-    """*flt* with its constants lifted; appends their values in order."""
-    if isinstance(flt, FConst):
-        param = _lift(flt.value, values)
-        return flt if param is None else FConst(param)
-    if isinstance(flt, FElem):
-        children = [_norm_filter(child, values) for child in flt.children]
-        if all(new is old for new, old in zip(children, flt.children)):
-            return flt
-        return FElem(flt.label, children, var=flt.var)
-    if isinstance(flt, (FStar, FDescend)):
-        inner = _norm_filter(flt.child, values)
-        return flt if inner is flt.child else type(flt)(inner)
-    # Variables, rests and unknown kinds hold no constant to lift.
-    return flt
-
-
-def _norm_expr(expr: Expr, values: List[object]) -> Expr:
-    """*expr* with its constants lifted; appends their values in order."""
-    if isinstance(expr, Const):
-        param = _lift(expr.value, values)
-        return expr if param is None else Const(param)
-    children = expr.children()
-    lifted = [_norm_expr(child, values) for child in children]
-    if all(new is old for new, old in zip(lifted, children)):
-        return expr
-    if isinstance(expr, Cmp):
-        return Cmp(expr.op, *lifted)
-    if isinstance(expr, BoolNot):
-        return BoolNot(lifted[0])
-    if isinstance(expr, FunCall):
-        return FunCall(expr.name, lifted)
-    return type(expr)(lifted)  # BoolAnd / BoolOr
+def _lifted(node, family: type, values: List[object]):
+    """*node* with its constants lifted; appends their values in order."""
+    if node.__class__ is Const or node.__class__ is FConst:
+        param = _lift(node.value, values)
+        return node if param is None else node.__class__(param)
+    return node.remade(family, lambda part: _lifted(part, family, values))
 
 
 class NormalizedQuery:
@@ -113,10 +79,12 @@ def normalize_query(query: YatlQuery) -> NormalizedQuery:
     """Lift MATCH/WHERE constants of *query* into ordered parameters."""
     values: List[object] = []
     matches = [
-        MatchClause(clause.document, _norm_filter(clause.filter, values))
+        MatchClause(clause.document, _lifted(clause.filter, Filter, values))
         for clause in query.matches
     ]
-    where = _norm_expr(query.where, values) if query.where is not None else None
+    where = (
+        _lifted(query.where, Expr, values) if query.where is not None else None
+    )
     key = (
         "yatl",
         query.make._key(),
