@@ -145,6 +145,70 @@ class SourceAdapter(ABC):
         raise SourceError(f"{type(self).__name__} takes no pushed fragments")
 
 
+class ForwardingAdapter(SourceAdapter):
+    """A proxy in front of the source adapter *inner*.
+
+    Catalog metadata (document names, data version, the interface and
+    its XML export, ``holds_data``) is forwarded as is.  The three
+    data-plane calls go through one hook, :meth:`_call`, which gets the
+    operation name and ``invoke(adapter)``, the call itself; by default
+    it runs ``invoke(self.inner)``.  A proxy overrides the hook and
+    nothing else:
+
+    >>> class Counting(ForwardingAdapter):
+    ...     calls = 0
+    ...     def _call(self, operation, invoke):
+    ...         self.calls += 1
+    ...         return invoke(self.inner)
+    >>> class Source(SourceAdapter):
+    ...     def document_names(self): return ("doc",)
+    ...     def document(self, name): return DataNode(name)
+    ...     def ident_index(self): return {}
+    >>> proxy = Counting(Source())
+    >>> proxy.document("doc").label, proxy.document_names(), proxy.calls
+    ('doc', ('doc',), 1)
+    """
+
+    def __init__(self, inner: SourceAdapter) -> None:
+        self.inner = inner
+
+    def document_names(self) -> Tuple[str, ...]:
+        return self.inner.document_names()
+
+    def document_name_set(self) -> frozenset:
+        return self.inner.document_name_set()
+
+    def data_version(self):
+        return self.inner.data_version()
+
+    def interface(self):
+        return self.inner.interface()
+
+    def interface_xml(self) -> str:
+        return self.inner.interface_xml()
+
+    def holds_data(self) -> bool:
+        return holds_data(self.inner)
+
+    def _call(self, operation: str, invoke: Callable[[SourceAdapter], object]):
+        """Run the data-plane call *operation*: ``invoke(adapter)``."""
+        return invoke(self.inner)
+
+    def document(self, name: str) -> DataNode:
+        return self._call("document", lambda adapter: adapter.document(name))
+
+    def ident_index(self) -> Dict[str, DataNode]:
+        return self._call("ident_index", lambda adapter: adapter.ident_index())
+
+    def execute_pushed(
+        self, plan: Plan, outer: Optional[Row] = None
+    ) -> Tuple[Tab, str]:
+        return self._call(
+            "execute_pushed",
+            lambda adapter: adapter.execute_pushed(plan, outer),
+        )
+
+
 class Environment:
     """Everything a plan evaluation needs: sources, functions, counters."""
 

@@ -39,10 +39,7 @@ from repro.errors import (
     SourceTimeoutError,
     SourceUnavailableError,
 )
-from repro.core.algebra.evaluator import SourceAdapter, holds_data
-from repro.core.algebra.operators import Plan
-from repro.core.algebra.tab import Row, Tab
-from repro.model.trees import DataNode
+from repro.core.algebra.evaluator import ForwardingAdapter, SourceAdapter
 from repro.observability.context import RequestContext
 
 T = TypeVar("T")
@@ -439,49 +436,22 @@ class PolicyRuntime:
             return tuple(records)
 
 
-class ResilientAdapter(SourceAdapter):
-    """A :class:`SourceAdapter` guarded by a :class:`PolicyRuntime`.
+class ResilientAdapter(ForwardingAdapter):
+    """A source adapter guarded by a :class:`PolicyRuntime`.
 
-    ``document_names`` stays direct (catalog metadata, used during
-    planning); the data-plane calls go through :meth:`PolicyRuntime.call`.
+    Catalog metadata is forwarded unguarded (it is read during
+    planning); each data-plane call goes through
+    :meth:`PolicyRuntime.call` under the scope *name*.
     """
-
-    __slots__ = ("name", "inner", "runtime")
 
     def __init__(
         self, name: str, inner: SourceAdapter, runtime: PolicyRuntime
     ) -> None:
+        super().__init__(inner)
         self.name = name
-        self.inner = inner
         self.runtime = runtime
 
-    def document_names(self) -> Tuple[str, ...]:
-        return self.inner.document_names()
-
-    def document_name_set(self) -> frozenset:
-        return self.inner.document_name_set()
-
-    def data_version(self):
-        return self.inner.data_version()
-
-    def holds_data(self) -> bool:
-        return holds_data(self.inner)
-
-    def document(self, name: str) -> DataNode:
+    def _call(self, operation, invoke):
         return self.runtime.call(
-            self.name, "document", lambda: self.inner.document(name)
-        )
-
-    def ident_index(self) -> Dict[str, DataNode]:
-        return self.runtime.call(
-            self.name, "ident_index", self.inner.ident_index
-        )
-
-    def execute_pushed(
-        self, plan: Plan, outer: Optional[Row] = None
-    ) -> Tuple[Tab, str]:
-        return self.runtime.call(
-            self.name,
-            "execute_pushed",
-            lambda: self.inner.execute_pushed(plan, outer),
+            self.name, operation, lambda: invoke(self.inner)
         )

@@ -7,11 +7,12 @@ interfaces) register under the shard names ``logical#0 .. logical#N-1``.
 Three adapters cooperate:
 
 * :class:`ReplicaSet` — one shard served by several interchangeable
-  replicas.  Each call tries replicas in declaration order and the first
-  healthy answer wins; every replica passed over counts one
-  ``shard_failovers`` on the active request's statistics, under every
-  policy.  A :class:`~repro.mediator.resilience.PolicyRuntime` guards
-  the set replica by replica (its own circuit breaker and
+  replicas, a forwarding proxy over its primary.  Each data-plane call
+  tries replicas in declaration order and the first healthy answer
+  wins; every replica passed over counts one ``shard_failovers`` on the
+  active request's statistics, under every policy.  A
+  :class:`~repro.mediator.resilience.PolicyRuntime` guards the set
+  replica by replica (its own circuit breaker and
   :class:`~repro.mediator.resilience.SourceOutcome` record each), and
   the set's loop stays the one failover implementation.
 * :class:`ShardedSourceAdapter` — the logical source itself.  Its
@@ -35,9 +36,11 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import SourceError, SourceUnavailableError
-from repro.core.algebra.evaluator import SourceAdapter, holds_data
-from repro.core.algebra.operators import Plan
-from repro.core.algebra.tab import Row, Tab
+from repro.core.algebra.evaluator import (
+    ForwardingAdapter,
+    SourceAdapter,
+    holds_data,
+)
 from repro.memo import Memo
 from repro.model.trees import DataNode
 from repro.observability.context import current_context
@@ -76,44 +79,32 @@ class ShardTopology:
         )
 
 
-class ReplicaSet(SourceAdapter):
+class ReplicaSet(ForwardingAdapter):
     """One shard behind several interchangeable replicas.
 
     All replicas must serve the same data (same documents, same
-    versions); the set exists for availability, not capacity.  Replica
-    scope names (``shard/r0``, ``shard/r1``, ...) key the per-replica
-    circuit breakers and outcome records under a resilience policy.
+    versions); the set exists for availability, not capacity.  Catalog
+    metadata is the primary's (``replicas[0]``, the forwarded *inner*)
+    bar ``data_version``, the tuple of every replica's.  Each data-plane
+    call fails over in :meth:`_call`.  Replica scope names (``shard/r0``,
+    ``shard/r1``, ...) key the per-replica circuit breakers and outcome
+    records under a resilience policy.
     """
 
     def __init__(self, name: str, replicas: Sequence[SourceAdapter]) -> None:
         if not replicas:
             raise SourceError(f"replica set {name!r} needs at least one replica")
+        super().__init__(replicas[0])
         self.name = name
         self.replicas = tuple(replicas)
 
     def replica_name(self, index: int) -> str:
         return f"{self.name}/r{index}"
 
-    # -- catalog metadata (never faulted, served by the primary) -----------------
-
-    def interface_xml(self) -> str:
-        return self.replicas[0].interface_xml()
-
-    def document_names(self) -> Tuple[str, ...]:
-        return self.replicas[0].document_names()
-
-    def document_name_set(self) -> frozenset:
-        return self.replicas[0].document_name_set()
-
     def data_version(self):
         return tuple(replica.data_version() for replica in self.replicas)
 
-    def holds_data(self) -> bool:
-        return holds_data(self.replicas[0])
-
-    # -- data plane with failover --------------------------------------------------
-
-    def _failover(self, operation, invoke):
+    def _call(self, operation, invoke):
         last_error: Optional[SourceError] = None
         for replica in self.replicas:
             if last_error is not None:
@@ -132,19 +123,6 @@ class ReplicaSet(SourceAdapter):
             source=self.name,
             attempts=len(self.replicas),
         ) from last_error
-
-    def document(self, name: str) -> DataNode:
-        return self._failover("document", lambda r: r.document(name))
-
-    def ident_index(self) -> Dict[str, DataNode]:
-        return self._failover("ident_index", lambda r: r.ident_index())
-
-    def execute_pushed(
-        self, plan: Plan, outer: Optional[Row] = None
-    ) -> Tuple[Tab, str]:
-        return self._failover(
-            "execute_pushed", lambda r: r.execute_pushed(plan, outer)
-        )
 
 
 class ShardedSourceAdapter(SourceAdapter):

@@ -15,7 +15,7 @@ per-shard adapters ready for ``connect_sharded``: one
 :class:`~repro.wrappers.wais_wrapper.WaisWrapper` per shard, or a
 :class:`~repro.sources.sharded.adapter.ReplicaSet` of them when
 ``replicas > 1``.  The optional ``wrap`` hook interposes on every
-replica wrapper (fault injection in tests and benchmarks).
+replica wrapper with a proxy (fault injection in tests and benchmarks).
 """
 
 from __future__ import annotations
@@ -77,9 +77,10 @@ def build_sharded_wais(
 
     One wrapper per shard named ``logical#i``; with ``replicas > 1``
     each shard becomes a :class:`ReplicaSet` of that many wrappers over
-    the same shard store.  ``wrap(wrapper, shard, replica)`` may replace
-    any replica wrapper (e.g. with a
-    :class:`~repro.testing.faults.FaultyWrapper`).
+    the same shard store.  ``wrap(wrapper, shard, replica)`` may put a
+    proxy in front of any replica wrapper (e.g. a
+    :class:`~repro.testing.faults.FaultyWrapper`, which forwards the
+    wrapper's name and interface).
     """
     adapters: List[object] = []
     for index, store in enumerate(stores):

@@ -4,7 +4,6 @@ from repro.testing.faults import (
     Fault,
     FaultInjector,
     FaultSchedule,
-    FaultyAdapter,
     FaultyWrapper,
     InjectedFaultError,
     VirtualClock,
@@ -14,7 +13,6 @@ __all__ = [
     "Fault",
     "FaultInjector",
     "FaultSchedule",
-    "FaultyAdapter",
     "FaultyWrapper",
     "InjectedFaultError",
     "VirtualClock",

@@ -6,9 +6,10 @@ source unavailability as the common case.  This module makes failure a
 *first-class, reproducible* input: a :class:`FaultSchedule` decides, per
 source operation and per call index, whether to inject a transient
 error, a permanent error, or artificial latency, and
-:class:`FaultyAdapter` / :class:`FaultyWrapper` apply that schedule in
-front of any :class:`~repro.core.algebra.evaluator.SourceAdapter` or
-:class:`~repro.wrappers.base.Wrapper`.
+:class:`FaultyWrapper` applies that schedule in front of any named
+:class:`~repro.core.algebra.evaluator.SourceAdapter`, as a
+:class:`~repro.core.algebra.evaluator.ForwardingAdapter` whose one hook
+consults the schedule before each data-plane call.
 
 Determinism rules:
 
@@ -32,11 +33,7 @@ from collections import Counter
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.errors import SourceError
-from repro.core.algebra.evaluator import SourceAdapter, holds_data
-from repro.core.algebra.operators import Plan
-from repro.core.algebra.tab import Row, Tab
-from repro.model.trees import DataNode
-from repro.wrappers.base import Wrapper
+from repro.core.algebra.evaluator import ForwardingAdapter, SourceAdapter
 
 #: Source operations a schedule can target.
 OPERATIONS = ("document", "ident_index", "execute_pushed")
@@ -261,115 +258,36 @@ class FaultInjector:
             raise InjectedFaultError(self.source, operation, index, fault.kind)
 
 
-class FaultyAdapter(SourceAdapter):
-    """Wrap any :class:`SourceAdapter`, injecting scheduled faults.
+class FaultyWrapper(ForwardingAdapter):
+    """A proxy injecting scheduled faults in front of a source adapter.
 
-    ``document_names`` is treated as catalog metadata and never faulted —
-    the failure modes of interest are the data-plane calls the paper's
-    mediator makes mid-query.
+    Catalog metadata (interface export, document names, data version,
+    ``holds_data``) is forwarded un-faulted, so a faulted source stays
+    connectable and the result cache still sees the real source move.
+    Each data-plane call (``document``, ``ident_index``,
+    ``execute_pushed``) first takes its slot in the schedule through
+    :meth:`FaultInjector.before`.
     """
 
     def __init__(
         self,
         inner: SourceAdapter,
         schedule: FaultSchedule,
-        name: Optional[str] = None,
         sleep: Optional[Callable[[float], None]] = None,
     ) -> None:
-        self.inner = inner
-        self.name = name or getattr(inner, "name", "source")
-        self.injector = FaultInjector(self.name, schedule, sleep)
-
-    @property
-    def injected(self) -> List[Tuple[str, int, str]]:
-        return self.injector.injected
-
-    def document_names(self) -> Tuple[str, ...]:
-        return self.inner.document_names()
-
-    def document_name_set(self) -> frozenset:
-        return self.inner.document_name_set()
-
-    def holds_data(self) -> bool:
-        return holds_data(self.inner)
-
-    def document(self, name: str) -> DataNode:
-        self.injector.before("document")
-        return self.inner.document(name)
-
-    def ident_index(self) -> Dict[str, DataNode]:
-        self.injector.before("ident_index")
-        return self.inner.ident_index()
-
-    def execute_pushed(
-        self, plan: Plan, outer: Optional[Row] = None
-    ) -> Tuple[Tab, str]:
-        self.injector.before("execute_pushed")
-        return self.inner.execute_pushed(plan, outer)
-
-
-class FaultyWrapper(Wrapper):
-    """A faulty :class:`Wrapper`: connectable to a mediator.
-
-    Planning-time surfaces (interface export, document names, data
-    version, emptiness) pass through un-faulted; the execution-time calls —
-    ``document``, ``ident_index``, ``execute_pushed`` — go through the
-    same :class:`FaultInjector` as :class:`FaultyAdapter`.
-    """
-
-    def __init__(
-        self,
-        inner: Wrapper,
-        schedule: FaultSchedule,
-        sleep: Optional[Callable[[float], None]] = None,
-    ) -> None:
-        super().__init__(inner.name)
-        self.inner = inner
+        super().__init__(inner)
+        self.name = inner.name
         self.injector = FaultInjector(inner.name, schedule, sleep)
 
     @property
     def injected(self) -> List[Tuple[str, int, str]]:
         return self.injector.injected
 
-    # -- planning-time passthrough ------------------------------------------------
-
-    def build_interface(self):
-        return self.inner.interface()
-
-    def document_names(self) -> Tuple[str, ...]:
-        return self.inner.document_names()
-
-    def data_version(self) -> int:
-        # Forwarded un-faulted: the result cache's version vector must
-        # see the real source move even through an injected fault.
-        return self.inner.data_version()
-
-    def holds_data(self) -> bool:
-        return holds_data(self.inner)
-
     def memo_stats(self):
-        # The inner wrapper's memos do the work; this proxy's own are
-        # never used and would export as all-zero rows.
+        # The inner wrapper's memos do the work: a mediator exports them
+        # under this proxy's source name.
         return self.inner.memo_stats()
 
-    # -- execution-time fault injection --------------------------------------------
-
-    def document(self, name: str) -> DataNode:
-        self.injector.before("document")
-        return self.inner.document(name)
-
-    # The Wrapper ABC's export hook, unreachable behind the override above.
-    build_document = document
-
-    def ident_index(self) -> Dict[str, DataNode]:
-        self.injector.before("ident_index")
-        return self.inner.ident_index()
-
-    def execute_pushed(
-        self, plan: Plan, outer: Optional[Row] = None
-    ) -> Tuple[Tab, str]:
-        self.injector.before("execute_pushed")
-        return self.inner.execute_pushed(plan, outer)
-
-    def run_fragment(self, fragment, plan, outer):
-        return self.inner.run_fragment(fragment, plan, outer)
+    def _call(self, operation, invoke):
+        self.injector.before(operation)
+        return invoke(self.inner)

@@ -2,12 +2,18 @@
 
 import pytest
 
-from repro import Mediator, O2Wrapper, WaisWrapper
+import repro.testing
+from repro import (
+    Mediator,
+    O2Wrapper,
+    StoredXmlSource,
+    StoreWrapper,
+    WaisWrapper,
+)
 from repro.datasets import CulturalDataset
 from repro.errors import SourceError
 from repro.testing import (
     FaultSchedule,
-    FaultyAdapter,
     FaultyWrapper,
     InjectedFaultError,
     VirtualClock,
@@ -60,7 +66,7 @@ def drive(adapter, n_calls=12):
 
 class TestScriptedSchedules:
     def test_transient_recovers_after_n(self):
-        adapter = FaultyAdapter(FakeSource(), FaultSchedule().fail("document", times=2))
+        adapter = FaultyWrapper(FakeSource(), FaultSchedule().fail("document", times=2))
         with pytest.raises(InjectedFaultError):
             adapter.document("doc")
         with pytest.raises(InjectedFaultError):
@@ -72,26 +78,26 @@ class TestScriptedSchedules:
         ]
 
     def test_permanent_never_recovers(self):
-        adapter = FaultyAdapter(FakeSource(), FaultSchedule().fail_forever("document"))
+        adapter = FaultyWrapper(FakeSource(), FaultSchedule().fail_forever("document"))
         for _ in range(5):
             with pytest.raises(InjectedFaultError) as excinfo:
                 adapter.document("doc")
             assert excinfo.value.kind == "permanent"
 
     def test_injected_faults_are_source_errors(self):
-        adapter = FaultyAdapter(FakeSource(), FaultSchedule().fail("ident_index"))
+        adapter = FaultyWrapper(FakeSource(), FaultSchedule().fail("ident_index"))
         with pytest.raises(SourceError):
             adapter.ident_index()
 
     def test_other_operations_unaffected(self):
-        adapter = FaultyAdapter(FakeSource(), FaultSchedule().fail_forever("document"))
+        adapter = FaultyWrapper(FakeSource(), FaultSchedule().fail_forever("document"))
         assert adapter.ident_index() == {}
         tab, native = adapter.execute_pushed(None)
         assert native == "native"
         assert adapter.document_names() == ("doc",)
 
     def test_dead_source_fails_everything(self):
-        adapter = FaultyAdapter(FakeSource(), FaultSchedule().dead_source())
+        adapter = FaultyWrapper(FakeSource(), FaultSchedule().dead_source())
         for thunk in (lambda: adapter.document("doc"), adapter.ident_index,
                       lambda: adapter.execute_pushed(None)):
             with pytest.raises(InjectedFaultError):
@@ -99,7 +105,7 @@ class TestScriptedSchedules:
 
     def test_latency_advances_the_clock_without_failing(self):
         clock = VirtualClock()
-        adapter = FaultyAdapter(
+        adapter = FaultyWrapper(
             FakeSource(),
             FaultSchedule().delay("document", seconds=0.25, times=2),
             sleep=clock.sleep,
@@ -113,16 +119,16 @@ class TestScriptedSchedules:
 
 class TestSeededSchedules:
     def test_same_seed_same_failure_sequence(self):
-        trace_a = drive(FaultyAdapter(
+        trace_a = drive(FaultyWrapper(
             FakeSource(), FaultSchedule.seeded(seed=42, fault_rate=0.5)))
-        trace_b = drive(FaultyAdapter(
+        trace_b = drive(FaultyWrapper(
             FakeSource(), FaultSchedule.seeded(seed=42, fault_rate=0.5)))
         assert trace_a == trace_b
         assert any(kind != "ok" for _op, kind in trace_a)
 
     def test_different_seeds_differ(self):
         traces = {
-            tuple(drive(FaultyAdapter(
+            tuple(drive(FaultyWrapper(
                 FakeSource(), FaultSchedule.seeded(seed=seed, fault_rate=0.5))))
             for seed in range(6)
         }
@@ -133,8 +139,8 @@ class TestSeededSchedules:
         # ident_index calls are interleaved.
         schedule_a = FaultSchedule.seeded(seed=9, fault_rate=0.5)
         schedule_b = FaultSchedule.seeded(seed=9, fault_rate=0.5)
-        adapter_a = FaultyAdapter(FakeSource(), schedule_a)
-        adapter_b = FaultyAdapter(FakeSource(), schedule_b)
+        adapter_a = FaultyWrapper(FakeSource(), schedule_a)
+        adapter_b = FaultyWrapper(FakeSource(), schedule_b)
 
         def doc_kinds(adapter, interleave):
             kinds = []
@@ -155,14 +161,14 @@ class TestSeededSchedules:
 
     def test_seeded_rates_are_roughly_respected(self):
         schedule = FaultSchedule.seeded(seed=3, fault_rate=1.0)
-        adapter = FaultyAdapter(FakeSource(), schedule)
+        adapter = FaultyWrapper(FakeSource(), schedule)
         trace = drive(adapter, n_calls=9)
         assert all(kind != "ok" for _op, kind in trace)
 
     def test_scripted_windows_override_seeded(self):
         schedule = FaultSchedule.seeded(seed=3, fault_rate=0.0)
         schedule.fail("document", times=1)
-        adapter = FaultyAdapter(FakeSource(), schedule)
+        adapter = FaultyWrapper(FakeSource(), schedule)
         with pytest.raises(InjectedFaultError):
             adapter.document("doc")
         assert adapter.document("doc").label == "doc"
@@ -200,3 +206,22 @@ class TestFaultyWrapper:
         wrapper.document("artworks")
         assert wrapper.memo_stats() == inner.memo_stats()
         assert wrapper.memo_stats()["documents"]["misses"] == 1
+
+
+def test_every_faulty_proxy_reports_the_stores_version_after_a_write():
+    """A faulted mutable source still says when its data moves: a proxy
+    that answered the default version 0 would call it immutable."""
+    proxies = [
+        exported
+        for exported in map(vars(repro.testing).get, repro.testing.__all__)
+        if isinstance(exported, type) and issubclass(exported, SourceAdapter)
+    ]
+    for proxy in proxies:
+        stored = StoredXmlSource()
+        stored.add_tree("works", elem("works", atom_leaf("title", "A")))
+        inner = StoreWrapper("depot", stored)
+        faulty = proxy(inner, FaultSchedule().dead_source())
+        before = faulty.data_version()
+        stored.add_tree("works", elem("works", atom_leaf("title", "B")))
+        assert faulty.data_version() == inner.data_version() != before
+    assert proxies == [FaultyWrapper]

@@ -28,7 +28,7 @@ from repro.mediator.resilience import (
     CircuitBreaker,
     PolicyRuntime,
 )
-from repro.testing import FaultSchedule, FaultyAdapter, FaultyWrapper, VirtualClock
+from repro.testing import FaultSchedule, FaultyWrapper, VirtualClock
 from repro.core.algebra.expressions import Cmp, Const, Var
 from repro.core.algebra.operators import (
     BindOp,
@@ -80,7 +80,7 @@ def build_sources(n=20, seed=7):
 def adapters(database, store, wais_schedule=None, clock=None):
     wais = WaisWrapper("xmlartwork", store)
     if wais_schedule is not None:
-        wais = FaultyAdapter(wais, wais_schedule,
+        wais = FaultyWrapper(wais, wais_schedule,
                              sleep=clock.sleep if clock else None)
     return {"o2artifact": O2Wrapper("o2artifact", database), "xmlartwork": wais}
 
@@ -207,7 +207,7 @@ class TestCircuitBreaker:
         database, store = build_sources(n=8)
         clock = VirtualClock()
         schedule = FaultSchedule().dead_source()
-        faulty = FaultyAdapter(WaisWrapper("xmlartwork", store), schedule,
+        faulty = FaultyWrapper(WaisWrapper("xmlartwork", store), schedule,
                                sleep=clock.sleep)
         source_adapters = {
             "o2artifact": O2Wrapper("o2artifact", database),
@@ -267,9 +267,9 @@ class TestDegradation:
     def test_both_branches_down_raises_partial_result_error(self):
         database, store = build_sources(n=5)
         clock = VirtualClock()
-        wais = FaultyAdapter(WaisWrapper("xmlartwork", store),
+        wais = FaultyWrapper(WaisWrapper("xmlartwork", store),
                              FaultSchedule().dead_source(), sleep=clock.sleep)
-        o2 = FaultyAdapter(O2Wrapper("o2artifact", database),
+        o2 = FaultyWrapper(O2Wrapper("o2artifact", database),
                            FaultSchedule().dead_source(), sleep=clock.sleep)
         with pytest.raises(PartialResultError):
             run_plan(
