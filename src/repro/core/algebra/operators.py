@@ -29,16 +29,20 @@ class Plan(Node):
     """Base class of plan operators.
 
     Operators are immutable after construction (rewrites build new
-    nodes), so derived values — the canonical key, the outer-parameter
-    set, the validated fragment a wrapper runs it as — are memoized on
-    the instance.
+    nodes), so derived values — the canonical key, the input plans, the
+    outer-parameter set, the validated fragment a wrapper runs it as —
+    are memoized on the instance.
     """
 
-    __slots__ = ("_params_memo", "_fragment_memo")
+    __slots__ = ("_params_memo", "_fragment_memo", "_children_memo")
 
     def children(self) -> Tuple["Plan", ...]:
         """Input plans of this operator."""
-        return self.parts(Plan)
+        try:
+            return self._children_memo
+        except AttributeError:
+            children = self._children_memo = self.parts(Plan)
+            return children
 
     def with_children(self, children: Sequence["Plan"]) -> "Plan":
         """A copy of this operator with new input plans."""

@@ -21,31 +21,29 @@ Tabs are the unit of exchange between wrappers and the mediator: a pushed
 
 A Tab is stored one way only: parallel per-column cell arrays.  Wrappers
 build their answers as columns, every evaluator operator reads and
-writes columns, and transfer accounting prices columns.  A :class:`Row`
-is a view of one position, built on demand and cached, for the consumers
-that read row by row: ``Tree`` construction, the XML encoder, ``Group``'s
-nested cells, the ``serial()`` oracle's per-row loops and the public API.
+writes columns, and the wire writer reads columns.  A :class:`Row` is a
+view of one position, built on demand and cached, for the consumers that
+read row by row: ``Tree`` construction, ``Group``'s nested cells, the
+``serial()`` oracle's per-row loops and the public API.
 """
 
 from __future__ import annotations
 
 import xml.etree.ElementTree as ET
-from itertools import chain
+from itertools import chain, repeat
 from typing import Iterable, Iterator, List, Sequence, Tuple
 
 from repro.errors import AlgebraError, UnknownVariableError, XmlFormatError
 from repro.model.filters import MISSING, MissingValue
 from repro.model.trees import DataNode
-from repro.model.values import atom_type_name, is_atom, parse_atom
+from repro.model.values import is_atom, parse_atom
 from repro.model.xml_io import (
     decode_atom_text,
     element_to_tree,
-    element_size,
-    encode_atom_text,
-    escaped_attr_size,
-    escaped_text_size,
+    escape_attr,
     serialized_size,
-    tree_to_element,
+    write_atom,
+    write_tree,
 )
 
 Cell = object  # Atom | DataNode | tuple | MissingValue
@@ -487,8 +485,8 @@ def _cell_text(cell: Cell) -> str:
 # XML wire format (wrapper boundary)
 # ---------------------------------------------------------------------------
 
-def tab_to_element(tab: Tab) -> ET.Element:
-    """Serialize a Tab to its XML wire element.
+def tab_to_xml(tab: Tab) -> str:
+    """Serialize a Tab to an XML string.
 
     Format::
 
@@ -496,48 +494,70 @@ def tab_to_element(tab: Tab) -> ET.Element:
           <row>
             <cell var="t" type="String">Nympheas</cell>
             <cell var="a" type="String">Claude Monet</cell>
-            <cell var="fields"><coll><history>...</history></coll></cell>
+            <cell var="fields" kind="coll"><coll><item>...</item></coll></cell>
           </row>
           ...
         </tab>
+
+    A tree cell holds the tree's own text (:func:`write_tree`).  An empty
+    atom takes the short form, attribute values are escaped, and a string
+    XML cannot carry travels base64-marked:
+
+    >>> tab_to_xml(Tab.from_columns(('x"y',), [("",)]))
+    '<tab columns="x&quot;y"><row><cell var="x&quot;y" type="String" /></row></tab>'
+    >>> tab_to_xml(Tab.from_columns(("b",), [(chr(7),)]))
+    '<tab columns="b"><row><cell var="b" type="String" enc="b64">Bw==</cell></row></tab>'
     """
-    root = ET.Element("tab")
-    root.set("columns", " ".join(tab.columns))
-    for row in tab.rows:
-        row_el = ET.SubElement(root, "row")
-        for column, cell in zip(row.columns, row.cells):
-            cell_el = ET.SubElement(row_el, "cell")
-            cell_el.set("var", column)
-            _cell_into_element(cell, cell_el)
-    return root
+    out: list = []
+    _write_tab(tab, out, lambda node: write_tree(node, out))
+    return "".join(out)
 
 
-def _cell_into_element(cell: Cell, cell_el: ET.Element) -> None:
-    if isinstance(cell, MissingValue):
-        cell_el.set("missing", "true")
-    elif is_atom(cell):
-        cell_el.set("type", atom_type_name(cell))
-        text, encoding = encode_atom_text(cell)
-        if encoding is not None:
-            cell_el.set("enc", encoding)
-        cell_el.text = text
+def _write_tab(tab: Tab, out: list, tree) -> None:
+    """Append a Tab's framing to *out*; ``tree(node)`` stands in for the
+    text of each tree cell."""
+    out.append(f'<tab columns="{escape_attr(" ".join(tab.columns))}"')
+    if not tab._length:
+        out.append(" />")
+        return
+    out.append(">")
+    heads = [f'<cell var="{escape_attr(column)}"' for column in tab.columns]
+    for cells in (zip(*tab._cols) if heads else repeat((), tab._length)):
+        if not cells:
+            out.append("<row />")
+            continue
+        out.append("<row>")
+        for head, cell in zip(heads, cells):
+            out.append(head)
+            _write_cell(cell, "cell", out, tree)
+        out.append("</row>")
+    out.append("</tab>")
+
+
+def _write_cell(cell: Cell, tag: str, out: list, tree) -> None:
+    """Append the rest of a ``<cell``/``<item`` element: its attributes
+    and content."""
+    if is_atom(cell):
+        write_atom(cell, tag, out)
+    elif isinstance(cell, MissingValue):
+        out.append(' missing="true" />')
     elif isinstance(cell, DataNode):
-        cell_el.append(tree_to_element(cell))
+        out.append(">")
+        tree(cell)
+        out.append(f"</{tag}>")
     elif isinstance(cell, tuple):
         # The kind attribute distinguishes the collection marker from a
         # tree cell whose root happens to be labelled "coll".
-        cell_el.set("kind", "coll")
-        coll = ET.SubElement(cell_el, "coll")
+        if not cell:
+            out.append(f' kind="coll"><coll /></{tag}>')
+            return
+        out.append(' kind="coll"><coll>')
         for item in cell:
-            item_el = ET.SubElement(coll, "item")
-            _cell_into_element(item, item_el)
+            out.append("<item")
+            _write_cell(item, "item", out, tree)
+        out.append(f"</coll></{tag}>")
     else:
         raise XmlFormatError(f"cannot serialize cell: {cell!r}")
-
-
-def tab_to_xml(tab: Tab) -> str:
-    """Serialize a Tab to an XML string."""
-    return ET.tostring(tab_to_element(tab), encoding="unicode")
 
 
 def element_to_tab(root: ET.Element) -> Tab:
@@ -597,59 +617,20 @@ def xml_to_tab(text: str) -> Tab:
     return element_to_tab(root)
 
 
-def _cell_tail_size(cell: Cell) -> int:
-    """Bytes of one ``<cell>``/``<item>`` element after its opening
-    ``<cell var="..."`` or ``<item``.
-
-    Mirrors :func:`_cell_into_element`.  Both tags are four bytes long,
-    so closing either costs ``>`` + ``</cell>``: 8 bytes plus content.
-    """
-    if isinstance(cell, DataNode):
-        return serialized_size(cell) + 8
-    if isinstance(cell, MissingValue):
-        return 18  # ' missing="true" />'
-    if isinstance(cell, tuple):
-        items = 0
-        for item in cell:
-            items += 5 + _cell_tail_size(item)  # '<item' ...
-        # ' kind="coll">' '<coll>' ... '</coll>' (or '<coll />') '</cell>'
-        return 12 + (items + 13 if cell else 8) + 8
-    if is_atom(cell):
-        text, encoding = encode_atom_text(cell)
-        size = 8 + len(atom_type_name(cell))  # ' type="String"'
-        if encoding is not None:
-            size += 10  # ' enc="b64"'
-        return size + (escaped_text_size(text) + 8 if text else 3)
-    raise XmlFormatError(f"cannot serialize cell: {cell!r}")
-
-
 def tab_serialized_size(tab: Tab) -> int:
-    """UTF-8 byte size of the Tab's XML serialization (transfer cost).
+    """UTF-8 byte size of ``tab_to_xml(tab)`` (transfer cost).
 
-    Computed arithmetically, column by column, instead of materializing
-    the XML string: each column pays its ``<cell var="...">`` prefix once
-    per row, each cell its type attribute and escaped text, and a tree
-    cell its cached ``serialized_size``.  No :class:`Row` is built.  Kept
-    byte-for-byte consistent with ``len(tab_to_xml(tab).encode())``
-    (a generated property checks the two).  Cached on the (immutable)
-    Tab, so a pushed result served from a wrapper memo is measured once.
+    The framing is printed; a tree cell adds its cached
+    :func:`serialized_size` instead of its text.  No :class:`Row` is
+    built.  Cached on the (immutable) Tab, so a pushed result served
+    from a wrapper memo is measured once.
     """
-    cached = tab._ssize
-    if cached is not None:
-        return cached
-    size = _compute_tab_serialized_size(tab)
-    tab._ssize = size
+    size = tab._ssize
+    if size is None:
+        out: list = []
+        trees: list = []
+        _write_tab(tab, out, trees.append)
+        size = tab._ssize = (
+            len("".join(out).encode("utf-8")) + sum(map(serialized_size, trees))
+        )
     return size
-
-
-def _compute_tab_serialized_size(tab: Tab) -> int:
-    length = len(tab)
-    columns = tab.columns
-    # '<row>' ... '</row>' around each row's cells; '<row />' without any.
-    rows_size = length * (11 if columns else 7)
-    for column, cells in zip(columns, tab.column_data()):
-        rows_size += length * (12 + escaped_attr_size(column))  # '<cell var="c"'
-        rows_size += sum(map(_cell_tail_size, cells))
-    return element_size(
-        "tab", (("columns", " ".join(columns)),), rows_size if length else None
-    )

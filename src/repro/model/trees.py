@@ -64,8 +64,9 @@ class DataNode:
         # recompute the full recursive key on every use.
         self._vkey: Optional[tuple] = None
         self._vhash: Optional[int] = None
-        #: Serialized byte size, cached by ``xml_io.serialized_size`` —
-        #: transfer statistics re-measure shared trees on every call.
+        #: UTF-8 length of the text ``xml_io.write_tree`` prints for the
+        #: node, cached by ``xml_io.serialized_size`` — transfer
+        #: statistics re-measure shared trees on every call.
         self._ssize: Optional[int] = None
         #: Node count, cached by ``size()`` — the store wrapper counts
         #: the nodes of memoized hydrated subtrees on every pushdown.

@@ -19,6 +19,12 @@ Type patterns (:class:`~repro.model.patterns.Pattern`)
 All data crossing a wrapper boundary goes through these functions, so the
 serialized byte counts measured by the benchmarks reflect real conversion
 work, as in the paper's argument about conversion overhead.
+
+One writer prints the data format: :func:`write_tree` appends a tree's
+text piece by piece, with the escaping rules of ``xml.etree``'s writer,
+and ``core/algebra/tab.py`` prints only a Tab's framing around it.  A
+transfer size is the length of what it prints.  ``xml.etree`` parses,
+and prints patterns.
 """
 
 from __future__ import annotations
@@ -42,38 +48,74 @@ from repro.model.patterns import (
 from repro.model.trees import DataNode
 from repro.model.values import atom_type_name, parse_atom
 
-_RESERVED_ATTRS = ("id", "col", "ref", "type")
-
 
 # ---------------------------------------------------------------------------
 # Data trees
 # ---------------------------------------------------------------------------
 
-def tree_to_element(node: DataNode) -> ET.Element:
-    """Convert a data tree to an ``xml.etree`` element."""
-    element = ET.Element(node.label)
+def escape_text(text: str) -> str:
+    """*text* as XML character data: ``&``, ``<`` and ``>`` escaped, the
+    rule of ``xml.etree``'s writer."""
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+
+
+def escape_attr(value: str) -> str:
+    """*value* inside a double-quoted attribute: the character data
+    escapes, then ``"`` and bare ``\\r``/``\\n``/``\\t`` as references (a
+    parser would normalize them as literal whitespace)."""
+    return (
+        escape_text(value).replace('"', "&quot;").replace("\r", "&#13;")
+        .replace("\n", "&#10;").replace("\t", "&#09;")
+    )
+
+
+def write_tree(node: DataNode, out: list) -> None:
+    """Append the XML text of *node* to *out*, piece by piece."""
+    label = node.label
+    out.append("<" + label)
     if node.ident is not None:
-        element.set("id", node.ident)
+        out.append(f' id="{escape_attr(node.ident)}"')
     if node.collection is not None:
-        element.set("col", node.collection)
-    if node.is_reference:
-        element.set("ref", node.ref_target)
-        return element
-    if node.is_atom_leaf:
-        element.set("type", atom_type_name(node.atom))
-        text, encoding = encode_atom_text(node.atom)
-        if encoding is not None:
-            element.set("enc", encoding)
-        element.text = text
-        return element
-    for child in node.children:
-        element.append(tree_to_element(child))
-    return element
+        out.append(f' col="{escape_attr(node.collection)}"')
+    if node.ref_target is not None:
+        out.append(f' ref="{escape_attr(node.ref_target)}" />')
+    elif node.atom is not None:
+        write_atom(node.atom, label, out)
+    elif node.children:
+        out.append(">")
+        for child in node.children:
+            write_tree(child, out)
+        out.append(f"</{label}>")
+    else:
+        out.append(" />")
+
+
+def write_atom(atom: object, tag: str, out: list) -> None:
+    """Append the rest of an atom element whose ``<tag ...`` is written:
+    its ``type`` (and ``enc``) attributes and text, or the short empty
+    form for empty text."""
+    text, encoding = encode_atom_text(atom)
+    out.append(f' type="{atom_type_name(atom)}"')
+    if encoding is not None:
+        out.append(f' enc="{encoding}"')
+    out.append(f">{escape_text(text)}</{tag}>" if text else " />")
 
 
 def tree_to_xml(node: DataNode) -> str:
-    """Serialize a data tree to an XML string."""
-    return ET.tostring(tree_to_element(node), encoding="unicode")
+    """Serialize a data tree to an XML string.
+
+    An element without content takes the short form, attribute values
+    are escaped, and a string XML cannot carry travels base64-marked:
+
+    >>> from repro.model.trees import atom_leaf, elem, ref
+    >>> tree_to_xml(elem("w", ref("owner", 'a&"b'), atom_leaf("t", "")))
+    '<w><owner ref="a&amp;&quot;b" /><t type="String" /></w>'
+    >>> tree_to_xml(atom_leaf("t", "bell" + chr(7)))
+    '<t type="String" enc="b64">YmVsbAc=</t>'
+    """
+    out: list = []
+    write_tree(node, out)
+    return "".join(out)
 
 
 def element_to_tree(element: ET.Element) -> DataNode:
@@ -107,100 +149,19 @@ def xml_to_tree(text: str) -> DataNode:
     return element_to_tree(element)
 
 
-def escaped_text_size(text: str) -> int:
-    """UTF-8 byte count of *text* as XML character data.
-
-    Mirrors ``xml.etree``'s ``_escape_cdata``: ``&`` becomes ``&amp;``
-    (+4 bytes), ``<``/``>`` become ``&lt;``/``&gt;`` (+3 bytes each).
-    """
-    return (
-        len(text.encode("utf-8"))
-        + 4 * text.count("&")
-        + 3 * text.count("<")
-        + 3 * text.count(">")
-    )
-
-
-def escaped_attr_size(value: str) -> int:
-    """UTF-8 byte count of *value* as an XML attribute value.
-
-    Mirrors ``xml.etree``'s ``_escape_attrib``: on top of the character
-    data escapes, ``"`` becomes ``&quot;`` (+5) and bare ``\\r``/``\\n``/
-    ``\\t`` become character references (+4 each).
-    """
-    return (
-        len(value.encode("utf-8"))
-        + 4 * value.count("&")
-        + 3 * value.count("<")
-        + 3 * value.count(">")
-        + 5 * value.count('"')
-        + 4 * value.count("\r")
-        + 4 * value.count("\n")
-        + 4 * value.count("\t")
-    )
-
-
-def element_size(tag: str, attrs, content_size: Optional[int]) -> int:
-    """Serialized byte size of one element.
-
-    *attrs* is an iterable of ``(name, value)`` pairs; *content_size* is
-    the total byte size of the element's serialized content, or ``None``
-    for the short empty-element form (``<tag />``), matching
-    ``ET.tostring``'s behavior when an element has no text and no
-    children.
-    """
-    tag_bytes = len(tag.encode("utf-8"))
-    size = 1 + tag_bytes  # "<tag"
-    for name, value in attrs:
-        # ' name="value"'
-        size += 2 + len(name.encode("utf-8")) + 2 + escaped_attr_size(value)
-    if content_size is None:
-        return size + 3  # " />"
-    return size + 1 + content_size + 2 + tag_bytes + 1  # ">" ... "</tag>"
-
-
 def serialized_size(node: DataNode) -> int:
-    """Number of UTF-8 bytes of the tree's XML serialization.
+    """Number of UTF-8 bytes of ``tree_to_xml(node)``.
 
     This is the transfer cost the mediator pays when the tree crosses a
-    wrapper boundary; the execution statistics aggregate it.  Computed
-    arithmetically — without materializing the XML string — but kept
-    byte-for-byte consistent with ``len(tree_to_xml(node).encode())``
-    (the test suite checks the two against each other).  The size is
-    cached on the (immutable) node, so shared trees — ident-index
-    exports, pushed-result cells — are measured once, not once per
+    wrapper boundary; the execution statistics aggregate it.  The size
+    is cached on the (immutable) node, so shared trees — ident-index
+    exports, pushed-result cells — are printed once, not once per
     transfer-statistics record.
     """
-    cached = node._ssize
-    if cached is not None:
-        return cached
-    size = _compute_serialized_size(node)
-    node._ssize = size
+    size = node._ssize
+    if size is None:
+        size = node._ssize = len(tree_to_xml(node).encode("utf-8"))
     return size
-
-
-def _compute_serialized_size(node: DataNode) -> int:
-    attrs = []
-    if node.ident is not None:
-        attrs.append(("id", node.ident))
-    if node.collection is not None:
-        attrs.append(("col", node.collection))
-    if node.ref_target is not None:
-        attrs.append(("ref", node.ref_target))
-        return element_size(node.label, attrs, None)
-    if node.atom is not None:
-        attrs.append(("type", atom_type_name(node.atom)))
-        text, encoding = encode_atom_text(node.atom)
-        if encoding is not None:
-            attrs.append(("enc", encoding))
-        content = escaped_text_size(text) if text else None
-        return element_size(node.label, attrs, content)
-    if not node.children:
-        return element_size(node.label, attrs, None)
-    content = 0
-    for child in node.children:
-        content += serialized_size(child)
-    return element_size(node.label, attrs, content)
 
 
 # Characters XML 1.0 cannot carry verbatim (or that parsers normalize,

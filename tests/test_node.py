@@ -216,6 +216,13 @@ def test_a_rebuilt_plan_takes_its_new_inputs():
     assert rebuilt != plan
 
 
+def test_a_plan_derives_its_children_once():
+    # The rewriter asks every unchanged subtree for its children after
+    # each firing; the tuple is memoized, not re-gathered from the fields.
+    plan = FIXTURES[JoinOp]
+    assert plan.children() is plan.children()
+
+
 def _alternatives(value, family):
     """Values unequal to *value* that a field holding it could take."""
     if isinstance(value, Node):

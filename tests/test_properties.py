@@ -18,6 +18,7 @@ from repro.model.values import atom_type_name
 from repro.model.xml_io import tree_to_xml, xml_to_tree
 from repro.sources.wais.index import InvertedIndex, document_contains, tokenize
 from repro.sources.wais.query import WaisQuery, WaisTerm
+from tests.xml_oracle import oracle_tree_xml
 
 # ---------------------------------------------------------------------------
 # Strategies
@@ -79,6 +80,11 @@ class TestXmlRoundTrips:
     @settings(max_examples=150, deadline=None)
     def test_tree_round_trip(self, tree):
         assert xml_to_tree(tree_to_xml(tree)) == tree
+
+    @given(data_trees())
+    @settings(max_examples=150, deadline=None)
+    def test_tree_writer_matches_oracle(self, tree):
+        assert tree_to_xml(tree) == oracle_tree_xml(tree)
 
     @given(st.lists(st.tuples(labels, atoms), min_size=0, max_size=6))
     @settings(max_examples=100, deadline=None)

@@ -13,6 +13,15 @@ from repro.core.algebra.tab import (
 )
 from repro.model.filters import MISSING
 from repro.model.trees import atom_leaf, elem, ref
+from tests.xml_oracle import oracle_tab_xml
+
+
+def assert_matches_oracle(tab):
+    """The writer prints the ElementTree oracle's text, and the size is
+    that text's UTF-8 length."""
+    expected = oracle_tab_xml(tab)
+    assert tab_to_xml(tab) == expected
+    assert tab_serialized_size(tab) == len(expected.encode("utf-8"))
 
 
 @pytest.fixture
@@ -155,7 +164,7 @@ class TestTabWireFormat:
         assert parsed.rows[0].cells == (1, 2.5, True)
 
     def test_serialized_size(self, tab):
-        assert tab_serialized_size(tab) == len(tab_to_xml(tab).encode("utf-8"))
+        assert_matches_oracle(tab)
 
     @pytest.mark.parametrize(
         "tab",
@@ -170,18 +179,21 @@ class TestTabWireFormat:
                 [Row(("t",), (elem("doc", atom_leaf("x", "a<b")),))],
             ),
             Tab(("t",), [Row(("t",), ("\x00binary",))]),
+            Tab.from_columns(('a"b&c\nd\te',), [(1, MISSING)]),
+            Tab.from_columns(("t",), [(elem("coll", atom_leaf("x", 1)),)]),
+            Tab.from_columns(("é€",), [("ü", (elem("coll"),))]),
         ],
     )
     def test_serialized_size_matches_encoder_on_edge_cases(self, tab):
-        assert tab_serialized_size(tab) == len(tab_to_xml(tab).encode("utf-8"))
+        assert_matches_oracle(tab)
 
     @given(tab=st.deferred(lambda: TABS))
     @example(tab=Tab.from_columns((), (), 3))
     @settings(max_examples=60, deadline=None)
     def test_serialized_size_matches_encoder(self, tab):
-        # The per-column accounting against the encoder, over generated
-        # Tabs; the seven cases above are its pinned examples.
-        assert tab_serialized_size(tab) == len(tab_to_xml(tab).encode("utf-8"))
+        # The writer and its accounting against the oracle, over generated
+        # Tabs; the cases above are its pinned examples.
+        assert_matches_oracle(tab)
 
     def test_empty_tab(self):
         tab = Tab((), [])

@@ -12,7 +12,7 @@ from repro.model.patterns import (
     PStar,
     PUnion,
 )
-from repro.model.trees import atom_leaf, collection_node, elem, ref
+from repro.model.trees import DataNode, atom_leaf, collection_node, elem, ref
 from repro.model.xml_io import (
     pattern_to_xml,
     serialized_size,
@@ -20,6 +20,20 @@ from repro.model.xml_io import (
     xml_to_pattern,
     xml_to_tree,
 )
+from repro.server.workload import PORTAL
+from tests.conftest import Q1, Q2, build_mediator
+from tests.xml_oracle import oracle_tree_xml
+
+# '"', '&', '\n' and '\t': what attribute escaping must turn into references.
+UNSAFE_ATTR = 'a"b&c\nd\te'
+
+
+def assert_matches_oracle(tree):
+    """The writer prints the ElementTree oracle's text, and the size is
+    that text's UTF-8 length."""
+    expected = oracle_tree_xml(tree)
+    assert tree_to_xml(tree) == expected
+    assert serialized_size(tree) == len(expected.encode("utf-8"))
 
 
 @pytest.fixture
@@ -72,9 +86,8 @@ class TestTreeRoundTrip:
             xml_to_tree('<year type="Int">not a number</year>')
 
     def test_serialized_size_is_positive_bytes(self, work):
-        size = serialized_size(work)
-        assert size == len(tree_to_xml(work).encode("utf-8"))
-        assert size > 50
+        assert_matches_oracle(work)
+        assert serialized_size(work) > 50
 
     @pytest.mark.parametrize(
         "tree",
@@ -93,12 +106,19 @@ class TestTreeRoundTrip:
                 "list", "items", [atom_leaf("value", i) for i in range(3)],
                 ident="c1",
             ),
+            elem("e", atom_leaf("x", 1), ident=UNSAFE_ATTR),
+            ref("painting", UNSAFE_ATTR),
+            DataNode("c", collection=UNSAFE_ATTR),
         ],
     )
     def test_serialized_size_matches_encoder_on_edge_cases(self, tree):
-        # The arithmetic size must track the real encoder byte for byte:
-        # escaping, base64 fallback, short empty elements, attributes.
-        assert serialized_size(tree) == len(tree_to_xml(tree).encode("utf-8"))
+        # Escaping, base64 fallback, short empty elements, attributes.
+        assert_matches_oracle(tree)
+
+    @pytest.mark.parametrize("text", [Q1, Q2, PORTAL], ids=["q1", "q2", "portal"])
+    def test_answers_match_the_oracle(self, cultural_sources, text):
+        answer = build_mediator(*cultural_sources).query(text).document()
+        assert_matches_oracle(answer)
 
 
 class TestPatternRoundTrip:
