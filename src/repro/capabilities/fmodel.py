@@ -166,11 +166,9 @@ def fnode(
                 collection=collection, descend=descend)
 
 
-def fleaf(
-    type_name: str, bind: str = "any", inst: str = "any", descend: str = "none"
-) -> FPat:
+def fleaf(type_name: str, bind: str = "any", descend: str = "none") -> FPat:
     """An atomic-type Fpattern (``Int``, ``String``...)."""
-    return FPat("leaf", label=type_name, bind=bind, inst=inst, descend=descend)
+    return FPat("leaf", label=type_name, bind=bind, descend=descend)
 
 
 def fstar(child: FPat, inst: str = "any") -> FPat:
@@ -183,16 +181,9 @@ def funion(*alternatives: FPat) -> FPat:
     return FPat("union", children=alternatives)
 
 
-def fref(
-    model: str,
-    pattern: str,
-    bind: str = "any",
-    inst: str = "any",
-    descend: str = "none",
-) -> FPat:
+def fref(model: str, pattern: str, bind: str = "any") -> FPat:
     """A reference to a named pattern in another model."""
-    return FPat("ref", ref=(model, pattern), bind=bind, inst=inst,
-                descend=descend)
+    return FPat("ref", ref=(model, pattern), bind=bind)
 
 
 # ---------------------------------------------------------------------------

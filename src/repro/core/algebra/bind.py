@@ -230,10 +230,6 @@ def _bound_value(node: DataNode) -> object:
     return node
 
 
-def match_filter(
-    node: DataNode,
-    flt: Filter,
-    index: Optional[Dict[str, DataNode]] = None,
-) -> List[Binding]:
+def match_filter(node: DataNode, flt: Filter) -> List[Binding]:
     """Convenience wrapper: one-shot :class:`FilterMatcher` call."""
-    return FilterMatcher(index=index).match(node, flt)
+    return FilterMatcher().match(node, flt)

@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import threading
 from abc import ABC, abstractmethod
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.errors import (
     EvaluationError,
@@ -216,14 +216,15 @@ class Environment:
         self,
         sources: Dict[str, SourceAdapter],
         functions: Optional[Dict[str, Callable]] = None,
-        skolems: Optional[SkolemRegistry] = None,
         resilience=None,
         policy: Optional[ExecutionPolicy] = None,
         context: Optional[RequestContext] = None,
     ) -> None:
         self.sources = dict(sources)
         self.functions = dict(functions or {})
-        self.skolems = skolems if skolems is not None else SkolemRegistry()
+        #: One registry per evaluation: equal Skolem arguments yield one
+        #: identifier across every Tree and Fuse node of the plan.
+        self.skolems = SkolemRegistry()
         #: Optional :class:`~repro.mediator.resilience.PolicyRuntime`;
         #: when set and permitting partial results, Union branches and
         #: ident indexes of unavailable sources degrade instead of failing.
@@ -260,18 +261,32 @@ class Environment:
         except KeyError:
             raise UnknownSourceError(f"source {name!r} is not connected") from None
 
-    def scheduler(self) -> Optional[PlanScheduler]:
-        """The shared thread pool, or ``None`` under a serial policy.
+    def each(
+        self, thunks: Sequence[Callable[[], Tab]]
+    ) -> Iterator[Tuple[Optional[Tab], Optional[BaseException]]]:
+        """``(tab, error)`` per sibling-branch thunk, in order; exactly
+        one of the pair is ``None``.
 
-        Created lazily on the first concurrent dispatch; callers that
-        own the environment should :meth:`shutdown` when done (``run_plan``
-        does).
+        Under a parallel policy, more than one thunk is dispatched to
+        the shared pool at once (created lazily; callers that own the
+        environment :meth:`shutdown` it, as ``run_plan`` does) and
+        recorded once as parallel branches.  Otherwise each thunk runs
+        only when its outcome is read, so a caller that stops at the
+        first error never evaluates the siblings after it.
         """
-        if not self.policy.concurrent:
-            return None
-        if self._scheduler is None:
-            self._scheduler = PlanScheduler(self.policy.parallelism)
-        return self._scheduler
+        if len(thunks) > 1 and self.policy.concurrent:
+            if self._scheduler is None:
+                self._scheduler = PlanScheduler(self.policy.parallelism)
+            outcomes = self._scheduler.run(thunks, context=self.context)
+            self.stats.record_parallel(len(thunks))
+            yield from outcomes
+            return
+        for thunk in thunks:
+            try:
+                outcome = (thunk(), None)
+            except Exception as error:  # re-raised by the caller
+                outcome = (None, error)
+            yield outcome
 
     def shutdown(self) -> None:
         """Release the thread pool, if one was created."""
@@ -694,31 +709,28 @@ def fuse_documents(documents: List[DataNode]) -> DataNode:
 
 def _eval_pair(
     left_plan: Plan, right_plan: Plan, env: Environment, outer: Optional[Row]
-) -> Tuple[Tab, Tab]:
+) -> List[Tab]:
     """Evaluate two independent inputs, concurrently when the policy allows.
 
     Error propagation is deterministic either way: the left input's
     error wins, exactly as in serial evaluation (where a failing left
     input means the right is never evaluated at all).
     """
-    scheduler = env.scheduler()
-    if scheduler is None:
-        return (
-            _evaluate(left_plan, env, outer),
-            _evaluate(right_plan, env, outer),
-        )
-    outcomes = scheduler.run(
-        [
-            lambda: _evaluate(left_plan, env, outer),
-            lambda: _evaluate(right_plan, env, outer),
-        ],
-        context=env.context,
-    )
-    env.stats.record_parallel(2)
-    for value, error in outcomes:
+    return _every_tab(env.each((
+        lambda: _evaluate(left_plan, env, outer),
+        lambda: _evaluate(right_plan, env, outer),
+    )))
+
+
+def _every_tab(outcomes) -> List[Tab]:
+    """The tabs of :meth:`Environment.each` outcomes; the first error
+    raises, before any later outcome is read."""
+    tabs = []
+    for tab, error in outcomes:
         if error is not None:
             raise error
-    return outcomes[0][0], outcomes[1][0]
+        tabs.append(tab)
+    return tabs
 
 
 def _eval_join(plan: JoinOp, env: Environment, outer: Optional[Row]) -> Tab:
@@ -911,25 +923,10 @@ def _eval_djoin(plan: DJoinOp, env: Environment, outer: Optional[Row]) -> Tab:
     env.stats.record_batched(avoided)
     if env.tracer is not None and avoided > 0:
         env.tracer.annotate(batched=avoided)
-    order = list(representative)
-    scheduler = env.scheduler() if len(order) > 1 else None
-    tabs: Dict[tuple, Tab] = {}
-    if scheduler is not None:
-        outcomes = scheduler.run(
-            [
-                lambda o=representative[key]: _evaluate(plan.right, env, o)
-                for key in order
-            ],
-            context=env.context,
-        )
-        env.stats.record_parallel(len(order))
-        for key, (tab, error) in zip(order, outcomes):
-            if error is not None:
-                raise error
-            tabs[key] = tab
-    else:
-        for key in order:
-            tabs[key] = _evaluate(plan.right, env, representative[key])
+    tabs = dict(zip(representative, _every_tab(env.each([
+        lambda o=inner_outer: _evaluate(plan.right, env, o)
+        for inner_outer in representative.values()
+    ]))))
 
     # Re-expansion in left-row order: each left row repeats once per row
     # of its binding's answer.  An empty answer contributes no cells and
@@ -1078,49 +1075,35 @@ def _surviving_branches(
     is dropped and recorded; with every branch down there is no partial
     answer.
     """
-    scheduler = env.scheduler() if len(branches) > 1 else None
-    if scheduler is not None:
-        outcomes = scheduler.run(
-            [lambda b=branch: _evaluate(b, env, outer) for branch in branches],
-            context=env.context,
-        )
-        env.stats.record_parallel(len(branches))
+    outcomes = env.each(
+        [lambda b=branch: _evaluate(b, env, outer) for branch in branches]
+    )
     tabs: List[Tab] = []
     last_error: Optional[SourceUnavailableError] = None
-    for index, branch in enumerate(branches):
-        try:
-            if scheduler is None:
-                tab = _evaluate(branch, env, outer)
-            else:
-                tab, error = outcomes[index]
-                if error is not None:
-                    raise error
+    for branch, (tab, error) in zip(branches, outcomes):
+        if error is None:
             tabs.append(tab)
-        except SourceUnavailableError as error:
-            if env.resilience is None or not env.resilience.allow_partial:
-                raise
-            involved = ", ".join(sorted(_branch_sources(branch))) or "?"
-            failed = error.source or involved
-            env.resilience.record_dropped(
-                failed, f"{kind.lower()} branch over [{involved}] dropped: {error}"
-            )
-            if env.tracer is not None:
-                env.tracer.annotate(dropped=failed)
-            last_error = error
+            continue
+        if not (
+            isinstance(error, SourceUnavailableError)
+            and env.resilience is not None
+            and env.resilience.allow_partial
+        ):
+            raise error
+        involved = ", ".join(sorted(branch.sources())) or "?"
+        failed = error.source or involved
+        env.resilience.record_dropped(
+            failed, f"{kind.lower()} branch over [{involved}] dropped: {error}"
+        )
+        if env.tracer is not None:
+            env.tracer.annotate(dropped=failed)
+        last_error = error
     if not tabs:
         raise PartialResultError(
             f"every {kind} branch failed; no partial result to return"
         ) from last_error
     return tabs
 
-
-def _branch_sources(plan: Plan) -> set:
-    """Names of the sources a plan branch reads (Source and Pushed leaves)."""
-    return {
-        node.source
-        for node in plan.walk()
-        if isinstance(node, (SourceOp, PushedOp))
-    }
 
 def _eval_intersect(plan: IntersectOp, env: Environment, outer: Optional[Row]) -> Tab:
     left, right = _eval_pair(plan.left, plan.right, env, outer)

@@ -126,9 +126,14 @@ class CGroup(Constructor):
 
 
 class CIterate(Constructor):
-    """Build the child once per row (distinct by default, optionally sorted)."""
+    """Build the child once per row (distinct by default, optionally sorted).
 
-    __slots__ = ("child", "distinct", "order_by", "descending")
+    ``_child_variables_memo`` keeps the child's variables, on which the
+    builder makes rows distinct, once: a constructor is immutable.
+    """
+
+    __slots__ = ("child", "distinct", "order_by", "descending",
+                 "_child_variables_memo")
 
     def __init__(
         self,
@@ -247,7 +252,7 @@ class _Builder:
             return self._build_ref(spec, rows)
         raise AlgebraError(f"unknown constructor: {spec!r}")
 
-    def _representative(self, rows: List[Row], spec: Constructor) -> Optional[Row]:
+    def _representative(self, rows: List[Row]) -> Optional[Row]:
         if rows:
             return rows[0]
         return None
@@ -255,7 +260,7 @@ class _Builder:
     def _build_elem(self, spec: CElem, rows: List[Row]) -> List[object]:
         ident = None
         if spec.skolem is not None:
-            row = self._representative(rows, spec)
+            row = self._representative(rows)
             if row is None:
                 return []
             name, exprs = spec.skolem
@@ -275,7 +280,7 @@ class _Builder:
         return [node]
 
     def _build_leaf(self, spec: CLeaf, rows: List[Row]) -> List[object]:
-        row = self._representative(rows, spec)
+        row = self._representative(rows)
         if row is None:
             return []
         value = spec.expr.evaluate(row, self._functions)
@@ -300,7 +305,7 @@ class _Builder:
         return [DataNode(spec.label, atom=value)]
 
     def _build_value(self, spec: CValue, rows: List[Row]) -> List[object]:
-        row = self._representative(rows, spec)
+        row = self._representative(rows)
         if row is None:
             return []
         value = spec.expr.evaluate(row, self._functions)
@@ -337,7 +342,10 @@ class _Builder:
     def _build_iterate(self, spec: CIterate, rows: List[Row]) -> List[object]:
         selected = rows
         if spec.distinct:
-            relevant = spec.child.variables()
+            try:
+                relevant = spec._child_variables_memo
+            except AttributeError:
+                relevant = spec._child_variables_memo = spec.child.variables()
             seen = set()
             selected = []
             for row in rows:
@@ -387,7 +395,7 @@ class _Builder:
         return result
 
     def _build_ref(self, spec: CRef, rows: List[Row]) -> List[object]:
-        row = self._representative(rows, spec)
+        row = self._representative(rows)
         if row is None:
             return []
         args = tuple(expr.evaluate(row, self._functions) for expr in spec.args)

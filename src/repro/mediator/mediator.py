@@ -311,23 +311,20 @@ class Mediator:
         )
 
     def plan_query(
-        self,
-        query: YatlQuery,
-        optimize: bool = True,
-        rounds: Sequence[int] = (1, 2, 3),
+        self, query: YatlQuery, optimize: bool = True
     ) -> Tuple[Plan, Plan, RewriteTrace]:
-        """(naive plan, optimized plan, trace) for a parsed query.
+        """(naive plan, optimized plan, trace) for a parsed query, planned
+        with all three rewrite rounds.
 
         With the plan cache on, both plans are the cached parametric ones
         bound to *query*'s constants (:class:`BoundPlan`), which
         :meth:`execute` runs as they are.
         """
+        rounds = (1, 2, 3)
         if self.plan_cache is None:
-            return self._plan_fresh(query, optimize, tuple(rounds))
+            return self._plan_fresh(query, optimize, rounds)
         normalized = normalize_query(query)
-        entry, _cached = self._plan_normalized(
-            normalized, optimize, tuple(rounds)
-        )
+        entry, _cached = self._plan_normalized(normalized, optimize, rounds)
         params = normalized.values
         return (
             BoundPlan(entry.naive, params),
@@ -546,9 +543,7 @@ class Mediator:
         analyze: bool = False,
         optimize: bool = True,
         rounds: Sequence[int] = (1, 2, 3),
-        policy: Optional[ResiliencePolicy] = None,
         execution: Optional[ExecutionPolicy] = None,
-        tracer=None,
     ):
         """EXPLAIN (plan only) or EXPLAIN ANALYZE (plan + actuals) *text*.
 
@@ -557,10 +552,10 @@ class Mediator:
         ``render()`` / ``str()`` shows the optimized plan annotated with
         the pushdown decisions (which fragments run natively, and the
         native OQL / SQL / Wais text).  With ``analyze=True`` the plan is
-        also executed under a tracer (a fresh one unless *tracer* is
-        given) and every node is annotated with its actuals — number of
-        evaluations, rows produced, inclusive wall time, source calls
-        and bytes.
+        also executed, under the mediator's own resilience policy and a
+        fresh tracer, and every node is annotated with its actuals —
+        number of evaluations, rows produced, inclusive wall time, source
+        calls and bytes.
 
         Every mediator-side Bind node is annotated ``bind: scan``: the
         scan kernel (:func:`~repro.core.algebra.engine.bind_engine`)
@@ -580,9 +575,9 @@ class Mediator:
         )
         rounds = tuple(rounds)
         params = normalized.values if normalized is not None else ()
-        if analyze and tracer is None:
-            tracer = Tracer()
-        context = RequestContext(params=params, tracer=tracer)
+        context = RequestContext(
+            params=params, tracer=Tracer() if analyze else None
+        )
         report = None
         result_cached = False
         with activate_context(context):
@@ -590,7 +585,7 @@ class Mediator:
             if analyze:
                 report, result_cached = self._execute_maybe_cached(
                     optimized, normalized, optimize, rounds,
-                    policy=policy, execution=execution, context=context,
+                    policy=None, execution=execution, context=context,
                 )
             elif self.result_cache is not None and normalized is not None:
                 # Non-mutating peek: would this query serve from cache?

@@ -80,12 +80,14 @@ class PlanCache:
 
     __slots__ = ("capacity", "_entries", "_texts")
 
-    def __init__(self, capacity: int = 128, text_capacity: int = 512) -> None:
+    def __init__(self, capacity: int = 128) -> None:
         if capacity < 1:
             raise ValueError("plan cache capacity must be at least 1")
         self.capacity = capacity
         self._entries = Memo(capacity)
-        self._texts = Memo(max(text_capacity, capacity))
+        # Many texts share one shape, so the parse memo holds more texts
+        # than the plan memo holds shapes.
+        self._texts = Memo(max(512, capacity))
 
     def __len__(self) -> int:
         return len(self._entries)

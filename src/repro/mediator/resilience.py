@@ -206,11 +206,7 @@ class ResiliencePolicy:
     @classmethod
     def default(cls, **overrides) -> "ResiliencePolicy":
         """Retrying defaults: 3 attempts, breaker at 5 consecutive failures."""
-        settings = dict(
-            retry=RetryPolicy(),
-            circuit_failure_threshold=5,
-            circuit_recovery_time=30.0,
-        )
+        settings = dict(retry=RetryPolicy())
         settings.update(overrides)
         return cls(**settings)
 

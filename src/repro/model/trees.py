@@ -231,19 +231,14 @@ class DataNode:
 # Constructors
 # ---------------------------------------------------------------------------
 
-def elem(
-    label: str,
-    *children: DataNode,
-    ident: Optional[str] = None,
-    collection: Optional[str] = None,
-) -> DataNode:
+def elem(label: str, *children: DataNode, ident: Optional[str] = None) -> DataNode:
     """Build an element node.
 
     >>> work = elem("work", atom_leaf("title", "Nympheas"))
     >>> work.child("title").atom
     'Nympheas'
     """
-    return DataNode(label, children=children, ident=ident, collection=collection)
+    return DataNode(label, children=children, ident=ident)
 
 
 def atom_leaf(label: str, value: Atom) -> DataNode:

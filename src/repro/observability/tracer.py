@@ -139,16 +139,9 @@ class Tracer:
         stack = self._stack()
         return stack[-1] if stack else None
 
-    def start(
-        self,
-        name: str,
-        kind: str = "span",
-        parent: Optional[Span] = None,
-        **attrs: object,
-    ) -> Span:
-        """Open a span (child of *parent* or of the thread's current span)."""
-        if parent is None:
-            parent = self.current()
+    def start(self, name: str, kind: str = "span", **attrs: object) -> Span:
+        """Open a span, a child of the thread's current span."""
+        parent = self.current()
         with self._lock:
             span_id = self._next_id
             self._next_id += 1

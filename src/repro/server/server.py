@@ -20,16 +20,22 @@ Overload robustness is the design center:
 * **per-tenant quotas** — token buckets reject over-quota tenants with
   :class:`~repro.errors.QuotaExceededError` before they touch the queue;
 * **deadlines** — a per-request time budget becomes an absolute deadline
-  carried by the request context and enforced by the existing
-  :class:`~repro.mediator.resilience.PolicyRuntime` machinery (and
-  checked again when a worker picks the request up: a request that
-  expired while queued fails without executing);
+  on ``time.monotonic`` carried by the request context and enforced by
+  the existing :class:`~repro.mediator.resilience.PolicyRuntime`
+  machinery (and checked again when a worker picks the request up: a
+  request that expired while queued fails without executing);
 * **graceful drain** — :meth:`MediatorServer.drain` stops admission and
   lets in-flight work finish, so shutdown loses nothing it accepted.
 
 Every rejection happens on the submitting caller's thread in constant
 time and carries a ``retry_after`` hint, so clients back off instead of
 hammering a server that is already busy.
+
+How an admitted query executes is the mediator's, stated once on it:
+the server reads ``mediator.execution`` (the ceiling of a per-request
+override, and the parallelism a ticket's fan-out report compares with)
+and ``mediator.policy`` (the base of a forced degradation), and
+otherwise passes ``None`` so the mediator's own defaults apply.
 """
 
 from __future__ import annotations
@@ -37,7 +43,7 @@ from __future__ import annotations
 import threading
 import time
 from collections import deque
-from typing import Callable, Dict, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.errors import (
     OverloadedError,
@@ -56,7 +62,10 @@ from repro.server.admission import (
 
 
 class ServerConfig:
-    """Immutable configuration of a :class:`MediatorServer`.
+    """Immutable configuration of a :class:`MediatorServer`: its workers,
+    admission tiers, quotas and metrics.  How an admitted query executes
+    is not configured here: the server reads the mediator's own
+    ``execution`` and ``policy`` defaults.
 
     ``degrade_depth`` and ``shed_depth`` default to half and
     three-quarters of ``queue_limit``: degradation starts when the queue
@@ -68,8 +77,7 @@ class ServerConfig:
     """
 
     __slots__ = ("workers", "queue_limit", "degrade_depth", "shed_depth",
-                 "default_deadline", "quotas", "default_quota", "policy",
-                 "execution", "metrics", "clock")
+                 "quotas", "default_quota", "metrics")
 
     def __init__(
         self,
@@ -77,13 +85,9 @@ class ServerConfig:
         queue_limit: int = 64,
         degrade_depth: Optional[int] = None,
         shed_depth: Optional[int] = None,
-        default_deadline: Optional[float] = None,
         quotas: Optional[Dict[str, Tuple[float, float]]] = None,
         default_quota: Optional[Tuple[float, float]] = None,
-        policy: Optional[ResiliencePolicy] = None,
-        execution: Optional[ExecutionPolicy] = None,
         metrics=None,
-        clock: Callable[[], float] = time.monotonic,
     ) -> None:
         if workers < 1:
             raise ValueError("a server needs at least one worker")
@@ -97,19 +101,11 @@ class ServerConfig:
         self.shed_depth = (
             shed_depth if shed_depth is not None else (queue_limit * 3) // 4
         )
-        #: Default per-request time budget (seconds); ``None`` = none.
-        self.default_deadline = default_deadline
         self.quotas = dict(quotas or {})
         self.default_quota = default_quota
-        #: Resilience policy for admitted queries (``None`` defers to the
-        #: mediator's own default).
-        self.policy = policy
-        #: Execution policy for admitted queries (``None`` defers).
-        self.execution = execution
         #: Optional :class:`~repro.observability.metrics.MetricsRegistry`
         #: receiving live ``yat_server_*`` series.
         self.metrics = metrics
-        self.clock = clock
 
 
 def _degraded_variant(policy: Optional[ResiliencePolicy]) -> ResiliencePolicy:
@@ -117,22 +113,16 @@ def _degraded_variant(policy: Optional[ResiliencePolicy]) -> ResiliencePolicy:
 
     An absent base policy degrades to the minimal policy — no retries,
     no breaker tuning changes — because without a policy there is no
-    runtime to drop branches with.
+    runtime to drop branches with.  Every other field is the base's own,
+    copied slot by slot.
     """
     if policy is None:
         return ResiliencePolicy(allow_partial_results=True)
     if policy.allow_partial_results:
         return policy
-    return ResiliencePolicy(
-        retry=policy.retry,
-        circuit_failure_threshold=policy.circuit_failure_threshold,
-        circuit_recovery_time=policy.circuit_recovery_time,
-        call_timeout=policy.call_timeout,
-        query_deadline=policy.query_deadline,
-        allow_partial_results=True,
-        clock=policy.clock,
-        sleep=policy.sleep,
-    )
+    fields = {name: getattr(policy, name) for name in policy.__slots__}
+    fields["allow_partial_results"] = True
+    return ResiliencePolicy(**fields)
 
 
 class Ticket:
@@ -165,7 +155,7 @@ class Ticket:
         #: True when shedding flipped this request into degraded mode.
         self.degrade = degrade
         #: Per-request :class:`ExecutionPolicy` override (``None`` defers
-        #: to the server's configured policy).
+        #: to the mediator's own).
         self.execution = execution
         #: Largest scatter fan-out a sharded source of this mediator can
         #: produce (0 when nothing is sharded).
@@ -213,7 +203,6 @@ class MediatorServer:
     def __init__(self, mediator, config: Optional[ServerConfig] = None) -> None:
         self.mediator = mediator
         self.config = config if config is not None else ServerConfig()
-        self._clock = self.config.clock
         self._lock = threading.Lock()
         self._work = threading.Condition(self._lock)
         #: One FIFO per priority; workers pop ``high`` before ``normal``
@@ -237,11 +226,6 @@ class MediatorServer:
             "degraded_forced": 0,
             "result_cache_hits": 0,
         }
-        self._degraded_policy = _degraded_variant(
-            self.config.policy
-            if self.config.policy is not None
-            else getattr(mediator, "policy", None)
-        )
         self._init_metrics(self.config.metrics)
         self._workers = [
             threading.Thread(
@@ -303,15 +287,15 @@ class MediatorServer:
     ) -> Ticket:
         """Admit one YATL query; returns a :class:`Ticket` or raises.
 
-        *deadline* is a relative time budget in seconds (defaulting to
-        the server's ``default_deadline``); it bounds queueing *and*
-        execution.  *tracer* records the request's execution: like the
-        deadline, it is put on the request's context once, here.
-        *execution* overrides the server's configured
+        *deadline* is a relative time budget in seconds (``None``: no
+        budget); it bounds queueing *and* execution.  *tracer* records
+        the request's execution: like the deadline, it is put on the
+        request's context once, here.
+        *execution* overrides the mediator's own
         :class:`ExecutionPolicy` for this one request — a client can run
         the ``serial()`` oracle for a differential check — but it must
         not claim more parallel workers than the
-        server's own policy grants (``ValueError`` otherwise, decided at
+        mediator's policy grants (``ValueError`` otherwise, decided at
         submission so the caller finds out immediately, not through the
         ticket).  When the mediator serves sharded sources, the ticket
         additionally reports the largest possible scatter fan-out and
@@ -328,15 +312,15 @@ class MediatorServer:
             raise ValueError(
                 f"unknown priority {priority!r}; expected one of {PRIORITIES}"
             )
-        if execution is not None and self.config.execution is not None:
-            ceiling = self.config.execution.parallelism
-            if execution.parallelism > ceiling:
+        granted = self.mediator.execution
+        if execution is not None and granted is not None:
+            if execution.parallelism > granted.parallelism:
                 raise ValueError(
                     f"per-request execution override asks for parallelism "
-                    f"{execution.parallelism}, above the server's "
-                    f"configured {ceiling}"
+                    f"{execution.parallelism}, above the mediator's "
+                    f"{granted.parallelism}"
                 )
-        now = self._clock()
+        now = time.monotonic()
         config = self.config
         with self._lock:
             self.counters["submitted"] += 1
@@ -375,9 +359,8 @@ class MediatorServer:
             if depth >= config.degrade_depth and priority == "low":
                 degrade = True
                 self.counters["degraded_forced"] += 1
-            budget = deadline if deadline is not None else config.default_deadline
-            absolute = now + budget if budget is not None else None
-            effective = execution if execution is not None else config.execution
+            absolute = now + deadline if deadline is not None else None
+            effective = execution if execution is not None else granted
             catalog = getattr(self.mediator, "catalog", None)
             topologies = getattr(
                 catalog, "shard_topologies", lambda: {}
@@ -439,7 +422,7 @@ class MediatorServer:
                     self._work.notify_all()
 
     def _execute(self, ticket: Ticket) -> None:
-        now = self._clock()
+        now = time.monotonic()
         ticket.started_at = now
         queued = now - ticket.submitted_at
         if ticket.deadline is not None and now > ticket.deadline:
@@ -455,28 +438,26 @@ class MediatorServer:
                     f"request {ticket.request_id} spent {queued:.3f}s in the "
                     f"admission queue, past its {budget:.3f}s deadline"
                 ),
-                self._clock(),
+                time.monotonic(),
             )
             return
-        policy = self.config.policy
-        if ticket.degrade:
-            policy = self._degraded_policy
+        # ``None`` defers to the mediator's own policy; a forced
+        # degradation is that policy with partial results allowed.
+        policy = (
+            _degraded_variant(self.mediator.policy) if ticket.degrade else None
+        )
         result = None
         error: Optional[BaseException] = None
         try:
             result = self.mediator.query(
                 ticket.text,
                 policy=policy,
-                execution=(
-                    ticket.execution
-                    if ticket.execution is not None
-                    else self.config.execution
-                ),
+                execution=ticket.execution,
                 context=ticket.context,
             )
         except BaseException as exc:  # delivered through Ticket.result
             error = exc
-        completed = self._clock()
+        completed = time.monotonic()
         if result is not None:
             result.admission = AdmissionOutcome(
                 request_id=ticket.request_id,

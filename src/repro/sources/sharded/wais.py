@@ -69,7 +69,6 @@ def shard_major_store(shards: Sequence[WaisStore]) -> WaisStore:
 def build_sharded_wais(
     logical: str,
     stores: Sequence[WaisStore],
-    document_name: str = "artworks",
     replicas: int = 1,
     wrap: Optional[Callable[[WaisWrapper, int, int], object]] = None,
 ):
@@ -87,7 +86,7 @@ def build_sharded_wais(
         name = shard_name(logical, index)
         members = []
         for replica in range(max(1, replicas)):
-            wrapper: object = WaisWrapper(name, store, document_name=document_name)
+            wrapper: object = WaisWrapper(name, store)
             if wrap is not None:
                 wrapper = wrap(wrapper, index, replica)
             members.append(wrapper)

@@ -13,7 +13,7 @@ underlying store.  All query capability lives in
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Tuple
 
 from repro.model.trees import DataNode
 from repro.model.xml_io import xml_to_tree
@@ -29,10 +29,8 @@ class StoredXmlSource:
     RAM).
     """
 
-    def __init__(
-        self, path: str = ":memory:", store: Optional[DocumentStore] = None
-    ) -> None:
-        self.store = store if store is not None else DocumentStore(path)
+    def __init__(self, path: str = ":memory:") -> None:
+        self.store = DocumentStore(path)
 
     # -- ingest -------------------------------------------------------------
 

@@ -83,8 +83,8 @@ class VirtualClock:
     functions a :class:`~repro.mediator.resilience.ResiliencePolicy`
     takes."""
 
-    def __init__(self, start: float = 0.0) -> None:
-        self.now = float(start)
+    def __init__(self) -> None:
+        self.now = 0.0
 
     def time(self) -> float:
         return self.now
@@ -110,9 +110,6 @@ class FaultSchedule:
         self._windows: Dict[str, List[Tuple[int, Optional[int], Fault]]] = {}
         self._seed: Optional[int] = None
         self._fault_rate = 0.0
-        self._permanent_rate = 0.0
-        self._max_latency = 0.0
-        self._seeded_operations: Tuple[str, ...] = OPERATIONS
 
     # -- builders -----------------------------------------------------------------
 
@@ -126,13 +123,10 @@ class FaultSchedule:
         )
         return self
 
-    def fail_forever(
-        self, operation: str = "document", after: int = 0
-    ) -> "FaultSchedule":
-        """Fail every call to *operation* from call index *after* on —
-        a permanently dead operation."""
+    def fail_forever(self, operation: str = "document") -> "FaultSchedule":
+        """Fail every call to *operation* — a permanently dead operation."""
         self._windows.setdefault(operation, []).append(
-            (after, None, Fault(PERMANENT))
+            (0, None, Fault(PERMANENT))
         )
         return self
 
@@ -155,36 +149,25 @@ class FaultSchedule:
         return self
 
     @classmethod
-    def seeded(
-        cls,
-        seed: int,
-        fault_rate: float = 0.3,
-        permanent_rate: float = 0.0,
-        max_latency: float = 0.0,
-        operations: Tuple[str, ...] = OPERATIONS,
-    ) -> "FaultSchedule":
+    def seeded(cls, seed: int, fault_rate: float = 0.3) -> "FaultSchedule":
         """A pseudo-random schedule fully determined by *seed*.
 
-        Each ``(operation, call index)`` pair independently draws: with
-        probability *fault_rate* a fault, which is permanent with
-        probability *permanent_rate*, else transient; latency (when
-        *max_latency* > 0) is a deterministic fraction of it.
+        Each ``(operation, call index)`` pair of every operation
+        independently draws a transient fault with probability
+        *fault_rate*.
         """
         schedule = cls()
         schedule._seed = seed
         schedule._fault_rate = fault_rate
-        schedule._permanent_rate = permanent_rate
-        schedule._max_latency = max_latency
-        schedule._seeded_operations = tuple(operations)
         return schedule
 
     # -- decisions ----------------------------------------------------------------
 
     @staticmethod
-    def _draw(seed: int, operation: str, index: int, what: str) -> float:
+    def _draw(seed: int, operation: str, index: int) -> float:
         """Deterministic uniform [0, 1) from a hash — no global RNG state."""
         digest = hashlib.sha256(
-            f"{seed}:{operation}:{index}:{what}".encode()
+            f"{seed}:{operation}:{index}:fault".encode()
         ).digest()
         return int.from_bytes(digest[:8], "big") / 2**64
 
@@ -194,25 +177,10 @@ class FaultSchedule:
         for first, last, fault in self._windows.get(operation, ()):
             if index >= first and (last is None or index <= last):
                 return fault
-        if self._seed is not None and operation in self._seeded_operations:
-            if self._draw(self._seed, operation, index, "fault") < self._fault_rate:
-                permanent = (
-                    self._draw(self._seed, operation, index, "kind")
-                    < self._permanent_rate
-                )
-                latency = (
-                    self._draw(self._seed, operation, index, "latency")
-                    * self._max_latency
-                )
-                return Fault(PERMANENT if permanent else TRANSIENT, latency)
-            if self._max_latency and self._draw(
-                self._seed, operation, index, "slow"
-            ) < self._fault_rate:
-                return Fault(
-                    LATENCY,
-                    self._draw(self._seed, operation, index, "latency")
-                    * self._max_latency,
-                )
+        if self._seed is not None and (
+            self._draw(self._seed, operation, index) < self._fault_rate
+        ):
+            return Fault(TRANSIENT)
         return None
 
 

@@ -43,13 +43,13 @@ from repro.wrappers.base import (
 _SQL_OPS = {"=": "=", "!=": "<>", "<": "<", "<=": "<=", ">": ">", ">=": ">="}
 
 
-def sql_fmodel(model_name: str = "sqlfmodel") -> FModel:
-    """Filter restrictions for a relational source.
+def sql_fmodel() -> FModel:
+    """Filter restrictions for a relational source, the ``sqlfmodel``.
 
     Rows can be bound as trees; columns must be named (ground) and bind
     only their values; the row star stays a star (no positional access).
     """
-    model = FModel(model_name)
+    model = FModel("sqlfmodel")
     model.define(
         "Frow",
         fnode(
@@ -70,7 +70,7 @@ def sql_fmodel(model_name: str = "sqlfmodel") -> FModel:
         "Frows",
         fnode(
             "rows",
-            fstar(fref(model_name, "Frow"), inst="none"),
+            fstar(fref("sqlfmodel", "Frow"), inst="none"),
             bind="none",
             inst="ground",
         ),

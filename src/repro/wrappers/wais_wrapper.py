@@ -45,22 +45,18 @@ from repro.wrappers.base import PushedFragment, Wrapper, outer_constant
 
 #: Name of the structural model exported by the wrapper (Figure 3).
 STRUCTURE_MODEL = "Artworks_Structure"
+#: The one document the wrapper exports, and the fields its ``work``
+#: pattern declares mandatory (Figure 3).
+DOCUMENT_NAME = "artworks"
+MANDATORY_FIELDS = ("artist", "title", "style", "size")
 
 
 class WaisWrapper(Wrapper):
     """Wraps one :class:`WaisStore` as a YAT source."""
 
-    def __init__(
-        self,
-        name: str,
-        store: WaisStore,
-        document_name: str = "artworks",
-        mandatory_fields: Tuple[str, ...] = ("artist", "title", "style", "size"),
-    ) -> None:
+    def __init__(self, name: str, store: WaisStore) -> None:
         super().__init__(name)
         self._store = store
-        self._document_name = document_name
-        self._mandatory_fields = mandatory_fields
 
     # -- capability export ------------------------------------------------------
 
@@ -68,7 +64,7 @@ class WaisWrapper(Wrapper):
         interface = SourceInterface(self.name)
         library = PatternLibrary(STRUCTURE_MODEL)
         work_children = [
-            PNode(field, [PAtomic("String")]) for field in self._mandatory_fields
+            PNode(field, [PAtomic("String")]) for field in MANDATORY_FIELDS
         ]
         work_children.append(PStar(PAny()))
         library.define("work", PNode("work", work_children))
@@ -77,7 +73,7 @@ class WaisWrapper(Wrapper):
         )
         interface.add_structure(library)
         interface.add_fmodel(wais_fmodel(STRUCTURE_MODEL))
-        interface.add_document(self._document_name, STRUCTURE_MODEL, "works")
+        interface.add_document(DOCUMENT_NAME, STRUCTURE_MODEL, "works")
         interface.add_operation(
             OperationDecl(
                 "bind",
@@ -133,7 +129,7 @@ class WaisWrapper(Wrapper):
     # -- SourceAdapter ------------------------------------------------------------
 
     def document_names(self) -> Tuple[str, ...]:
-        return (self._document_name,)
+        return (DOCUMENT_NAME,)
 
     def data_version(self) -> int:
         return self._store.version
@@ -142,7 +138,7 @@ class WaisWrapper(Wrapper):
         return len(self._store) > 0
 
     def build_document(self, name: str) -> DataNode:
-        if name != self._document_name:
+        if name != DOCUMENT_NAME:
             raise SourceError(f"Wais source exports no document {name!r}")
         return self._store.collection_tree()
 

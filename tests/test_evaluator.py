@@ -27,6 +27,7 @@ from repro.core.algebra.tab import Row, Tab
 from repro.core.algebra.tree import CElem, CIterate, CLeaf
 from repro.model.filters import FStar, FVar, felem
 from repro.model.trees import atom_leaf, elem, ref
+from repro.testing import FaultSchedule, FaultyWrapper, InjectedFaultError
 
 
 class FakeSource(SourceAdapter):
@@ -235,3 +236,42 @@ class TestPushed:
         evaluate(plan, env)
         _plan, outer = source.pushed_plans[-1]
         assert outer["k"] == 7
+
+
+class CountingSource(FakeSource):
+    """A :class:`FakeSource` that counts the documents it hands out."""
+
+    def __init__(self, documents):
+        super().__init__(documents)
+        self.calls = 0
+
+    def document(self, name):
+        self.calls += 1
+        return super().document(name)
+
+
+class TestSerialShortCircuit:
+    """Under the default (serial) policy a failing input ends its
+    operator before a sibling input is evaluated at all."""
+
+    @pytest.fixture
+    def sources(self):
+        dead = FakeSource({"a": elem("a")})
+        dead.name = "dead"
+        live = CountingSource({"a": elem("a"), "b": elem("b")})
+        faulty = FaultyWrapper(dead, FaultSchedule().dead_source())
+        return {"dead": faulty, "live": live}, live
+
+    def test_a_failing_join_input_leaves_the_right_unread(self, sources):
+        adapters, live = sources
+        plan = JoinOp(SourceOp("dead", "a"), SourceOp("live", "b"), Const(True))
+        with pytest.raises(InjectedFaultError):
+            evaluate(plan, Environment(adapters))
+        assert live.calls == 0
+
+    def test_a_fail_fast_union_leaves_its_second_branch_unread(self, sources):
+        adapters, live = sources
+        plan = UnionOp(SourceOp("dead", "a"), SourceOp("live", "a"))
+        with pytest.raises(InjectedFaultError):
+            evaluate(plan, Environment(adapters))
+        assert live.calls == 0

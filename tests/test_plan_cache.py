@@ -388,7 +388,7 @@ class TestParametricPlans:
 
     @pytest.mark.usefixtures("deadlock_guard")
     def test_concurrent_vectors_share_one_plan_per_shape(self, sources):
-        mediator = federation(sources)
+        mediator = federation(sources, execution=ExecutionPolicy(parallelism=2))
         oracle = federation(sources, plan_cache_size=0)
         q2s = [
             Q2.replace("Impressionist", style).replace("2000000.0", price)
@@ -402,10 +402,7 @@ class TestParametricPlans:
         previous = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:
-            config = ServerConfig(
-                workers=2, execution=ExecutionPolicy(parallelism=2)
-            )
-            with MediatorServer(mediator, config) as server:
+            with MediatorServer(mediator, ServerConfig(workers=2)) as server:
                 tickets = [(text, server.submit(text)) for text in texts]
                 answers = [
                     (text, answer(ticket.result(timeout=30)))

@@ -48,8 +48,9 @@ from repro.observability.context import (
     current_tracer,
 )
 from repro.server import ServiceEstimator, TokenBucket
+from repro.server.server import _degraded_variant
 from repro.server.workload import zipf_weights
-from repro.testing import FaultSchedule, FaultyWrapper
+from repro.testing import FaultSchedule, FaultyWrapper, VirtualClock
 
 from tests.conftest import build_mediator
 from tests.test_sharding import build_pair, dead_primary
@@ -111,7 +112,10 @@ class TestWorkloadHelpers:
 class BlockingMediator:
     """A fake mediator whose queries block until released."""
 
-    def __init__(self):
+    def __init__(self, execution=None):
+        #: The defaults the server reads instead of restating them.
+        self.execution = execution
+        self.policy = None
         self.release = threading.Event()
         self.contexts = []
         self.policies = []
@@ -195,6 +199,26 @@ class TestAdmission:
         ]
         assert degraded_policy is not None
         assert degraded_policy.allow_partial_results
+
+    def test_degraded_policy_is_its_base_with_partial_results(self):
+        clock = VirtualClock()
+        base = ResiliencePolicy(
+            retry=RetryPolicy(max_attempts=7),
+            circuit_failure_threshold=9,
+            circuit_recovery_time=1.5,
+            call_timeout=0.25,
+            query_deadline=3.0,
+            clock=clock.time,
+            sleep=clock.sleep,
+        )
+        default = ResiliencePolicy()
+        others = [n for n in base.__slots__ if n != "allow_partial_results"]
+        # The base sets every field off its default, so a field the
+        # derivation dropped would show.
+        assert all(getattr(base, n) != getattr(default, n) for n in others)
+        degraded = _degraded_variant(base)
+        assert degraded.allow_partial_results
+        assert all(getattr(degraded, n) is getattr(base, n) for n in others)
 
     def test_rejection_is_fast_and_carries_retry_after(self):
         mediator, server, _ = self._saturated(queue_limit=2, shed_depth=2,
@@ -298,26 +322,21 @@ class TestAdmission:
 @pytest.mark.usefixtures("deadlock_guard")
 class TestExecutionOverride:
     def test_override_reaches_the_mediator(self):
-        mediator = BlockingMediator()
+        mediator = BlockingMediator(ExecutionPolicy(parallelism=2))
         mediator.release.set()
-        config = ServerConfig(
-            workers=1, execution=ExecutionPolicy(parallelism=2)
-        )
-        with MediatorServer(mediator, config) as server:
+        with MediatorServer(mediator, ServerConfig(workers=1)) as server:
             serial = ExecutionPolicy.serial()
             server.submit("q", execution=serial).result(5)
             server.submit("q2").result(5)
         assert mediator.executions[0] is serial
-        # Without an override the server's configured policy applies.
-        assert mediator.executions[1] is config.execution
+        # Without an override the server passes None, and the mediator's
+        # own default applies.
+        assert mediator.executions[1] is None
 
     def test_override_above_server_parallelism_is_rejected(self):
-        mediator = BlockingMediator()
+        mediator = BlockingMediator(ExecutionPolicy(parallelism=2))
         mediator.release.set()
-        config = ServerConfig(
-            workers=1, execution=ExecutionPolicy(parallelism=2)
-        )
-        with MediatorServer(mediator, config) as server:
+        with MediatorServer(mediator, ServerConfig(workers=1)) as server:
             with pytest.raises(ValueError) as caught:
                 server.submit("q", execution=ExecutionPolicy(parallelism=8))
             assert "parallelism" in str(caught.value)
@@ -339,11 +358,10 @@ class TestExecutionOverride:
     def test_serial_override_matches_default_answers(self, cultural_sources):
         reference = build_mediator(*cultural_sources)
         expected = tree_to_xml(reference.query(Q1).document())
-        mediator = _server_mediator(cultural_sources)
-        config = ServerConfig(
-            workers=2, execution=ExecutionPolicy(parallelism=2)
+        mediator = _server_mediator(
+            cultural_sources, execution=ExecutionPolicy(parallelism=2)
         )
-        with MediatorServer(mediator, config) as server:
+        with MediatorServer(mediator, ServerConfig(workers=2)) as server:
             vectorized = server.submit(Q1)
             serial = server.submit(Q1, execution=ExecutionPolicy.serial())
             assert tree_to_xml(vectorized.result(30).document()) == expected
@@ -354,9 +372,9 @@ class TestExecutionOverride:
 # real federation: shared caches, isolated requests
 
 
-def _server_mediator(sources):
+def _server_mediator(sources, execution=None):
     database, store = sources
-    mediator = Mediator(plan_cache_size=64)
+    mediator = Mediator(execution=execution, plan_cache_size=64)
     mediator.connect(O2Wrapper("o2artifact", database))
     mediator.connect(WaisWrapper("xmlartwork", store))
     mediator.declare_containment("artworks", "artifacts")
@@ -402,7 +420,11 @@ class TestConcurrentServing:
             tree_to_xml(reference_mediator.query(text).document())
             for text in SOAK_QUERIES
         ]
-        mediator = Mediator(plan_cache_size=64)
+        policy = ResiliencePolicy(
+            retry=RetryPolicy(max_attempts=4, base_delay=0.0, jitter=0.0),
+            circuit_failure_threshold=1000,
+        )
+        mediator = Mediator(policy=policy, plan_cache_size=64)
         mediator.connect(O2Wrapper("o2artifact", database))
         faulty = FaultyWrapper(
             WaisWrapper("xmlartwork", store),
@@ -411,12 +433,7 @@ class TestConcurrentServing:
         mediator.connect(faulty)
         mediator.declare_containment("artworks", "artifacts")
         mediator.load_program(VIEW1_YAT)
-        policy = ResiliencePolicy(
-            retry=RetryPolicy(max_attempts=4, base_delay=0.0, jitter=0.0),
-            circuit_failure_threshold=1000,
-        )
-        config = ServerConfig(workers=4, policy=policy)
-        with MediatorServer(mediator, config) as server:
+        with MediatorServer(mediator, ServerConfig(workers=4)) as server:
             tickets = [
                 (i % len(SOAK_QUERIES),
                  server.submit(SOAK_QUERIES[i % len(SOAK_QUERIES)]))

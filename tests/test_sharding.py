@@ -749,11 +749,11 @@ class TestReplicaFailover:
 # ---------------------------------------------------------------------------
 
 class TestServerShardFanout:
-    def build_server_mediator(self):
+    def build_server_mediator(self, execution=None):
         database, store = CulturalDataset(n_artifacts=16, seed=7).build()
         partition = HashPartition("artist", 4)
         stores = shard_wais_store(store, partition)
-        mediator = Mediator()
+        mediator = Mediator(execution=execution)
         mediator.connect(O2Wrapper("o2artifact", database))
         mediator.connect_sharded(
             "xmlartwork", build_sharded_wais("xmlartwork", stores), partition
@@ -763,11 +763,8 @@ class TestServerShardFanout:
         return mediator
 
     def test_ticket_reports_fanout_and_capping(self):
-        mediator = self.build_server_mediator()
-        config = ServerConfig(
-            workers=1, execution=ExecutionPolicy(parallelism=2)
-        )
-        with MediatorServer(mediator, config) as server:
+        mediator = self.build_server_mediator(ExecutionPolicy(parallelism=2))
+        with MediatorServer(mediator, ServerConfig(workers=1)) as server:
             capped = server.submit(Q1)
             assert capped.shard_fanout == 4 and capped.fanout_capped
             capped.result(timeout=60)
@@ -777,14 +774,24 @@ class TestServerShardFanout:
             wide.result(timeout=60)
 
     def test_uncapped_when_parallelism_covers_the_fanout(self):
-        mediator = self.build_server_mediator()
-        config = ServerConfig(
-            workers=1, execution=ExecutionPolicy(parallelism=8)
-        )
-        with MediatorServer(mediator, config) as server:
+        mediator = self.build_server_mediator(ExecutionPolicy(parallelism=8))
+        with MediatorServer(mediator, ServerConfig(workers=1)) as server:
             ticket = server.submit(Q1)
             assert ticket.shard_fanout == 4 and not ticket.fanout_capped
             ticket.result(timeout=60)
+
+    def test_the_mediators_execution_sets_the_report_and_the_ceiling(self):
+        # The server restates no execution default: the fan-out report
+        # and the override ceiling both read the mediator's own.
+        mediator = self.build_server_mediator(ExecutionPolicy(parallelism=8))
+        with MediatorServer(mediator, ServerConfig(workers=1)) as server:
+            ticket = server.submit(Q1)
+            report = ticket.result(timeout=60).report
+            assert report.stats.parallel_branches == 4
+            assert ticket.shard_fanout == 4 and not ticket.fanout_capped
+            with pytest.raises(ValueError, match="parallelism 16"):
+                server.submit(Q1, execution=ExecutionPolicy(parallelism=16))
+            assert server.counters["admitted"] == 1
 
     def test_unsharded_mediator_reports_zero_fanout(self):
         database, store = CulturalDataset(n_artifacts=8, seed=7).build()

@@ -1,8 +1,13 @@
-"""Census of ``src/repro``: which functions no test and no workload runs.
+"""Census of ``src/repro``: which settings no caller passes, and which
+functions no test and no workload runs.
 
-    python tools/census.py [--seconds 3] [-v]
+    python tools/census.py [--seconds 3] [-v] [--settings]
 
-Every ``def`` in ``src/repro`` is listed with ``ast``; a profile hook
+First, statically (``ast`` only; ``--settings`` stops there): every
+defaulted parameter of a public function, method or class that no call
+in ``src``, ``tests``, ``examples`` or ``benchmarks`` passes (see
+:func:`settings`).  Then every ``def`` in ``src/repro`` is listed with
+``ast``; a profile hook
 (``sys.setprofile`` + ``threading.setprofile``) records the
 ``(file, first line)`` of every call, first over ``pytest`` on
 ``tests/``, then over one ``--seconds S --trace 1`` run of each workload
@@ -91,11 +96,124 @@ def table(title: str, rows: dict, verbose: bool) -> None:
         print(f"{path:42} {len(entries):4} {sum(n for _, n in entries):5}  {shown}")
 
 
+def _base_name(expr) -> str:
+    return expr.attr if isinstance(expr, ast.Attribute) else getattr(expr, "id", "")
+
+
+def _settings(method: ast.FunctionDef, skip: int) -> list:
+    """``[(position or None, name)]`` of *method*'s defaulted parameters;
+    keyword-only ones have no position.  *skip* drops ``self``/``cls``."""
+    args = method.args
+    positional = args.posonlyargs + args.args
+    first = len(positional) - len(args.defaults)
+    found = [(index - skip, arg.arg) for index, arg in enumerate(positional)
+             if index >= max(first, skip)]
+    found += [(None, arg.arg) for arg, default in zip(args.kwonlyargs, args.kw_defaults)
+              if default is not None]
+    return found
+
+
+def settings() -> list:
+    """Every defaulted parameter of a public function, method or class of
+    ``src/repro`` that no call in ``src``, ``tests``, ``examples`` or
+    ``benchmarks`` passes, as ``[(file, line, "owner(name=)")]``.
+
+    Static and name-based: a call ``f(...)`` or ``x.f(...)`` passes the
+    keywords and the leading positions it spells to every public def
+    named ``f`` (a class name stands for its ``__init__``, inherited when
+    it has none; ``cls(...)`` for the enclosing class; ``super().f(...)``
+    for the bases' ``f``), and ``*``/``**`` forward every position or
+    keyword.  Fields of ``Node`` subclasses are structure, not settings:
+    ``Node.remade`` passes them all."""
+    classes = {}   # class name -> (base names, {method name: FunctionDef}, file)
+    defs = []      # (file, owner class or None, FunctionDef, skip)
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text())
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+                defs.append((path, None, node, 0))
+            elif isinstance(node, ast.ClassDef):
+                methods = {m.name: m for m in node.body if isinstance(m, ast.FunctionDef)}
+                classes[node.name] = ([_base_name(b) for b in node.bases], methods, path)
+                if node.name.startswith("_"):
+                    continue
+                for name, method in methods.items():
+                    if name.startswith("_") and name != "__init__":
+                        continue
+                    static = any(_base_name(d) == "staticmethod" for d in method.decorator_list)
+                    defs.append((path, node.name, method, 0 if static else 1))
+
+    def ancestors(name):
+        seen, todo = [], [name]
+        while todo:
+            current = todo.pop(0)
+            if current in classes and current not in seen:
+                seen.append(current)
+                todo.extend(classes[current][0])
+        return seen
+
+    def constructor(name):
+        """The class whose ``__init__`` a call to *name* runs."""
+        return next((c for c in ancestors(name) if "__init__" in classes[c][1]), None)
+
+    passed = defaultdict(set)  # (class or None, def name) -> positions and keywords
+    trees = [ROOT / "src", ROOT / "tests", ROOT / "examples", ROOT / "benchmarks"]
+    for path in sorted(p for tree in trees for p in tree.rglob("*.py")):
+        tree = ast.parse(path.read_text())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef):
+                for inner in ast.walk(node):
+                    if isinstance(inner, ast.Call):
+                        inner.enclosing = node.name
+        for call in (n for n in ast.walk(tree) if isinstance(n, ast.Call)):
+            func, targets = call.func, []
+            if isinstance(func, ast.Name) and func.id == "cls":
+                targets = [(constructor(getattr(call, "enclosing", "")), "__init__")]
+            elif (isinstance(func, ast.Attribute) and isinstance(func.value, ast.Call)
+                  and _base_name(func.value.func) == "super"):
+                bases = classes.get(getattr(call, "enclosing", ""), ((),))[0]
+                targets = [(c, func.attr) for b in bases for c in ancestors(b)]
+            elif isinstance(func, (ast.Name, ast.Attribute)):
+                name = _base_name(func)
+                targets = [(None, name)] + [(c, name) for c in classes if name in classes[c][1]]
+                if name in classes:
+                    targets.append((constructor(name), "__init__"))
+            marks = {k.arg for k in call.keywords}
+            if None in marks:
+                marks.add("**")
+            for index, arg in enumerate(call.args):
+                marks.add("*" if isinstance(arg, ast.Starred) else index)
+            for target in targets:
+                passed[target] |= marks
+    structure = {c for c in classes if "Node" in ancestors(c)[1:]}
+    found = []
+    for path, owner, method, skip in defs:
+        if owner in structure and method.name == "__init__":
+            continue
+        marks = passed[(owner, method.name)]
+        label = owner if method.name == "__init__" else (
+            f"{owner}.{method.name}" if owner else method.name)
+        for position, name in _settings(method, skip):
+            if name in marks or "**" in marks or (
+                    position is not None and (position in marks or "*" in marks)):
+                continue
+            found.append((os.path.relpath(path, ROOT), method.lineno, f"{label}({name}=)"))
+    return found
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seconds", default="3")
     parser.add_argument("-v", action="store_true", help="print every name")
+    parser.add_argument("--settings", action="store_true",
+                        help="print only the static settings section (no run)")
     args = parser.parse_args()
+    unset = settings()
+    print(f"== settings no caller passes: {len(unset)}")
+    for path, line, setting in unset:
+        print(f"{path}:{line}  {setting}")
+    if args.settings:
+        return 0
     path = os.pathsep.join([str(ROOT / "src"), str(ROOT)])
     if (os.environ.get("PYTHONHASHSEED"), os.environ.get("PYTHONPATH")) != ("0", path):
         # Fixed string hashes (else the benchmark CLI re-executes itself
