@@ -216,7 +216,7 @@ class Environment:
         self,
         sources: Dict[str, SourceAdapter],
         functions: Optional[Dict[str, Callable]] = None,
-        resilience=None,
+        allow_partial: bool = False,
         policy: Optional[ExecutionPolicy] = None,
         context: Optional[RequestContext] = None,
     ) -> None:
@@ -225,10 +225,10 @@ class Environment:
         #: One registry per evaluation: equal Skolem arguments yield one
         #: identifier across every Tree and Fuse node of the plan.
         self.skolems = SkolemRegistry()
-        #: Optional :class:`~repro.mediator.resilience.PolicyRuntime`;
-        #: when set and permitting partial results, Union branches and
-        #: ident indexes of unavailable sources degrade instead of failing.
-        self.resilience = resilience
+        #: When set (a resilience policy's ``allow_partial_results``),
+        #: Union and Scatter branches and ident indexes of unavailable
+        #: sources degrade instead of failing.
+        self.allow_partial = allow_partial
         #: Execution policy; the default keeps evaluation strictly serial
         #: (parallelism=1) on the optimized engine.
         self.policy = policy if policy is not None else ExecutionPolicy()
@@ -343,9 +343,9 @@ class Environment:
                     try:
                         merged.update(adapter.ident_index())
                     except SourceUnavailableError as error:
-                        if self.resilience is None or not self.resilience.allow_partial:
+                        if not self.allow_partial:
                             raise
-                        self.resilience.record_dropped(
+                        self.stats.record_dropped(
                             name, f"ident index unavailable: {error}"
                         )
                 self._ident_index = merged
@@ -354,27 +354,36 @@ class Environment:
 
 def evaluate(plan: Plan, env: Environment, outer: Optional[Row] = None) -> Tab:
     """Evaluate *plan* to a Tab under *env* (and an optional outer row)."""
-    tab = _evaluate(plan, env, outer)
-    return tab
+    return _evaluate(plan, env, outer)
+
+
+#: Leaves that read no input and process no rows: not counted.
+_UNCOUNTED = (UnitOp, LiteralOp)
 
 
 def _evaluate(plan: Plan, env: Environment, outer: Optional[Row]) -> Tab:
+    """Evaluate one operator and record it: one ``operator_counts``
+    entry and its output rows in ``mediator_rows``."""
     tracer = env.tracer
     if tracer is None:
-        return _dispatch(plan, env, outer)
-    # One span per operator evaluation.  ``node`` keys per-node actuals
-    # for EXPLAIN ANALYZE (the plan object outlives the execution);
-    # ``_eval_source`` / ``_eval_pushed`` annotate the open span with
-    # transfer details while it is current on this thread.
-    with tracer.start(
-        plan.describe(),
-        kind="operator",
-        operator=plan.operator_name(),
-        node=id(plan),
-    ) as span:
         tab = _dispatch(plan, env, outer)
-        span.annotate(rows=len(tab))
-        return tab
+    else:
+        # One span per operator evaluation.  ``node`` keys per-node
+        # actuals for EXPLAIN ANALYZE (the plan object outlives the
+        # execution); ``_eval_source`` / ``_eval_pushed`` annotate the
+        # open span with transfer details while it is current on this
+        # thread.
+        with tracer.start(
+            plan.describe(),
+            kind="operator",
+            operator=plan.operator_name(),
+            node=id(plan),
+        ) as span:
+            tab = _dispatch(plan, env, outer)
+            span.annotate(rows=len(tab))
+    if not isinstance(plan, _UNCOUNTED):
+        env.stats.record_operator(plan.operator_name(), len(tab))
+    return tab
 
 
 def _dispatch(plan: Plan, env: Environment, outer: Optional[Row]) -> Tab:
@@ -389,9 +398,7 @@ def _dispatch(plan: Plan, env: Environment, outer: Optional[Row]) -> Tab:
     if isinstance(plan, SelectOp):
         return _eval_select(plan, env, outer)
     if isinstance(plan, DistinctOp):
-        tab = _evaluate(plan.input, env, outer).distinct()
-        env.stats.record_operator("Distinct", len(tab))
-        return tab
+        return _evaluate(plan.input, env, outer).distinct()
     if isinstance(plan, ProjectOp):
         return _eval_project(plan, env, outer)
     if isinstance(plan, JoinOp):
@@ -433,7 +440,6 @@ def _eval_source(plan: SourceOp, env: Environment) -> Tab:
     size = serialized_size(root)
     env.stats.record_call(plan.source)
     env.stats.record_transfer(plan.source, rows=1, size=size)
-    env.stats.record_operator("Source", 1)
     if env.tracer is not None:
         env.tracer.annotate(source=plan.source, calls=1, bytes=size)
     return _one_cell(plan.document, root)
@@ -446,7 +452,6 @@ def _eval_pushed(plan: PushedOp, env: Environment, outer: Optional[Row]) -> Tab:
     env.stats.record_native(plan.source, native)
     env.stats.record_call(plan.source)
     env.stats.record_transfer(plan.source, rows=len(tab), size=size)
-    env.stats.record_operator("Pushed", len(tab))
     if env.tracer is not None:
         env.tracer.annotate(source=plan.source, calls=1, bytes=size, native=native)
     if isinstance(outer, BindingSet):
@@ -463,11 +468,8 @@ def _eval_pushed(plan: PushedOp, env: Environment, outer: Optional[Row]) -> Tab:
 def _eval_bind(plan: BindOp, env: Environment, outer: Optional[Row]) -> Tab:
     input_tab = _evaluate(plan.input, env, outer)
     if env.reference:
-        result = _bind_reference(plan, env, outer, input_tab)
-    else:
-        result = _bind_scan(plan, env, outer, input_tab, bind_engine(plan.filter))
-    env.stats.record_operator("Bind", len(result))
-    return result
+        return _bind_reference(plan, env, outer, input_tab)
+    return _bind_scan(plan, env, outer, input_tab, bind_engine(plan.filter))
 
 
 def _bind_reference(
@@ -565,9 +567,7 @@ def _evaluator_for(expr, env: Environment):
 
 def _eval_select(plan: SelectOp, env: Environment, outer: Optional[Row]) -> Tab:
     input_tab = _evaluate(plan.input, env, outer)
-    result = _filter(input_tab, _evaluator_for(plan.predicate, env), outer, env)
-    env.stats.record_operator("Select", len(result))
-    return result
+    return _filter(input_tab, _evaluator_for(plan.predicate, env), outer, env)
 
 
 def _filter(tab: Tab, predicate, outer: Optional[Row], env: Environment) -> Tab:
@@ -583,9 +583,7 @@ def _filter(tab: Tab, predicate, outer: Optional[Row], env: Environment) -> Tab:
 def _eval_project(plan: ProjectOp, env: Environment, outer: Optional[Row]) -> Tab:
     input_tab = _evaluate(plan.input, env, outer)
     kept = input_tab.project(tuple(column for column, _alias in plan.items))
-    result = Tab.from_columns(plan.output_columns(), kept.column_data(), len(kept))
-    env.stats.record_operator("Project", len(result))
-    return result
+    return Tab.from_columns(plan.output_columns(), kept.column_data(), len(kept))
 
 
 def _eval_group(plan: GroupOp, env: Environment, outer: Optional[Row]) -> Tab:
@@ -600,24 +598,20 @@ def _eval_group(plan: GroupOp, env: Environment, outer: Optional[Row]) -> Tab:
             groups[key] = []
             keys_cells[key] = key_cells
         groups[key].append(row.projected(nested_columns))
-    result = Tab.from_tuples(
+    return Tab.from_tuples(
         plan.by + (plan.into,),
         [keys_cells[key] + (tuple(rows),) for key, rows in groups.items()],
     )
-    env.stats.record_operator("Group", len(result))
-    return result
 
 
 def _eval_sort(plan: SortOp, env: Environment, outer: Optional[Row]) -> Tab:
     input_tab = _evaluate(plan.input, env, outer)
     keys = [input_tab.column(c) for c in plan.by]
-    result = input_tab.take(sorted(
+    return input_tab.take(sorted(
         range(len(input_tab)),
         key=lambda i: tuple(_orderable(column[i]) for column in keys),
         reverse=plan.descending,
     ))
-    env.stats.record_operator("Sort", len(result))
-    return result
 
 
 def _eval_map(plan: MapOp, env: Environment, outer: Optional[Row]) -> Tab:
@@ -630,15 +624,12 @@ def _eval_map(plan: MapOp, env: Environment, outer: Optional[Row]) -> Tab:
         tuple(fn(cursor.seek(i), functions) for fn in evaluators)
         for i in range(len(input_tab))
     ])
-    result = _beside(input_tab, computed)
-    env.stats.record_operator("Map", len(result))
-    return result
+    return _beside(input_tab, computed)
 
 
 def _eval_tree(plan: TreeOp, env: Environment, outer: Optional[Row]) -> Tab:
     input_tab = _evaluate(plan.input, env, outer)
     tree = construct(input_tab, plan.constructor, env.skolems, env.functions)
-    env.stats.record_operator("Tree", 1)
     return _one_cell(plan.document, tree)
 
 
@@ -664,7 +655,6 @@ def _eval_fuse(plan: FuseOp, env: Environment, outer: Optional[Row]) -> Tab:
             raise EvaluationError("Fuse inputs must build document trees")
         documents.append(cell)
     fused = fuse_documents(documents)
-    env.stats.record_operator("Fuse", 1)
     return _one_cell(plan.document, fused)
 
 
@@ -740,16 +730,13 @@ def _eval_join(plan: JoinOp, env: Environment, outer: Optional[Row]) -> Tab:
     # else is the nested loop — every pair in left-major order, filtered.
     keys = _hash_join_keys(plan, left.columns, right.columns)
     if keys is not None:
-        result = _hash_join(left, right, *keys)
-    else:
-        n, m = len(left), len(right)
-        pairs = _beside(
-            left.take([i for i in range(n) for _ in range(m)]),
-            right.take(list(range(m)) * n),
-        )
-        result = _filter(pairs, _evaluator_for(plan.predicate, env), outer, env)
-    env.stats.record_operator("Join", len(result))
-    return result
+        return _hash_join(left, right, *keys)
+    n, m = len(left), len(right)
+    pairs = _beside(
+        left.take([i for i in range(n) for _ in range(m)]),
+        right.take(list(range(m)) * n),
+    )
+    return _filter(pairs, _evaluator_for(plan.predicate, env), outer, env)
 
 
 def _beside(left: Tab, right: Tab) -> Tab:
@@ -879,7 +866,6 @@ def _eval_djoin(plan: DJoinOp, env: Environment, outer: Optional[Row]) -> Tab:
             out_columns = left.columns + right.columns
             for rrow in right:
                 rows.append(Row(out_columns, lrow.cells + rrow.cells))
-        env.stats.record_operator("DJoin", len(rows))
         return Tab(out_columns, rows)
 
     pairs = passed_pairs(plan)
@@ -896,13 +882,11 @@ def _eval_djoin(plan: DJoinOp, env: Environment, outer: Optional[Row]) -> Tab:
             env.stats.record_batched(avoided)
             if env.tracer is not None:
                 env.tracer.annotate(batched=avoided)
-            result = _hash_join(
+            return _hash_join(
                 left, right,
                 [lambda row, n=v: _eq_key(row[n]) for _c, v in pairs],
                 [lambda row, n=c: _eq_key(row[n]) for c, _v in pairs],
             )
-            env.stats.record_operator("DJoin", len(result))
-            return result
 
     # Per-binding evaluation: the right plan only observes the outer
     # columns in plan_parameters(right), so left rows that agree on them
@@ -936,9 +920,7 @@ def _eval_djoin(plan: DJoinOp, env: Environment, outer: Optional[Row]) -> Tab:
     picks = [i for i, answer in enumerate(answers) for _ in range(len(answer))]
     filled = [answer for answer in answers if len(answer)]
     right_columns = filled[0].columns if filled else plan.right.output_columns()
-    result = _beside(left.take(picks), Tab.concat(right_columns, filled))
-    env.stats.record_operator("DJoin", len(result))
-    return result
+    return _beside(left.take(picks), Tab.concat(right_columns, filled))
 
 
 def _binding_set(pairs, left: Tab, outer: Optional[Row]) -> Optional[BindingSet]:
@@ -991,17 +973,15 @@ def _answers_in_kind(right: Tab, bindings: BindingSet) -> bool:
 def _eval_union(plan: UnionOp, env: Environment, outer: Optional[Row]) -> Tab:
     """Union of two branches, optionally degrading on source failure.
 
-    When the environment carries a resilience runtime that allows partial
-    results, a branch whose sources are unavailable (retries exhausted or
-    circuit open) is *dropped*: its sources and the failure cause are
-    recorded on the stats, the answer is marked degraded, and the
-    surviving branch is returned.  With both branches down there is no
-    partial answer, so :class:`PartialResultError` is raised.
+    When the environment allows partial results, a branch whose sources
+    are unavailable (retries exhausted or circuit open) is *dropped*: its
+    sources and the failure cause are recorded on the stats, the answer
+    is marked degraded, and the surviving branch is returned.  With both
+    branches down there is no partial answer, so
+    :class:`PartialResultError` is raised.
     """
     tabs = _surviving_branches("Union", (plan.left, plan.right), env, outer)
-    combined = Tab.concat(tabs[0].columns, tabs).distinct()
-    env.stats.record_operator("Union", len(combined))
-    return combined
+    return Tab.concat(tabs[0].columns, tabs).distinct()
 
 
 def _eval_scatter(plan: ScatterOp, env: Environment, outer: Optional[Row]) -> Tab:
@@ -1038,9 +1018,7 @@ def _eval_scatter(plan: ScatterOp, env: Environment, outer: Optional[Row]) -> Ta
     tabs = _surviving_branches(
         "shard", [plan.branches[shard] for shard in shards], env, outer
     )
-    combined = Tab.concat(tabs[0].columns, tabs)
-    env.stats.record_operator("Scatter", len(combined))
-    return combined
+    return Tab.concat(tabs[0].columns, tabs)
 
 
 def holds_data(adapter) -> bool:
@@ -1084,15 +1062,11 @@ def _surviving_branches(
         if error is None:
             tabs.append(tab)
             continue
-        if not (
-            isinstance(error, SourceUnavailableError)
-            and env.resilience is not None
-            and env.resilience.allow_partial
-        ):
+        if not (isinstance(error, SourceUnavailableError) and env.allow_partial):
             raise error
         involved = ", ".join(sorted(branch.sources())) or "?"
         failed = error.source or involved
-        env.resilience.record_dropped(
+        env.stats.record_dropped(
             failed, f"{kind.lower()} branch over [{involved}] dropped: {error}"
         )
         if env.tracer is not None:
@@ -1110,11 +1084,9 @@ def _eval_intersect(plan: IntersectOp, env: Environment, outer: Optional[Row]) -
     if left.columns != right.columns:
         right = right.project(left.columns)
     right_keys = set(right.row_keys())
-    result = left.take([
+    return left.take([
         i for i, key in enumerate(left.row_keys()) if key in right_keys
     ]).distinct()
-    env.stats.record_operator("Intersect", len(result))
-    return result
 
 
 # ---------------------------------------------------------------------------

@@ -98,8 +98,6 @@ class ExecutionStats:
         self.last_errors: Dict[str, str] = {}
         #: ``{source: cause}`` for sources dropped by graceful degradation.
         self.dropped_sources: Dict[str, str] = {}
-        #: True when any part of the answer was sacrificed to keep going.
-        self.degraded: bool = False
         #: Right-branch DJoin evaluations avoided against the per-row
         #: nested loop (duplicate or set-passed outer bindings re-expanded
         #: from a shared answer).
@@ -178,7 +176,6 @@ class ExecutionStats:
         The first recorded cause wins — it names the original failure."""
         with self._lock:
             self.dropped_sources.setdefault(source, cause)
-            self.degraded = True
 
     def record_operator(self, name: str, rows_out: int) -> None:
         """Record one evaluation of operator *name* producing *rows_out* rows."""
@@ -227,6 +224,11 @@ class ExecutionStats:
             self.shard_failovers += failovers
 
     # -- totals ---------------------------------------------------------------
+
+    @property
+    def degraded(self) -> bool:
+        """True when any part of the answer was sacrificed to keep going."""
+        return bool(self.dropped_sources)
 
     @property
     def total_rows_transferred(self) -> int:

@@ -125,8 +125,10 @@ def run_plan(
         policy = ResiliencePolicy()
     runtime = policy.start(context) if policy is not None else None
     sources = runtime.wrap(adapters) if runtime is not None else adapters
-    env = Environment(sources, functions=functions, resilience=runtime,
-                      policy=execution, context=context)
+    env = Environment(
+        sources, functions=functions, policy=execution, context=context,
+        allow_partial=policy is not None and policy.allow_partial_results,
+    )
     tracer = context.tracer
     started = time.perf_counter()
     try:

@@ -95,11 +95,15 @@ def _field_contains(field: str):
 
 
 class QueryResult:
-    """Everything :meth:`Mediator.query` learned about one query."""
+    """Everything :meth:`Mediator.query` learned about one query.
+
+    A served query's admission record is its
+    :class:`~repro.server.Ticket`; nothing of it is copied here.
+    """
 
     __slots__ = (
         "naive_plan", "plan", "trace", "report", "cached", "result_cached",
-        "params", "admission",
+        "params",
     )
 
     def __init__(
@@ -129,11 +133,6 @@ class QueryResult:
         #: constants inline).  Re-executing a part of ``plan`` needs it:
         #: ``mediator.execute(node, context=RequestContext(params=...))``.
         self.params = params
-        #: :class:`~repro.server.AdmissionOutcome` when this result came
-        #: through a :class:`~repro.server.MediatorServer` (queueing time,
-        #: forced degradation, deadline); ``None`` for direct calls —
-        #: the serving-layer analogue of ``outcomes``.
-        self.admission = None
 
     @property
     def tab(self) -> Tab:

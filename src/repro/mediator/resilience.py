@@ -7,8 +7,8 @@ real mediation stacks need, while keeping the happy path unchanged:
 * :class:`RetryPolicy` — bounded retries with exponential backoff and
   *deterministic* jitter (hash of source and attempt, not a global RNG),
   so runs are reproducible;
-* :class:`CircuitBreaker` — per-source closed/open/half-open breaker, so
-  a dead source stops being retried mid-plan and later calls fail fast;
+* :class:`CircuitBreaker` — per-source closed/open breaker, so a dead
+  source stops being retried mid-plan and later calls fail fast;
 * per-call time budgets and a per-query deadline
   (:class:`~repro.errors.QueryDeadlineError`);
 * graceful degradation — when ``allow_partial_results`` is set, the
@@ -47,7 +47,6 @@ T = TypeVar("T")
 #: Circuit-breaker states.
 CLOSED = "closed"
 OPEN = "open"
-HALF_OPEN = "half_open"
 
 
 class RetryPolicy:
@@ -98,40 +97,34 @@ class RetryPolicy:
 
 
 class CircuitBreaker:
-    """Per-source breaker: closed -> open after N consecutive failures,
-    half-open after a cooldown (one probe), closed again on success."""
+    """Per-source breaker: closed -> open after N consecutive failures.
 
-    __slots__ = ("failure_threshold", "recovery_time", "state",
-                 "consecutive_failures", "opened_at")
+    A breaker lives as long as its :class:`PolicyRuntime`, one query, so
+    an open circuit stays open for the rest of that query: later calls
+    to the source fail fast instead of retrying against it again.
+    """
 
-    def __init__(self, failure_threshold: int = 5, recovery_time: float = 30.0) -> None:
+    __slots__ = ("failure_threshold", "state", "consecutive_failures")
+
+    def __init__(self, failure_threshold: int = 5) -> None:
         if failure_threshold < 1:
             raise ValueError("failure_threshold must be >= 1")
         self.failure_threshold = failure_threshold
-        self.recovery_time = recovery_time
         self.state = CLOSED
         self.consecutive_failures = 0
-        self.opened_at = 0.0
 
-    def allow(self, now: float) -> bool:
-        """May a call proceed at time *now*?  Flips open -> half-open
-        once the cooldown has elapsed (admitting a single probe)."""
-        if self.state == CLOSED:
-            return True
-        if self.state == OPEN and now - self.opened_at >= self.recovery_time:
-            self.state = HALF_OPEN
-            return True
-        return self.state == HALF_OPEN
+    def allow(self) -> bool:
+        """May a call proceed?"""
+        return self.state == CLOSED
 
     def record_success(self) -> None:
-        self.state = CLOSED
-        self.consecutive_failures = 0
+        if self.state == CLOSED:
+            self.consecutive_failures = 0
 
-    def record_failure(self, now: float) -> None:
+    def record_failure(self) -> None:
         self.consecutive_failures += 1
-        if self.state == HALF_OPEN or self.consecutive_failures >= self.failure_threshold:
+        if self.consecutive_failures >= self.failure_threshold:
             self.state = OPEN
-            self.opened_at = now
 
 
 class SourceOutcome:
@@ -156,6 +149,8 @@ class SourceOutcome:
         self.failures = failures
         self.circuit = circuit
         self.dropped = dropped
+        #: Why the source was dropped, else its last failure message
+        #: (``None`` when it never failed).
         self.error = error
 
     @property
@@ -179,15 +174,13 @@ class ResiliencePolicy:
     and the breaker with conservative settings.
     """
 
-    __slots__ = ("retry", "circuit_failure_threshold", "circuit_recovery_time",
-                 "call_timeout", "query_deadline", "allow_partial_results",
-                 "clock", "sleep")
+    __slots__ = ("retry", "circuit_failure_threshold", "call_timeout",
+                 "query_deadline", "allow_partial_results", "clock", "sleep")
 
     def __init__(
         self,
         retry: Optional[RetryPolicy] = None,
         circuit_failure_threshold: int = 5,
-        circuit_recovery_time: float = 30.0,
         call_timeout: Optional[float] = None,
         query_deadline: Optional[float] = None,
         allow_partial_results: bool = False,
@@ -196,7 +189,6 @@ class ResiliencePolicy:
     ) -> None:
         self.retry = retry
         self.circuit_failure_threshold = circuit_failure_threshold
-        self.circuit_recovery_time = circuit_recovery_time
         self.call_timeout = call_timeout
         self.query_deadline = query_deadline
         self.allow_partial_results = allow_partial_results
@@ -241,8 +233,9 @@ class PolicyRuntime:
         deadline = context.deadline
         self._lock = threading.RLock()
         self._breakers: Dict[str, CircuitBreaker] = {}
+        #: Guarded attempts per scope (a replica set's replicas each
+        #: have their own), the one count ``ExecutionStats`` lacks.
         self._calls: Dict[str, int] = {}
-        self._errors: Dict[str, str] = {}
         self._started = policy.clock()
         own = (
             self._started + policy.query_deadline
@@ -259,10 +252,6 @@ class PolicyRuntime:
             self._deadline = min(own, deadline)
 
     # -- wiring ---------------------------------------------------------------
-
-    @property
-    def allow_partial(self) -> bool:
-        return self.policy.allow_partial_results
 
     def wrap(self, adapters: Dict[str, SourceAdapter]) -> Dict[str, SourceAdapter]:
         """Adapters guarded by this runtime (idempotent per name).
@@ -292,10 +281,7 @@ class PolicyRuntime:
         with self._lock:
             breaker = self._breakers.get(source)
             if breaker is None:
-                breaker = CircuitBreaker(
-                    self.policy.circuit_failure_threshold,
-                    self.policy.circuit_recovery_time,
-                )
+                breaker = CircuitBreaker(self.policy.circuit_failure_threshold)
                 self._breakers[source] = breaker
             return breaker
 
@@ -334,10 +320,8 @@ class PolicyRuntime:
         self.check_deadline()
         breaker = self.breaker(source)
         with self._lock:
-            allowed = breaker.allow(self.policy.clock())
-            if not allowed:
-                self._errors.setdefault(source, "circuit open")
-                consecutive = breaker.consecutive_failures
+            allowed = breaker.allow()
+            consecutive = breaker.consecutive_failures
         if not allowed:
             self.stats.record_failure(source, "circuit open")
             raise SourceUnavailableError(
@@ -381,8 +365,7 @@ class PolicyRuntime:
             # One attempt failed (error or per-call timeout).
             self.stats.record_failure(source, str(last_error))
             with self._lock:
-                self._errors[source] = str(last_error)
-                breaker.record_failure(self.policy.clock())
+                breaker.record_failure()
                 breaker_open = breaker.state == OPEN
             if (
                 attempt >= max_attempts
@@ -401,20 +384,19 @@ class PolicyRuntime:
             attempts=attempt,
         ) from last_error
 
-    # -- degradation ------------------------------------------------------------
-
-    def record_dropped(self, source: str, cause: str) -> None:
-        with self._lock:
-            self._errors.setdefault(source, cause)
-        self.stats.record_dropped(source, cause)
-
     # -- reporting ---------------------------------------------------------------
 
     def outcomes(self) -> Tuple[SourceOutcome, ...]:
-        """Per-source records for every source this runtime touched."""
+        """Per-source records for every source this runtime touched.
+
+        Failures, retries, drops and their causes are read from the
+        request's :class:`~repro.core.algebra.stats.ExecutionStats`;
+        the runtime adds only its attempt counts and breaker states.
+        """
+        stats = self.stats
         with self._lock:
-            sources = set(self._calls) | set(self._breakers) | set(self._errors)
-            sources |= set(self.stats.dropped_sources)
+            # Every guarded scope gets its breaker before its first call.
+            sources = set(self._breakers) | set(stats.dropped_sources)
             records = []
             for source in sorted(sources):
                 breaker = self._breakers.get(source)
@@ -422,11 +404,13 @@ class PolicyRuntime:
                     SourceOutcome(
                         source,
                         calls=self._calls.get(source, 0),
-                        retries=self.stats.retries.get(source, 0),
-                        failures=self.stats.failures.get(source, 0),
+                        retries=stats.retries.get(source, 0),
+                        failures=stats.failures.get(source, 0),
                         circuit=breaker.state if breaker is not None else CLOSED,
-                        dropped=source in self.stats.dropped_sources,
-                        error=self._errors.get(source),
+                        dropped=source in stats.dropped_sources,
+                        error=stats.dropped_sources.get(
+                            source, stats.last_errors.get(source)
+                        ),
                     )
                 )
             return tuple(records)

@@ -17,23 +17,20 @@ Robustness under load is explicit and typed:
 * :mod:`repro.server.server` — the bounded admission queue, priority
   scheduling, queued-deadline enforcement and graceful drain.
 
+What admission did to a request is recorded once, on the
+:class:`Ticket` that :meth:`MediatorServer.submit` returns.
+
 Load is measured from outside: the ``served_mix`` workload of
 ``benchmarks/e2e`` drives two seeded closed-loop clients through a
 server (it draws its portal query and zipfian weights from
 :mod:`repro.server.workload`).
 """
 
-from repro.server.admission import (
-    PRIORITIES,
-    AdmissionOutcome,
-    ServiceEstimator,
-    TokenBucket,
-)
+from repro.server.admission import PRIORITIES, ServiceEstimator, TokenBucket
 from repro.server.server import MediatorServer, ServerConfig, Ticket
 
 __all__ = [
     "PRIORITIES",
-    "AdmissionOutcome",
     "MediatorServer",
     "ServerConfig",
     "ServiceEstimator",

@@ -1,4 +1,4 @@
-"""Admission-control primitives: quotas, shedding tiers, outcomes.
+"""Admission-control primitives: quotas and shedding tiers.
 
 The serving layer's first job is to say *no* cheaply.  Everything here
 runs on the submitting caller's thread in constant time — a token-bucket
@@ -19,9 +19,8 @@ precisely when the mediator is busiest.  The decisions themselves:
   which an overloaded server estimates how long the backlog needs to
   drain (the ``retry_after`` on :class:`~repro.errors.OverloadedError`).
 
-:class:`AdmissionOutcome` is the serving-layer analogue of PR 1's
-``SourceOutcome``: a record of what admission did to one request,
-attached to the :class:`~repro.mediator.mediator.QueryResult`.
+What admission did to one request is recorded once, on its
+:class:`~repro.server.server.Ticket`.
 """
 
 from __future__ import annotations
@@ -95,42 +94,3 @@ class ServiceEstimator:
 
     def retry_after(self, depth: int, workers: int) -> float:
         return self.mean * (depth + 1) / max(1, workers)
-
-
-class AdmissionOutcome:
-    """What admission did to one request (the serving-side record).
-
-    Attached to ``QueryResult.admission`` by the server, mirroring how
-    PR 1's ``SourceOutcome`` records ride on ``report.outcomes``.
-    """
-
-    __slots__ = ("request_id", "tenant", "priority", "queued_seconds",
-                 "degraded_forced", "deadline")
-
-    def __init__(
-        self,
-        request_id: str,
-        tenant: str,
-        priority: str,
-        queued_seconds: float,
-        degraded_forced: bool,
-        deadline: Optional[float],
-    ) -> None:
-        self.request_id = request_id
-        self.tenant = tenant
-        self.priority = priority
-        #: Seconds the request waited in the admission queue.
-        self.queued_seconds = queued_seconds
-        #: True when load shedding flipped this (low-priority) request
-        #: into graceful-degradation mode.
-        self.degraded_forced = degraded_forced
-        #: The absolute deadline the request ran under, if any.
-        self.deadline = deadline
-
-    def __repr__(self) -> str:
-        forced = ", degraded_forced" if self.degraded_forced else ""
-        return (
-            f"AdmissionOutcome({self.request_id}, tenant={self.tenant!r}, "
-            f"priority={self.priority!r}, "
-            f"queued={self.queued_seconds * 1e3:.2f}ms{forced})"
-        )

@@ -53,12 +53,7 @@ from repro.errors import (
 from repro.core.algebra.scheduling import ExecutionPolicy
 from repro.mediator.resilience import ResiliencePolicy
 from repro.observability.context import RequestContext
-from repro.server.admission import (
-    PRIORITIES,
-    AdmissionOutcome,
-    ServiceEstimator,
-    TokenBucket,
-)
+from repro.server.admission import PRIORITIES, ServiceEstimator, TokenBucket
 
 
 class ServerConfig:
@@ -126,7 +121,12 @@ def _degraded_variant(policy: Optional[ResiliencePolicy]) -> ResiliencePolicy:
 
 
 class Ticket:
-    """Handle on one admitted request; :meth:`result` blocks for it."""
+    """Handle on one admitted request; :meth:`result` blocks for it.
+
+    The ticket is the request's one admission record: its tenant,
+    priority, absolute deadline, ``degrade`` (shedding forced partial
+    results) and queue time ``started_at - submitted_at``.
+    """
 
     __slots__ = ("context", "request_id", "text", "tenant", "priority",
                  "deadline", "degrade", "execution", "submitted_at",
@@ -458,15 +458,6 @@ class MediatorServer:
         except BaseException as exc:  # delivered through Ticket.result
             error = exc
         completed = time.monotonic()
-        if result is not None:
-            result.admission = AdmissionOutcome(
-                request_id=ticket.request_id,
-                tenant=ticket.tenant,
-                priority=ticket.priority,
-                queued_seconds=queued,
-                degraded_forced=ticket.degrade,
-                deadline=ticket.deadline,
-            )
         self._estimator.observe(completed - ticket.started_at)
         with self._lock:
             self.counters["completed" if error is None else "failed"] += 1

@@ -23,7 +23,6 @@ from repro.errors import (
 from repro.mediator.execution import run_plan
 from repro.mediator.resilience import (
     CLOSED,
-    HALF_OPEN,
     OPEN,
     CircuitBreaker,
     PolicyRuntime,
@@ -174,31 +173,19 @@ class TestRetry:
 
 class TestCircuitBreaker:
     def test_opens_after_n_consecutive_failures(self):
-        breaker = CircuitBreaker(failure_threshold=3, recovery_time=10.0)
+        breaker = CircuitBreaker(failure_threshold=3)
         for _ in range(2):
-            breaker.record_failure(now=0.0)
+            breaker.record_failure()
         assert breaker.state == CLOSED
-        breaker.record_failure(now=0.0)
+        breaker.record_failure()
         assert breaker.state == OPEN
-        assert not breaker.allow(now=5.0)
-
-    def test_half_open_probe_then_close_or_reopen(self):
-        breaker = CircuitBreaker(failure_threshold=1, recovery_time=10.0)
-        breaker.record_failure(now=0.0)
-        assert breaker.state == OPEN
-        assert breaker.allow(now=11.0)  # cooldown elapsed: one probe
-        assert breaker.state == HALF_OPEN
-        breaker.record_failure(now=11.0)  # probe failed: reopen
-        assert breaker.state == OPEN
-        assert breaker.allow(now=22.0)
-        breaker.record_success()  # probe succeeded: close
-        assert breaker.state == CLOSED
+        assert not breaker.allow()
 
     def test_success_resets_the_failure_count(self):
-        breaker = CircuitBreaker(failure_threshold=2, recovery_time=10.0)
-        breaker.record_failure(now=0.0)
+        breaker = CircuitBreaker(failure_threshold=2)
+        breaker.record_failure()
         breaker.record_success()
-        breaker.record_failure(now=0.0)
+        breaker.record_failure()
         assert breaker.state == CLOSED
 
     def test_open_circuit_stops_mid_plan_retries(self):
@@ -252,6 +239,9 @@ class TestDegradation:
         assert set(report.tab.rows) == set(o2_only.tab.distinct().rows)
         outcome = {o.source: o for o in report.outcomes}["xmlartwork"]
         assert outcome.dropped and outcome.error is not None
+        # The outcome restates the request's stats; it keeps no copy.
+        assert outcome.error == report.stats.dropped_sources["xmlartwork"]
+        assert outcome.failures == report.stats.failures["xmlartwork"]
 
     def test_degradation_is_off_by_default(self):
         database, store = build_sources(n=8)

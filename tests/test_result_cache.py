@@ -174,7 +174,7 @@ class TestMediatorResultCache:
 
         def degrading_execute(*args, **kwargs):
             report = real_execute(*args, **kwargs)
-            report.stats.degraded = True
+            report.stats.record_dropped("xmlartwork", "forced for the test")
             return report
 
         monkeypatch.setattr(mediator, "execute", degrading_execute)

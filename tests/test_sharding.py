@@ -433,6 +433,31 @@ class TestShardedFederation:
         assert "yat_shard_scatter_total 1" in text
         assert "yat_shard_pruned_total 3" in text
 
+    def test_an_empty_scatter_is_counted(self):
+        # Contradictory key constants leave no shard to read: the Scatter
+        # still ran once, producing no rows, and is counted like any
+        # other operator evaluation.
+        _mono, sharded, partition, _stores = build_pair(result_cache_bytes=0)
+        other = next(
+            artist for artist in ARTISTS
+            if partition.shard_of(artist) != partition.shard_of("Monet")
+        )
+        result = sharded.query(
+            PRUNE_Q.replace('"%s"', f'"Monet" and $a = "{other}"')
+        )
+        stats = result.report.stats
+        assert len(result.tab.rows) == 1  # the constructed (empty) document
+        assert stats.shard_scatter == 0 and stats.shard_pruned == 4
+        assert stats.operator_counts["Scatter"] == 1
+        # Scatter and Distinct add no rows; the Tree adds its document.
+        assert stats.mediator_rows == 1
+        registry = MetricsRegistry()
+        record_execution(registry, result.report, query="empty")
+        assert (
+            'yat_operator_evaluations_total{operator="Scatter"} 1'
+            in registry.exposition()
+        )
+
     def test_one_plan_serves_every_key_constant(self):
         # The shard choice depends on the key constant's value, so it is
         # made per execution: one cached plan object serves every artist.
