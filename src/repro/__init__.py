@@ -30,7 +30,6 @@ from repro.mediator import (
     Mediator,
     QueryResult,
     ResiliencePolicy,
-    ResultCache,
     RetryPolicy,
 )
 from repro.observability import (
@@ -59,7 +58,6 @@ __all__ = [
     "QuotaExceededError",
     "RequestContext",
     "ResiliencePolicy",
-    "ResultCache",
     "RetryPolicy",
     "ServerConfig",
     "SqlWrapper",

@@ -12,8 +12,9 @@ exactly that view from a live plan:
   (evaluations, rows out, inclusive wall/CPU time, source calls, bytes)
   aggregated from a :class:`~repro.observability.tracer.Tracer`;
 * :class:`Explanation` — what :meth:`Mediator.explain` returns: the
-  rendered text plus every ingredient (plans, rewrite trace, execution
-  report, tracer), so tests and tools can inspect rather than re-parse.
+  rendered text plus the query's :class:`~repro.mediator.mediator.QueryResult`
+  (plans, rewrite trace, execution report, tracer), so tests and tools
+  can inspect rather than re-parse.
 
 Run as a program, it builds the paper's cultural-portal federation (the
 O2 object base plus the Wais full-text store behind ``view1.yat``) and
@@ -250,41 +251,30 @@ def _pushdown_lines(
 class Explanation:
     """Everything :meth:`Mediator.explain` learned about one query."""
 
-    __slots__ = (
-        "query", "naive_plan", "plan", "rewrites", "report", "cached",
-        "access_paths", "result_cached", "params",
-    )
+    __slots__ = ("query", "result", "access_paths")
 
     def __init__(
-        self,
-        query: str,
-        naive_plan: Plan,
-        plan: Plan,
-        rewrites,
-        report=None,
-        cached: bool = False,
-        access_paths: Optional[Dict[int, str]] = None,
-        result_cached: bool = False,
-        params: Tuple[object, ...] = (),
+        self, query: str, result, access_paths: Dict[int, str]
     ) -> None:
         self.query = query
-        self.naive_plan = naive_plan
-        self.plan = plan
-        self.rewrites = rewrites
+        #: The query's :class:`~repro.mediator.mediator.QueryResult`: its
+        #: ``report`` is ``None`` for plain EXPLAIN, and its
+        #: ``result_cached`` says whether the answer came (ANALYZE) or
+        #: would come (plain EXPLAIN) from the result cache.
+        self.result = result
         #: ``{id(plan node): "bind: scan"}`` — what each Bind's engine (or
         #: the wrapper it was pushed to) will do.
         self.access_paths = access_paths
-        #: :class:`~repro.mediator.execution.ExecutionReport` under
-        #: ``analyze=True``; ``None`` for plain EXPLAIN.
-        self.report = report
-        #: True when the plan was served from the mediator's plan cache.
-        self.cached = cached
-        #: True when the *answer* came (ANALYZE) or would come (plain
-        #: EXPLAIN) from the mediator's result cache.
-        self.result_cached = result_cached
-        #: The query's parameter vector: :meth:`render` shows the plan's
-        #: parameter slots as these bound values.
-        self.params = params
+
+    @property
+    def plan(self) -> Plan:
+        return self.result.plan
+
+    @property
+    def report(self):
+        """The :class:`~repro.mediator.execution.ExecutionReport` under
+        ``analyze=True``; ``None`` for plain EXPLAIN."""
+        return self.result.report
 
     @property
     def analyze(self) -> bool:
@@ -300,18 +290,20 @@ class Explanation:
         return collect_actuals(self.tracer) if self.tracer is not None else None
 
     def render(self) -> str:
-        with activate_context(RequestContext(params=self.params)):
+        # The plan's parameter slots render as the query's bound values.
+        with activate_context(RequestContext(params=self.result.params)):
             return self._render()
 
     def _render(self) -> str:
+        result = self.result
         lines: List[str] = []
         lines.append("EXPLAIN ANALYZE" if self.analyze else "EXPLAIN")
-        rewrites = len(self.rewrites) if self.rewrites is not None else 0
-        if self.cached:
+        rewrites = len(result.trace)
+        if result.cached:
             # Only emitted on an actual cache hit, so a fresh mediator
             # renders identically every time.
             lines.append("plan: cached")
-        if self.result_cached:
+        if result.result_cached:
             lines.append("result: cached")
         lines.append(f"plan ({rewrites} rewrites applied):")
         actuals = self.actuals()
@@ -353,7 +345,7 @@ class Explanation:
 
     def __repr__(self) -> str:
         mode = "analyze" if self.analyze else "plan-only"
-        return f"Explanation({mode}, {len(self.rewrites or ())} rewrites)"
+        return f"Explanation({mode}, {len(self.result.trace)} rewrites)"
 
 
 NAMED_QUERIES = {"q1": Q1, "q2": Q2}

@@ -1,4 +1,9 @@
-"""The YAT mediator (paper, Section 2, Figure 2)."""
+"""The YAT mediator (paper, Section 2, Figure 2).
+
+The mediator holds no data: its plan and result caches are plain
+:class:`~repro.memo.Memo` tables on :class:`Mediator` (``plan_cache``,
+``plan_texts``, ``result_cache``).
+"""
 
 from repro.core.algebra.scheduling import ExecutionPolicy
 from repro.mediator.catalog import Catalog
@@ -10,7 +15,6 @@ from repro.mediator.resilience import (
     RetryPolicy,
     SourceOutcome,
 )
-from repro.mediator.result_cache import ResultCache
 from repro.mediator.views import VIEW_SOURCE, ViewRegistry
 
 __all__ = [
@@ -21,7 +25,6 @@ __all__ = [
     "Mediator",
     "QueryResult",
     "ResiliencePolicy",
-    "ResultCache",
     "RetryPolicy",
     "SourceOutcome",
     "VIEW_SOURCE",

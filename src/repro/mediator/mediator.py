@@ -9,7 +9,25 @@
 * :meth:`query` parses a user query, composes it with views, optimizes
   it through the three rewriting rounds, evaluates it, and returns a
   :class:`QueryResult` carrying the answer, both plans, the rewrite
-  trace and the execution statistics.
+  trace and the execution statistics; :meth:`explain` plans (and under
+  ``analyze=True`` executes) through the same path.
+
+The mediator holds no data (Section 2); its caches are three plain
+:class:`~repro.memo.Memo` tables, each ``None`` when switched off:
+
+* ``plan_cache`` — normalized query shape (constants lifted into
+  :class:`~repro.core.algebra.expressions.Param` slots) plus the catalog
+  epoch → ``(naive, optimized, trace)``.  A cached plan is parametric:
+  each request brings its parameter vector in its
+  :class:`~repro.observability.context.RequestContext`, so the very plan
+  objects, and whatever execution compiled onto them, serve every
+  constant;
+* ``plan_texts`` — query text → its normalized form, so a repeated text
+  skips the lexer;
+* ``result_cache`` — shape, constants and planning knobs → the answer
+  Tab, bounded by serialized bytes, tagged with the version vector of
+  the sources the plan reads (read before executing) and served single
+  flight.  Degraded (partial) answers are never stored.
 
 The mediator registers two built-in functions sources never need to
 declare: ``ref_is`` (reference identity, used by extent-join rewriting)
@@ -28,16 +46,15 @@ from repro.core.algebra.evaluator import holding_shards
 from repro.core.algebra.operators import Plan, ScatterOp
 from repro.core.algebra.scheduling import ExecutionPolicy
 from repro.core.algebra.stats import ExecutionStats
-from repro.core.algebra.tab import Tab
+from repro.core.algebra.tab import Tab, tab_serialized_size
 from repro.core.optimizer.bind_split import ref_is
 from repro.core.optimizer.planner import Optimizer
 from repro.core.optimizer.rules import OptimizerContext, RewriteTrace
 from repro.mediator.catalog import Catalog
 from repro.mediator.execution import ExecutionReport, run_plan
-from repro.mediator.plan_cache import BoundPlan, CachedPlan, PlanCache
 from repro.mediator.resilience import ResiliencePolicy
-from repro.mediator.result_cache import ResultCache
 from repro.mediator.views import VIEW_SOURCE, ViewRegistry
+from repro.memo import Memo
 from repro.model.trees import DataNode
 from repro.observability.context import RequestContext, activate_context
 from repro.sources.wais.index import document_contains
@@ -54,6 +71,28 @@ def _with_params(
     if context is None:
         return RequestContext(params=params)
     return context.replace(params=params)
+
+
+class BoundPlan(Plan):
+    """A parametric plan with one request's parameter vector.
+
+    What :meth:`Mediator.plan_query` hands out, so the staged
+    ``plan_query`` → ``execute`` path runs a cached plan without a new
+    argument.  Built per request and never cached: the one plan node
+    that holds bound values.
+    """
+
+    __slots__ = ("plan", "params")
+
+    def __init__(self, plan: Plan, params: Tuple[object, ...]) -> None:
+        self.plan = plan
+        self.params = params
+
+    def output_columns(self):
+        return self.plan.output_columns()
+
+    def describe(self):
+        return f"Bound({', '.join(map(repr, self.params))})"
 
 
 def _read_nodes(plan: Plan):
@@ -98,7 +137,8 @@ class QueryResult:
     """Everything :meth:`Mediator.query` learned about one query.
 
     A served query's admission record is its
-    :class:`~repro.server.Ticket`; nothing of it is copied here.
+    :class:`~repro.server.Ticket`; nothing of it is copied here.  Plain
+    EXPLAIN keeps only the planned part: its ``report`` is ``None``.
     """
 
     __slots__ = (
@@ -111,7 +151,7 @@ class QueryResult:
         naive_plan: Plan,
         plan: Plan,
         trace: RewriteTrace,
-        report: ExecutionReport,
+        report: Optional[ExecutionReport],
         cached: bool = False,
         result_cached: bool = False,
         params: Tuple[object, ...] = (),
@@ -173,19 +213,21 @@ class Mediator:
         self.catalog = Catalog()
         self.views = ViewRegistry()
         self._containments: set = set()
-        #: Compiled-plan cache keyed by the query's *normalized* form
-        #: (constants lifted into parameters), or ``None`` when disabled
-        #: with ``plan_cache_size=0`` — every query then plans from
-        #: scratch, exactly the seed behavior.
-        self.plan_cache: Optional[PlanCache] = (
-            PlanCache(capacity=plan_cache_size) if plan_cache_size > 0 else None
-        )
-        #: Byte-bounded answer cache with per-source version-vector
-        #: invalidation, or ``None`` (the default) — every query then
-        #: executes, exactly the pre-cache behavior.  Opt in with
-        #: ``result_cache_bytes=32 << 20`` for serving workloads.
-        self.result_cache: Optional[ResultCache] = (
-            ResultCache(max_bytes=result_cache_bytes)
+        #: Normalized shape → ``(naive, optimized, trace)``, and query
+        #: text → normalized form; both ``None`` with
+        #: ``plan_cache_size=0``, and every query then plans from scratch.
+        self.plan_cache: Optional[Memo] = None
+        self.plan_texts: Optional[Memo] = None
+        if plan_cache_size > 0:
+            self.plan_cache = Memo(plan_cache_size)
+            # Many texts share one shape, so the parse memo holds more
+            # texts than the plan memo holds shapes.
+            self.plan_texts = Memo(max(512, plan_cache_size))
+        #: Answers bounded by serialized bytes and tagged by version
+        #: vector, or ``None`` (the default): every query then executes.
+        #: Opt in with ``result_cache_bytes=32 << 20`` for serving.
+        self.result_cache: Optional[Memo] = (
+            Memo(result_cache_bytes, weigh=tab_serialized_size)
             if result_cache_bytes > 0
             else None
         )
@@ -281,10 +323,9 @@ class Mediator:
         """Catalog changed: cached plans are suspect."""
         with self._plan_lock:
             self._epoch += 1
-        if self.plan_cache is not None:
-            self.plan_cache.invalidate()
-        if self.result_cache is not None:
-            self.result_cache.invalidate()
+        for memo in (self.plan_cache, self.plan_texts, self.result_cache):
+            if memo is not None:
+                memo.clear()
 
     # -- planning ------------------------------------------------------------------
 
@@ -323,58 +364,57 @@ class Mediator:
         if self.plan_cache is None:
             return self._plan_fresh(query, optimize, rounds)
         normalized = normalize_query(query)
-        entry, _cached = self._plan_normalized(normalized, optimize, rounds)
-        params = normalized.values
-        return (
-            BoundPlan(entry.naive, params),
-            BoundPlan(entry.plan, params),
-            entry.trace,
+        (naive, optimized, trace), _cached = self._plan_normalized(
+            normalized, optimize, rounds
         )
+        params = normalized.values
+        return BoundPlan(naive, params), BoundPlan(optimized, params), trace
 
     def _plan_text(
-        self, text: str, optimize: bool, rounds: Sequence[int]
-    ) -> Tuple[Plan, Plan, RewriteTrace, bool, Optional[NormalizedQuery]]:
-        """Plan query *text* through the cache; also memoizes the parse.
+        self, text: str, optimize: bool, rounds: tuple
+    ) -> Tuple[QueryResult, Optional[NormalizedQuery]]:
+        """Plan query *text* through the caches, memoizing the parse.
 
-        The trailing element is the query's normalized form — the result
-        cache keys on it; ``None`` only when both caches are off (the
-        normalization pass is then pure overhead).
+        Returns the planned part of the query's :class:`QueryResult` (no
+        report yet) and its normalized form — the result cache keys on
+        it; ``None`` only when both caches are off (the normalization
+        pass is then pure overhead).
         """
-        rounds = tuple(rounds)
-        cache = self.plan_cache
-        if cache is None:
+        if self.plan_cache is None:
             query = parse_query(text)
             normalized = (
                 normalize_query(query)
                 if self.result_cache is not None
                 else None
             )
-            naive, optimized, trace = self._plan_fresh(query, optimize, rounds)
-            return naive, optimized, trace, False, normalized
-        normalized = cache.normalized(text)
-        if normalized is None:
-            normalized = normalize_query(parse_query(text))
-            cache.remember_text(text, normalized)
-        entry, cached = self._plan_normalized(normalized, optimize, rounds)
-        return entry.naive, entry.plan, entry.trace, cached, normalized
+            planned = self._plan_fresh(query, optimize, rounds)
+            cached = False
+        else:
+            normalized = self.plan_texts.get(text)
+            if normalized is None:
+                normalized = normalize_query(parse_query(text))
+                self.plan_texts.put(text, normalized)
+            planned, cached = self._plan_normalized(normalized, optimize, rounds)
+        params = normalized.values if normalized is not None else ()
+        result = QueryResult(*planned, None, cached=cached, params=params)
+        return result, normalized
 
     def _plan_normalized(
         self,
         normalized: NormalizedQuery,
         optimize: bool,
         rounds: tuple,
-    ) -> Tuple[CachedPlan, bool]:
-        """``(entry, hit)``: the cached parametric plans of *normalized*'s
-        shape, planned once on a miss and served to every vector after."""
-        cache = self.plan_cache
-        assert cache is not None
+    ) -> Tuple[Tuple[Plan, Plan, RewriteTrace], bool]:
+        """``((naive, optimized, trace), hit)``: the cached parametric
+        plans of *normalized*'s shape, planned once on a miss and served
+        to every vector after."""
         key = (normalized.key, optimize, rounds, self._epoch)
-        entry = cache.lookup(key)
-        if entry is not None:
-            return entry, True
-        entry = CachedPlan(*self._plan_fresh(normalized.query, optimize, rounds))
-        cache.store(key, entry)
-        return entry, False
+        planned = self.plan_cache.get(key)
+        if planned is not None:
+            return planned, True
+        planned = self._plan_fresh(normalized.query, optimize, rounds)
+        self.plan_cache.put(key, planned)
+        return planned, False
 
     def _plan_fresh(
         self, query: YatlQuery, optimize: bool, rounds: Sequence[int]
@@ -444,9 +484,9 @@ class Mediator:
             for name in sorted(names)
         )
 
-    def _execute_maybe_cached(
+    def _execute_planned(
         self,
-        optimized: Plan,
+        result: QueryResult,
         normalized: Optional[NormalizedQuery],
         optimize: bool,
         rounds: tuple,
@@ -454,19 +494,22 @@ class Mediator:
         execution: Optional[ExecutionPolicy],
         context: RequestContext,
         use_result_cache: bool = True,
-    ) -> Tuple[ExecutionReport, bool]:
-        """Serve *optimized* from the result cache or execute and store.
+    ) -> QueryResult:
+        """Complete the planned *result*: serve its answer from the
+        result cache, or execute ``result.plan`` and store the answer.
 
-        Returns ``(report, served_from_cache)``.  The entry is tagged
-        with the version vector read **before** execution and concurrent
-        misses on one key are single-flight (see :mod:`repro.memo`).
+        The entry is tagged with the version vector read **before**
+        execution and concurrent misses on one key are single-flight
+        (see :mod:`repro.memo`).  *context* (the active request) carries
+        ``result.params``.
         """
+        optimized = result.plan
         cache = self.result_cache
         if cache is None or not use_result_cache or normalized is None:
-            report = self.execute(
+            result.report = self.execute(
                 optimized, policy=policy, execution=execution, context=context
             )
-            return report, False
+            return result
         key = self._result_key(normalized, optimize, rounds, execution)
 
         def execute(versions: tuple) -> ExecutionReport:
@@ -476,18 +519,18 @@ class Mediator:
             if not report.degraded:
                 # Degraded (partial) answers must never serve later
                 # queries — a hit could not tell them from the full one.
-                cache.store(key, report.tab, versions)
+                cache.put(key, report.tab, tag=versions)
             return report
 
-        hit, value = cache.serve(
+        hit, value = cache.single_flight(
             key, lambda: self._version_vector(optimized), execute
         )
         if hit:
-            report = ExecutionReport(
+            value = ExecutionReport(
                 optimized, value, ExecutionStats(), 0.0, trace=context.tracer
             )
-            return report, True
-        return value, False
+        result.report, result.result_cached = value, hit
+        return result
 
     # -- querying --------------------------------------------------------------------
 
@@ -518,23 +561,16 @@ class Mediator:
         empty statistics.  ``use_result_cache=False`` bypasses the cache
         for one call (the answer is neither looked up nor stored).
         """
-        naive, optimized, trace, cached, normalized = self._plan_text(
-            text, optimize, rounds
-        )
-        params = normalized.values if normalized is not None else ()
-        context = _with_params(context, params)
+        rounds = tuple(rounds)
+        result, normalized = self._plan_text(text, optimize, rounds)
+        context = _with_params(context, result.params)
         if tracer is not None:
             context = context.replace(tracer=tracer)
         with activate_context(context):
-            report, result_cached = self._execute_maybe_cached(
-                optimized, normalized, optimize, tuple(rounds),
-                policy=policy, execution=execution, context=context,
-                use_result_cache=use_result_cache,
+            return self._execute_planned(
+                result, normalized, optimize, rounds, policy, execution,
+                context, use_result_cache,
             )
-        return QueryResult(
-            naive, optimized, trace, report,
-            cached=cached, result_cached=result_cached, params=params,
-        )
 
     def explain(
         self,
@@ -546,13 +582,14 @@ class Mediator:
     ):
         """EXPLAIN (plan only) or EXPLAIN ANALYZE (plan + actuals) *text*.
 
-        Plans the query exactly as :meth:`query` would and returns an
+        Plans the query through :meth:`query`'s own path and returns an
         :class:`~repro.explain.Explanation` whose
         ``render()`` / ``str()`` shows the optimized plan annotated with
         the pushdown decisions (which fragments run natively, and the
         native OQL / SQL / Wais text).  With ``analyze=True`` the plan is
-        also executed, under the mediator's own resilience policy and a
-        fresh tracer, and every node is annotated with its actuals —
+        also executed as :meth:`query` executes it, under the mediator's
+        own resilience policy and a fresh tracer, and every node is
+        annotated with its actuals —
         number of evaluations, rows produced, inclusive wall time, source
         calls and bytes.
 
@@ -569,34 +606,25 @@ class Mediator:
         from repro.explain import Explanation
         from repro.observability.tracer import Tracer
 
-        naive, optimized, trace, cached, normalized = self._plan_text(
-            text, optimize, rounds
-        )
         rounds = tuple(rounds)
-        params = normalized.values if normalized is not None else ()
+        result, normalized = self._plan_text(text, optimize, rounds)
         context = RequestContext(
-            params=params, tracer=Tracer() if analyze else None
+            params=result.params, tracer=Tracer() if analyze else None
         )
-        report = None
-        result_cached = False
         with activate_context(context):
-            access_paths = self._access_paths(optimized)
+            access_paths = self._access_paths(result.plan)
             if analyze:
-                report, result_cached = self._execute_maybe_cached(
-                    optimized, normalized, optimize, rounds,
-                    policy=None, execution=execution, context=context,
+                self._execute_planned(
+                    result, normalized, optimize, rounds, None, execution,
+                    context,
                 )
             elif self.result_cache is not None and normalized is not None:
                 # Non-mutating peek: would this query serve from cache?
-                result_cached = self.result_cache.peek(
+                result.result_cached = self.result_cache.peek(
                     self._result_key(normalized, optimize, rounds, execution),
-                    self._version_vector(optimized),
+                    tag=self._version_vector(result.plan),
                 )
-        return Explanation(
-            text, naive, optimized, trace, report=report, cached=cached,
-            access_paths=access_paths, result_cached=result_cached,
-            params=params,
-        )
+        return Explanation(text, result, access_paths)
 
     def _access_paths(self, optimized: Plan) -> dict:
         """``{id(node): "bind: ..."}`` for EXPLAIN, on the active request's
@@ -644,12 +672,15 @@ class Mediator:
     def memo_stats(self) -> dict:
         """``{memo name: Memo.stats()}`` for this mediator's own memos
         (a disabled cache contributes no row)."""
-        rows = {}
-        if self.plan_cache is not None:
-            rows.update(self.plan_cache.memo_stats())
-        if self.result_cache is not None:
-            rows["result_cache"] = self.result_cache.stats()
-        return rows
+        memos = {
+            "plan_cache": self.plan_cache,
+            "plan_texts": self.plan_texts,
+            "result_cache": self.result_cache,
+        }
+        return {
+            name: memo.stats() for name, memo in memos.items()
+            if memo is not None
+        }
 
     def execute(
         self,

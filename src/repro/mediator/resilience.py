@@ -323,7 +323,7 @@ class PolicyRuntime:
             allowed = breaker.allow()
             consecutive = breaker.consecutive_failures
         if not allowed:
-            self.stats.record_failure(source, "circuit open")
+            # Refused without touching the source: no attempt, no failure.
             raise SourceUnavailableError(
                 f"source {source!r} is unavailable: circuit open after "
                 f"{consecutive} consecutive failures",

@@ -7,16 +7,17 @@ them again:
 
 **Eviction** — least-recently-used, one entry at a time.  The bound is
 an entry count, or the summed ``weigh(value)`` when a weigher is given
-(the result cache's bytes); a value heavier than the whole bound is not
-stored, and its key's older value goes.  ``capacity`` is a plain attribute: an owner whose table has a
-natural size it learns late (one slot per exported document, per
+(the mediator's result cache weighs answers in serialized bytes); a
+value heavier than the whole bound is not stored, and its key's older
+value goes.  ``capacity`` is a plain attribute: an owner whose table has
+a natural size it learns late (one slot per exported document, per
 declared view) assigns it instead of guessing a constant.
 
 **Staleness** — an entry may carry a ``tag``: the data version (or
 version vector) of what the value was computed from, read by the caller
 **before** it computes the value.  A lookup presents the *live* tag; an
-entry holding any other tag is dropped, counted ``stale``, and the
-lookup misses.  Because the tag is captured first, a write racing the
+entry holding any other tag is dropped, counted an ``invalidation``,
+and the lookup misses.  Because the tag is captured first, a write racing the
 computation can only make the entry *look* stale — an old value is never
 served under a new tag.  :meth:`Memo.clear` is the same rule applied to
 everything at once (the catalog epoch moved under every entry).  A
@@ -31,8 +32,10 @@ additionally elects one leader per key while the others wait and
 re-look-up; a leader that raises still releases its waiters.
 
 **Counters** — :meth:`Memo.stats` returns the same keys for every memo:
-``entries``, ``capacity``, ``hits``, ``misses``, ``stale``,
-``evictions`` (plus ``weight`` when weighed).
+``entries``, ``capacity``, ``hits``, ``misses``, ``invalidations``,
+``evictions``, ``flight_waits`` (plus ``weight`` when weighed).  A cache
+is a plain ``Memo`` held by its owner (the mediator's plan and result
+caches among them); nothing wraps one to rename these.
 """
 
 from __future__ import annotations
@@ -56,7 +59,7 @@ class Memo:
 
     __slots__ = (
         "capacity", "_weigh", "_lock", "_entries", "_weight", "_inflight",
-        "hits", "misses", "stale", "evictions", "flight_waits",
+        "hits", "misses", "invalidations", "evictions", "flight_waits",
     )
 
     def __init__(
@@ -74,7 +77,7 @@ class Memo:
         self.misses = 0
         #: Entries dropped because their tag no longer matched,
         #: or by :meth:`clear`.
-        self.stale = 0
+        self.invalidations = 0
         #: Entries dropped to stay under the bound.
         self.evictions = 0
         #: Times a caller waited on another caller's single-flight build.
@@ -95,7 +98,7 @@ class Memo:
                 return entry[0]
             del self._entries[key]
             self._weight -= entry[2]
-            self.stale += 1
+            self.invalidations += 1
         self.misses += 1
         return _MISSING
 
@@ -199,9 +202,9 @@ class Memo:
             event.set()
 
     def clear(self) -> None:
-        """Drop every entry as stale (what they were keyed on moved)."""
+        """Drop every entry as invalid (what they were keyed on moved)."""
         with self._lock:
-            self.stale += len(self._entries)
+            self.invalidations += len(self._entries)
             self._entries.clear()
             self._weight = 0
 
@@ -214,8 +217,9 @@ class Memo:
                 "capacity": self.capacity,
                 "hits": self.hits,
                 "misses": self.misses,
-                "stale": self.stale,
+                "invalidations": self.invalidations,
                 "evictions": self.evictions,
+                "flight_waits": self.flight_waits,
             }
             if self._weigh is not None:
                 stats["weight"] = self._weight

@@ -391,7 +391,7 @@ _MEMO_SERIES = (
     ("capacity", "capacity", "Bound per memo (entries; bytes for result_cache)."),
     ("hits", "hits", "Lookups served per memo."),
     ("misses", "misses", "Lookups that missed (and built) per memo."),
-    ("stale", "stale", "Entries dropped because their version tag or the "
+    ("stale", "invalidations", "Entries dropped because their version tag or the "
      "catalog epoch moved, per memo."),
     ("evictions_total", "evictions", "Entries evicted to stay under the "
      "bound, per memo."),
@@ -399,7 +399,7 @@ _MEMO_SERIES = (
 
 #: Result-cache numbers that are not a row of the memo family.
 _RESULT_CACHE_GAUGES = (
-    ("yat_result_cache_bytes", "bytes",
+    ("yat_result_cache_bytes", "weight",
      "Serialized bytes held by cached answers."),
     ("yat_result_cache_flight_waits", "flight_waits",
      "Concurrent misses that waited on another session's single-flight "
@@ -441,6 +441,6 @@ def record_memo_stats(registry: MetricsRegistry, mediator) -> None:
             if key in stats:
                 gauge.labels(memo=memo).set(stats[key])
     if mediator.result_cache is not None:
-        stats = mediator.result_cache.stats()
+        stats = rows["result_cache"]
         for name, key, help_text in _RESULT_CACHE_GAUGES:
             registry.gauge(name, help_text).set(stats[key])

@@ -123,13 +123,13 @@ def _degraded_variant(policy: Optional[ResiliencePolicy]) -> ResiliencePolicy:
 class Ticket:
     """Handle on one admitted request; :meth:`result` blocks for it.
 
-    The ticket is the request's one admission record: its tenant,
-    priority, absolute deadline, ``degrade`` (shedding forced partial
-    results) and queue time ``started_at - submitted_at``.
+    The ticket is the request's one admission record: its ``context``
+    (request id, tenant, priority, absolute deadline), ``degrade``
+    (shedding forced partial results) and queue time
+    ``started_at - submitted_at``.
     """
 
-    __slots__ = ("context", "request_id", "text", "tenant", "priority",
-                 "deadline", "degrade", "execution", "submitted_at",
+    __slots__ = ("context", "text", "degrade", "execution", "submitted_at",
                  "shard_fanout", "fanout_capped",
                  "started_at", "completed_at", "_event", "_result", "_error")
 
@@ -147,11 +147,7 @@ class Ticket:
         #: deadline, tracer), built once at admission; the worker executes
         #: under it.
         self.context = context
-        self.request_id = context.request_id
         self.text = text
-        self.tenant = context.tenant
-        self.priority = context.priority
-        self.deadline = context.deadline
         #: True when shedding flipped this request into degraded mode.
         self.degrade = degrade
         #: Per-request :class:`ExecutionPolicy` override (``None`` defers
@@ -172,6 +168,10 @@ class Ticket:
         self._result = None
         self._error: Optional[BaseException] = None
 
+    @property
+    def request_id(self) -> str:
+        return self.context.request_id
+
     def result(self, timeout: Optional[float] = None):
         """The :class:`~repro.mediator.mediator.QueryResult`, blocking
         until the request completes; re-raises the execution's error."""
@@ -191,9 +191,10 @@ class Ticket:
 
     def __repr__(self) -> str:
         state = "done" if self._event.is_set() else "pending"
+        context = self.context
         return (
-            f"Ticket({self.request_id}, {self.tenant!r}/{self.priority}, "
-            f"{state})"
+            f"Ticket({context.request_id}, {context.tenant!r}/"
+            f"{context.priority}, {state})"
         )
 
 
@@ -422,20 +423,21 @@ class MediatorServer:
                     self._work.notify_all()
 
     def _execute(self, ticket: Ticket) -> None:
+        context = ticket.context
         now = time.monotonic()
         ticket.started_at = now
         queued = now - ticket.submitted_at
-        if ticket.deadline is not None and now > ticket.deadline:
+        if context.deadline is not None and now > context.deadline:
             # Expired while queued: fail without executing, under the
             # same typed error the in-flight deadline machinery raises.
-            budget = ticket.deadline - ticket.submitted_at
+            budget = context.deadline - ticket.submitted_at
             with self._lock:
                 self.counters["expired"] += 1
-            self._record(ticket.tenant, "expired")
+            self._record(context.tenant, "expired")
             ticket._complete(
                 None,
                 QueryDeadlineError(
-                    f"request {ticket.request_id} spent {queued:.3f}s in the "
+                    f"request {context.request_id} spent {queued:.3f}s in the "
                     f"admission queue, past its {budget:.3f}s deadline"
                 ),
                 time.monotonic(),
@@ -453,7 +455,7 @@ class MediatorServer:
                 ticket.text,
                 policy=policy,
                 execution=ticket.execution,
-                context=ticket.context,
+                context=context,
             )
         except BaseException as exc:  # delivered through Ticket.result
             error = exc
@@ -463,9 +465,9 @@ class MediatorServer:
             self.counters["completed" if error is None else "failed"] += 1
             if result is not None and getattr(result, "result_cached", False):
                 self.counters["result_cache_hits"] += 1
-        self._record(ticket.tenant, "ok" if error is None else "error")
+        self._record(context.tenant, "ok" if error is None else "error")
         if self._m_requests is not None:
-            self._m_latency.labels(priority=ticket.priority).observe(
+            self._m_latency.labels(priority=context.priority).observe(
                 completed - ticket.submitted_at
             )
             self._m_queue_wait.observe(queued)

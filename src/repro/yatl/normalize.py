@@ -1,7 +1,7 @@
 """Constant-lifting normalization of parsed YAT_L queries.
 
-The plan cache (:mod:`repro.mediator.plan_cache`) wants two queries that
-differ only in their literal constants — ``WHERE $s = "Impressionist"``
+The mediator's plan cache (``Mediator.plan_cache``) wants two queries
+that differ only in their literal constants — ``WHERE $s = "Impressionist"``
 vs ``WHERE $s = "Cubist"`` — to share one optimized plan, the way SQL's
 ``?`` and ODMG OQL's ``$1`` let one prepared statement serve every
 binding.  This module computes, for a parsed

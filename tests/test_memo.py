@@ -99,7 +99,7 @@ class TestBound:
         memo.put("b", "xx")
         memo.clear()
         stats = memo.stats()
-        assert (stats["entries"], stats["weight"], stats["stale"]) == (0, 0, 2)
+        assert (stats["entries"], stats["weight"], stats["invalidations"]) == (0, 0, 2)
         assert memo.get("a") is None
 
 
@@ -114,11 +114,11 @@ class TestTagsAndAnchors:
         assert memo.get("doc", tag=1) == "tree@1"
         assert memo.get("doc", tag=2) is None  # dropped, counted, missed
         stats = memo.stats()
-        assert (stats["hits"], stats["misses"], stats["stale"]) == (1, 1, 1)
+        assert (stats["hits"], stats["misses"], stats["invalidations"]) == (1, 1, 1)
         assert stats["entries"] == 0
         # Even the old tag misses now: the entry is gone, not hidden.
         assert memo.get("doc", tag=1) is None
-        assert memo.stats()["stale"] == 1
+        assert memo.stats()["invalidations"] == 1
 
     def test_version_vectors_compare_by_equality(self):
         memo = Memo(4)
@@ -131,7 +131,7 @@ class TestTagsAndAnchors:
         assert memo.get_or_build("doc", lambda: "v1", tag=1) == "v1"
         assert memo.get_or_build("doc", lambda: "v2", tag=2) == "v2"
         stats = memo.stats()
-        assert (stats["entries"], stats["stale"], stats["evictions"]) == (1, 1, 0)
+        assert (stats["entries"], stats["invalidations"], stats["evictions"]) == (1, 1, 0)
 
     def test_none_is_a_storable_value(self):
         memo = Memo(4)
@@ -160,7 +160,7 @@ class TestReplace:
         assert memo.peek("doc", tag=2) and not memo.peek("doc", tag=1)
         assert memo.get("doc", tag=2) == "tree@2"
         stats = memo.stats()
-        assert (stats["entries"], stats["hits"], stats["stale"]) == (1, 1, 0)
+        assert (stats["entries"], stats["hits"], stats["invalidations"]) == (1, 1, 0)
 
     def test_never_inserts(self):
         memo = Memo(4)
@@ -301,7 +301,7 @@ class TestRaces:
             "k", lambda: version[0], lambda tag: f"built at {tag}"
         )
         assert (hit, value) == (False, "built at 2")
-        assert memo.stats()["stale"] == 1
+        assert memo.stats()["invalidations"] == 1
 
     def test_hammer_keeps_counters_and_bound_consistent(self):
         memo = Memo(8)
@@ -325,7 +325,7 @@ class TestRaces:
         stats = memo.stats()
         assert stats["hits"] + stats["misses"] == 4 * per_thread
         assert stats["entries"] <= stats["capacity"]
-        assert stats["hits"] > 0 and stats["stale"] > 0 and stats["evictions"] > 0
+        assert stats["hits"] > 0 and stats["invalidations"] > 0 and stats["evictions"] > 0
 
 
 # ---------------------------------------------------------------------------
@@ -340,7 +340,7 @@ class TestHonestCounters:
         store.add(elem("work", atom_leaf("title", "New"), atom_leaf("artist", "A")))
         assert wrapper.document("artworks") is not old
         stats = wrapper.memo_stats()["documents"]
-        assert (stats["entries"], stats["stale"], stats["evictions"]) == (1, 1, 0)
+        assert (stats["entries"], stats["invalidations"], stats["evictions"]) == (1, 1, 0)
 
     def test_column_map_stats_count_what_the_clear_drops(self, monkeypatch):
         from repro.core.algebra import tab

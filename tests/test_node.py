@@ -62,7 +62,7 @@ from repro.core.algebra.tree import (
     CRef,
     CValue,
 )
-from repro.mediator.plan_cache import BoundPlan
+from repro.mediator.mediator import BoundPlan
 from repro.model.filters import (
     FConst,
     FDescend,

@@ -153,12 +153,6 @@ class TestPlanCacheServing:
         assert not mediator.query(Q2).cached
         assert not mediator.query(Q2).cached
 
-    def test_zero_capacity_cache_rejected(self):
-        from repro.mediator.plan_cache import PlanCache
-
-        with pytest.raises(ValueError):
-            PlanCache(capacity=0)
-
 
 class TestInvalidation:
     def test_load_program_invalidates(self):

@@ -216,6 +216,38 @@ class TestCircuitBreaker:
         outcome = {o.source: o for o in report.outcomes}["xmlartwork"]
         assert outcome.circuit == OPEN
 
+    def test_a_refused_call_is_no_failure(self):
+        """Only attempts count as failures: the calls the open breaker
+        refused never reached the source, and the last error recorded
+        stays the source's real fault."""
+        database, store = build_sources(n=8)
+        clock = VirtualClock()
+        faulty = FaultyWrapper(WaisWrapper("xmlartwork", store),
+                               FaultSchedule().dead_source(), sleep=clock.sleep)
+        policy = virtual_policy(
+            clock,
+            retry=RetryPolicy(max_attempts=3),
+            circuit_failure_threshold=2,
+            allow_partial_results=True,
+        )
+        report = run_plan(
+            Q1_UNION_PLAN,
+            {"o2artifact": O2Wrapper("o2artifact", database),
+             "xmlartwork": faulty},
+            policy=policy,
+        )
+        outcome = {o.source: o for o in report.outcomes}["xmlartwork"]
+        assert outcome.failures == outcome.calls == 2
+        assert "injected permanent fault" in outcome.error
+        assert "injected permanent fault" in report.stats.last_errors["xmlartwork"]
+        # A later call to the open circuit is still refused by name.
+        runtime = PolicyRuntime(policy, RequestContext(stats=ExecutionStats()))
+        runtime.breaker("xmlartwork").record_failure()
+        runtime.breaker("xmlartwork").record_failure()
+        with pytest.raises(SourceUnavailableError, match="circuit open"):
+            runtime.call("xmlartwork", "document", lambda: None)
+        assert not runtime.stats.failures
+
 
 # ---------------------------------------------------------------------------
 # Graceful degradation

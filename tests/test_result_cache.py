@@ -16,13 +16,12 @@ from repro import (
     MediatorServer,
     O2Wrapper,
     ResiliencePolicy,
-    ResultCache,
     ServerConfig,
     StoreWrapper,
     StoredXmlSource,
     WaisWrapper,
 )
-from repro.core.algebra.tab import Tab, tab_serialized_size
+from repro.core.algebra.tab import tab_serialized_size
 from repro.datasets import CulturalDataset, Q1, Q2, VIEW1_YAT
 from repro.model.xml_io import tree_to_xml
 from repro.testing import FaultSchedule, FaultyWrapper
@@ -44,47 +43,41 @@ def answer(result) -> str:
     return tree_to_xml(result.document())
 
 
-def single_row_tab(marker: str) -> Tab:
-    return Tab.from_dicts(("c",), [{"c": marker}])
-
-
 # ---------------------------------------------------------------------------
-# ResultCache unit behavior
+# The mediator's wiring of its result-cache memo
 # ---------------------------------------------------------------------------
 
 class TestResultCacheUnit:
-    VERSIONS = (("s", 1),)
-
     def test_max_bytes_is_the_enforced_bound(self):
-        # Wiring only; LRU order, the weight bound and the oversized-value
-        # refusal are test_memo.py's.
-        size = tab_serialized_size(single_row_tab("x" * 50))
-        cache = ResultCache(max_bytes=3 * size)
-        for key in ("a", "b", "c", "d"):
-            cache.store((key,), single_row_tab("x" * 50), self.VERSIONS)
-        stats = cache.stats()
-        assert (stats["entries"], stats["bytes"], stats["evictions"]) == (
-            3, 3 * size, 1
+        # Wiring only: the memo weighs answers in serialized bytes, up to
+        # result_cache_bytes.  LRU order, the weight bound and the
+        # oversized-value refusal are test_memo.py's.
+        cold, _, _ = build_federation()
+        size = {text: tab_serialized_size(cold.query(text).tab) for text in (Q1, Q2)}
+        bound = size[Q1] + size[Q2] - 1  # one byte short of both answers
+        mediator, _, _ = build_federation(result_cache_bytes=bound)
+        mediator.query(Q2)
+        mediator.query(Q1)
+        stats = mediator.result_cache.stats()
+        assert (stats["capacity"], stats["entries"], stats["weight"]) == (
+            bound, 1, size[Q1]
         )
+        assert stats["evictions"] == 1
 
-    def test_version_mismatch_invalidates_exactly_that_entry(self):
-        cache = ResultCache()
-        cache.store(("a",), single_row_tab("a"), (("s", 1),))
-        cache.store(("b",), single_row_tab("b"), (("t", 7),))
-        hit, _ = cache.serve(("a",), lambda: (("s", 2),), lambda versions: None)
-        assert not hit and cache.stats()["invalidations"] == 1
-        hit, tab = cache.serve(("b",), lambda: (("t", 7),), None)
-        assert hit and len(tab) == 1
-
-    def test_peek_mutates_nothing(self):
-        cache = ResultCache()
-        cache.store(("a",), single_row_tab("a"), self.VERSIONS)
-        before = cache.stats()
-        assert cache.peek(("a",), self.VERSIONS)
-        assert not cache.peek(("a",), (("s", 9),))
-        assert not cache.peek(("missing",), self.VERSIONS)
-        after = cache.stats()
-        assert after == before  # no hit/miss/invalidation counted, no drop
+    def test_stats_keep_the_names_the_benchmark_reads(self):
+        # benchmarks/e2e diffs these keys by name; a renamed one would
+        # silently read 0 there.
+        mediator, _, _ = build_federation(result_cache_bytes=1 << 20)
+        mediator.query(Q1)
+        mediator.query(Q1)
+        plan_stats = mediator.plan_cache.stats()
+        assert {"hits", "misses"} <= plan_stats.keys()
+        result_stats = mediator.result_cache.stats()
+        assert {"hits", "misses", "invalidations", "flight_waits"} <= (
+            result_stats.keys()
+        )
+        assert (plan_stats["hits"], plan_stats["misses"]) == (1, 1)
+        assert (result_stats["hits"], result_stats["misses"]) == (1, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -203,7 +196,7 @@ class TestMediatorResultCache:
         assert "result: cached" in mediator.explain(Q2).render()
         # EXPLAIN ANALYZE serves the hit too (and says so).
         analyzed = mediator.explain(Q2, analyze=True)
-        assert analyzed.result_cached
+        assert analyzed.result.result_cached
         assert "result: cached" in analyzed.render()
 
     def test_concurrent_cold_misses_are_single_flight(self):

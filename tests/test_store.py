@@ -706,7 +706,7 @@ class TestDataVersion:
         # The write moved the resident hydration to the written tree: the
         # old one was neither dropped as stale nor evicted.
         memo = store.memo_stats()
-        assert (memo["stale"], memo["evictions"]) == (0, 0)
+        assert (memo["invalidations"], memo["evictions"]) == (0, 0)
 
     def test_a_write_invalidates_only_its_own_document(self):
         def catalog(title):
@@ -781,7 +781,7 @@ class TestWriteUpdate:
         served = store.hydrate("doc")
         assert served is not tree and served == tree
         assert store.stats()["hydrated_nodes"] == hydrated + tree.size()
-        assert store.memo_stats()["stale"] == 1
+        assert store.memo_stats()["invalidations"] == 1
 
     def test_a_racing_read_never_sees_an_older_write(self):
         # Write j stores atom j and makes the version j + 1: a read that
@@ -835,7 +835,7 @@ class TestWriteUpdate:
         store.add("doc", elem("doc", elem("w", atom_leaf("x", 2))))
         fresh = store.hydrate("doc", 1)
         assert fresh is not old and fresh.children[0].atom == 2
-        assert store.memo_stats()["stale"] == 1
+        assert store.memo_stats()["invalidations"] == 1
 
 
 class TestPlannerStatistics:

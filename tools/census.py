@@ -3,7 +3,8 @@ functions no test and no workload runs.
 
     python tools/census.py [--seconds 3] [-v] [--settings]
 
-First, statically (``ast`` only; ``--settings`` stops there): every
+First, statically (``ast`` only; ``--settings`` stops there and exits
+1 when it lists any, which CI enforces): every
 defaulted parameter of a public function, method or class that no call
 in ``src``, ``tests``, ``examples`` or ``benchmarks`` passes (see
 :func:`settings`).  Then every ``def`` in ``src/repro`` is listed with
@@ -206,14 +207,15 @@ def main() -> int:
     parser.add_argument("--seconds", default="3")
     parser.add_argument("-v", action="store_true", help="print every name")
     parser.add_argument("--settings", action="store_true",
-                        help="print only the static settings section (no run)")
+                        help="print only the static settings section (no run); "
+                        "exit 1 if it lists any")
     args = parser.parse_args()
     unset = settings()
     print(f"== settings no caller passes: {len(unset)}")
     for path, line, setting in unset:
         print(f"{path}:{line}  {setting}")
     if args.settings:
-        return 0
+        return 1 if unset else 0
     path = os.pathsep.join([str(ROOT / "src"), str(ROOT)])
     if (os.environ.get("PYTHONHASHSEED"), os.environ.get("PYTHONPATH")) != ("0", path):
         # Fixed string hashes (else the benchmark CLI re-executes itself
