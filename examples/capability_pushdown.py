@@ -88,7 +88,7 @@ def main() -> None:
 
     check_filters(
         "O2 (o2fmodel)",
-        o2.matcher(),
+        o2.interface().matcher(),
         [
             ("set *class: artifact: tuple [ title: $t ]",
              parse_filter("set *class: artifact: tuple [ title: $t ]")),
@@ -103,7 +103,7 @@ def main() -> None:
     )
     check_filters(
         "Wais (waisfmodel)",
-        wais.matcher(),
+        wais.interface().matcher(),
         [
             ("works *work $w      (whole documents)",
              parse_filter("works *work $w")),

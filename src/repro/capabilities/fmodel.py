@@ -197,8 +197,20 @@ def o2_fmodel() -> FModel:
     values can be bound (``bind="tree"``), class schema information cannot
     be extracted (``bind="none"`` on the attribute layer), and the class
     name must be ground.  ``Ftype`` enumerates the ODMG type formers.
+    ``Fextent`` is what the wrapper's ``bind`` takes: an extent exports
+    as ``set [ *class ... ]``, so a filter iterates its members once
+    and binds no variable to the extent itself.
     """
     model = FModel("o2fmodel")
+    model.define(
+        "Fextent",
+        fnode(
+            "set",
+            fstar(fref("o2fmodel", "Fclass"), inst="none"),
+            bind="none",
+            inst="ground",
+        ),
+    )
     model.define(
         "Fclass",
         fnode(
@@ -265,8 +277,9 @@ def store_fmodel() -> FModel:
     freely, and — the genuinely new part — the descendant axis is
     acceptable *everywhere* (``descend="any"``), because a ``**`` step
     is a single ``s.pre < t.pre AND t.post <= s.post`` range predicate
-    for the store, not a recursive walk.  Only label variables and
-    regexes stay out: the store matches labels by equality.
+    for the store, not a recursive walk.  Label variables are admitted
+    (``bind="any"``) and answered by the store's scan, which runs the
+    mediator's own Bind; only label regexes stay out.
     """
     model = FModel("storefmodel")
     model.define(
@@ -274,7 +287,7 @@ def store_fmodel() -> FModel:
         fnode(
             SYMBOL,
             fstar(fref("storefmodel", "Fitem")),
-            bind="tree",
+            bind="any",
             descend="any",
         ),
     )

@@ -122,6 +122,7 @@ class SourceInterface:
         self.operations: Dict[str, OperationDecl] = {}
         self.equivalences: List[Equivalence] = []
         self.documents: Dict[str, Tuple[str, str]] = {}
+        self._matcher = None
 
     # -- construction ---------------------------------------------------------
 
@@ -149,6 +150,16 @@ class SourceInterface:
         self.documents[name] = (model, pattern)
 
     # -- queries ----------------------------------------------------------------
+
+    def matcher(self):
+        """The :class:`~repro.capabilities.matcher.CapabilityMatcher` over
+        this interface, built on first use and kept: the optimizer and
+        the wrapper each hold one interface, so each builds it once."""
+        if self._matcher is None:
+            from repro.capabilities.matcher import CapabilityMatcher
+
+            self._matcher = CapabilityMatcher(self)
+        return self._matcher
 
     def supports(self, operation_name: str) -> bool:
         """Does the source evaluate this operation?"""

@@ -35,6 +35,7 @@ from repro.core.algebra.expressions import (
     Expr,
     FunCall,
     Var,
+    atom_kind,
 )
 from repro.model.filters import (
     FConst,
@@ -57,6 +58,12 @@ PREDICATE_OPERATION_NAMES = {
     ">": "gt",
     ">=": "gte",
 }
+
+#: Boolean connectives and the operation name that declares each.
+_CONNECTIVES = {BoolAnd: "and", BoolOr: "or", BoolNot: "not"}
+
+#: The declared atomic type name of a constant's Python type.
+_LEAF_KINDS = {bool: "Bool", int: "Int", float: "Float", str: "String"}
 
 
 class Admissibility:
@@ -128,14 +135,19 @@ class CapabilityMatcher:
     # -- predicate checking -----------------------------------------------------
 
     def _check_predicate(self, predicate: Expr) -> Admissibility:
-        if isinstance(predicate, (BoolAnd, BoolOr)):
-            for operand in predicate.operands:
+        connective = _CONNECTIVES.get(type(predicate))
+        if connective is not None:
+            if not self._interface.supports(connective):
+                return _no(f"connective {connective!r} not declared")
+            operands = (
+                (predicate.operand,) if isinstance(predicate, BoolNot)
+                else predicate.operands
+            )
+            for operand in operands:
                 result = self._check_predicate(operand)
                 if not result:
                     return result
             return _ok()
-        if isinstance(predicate, BoolNot):
-            return self._check_predicate(predicate.operand)
         if isinstance(predicate, Cmp):
             operation = PREDICATE_OPERATION_NAMES[predicate.op]
             if not self._interface.supports(operation):
@@ -146,21 +158,44 @@ class CapabilityMatcher:
                     return result
             return _ok()
         if isinstance(predicate, FunCall):
-            return self._check_scalar(predicate)
-        return self._check_scalar(predicate)
+            return self._check_call(predicate)
+        return _no(f"{predicate.text()} is not a declared predicate")
 
     def _check_scalar(self, expr: Expr) -> Admissibility:
         if isinstance(expr, (Var, Const)):
             return _ok()
         if isinstance(expr, FunCall):
-            if not self._interface.supports(expr.name):
-                return _no(f"function {expr.name!r} not declared")
-            for arg in expr.args:
-                result = self._check_scalar(arg)
-                if not result:
-                    return result
-            return _ok()
+            return self._check_call(expr)
         return _no(f"expression {expr!r} is not pushable")
+
+    def _check_call(self, call: FunCall) -> Admissibility:
+        """A call of a declared external operation or method, its
+        arguments typed by the declared inputs: a ``value`` input takes a
+        variable, a ``leaf`` input a constant of its atomic type (a
+        variable there is an outer parameter, typed when it is bound)."""
+        decl = self._interface.operations.get(call.name)
+        if decl is None or decl.kind not in ("external", "method"):
+            return _no(f"function {call.name!r} not declared")
+        if len(call.args) != len(decl.inputs):
+            return _no(
+                f"{call.name!r} takes {len(decl.inputs)} arguments, "
+                f"got {len(call.args)}"
+            )
+        for arg, spec in zip(call.args, decl.inputs):
+            if spec.role != "leaf":
+                if not isinstance(arg, Var):
+                    return _no(f"{call.name!r} takes a variable, got {arg.text()}")
+                continue
+            if isinstance(arg, Const):
+                kind = _LEAF_KINDS.get(atom_kind(arg.value))
+                if kind != spec.leaf_type:
+                    return _no(
+                        f"{call.name!r} takes a {spec.leaf_type}, got {arg.text()}"
+                    )
+            result = self._check_scalar(arg)
+            if not result:
+                return result
+        return _ok()
 
     # -- filter checking ----------------------------------------------------------
 
@@ -295,52 +330,54 @@ class CapabilityMatcher:
                 if not result:
                     return result
             return _ok()
-        if fpat.kind == "leaf":
-            if len(flt.children) > 1:
-                return _no("an atomic value admits at most one content filter")
-            for child in flt.children:
-                if not isinstance(child, (FVar, FConst)):
-                    return _no("atomic content admits only variables or constants")
-                result = self._check(child, fpat)
-                if not result:
-                    return result
-            return _ok()
         if fpat.kind != "node":
             return _no(f"element filter does not fit a {fpat.kind} pattern")
         return self._check_children(flt, fpat)
 
     def _check_children(self, flt: FElem, fpat: FPat) -> Admissibility:
-        """Match the filter's child items against the Fpattern's children."""
+        """Match the filter's child items against the Fpattern's children.
+
+        A star frozen by ``inst=none`` is kept as-is: the filter iterates
+        it with exactly one starred item.
+        """
         stars = [item for item in fpat.children if item.kind == "star"]
         singles = [item for item in fpat.children if item.kind != "star"]
         used_singles = [False] * len(singles)
+        iterations = [0] * len(stars)
 
         for child in flt.children:
             if isinstance(child, FStar):
-                result = self._check_star_item(child, stars)
+                result = self._check_star_item(child, stars, iterations)
             elif isinstance(child, FRest):
                 result = self._check_rest_item(child, stars)
             else:
                 result = self._check_plain_item(child, singles, used_singles, stars)
             if not result:
                 return result
+        for star, count in zip(stars, iterations):
+            if star.inst == "none" and count != 1:
+                return _no(
+                    "star position is frozen (inst=none): the filter iterates "
+                    f"it exactly once, not {count} times"
+                )
         return _ok()
 
-    def _check_star_item(self, child: FStar, stars) -> Admissibility:
+    def _check_star_item(self, child: FStar, stars, iterations) -> Admissibility:
         last = _no("no star position accepts an iterating filter")
-        for star in stars:
+        for index, star in enumerate(stars):
             if star.inst == "ground":
                 last = _no("star position requires ground items (inst=ground)")
                 continue
             result = self._check(child.child, star.children[0])
             if result:
+                iterations[index] += 1
                 return result
             last = result
         return last
 
     def _check_rest_item(self, child: FRest, stars) -> Admissibility:
         for star in stars:
-            if star.inst == "ground":
+            if star.inst != "any":
                 continue
             inner = star.children[0]
             if inner.kind == "ref":

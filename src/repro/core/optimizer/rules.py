@@ -49,7 +49,6 @@ class OptimizerContext:
         #: ``{logical source name: ShardTopology}`` for partitioned
         #: sources; consulted by the shard-expansion rule.
         self.shards: Dict[str, object] = dict(shards or {})
-        self._matchers: Dict[str, CapabilityMatcher] = {}
         self._fresh_counter = 0
 
     def matcher(self, source: str) -> Optional[CapabilityMatcher]:
@@ -57,9 +56,7 @@ class OptimizerContext:
         sharded logical source: only its shards take fragments)."""
         if source not in self.interfaces or source in self.shards:
             return None
-        if source not in self._matchers:
-            self._matchers[source] = CapabilityMatcher(self.interfaces[source])
-        return self._matchers[source]
+        return self.interfaces[source].matcher()
 
     def interface(self, source: str) -> Optional[SourceInterface]:
         return self.interfaces.get(source)

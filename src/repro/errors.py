@@ -25,10 +25,6 @@ class PatternError(ModelError):
     """A type pattern is malformed (e.g. dangling named-pattern reference)."""
 
 
-class InstantiationError(ModelError):
-    """A tree or pattern failed an instantiation (typing) check."""
-
-
 class XmlFormatError(ModelError):
     """An XML document does not follow the YAT wire format."""
 
@@ -68,10 +64,6 @@ class BindError(AlgebraError):
     """A Bind filter is malformed or cannot be applied to its input."""
 
 
-class TypeFilterError(BindError):
-    """Pattern matching failed with a type error (paper, Section 2)."""
-
-
 class EvaluationError(AlgebraError):
     """Runtime failure while evaluating a plan."""
 
@@ -86,10 +78,6 @@ class UnknownVariableError(EvaluationError):
 
 class CapabilityError(YatError):
     """Problem with a source capability description."""
-
-
-class FilterNotSupportedError(CapabilityError):
-    """A filter is not admissible under a source's Fmodel."""
 
 
 # ---------------------------------------------------------------------------

@@ -115,7 +115,8 @@ def _mediator_contains(document: object, text: object) -> bool:
 
 
 def _field_contains(field: str):
-    """Mediator fallback for a field-scoped contains predicate."""
+    """Mediator fallback for a field-scoped contains predicate: the words
+    of the field's own atoms, as the Wais index posts them."""
     from repro.sources.wais.index import tokenize
 
     def implementation(document: object, text: object) -> bool:
@@ -126,8 +127,8 @@ def _field_contains(field: str):
             return True
         present: set = set()
         for node in document.descendants():
-            if node.label == field:
-                present.update(tokenize(node.text()))
+            if node.label == field and node.is_atom_leaf:
+                present.update(tokenize(str(node.atom)))
         return words <= present
 
     return implementation

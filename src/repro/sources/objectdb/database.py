@@ -218,14 +218,16 @@ class ObjectDatabase:
                 return cached
         obj = self.get(oid)
         definition = self.schema.class_of(obj.class_name)
-        value_tree = self._export_value(definition.type, obj.values)
+        value_tree = self.export_value(definition.type, obj.values)
         return DataNode(
             "class",
             children=[DataNode(obj.class_name, children=[value_tree])],
             ident=obj.oid,
         )
 
-    def _export_value(self, odmg_type: OdmgType, value: object) -> DataNode:
+    def export_value(self, odmg_type: OdmgType, value: object) -> DataNode:
+        """A value of *odmg_type* as the export writes it inside an object
+        (a reference as a ``class`` node pointing at its target)."""
         if isinstance(odmg_type, TupleType):
             assert isinstance(value, dict)
             children = []
@@ -248,12 +250,12 @@ class ObjectDatabase:
     def _export_attribute(self, name: str, attr_type: OdmgType, value: object) -> DataNode:
         if isinstance(attr_type, AtomicType):
             return DataNode(name, atom=value)
-        return DataNode(name, children=[self._export_value(attr_type, value)])
+        return DataNode(name, children=[self.export_value(attr_type, value)])
 
     def _export_collection_item(self, element_type: OdmgType, item: object) -> DataNode:
         if isinstance(element_type, AtomicType):
             return DataNode("value", atom=item)
-        return self._export_value(element_type, item)
+        return self.export_value(element_type, item)
 
     def ident_index(self) -> Dict[str, DataNode]:
         """``{oid: exported class tree}`` for reference dereferencing.

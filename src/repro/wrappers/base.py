@@ -12,9 +12,28 @@ and it answers two kinds of requests:
 * execute a pushed algebraic fragment natively and return a Tab (the
   cheap path enabled by capability-based rewriting).
 
-Every wrapper validates pushed fragments against its own declared
-capabilities before executing them, so a mediator bug cannot make a
-source do something it never promised.
+One description decides what crosses the wire.  The optimizer plans
+against the interface it re-imported from the wrapper's XML, and every
+wrapper validates a pushed fragment against its own interface before
+running it (:meth:`Wrapper.validate_fragment`), so a mediator bug
+cannot make a source do something it never promised; each interface
+builds its :class:`~repro.capabilities.matcher.CapabilityMatcher` once,
+on first use.  A translator (:meth:`Wrapper.run_fragment`) receives
+only validated fragments and refuses nothing its interface admits: a
+label or constant the source never holds answers no rows, as the
+mediator's own Bind over the exported document would.  What remains
+are run-time value checks on what a call binds, not on the fragment's
+shape:
+
+* an outer parameter the call does not supply (:func:`outer_constant`),
+  or passed keys naming a column the filter does not bind
+  (:func:`passed_columns`);
+* an O2 method called on an object of another class fails in the OQL
+  engine (the matcher cannot type a variable).
+
+A value of the wrong type is no refusal: a Wais ``contains`` whose text
+is not a string matches no document, as the mediator's own ``contains``
+says.
 """
 
 from __future__ import annotations
@@ -24,7 +43,6 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.errors import PushdownRejectedError, SourceError
 from repro.capabilities.interface import SourceInterface
-from repro.capabilities.matcher import CapabilityMatcher
 from repro.capabilities.xml_codec import interface_to_xml
 from repro.core.algebra.evaluator import SourceAdapter
 from repro.core.algebra.operators import (
@@ -127,7 +145,6 @@ class Wrapper(SourceAdapter):
         self.name = name
         self._interface: Optional[SourceInterface] = None
         self._document_name_set: Optional[frozenset] = None
-        self._matcher: Optional[CapabilityMatcher] = None
         #: ``name -> tree``, tagged with the data version it was built at;
         #: one slot per exported document (sized by :meth:`document`, the
         #: names are the subclass's to know), so nothing is ever evicted.
@@ -164,22 +181,11 @@ class Wrapper(SourceAdapter):
         """
         return interface_to_xml(self.interface())
 
-    def matcher(self) -> CapabilityMatcher:
-        """Admissibility checker over this wrapper's own interface.
-
-        Built once and reused: the interface is immutable after
-        :meth:`interface` caches it, and the matcher holds no per-check
-        state, so every pushed call sharing one instance is sound.
-        """
-        if self._matcher is None:
-            self._matcher = CapabilityMatcher(self.interface())
-        return self._matcher
-
     # -- validation --------------------------------------------------------------
 
     def validate_fragment(self, fragment: PushedFragment) -> None:
         """Reject fragments outside the declared capabilities."""
-        matcher = self.matcher()
+        matcher = self.interface().matcher()
         admissible = matcher.bind_admissible(fragment.filter)
         if not admissible:
             raise PushdownRejectedError(
@@ -287,7 +293,13 @@ class Wrapper(SourceAdapter):
     def run_fragment(
         self, fragment: PushedFragment, plan: Plan, outer: Optional[Row]
     ) -> Tuple[Tab, str]:
-        """Execute a validated fragment; returns ``(tab, native text)``."""
+        """Execute a validated fragment; returns ``(tab, native text)``.
+
+        The fragment passed :meth:`validate_fragment`, so its filter fits
+        the interface's Fmodel and its selections use declared
+        operations only: an implementation refuses no such fragment (see
+        the module docstring for the run-time value checks that remain).
+        """
 
 
 def outer_constant(outer: Optional[Row], name: str):

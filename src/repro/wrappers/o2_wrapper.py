@@ -16,9 +16,8 @@ distinct``.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
-from repro.errors import SourceError
 from repro.capabilities.fmodel import o2_fmodel
 from repro.capabilities.interface import ArgSpec, OperationDecl, SourceInterface
 from repro.core.algebra.expressions import (
@@ -28,22 +27,15 @@ from repro.core.algebra.expressions import (
     Cmp,
     Const,
     Expr,
-    FunCall,
     Var,
     bound,
 )
 from repro.core.algebra.operators import Plan
 from repro.core.algebra.tab import BindingSet, Row, Tab
-from repro.model.filters import (
-    FConst,
-    FElem,
-    Filter,
-    FStar,
-    FVar,
-)
+from repro.model.filters import FConst, FElem, Filter, FVar
 from repro.model.trees import DataNode
-from repro.model.values import COLLECTION_KINDS
-from repro.sources.objectdb.database import ObjectDatabase, OdmgObject, Oid
+from repro.sources.objectdb.database import ObjectDatabase, OdmgObject
+from repro.sources.objectdb.schema import AtomicType, OdmgType, RefType, TupleType
 from repro.sources.objectdb.oql.ast import (
     OqlAnd,
     OqlCompare,
@@ -93,14 +85,16 @@ class O2Wrapper(Wrapper):
                 "algebra",
                 inputs=[
                     ArgSpec.value(library.name, "Type"),
-                    ArgSpec.filter("o2fmodel", "Ftype"),
+                    ArgSpec.filter("o2fmodel", "Fextent"),
                 ],
                 output=ArgSpec.value("yat", "Tab"),
             )
         )
         for operation in ("select", "map", "project", "distinct"):
             interface.add_operation(OperationDecl(operation, "algebra"))
-        for predicate in ("eq", "neq", "lt", "lte", "gt", "gte"):
+        for predicate in (
+            "eq", "neq", "lt", "lte", "gt", "gte", "and", "or", "not"
+        ):
             interface.add_operation(OperationDecl(predicate, "boolean"))
         for method in self._db.schema.methods.values():
             result_name = getattr(method.result, "name", "Float")
@@ -147,6 +141,12 @@ class O2Wrapper(Wrapper):
             prepared = fragment.prepared
             if prepared is None:
                 prepared = fragment.prepared = self._translated(fragment)
+        columns = plan.output_columns()
+        if prepared.empty:
+            return (
+                Tab.from_columns(columns, [()] * len(columns), 0),
+                f"-- no member of {fragment.document} matches",
+            )
         # Each call specializes the translation with the request's bound
         # constants and its outer bindings (one row, or a whole
         # :class:`BindingSet`).
@@ -158,34 +158,26 @@ class O2Wrapper(Wrapper):
             translator.add_predicate(predicate)
         if isinstance(outer, BindingSet):
             translator.add_keys(outer)
-        columns = plan.output_columns()
-        query = translator.build_select(
-            columns, fragment.projection, fragment.distinct
-        )
+        query = translator.build_select(fragment.projection, fragment.distinct)
         oql_rows = (
             evaluate_oql(query, self._db)
             if reference
             else compile_select(query).run(self._db)
         )
-        convert = self._to_cell
-        data = [tuple(convert(raw.get(c)) for raw in oql_rows) for c in columns]
+        cells = prepared.cells
+        if fragment.projection is not None:
+            cells = {alias: cells[column] for column, alias in fragment.projection}
+        data = []
+        for column in columns:
+            convert = cells[column]
+            values = [raw.get(column) for raw in oql_rows]
+            data.append(values if convert is None else [convert(v) for v in values])
         return Tab.from_columns(columns, data, len(oql_rows)), query.text()
 
     def _translated(self, fragment: PushedFragment) -> "_OqlTranslator":
         translator = _OqlTranslator(self._db, fragment.document)
         translator.translate_filter(fragment.filter)
         return translator
-
-    def _to_cell(self, value: object):
-        if isinstance(value, OdmgObject):
-            return self._db.export_object(value.oid)
-        if isinstance(value, Oid):
-            return self._db.export_object(value.value)
-        if isinstance(value, list):
-            return tuple(self._to_cell(item) for item in value)
-        if isinstance(value, dict):
-            raise SourceError("cannot return a bare tuple value from OQL")
-        return value
 
 
 class _OqlTranslator:
@@ -204,13 +196,18 @@ class _OqlTranslator:
         self._document = document
         self._outer: Optional[Row] = None
         self._ranges: List[OqlRange] = []
-        self._projections: Dict[str, OqlNode] = {}
+        #: ``{column: cell conversion}``; ``None`` keeps the OQL value.
+        self.cells: Dict[str, Optional[Callable[[object], object]]] = {}
         #: ``(path, constant)`` equalities of the filter, in filter order;
         #: a :class:`Param` constant is bound per call (:meth:`specialized`).
         self._constants: List[Tuple[OqlPath, object]] = []
         self._wheres: List[OqlNode] = []
+        #: ``{variable: the path it projects}``, in filter order.
         self._paths: Dict[str, OqlNode] = {}
         self._range_counter = 0
+        #: Set when a label or constant of the filter can match no
+        #: exported node: the answer is empty, and no OQL runs.
+        self.empty = False
 
     # -- range allocation -------------------------------------------------------
 
@@ -221,101 +218,102 @@ class _OqlTranslator:
         return variable
 
     # -- filter translation --------------------------------------------------------
+    #
+    # The filter is validated against ``Fextent``; the walk follows it
+    # down the schema's types, so each position knows what the export
+    # holds there.  A label or constant the export never holds at its
+    # position makes the answer empty, as the mediator's own Bind over
+    # the exported extent would.
 
-    def translate_filter(self, flt: Filter) -> None:
-        if not isinstance(flt, FElem) or not isinstance(flt.label, str):
-            raise SourceError("O2 filter root must be a concrete element")
-        if flt.label not in ("set",) + COLLECTION_KINDS:
-            raise SourceError(
-                f"O2 filter root must be an extent collection, got {flt.label!r}"
-            )
-        stars = [item for item in flt.children if isinstance(item, FStar)]
-        if len(stars) != 1 or len(flt.children) != 1:
-            raise SourceError(
-                "O2 extent filter must iterate its members with exactly one star"
-            )
+    def translate_filter(self, flt: FElem) -> None:
+        """``set [ * member ]``: one range over the extent."""
         variable = self._new_range(OqlPath(self._document))
-        self._class_filter(stars[0].child, OqlPath(variable))
+        class_name = self._db.schema.extents()[self._document]
+        member = flt.children[0].child
+        if isinstance(member, FVar):
+            self._project(member.name, OqlPath(variable), self._object_cell)
+        else:
+            self._object(member, OqlPath(variable), class_name)
 
-    def _class_filter(self, flt: Filter, base: OqlPath) -> None:
-        if isinstance(flt, FVar):
-            self._projections[flt.name] = base
-            self._paths[flt.name] = base
+    def _project(self, name: str, path: OqlPath, convert) -> None:
+        self._paths[name] = path
+        self.cells[name] = convert
+
+    def _object(self, flt: FElem, path: OqlPath, class_name: str) -> None:
+        """``class [ <class name> [ tuple ] ]``: an extent member, or the
+        target of a reference (element filters follow references)."""
+        if flt.label != "class":
+            self.empty = True
             return
-        if not isinstance(flt, FElem) or flt.label != "class":
-            raise SourceError(
-                f"expected a class filter over extent members, got {flt!r}"
-            )
         if flt.var is not None:
-            self._projections[flt.var] = base
-            self._paths[flt.var] = base
-        if not flt.children:
-            return
-        if len(flt.children) != 1 or not isinstance(flt.children[0], FElem):
-            raise SourceError("a class filter holds exactly one class-name element")
-        named = flt.children[0]
-        if not isinstance(named.label, str):
-            raise SourceError("the class name must be ground in an O2 filter")
-        # Class-membership check: only objects of that class match.
-        definition = self._db.schema.classes.get(named.label)
-        if definition is None:
-            raise SourceError(f"unknown class {named.label!r} in pushed filter")
-        if len(named.children) != 1:
-            raise SourceError("the class-name element holds exactly the tuple filter")
-        self._tuple_filter(named.children[0], base)
+            self._project(flt.var, path, self._object_cell)
+        for named in flt.children:
+            if named.label != class_name:
+                self.empty = True
+                return
+            value_type = self._db.schema.class_of(class_name).type
+            for content in named.children:
+                self._value(content, path, value_type)
 
-    def _tuple_filter(self, flt: Filter, base: OqlPath) -> None:
-        if not isinstance(flt, FElem) or flt.label != "tuple":
-            raise SourceError(f"expected a tuple filter, got {flt!r}")
+    def _value(self, flt: Filter, path: OqlPath, odmg_type: OdmgType) -> None:
+        """A filter over a value node of *odmg_type* (a tuple, a
+        collection, a reference, or an atomic collection item)."""
+        if isinstance(flt, FVar):
+            self._project(flt.name, path, self._cell(odmg_type))
+        elif isinstance(flt, FConst) or isinstance(odmg_type, AtomicType):
+            # A constant never matches a tuple, collection or object,
+            # and an element filter never matches an atom.
+            if isinstance(flt, FConst) and isinstance(odmg_type, AtomicType):
+                self._constants.append((path, flt.value))
+            else:
+                self.empty = True
+        elif isinstance(odmg_type, RefType):
+            self._object(flt, path, odmg_type.class_name)
+        elif isinstance(odmg_type, TupleType):
+            self._tuple(flt, path, odmg_type)
+        elif flt.label != odmg_type.kind:
+            self.empty = True
+        else:
+            if flt.var is not None:
+                self._project(flt.var, path, self._cell(odmg_type))
+            variable = self._new_range(path)
+            self._value(flt.children[0].child, OqlPath(variable), odmg_type.element)
+
+    def _tuple(self, flt: FElem, path: OqlPath, odmg_type: TupleType) -> None:
+        """``tuple [ attribute: content, ... ]``; attributes are ground."""
+        if flt.label != "tuple":
+            self.empty = True
+            return
+        if flt.var is not None:
+            self._project(flt.var, path, self._cell(odmg_type))
+        attributes = dict(odmg_type.attributes)
         for item in flt.children:
-            if not isinstance(item, FElem) or not isinstance(item.label, str):
-                raise SourceError(
-                    "tuple attributes must be ground elements in an O2 filter"
-                )
-            attribute_path = OqlPath(base.root, base.steps + (item.label,))
-            if not item.children:
-                continue
-            if len(item.children) != 1:
-                raise SourceError(
-                    f"attribute {item.label!r} admits exactly one content filter"
-                )
-            self._attribute_content(item.children[0], attribute_path)
+            attribute_type = attributes.get(item.label)
+            if attribute_type is None:
+                self.empty = True
+                return
+            attribute_path = OqlPath(path.root, path.steps + (item.label,))
+            for content in item.children:
+                self._value(content, attribute_path, attribute_type)
 
-    def _attribute_content(self, content: Filter, path: OqlPath) -> None:
-        if isinstance(content, FVar):
-            self._projections[content.name] = path
-            self._paths[content.name] = path
-            return
-        if isinstance(content, FConst):
-            self._constants.append((path, content.value))
-            return
-        if isinstance(content, FElem) and isinstance(content.label, str):
-            if content.label in COLLECTION_KINDS:
-                self._collection_content(content, path)
-                return
-            if content.label == "class":
-                # Direct (single) reference attribute: path navigation
-                # dereferences it transparently in the OQL engine.
-                self._class_filter(content, path)
-                return
-            if content.label == "tuple":
-                self._tuple_filter(content, path)
-                return
-        raise SourceError(f"unsupported attribute content filter: {content!r}")
+    # -- cells ----------------------------------------------------------------------
 
-    def _collection_content(self, content: FElem, path: OqlPath) -> None:
-        stars = [item for item in content.children if isinstance(item, FStar)]
-        if len(stars) != 1 or len(content.children) != 1:
-            raise SourceError(
-                "a collection filter iterates its members with exactly one star"
+    def _object_cell(self, value: object) -> DataNode:
+        return self._db.export_object(_oid(value))
+
+    def _cell(self, odmg_type: OdmgType) -> Optional[Callable[[object], object]]:
+        """How a variable's OQL value becomes the node the export holds
+        at a position of *odmg_type* (a reference binds as itself)."""
+        if isinstance(odmg_type, AtomicType):
+            return None
+        if isinstance(odmg_type, RefType):
+            return lambda value: DataNode("class", ref_target=_oid(value))
+        export = self._db.export_value
+        if isinstance(odmg_type, TupleType):
+            return lambda value: export(
+                odmg_type, value.values if isinstance(value, OdmgObject) else value
             )
-        variable = self._new_range(path)
-        inner = stars[0].child
-        if isinstance(inner, FVar):
-            self._projections[inner.name] = OqlPath(variable)
-            self._paths[inner.name] = OqlPath(variable)
-            return
-        self._class_filter(inner, OqlPath(variable))
+        return lambda value: export(odmg_type, value)
 
     # -- per-call specialization ---------------------------------------------------
 
@@ -336,7 +334,6 @@ class _OqlTranslator:
         clone._document = self._document
         clone._outer = outer
         clone._ranges = self._ranges
-        clone._projections = self._projections
         clone._paths = self._paths
         clone._constants = self._constants
         clone._wheres = [
@@ -383,52 +380,31 @@ class _OqlTranslator:
             return OqlOr([self._expr(op) for op in expr.operands])
         if isinstance(expr, BoolNot):
             return OqlNot(self._expr(expr.operand))
-        if isinstance(expr, FunCall):
-            return self._method_call(expr)
-        raise SourceError(f"cannot translate expression {expr!r} to OQL")
-
-    def _method_call(self, expr: FunCall) -> OqlNode:
-        method = self._db.schema.methods.get(expr.name)
-        if method is None:
-            raise SourceError(f"unknown O2 method {expr.name!r}")
-        if not expr.args or not isinstance(expr.args[0], Var):
-            raise SourceError(
-                f"method {expr.name!r} needs an object variable receiver"
-            )
-        receiver = self._paths.get(expr.args[0].name)
-        if not isinstance(receiver, OqlPath):
-            raise SourceError(
-                f"receiver ${expr.args[0].name} of {expr.name!r} is not bound "
-                "by the pushed filter"
-            )
-        args = [self._expr(arg) for arg in expr.args[1:]]
-        return OqlMethodCall(receiver, expr.name, args)
+        # A validated call: a declared method on its one receiver.
+        return OqlMethodCall(self._expr(expr.args[0]), expr.name, [])
 
     # -- assembly -----------------------------------------------------------------------
 
     def build_select(
         self,
-        columns: Tuple[str, ...],
         projection: Optional[Tuple[Tuple[str, str], ...]],
         distinct: bool,
     ) -> OqlSelect:
         if projection is not None:
-            wanted = {column for column, _alias in projection}
-            alias_of = {column: alias for column, alias in projection}
+            alias_of = dict(projection)
         else:
-            wanted = set(self._projections)
-            alias_of = {name: name for name in self._projections}
-        items: List[OqlProjection] = []
-        for name, node in self._projections.items():
-            if name in wanted:
-                items.append(OqlProjection(alias_of[name], node))
-        missing = set(columns) - {item.alias for item in items}
-        if missing:
-            raise SourceError(
-                f"pushed plan expects columns {sorted(missing)} the filter "
-                "does not bind"
-            )
+            alias_of = {name: name for name in self._paths}
+        items = [
+            OqlProjection(alias_of[name], node)
+            for name, node in self._paths.items()
+            if name in alias_of
+        ]
         where: Optional[OqlNode] = None
         if self._wheres:
             where = self._wheres[0] if len(self._wheres) == 1 else OqlAnd(self._wheres)
         return OqlSelect(items, self._ranges, where, distinct)
+
+
+def _oid(value: object) -> str:
+    """The object identifier of an OQL object or reference value."""
+    return value.oid if isinstance(value, OdmgObject) else value.value

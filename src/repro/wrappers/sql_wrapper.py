@@ -13,25 +13,22 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
-from repro.errors import SourceError
 from repro.capabilities.fmodel import FModel, fleaf, fnode, fref, fstar, funion
 from repro.capabilities.interface import ArgSpec, OperationDecl, SourceInterface
 from repro.core.algebra.expressions import (
     BoolAnd,
     BoolNot,
     BoolOr,
-    Cmp,
-    Const,
     Expr,
     Var,
     bound,
 )
 from repro.core.algebra.operators import Plan
 from repro.core.algebra.tab import BindingSet, Row, Tab
-from repro.model.filters import FConst, FElem, FStar, FVar, Filter
+from repro.model.filters import FVar, Filter
 from repro.model.patterns import SYMBOL
 from repro.model.trees import DataNode
-from repro.sources.relational.engine import SqlDatabase
+from repro.sources.relational.engine import SqlDatabase, SqlTable
 from repro.wrappers.base import (
     PushedFragment,
     Wrapper,
@@ -46,8 +43,11 @@ _SQL_OPS = {"=": "=", "!=": "<>", "<": "<", "<=": "<=", ">": ">", ">=": ">="}
 def sql_fmodel() -> FModel:
     """Filter restrictions for a relational source, the ``sqlfmodel``.
 
-    Rows can be bound as trees; columns must be named (ground) and bind
-    only their values; the row star stays a star (no positional access).
+    Columns must be named (ground) and bind only their values; the row
+    star stays a star (no positional access), iterated exactly once.
+    Rows bind no tree variable (``bind="none"`` on ``row``): the
+    translator selects columns and never rebuilds a row element, so a
+    filter binding whole rows stays mediator-side.
     """
     model = FModel("sqlfmodel")
     model.define(
@@ -63,7 +63,7 @@ def sql_fmodel() -> FModel:
                 ),
                 inst="ground",
             ),
-            bind="tree",
+            bind="none",
         ),
     )
     model.define(
@@ -76,6 +76,24 @@ def sql_fmodel() -> FModel:
         ),
     )
     return model
+
+
+def _filter_columns(flt: Filter, table: SqlTable):
+    """``({variable: column}, [(column, constant)])`` of a validated
+    ``rows [ * row [ column: content, ... ] ]`` filter, or ``None`` when
+    no exported row can match it: it names an undeclared column."""
+    var_columns: Dict[str, str] = {}
+    constants: List[Tuple[str, object]] = []
+    known = table.column_names()
+    for item in flt.children[0].child.children:
+        if item.label not in known:
+            return None
+        for content in item.children:
+            if isinstance(content, FVar):
+                var_columns[content.name] = item.label
+            else:
+                constants.append((item.label, bound(content.value)))
+    return var_columns, constants
 
 
 def _restored(declared: Optional[str], values: List[object]) -> tuple:
@@ -117,7 +135,9 @@ class SqlWrapper(Wrapper):
         )
         for operation in ("select", "project"):
             interface.add_operation(OperationDecl(operation, "algebra"))
-        for predicate in ("eq", "neq", "lt", "lte", "gt", "gte"):
+        for predicate in (
+            "eq", "neq", "lt", "lte", "gt", "gte", "and", "or", "not"
+        ):
             interface.add_operation(OperationDecl(predicate, "boolean"))
         return interface
 
@@ -141,7 +161,14 @@ class SqlWrapper(Wrapper):
         self, fragment: PushedFragment, plan: Plan, outer: Optional[Row]
     ) -> Tuple[Tab, str]:
         table = self._db.table(fragment.document)
-        var_columns, constants = self._filter_columns(fragment.filter, table)
+        columns = plan.output_columns()
+        parts = _filter_columns(fragment.filter, table)
+        if parts is None:
+            return (
+                Tab.from_columns(columns, [()] * len(columns), 0),
+                f"-- no row of {table.name} matches",
+            )
+        var_columns, constants = parts
         where_parts: List[str] = []
         params: List[object] = []
         for column, value in constants:
@@ -160,13 +187,12 @@ class SqlWrapper(Wrapper):
         else:
             wanted = set(var_columns)
             alias_of = {name: name for name in var_columns}
+        # A fragment binding no column still answers one row per match.
         select_items = [
             f"{column} AS {alias_of[var]}"
             for var, column in var_columns.items()
             if var in wanted
-        ]
-        if not select_items:
-            raise SourceError("pushed SQL fragment projects no columns")
+        ] or ["1"]
         sql = f"SELECT {', '.join(select_items)} FROM {table.name}"
         blocks = [(None, [])]
         if isinstance(outer, BindingSet):
@@ -180,13 +206,6 @@ class SqlWrapper(Wrapper):
             raw_rows.extend(self._db.query(statement, bound))
             natives.append(
                 f"{statement} -- params {tuple(bound)!r}" if bound else statement
-            )
-        columns = plan.output_columns()
-        missing = set(columns) - set(alias_of[v] for v in var_columns if v in wanted)
-        if missing:
-            raise SourceError(
-                f"pushed SQL plan expects columns {sorted(missing)} the filter "
-                "does not bind"
             )
         declared = {
             alias_of[var]: table.column(column).type_name
@@ -226,44 +245,6 @@ class SqlWrapper(Wrapper):
             ))
         return blocks
 
-    def _filter_columns(self, flt: Filter, table):
-        """Extract ``{variable: column}`` and constant equality constraints."""
-        if (
-            not isinstance(flt, FElem)
-            or flt.label != "rows"
-            or len(flt.children) != 1
-            or not isinstance(flt.children[0], FStar)
-        ):
-            raise SourceError("SQL filters have the shape rows [ * row [...] ]")
-        row_filter = flt.children[0].child
-        if not isinstance(row_filter, FElem) or row_filter.label != "row":
-            raise SourceError("SQL filters iterate over row elements")
-        if row_filter.var is not None:
-            raise SourceError(
-                "binding whole rows as trees is not implemented by this wrapper; "
-                "bind the needed columns instead"
-            )
-        var_columns: Dict[str, str] = {}
-        constants: List[Tuple[str, object]] = []
-        for item in row_filter.children:
-            if not isinstance(item, FElem) or not isinstance(item.label, str):
-                raise SourceError("SQL column filters must be ground elements")
-            table.column(item.label)  # raises for unknown columns
-            if len(item.children) != 1:
-                raise SourceError(
-                    f"column {item.label!r} admits exactly one content filter"
-                )
-            content = item.children[0]
-            if isinstance(content, FVar):
-                var_columns[content.name] = item.label
-            elif isinstance(content, FConst):
-                constants.append((item.label, bound(content.value)))
-            else:
-                raise SourceError(
-                    f"column content must be a variable or constant, got {content!r}"
-                )
-        return var_columns, constants
-
     def _predicate_sql(
         self,
         predicate: Expr,
@@ -285,11 +266,11 @@ class SqlWrapper(Wrapper):
             return "NOT " + self._predicate_sql(
                 predicate.operand, var_columns, params, outer
             )
-        if isinstance(predicate, Cmp):
-            left = self._scalar_sql(predicate.left, var_columns, params, outer)
-            right = self._scalar_sql(predicate.right, var_columns, params, outer)
-            return f"{left} {_SQL_OPS[predicate.op]} {right}"
-        raise SourceError(f"cannot translate predicate {predicate!r} to SQL")
+        # The interface declares comparisons and no function: the rest
+        # of a validated predicate is one comparison.
+        left = self._scalar_sql(predicate.left, var_columns, params, outer)
+        right = self._scalar_sql(predicate.right, var_columns, params, outer)
+        return f"{left} {_SQL_OPS[predicate.op]} {right}"
 
     def _scalar_sql(
         self,
@@ -303,8 +284,6 @@ class SqlWrapper(Wrapper):
                 return var_columns[expr.name]
             params.append(outer_constant(outer, expr.name))
             return "?"
-        if isinstance(expr, Const):
-            value = bound(expr.value)
-            params.append(int(value) if isinstance(value, bool) else value)
-            return "?"
-        raise SourceError(f"cannot translate expression {expr!r} to SQL")
+        value = bound(expr.value)
+        params.append(int(value) if isinstance(value, bool) else value)
+        return "?"

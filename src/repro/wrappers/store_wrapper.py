@@ -42,7 +42,6 @@ from __future__ import annotations
 
 from typing import Dict, Optional, Tuple, Union
 
-from repro.errors import SourceError
 from repro.capabilities.fmodel import store_fmodel
 from repro.capabilities.interface import ArgSpec, OperationDecl, SourceInterface
 from repro.core.algebra.bind import MAX_MATCHES
@@ -175,18 +174,9 @@ class StoreWrapper(Wrapper):
     def run_fragment(
         self, fragment: PushedFragment, plan: Plan, outer: Optional[Row]
     ) -> Tuple[Tab, str]:
-        if fragment.selections or fragment.projection is not None:
-            raise SourceError(
-                "store sources execute bare Bind fragments only; selections "
-                "stay mediator-side"
-            )
+        # The store declares ``bind`` alone: a validated fragment is a
+        # bare Bind, whose columns are the filter's variables.
         columns = plan.output_columns()
-        variables = fragment.filter.variables()
-        if tuple(columns) != tuple(variables):
-            raise SourceError(
-                f"store fragments bind exactly the filter variables "
-                f"{tuple(variables)}, plan declares {tuple(columns)}"
-            )
         document = fragment.document
         # A write between the metadata read, the fetch and a hydration
         # would hand this read the replacement's node at an old position.

@@ -13,23 +13,23 @@ The wrapper exports:
 * ``bind``, ``select`` and the external ``contains`` predicate, together
   with the declared equivalence connecting ``contains`` to equality.
 
-Pushed fragments must be ``[Select contains]* (Bind works*$w (Source))``;
-they translate to a :class:`~repro.sources.wais.query.WaisQuery` answered
-by the inverted index, and only the matching documents are transferred.
+A validated pushed fragment is ``[Select contains and ...]* (Bind
+works *work $w (Source))``; it translates to a
+:class:`~repro.sources.wais.query.WaisQuery` answered by the inverted
+index, and only the matching documents are transferred.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.errors import SourceError
 from repro.capabilities.equivalences import SelectionImplication
 from repro.capabilities.fmodel import wais_fmodel
 from repro.capabilities.interface import ArgSpec, OperationDecl, SourceInterface
-from repro.core.algebra.expressions import Const, Expr, FunCall, Var, bound
+from repro.core.algebra.expressions import Const, FunCall, bound, conjuncts
 from repro.core.algebra.operators import Plan
 from repro.core.algebra.tab import Row, Tab
-from repro.model.filters import FElem, FStar, FVar, Filter
 from repro.model.patterns import (
     PAny,
     PAtomic,
@@ -86,6 +86,8 @@ class WaisWrapper(Wrapper):
             )
         )
         interface.add_operation(OperationDecl("select", "algebra"))
+        # Terms combine by conjunction only: a Wais query is a term list.
+        interface.add_operation(OperationDecl("and", "boolean"))
         interface.add_operation(
             OperationDecl(
                 "contains",
@@ -150,75 +152,36 @@ class WaisWrapper(Wrapper):
     def run_fragment(
         self, fragment: PushedFragment, plan: Plan, outer: Optional[Row]
     ) -> Tuple[Tab, str]:
-        work_var = self._work_variable(fragment.filter)
-        terms: List[WaisTerm] = []
-        for predicate in fragment.selections:
-            terms.append(self._predicate_term(predicate, work_var, outer))
-        query = WaisQuery(terms)
-        doc_ids = self._store.search(query)
         columns = plan.output_columns()
-        if columns != (work_var,):
-            raise SourceError(
-                f"Wais fragments bind exactly the work variable; expected "
-                f"column {work_var!r}, plan declares {columns}"
-            )
+        terms = [
+            self._term(call, columns, outer)
+            for predicate in fragment.selections
+            for call in conjuncts(predicate)
+        ]
+        query = WaisQuery(terms)
+        # contains() holds for a text only, as at the mediator: any other
+        # value (a number, or the work document itself) matches nothing.
+        texts = all(isinstance(term.text, str) for term in terms)
+        doc_ids = self._store.search(query) if texts else ()
+        # The filter binds the work documents, or nothing (``works *
+        # work``: one empty row per document).
         works = tuple(self._store.fetch(doc_id) for doc_id in doc_ids)
+        data = [works] * len(columns)
         native = f"wais-search {query.render()}"
-        return Tab.from_columns(columns, (works,)), native
+        return Tab.from_columns(columns, data, len(doc_ids)), native
 
-    def _work_variable(self, flt: Filter) -> str:
-        if (
-            not isinstance(flt, FElem)
-            or flt.label != self._store.collection_label
-            or len(flt.children) != 1
-            or not isinstance(flt.children[0], FStar)
-        ):
-            raise SourceError(
-                "Wais filters have the shape works [ * work $w ] "
-                f"(collection label {self._store.collection_label!r})"
-            )
-        inner = flt.children[0].child
-        if isinstance(inner, FVar):
-            return inner.name
-        if (
-            isinstance(inner, FElem)
-            and inner.label == "work"
-            and inner.var is not None
-            and not inner.children
-        ):
-            return inner.var
-        raise SourceError(
-            "Wais sources only bind whole work documents (tree variable)"
-        )
-
-    def _predicate_term(
-        self, predicate: Expr, work_var: str, outer: Optional[Row]
+    @staticmethod
+    def _term(
+        call: FunCall, columns: Tuple[str, ...], outer: Optional[Row]
     ) -> WaisTerm:
-        if not isinstance(predicate, FunCall) or not (
-            predicate.name == "contains" or predicate.name.startswith("contains_")
-        ):
-            raise SourceError(
-                f"Wais sources only evaluate contains predicates, got "
-                f"{predicate.text()}"
-            )
-        field: Optional[str] = None
-        if predicate.name.startswith("contains_"):
-            field = predicate.name.removeprefix("contains_")
-            if not self._store.field_queryable(field):
-                raise SourceError(f"field {field!r} is not queryable")
-        if len(predicate.args) != 2:
-            raise SourceError("contains takes (document, text)")
-        target, text = predicate.args
-        if not isinstance(target, Var) or target.name != work_var:
-            raise SourceError(
-                f"contains must test the bound work variable ${work_var}"
-            )
+        """The term of one validated ``contains[_field]($w, text)`` call;
+        a text variable is the work document or an outer parameter."""
+        text = call.args[1]
         if isinstance(text, Const):
             value = bound(text.value)
-        elif isinstance(text, Var):
-            value = outer_constant(outer, text.name)
+        elif text.name in columns:
+            value = None
         else:
-            raise SourceError("the contains text must be a constant or parameter")
-        if not isinstance(value, str):
-            raise SourceError("the contains text must be a string")
+            value = outer_constant(outer, text.name)
+        field = call.name.removeprefix("contains_") if call.name != "contains" else None
         return WaisTerm(value, field=field)

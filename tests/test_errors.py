@@ -14,11 +14,9 @@ class TestHierarchy:
 
     def test_subsystem_groupings(self):
         assert issubclass(errors.BindError, errors.AlgebraError)
-        assert issubclass(errors.TypeFilterError, errors.BindError)
         assert issubclass(errors.OqlSyntaxError, errors.OqlError)
         assert issubclass(errors.OqlError, errors.SourceError)
         assert issubclass(errors.UnknownDocumentError, errors.MediatorError)
-        assert issubclass(errors.FilterNotSupportedError, errors.CapabilityError)
         assert issubclass(errors.UnknownVariableError, errors.EvaluationError)
 
     def test_yatl_syntax_error_carries_position(self):

@@ -35,7 +35,7 @@ class TestDescendantAxis:
 
     def test_descendant_axis_not_pushable_to_wais(self, figure1_sources):
         _db, store = figure1_sources
-        matcher = WaisWrapper("xmlartwork", store).matcher()
+        matcher = WaisWrapper("xmlartwork", store).interface().matcher()
         flt = parse_filter("works .. technique . $x")
         verdict = matcher.bind_admissible(flt)
         assert not verdict

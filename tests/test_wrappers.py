@@ -271,6 +271,20 @@ class TestWaisWrapper:
         tab, _native = wais.execute_pushed(plan, outer)
         assert len(tab) == 1
 
+    def test_contains_parameter_that_is_no_text_matches_nothing(self, wais):
+        # As the mediator's contains() says of a number.
+        flt = felem("works", FStar(felem("work", var="w")))
+        plan = SelectOp(
+            BindOp(SourceOp("xmlartwork", "artworks"), flt, on="artworks"),
+            FunCall("contains", [Var("w"), Var("needle")]),
+        )
+        tab, native = wais.execute_pushed(plan, Row(("needle",), (1897,)))
+        assert len(tab) == 0 and native == "wais-search any=(1897)"
+
+    def test_unknown_document_refused(self, wais):
+        with pytest.raises(SourceError, match="no document 'paintings'"):
+            wais.document("paintings")
+
     def test_equivalence_declared(self, wais):
         equivalences = wais.interface().equivalences
         assert len(equivalences) == 1
@@ -337,11 +351,15 @@ class TestSqlWrapper:
         assert "year = ?" in native2
         assert len(tab2) >= 1
 
-    def test_unknown_column_rejected(self, sql):
+    def test_unknown_column_matches_no_row(self, sql):
+        # The Fmodel admits any column label; no exported row holds an
+        # undeclared one, so the answer is empty, as the mediator's own
+        # Bind over the document would say.
         flt = felem("rows", FStar(felem("row", felem("ghost", FVar("g")))))
         plan = BindOp(SourceOp("salesdb", "sales"), flt, on="sales")
-        with pytest.raises(SourceError):
-            sql.execute_pushed(plan)
+        tab, native = sql.execute_pushed(plan)
+        assert len(tab) == 0 and tab.columns == ("g",)
+        assert native == "-- no row of sales matches"
 
     def test_same_answers_as_o2_for_shared_data(self, sql):
         """Section 4.1: SQL wraps 'in a similar manner' — same rows out."""
@@ -371,3 +389,40 @@ class TestSqlWrapper:
                        "where R1.price < 1000000.0")
         assert native == ("SELECT title AS t, price AS p FROM sales "
                           "WHERE price < ? -- params (1000000.0,)")
+
+
+class TestOneCapabilityDecision:
+    """Queries near the edge of a source's description: what the matcher
+    admits the translator runs, so the default optimizer answers each
+    byte for byte like the unoptimized plan."""
+
+    @pytest.fixture(scope="class")
+    def mediator(self):
+        from repro import Mediator
+
+        dataset = CulturalDataset(n_artifacts=6, seed=1)
+        database, store = dataset.build()
+        mediator = Mediator()
+        mediator.connect(O2Wrapper("o2artifact", database))
+        mediator.connect(WaisWrapper("xmlartwork", store))
+        mediator.connect(SqlWrapper("salesdb", dataset.build_sales(database)))
+        return mediator
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            # A whole row bound as a tree: the SQL Fmodel binds columns only.
+            "MAKE r [ $t ] MATCH sales WITH rows *row $r [ title: $t ]",
+            # A fragment binding no column: one empty row per match.
+            'MAKE r [ "x" ] MATCH sales WITH rows *row [ title: "Nympheas No. 1" ]',
+            # contains takes a String: an Int stays mediator-side.
+            "MAKE r [ $w ] MATCH artworks WITH works *work $w WHERE contains($w, 3)",
+            # A text that is the document itself matches nothing.
+            "MAKE r [ $w ] MATCH artworks WITH works *work $w WHERE contains($w, $w)",
+        ],
+    )
+    def test_default_plan_answers_like_the_unoptimized_one(self, mediator, text):
+        from repro.model.xml_io import tree_to_xml
+
+        expected = tree_to_xml(mediator.query(text, optimize=False).document())
+        assert tree_to_xml(mediator.query(text).document()) == expected

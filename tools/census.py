@@ -1,7 +1,8 @@
-"""Census of ``src/repro``: which settings no caller passes, and which
-functions no test and no workload runs.
+"""Census of ``src/repro``: which settings no caller passes, which
+functions no test and no workload runs, and which wrapper ``raise``
+sites the tests reach.
 
-    python tools/census.py [--seconds 3] [-v] [--settings]
+    python tools/census.py [--seconds 3] [-v] [--settings | --raises]
 
 First, statically (``ast`` only; ``--settings`` stops there and exits
 1 when it lists any, which CI enforces): every
@@ -18,6 +19,11 @@ runs them all).  It prints, per file, the functions that never ran
 that only examples ran.
 Stdlib only; the profiler makes everything 3-5x slower, so it is part
 of no test suite.
+
+``--raises`` instead lists every ``raise`` statement under
+``src/repro/wrappers/`` with the ids of the tier-1 tests that execute
+it, found by a line trace (``sys.settrace`` + ``threading.settrace``)
+that follows only frames of that package (about 1 min).
 """
 
 from __future__ import annotations
@@ -84,6 +90,74 @@ class Recorder:
             sys.setprofile(None)
             threading.setprofile(None)
         return seen
+
+
+class RaiseTracer:
+    """Line trace of the frames whose file is in *sites* (``{file:
+    {line}}``), recording the test that runs each site line; a pytest
+    plugin that names the running test and sets the trace again before
+    each one (a test may unset it)."""
+
+    def __init__(self, sites: dict) -> None:
+        self.sites = sites
+        self.test = ""
+        self.reached = defaultdict(set)
+
+    def trace(self, frame, event, _arg):
+        lines = self.sites.get(frame.f_code.co_filename)
+        if lines is None:
+            return None
+
+        def local(frame, event, _arg):
+            if event == "line" and frame.f_lineno in lines:
+                self.reached[(frame.f_code.co_filename, frame.f_lineno)].add(self.test)
+            return local
+
+        return local(frame, event, _arg)
+
+    def pytest_runtest_setup(self, item):
+        self.test = item.nodeid
+        sys.settrace(self.trace)
+
+
+def raise_sites() -> dict:
+    """``{file: {line: statement text}}`` of every ``raise`` in the
+    wrappers package."""
+    sites = {}
+    for path in sorted((SRC / "wrappers").rglob("*.py")):
+        text = path.read_text()
+        sites[str(path)] = {
+            node.lineno: " ".join(ast.get_source_segment(text, node).split())
+            for node in ast.walk(ast.parse(text)) if isinstance(node, ast.Raise)
+        }
+    return sites
+
+
+def raises() -> int:
+    """Print each wrapper raise site with the tier-1 tests that reach it."""
+    sys.path.insert(0, str(ROOT / "src"))
+    os.chdir(ROOT)
+    import pytest
+
+    sites = raise_sites()
+    tracer = RaiseTracer({path: set(lines) for path, lines in sites.items()})
+    threading.settrace(tracer.trace)
+    try:
+        pytest.main(["-q", "-p", "no:cacheprovider", str(ROOT / "tests")],
+                     plugins=[tracer])
+    finally:
+        sys.settrace(None)
+        threading.settrace(None)
+    total = sum(len(lines) for lines in sites.values())
+    print(f"\n== raise sites under src/repro/wrappers: {total}")
+    for path, lines in sites.items():
+        for line, statement in sorted(lines.items()):
+            tests = sorted(tracer.reached.get((path, line), ()))
+            shown = statement if len(statement) <= 90 else statement[:87] + "..."
+            print(f"{os.path.relpath(path, ROOT)}:{line}  {shown}")
+            for test in tests or ["(no tier-1 test reaches it)"]:
+                print(f"    {test}")
+    return 0
 
 
 def table(title: str, rows: dict, verbose: bool) -> None:
@@ -209,7 +283,12 @@ def main() -> int:
     parser.add_argument("--settings", action="store_true",
                         help="print only the static settings section (no run); "
                         "exit 1 if it lists any")
+    parser.add_argument("--raises", action="store_true",
+                        help="list every raise under src/repro/wrappers with the "
+                        "tier-1 tests that reach it (line trace, no workloads)")
     args = parser.parse_args()
+    if args.raises:
+        return raises()
     unset = settings()
     print(f"== settings no caller passes: {len(unset)}")
     for path, line, setting in unset:
