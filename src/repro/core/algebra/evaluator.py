@@ -453,7 +453,9 @@ def _eval_pushed(plan: PushedOp, env: Environment, outer: Optional[Row]) -> Tab:
     env.stats.record_call(plan.source)
     env.stats.record_transfer(plan.source, rows=len(tab), size=size)
     if env.tracer is not None:
-        env.tracer.annotate(source=plan.source, calls=1, bytes=size, native=native)
+        env.tracer.annotate(
+            source=plan.source, calls=1, bytes=size, native=str(native)
+        )
     if isinstance(outer, BindingSet):
         env.stats.record_passed_keys(len(outer.keys))
         if env.tracer is not None:

@@ -87,9 +87,7 @@ class ExecutionStats:
         self.source_calls: Counter = Counter()
         self.operator_counts: Counter = Counter()
         self.mediator_rows: int = 0
-        #: ``(source, native text)`` for every query a wrapper executed,
-        #: in execution order (one entry per call).
-        self.native_queries: list = []
+        self._natives: list = []
         #: Resilience counters (filled in only under a retrying
         #: :class:`~repro.mediator.resilience.ResiliencePolicy`).
         self.retries: Counter = Counter()
@@ -145,10 +143,15 @@ class ExecutionStats:
         with self._lock:
             self.source_calls[source] += 1
 
-    def record_native(self, source: str, native: str) -> None:
+    def record_native(self, source: str, native: object) -> None:
         """Record the native query text a wrapper executed."""
         with self._lock:
-            self.native_queries.append((source, native))
+            self._natives.append((source, native))
+
+    @property
+    def native_queries(self) -> list:
+        """``(source, native text)`` per wrapper call, in execution order."""
+        return [(source, str(native)) for source, native in self._natives]
 
     def distinct_native_queries(self):
         """Native queries with duplicates removed, order preserved."""

@@ -4,6 +4,10 @@ The subset covers what the paper's wrapper generates (Section 4.1):
 ``select [distinct]``/``from``/``where`` with named projections, dependent ranges
 (``O in A.owners``), path expressions, method calls, comparisons and
 boolean connectives — plus bare extent queries.
+
+A select *template* holds an :class:`OqlSlot` for each value a call
+supplies and one :class:`OqlKeySet` for its passed keys;
+:meth:`OqlNode.bind` writes one call's values in.
 """
 
 from __future__ import annotations
@@ -18,6 +22,16 @@ class OqlNode:
 
     def text(self) -> str:
         raise NotImplementedError
+
+    def bind(self, slots: Sequence[object], keys: Sequence[tuple]) -> "OqlNode":
+        """This node with *slots* and *keys* written in as literals (its
+        ``__slots__`` are its constructor's parameters, in order)."""
+        def bound(part):
+            if isinstance(part, OqlNode):
+                return part.bind(slots, keys)
+            return tuple(map(bound, part)) if isinstance(part, tuple) else part
+
+        return type(self)(*(bound(getattr(self, name)) for name in self.__slots__))
 
     def __repr__(self) -> str:
         return f"<oql {self.text()}>"
@@ -46,6 +60,21 @@ class OqlLiteral(OqlNode):
             escaped = self.value.replace('"', '\\"')
             return f'"{escaped}"'
         return str(self.value)
+
+
+class OqlSlot(OqlNode):
+    """Position *index* of a call's slot vector, in a template."""
+
+    __slots__ = ("index",)
+
+    def __init__(self, index: int) -> None:
+        self.index = index
+
+    def text(self) -> str:
+        return f":{self.index}"
+
+    def bind(self, slots, keys) -> OqlNode:
+        return OqlLiteral(slots[self.index])
 
 
 class OqlPath(OqlNode):
@@ -118,6 +147,32 @@ class OqlNot(OqlNode):
 
     def text(self) -> str:
         return f"not ({self.operand.text()})"
+
+
+class OqlKeySet(OqlNode):
+    """A template's passed keys, compared with *compared*.  Bound, it is
+    ``(e1 = k11 and e2 = k12) or ...``, one alternative per key tuple; a
+    lone equality or alternative stands unwrapped."""
+
+    __slots__ = ("compared",)
+
+    def __init__(self, compared: Sequence[OqlNode]) -> None:
+        self.compared = tuple(compared)
+
+    def text(self) -> str:
+        return f"({', '.join(expr.text() for expr in self.compared)}) in :keys"
+
+    def bind(self, slots, keys) -> OqlNode:
+        def alone_or(cls, nodes):
+            return nodes[0] if len(nodes) == 1 else cls(nodes)
+
+        return alone_or(OqlOr, [
+            alone_or(OqlAnd, [
+                OqlCompare("=", expr, OqlLiteral(value))
+                for expr, value in zip(self.compared, key)
+            ])
+            for key in keys
+        ])
 
 
 class OqlRange(OqlNode):

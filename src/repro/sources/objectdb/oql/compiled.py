@@ -6,7 +6,8 @@ re-dispatches on AST node types for every object of every range.
 :class:`CompiledSelect` of nested closures: paths become
 attribute-chasing loops, predicates become boolean closures, ranges
 become loop drivers — and the key disjunction of a set-valued
-information-passing call becomes one hash probe per candidate.
+information-passing call (an ``OqlKeySet``) becomes one hash probe per
+candidate.  A template's slots and keys are values of each run.
 
 Differential contract (enforced by ``tests/test_oql_compiled.py``): the
 compiled form produces the same rows in the same order as the
@@ -17,13 +18,14 @@ same message on the same inputs.
 from __future__ import annotations
 
 import operator
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Tuple
 
 from repro.errors import OqlError
 from repro.sources.objectdb.database import ObjectDatabase, OdmgObject, Oid
 from repro.sources.objectdb.oql.ast import (
     OqlAnd,
     OqlCompare,
+    OqlKeySet,
     OqlLiteral,
     OqlMethodCall,
     OqlNode,
@@ -31,6 +33,7 @@ from repro.sources.objectdb.oql.ast import (
     OqlOr,
     OqlPath,
     OqlSelect,
+    OqlSlot,
 )
 from repro.sources.objectdb.oql.evaluator import distinct_rows
 
@@ -53,13 +56,16 @@ class CompiledSelect:
 
     Holds no database reference: the closures read whatever database is
     passed to :meth:`run`, so a compiled select stays valid across
-    updates to the store (it compiles the *query*, never the data).
+    updates to the store (it compiles the *query*, never the data).  The
+    ``env`` they read binds range variables by name, the run's *slots*
+    by position and the trie of its *keys* under ``None``.
 
     ``ranges`` carries each loop's guard conjuncts: the compiler hoists
     every ``where`` conjunct to the shallowest range that binds all of
-    its variables, so a failing predicate on an outer range prunes the
-    inner loops instead of being re-tested per combination — the loop
-    structure the interpretive engine would need a query rewrite for.
+    its variables and no earlier conjunct's, so a failing predicate on
+    an outer range prunes the inner loops instead of being re-tested per
+    combination — the loop structure the interpretive engine would need
+    a query rewrite for.
     """
 
     __slots__ = ("_ranges", "_pre_guards", "_projections", "_distinct")
@@ -76,9 +82,15 @@ class CompiledSelect:
         self._projections = projections
         self._distinct = distinct
 
-    def run(self, db: ObjectDatabase) -> List[Dict[str, object]]:
+    def run(self, db: ObjectDatabase, slots: tuple = (),
+            keys: tuple = ()) -> List[Dict[str, object]]:
         results: List[Dict[str, object]] = []
-        env: Dict[str, object] = {}
+        env: Dict[object, object] = dict(enumerate(slots))
+        env[None] = trie = {}
+        for key in keys:
+            level = trie
+            for value in key:
+                level = level.setdefault(value, {})
         ranges = self._ranges
         projections = self._projections
         depth = len(ranges)
@@ -127,10 +139,13 @@ def compile_select(query: OqlSelect) -> CompiledSelect:
         positions = {
             rng.variable: index + 1 for index, rng in enumerate(query.ranges)
         }
+        depth = 0
         for conjunct in conjuncts:
-            guards[_guard_depth(conjunct, positions, len(query.ranges))].append(
-                _compile_truth(conjunct)
-            )
+            # Never above an earlier conjunct: the interpreter tests them
+            # in order, so a later one must not prune before an earlier
+            # one could raise.
+            depth = max(depth, _guard_depth(conjunct, positions, len(query.ranges)))
+            guards[depth].append(_compile_truth(conjunct))
     ranges = tuple(
         (variable, collection, tuple(guards[index + 1]))
         for index, (variable, collection) in enumerate(compiled_ranges)
@@ -179,6 +194,9 @@ def _collect_roots(expr: OqlNode, roots: List[str]) -> None:
         _collect_roots(expr.receiver, roots)
         for argument in expr.args:
             _collect_roots(argument, roots)
+    elif isinstance(expr, OqlKeySet):
+        for compared in expr.compared:
+            _collect_roots(compared, roots)
 
 
 # ---------------------------------------------------------------------------
@@ -224,6 +242,13 @@ def _compile_scalar(expr: OqlNode) -> Scalar:
             return value
 
         return literal
+    if isinstance(expr, OqlSlot):
+        index = expr.index
+
+        def slot(db, env):
+            return env[index]
+
+        return slot
     if isinstance(expr, OqlPath):
         return _compile_path(expr)
     if isinstance(expr, OqlMethodCall):
@@ -302,46 +327,22 @@ def _compile_method(expr: OqlMethodCall) -> Scalar:
 # Predicates
 # ---------------------------------------------------------------------------
 
-def _compile_key_probe(expr: OqlOr) -> Optional[Truth]:
-    """One hash probe per candidate for ``(e1 = k11 and e2 = k12) or
-    (e1 = k21 and e2 = k22) or ...`` — the where clause of a set-valued
-    information-passing call — instead of one comparison per key.
+def _compile_key_set(expr: OqlKeySet) -> Truth:
+    """One hash probe per candidate for the passed keys, ``(e1 = k11 and
+    e2 = k12) or (e1 = k21 and e2 = k22) or ...`` once bound, instead of
+    one comparison per key.
 
-    The literals are laid out as a trie, one level per compared
-    expression, and a candidate walks it with its own values.  This is
-    the interpretive evaluation exactly: ``e2`` is evaluated only once
-    some key matched on ``e1`` (so the same expressions raise the same
-    errors), and a dict lookup agrees with ``=`` on every hashable value
-    (``1 = 1.0 = true``); an unhashable value is compared key by key.
-    ``None`` when *expr* does not have that shape.
+    The run's keys are a trie, one level per compared expression, and a
+    candidate walks it with its own values.  This is the interpretive
+    evaluation exactly: ``e2`` is evaluated only once some key matched
+    on ``e1`` (so the same expressions raise the same errors), and a
+    dict lookup agrees with ``=`` on every hashable value (``1 = 1.0 =
+    true``); an unhashable value is compared key by key.
     """
-    compared: Optional[List[str]] = None
-    scalars: Tuple[Scalar, ...] = ()
-    trie: Dict[object, dict] = {}
-    for alternative in expr.operands:
-        equalities = (
-            alternative.operands if isinstance(alternative, OqlAnd) else (alternative,)
-        )
-        for equality in equalities:
-            if not (
-                isinstance(equality, OqlCompare)
-                and equality.op == "="
-                and isinstance(equality.right, OqlLiteral)
-                and not isinstance(equality.left, OqlLiteral)
-            ):
-                return None
-        texts = [equality.left.text() for equality in equalities]
-        if compared is None:
-            compared = texts
-            scalars = tuple(_compile_scalar(eq.left) for eq in equalities)
-        elif texts != compared:
-            return None
-        level = trie
-        for equality in equalities:
-            level = level.setdefault(equality.right.value, {})
+    scalars = tuple(_compile_scalar(compared) for compared in expr.compared)
 
     def probe(db, env):
-        level = trie
+        level = env[None]
         for scalar in scalars:
             value = scalar(db, env)
             try:
@@ -369,9 +370,6 @@ def _compile_truth(expr: OqlNode) -> Truth:
 
         return conjunction
     if isinstance(expr, OqlOr):
-        probe = _compile_key_probe(expr)
-        if probe is not None:
-            return probe
         operands = tuple(_compile_truth(op) for op in expr.operands)
 
         def disjunction(db, env):
@@ -381,6 +379,8 @@ def _compile_truth(expr: OqlNode) -> Truth:
             return False
 
         return disjunction
+    if isinstance(expr, OqlKeySet):
+        return _compile_key_set(expr)
     if isinstance(expr, OqlNot):
         operand = _compile_truth(expr.operand)
 

@@ -39,7 +39,9 @@ says.
 from __future__ import annotations
 
 from abc import abstractmethod
-from typing import Dict, List, Optional, Tuple
+from collections import UserString
+from functools import cached_property
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.errors import PushdownRejectedError, SourceError
 from repro.capabilities.interface import SourceInterface
@@ -59,6 +61,20 @@ from repro.memo import Memo
 from repro.model.filters import Filter
 from repro.model.trees import DataNode
 from repro.observability.context import current_tracer
+
+
+class NativeText(UserString):
+    """A native query text that *write* (holding its call's values)
+    writes on first read; it reads as a ``str``.  Most runs never read
+    the text, which can cost more to write than the query to run."""
+
+    def __init__(self, write: Callable[[], str]) -> None:
+        # ``UserString`` methods make their results from plain text.
+        self._write = write if callable(write) else write.__str__
+
+    @cached_property
+    def data(self) -> str:
+        return self._write()
 
 
 class PushedFragment:
@@ -93,7 +109,8 @@ class PushedFragment:
         self.projection = projection
         self.distinct = distinct
         #: What the wrapper compiled from the fragment on its first
-        #: non-reference run (a wrapper's own business; O2's translation).
+        #: non-reference run (a wrapper's own business; O2's translation
+        #: and compiled selects).
         self.prepared = None
 
 
@@ -286,14 +303,15 @@ class Wrapper(SourceAdapter):
                 f"{self.name}:native", kind="native", source=self.name
             ):
                 tab, native = self.run_fragment(fragment, plan, outer)
-            span.annotate(rows=len(tab), native=native)
+            span.annotate(rows=len(tab), native=str(native))
             return tab, native
 
     @abstractmethod
     def run_fragment(
         self, fragment: PushedFragment, plan: Plan, outer: Optional[Row]
     ) -> Tuple[Tab, str]:
-        """Execute a validated fragment; returns ``(tab, native text)``.
+        """Execute a validated fragment; returns ``(tab, native text)``,
+        the text a ``str`` or a :class:`NativeText`.
 
         The fragment passed :meth:`validate_fragment`, so its filter fits
         the interface's Fmodel and its selections use declared

@@ -8,9 +8,13 @@ OQL)" (paper, Section 2).
 The wrapper is *generic*: everything it exports — schema patterns, the
 Fmodel, extents, methods — is derived mechanically from the
 :class:`~repro.sources.objectdb.schema.Schema`, with no per-application
-code.  Pushed fragments are translated to OQL text (the Section 4.1
-example), evaluated by the OQL engine, and returned as a Tab.  A
-fragment under set semantics (``Distinct`` on top) becomes ``select
+code.  A pushed fragment translates once to an OQL select template (the
+Section 4.1 example), whose constants, outer values and passed keys are
+slots, and compiles once per passed-key pairs; each call runs it over
+its own values and returns a Tab.  The OQL text of a call is written
+from the template and the values captured at the call only when
+something reads it (EXPLAIN, a trace, ``ExecutionStats.native_queries``).
+A fragment under set semantics (``Distinct`` on top) becomes ``select
 distinct``.
 """
 
@@ -39,7 +43,7 @@ from repro.sources.objectdb.schema import AtomicType, OdmgType, RefType, TupleTy
 from repro.sources.objectdb.oql.ast import (
     OqlAnd,
     OqlCompare,
-    OqlLiteral,
+    OqlKeySet,
     OqlMethodCall,
     OqlNode,
     OqlNot,
@@ -48,11 +52,13 @@ from repro.sources.objectdb.oql.ast import (
     OqlProjection,
     OqlRange,
     OqlSelect,
+    OqlSlot,
 )
-from repro.sources.objectdb.oql.compiled import compile_select
+from repro.sources.objectdb.oql.compiled import CompiledSelect, compile_select
 from repro.sources.objectdb.oql.evaluator import evaluate_oql
 from repro.observability.context import current_context
 from repro.wrappers.base import (
+    NativeText,
     PushedFragment,
     Wrapper,
     outer_constant,
@@ -128,43 +134,36 @@ class O2Wrapper(Wrapper):
         self, fragment: PushedFragment, plan: Plan, outer: Optional[Row]
     ) -> Tuple[Tab, str]:
         context = current_context()
-        reference = context is not None and context.reference
-        if reference:
-            # ``ExecutionPolicy.serial()``, byte for byte the seed
-            # behavior: translate and interpret from scratch on every call.
-            prepared = self._translated(fragment)
+        if context is not None and context.reference:
+            # ``ExecutionPolicy.serial()``, the oracle: translate and
+            # interpret the select with the call's values written in.
+            translator, compiled = self._translated(fragment), False
         else:
-            # The filter translates once per fragment, which its plan
-            # keeps: the translation depends on the document and the
-            # filter only — a filter constant is a slot each call binds —
-            # so every parameter vector of a cached plan reuses it.
-            prepared = fragment.prepared
-            if prepared is None:
-                prepared = fragment.prepared = self._translated(fragment)
+            # The fragment, which its plan keeps, holds the translation
+            # and one compiled select per passed-key pairs: each value a
+            # call supplies is a slot, so every call of the shape reuses it.
+            translator, compiled = fragment.prepared, True
+            if translator is None:
+                translator = fragment.prepared = self._translated(fragment)
         columns = plan.output_columns()
-        if prepared.empty:
+        if translator.empty:
             return (
                 Tab.from_columns(columns, [()] * len(columns), 0),
                 f"-- no member of {fragment.document} matches",
             )
-        # Each call specializes the translation with the request's bound
-        # constants and its outer bindings (one row, or a whole
-        # :class:`BindingSet`).
-        translator = prepared.specialized(outer)
-        selections = fragment.selections
-        if isinstance(outer, BindingSet):
-            selections = without_passed(selections, outer)
-        for predicate in selections:
-            translator.add_predicate(predicate)
-        if isinstance(outer, BindingSet):
-            translator.add_keys(outer)
-        query = translator.build_select(fragment.projection, fragment.distinct)
-        oql_rows = (
-            evaluate_oql(query, self._db)
-            if reference
-            else compile_select(query).run(self._db)
+        template, sources, select = translator.select(fragment, outer, compiled)
+        slots = tuple(
+            outer_constant(outer, source.name) if source.__class__ is Var
+            else bound(source)
+            for source in sources
         )
-        cells = prepared.cells
+        keys = tuple(outer.keys.values()) if isinstance(outer, BindingSet) else ()
+        oql_rows = (
+            select.run(self._db, slots, keys)
+            if compiled
+            else evaluate_oql(template.bind(slots, keys), self._db)
+        )
+        cells = translator.cells
         if fragment.projection is not None:
             cells = {alias: cells[column] for column, alias in fragment.projection}
         data = []
@@ -172,7 +171,8 @@ class O2Wrapper(Wrapper):
             convert = cells[column]
             values = [raw.get(column) for raw in oql_rows]
             data.append(values if convert is None else [convert(v) for v in values])
-        return Tab.from_columns(columns, data, len(oql_rows)), query.text()
+        native = NativeText(lambda: template.bind(slots, keys).text())
+        return Tab.from_columns(columns, data, len(oql_rows)), native
 
     def _translated(self, fragment: PushedFragment) -> "_OqlTranslator":
         translator = _OqlTranslator(self._db, fragment.document)
@@ -181,30 +181,30 @@ class O2Wrapper(Wrapper):
 
 
 class _OqlTranslator:
-    """Builds one OQL select from a pushed fragment.
+    """Builds the OQL select template of a pushed fragment.
 
     Variables of the filter become OQL projections; nested collection
     navigation becomes dependent ``from`` ranges (the OQL counterpart of
     the algebra's DJoin, Section 5.1); mediator predicates translate to
     the ``where`` clause, with query constants and outer-row variables
-    inlined as literals (information passing) — and a whole
-    :class:`BindingSet` as one disjunction of its keys.
+    as slots each call fills (information passing) — and a whole
+    :class:`BindingSet` as one key set.
     """
 
     def __init__(self, database: ObjectDatabase, document: str) -> None:
         self._db = database
         self._document = document
-        self._outer: Optional[Row] = None
         self._ranges: List[OqlRange] = []
         #: ``{column: cell conversion}``; ``None`` keeps the OQL value.
         self.cells: Dict[str, Optional[Callable[[object], object]]] = {}
         #: ``(path, constant)`` equalities of the filter, in filter order;
-        #: a :class:`Param` constant is bound per call (:meth:`specialized`).
+        #: a :class:`Param` constant is bound per call.
         self._constants: List[Tuple[OqlPath, object]] = []
-        self._wheres: List[OqlNode] = []
+        #: ``{passed pairs or None: (template, slot sources, compiled
+        #: select or None)}`` (:meth:`select`).
+        self._selects: Dict[object, tuple] = {}
         #: ``{variable: the path it projects}``, in filter order.
         self._paths: Dict[str, OqlNode] = {}
-        self._range_counter = 0
         #: Set when a label or constant of the filter can match no
         #: exported node: the answer is empty, and no OQL runs.
         self.empty = False
@@ -212,8 +212,7 @@ class _OqlTranslator:
     # -- range allocation -------------------------------------------------------
 
     def _new_range(self, collection: OqlNode) -> str:
-        self._range_counter += 1
-        variable = f"R{self._range_counter}"
+        variable = f"R{len(self._ranges) + 1}"
         self._ranges.append(OqlRange(variable, collection))
         return variable
 
@@ -315,94 +314,71 @@ class _OqlTranslator:
             )
         return lambda value: export(odmg_type, value)
 
-    # -- per-call specialization ---------------------------------------------------
+    # -- the select ------------------------------------------------------------------
 
-    def specialized(self, outer: Optional[Row]) -> "_OqlTranslator":
-        """A per-call view sharing this translator's structural state.
-
-        The filter translation (ranges, projected paths, the paths its
-        constants compare) depends on neither the request's constants nor
-        the outer row; the where clause does.  The clone shares those
-        structures read-only and gets its own where list — the filter's
-        equalities on the bound constants first — and outer row, so one
-        filter translation serves every parameter vector and every
-        information-passing round trip without mutation, which also keeps
-        concurrent requests and DJoin dispatch safe.
-        """
-        clone = _OqlTranslator.__new__(_OqlTranslator)
-        clone._db = self._db
-        clone._document = self._document
-        clone._outer = outer
-        clone._ranges = self._ranges
-        clone._paths = self._paths
-        clone._constants = self._constants
-        clone._wheres = [
-            OqlCompare("=", path, OqlLiteral(bound(value)))
-            for path, value in self._constants
-        ]
-        clone._range_counter = self._range_counter
-        return clone
-
-    # -- predicate translation ---------------------------------------------------------
-
-    def add_predicate(self, predicate: Expr) -> None:
-        self._wheres.append(self._expr(predicate))
-
-    def add_keys(self, outer: BindingSet) -> None:
-        """``(c1 = k11 and c2 = k12) or (c1 = k21 and c2 = k22) or ...``:
-        the passed equalities for every binding of *outer* at once."""
-        paths = passed_columns(outer, self._paths)
-        alternatives: List[OqlNode] = []
-        for values in outer.keys.values():
-            equalities = [
-                OqlCompare("=", path, OqlLiteral(value))
-                for path, value in zip(paths, values)
+    def select(
+        self, fragment: PushedFragment, outer: Optional[Row], compile: bool
+    ) -> Tuple[OqlSelect, Tuple[object, ...], Optional[CompiledSelect]]:
+        """``(template, slot sources, compiled select)`` for calls passing
+        *outer*'s key pairs, made on the first one.  A slot's source is a
+        constant (:func:`bound` per call) or a :class:`Var` of the outer
+        row; the where clause holds the filter's equalities, then the
+        selections, then the passed keys."""
+        pairs = outer.pairs if isinstance(outer, BindingSet) else None
+        made = self._selects.get(pairs)
+        if made is None:
+            sources: List[object] = []
+            wheres: List[OqlNode] = [
+                OqlCompare("=", path, _slot(value, sources))
+                for path, value in self._constants
             ]
-            alternatives.append(
-                equalities[0] if len(equalities) == 1 else OqlAnd(equalities)
+            selections = fragment.selections
+            if pairs is not None:
+                selections = without_passed(selections, outer)
+            wheres.extend(self._oql(predicate, sources) for predicate in selections)
+            if pairs is not None:
+                wheres.append(OqlKeySet(passed_columns(outer, self._paths)))
+            alias_of = (
+                {name: name for name in self._paths}
+                if fragment.projection is None
+                else dict(fragment.projection)
             )
-        self._wheres.append(
-            alternatives[0] if len(alternatives) == 1 else OqlOr(alternatives)
-        )
+            items = [
+                OqlProjection(alias_of[name], node)
+                for name, node in self._paths.items()
+                if name in alias_of
+            ]
+            where = OqlAnd(wheres) if len(wheres) > 1 else next(iter(wheres), None)
+            template = OqlSelect(items, self._ranges, where, fragment.distinct)
+            made = self._selects[pairs] = (
+                template, tuple(sources), compile_select(template) if compile else None
+            )
+        return made
 
-    def _expr(self, expr: Expr) -> OqlNode:
+    def _oql(self, expr: Expr, sources: List[object]) -> OqlNode:
         if isinstance(expr, Var):
             if expr.name in self._paths:
                 return self._paths[expr.name]
-            return OqlLiteral(outer_constant(self._outer, expr.name))
+            return _slot(expr, sources)
         if isinstance(expr, Const):
-            return OqlLiteral(bound(expr.value))
+            return _slot(expr.value, sources)
         if isinstance(expr, Cmp):
-            return OqlCompare(expr.op, self._expr(expr.left), self._expr(expr.right))
+            return OqlCompare(
+                expr.op, self._oql(expr.left, sources), self._oql(expr.right, sources)
+            )
         if isinstance(expr, BoolAnd):
-            return OqlAnd([self._expr(op) for op in expr.operands])
+            return OqlAnd([self._oql(op, sources) for op in expr.operands])
         if isinstance(expr, BoolOr):
-            return OqlOr([self._expr(op) for op in expr.operands])
+            return OqlOr([self._oql(op, sources) for op in expr.operands])
         if isinstance(expr, BoolNot):
-            return OqlNot(self._expr(expr.operand))
+            return OqlNot(self._oql(expr.operand, sources))
         # A validated call: a declared method on its one receiver.
-        return OqlMethodCall(self._expr(expr.args[0]), expr.name, [])
+        return OqlMethodCall(self._oql(expr.args[0], sources), expr.name, [])
 
-    # -- assembly -----------------------------------------------------------------------
 
-    def build_select(
-        self,
-        projection: Optional[Tuple[Tuple[str, str], ...]],
-        distinct: bool,
-    ) -> OqlSelect:
-        if projection is not None:
-            alias_of = dict(projection)
-        else:
-            alias_of = {name: name for name in self._paths}
-        items = [
-            OqlProjection(alias_of[name], node)
-            for name, node in self._paths.items()
-            if name in alias_of
-        ]
-        where: Optional[OqlNode] = None
-        if self._wheres:
-            where = self._wheres[0] if len(self._wheres) == 1 else OqlAnd(self._wheres)
-        return OqlSelect(items, self._ranges, where, distinct)
+def _slot(source: object, sources: List[object]) -> OqlSlot:
+    sources.append(source)
+    return OqlSlot(len(sources) - 1)
 
 
 def _oid(value: object) -> str:

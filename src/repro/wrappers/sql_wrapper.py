@@ -19,6 +19,7 @@ from repro.core.algebra.expressions import (
     BoolAnd,
     BoolNot,
     BoolOr,
+    Const,
     Expr,
     Var,
     bound,
@@ -79,21 +80,35 @@ def sql_fmodel() -> FModel:
 
 
 def _filter_columns(flt: Filter, table: SqlTable):
-    """``({variable: column}, [(column, constant)])`` of a validated
-    ``rows [ * row [ column: content, ... ] ]`` filter, or ``None`` when
-    no exported row can match it: it names an undeclared column."""
+    """``({variable: column}, [(column, constant)], {named column})`` of
+    a validated ``rows [ * row [ column: content, ... ] ]`` filter, or
+    ``None`` when no exported row can match it: it names an undeclared
+    column, or equates one with a constant of another kind
+    (:func:`_kinds_differ`)."""
     var_columns: Dict[str, str] = {}
     constants: List[Tuple[str, object]] = []
+    named = set()
     known = table.column_names()
     for item in flt.children[0].child.children:
         if item.label not in known:
             return None
+        named.add(item.label)
         for content in item.children:
             if isinstance(content, FVar):
                 var_columns[content.name] = item.label
-            else:
-                constants.append((item.label, bound(content.value)))
-    return var_columns, constants
+                continue
+            value = bound(content.value)
+            if _kinds_differ(table.column(item.label).type_name, value):
+                return None
+            constants.append((item.label, value))
+    return var_columns, constants, named
+
+
+def _kinds_differ(declared: str, value: object) -> bool:
+    """Whether *value* is a string and the column a number or the other
+    way round: SQLite's column affinity would convert one into the
+    other, where the mediator's ``=`` says they differ."""
+    return isinstance(value, str) != (declared == "String")
 
 
 def _restored(declared: Optional[str], values: List[object]) -> tuple:
@@ -168,7 +183,7 @@ class SqlWrapper(Wrapper):
                 Tab.from_columns(columns, [()] * len(columns), 0),
                 f"-- no row of {table.name} matches",
             )
-        var_columns, constants = parts
+        var_columns, constants, named = parts
         where_parts: List[str] = []
         params: List[object] = []
         for column, value in constants:
@@ -178,7 +193,7 @@ class SqlWrapper(Wrapper):
         if isinstance(outer, BindingSet):
             selections = without_passed(selections, outer)
         for predicate in selections:
-            part = self._predicate_sql(predicate, var_columns, params, outer)
+            part = self._predicate_sql(predicate, table, var_columns, params, outer)
             where_parts.append(part)
 
         if fragment.projection is not None:
@@ -187,6 +202,15 @@ class SqlWrapper(Wrapper):
         else:
             wanted = set(var_columns)
             alias_of = {name: name for name in var_columns}
+        # A row with a NULL in a column the filter names is no answer: the
+        # export leaves that column out of its row, so the mediator's
+        # Bind drops it.  A fetched row is checked after the fetch, and
+        # ``column = ?`` holds for no NULL.
+        checked = {column for var, column in var_columns.items() if var in wanted}
+        checked.update(column for column, _value in constants)
+        where_parts += [
+            f"{column} IS NOT NULL" for column in sorted(named - checked)
+        ]
         # A fragment binding no column still answers one row per match.
         select_items = [
             f"{column} AS {alias_of[var]}"
@@ -203,7 +227,10 @@ class SqlWrapper(Wrapper):
             parts = where_parts + ([condition] if condition else [])
             statement = sql + (" WHERE " + " AND ".join(parts) if parts else "")
             bound = params + key_params
-            raw_rows.extend(self._db.query(statement, bound))
+            raw_rows.extend(
+                raw for raw in self._db.query(statement, bound)
+                if None not in raw.values()
+            )
             natives.append(
                 f"{statement} -- params {tuple(bound)!r}" if bound else statement
             )
@@ -248,28 +275,40 @@ class SqlWrapper(Wrapper):
     def _predicate_sql(
         self,
         predicate: Expr,
+        table: SqlTable,
         var_columns: Dict[str, str],
         params: List[object],
         outer: Optional[Row],
     ) -> str:
         if isinstance(predicate, BoolAnd):
             return "(" + " AND ".join(
-                self._predicate_sql(op, var_columns, params, outer)
+                self._predicate_sql(op, table, var_columns, params, outer)
                 for op in predicate.operands
             ) + ")"
         if isinstance(predicate, BoolOr):
             return "(" + " OR ".join(
-                self._predicate_sql(op, var_columns, params, outer)
+                self._predicate_sql(op, table, var_columns, params, outer)
                 for op in predicate.operands
             ) + ")"
         if isinstance(predicate, BoolNot):
             return "NOT " + self._predicate_sql(
-                predicate.operand, var_columns, params, outer
+                predicate.operand, table, var_columns, params, outer
             )
         # The interface declares comparisons and no function: the rest
         # of a validated predicate is one comparison.
         left = self._scalar_sql(predicate.left, var_columns, params, outer)
         right = self._scalar_sql(predicate.right, var_columns, params, outer)
+        if predicate.op in ("=", "!=") and (left == "?") != (right == "?"):
+            # A column and a constant of the other kind are never equal.
+            # (An outer value keeps SQLite's affinity: the DJoin checks
+            # the kinds of what a set-valued call answers.)
+            column, value = (
+                (right, predicate.left) if left == "?" else (left, predicate.right)
+            )
+            declared = table.column(column).type_name
+            if isinstance(value, Const) and _kinds_differ(declared, params[-1]):
+                params.pop()
+                return "0" if predicate.op == "=" else "1"
         return f"{left} {_SQL_OPS[predicate.op]} {right}"
 
     def _scalar_sql(

@@ -9,6 +9,7 @@ change an answer.
 """
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro import Mediator, O2Wrapper, WaisWrapper
 from repro.datasets import CulturalDataset, Q2, VIEW1_YAT
@@ -27,7 +28,19 @@ from repro.sources.objectdb import (
     evaluate_oql,
     parse_oql,
 )
-from repro.sources.objectdb.oql.ast import OqlCompare, OqlPath, OqlSelect
+from repro.sources.objectdb.oql.ast import (
+    OqlAnd,
+    OqlCompare,
+    OqlKeySet,
+    OqlMethodCall,
+    OqlNot,
+    OqlOr,
+    OqlPath,
+    OqlProjection,
+    OqlRange,
+    OqlSelect,
+    OqlSlot,
+)
 from repro.sources.objectdb.oql.compiled import compile_select
 
 
@@ -331,3 +344,100 @@ class TestResultFreshness:
         reference = tree_to_xml(fresh_mediator(database, store).query(Q2).document())
         assert updated == reference
         assert updated != stale
+
+
+# ---------------------------------------------------------------------------
+# Generated: a template compiled once, against its substituted select
+# ---------------------------------------------------------------------------
+
+CULTURAL, _ = CulturalDataset(n_artifacts=8, seed=5).build()
+ARTIFACTS = [CULTURAL.get(oid).values for oid in CULTURAL.extent("artifacts")]
+RANGES = (
+    OqlRange("A", OqlPath("artifacts")),
+    OqlRange("O", OqlPath("A", ("owners",))),
+)
+
+
+def a(step):
+    return OqlPath("A", (step,))
+
+
+def o(step):
+    return OqlPath("O", (step,))
+
+
+#: ``(template, key width)`` in the O2 translator's shape: the filter's
+#: equalities, then the selections, then the passed keys — once on an
+#: outer range below a selection on an inner one, once on a list.
+TEMPLATES = [
+    (OqlSelect(
+        [OqlProjection("t", a("title")), OqlProjection("y", a("year"))],
+        RANGES[:1],
+        OqlAnd([OqlCompare(">", a("year"), OqlSlot(0)),
+                OqlKeySet([a("title"), a("year")])]),
+    ), 2),
+    (OqlSelect(
+        [OqlProjection("t", a("title")), OqlProjection("n", o("name"))],
+        RANGES,
+        OqlAnd([OqlCompare("=", a("creator"), OqlSlot(0)),
+                OqlCompare("<", o("auction"), OqlSlot(1)),
+                OqlKeySet([a("year")])]),
+        distinct=True,
+    ), 1),
+    (OqlSelect(
+        [OqlProjection("p", OqlMethodCall(OqlPath("A"), "current_price"))],
+        RANGES[:1],
+        OqlAnd([
+            OqlOr([
+                OqlNot(OqlCompare("=", a("price"), OqlSlot(0))),
+                OqlCompare(">=", OqlMethodCall(OqlPath("A"), "current_price"),
+                           OqlSlot(1)),
+            ]),
+            OqlKeySet([a("owners")]),
+        ]),
+    ), 1),
+    (OqlSelect(
+        [OqlProjection("o", OqlPath("O"))],
+        RANGES,
+        OqlKeySet([o("name"), a("title")]),
+    ), 2),
+]
+COMPILED = [compile_select(template) for template, _width in TEMPLATES]
+
+#: Atoms the templates compare: values in the data and absent ones,
+#: ``1``/``1.0``/``True``, and strings that spell numbers.
+ATOMS = st.sampled_from(sorted(
+    {value for artifact in ARTIFACTS for value in artifact.values()
+     if not isinstance(value, list)}
+    | {CULTURAL.get(oid).values["name"] for oid in CULTURAL.extent("persons")},
+    key=repr,
+) + [1, 1.0, True, False, 0, 1799, 2.5e6, "1", "absent",
+     str(ARTIFACTS[0]["year"]), str(ARTIFACTS[0]["price"])])
+PRESENT_KEYS = st.sampled_from(
+    [(artifact["title"], artifact["year"]) for artifact in ARTIFACTS]
+)
+
+
+@given(
+    index=st.integers(0, len(TEMPLATES) - 1),
+    slots=st.tuples(ATOMS, ATOMS),
+    keys=st.lists(st.one_of(PRESENT_KEYS, st.tuples(ATOMS, ATOMS)),
+                  min_size=1, max_size=6),
+)
+@settings(max_examples=300, deadline=None)
+def test_a_template_compiled_once_runs_as_its_substituted_select(index, slots, keys):
+    """One compiled select per template answers every call's slots and
+    keys as the interpreter answers the select with them written in: the
+    same rows in the same order, or the same error."""
+    template, width = TEMPLATES[index]
+    keys = [key[:width] for key in keys]
+    substituted = template.bind(slots, keys)
+    assert parse_oql(substituted.text()).text() == substituted.text()
+    try:
+        expected = evaluate_oql(substituted, CULTURAL)
+    except OqlError as interpreted:
+        with pytest.raises(OqlError) as compiled:
+            COMPILED[index].run(CULTURAL, slots, keys)
+        assert str(compiled.value) == str(interpreted)
+    else:
+        assert COMPILED[index].run(CULTURAL, slots, keys) == expected

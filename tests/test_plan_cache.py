@@ -25,7 +25,7 @@ from repro.model.trees import atom_leaf, elem
 from repro.model.xml_io import tree_to_xml
 from repro.observability.metrics import MetricsRegistry, record_memo_stats
 from repro.sources.sharded import HashPartition, build_sharded_wais, shard_wais_store
-from repro.wrappers import base as wrapper_base, store_wrapper
+from repro.wrappers import base as wrapper_base, o2_wrapper, store_wrapper
 from repro.wrappers.base import PushedFragment
 from repro.yatl.normalize import normalize_query
 from repro.yatl.parser import parse_query
@@ -301,14 +301,16 @@ def one_shard_artists(partition, count=3):
 
 
 #: What execution compiles from a plan node and keeps on it, by the
-#: module whose global name the caller looks up.  ``compile_select`` is
-#: not here: O2 still compiles its select on every call.
+#: module whose global name the caller looks up.  O2 keeps its filter's
+#: translation and the select compiled from it on the fragment's
+#: ``prepared``, once per passed-key pairs.
 COMPILERS = (
     (compiled, "_compile_expr"),
     (engine, "compile_filter"),
     (store_wrapper, "compile_pushdown"),
     (wrapper_base, "analyze_fragment"),
     (O2Wrapper, "_translated"),
+    (o2_wrapper, "compile_select"),
 )
 
 

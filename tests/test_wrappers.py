@@ -6,11 +6,12 @@ from repro.errors import PushdownRejectedError, SourceError
 from repro.core.algebra.expressions import Cmp, Const, FunCall, Var, eq
 from repro.core.algebra.operators import (
     BindOp,
+    DistinctOp,
     ProjectOp,
     SelectOp,
     SourceOp,
 )
-from repro.core.algebra.tab import Row, Tab
+from repro.core.algebra.tab import BindingSet, Row, Tab
 from repro.datasets.cultural import CulturalDataset, small_figure1_pair
 from repro.model.filters import FStar, FVar, felem
 from repro.wrappers import O2Wrapper, SqlWrapper, WaisWrapper
@@ -79,6 +80,43 @@ class TestAnalyzeFragment:
     def test_non_fragment_rejected(self):
         with pytest.raises(SourceError):
             analyze_fragment(SourceOp("s", "d"), "s")
+
+
+class TestWireChecks:
+    """What a wrapper refuses of a hand-built call, class and message."""
+
+    @staticmethod
+    def refused(wrapper, plan, outer, error, message):
+        with pytest.raises(error) as caught:
+            wrapper.execute_pushed(plan, outer)
+        assert type(caught.value) is error and str(caught.value) == message
+
+    def test_a_bind_that_reads_no_source(self, o2):
+        plan = BindOp(DistinctOp(SourceOp("o2artifact", "artifacts")), o2_filter(),
+                      on="artifacts")
+        self.refused(o2, plan, None, PushdownRejectedError,
+                     "pushed Bind for 'o2artifact' must read a Source directly")
+
+    def test_a_bind_over_another_document(self, o2):
+        plan = BindOp(SourceOp("o2artifact", "artifacts"), o2_filter(), on="persons")
+        self.refused(o2, plan, None, PushdownRejectedError,
+                     "pushed Bind must match the source document "
+                     "('persons' != 'artifacts')")
+
+    def test_an_undeclared_operation(self):
+        dataset = CulturalDataset(n_artifacts=3, seed=3)
+        sql = SqlWrapper("salesdb", dataset.build_sales(dataset.build()[0]))
+        flt = felem("rows", FStar(felem("row", felem("title", FVar("t")))))
+        plan = DistinctOp(BindOp(SourceOp("salesdb", "sales"), flt, on="sales"))
+        self.refused(sql, plan, None, PushdownRejectedError,
+                     "wrapper 'salesdb' rejects pushed distinct: "
+                     "source 'salesdb' does not declare 'distinct'")
+
+    def test_passed_keys_naming_an_unbound_variable(self, o2):
+        plan = BindOp(SourceOp("o2artifact", "artifacts"), o2_filter(), on="artifacts")
+        keys = BindingSet(None, [("nowhere", "x")], {("k",): ("k",)})
+        self.refused(o2, plan, keys, SourceError,
+                     "passed keys name $nowhere, which the pushed filter does not bind")
 
 
 class TestO2Wrapper:
@@ -419,6 +457,13 @@ class TestOneCapabilityDecision:
             "MAKE r [ $w ] MATCH artworks WITH works *work $w WHERE contains($w, 3)",
             # A text that is the document itself matches nothing.
             "MAKE r [ $w ] MATCH artworks WITH works *work $w WHERE contains($w, $w)",
+            # A String that spells a number equals no Int: SQLite's column
+            # affinity would convert it.
+            'MAKE doc [ * t: $t ] MATCH sales WITH rows *row [ title: $t, year: "1801" ]',
+            'MAKE doc [ * t: $t ] MATCH sales WITH rows *row [ title: $t, year: $y ] '
+            'WHERE $y = "1801"',
+            'MAKE doc [ * t: $t ] MATCH sales WITH rows *row [ title: $t, year: $y ] '
+            'WHERE $y != "1801"',
         ],
     )
     def test_default_plan_answers_like_the_unoptimized_one(self, mediator, text):
@@ -426,3 +471,56 @@ class TestOneCapabilityDecision:
 
         expected = tree_to_xml(mediator.query(text, optimize=False).document())
         assert tree_to_xml(mediator.query(text).document()) == expected
+
+
+class TestSqlNull:
+    """The export leaves a NULL column out of its row, so the mediator's
+    Bind drops the row; so does a pushed fragment, fetched or not."""
+
+    @pytest.fixture(scope="class")
+    def database(self):
+        from repro.sources.relational.engine import SqlDatabase, SqlTable
+
+        dataset = CulturalDataset(n_artifacts=6, seed=1)
+        sales = dataset.build_sales(dataset.build()[0])
+        rows = sales.query("SELECT * FROM sales")
+        rows[0]["price"] = None
+        database = SqlDatabase("salesdb")
+        database.create_table(SqlTable("sales", sales.table("sales").columns))
+        database.insert_rows("sales", rows)
+        return database
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "MAKE doc [ * t: $t ] MATCH sales WITH rows *row [ title: $t, price: $p ]",
+            "MAKE doc [ * t: $t ] MATCH sales WITH rows *row [ title: $t, price: $p ] "
+            'WHERE $p > 1.5 OR $t != "x"',
+        ],
+    )
+    def test_the_default_plan_answers_like_the_unoptimized_one(self, database, text):
+        from repro import Mediator
+        from repro.model.xml_io import tree_to_xml
+
+        mediator = Mediator()
+        mediator.connect(SqlWrapper("salesdb", database))
+        expected = tree_to_xml(mediator.query(text, optimize=False).document())
+        assert expected.count("<t ") == 5
+        assert tree_to_xml(mediator.query(text).document()) == expected
+
+    def test_a_column_projected_away_still_drops_its_row(self, database):
+        from repro import Mediator
+        from repro.core.algebra.scheduling import ExecutionPolicy
+        from repro.core.algebra.tab import tab_to_xml
+
+        sql = SqlWrapper("salesdb", database)
+        mediator = Mediator()
+        mediator.connect(sql)
+        flt = felem("rows", FStar(felem("row", felem("title", FVar("t")),
+                                        felem("price", FVar("p")))))
+        plan = ProjectOp(BindOp(SourceOp("salesdb", "sales"), flt, on="sales"),
+                         [("t", "t")])
+        tab, native = sql.execute_pushed(plan)
+        oracle = mediator.execute(plan, execution=ExecutionPolicy.serial()).tab
+        assert len(tab) == 5 and tab_to_xml(tab) == tab_to_xml(oracle)
+        assert native == "SELECT title AS t FROM sales WHERE price IS NOT NULL"

@@ -2,7 +2,7 @@
 functions no test and no workload runs, and which wrapper ``raise``
 sites the tests reach.
 
-    python tools/census.py [--seconds 3] [-v] [--settings | --raises]
+    python tools/census.py [--seconds 3] [-v] [--settings | --raises | --calls [--seed 7]]
 
 First, statically (``ast`` only; ``--settings`` stops there and exits
 1 when it lists any, which CI enforces): every
@@ -24,6 +24,14 @@ of no test suite.
 ``src/repro/wrappers/`` with the ids of the tier-1 tests that execute
 it, found by a line trace (``sys.settrace`` + ``threading.settrace``)
 that follows only frames of that package (about 1 min).
+
+``--calls`` instead prints, for each op class of each workload, its
+warm calls per op: the ``call`` and ``c_call`` events of a profile hook
+(``sys.setprofile`` + ``threading.setprofile``, set before the session
+starts its threads) over the benchmark's own seeded timed op list for
+``--seconds``, replayed one op at a time on one fresh session after its
+warm-up (``--seed``, default the benchmark's).  Hashes are fixed, so two
+runs agree exactly wherever one thread does the work (about 1 min).
 """
 
 from __future__ import annotations
@@ -160,6 +168,68 @@ def raises() -> int:
     return 0
 
 
+class CallCounter:
+    """Profile hook counting ``call`` and ``c_call`` events while on."""
+
+    def __init__(self) -> None:
+        self.on = False
+        self.count = 0
+
+    def hook(self, frame, event, _arg):
+        if self.on and event in ("call", "c_call"):
+            self.count += 1
+
+
+def calls(seed: int, seconds: float) -> int:
+    """Print warm calls per op for each op class of each workload."""
+    from benchmarks.e2e import cli, harness
+    from benchmarks.e2e.workloads import WORKLOADS
+
+    print(f"== warm calls per op (seed {seed}, --seconds {seconds:g})")
+    for name, factory in WORKLOADS.items():
+        workload = factory()
+        count = cli.op_count(workload, seconds)
+        warm = workload.streams(seed, "warmup", cli.warmup_count(count))
+        timed = [op for ops in workload.streams(seed, "timed", count)
+                 for op in ops if op is not None]
+        counter = CallCounter()
+        per_class = defaultdict(lambda: [0, 0])  # class -> [ops, calls]
+        threading.setprofile(counter.hook)
+        sys.setprofile(counter.hook)
+        try:
+            with cli.scratch_dir() as scratch:
+                session = workload.session(scratch)
+                try:
+                    harness.drive(session, warm)
+                    for op in timed:
+                        counter.count, counter.on = 0, True
+                        session.run(op)
+                        counter.on = False
+                        per_class[op.klass][0] += 1
+                        per_class[op.klass][1] += counter.count
+                finally:
+                    session.close()
+        finally:
+            sys.setprofile(None)
+            threading.setprofile(None)
+        for klass, (ops, total) in per_class.items():
+            print(f"{name:16} {klass:12} ops={ops:4}  calls={total:12,}"
+                  f"  calls/op={total / ops:9,.0f}")
+    return 0
+
+
+def fixed_hashes() -> None:
+    """Re-execute with fixed string hashes (else the benchmark CLI
+    re-executes itself and drops the hook, and set order moves the
+    counts) and the source on the tests' subprocesses' path: both must
+    be set before the interpreter starts."""
+    path = os.pathsep.join([str(ROOT / "src"), str(ROOT)])
+    if (os.environ.get("PYTHONHASHSEED"), os.environ.get("PYTHONPATH")) != ("0", path):
+        os.execve(sys.executable, [sys.executable, *sys.argv],
+                  {**os.environ, "PYTHONHASHSEED": "0", "PYTHONPATH": path})
+    os.chdir(ROOT)
+
+
 def table(title: str, rows: dict, verbose: bool) -> None:
     print(f"\n== {title}: {len(rows)} functions, {sum(n for _, n in rows.values())} lines")
     by_file = defaultdict(list)
@@ -286,23 +356,24 @@ def main() -> int:
     parser.add_argument("--raises", action="store_true",
                         help="list every raise under src/repro/wrappers with the "
                         "tier-1 tests that reach it (line trace, no workloads)")
+    parser.add_argument("--calls", action="store_true",
+                        help="print warm calls per op for each op class of each "
+                        "workload (profile hook, no tests)")
+    parser.add_argument("--seed", type=int, default=7,
+                        help="the workloads' op-list seed for --calls")
     args = parser.parse_args()
     if args.raises:
         return raises()
+    if args.calls:
+        fixed_hashes()
+        return calls(args.seed, float(args.seconds))
     unset = settings()
     print(f"== settings no caller passes: {len(unset)}")
     for path, line, setting in unset:
         print(f"{path}:{line}  {setting}")
     if args.settings:
         return 1 if unset else 0
-    path = os.pathsep.join([str(ROOT / "src"), str(ROOT)])
-    if (os.environ.get("PYTHONHASHSEED"), os.environ.get("PYTHONPATH")) != ("0", path):
-        # Fixed string hashes (else the benchmark CLI re-executes itself
-        # and drops the hook), and the source on the tests' subprocesses'
-        # path: both must be set before the interpreter starts.
-        os.execve(sys.executable, [sys.executable, *sys.argv],
-                  {**os.environ, "PYTHONHASHSEED": "0", "PYTHONPATH": path})
-    os.chdir(ROOT)
+    fixed_hashes()
     import pytest
     from benchmarks.e2e import cli
     from benchmarks.e2e.workloads import WORKLOADS
