@@ -27,15 +27,21 @@ Every operator has one implementation over the Tab's column arrays: it
 reads ``column_data()`` (or a :class:`ColumnCursor` over it) and builds
 its output with ``Tab.from_columns``/``take``/``concat``.  Group, Tree
 and the oracle's per-row loops read the Tab's row view.
-``ExecutionPolicy.serial()`` — ``policy.reference`` — restores the naive
-algorithms byte for byte over the same storage: recursive matcher,
-interpreted predicates, one right-branch evaluation per DJoin row.
+
+The policy is read once, when the :class:`Environment` is made: it picks
+the operator forms and the predicate compiler the whole evaluation uses.
+``ExecutionPolicy.serial()`` picks the oracle's (the last section of
+this module), which differ from the engine's in three operators only:
+the recursive ``FilterMatcher`` Bind, interpreted predicates for
+Select, Map and Join, and one right-branch evaluation per DJoin row.
+No operator and no wrapper tests the policy.
 """
 
 from __future__ import annotations
 
 import threading
 from abc import ABC, abstractmethod
+from operator import attrgetter
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.errors import (
@@ -232,18 +238,21 @@ class Environment:
         #: Execution policy; the default keeps evaluation strictly serial
         #: (parallelism=1) on the optimized engine.
         self.policy = policy if policy is not None else ExecutionPolicy()
-        #: ``True`` under ``ExecutionPolicy.serial()``: every operator
-        #: takes its naive form (the differential oracle).
-        self.reference = self.policy.reference
+        #: ``{operator class: form}`` and ``expr -> fn(row, functions)``:
+        #: the engine's, or under ``ExecutionPolicy.serial()`` the
+        #: oracle's.  The only place evaluation reads the policy's kind.
+        self.forms, self.compile = (
+            (_ORACLE_FORMS, attrgetter("evaluate"))
+            if self.policy.reference
+            else (_FORMS, compiled_predicate)
+        )
         #: The :class:`~repro.observability.context.RequestContext` this
         #: evaluation runs under, as ``run_plan`` derived it: the carrier
         #: of the request's statistics, tracer and parameters.  Without
         #: one the environment makes a fresh anonymous context, so
         #: evaluation never falls back to globals.
         if context is None:
-            context = RequestContext(
-                stats=ExecutionStats(), reference=self.reference
-            )
+            context = RequestContext(stats=ExecutionStats())
         self.context = context
         #: The context's statistics and tracer, read once.  A ``None``
         #: tracer keeps the untraced fast path: every hook in this module
@@ -362,11 +371,16 @@ _UNCOUNTED = (UnitOp, LiteralOp)
 
 
 def _evaluate(plan: Plan, env: Environment, outer: Optional[Row]) -> Tab:
-    """Evaluate one operator and record it: one ``operator_counts``
-    entry and its output rows in ``mediator_rows``."""
+    """Evaluate one operator in the environment's form and record it:
+    one ``operator_counts`` entry and its output rows in
+    ``mediator_rows``."""
+    try:
+        form = env.forms[plan.__class__]
+    except KeyError:
+        raise EvaluationError(f"cannot evaluate operator: {plan!r}") from None
     tracer = env.tracer
     if tracer is None:
-        tab = _dispatch(plan, env, outer)
+        tab = form(plan, env, outer)
     else:
         # One span per operator evaluation.  ``node`` keys per-node
         # actuals for EXPLAIN ANALYZE (the plan object outlives the
@@ -379,58 +393,18 @@ def _evaluate(plan: Plan, env: Environment, outer: Optional[Row]) -> Tab:
             operator=plan.operator_name(),
             node=id(plan),
         ) as span:
-            tab = _dispatch(plan, env, outer)
+            tab = form(plan, env, outer)
             span.annotate(rows=len(tab))
     if not isinstance(plan, _UNCOUNTED):
         env.stats.record_operator(plan.operator_name(), len(tab))
     return tab
 
 
-def _dispatch(plan: Plan, env: Environment, outer: Optional[Row]) -> Tab:
-    if isinstance(plan, UnitOp):
-        return Tab.from_columns((), (), 1)
-    if isinstance(plan, LiteralOp):
-        return plan.tab
-    if isinstance(plan, SourceOp):
-        return _eval_source(plan, env)
-    if isinstance(plan, BindOp):
-        return _eval_bind(plan, env, outer)
-    if isinstance(plan, SelectOp):
-        return _eval_select(plan, env, outer)
-    if isinstance(plan, DistinctOp):
-        return _evaluate(plan.input, env, outer).distinct()
-    if isinstance(plan, ProjectOp):
-        return _eval_project(plan, env, outer)
-    if isinstance(plan, JoinOp):
-        return _eval_join(plan, env, outer)
-    if isinstance(plan, DJoinOp):
-        return _eval_djoin(plan, env, outer)
-    if isinstance(plan, UnionOp):
-        return _eval_union(plan, env, outer)
-    if isinstance(plan, ScatterOp):
-        return _eval_scatter(plan, env, outer)
-    if isinstance(plan, IntersectOp):
-        return _eval_intersect(plan, env, outer)
-    if isinstance(plan, GroupOp):
-        return _eval_group(plan, env, outer)
-    if isinstance(plan, SortOp):
-        return _eval_sort(plan, env, outer)
-    if isinstance(plan, MapOp):
-        return _eval_map(plan, env, outer)
-    if isinstance(plan, TreeOp):
-        return _eval_tree(plan, env, outer)
-    if isinstance(plan, FuseOp):
-        return _eval_fuse(plan, env, outer)
-    if isinstance(plan, PushedOp):
-        return _eval_pushed(plan, env, outer)
-    raise EvaluationError(f"cannot evaluate operator: {plan!r}")
-
-
 # ---------------------------------------------------------------------------
 # Leaf operators
 # ---------------------------------------------------------------------------
 
-def _eval_source(plan: SourceOp, env: Environment) -> Tab:
+def _eval_source(plan: SourceOp, env: Environment, _outer: Optional[Row]) -> Tab:
     adapter = env.source(plan.source)
     if plan.document not in adapter.document_name_set():
         raise UnknownDocumentError(
@@ -468,49 +442,14 @@ def _eval_pushed(plan: PushedOp, env: Environment, outer: Optional[Row]) -> Tab:
 # ---------------------------------------------------------------------------
 
 def _eval_bind(plan: BindOp, env: Environment, outer: Optional[Row]) -> Tab:
-    input_tab = _evaluate(plan.input, env, outer)
-    if env.reference:
-        return _bind_reference(plan, env, outer, input_tab)
-    return _bind_scan(plan, env, outer, input_tab, bind_engine(plan.filter))
-
-
-def _bind_reference(
-    plan: BindOp, env: Environment, outer: Optional[Row], input_tab: Tab
-) -> Tab:
-    """The oracle's Bind: recursive ``FilterMatcher``, row by row."""
-    matcher = FilterMatcher(index=env.ident_index())
-    flt = plan.filter
-    variables = flt.variables()
-    base_columns = tuple(
-        c for c in input_tab.columns if plan.keep_on or c != plan.on
-    )
-    out_columns = base_columns + variables
-    rows: List[tuple] = []
-    for row in input_tab:
-        target = _lookup(row, outer, plan.on)
-        if isinstance(target, tuple):
-            bindings = matcher.match_collection(
-                [t for t in target if isinstance(t, DataNode)], flt
-            )
-        elif isinstance(target, DataNode):
-            bindings = matcher.match(target, flt)
-        else:
-            continue
-        base_cells = tuple(row[c] for c in base_columns)
-        for binding in bindings:
-            rows.append(base_cells + tuple(binding[var] for var in variables))
-    return Tab.from_tuples(out_columns, rows)
-
-
-def _bind_scan(
-    plan: BindOp, env: Environment, outer: Optional[Row], input_tab: Tab,
-    engine,
-) -> Tab:
-    """Engine Bind output: bindings zip straight into column arrays.
+    """Engine Bind: the filter's compiled engine per input row; bindings
+    zip straight into column arrays.
 
     Base cells are gathered by repetition counts and binding tuples are
     transposed once at the end.
     """
+    input_tab = _evaluate(plan.input, env, outer)
+    engine = bind_engine(plan.filter)
     variables = engine.variables
     deref = env.deref()
     in_columns = input_tab.columns
@@ -561,15 +500,9 @@ def _bind_scan(
     return Tab.from_columns(out_columns, out_cols, total)
 
 
-def _evaluator_for(expr, env: Environment):
-    """``fn(row, functions)`` for *expr*: the compiled kernel, or the
-    interpreter under the reference policy."""
-    return expr.evaluate if env.reference else compiled_predicate(expr)
-
-
 def _eval_select(plan: SelectOp, env: Environment, outer: Optional[Row]) -> Tab:
     input_tab = _evaluate(plan.input, env, outer)
-    return _filter(input_tab, _evaluator_for(plan.predicate, env), outer, env)
+    return _filter(input_tab, env.compile(plan.predicate), outer, env)
 
 
 def _filter(tab: Tab, predicate, outer: Optional[Row], env: Environment) -> Tab:
@@ -619,7 +552,7 @@ def _eval_sort(plan: SortOp, env: Environment, outer: Optional[Row]) -> Tab:
 def _eval_map(plan: MapOp, env: Environment, outer: Optional[Row]) -> Tab:
     input_tab = _evaluate(plan.input, env, outer)
     new_names = tuple(name for name, _e in plan.bindings)
-    evaluators = tuple(_evaluator_for(expr, env) for _n, expr in plan.bindings)
+    evaluators = tuple(env.compile(expr) for _n, expr in plan.bindings)
     cursor = ColumnCursor(input_tab, outer)
     functions = env.functions
     computed = Tab.from_tuples(new_names, [
@@ -738,7 +671,7 @@ def _eval_join(plan: JoinOp, env: Environment, outer: Optional[Row]) -> Tab:
         left.take([i for i in range(n) for _ in range(m)]),
         right.take(list(range(m)) * n),
     )
-    return _filter(pairs, _evaluator_for(plan.predicate, env), outer, env)
+    return _filter(pairs, env.compile(plan.predicate), outer, env)
 
 
 def _beside(left: Tab, right: Tab) -> Tab:
@@ -856,20 +789,6 @@ def _node_ident(value):
 
 def _eval_djoin(plan: DJoinOp, env: Environment, outer: Optional[Row]) -> Tab:
     left = _evaluate(plan.left, env, outer)
-    if env.reference:
-        # The paper's per-row loop.  Column names come from the actual
-        # right-hand Tabs (a pushed fragment may order its columns
-        # differently from the static inference).
-        out_columns = plan.output_columns()
-        rows = []
-        for lrow in left:
-            inner_outer = _overlay(lrow, outer)
-            right = _evaluate(plan.right, env, inner_outer)
-            out_columns = left.columns + right.columns
-            for rrow in right:
-                rows.append(Row(out_columns, lrow.cells + rrow.cells))
-        return Tab(out_columns, rows)
-
     pairs = passed_pairs(plan)
     bindings = _binding_set(pairs, left, outer) if pairs else None
     if bindings is not None:
@@ -1114,3 +1033,84 @@ def _overlay(row: Row, outer: Optional[Row]) -> Row:
     if not extra_columns:
         return row
     return row.extended(extra_columns, tuple(outer[c] for c in extra_columns))
+
+
+# ---------------------------------------------------------------------------
+# Operator forms
+# ---------------------------------------------------------------------------
+
+#: The engine's form of every operator, ``form(plan, env, outer)``.
+_FORMS: Dict[type, Callable[[Plan, Environment, Optional[Row]], Tab]] = {
+    UnitOp: lambda plan, env, outer: Tab.from_columns((), (), 1),
+    LiteralOp: lambda plan, env, outer: plan.tab,
+    SourceOp: _eval_source,
+    BindOp: _eval_bind,
+    SelectOp: _eval_select,
+    DistinctOp: lambda plan, env, outer: _evaluate(plan.input, env, outer).distinct(),
+    ProjectOp: _eval_project,
+    JoinOp: _eval_join,
+    DJoinOp: _eval_djoin,
+    UnionOp: _eval_union,
+    ScatterOp: _eval_scatter,
+    IntersectOp: _eval_intersect,
+    GroupOp: _eval_group,
+    SortOp: _eval_sort,
+    MapOp: _eval_map,
+    TreeOp: _eval_tree,
+    FuseOp: _eval_fuse,
+    PushedOp: _eval_pushed,
+}
+
+
+# ---------------------------------------------------------------------------
+# The oracle: ExecutionPolicy.serial()
+# ---------------------------------------------------------------------------
+#
+# The naive algorithms, byte for byte, over the same Tab storage: every
+# faster form above is tested against these.  With the interpreted
+# predicates (``expr.evaluate``, chosen beside these forms), they are all
+# the oracle changes; every other operator has one form.
+
+def _bind_reference(plan: BindOp, env: Environment, outer: Optional[Row]) -> Tab:
+    """The oracle's Bind: recursive ``FilterMatcher``, row by row."""
+    input_tab = _evaluate(plan.input, env, outer)
+    matcher = FilterMatcher(index=env.ident_index())
+    flt = plan.filter
+    variables = flt.variables()
+    base_columns = tuple(
+        c for c in input_tab.columns if plan.keep_on or c != plan.on
+    )
+    out_columns = base_columns + variables
+    rows: List[tuple] = []
+    for row in input_tab:
+        target = _lookup(row, outer, plan.on)
+        if isinstance(target, tuple):
+            bindings = matcher.match_collection(
+                [t for t in target if isinstance(t, DataNode)], flt
+            )
+        elif isinstance(target, DataNode):
+            bindings = matcher.match(target, flt)
+        else:
+            continue
+        base_cells = tuple(row[c] for c in base_columns)
+        for binding in bindings:
+            rows.append(base_cells + tuple(binding[var] for var in variables))
+    return Tab.from_tuples(out_columns, rows)
+
+
+def _djoin_reference(plan: DJoinOp, env: Environment, outer: Optional[Row]) -> Tab:
+    """The paper's per-row DJoin loop.  Column names come from the actual
+    right-hand Tabs (a pushed fragment may order its columns differently
+    from the static inference)."""
+    left = _evaluate(plan.left, env, outer)
+    out_columns = plan.output_columns()
+    rows = []
+    for lrow in left:
+        right = _evaluate(plan.right, env, _overlay(lrow, outer))
+        out_columns = left.columns + right.columns
+        for rrow in right:
+            rows.append(Row(out_columns, lrow.cells + rrow.cells))
+    return Tab(out_columns, rows)
+
+
+_ORACLE_FORMS = {**_FORMS, BindOp: _bind_reference, DJoinOp: _djoin_reference}

@@ -71,8 +71,8 @@ class ExecutionPolicy:
     def serial(cls) -> "ExecutionPolicy":
         """The seed behavior, byte for byte (the differential oracle):
         interpretive matcher and predicates, one right-branch evaluation
-        per DJoin row, interpretive OQL in the O2 wrapper, no pool.  Only
-        the Tab storage is shared with the default engine."""
+        per DJoin row, no pool; the evaluator picks them once, where it
+        starts.  Other operators and the wrappers are the engine's."""
         policy = cls(parallelism=1)
         policy._reference = True
         return policy

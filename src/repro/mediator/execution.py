@@ -103,10 +103,10 @@ def run_plan(
     is the request this execution serves; ``None`` stands for a fresh
     anonymous one.  It is never modified: the execution runs under a
     context *derived* from it, carrying this run's fresh
-    :class:`ExecutionStats` and the execution policy's reference flag,
-    and that derived context is the one carrier of per-request state
-    below this call — evaluator, scheduler pool threads, resilience
-    runtime, wrappers, replica sets and the document store all read it.
+    :class:`ExecutionStats`, and that derived context is the one carrier
+    of per-request state below this call — evaluator, scheduler pool
+    threads, resilience runtime, wrappers, replica sets and the document
+    store all read it.
     Its ``tracer`` (``None`` keeps the untraced fast path) records one
     hierarchical span per operator evaluation, guarded source call and
     wrapper-side native run, and is attached to the report as
@@ -116,7 +116,7 @@ def run_plan(
     if execution is None:
         execution = ExecutionPolicy()
     context = (context if context is not None else RequestContext()).replace(
-        stats=ExecutionStats(), reference=execution.reference
+        stats=ExecutionStats()
     )
     if policy is None and context.deadline is not None:
         # No policy means no runtime to enforce a deadline; a request

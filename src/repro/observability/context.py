@@ -10,11 +10,11 @@ This module keeps that state in one explicit
 :class:`RequestContext` — the identity and execution state of a single
 request.  It is the *one carrier* of per-request state: the tracer, the
 request's :class:`~repro.core.algebra.stats.ExecutionStats`, the
-parameters, the reference flag and the deadline reach the evaluator,
-the scheduler's pool threads, the resilience runtime, the wrappers,
-replica sets and the document store through it and through nothing
-else (``tests/test_memo.py::test_one_carrier_for_request_state``
-guards the rule).  Below ``run_plan`` it travels in one thread-local
+parameters and the deadline reach the evaluator, the scheduler's pool
+threads, the resilience runtime, the wrappers, replica sets and the
+document store through it and through nothing else
+(``tests/test_memo.py::test_one_carrier_for_request_state`` guards the
+rule).  Below ``run_plan`` it travels in one thread-local
 slot — the same pattern OpenTelemetry uses for context propagation —
 because the adapter protocol has no signature to pass it.
 
@@ -51,18 +51,17 @@ class RequestContext:
 
     * identity — ``request_id``, ``tenant``, ``priority``: who this
       execution serves, used by serving metrics and admission records;
-    * execution state — ``tracer``, ``stats``, ``reference``,
-      ``deadline`` and ``params``.  ``stats`` is the
+    * execution state — ``tracer``, ``stats``, ``deadline`` and
+      ``params``.  ``stats`` is the
       :class:`~repro.core.algebra.stats.ExecutionStats` every layer
       records into (the store's pushdowns, a replica set's failovers);
-      ``reference`` mirrors ``ExecutionPolicy.reference`` so wrappers can
-      take their interpretive path under the oracle policy; ``params``
-      is the request's parameter vector — the values of the query
-      constants the plan cache lifted into
+      ``params`` is the request's parameter vector — the values of the
+      query constants the plan cache lifted into
       :class:`~repro.core.algebra.expressions.Param` slots, read at
       execution time by every operator, kernel and wrapper.
       ``deadline`` is *absolute* (on the resilience policy's clock,
-      ``time.monotonic`` by default).
+      ``time.monotonic`` by default).  Which engine runs is no field:
+      the execution policy picks it where evaluation starts.
 
     A context is never assigned to after construction: :meth:`replace`
     derives a new one, so a context may be shared between threads and
@@ -71,7 +70,7 @@ class RequestContext:
 
     __slots__ = (
         "request_id", "tenant", "priority", "deadline",
-        "tracer", "reference", "params", "stats",
+        "tracer", "params", "stats",
     )
 
     def __init__(
@@ -81,7 +80,6 @@ class RequestContext:
         priority: str = "normal",
         deadline: Optional[float] = None,
         tracer: Optional["Tracer"] = None,
-        reference: bool = False,
         params: Tuple[object, ...] = (),
         stats: Optional["ExecutionStats"] = None,
     ) -> None:
@@ -90,7 +88,6 @@ class RequestContext:
         self.priority = priority
         self.deadline = deadline
         self.tracer = tracer
-        self.reference = reference
         self.params = params
         self.stats = stats
 
@@ -133,7 +130,7 @@ class RequestContext:
         ident = self.request_id or "anonymous"
         return (
             f"RequestContext({ident}, tenant={self.tenant!r}, "
-            f"priority={self.priority!r}, reference={self.reference})"
+            f"priority={self.priority!r})"
         )
 
 

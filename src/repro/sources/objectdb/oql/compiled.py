@@ -107,14 +107,35 @@ class CompiledSelect:
             variable, collection, guards = ranges[index]
             for value in collection(db, env):
                 env[variable] = value
-                for guard in guards:
-                    if not guard(db, env):
-                        break
-                else:
+                held = True
+                try:
+                    for guard in guards:
+                        if not guard(db, env):
+                            held = False
+                            break
+                except OqlError:
+                    # The interpreter tests the where clause only under a
+                    # full binding: raise only if one exists below.
+                    if reaches(index + 1):
+                        raise
+                    held = False
+                if held:
                     loop(index + 1)
             # The interpretive loop pops its variable on exhaustion, so a
             # sibling range never observes a stale binding; mirror that.
             env.pop(variable, None)
+
+        def reaches(index: int) -> bool:
+            """Do the ranges from *index* on bind anything at all?"""
+            if index == depth:
+                return True
+            variable, collection, _guards = ranges[index]
+            for value in collection(db, env):
+                env[variable] = value
+                if reaches(index + 1):
+                    return True
+            env.pop(variable, None)
+            return False
 
         loop(0)
         return distinct_rows(results) if self._distinct else results

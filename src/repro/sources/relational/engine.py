@@ -201,13 +201,14 @@ class SqlDatabase:
         return DataNode("row", children=children)
 
     def to_pattern_library(self) -> PatternLibrary:
-        """Structure patterns for every table: ``rows [ * row [cols] ]``."""
+        """Structure patterns for every table: ``rows [ * row [cols] ]``,
+        each column ``* col``: :meth:`export_table` leaves a NULL out."""
         library = PatternLibrary(self.name)
         for table in self._tables.values():
             row_pattern = PNode(
                 "row",
                 [
-                    PNode(column.name, [PAtomic(column.type_name)])
+                    PStar(PNode(column.name, [PAtomic(column.type_name)]))
                     for column in table.columns
                 ],
             )

@@ -108,9 +108,9 @@ class PushedFragment:
         self.selections = selections
         self.projection = projection
         self.distinct = distinct
-        #: What the wrapper compiled from the fragment on its first
-        #: non-reference run (a wrapper's own business; O2's translation
-        #: and compiled selects).
+        #: What the wrapper compiled from the fragment on its first run
+        #: (a wrapper's own business; O2's translation and compiled
+        #: selects).
         self.prepared = None
 
 

@@ -55,8 +55,6 @@ from repro.sources.objectdb.oql.ast import (
     OqlSlot,
 )
 from repro.sources.objectdb.oql.compiled import CompiledSelect, compile_select
-from repro.sources.objectdb.oql.evaluator import evaluate_oql
-from repro.observability.context import current_context
 from repro.wrappers.base import (
     NativeText,
     PushedFragment,
@@ -133,36 +131,26 @@ class O2Wrapper(Wrapper):
     def run_fragment(
         self, fragment: PushedFragment, plan: Plan, outer: Optional[Row]
     ) -> Tuple[Tab, str]:
-        context = current_context()
-        if context is not None and context.reference:
-            # ``ExecutionPolicy.serial()``, the oracle: translate and
-            # interpret the select with the call's values written in.
-            translator, compiled = self._translated(fragment), False
-        else:
-            # The fragment, which its plan keeps, holds the translation
-            # and one compiled select per passed-key pairs: each value a
-            # call supplies is a slot, so every call of the shape reuses it.
-            translator, compiled = fragment.prepared, True
-            if translator is None:
-                translator = fragment.prepared = self._translated(fragment)
+        # The fragment, which its plan keeps, holds the translation and
+        # one compiled select per passed-key pairs: each value a call
+        # supplies is a slot, so every call of the shape reuses it.
+        translator = fragment.prepared
+        if translator is None:
+            translator = fragment.prepared = self._translated(fragment)
         columns = plan.output_columns()
         if translator.empty:
             return (
                 Tab.from_columns(columns, [()] * len(columns), 0),
                 f"-- no member of {fragment.document} matches",
             )
-        template, sources, select = translator.select(fragment, outer, compiled)
+        template, sources, select = translator.select(fragment, outer)
         slots = tuple(
             outer_constant(outer, source.name) if source.__class__ is Var
             else bound(source)
             for source in sources
         )
         keys = tuple(outer.keys.values()) if isinstance(outer, BindingSet) else ()
-        oql_rows = (
-            select.run(self._db, slots, keys)
-            if compiled
-            else evaluate_oql(template.bind(slots, keys), self._db)
-        )
+        oql_rows = select.run(self._db, slots, keys)
         cells = translator.cells
         if fragment.projection is not None:
             cells = {alias: cells[column] for column, alias in fragment.projection}
@@ -201,7 +189,7 @@ class _OqlTranslator:
         #: a :class:`Param` constant is bound per call.
         self._constants: List[Tuple[OqlPath, object]] = []
         #: ``{passed pairs or None: (template, slot sources, compiled
-        #: select or None)}`` (:meth:`select`).
+        #: select)}`` (:meth:`select`).
         self._selects: Dict[object, tuple] = {}
         #: ``{variable: the path it projects}``, in filter order.
         self._paths: Dict[str, OqlNode] = {}
@@ -317,8 +305,8 @@ class _OqlTranslator:
     # -- the select ------------------------------------------------------------------
 
     def select(
-        self, fragment: PushedFragment, outer: Optional[Row], compile: bool
-    ) -> Tuple[OqlSelect, Tuple[object, ...], Optional[CompiledSelect]]:
+        self, fragment: PushedFragment, outer: Optional[Row]
+    ) -> Tuple[OqlSelect, Tuple[object, ...], CompiledSelect]:
         """``(template, slot sources, compiled select)`` for calls passing
         *outer*'s key pairs, made on the first one.  A slot's source is a
         constant (:func:`bound` per call) or a :class:`Var` of the outer
@@ -351,7 +339,7 @@ class _OqlTranslator:
             where = OqlAnd(wheres) if len(wheres) > 1 else next(iter(wheres), None)
             template = OqlSelect(items, self._ranges, where, fragment.distinct)
             made = self._selects[pairs] = (
-                template, tuple(sources), compile_select(template) if compile else None
+                template, tuple(sources), compile_select(template)
             )
         return made
 

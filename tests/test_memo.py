@@ -425,15 +425,15 @@ RETIRED_PLUMBING = re.compile(
 )
 CONTEXT_FIELDS = {
     "request_id", "tenant", "priority", "deadline",
-    "tracer", "reference", "params", "stats",
+    "tracer", "params", "stats",
 }
 
 
 def test_one_carrier_for_request_state():
-    # Per-request state (tracer, stats, parameters, reference flag,
-    # deadline) reaches the layers below the mediator through the active
-    # RequestContext only: no tracer plumbing, no side channel, and no
-    # code that edits a context someone else may be sharing.
+    # Per-request state (tracer, stats, parameters, deadline) reaches
+    # the layers below the mediator through the active RequestContext
+    # only: no tracer plumbing, no side channel, and no code that edits
+    # a context someone else may be sharing.
     offenders = []
     for path in sorted(SRC.rglob("*.py")):
         relative = path.relative_to(SRC).as_posix()

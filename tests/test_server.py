@@ -467,30 +467,30 @@ class TestConcurrentServing:
         barrier = threading.Barrier(2, timeout=10)
         seen = {}
 
-        def session(name, flag, tracer):
+        def session(name, tenant, tracer):
             context = RequestContext(
-                request_id=name, reference=flag, tracer=tracer
+                request_id=name, tenant=tenant, tracer=tracer
             )
             with activate_context(context):
                 barrier.wait()  # both contexts active simultaneously
                 seen[name] = (
                     current_context().request_id,
-                    current_context().reference,
+                    current_context().tenant,
                     current_tracer(),
                 )
                 barrier.wait()
 
         tracer = Tracer()
         threads = [
-            threading.Thread(target=session, args=("a", True, tracer)),
-            threading.Thread(target=session, args=("b", False, None)),
+            threading.Thread(target=session, args=("a", "acme", tracer)),
+            threading.Thread(target=session, args=("b", "other", None)),
         ]
         for thread in threads:
             thread.start()
         for thread in threads:
             thread.join(10)
-        assert seen["a"] == ("a", True, tracer)
-        assert seen["b"] == ("b", False, None)
+        assert seen["a"] == ("a", "acme", tracer)
+        assert seen["b"] == ("b", "other", None)
 
     def test_execute_leaves_the_callers_context_untouched(self, cultural_sources):
         mediator = _server_mediator(cultural_sources)
@@ -500,7 +500,7 @@ class TestConcurrentServing:
             result.plan, execution=ExecutionPolicy.serial(), context=context
         )
         assert tree_to_xml(report.document()) == tree_to_xml(result.document())
-        assert context.reference is False
+        assert context.params == result.params and context.tenant == "default"
         assert context.tracer is None and context.stats is None
 
     def test_request_counters_stay_with_their_request(self):

@@ -440,10 +440,13 @@ class TestOneCapabilityDecision:
 
         dataset = CulturalDataset(n_artifacts=6, seed=1)
         database, store = dataset.build()
+        sales = dataset.build_sales(database)
+        database.insert("artifact", {"title": "New Piece", "year": 1999,
+                                     "creator": "Z", "price": 50.0, "owners": []})
         mediator = Mediator()
         mediator.connect(O2Wrapper("o2artifact", database))
         mediator.connect(WaisWrapper("xmlartwork", store))
-        mediator.connect(SqlWrapper("salesdb", dataset.build_sales(database)))
+        mediator.connect(SqlWrapper("salesdb", sales))
         return mediator
 
     @pytest.mark.parametrize(
@@ -464,6 +467,11 @@ class TestOneCapabilityDecision:
             'WHERE $y = "1801"',
             'MAKE doc [ * t: $t ] MATCH sales WITH rows *row [ title: $t, year: $y ] '
             'WHERE $y != "1801"',
+            # "New Piece" owns nobody: no binding reaches the where clause,
+            # so its Int year is never compared with a string.
+            "MAKE doc [ * t: $t ] MATCH artifacts WITH set *class: artifact: "
+            "tuple [ title: $t, year: $y, owners: list *class: person: "
+            'tuple [ name: $n ] ] WHERE $t = "New Piece" AND $y > "x"',
         ],
     )
     def test_default_plan_answers_like_the_unoptimized_one(self, mediator, text):
@@ -496,6 +504,9 @@ class TestSqlNull:
             "MAKE doc [ * t: $t ] MATCH sales WITH rows *row [ title: $t, price: $p ]",
             "MAKE doc [ * t: $t ] MATCH sales WITH rows *row [ title: $t, price: $p ] "
             'WHERE $p > 1.5 OR $t != "x"',
+            # ``price`` is named, not bound: the NULL row has no such item,
+            # so demand narrowing may not drop it as always present.
+            "MAKE doc [ * t: $t ] MATCH sales WITH rows *row [ title: $t, price ]",
         ],
     )
     def test_the_default_plan_answers_like_the_unoptimized_one(self, database, text):

@@ -23,7 +23,8 @@ of no test suite.
 ``--raises`` instead lists every ``raise`` statement under
 ``src/repro/wrappers/`` with the ids of the tier-1 tests that execute
 it, found by a line trace (``sys.settrace`` + ``threading.settrace``)
-that follows only frames of that package (about 1 min).
+that follows only frames of that package (about 1 min); it exits 1
+when some site no test reaches, which CI enforces.
 
 ``--calls`` instead prints, for each op class of each workload, its
 warm calls per op: the ``call`` and ``c_call`` events of a profile hook
@@ -158,14 +159,17 @@ def raises() -> int:
         threading.settrace(None)
     total = sum(len(lines) for lines in sites.values())
     print(f"\n== raise sites under src/repro/wrappers: {total}")
+    unreached = 0
     for path, lines in sites.items():
         for line, statement in sorted(lines.items()):
             tests = sorted(tracer.reached.get((path, line), ()))
+            unreached += not tests
             shown = statement if len(statement) <= 90 else statement[:87] + "..."
             print(f"{os.path.relpath(path, ROOT)}:{line}  {shown}")
             for test in tests or ["(no tier-1 test reaches it)"]:
                 print(f"    {test}")
-    return 0
+    print(f"== unreached: {unreached}")
+    return 1 if unreached else 0
 
 
 class CallCounter:
@@ -355,7 +359,8 @@ def main() -> int:
                         "exit 1 if it lists any")
     parser.add_argument("--raises", action="store_true",
                         help="list every raise under src/repro/wrappers with the "
-                        "tier-1 tests that reach it (line trace, no workloads)")
+                        "tier-1 tests that reach it (line trace, no workloads); "
+                        "exit 1 if some site is unreached")
     parser.add_argument("--calls", action="store_true",
                         help="print warm calls per op for each op class of each "
                         "workload (profile hook, no tests)")
